@@ -525,3 +525,98 @@ func BenchmarkFDWorkers(b *testing.B) {
 		run(fmt.Sprintf("workers=%d", workers), mapping.FDConfig{Workers: workers})
 	}
 }
+
+// Kernel benchmarks under the DNN_268M headline stages (65 536 clusters,
+// 4.19 M edges on 256×256): FD's O(E) build, the adjacency it walks, and
+// evaluate's congestion-grid stamping. cmd/bench mirrors them as
+// fd-build/*, pcn-adjacency/* and congestion-grid/* records.
+
+// dnn268m builds the DNN_268M PCN and mesh.
+func dnn268m(b *testing.B) (*pcn.PCN, hw.Mesh) {
+	wl, err := expt.WorkloadByName("DNN_268M")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, mesh, err := wl.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, mesh
+}
+
+// uncachedPCN returns a PCN sharing p's arrays but none of its lazily built
+// adjacency views, so a benchmark iteration pays for the build.
+func uncachedPCN(p *pcn.PCN) *pcn.PCN {
+	return &pcn.PCN{
+		Name: p.Name, NumClusters: p.NumClusters,
+		Neurons: p.Neurons, Synapses: p.Synapses, Layer: p.Layer,
+		OutOff: p.OutOff, OutTo: p.OutTo, OutW: p.OutW,
+		InternalTraffic: p.InternalTraffic,
+	}
+}
+
+// BenchmarkFDBuild measures one Finetune sweep from the HSC placement —
+// energy accounting, the force build and the initial queue, plus 1/55 of
+// the sweeping — with the adjacency built inside the timed call (cold, what
+// a mapping run pays) and already cached on the PCN (warm).
+func BenchmarkFDBuild(b *testing.B) {
+	p, mesh := dnn268m(b)
+	init, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, warm := range []bool{false, true} {
+		name := "adjacency=cold"
+		if warm {
+			name = "adjacency=warm"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				q, pl := p, init.Clone()
+				if !warm {
+					q = uncachedPCN(p)
+				}
+				b.StartTimer()
+				if _, err := mapping.Finetune(q, pl, mapping.FDConfig{Potential: mapping.L2Sq{}, MaxIterations: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTranspose measures building the in-edge CSR FD walks.
+func BenchmarkTranspose(b *testing.B) {
+	p, _ := dnn268m(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		uncachedPCN(p).Symmetric()
+	}
+}
+
+// BenchmarkUndirected measures materializing the symmetrized copy the
+// partitioner and the baselines use.
+func BenchmarkUndirected(b *testing.B) {
+	p, _ := dnn268m(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		uncachedPCN(p).Undirected()
+	}
+}
+
+// BenchmarkCongestionGrid measures exact congestion stamping on the
+// fine-tuned DNN_268M placement.
+func BenchmarkCongestionGrid(b *testing.B) {
+	p, mesh := dnn268m(b)
+	res, err := mapping.Map(p, mesh, mapping.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		metrics.CongestionGrid(p, res.Placement, 1, 1)
+	}
+}

@@ -419,30 +419,6 @@ func main() {
 		}
 	}
 
-	// metrics-evaluate/expe-memo=off disables the per-call Expe DP grid
-	// memo (ExpeMemoLimit: -1); expe-memo=on reruns the workers=1 default
-	// with the memo enabled, its speedup field reading the memoization gain
-	// directly (outputs are bit-identical either way, see
-	// TestExpeMemoBitIdentical).
-	memoOff := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			metrics.Evaluate(mp, mpl, cost, metrics.Options{Congestion: metrics.CongestionExact, Workers: 1, ExpeMemoLimit: -1})
-		}
-	})
-	add("metrics-evaluate/expe-memo=off", mwl, memoOff, 0)
-	memoOn := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			metrics.Evaluate(mp, mpl, cost, metrics.Options{Congestion: metrics.CongestionExact, Workers: 1})
-		}
-	})
-	memoSpeedup := 0.0
-	if memoOn.NsPerOp() > 0 {
-		memoSpeedup = float64(memoOff.NsPerOp()) / float64(memoOn.NsPerOp())
-	}
-	add("metrics-evaluate/expe-memo=on", mwl, memoOn, memoSpeedup)
-
 	// --- Artifact cache: cold pipeline vs content-addressed warm start ---
 	// pipeline/cold runs partition → map (HSC + FD) → evaluate write-through
 	// against an empty cache directory, recreated every iteration;
@@ -651,6 +627,69 @@ func main() {
 			addParallel(op, headlineWl, r, hscSeqNs)
 		}
 	}
+
+	// --- Kernels under the headline stages (bench_test.go mirrors these) ---
+	// fd-build/* is one Finetune sweep from the HSC placement (energy
+	// accounting, force build, initial queue) with the adjacency built inside
+	// the call (cold) or already cached on the PCN (warm); pcn-adjacency/*
+	// builds the transpose FD walks and the materialized Undirected copy the
+	// partitioner uses; congestion-grid/exact stamps the fine-tuned
+	// placement's exact grid.
+	section("kernels")
+	hinit, err := mapping.InitialPlacement(hp, hmesh, curve.Hilbert{})
+	if err != nil {
+		fatal(err)
+	}
+	uncached := func() *pcn.PCN {
+		return &pcn.PCN{
+			Name: hp.Name, NumClusters: hp.NumClusters,
+			Neurons: hp.Neurons, Synapses: hp.Synapses, Layer: hp.Layer,
+			OutOff: hp.OutOff, OutTo: hp.OutTo, OutW: hp.OutW,
+			InternalTraffic: hp.InternalTraffic,
+		}
+	}
+	for _, warm := range []bool{false, true} {
+		op := "fd-build/adjacency=cold"
+		if warm {
+			op = "fd-build/adjacency=warm"
+		}
+		add(op, headlineWl, testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				q, pl := hp, hinit.Clone()
+				if !warm {
+					q = uncached()
+				}
+				b.StartTimer()
+				if _, err := mapping.Finetune(q, pl, mapping.FDConfig{Potential: mapping.L2Sq{}, MaxIterations: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}), 0)
+	}
+	add("pcn-adjacency/transpose", headlineWl, testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			uncached().Symmetric()
+		}
+	}), 0)
+	add("pcn-adjacency/undirected", headlineWl, testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			uncached().Undirected()
+		}
+	}), 0)
+	hmap, err := mapping.Map(hp, hmesh, mapping.Default())
+	if err != nil {
+		fatal(err)
+	}
+	add("congestion-grid/exact", headlineWl, testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			metrics.CongestionGrid(hp, hmap.Placement, 1, 1)
+		}
+	}), 0)
 
 	section("")
 	rep.TotalWallMs = time.Since(matrixStart).Milliseconds()

@@ -309,8 +309,8 @@ func (c *Cache) Expand(n *snn.Net, cfg pcn.PartitionConfig) (*pcn.PCN, bool, err
 
 // Evaluate is metrics.Evaluate behind the cache. The key covers the PCN,
 // placement, cost model and every option that changes Summary values;
-// Workers, Obs and ExpeMemoLimit are bit-identity-preserving and
-// excluded, so any worker count can serve any other's entry.
+// Workers and Obs are bit-identity-preserving and excluded, so any worker
+// count can serve any other's entry.
 func (c *Cache) Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts metrics.Options) (metrics.Summary, bool) {
 	k := metricsKey(c.pcnKey(p), pl.PosOf, pl.Mesh, cost, opts)
 	if body, ok := c.load(stageMetrics, k); ok {

@@ -300,8 +300,8 @@ func partitionNetKey(n *snn.Net, cfg *pcn.PartitionConfig) Key {
 }
 
 // metricsKey is the stage key for Evaluate: PCN, placement, cost model
-// and the options that change Summary values (Workers, Obs and
-// ExpeMemoLimit are bit-identity-preserving and excluded).
+// and the options that change Summary values (Workers and Obs are
+// bit-identity-preserving and excluded).
 func metricsKey(pk Key, plPosOf []int32, mesh hw.Mesh, cost hw.CostModel, opts metrics.Options) Key {
 	opts = opts.Resolved()
 	h := newHasher("metrics")

@@ -316,11 +316,21 @@ type pairTension struct {
 // idx*2, with its bottom neighbor idx*2+1. Only in-mesh pairs are ever
 // enqueued.
 type fdEngine struct {
-	p    *pcn.PCN
-	und  *pcn.Undirected
+	p *pcn.PCN
+	// sym is the undirected adjacency every kernel walks; buf is its merge
+	// scratch for the sequential paths (parallel build phases bring one per
+	// goroutine).
+	sym  *pcn.Symmetric
+	buf  pcn.MergeBuf
 	pl   *place.Placement
 	mesh hw.Mesh
-	pot  Potential
+	// coord[idx] is Mesh.Coord(idx), tabulated once so the O(E) kernels pay
+	// a load instead of a division per adjacency entry.
+	coord []cellXY
+	// pot is the potential; field is its closed form when it has one, so
+	// the hot loops make no interface call per entry (see potential.go).
+	pot   Potential
+	field fieldKind
 	// defects/cons implement fault-aware swapping: pairs touching a dead
 	// cell, or whose swap would overfill a degraded cell, report zero
 	// tension and are therefore never enqueued or executed.
@@ -387,18 +397,30 @@ type fdEngine struct {
 	specHits int64
 }
 
+// cellXY is a mesh coordinate (row x, column y) in the engine's tables.
+type cellXY struct{ x, y int32 }
+
 func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 	mesh := pl.Mesh
 	sweepWorkers := cfg.Workers
 	if sweepWorkers < 1 || cfg.FullSort {
 		sweepWorkers = 1
 	}
+	cols, rows := int32(mesh.Cols), int32(mesh.Rows)
+	coord := make([]cellXY, 0, mesh.Cores())
+	for x := int32(0); x < rows; x++ {
+		for y := int32(0); y < cols; y++ {
+			coord = append(coord, cellXY{x, y})
+		}
+	}
 	e := &fdEngine{
 		p:            p,
-		und:          p.Undirected(),
+		sym:          p.Symmetric(),
 		pl:           pl,
 		mesh:         mesh,
+		coord:        coord,
 		pot:          cfg.Potential,
+		field:        closedForm(cfg.Potential),
 		defects:      cfg.Defects,
 		cons:         cfg.Constraints,
 		unitCorr:     2 * (cfg.Potential.AtUnit() - cfg.Potential.AtZero()),
@@ -413,32 +435,74 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 		clusterMark:  make([]int32, p.NumClusters),
 		cellStamp:    make([]int32, mesh.Cores()),
 	}
-	cols, rows := int32(mesh.Cols), int32(mesh.Rows)
-	for idx := int32(0); idx < int32(mesh.Cores()); idx++ {
-		if idx%cols < cols-1 {
-			e.rebuildMutw(idx * 2)
+	for idx, q := range coord {
+		if q.y < cols-1 {
+			e.rebuildMutw(int32(idx) * 2)
 		}
-		if idx/cols < rows-1 {
-			e.rebuildMutw(idx*2 + 1)
+		if q.x < rows-1 {
+			e.rebuildMutw(int32(idx)*2 + 1)
 		}
 	}
 	return e
 }
 
+// potential returns u((x, y)).
+func (e *fdEngine) potential(x, y int) float64 {
+	if e.field == fieldEval {
+		return e.pot.Eval(geom.Point{X: x, Y: y})
+	}
+	return float64(e.field.at(x, y))
+}
+
+// steps returns u(p) − u(p−δ) at p = (x, y) for δ = up, down, right, left:
+// the per-unit-weight force components of Eq. 27.
+func (e *fdEngine) steps(x, y int) (up, down, right, left float64) {
+	if e.field == fieldEval {
+		u0 := e.pot.Eval(geom.Point{X: x, Y: y})
+		return u0 - e.pot.Eval(geom.Point{X: x + 1, Y: y}),
+			u0 - e.pot.Eval(geom.Point{X: x - 1, Y: y}),
+			u0 - e.pot.Eval(geom.Point{X: x, Y: y - 1}),
+			u0 - e.pot.Eval(geom.Point{X: x, Y: y + 1})
+	}
+	u, d, r, l := e.field.steps(x, y)
+	return float64(u), float64(d), float64(r), float64(l)
+}
+
 // systemEnergy returns E_s (Eq. 23) for the cluster range [lo, hi): the sum
-// over connections of u(P(c_j)−P(c_i))·w. Undirected weights already
-// combine both directions.
-func (e *fdEngine) systemEnergy(lo, hi int) float64 {
+// over connections of u(P(c_j)−P(c_i))·w. Neighbor weights already combine
+// both directions.
+func (e *fdEngine) systemEnergy(lo, hi int, buf *pcn.MergeBuf) float64 {
 	var total float64
 	for c := lo; c < hi; c++ {
-		pc := e.pl.Of(c)
-		tos, ws := e.und.Neighbors(c)
-		for k, to := range tos {
-			if int(to) < c {
-				continue // count each unordered pair once
-			}
-			total += ws[k] * e.pot.Eval(e.pl.Of(int(to)).Sub(pc))
+		pc := e.coord[e.pl.PosOf[c]]
+		to1, w1, to2, w2 := e.sym.Neighbors(c, buf)
+		total = e.energyRun(total, int32(c), pc, to1, w1)
+		total = e.energyRun(total, int32(c), pc, to2, w2)
+	}
+	return total
+}
+
+// energyRun adds one neighbor run of cluster c (at cell pc) to total,
+// counting each unordered pair once, from its smaller cluster.
+func (e *fdEngine) energyRun(total float64, c int32, pc cellXY, tos []int32, ws []float64) float64 {
+	if len(tos) == 0 || tos[len(tos)-1] < c {
+		return total // ids ascend: the whole run is counted from the other side
+	}
+	ws = ws[:len(tos)]
+	l2sq := e.field == fieldL2Sq
+	for k, to := range tos {
+		if to < c {
+			continue
 		}
+		q := e.coord[e.pl.PosOf[to]]
+		x, y := int(q.x-pc.x), int(q.y-pc.y)
+		var u float64
+		if l2sq {
+			u = float64(x*x + y*y)
+		} else {
+			u = e.potential(x, y)
+		}
+		total += ws[k] * u
 	}
 	return total
 }
@@ -456,18 +520,18 @@ const energyChunk = 4096
 func (e *fdEngine) systemEnergyParallel(workers int) float64 {
 	n := e.p.NumClusters
 	if n <= energyChunk {
-		return e.systemEnergy(0, n)
+		return e.systemEnergy(0, n, &e.buf)
 	}
 	chunks := (n + energyChunk - 1) / energyChunk
 	partial := make([]float64, chunks)
-	fill := func(lo, hi int) {
+	fill := func(lo, hi int, buf *pcn.MergeBuf) {
 		for c := lo; c < hi; c++ {
 			clo := c * energyChunk
-			partial[c] = e.systemEnergy(clo, min(clo+energyChunk, n))
+			partial[c] = e.systemEnergy(clo, min(clo+energyChunk, n), buf)
 		}
 	}
 	if workers <= 1 {
-		fill(0, chunks)
+		fill(0, chunks, &e.buf)
 	} else {
 		per := (chunks + workers - 1) / workers
 		var wg sync.WaitGroup
@@ -480,7 +544,7 @@ func (e *fdEngine) systemEnergyParallel(workers int) float64 {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				fill(lo, hi)
+				fill(lo, hi, new(pcn.MergeBuf))
 			}(lo, hi)
 		}
 		wg.Wait()
@@ -500,7 +564,7 @@ func (e *fdEngine) buildAllForces(workers int) {
 	if workers <= 1 || cores < 4096 {
 		for idx := int32(0); idx < cores; idx++ {
 			if e.pl.ClusterAt[idx] != place.None {
-				e.rebuildForce(idx)
+				e.rebuildForce(idx, &e.buf)
 			}
 		}
 		return
@@ -519,9 +583,10 @@ func (e *fdEngine) buildAllForces(workers int) {
 		wg.Add(1)
 		go func(lo, hi int32) {
 			defer wg.Done()
+			var buf pcn.MergeBuf
 			for idx := lo; idx < hi; idx++ {
 				if e.pl.ClusterAt[idx] != place.None {
-					e.rebuildForce(idx)
+					e.rebuildForce(idx, &buf)
 				}
 			}
 		}(lo, hi)
@@ -529,43 +594,57 @@ func (e *fdEngine) buildAllForces(workers int) {
 	wg.Wait()
 }
 
-// dirValid reports whether moving from cell pt in direction d stays on-mesh.
-func (e *fdEngine) dirValid(pt geom.Point, d geom.Dir) bool {
-	switch d {
-	case geom.Up:
-		return pt.X > 0
-	case geom.Down:
-		return pt.X < e.mesh.Rows-1
-	case geom.Right:
-		return pt.Y < e.mesh.Cols-1
-	case geom.Left:
-		return pt.Y > 0
-	}
-	return false
-}
-
 // rebuildForce recomputes Force[idx][0..3] from scratch (Eq. 27) for the
-// cluster currently at cell idx; empty cells get zero force.
-func (e *fdEngine) rebuildForce(idx int32) {
-	base := int(idx) * 4
-	e.force[base], e.force[base+1], e.force[base+2], e.force[base+3] = 0, 0, 0, 0
+// cluster currently at cell idx; empty cells get zero force. Each direction
+// is summed over the neighbors in ascending id order; off-mesh directions
+// stay zero.
+func (e *fdEngine) rebuildForce(idx int32, buf *pcn.MergeBuf) {
+	f := e.force[int(idx)*4:][:4]
+	f[0], f[1], f[2], f[3] = 0, 0, 0, 0
 	c := e.pl.ClusterAt[idx]
 	if c == place.None {
 		return
 	}
-	pa := e.mesh.Coord(int(idx))
-	tos, ws := e.und.Neighbors(int(c))
-	for k, to := range tos {
-		dp := e.pl.Of(int(to)).Sub(pa)
-		u0 := e.pot.Eval(dp)
-		w := ws[k]
-		for d := geom.Dir(0); d < geom.NumDirs; d++ {
-			if !e.dirValid(pa, d) {
-				continue
-			}
-			e.force[base+int(d)] += w * (u0 - e.pot.Eval(dp.Sub(d.Delta())))
-		}
+	pa := e.coord[idx]
+	to1, w1, to2, w2 := e.sym.Neighbors(int(c), buf)
+	up, down, right, left := e.forceRun(pa, to1, w1, 0, 0, 0, 0)
+	up, down, right, left = e.forceRun(pa, to2, w2, up, down, right, left)
+	if pa.x > 0 {
+		f[geom.Up] = up
 	}
+	if pa.x < int32(e.mesh.Rows)-1 {
+		f[geom.Down] = down
+	}
+	if pa.y < int32(e.mesh.Cols)-1 {
+		f[geom.Right] = right
+	}
+	if pa.y > 0 {
+		f[geom.Left] = left
+	}
+}
+
+// forceRun continues the four directional sums of the cluster at cell pa
+// over one neighbor run.
+func (e *fdEngine) forceRun(pa cellXY, tos []int32, ws []float64, up, down, right, left float64) (float64, float64, float64, float64) {
+	ws = ws[:len(tos)]
+	l2sq := e.field == fieldL2Sq
+	for k, to := range tos {
+		q := e.coord[e.pl.PosOf[to]]
+		x, y := int(q.x-pa.x), int(q.y-pa.y)
+		var su, sd, sr, sl float64
+		if l2sq {
+			fx, fy := float64(2*x), float64(2*y)
+			su, sd, sr, sl = -fx-1, fx-1, fy-1, -fy-1
+		} else {
+			su, sd, sr, sl = e.steps(x, y)
+		}
+		w := ws[k]
+		up += w * su
+		down += w * sd
+		right += w * sr
+		left += w * sl
+	}
+	return up, down, right, left
 }
 
 // pairCells decodes a pair id into its two cell indices and the direction
@@ -587,27 +666,7 @@ func (e *fdEngine) rebuildMutw(id int32) {
 		e.mutw[id] = 0
 		return
 	}
-	e.mutw[id] = e.mutualWeight(ca, cb)
-}
-
-// mutualWeight returns the combined undirected weight between two clusters
-// (0 when unconnected), via binary search of the sorted adjacency. Hot
-// paths read the per-pair mutw cache instead; this is the rebuild primitive.
-func (e *fdEngine) mutualWeight(c1, c2 int32) float64 {
-	tos, ws := e.und.Neighbors(int(c1))
-	lo, hi := 0, len(tos)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if tos[mid] < c2 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(tos) && tos[lo] == c2 {
-		return ws[lo]
-	}
-	return 0
+	e.mutw[id] = e.sym.Weight(ca, cb)
 }
 
 // blocked reports whether the swap of pair id is illegal on the defective
@@ -618,7 +677,7 @@ func (e *fdEngine) blocked(id int32) bool {
 		// For both pair orientations (right, down) cell b has the larger
 		// row, so only b can cross into the reserved bottom rows.
 		_, b, _ := e.pairCells(id)
-		if b/int32(e.mesh.Cols) >= e.spareStart {
+		if e.coord[b].x >= e.spareStart {
 			return true
 		}
 	}
@@ -715,11 +774,11 @@ func (e *fdEngine) markAffected(c int32) {
 func (e *fdEngine) swapPair(id int32) {
 	a, b, _ := e.pairCells(id)
 	ca, cb := e.pl.ClusterAt[a], e.pl.ClusterAt[b]
-	pa, pb := e.mesh.Coord(int(a)), e.mesh.Coord(int(b))
+	pa, pb := e.coord[a], e.coord[b]
 
 	e.pl.SwapCores(a, b)
-	e.rebuildForce(a)
-	e.rebuildForce(b)
+	e.rebuildForce(a, &e.buf)
+	e.rebuildForce(b, &e.buf)
 	e.cellStamp[a] = e.epoch
 	e.cellStamp[b] = e.epoch
 	// The swap changed the occupants of cells a and b, invalidating the
@@ -743,27 +802,38 @@ func (e *fdEngine) swapPair(id int32) {
 // maintainNeighbors applies the incremental force update for every cluster
 // connected to moved (which traveled oldPos → newPos), skipping other —
 // the co-swapped cluster, whose cell was fully rebuilt.
-func (e *fdEngine) maintainNeighbors(moved, other int32, oldPos, newPos geom.Point) {
-	tos, ws := e.und.Neighbors(int(moved))
+func (e *fdEngine) maintainNeighbors(moved, other int32, oldPos, newPos cellXY) {
+	to1, w1, to2, w2 := e.sym.Neighbors(int(moved), &e.buf)
+	e.maintainRun(other, oldPos, newPos, to1, w1)
+	e.maintainRun(other, oldPos, newPos, to2, w2)
+}
+
+// maintainRun moves the field origin of one neighbor run from oldPos to
+// newPos: each neighbor's force changes by w·(steps(new) − steps(old)).
+func (e *fdEngine) maintainRun(other int32, oldPos, newPos cellXY, tos []int32, ws []float64) {
+	rows, cols := int32(e.mesh.Rows), int32(e.mesh.Cols)
+	ws = ws[:len(tos)]
 	for k, to := range tos {
 		if to == other {
 			continue
 		}
 		w := ws[k]
 		pkIdx := e.pl.PosOf[to]
-		pk := e.mesh.Coord(int(pkIdx))
-		base := int(pkIdx) * 4
-		oldDP := oldPos.Sub(pk)
-		newDP := newPos.Sub(pk)
-		uOld := e.pot.Eval(oldDP)
-		uNew := e.pot.Eval(newDP)
-		for d := geom.Dir(0); d < geom.NumDirs; d++ {
-			if !e.dirValid(pk, d) {
-				continue
-			}
-			dd := d.Delta()
-			e.force[base+int(d)] += w * ((uNew - e.pot.Eval(newDP.Sub(dd))) -
-				(uOld - e.pot.Eval(oldDP.Sub(dd))))
+		pk := e.coord[pkIdx]
+		f := e.force[int(pkIdx)*4:][:4]
+		newU, newD, newR, newL := e.steps(int(newPos.x-pk.x), int(newPos.y-pk.y))
+		oldU, oldD, oldR, oldL := e.steps(int(oldPos.x-pk.x), int(oldPos.y-pk.y))
+		if pk.x > 0 {
+			f[geom.Up] += w * (newU - oldU)
+		}
+		if pk.x < rows-1 {
+			f[geom.Down] += w * (newD - oldD)
+		}
+		if pk.y < cols-1 {
+			f[geom.Right] += w * (newR - oldR)
+		}
+		if pk.y > 0 {
+			f[geom.Left] += w * (newL - oldL)
 		}
 		e.cellStamp[pkIdx] = e.epoch
 		e.markAffected(to)
@@ -774,18 +844,18 @@ func (e *fdEngine) maintainNeighbors(moved, other int32, oldPos, newPos geom.Poi
 // given cell index.
 func (e *fdEngine) pairsTouching(idx int32, out []int32) []int32 {
 	cols := int32(e.mesh.Cols)
-	r, c := idx/cols, idx%cols
-	if c < cols-1 {
+	q := e.coord[idx]
+	if q.y < cols-1 {
 		out = append(out, idx*2)
 	}
-	if c > 0 {
+	if q.y > 0 {
 		out = append(out, (idx-1)*2)
 	}
-	if r < int32(e.mesh.Rows)-1 {
+	if q.x < int32(e.mesh.Rows)-1 {
 		out = append(out, idx*2+1)
 	}
-	if r > 0 {
-		out = append(out, (idx-int32(e.mesh.Cols))*2+1)
+	if q.x > 0 {
+		out = append(out, (idx-cols)*2+1)
 	}
 	return out
 }

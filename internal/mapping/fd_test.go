@@ -136,7 +136,7 @@ func TestForceConsistencyAfterSwaps(t *testing.T) {
 	e := newFDEngine(p, pl, cfg)
 	for idx := int32(0); idx < int32(mesh.Cores()); idx++ {
 		if pl.ClusterAt[idx] != place.None {
-			e.rebuildForce(idx)
+			e.rebuildForce(idx, &e.buf)
 		}
 	}
 	queue := e.initialQueue(1)
@@ -158,7 +158,7 @@ func TestForceConsistencyAfterSwaps(t *testing.T) {
 		if pl.ClusterAt[idx] == place.None {
 			continue
 		}
-		fresh.rebuildForce(idx)
+		fresh.rebuildForce(idx, &fresh.buf)
 		for d := 0; d < 4; d++ {
 			got := e.force[int(idx)*4+d]
 			want := fresh.force[int(idx)*4+d]
@@ -184,7 +184,7 @@ func TestTensionEqualsSwapDelta(t *testing.T) {
 		e := newFDEngine(p, pl, cfg)
 		for idx := int32(0); idx < int32(mesh.Cores()); idx++ {
 			if pl.ClusterAt[idx] != place.None {
-				e.rebuildForce(idx)
+				e.rebuildForce(idx, &e.buf)
 			}
 		}
 		base := bruteEnergy(p, pl, pot)

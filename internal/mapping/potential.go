@@ -99,6 +99,78 @@ func (e EnergyPotential) AtUnit() float64 { return e.Cost.SpikeEnergy(1) }
 // AtZero implements Potential.
 func (e EnergyPotential) AtZero() float64 { return e.Cost.SpikeEnergy(0) }
 
+// fieldKind names a built-in potential whose values are integers, resolved
+// once per FD engine so the O(E) kernels evaluate it without an interface
+// call. For these u(p) and u(p−δ) are integers below 2^53, so their float64
+// difference is exact and equals the float64 of the integer closed form bit
+// for bit. EnergyPotential (non-integer cost parameters) and any
+// caller-defined Potential stay fieldEval and go through Eval.
+type fieldKind uint8
+
+const (
+	fieldEval fieldKind = iota
+	fieldL1
+	fieldL1Sq
+	fieldL2Sq
+)
+
+func closedForm(pot Potential) fieldKind {
+	switch pot.(type) {
+	case L1:
+		return fieldL1
+	case L1Sq:
+		return fieldL1Sq
+	case L2Sq:
+		return fieldL2Sq
+	}
+	return fieldEval
+}
+
+// at returns u((x, y)) of a closed-form field.
+func (k fieldKind) at(x, y int) int {
+	switch k {
+	case fieldL1:
+		return geom.Abs(x) + geom.Abs(y)
+	case fieldL1Sq:
+		d := geom.Abs(x) + geom.Abs(y)
+		return d * d
+	case fieldL2Sq:
+		return x*x + y*y
+	}
+	panic("mapping: potential has no closed form")
+}
+
+// steps returns u(p) − u(p−δ) at p = (x, y) for δ = up (−1,0), down (1,0),
+// right (0,1), left (0,−1) of a closed-form field. The step to p−δ changes
+// |x| or |y| by s = ±1, so with d = |x|+|y|: L1 gives −s, L1Sq gives
+// d² − (d+s)² = −s·2d − 1, and L2Sq gives x² − (x±1)² = ∓2x − 1.
+func (k fieldKind) steps(x, y int) (up, down, right, left int) {
+	if k == fieldL2Sq {
+		return -2*x - 1, 2*x - 1, 2*y - 1, -2*y - 1
+	}
+	sUp, sDown, sRight, sLeft := 1, -1, -1, 1
+	if x < 0 {
+		sUp = -1
+	}
+	if x <= 0 {
+		sDown = 1
+	}
+	if y <= 0 {
+		sRight = 1
+	}
+	if y < 0 {
+		sLeft = -1
+	}
+	switch k {
+	case fieldL1:
+		return -sUp, -sDown, -sRight, -sLeft
+	case fieldL1Sq:
+		d2 := 2 * (geom.Abs(x) + geom.Abs(y))
+		return -sUp*d2 - 1, -sDown*d2 - 1, -sRight*d2 - 1, -sLeft*d2 - 1
+	}
+	panic("mapping: potential has no closed form")
+}
+
 // PotentialByName returns the named potential; "energy" uses the provided
 // cost model.
 func PotentialByName(name string, cost hw.CostModel) (Potential, error) {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -169,61 +170,146 @@ func BenchmarkEvaluateWorkers(b *testing.B) {
 	}
 }
 
-// TestExpeMemoBitIdentical is the determinism contract of the Expe DP
-// memo: every Summary field and every congestion-grid cell must be
-// exactly equal with the memo disabled, default-bounded, or squeezed to a
-// tiny budget that forces constant eviction-by-refusal.
-func TestExpeMemoBitIdentical(t *testing.T) {
-	cost := hw.DefaultCostModel()
-	for seed := int64(1); seed <= 3; seed++ {
-		p, pl := randomMetricsWorkload(t, seed, 300, 1500, 18)
-		base := Options{Congestion: CongestionExact, ExpeMemoLimit: -1}
-		want := Evaluate(p, pl, cost, base)
-		for _, limit := range []int{0, 64, 1 << 20} {
-			opts := base
-			opts.ExpeMemoLimit = limit
-			if got := Evaluate(p, pl, cost, opts); got != want {
-				t.Fatalf("seed %d memo limit %d: %+v != memo-off %+v", seed, limit, got, want)
+// naiveCongestionGrid is the stamping oracle: w·Expe(at, src, dst) added
+// cell by cell over the whole mesh for every stride-th edge in CSR order,
+// per evaluation chunk and merged in chunk order like CongestionGrid.
+func naiveCongestionGrid(p *pcn.PCN, pl *place.Placement, stride int) []float64 {
+	mesh := pl.Mesh
+	grid := make([]float64, mesh.Cores())
+	n := p.NumClusters
+	k := chunksOf(n)
+	for ci := 0; ci < k; ci++ {
+		part := make([]float64, mesh.Cores())
+		for c := ci * n / k; c < (ci+1)*n/k; c++ {
+			tos, ws := p.OutEdges(c)
+			for kk, to := range tos {
+				if (p.OutOff[c]+int64(kk))%int64(stride) != 0 {
+					continue
+				}
+				src, dst := pl.Of(c), pl.Of(int(to))
+				box := geom.Bounding(src, dst)
+				for x := box.MinX; x < box.MaxX; x++ {
+					for y := box.MinY; y < box.MaxY; y++ {
+						at := geom.Point{X: x, Y: y}
+						part[mesh.Index(at)] += ws[kk] * Expe(at, src, dst, mesh)
+					}
+				}
 			}
 		}
-		wantGrid := congestionGrid(p, pl, 1, 1, -1)
-		for _, limit := range []int{0, 64} {
-			got := congestionGrid(p, pl, 1, 4, limit)
-			for i := range wantGrid {
-				if got[i] != wantGrid[i] {
-					t.Fatalf("seed %d limit %d: grid[%d] = %v != %v", seed, limit, i, got[i], wantGrid[i])
+		for i, v := range part {
+			grid[i] += v
+		}
+	}
+	return grid
+}
+
+// TestCongestionGridMatchesNaiveOracle pins the row-sliced stamping and the
+// dense shape table to the cell-by-cell definition, bit for bit: all four
+// sign quadrants, straight (dx=0 / dy=0) boxes, boxes touching every mesh
+// border, shapes inside and outside the table, strides {1, 3} and workers
+// {1, 2, 7}.
+func TestCongestionGridMatchesNaiveOracle(t *testing.T) {
+	const side = expeTableSide + 8
+	mesh := hw.MustMesh(side, side)
+	last := side - 1
+	T := expeTableSide
+	boxes := [][2]geom.Point{
+		// Border to border: every quadrant, every border, outside the table.
+		{{X: 0, Y: 0}, {X: last, Y: 4}}, {{X: last, Y: last}, {X: 0, Y: last - 4}},
+		{{X: 0, Y: last}, {X: 4, Y: 0}}, {{X: last, Y: 0}, {X: last - 4, Y: last}},
+		// Straight boxes along each border and through the middle.
+		{{X: 0, Y: 0}, {X: 0, Y: last}}, {{X: last, Y: last}, {X: last, Y: 0}},
+		{{X: 0, Y: 0}, {X: last, Y: 0}}, {{X: last, Y: last}, {X: 0, Y: last}},
+		{{X: 40, Y: 7}, {X: 40, Y: 2}}, {{X: 9, Y: 40}, {X: 30, Y: 40}},
+		// Small shapes in all four quadrants around one source.
+		{{X: 40, Y: 40}, {X: 41, Y: 40}}, {{X: 40, Y: 40}, {X: 40, Y: 39}},
+		{{X: 40, Y: 40}, {X: 37, Y: 45}}, {{X: 40, Y: 40}, {X: 44, Y: 33}},
+		{{X: 40, Y: 40}, {X: 36, Y: 38}}, {{X: 40, Y: 40}, {X: 42, Y: 47}},
+		// One side just inside and just outside the table.
+		{{X: 2, Y: 3}, {X: 2 + T - 1, Y: 8}}, {{X: 2, Y: 3}, {X: 2 + T, Y: 8}},
+		{{X: 70, Y: T + 5}, {X: 66, Y: 6}}, {{X: 70, Y: T + 5}, {X: 66, Y: 5}}, // dy = T−1, T
+	}
+	rng := rand.New(rand.NewSource(8))
+	cluster := map[geom.Point]int{}
+	var cells []geom.Point
+	id := func(pt geom.Point) int {
+		c, ok := cluster[pt]
+		if !ok {
+			c = len(cells)
+			cluster[pt] = c
+			cells = append(cells, pt)
+		}
+		return c
+	}
+	type edge struct{ from, to int }
+	var edges []edge
+	for _, bx := range boxes {
+		edges = append(edges, edge{id(bx[0]), id(bx[1])})
+	}
+	var b snn.GraphBuilder
+	b.AddNeurons(len(cells), -1)
+	for _, e := range edges {
+		b.AddSynapse(e.from, e.to, rng.Float64()*9+0.5)
+	}
+	res, err := pcn.Partition(b.Build(), pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boxP := res.PCN
+	boxPl, err := place.New(boxP.NumClusters, mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, pt := range cells {
+		boxPl.Assign(c, int32(mesh.Index(pt)))
+	}
+	randP, randPl := randomMetricsWorkload(t, 9, 300, 1500, 18)
+
+	for _, tc := range []struct {
+		name string
+		p    *pcn.PCN
+		pl   *place.Placement
+	}{{"boxes", boxP, boxPl}, {"random", randP, randPl}} {
+		for _, stride := range []int{1, 3} {
+			want := naiveCongestionGrid(tc.p, tc.pl, stride)
+			for _, workers := range []int{1, 2, 7} {
+				got := CongestionGrid(tc.p, tc.pl, stride, workers)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s stride %d workers %d: grid[%d] = %v, oracle %v", tc.name, stride, workers, i, got[i], want[i])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestExpeMemoBudgetRespected checks the accumulator never retains more
-// floats than its budget and never caches a grid above the area cap.
-func TestExpeMemoBudgetRespected(t *testing.T) {
+// TestExpeTableBounded checks the accumulator keeps DP grids only for
+// shapes inside the compile-time table and recomputes larger ones.
+func TestExpeTableBounded(t *testing.T) {
+	const side = expeTableSide + 16
 	var a expeAccumulator
-	a.limit = 100
-	grid := make([]float64, 64*64)
-	mesh := hw.MustMesh(64, 64)
-	// Shapes of area 36 each: only two fit in a budget of 100.
+	grid := make([]float64, side*side)
+	kept := func() (n int) {
+		for _, g := range a.table {
+			if g != nil {
+				n++
+			}
+		}
+		return n
+	}
+	a.accumulate(grid, side, cellXY{}, cellXY{x: side - 1, y: side - 1}, 1)
+	a.accumulate(grid, side, cellXY{}, cellXY{x: 3, y: expeTableSide}, 1)
+	if n := kept(); n != 0 {
+		t.Fatalf("%d oversized grids were kept", n)
+	}
 	for i := 0; i < 8; i++ {
-		a.accumulate(grid, mesh, geom.Point{}, geom.Point{X: 5 + i%2, Y: 5 + (i/2)%2}, 1)
+		a.accumulate(grid, side, cellXY{}, cellXY{x: int32(5 + i%2), y: int32(expeTableSide - 1 - (i/2)%2)}, 1)
 	}
-	if a.memoFloats > a.limit {
-		t.Fatalf("memoFloats = %d exceeds budget %d", a.memoFloats, a.limit)
+	if n := kept(); n != 4 {
+		t.Fatalf("table keeps %d grids for 4 distinct shapes", n)
 	}
-	// Oversized shape must never be cached even under an ample budget.
-	bigMesh := hw.MustMesh(80, 80)
-	bigGrid := make([]float64, 80*80)
-	b := expeAccumulator{limit: 1 << 30}
-	b.accumulate(bigGrid, bigMesh, geom.Point{}, geom.Point{X: 79, Y: 79}, 1)
-	if len(b.memo) != 0 {
-		t.Fatalf("oversized grid was memoized (%d entries)", len(b.memo))
-	}
-	// Disabled memo caches nothing.
-	c := expeAccumulator{limit: -1}
-	c.accumulate(grid, mesh, geom.Point{}, geom.Point{X: 3, Y: 3}, 1)
-	if len(c.memo) != 0 {
-		t.Fatalf("disabled memo cached %d entries", len(c.memo))
+	if g := a.table[5*expeTableSide+expeTableSide-1]; len(g) != 6*expeTableSide {
+		t.Fatalf("shape (5,%d) grid has %d cells, want %d", expeTableSide-1, len(g), 6*expeTableSide)
 	}
 }

@@ -5,7 +5,22 @@ import (
 
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
+	"snnmap/internal/place"
 )
+
+// cellXY is a mesh coordinate (row x, column y) in the evaluation tables.
+type cellXY struct{ x, y int32 }
+
+// clusterCoords tabulates pl.Of(c) for every cluster, so the O(E) walks pay
+// a load instead of a division per edge endpoint.
+func clusterCoords(pl *place.Placement) []cellXY {
+	pos := make([]cellXY, len(pl.PosOf))
+	for c, idx := range pl.PosOf {
+		pt := pl.Mesh.Coord(int(idx))
+		pos[c] = cellXY{int32(pt.X), int32(pt.Y)}
+	}
+	return pos
+}
 
 // Algorithm 4's Expe function models the routing of one spike from source to
 // target as a randomized minimal (dimension-balanced) walk: at every router
@@ -126,90 +141,75 @@ func fillExpeGrid(grid []float64, dx, dy int) {
 	}
 }
 
-// Memoization bounds for expeAccumulator: only grids up to
-// expeMemoMaxArea floats are cached, and one accumulator never retains
-// more than its float budget (expeMemoDefaultBudget unless overridden =
-// 2 MiB). Accumulators are pooled with at most one live per worker, so
-// live memo memory is bounded by workers × budget.
-const (
-	expeMemoMaxArea       = 4096
-	expeMemoDefaultBudget = 1 << 18
-)
-
-// expeMemoKey packs a bounding-box shape into one map key.
-func expeMemoKey(dx, dy int) uint64 { return uint64(dx)<<32 | uint64(uint32(dy)) }
+// expeTableSide bounds the bounding-box shapes whose DP grid an
+// expeAccumulator keeps: boxes with dx, dy < expeTableSide are filled once
+// and reused, larger ones are recomputed into scratch per edge (64 covers
+// every box of HSC+FD placements and of a 64×64 mesh). Worst case, with all
+// 64² shapes in use, one accumulator retains Σ(dx+1)(dy+1) = 2080² floats =
+// 34.6 MB of grids plus the 96 KiB slice table; at most one accumulator is
+// live per worker.
+const expeTableSide = 64
 
 // expeAccumulator adds per-edge expectation grids into a mesh-sized
-// congestion grid, reusing its DP scratch buffer across edges and
-// memoizing filled DP grids by bounding-box shape (dx, dy): mesh edges
-// heavily share small bounding boxes, so most edges skip the DP entirely.
-// The memo only ever returns the exact floats the DP would produce, so
-// accumulation is bit-identical with the memo on, off, or bounded.
+// congestion grid. Mesh edges heavily share small bounding boxes, so filled
+// DP grids are kept in a dense table indexed by shape (dx, dy) and most
+// edges skip the DP entirely; the table only ever holds the exact floats
+// the DP produces.
 type expeAccumulator struct {
 	scratch []float64
-
-	memo       map[uint64][]float64
-	memoFloats int
-	// limit is the memo float budget: 0 selects expeMemoDefaultBudget,
-	// negative disables memoization, positive is a custom budget.
-	limit int
+	table   [expeTableSide * expeTableSide][]float64
 }
 
-func (a *expeAccumulator) budget() int {
-	switch {
-	case a.limit < 0:
-		return 0
-	case a.limit == 0:
-		return expeMemoDefaultBudget
-	default:
-		return a.limit
-	}
-}
-
-// expeCells returns the filled (dx+1)×(dy+1) DP grid, from the memo when
-// possible. The returned slice is read-only and only valid until the next
-// call (it may alias the scratch buffer).
-func (a *expeAccumulator) expeCells(dx, dy, need int) []float64 {
-	if g, ok := a.memo[expeMemoKey(dx, dy)]; ok {
+// expeCells returns the filled (dx+1)×(dy+1) DP grid. The returned slice is
+// read-only and only valid until the next call (it may alias the scratch
+// buffer).
+func (a *expeAccumulator) expeCells(dx, dy int) []float64 {
+	need := (dx + 1) * (dy + 1)
+	if dx < expeTableSide && dy < expeTableSide {
+		g := a.table[dx*expeTableSide+dy]
+		if g == nil {
+			g = make([]float64, need)
+			fillExpeGrid(g, dx, dy)
+			a.table[dx*expeTableSide+dy] = g
+		}
 		return g
 	}
 	if cap(a.scratch) < need {
 		a.scratch = make([]float64, need)
 	}
-	scratch := a.scratch[:need]
-	clear(scratch)
-	fillExpeGrid(scratch, dx, dy)
-	if need <= expeMemoMaxArea && a.memoFloats+need <= a.budget() {
-		if a.memo == nil {
-			a.memo = make(map[uint64][]float64)
-		}
-		stored := make([]float64, need)
-		copy(stored, scratch)
-		a.memo[expeMemoKey(dx, dy)] = stored
-		a.memoFloats += need
-	}
-	return scratch
+	g := a.scratch[:need]
+	fillExpeGrid(g, dx, dy) // assigns every cell, so stale scratch is fine
+	return g
 }
 
 // accumulate adds w × Expe(·, src, dst) to every router in the edge's
-// bounding box.
-func (a *expeAccumulator) accumulate(grid []float64, mesh hw.Mesh, src, dst geom.Point, w float64) {
-	dx := geom.Abs(dst.X - src.X)
-	dy := geom.Abs(dst.Y - src.Y)
-	cells := a.expeCells(dx, dy, (dx+1)*(dy+1))
-
-	sx, sy := 1, 1
-	if dst.X < src.X {
-		sx = -1
+// bounding box on a mesh with cols columns. Each box row is stamped through
+// two equal-length sub-slices (no per-cell row arithmetic, and no bounds
+// checks on the left-to-right rows). Every cell receives exactly one
+// product per edge, so the grid depends only on the order edges are
+// accumulated in.
+func (a *expeAccumulator) accumulate(grid []float64, cols int, src, dst cellXY, w float64) {
+	dx, rowStep := int(dst.x-src.x), cols
+	if dx < 0 {
+		dx, rowStep = -dx, -cols
 	}
-	if dst.Y < src.Y {
-		sy = -1
+	dy, left := int(dst.y-src.y), int(src.y)
+	if dy < 0 {
+		dy, left = -dy, int(dst.y)
 	}
+	cells := a.expeCells(dx, dy)
 	gw := dy + 1
-	for u := 0; u <= dx; u++ {
-		row := (src.X + sx*u) * mesh.Cols
-		for v := 0; v <= dy; v++ {
-			grid[row+src.Y+sy*v] += w * cells[u*gw+v]
+	at := int(src.x)*cols + left
+	for ; len(cells) >= gw; cells, at = cells[gw:], at+rowStep {
+		in, out := cells[:gw], grid[at:at+gw]
+		if dst.y >= src.y {
+			for v, e := range in {
+				out[v] += w * e
+			}
+		} else {
+			for v, e := range in {
+				out[len(out)-1-v] += w * e
+			}
 		}
 	}
 }

@@ -94,11 +94,6 @@ type Options struct {
 	// reduction order and every Summary value are identical with or
 	// without an observer.
 	Obs *obs.Observer
-	// ExpeMemoLimit bounds the per-accumulator Expe DP memo (in floats):
-	// 0 uses the default budget, a negative value disables memoization, a
-	// positive value is a custom budget. The memo is a pure speed knob —
-	// every Summary value is bit-identical at any setting.
-	ExpeMemoLimit int
 }
 
 // Resolved returns the options with documentation defaults filled in
@@ -162,6 +157,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		(opts.Congestion == CongestionSampled || opts.Congestion == CongestionAuto)
 
 	n := p.NumClusters
+	pos := clusterCoords(pl)
 	k := chunksOf(n)
 	partials := make([]evalPartial, k)
 	// Per-chunk busy durations, indexed by chunk so the sum below runs in
@@ -179,12 +175,13 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		lo, hi := ci*n/k, (ci+1)*n/k
 		pt := &partials[ci]
 		for c := lo; c < hi; c++ {
-			src := pl.Of(c)
+			src := pos[c]
 			tos, ws := p.OutEdges(c)
 			edgeIdx := p.OutOff[c]
 			for kk, to := range tos {
-				dst := pl.Of(int(to))
-				d := geom.Manhattan(src, dst)
+				dst := pos[to]
+				dx, dy := geom.Abs(int(src.x-dst.x)), geom.Abs(int(src.y-dst.y))
+				d := dx + dy
 				w := ws[kk]
 				pt.energy += w * cost.SpikeEnergy(d)
 				lat := cost.SpikeLatency(d)
@@ -197,7 +194,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 				// w*(d+1) to the congestion grid total regardless of mode;
 				// the average (Eq. 12) is therefore exact and cheap.
 				pt.avgCongestion += w * float64(d+1)
-				pt.bboxWork += int64(geom.Abs(src.X-dst.X)+1) * int64(geom.Abs(src.Y-dst.Y)+1)
+				pt.bboxWork += int64(dx+1) * int64(dy+1)
 				if needSampled && (edgeIdx+int64(kk))%int64(stride) == 0 {
 					pt.sampledWeight += w
 				}
@@ -233,10 +230,10 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 	}
 	switch mode {
 	case CongestionExact:
-		grid := congestionGrid(p, pl, 1, opts.Workers, opts.ExpeMemoLimit)
+		grid := congestionGrid(p, pos, mesh, 1, opts.Workers)
 		s.MaxCongestion = maxOf(grid)
 	case CongestionSampled:
-		grid := congestionGrid(p, pl, stride, opts.Workers, opts.ExpeMemoLimit)
+		grid := congestionGrid(p, pos, mesh, stride, opts.Workers)
 		if stride > 1 && sampledWeight > 0 {
 			// Rescale by the sampled traffic share so the grid estimates
 			// the full-population congestion.
@@ -291,16 +288,15 @@ func maxOf(grid []float64) float64 {
 // independent of workers and the sequential path uses the same per-chunk
 // accumulation, so the grid is bit-identical for every worker count.
 func CongestionGrid(p *pcn.PCN, pl *place.Placement, stride, workers int) []float64 {
-	return congestionGrid(p, pl, stride, workers, 0)
+	return congestionGrid(p, clusterCoords(pl), pl.Mesh, stride, workers)
 }
 
-// congestionGrid is CongestionGrid with the Expe memo budget exposed
-// (Options.ExpeMemoLimit semantics).
-func congestionGrid(p *pcn.PCN, pl *place.Placement, stride, workers, memoLimit int) []float64 {
+// congestionGrid is CongestionGrid on a cluster coordinate table, which
+// Evaluate shares with its own edge walk.
+func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int) []float64 {
 	if stride < 1 {
 		stride = 1
 	}
-	mesh := pl.Mesh
 	cores := mesh.Cores()
 	grid := make([]float64, cores)
 	n := p.NumClusters
@@ -310,24 +306,25 @@ func congestionGrid(p *pcn.PCN, pl *place.Placement, stride, workers, memoLimit 
 	if maxGrids := 1 << 23 / max(cores, 1); k > maxGrids {
 		k = max(maxGrids, 1)
 	}
-	// Accumulators carry the Expe DP memo, so they must outlive a single
-	// chunk to pay off: pool them for reuse across chunks. At most one per
-	// worker is live at a time, keeping memo memory bounded by
-	// workers × budget; sharing makes no observable difference because the
-	// memo returns exactly the floats the DP would produce.
-	accPool := sync.Pool{New: func() any { return &expeAccumulator{limit: memoLimit} }}
+	// Accumulators carry the table of filled Expe DP grids, so they must
+	// outlive a single chunk to pay off: pool them for reuse across chunks.
+	// At most one per worker is live at a time; sharing makes no observable
+	// difference because the table holds exactly the floats the DP would
+	// produce.
+	accPool := sync.Pool{New: func() any { return new(expeAccumulator) }}
 	accumulate := func(ci int, dst []float64) {
 		acc := accPool.Get().(*expeAccumulator)
 		defer accPool.Put(acc)
 		lo, hi := ci*n/k, (ci+1)*n/k
 		for c := lo; c < hi; c++ {
-			src := pl.Of(c)
+			src := pos[c]
 			tos, ws := p.OutEdges(c)
 			edgeIdx := p.OutOff[c]
 			for kk, to := range tos {
-				if (edgeIdx+int64(kk))%int64(stride) == 0 {
-					acc.accumulate(dst, mesh, src, pl.Of(int(to)), ws[kk])
+				if stride > 1 && (edgeIdx+int64(kk))%int64(stride) != 0 {
+					continue
 				}
+				acc.accumulate(dst, mesh.Cols, src, pos[to], ws[kk])
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package pcn
 
 import (
 	"fmt"
+	"sync"
 )
 
 // PCN is a partitioned cluster network in CSR form. Cluster indices follow
@@ -36,7 +37,32 @@ type PCN struct {
 	// and is excluded from E_P.
 	InternalTraffic float64
 
-	undir *Undirected // lazily built, see Undirected()
+	adj *adjacency // lazily built views, see lazyAdjacency()
+}
+
+// adjacency holds the lazily built views of one PCN's edges. It hangs off
+// the PCN by pointer so the PCN itself stays a plain copyable value (a copy
+// shares the views, which describe the edge arrays the copy aliases too).
+type adjacency struct {
+	undirOnce sync.Once
+	undir     *Undirected
+	symOnce   sync.Once
+	sym       *Symmetric
+}
+
+// adjMu guards only the first allocation of PCN.adj; the builds themselves
+// run under the per-PCN sync.Once values, so concurrent mappings of one PCN
+// build each view exactly once and mappings of different PCNs never wait on
+// each other's build.
+var adjMu sync.Mutex
+
+func (p *PCN) lazyAdjacency() *adjacency {
+	adjMu.Lock()
+	defer adjMu.Unlock()
+	if p.adj == nil {
+		p.adj = new(adjacency)
+	}
+	return p.adj
 }
 
 // NumEdges returns |E_P| (directed, merged).
@@ -167,11 +193,15 @@ func (u *Undirected) Neighbors(i int) ([]int32, []float64) {
 // Degree returns the number of distinct neighbors of cluster i.
 func (u *Undirected) Degree(i int) int { return int(u.Off[i+1] - u.Off[i]) }
 
-// Undirected returns (building on first use) the symmetrized adjacency.
+// Undirected returns (building on first use) the symmetrized adjacency. It
+// is safe to call from concurrent goroutines sharing the PCN.
 func (p *PCN) Undirected() *Undirected {
-	if p.undir != nil {
-		return p.undir
-	}
+	a := p.lazyAdjacency()
+	a.undirOnce.Do(func() { a.undir = p.buildUndirected() })
+	return a.undir
+}
+
+func (p *PCN) buildUndirected() *Undirected {
 	n := p.NumClusters
 	deg := make([]int64, n+1)
 	for i := 0; i < n; i++ {
@@ -220,8 +250,7 @@ func (p *PCN) Undirected() *Undirected {
 		}
 	}
 	off[n] = write
-	p.undir = &Undirected{Off: off, To: to[:write], W: w[:write]}
-	return p.undir
+	return &Undirected{Off: off, To: to[:write], W: w[:write]}
 }
 
 // sortEdges sorts parallel target/weight slices by target without
