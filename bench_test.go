@@ -620,3 +620,36 @@ func BenchmarkCongestionGrid(b *testing.B) {
 		metrics.CongestionGrid(p, res.Placement, 1, 1)
 	}
 }
+
+// BenchmarkSimulateResNet measures the event-driven NoC engine on the
+// acceptance benchmark's resnet_noc input: ResNet (5142 clusters, 72×72)
+// placed by HSC and fine-tuned with L2Sq, 2.2 M spikes, 13.4 M link
+// crossings. ns/traversal is host time per simulated link crossing.
+func BenchmarkSimulateResNet(b *testing.B) {
+	wl, err := expt.WorkloadByName("ResNet")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, mesh, err := wl.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := mapping.Finetune(p, pl, mapping.FDConfig{Potential: mapping.L2Sq{}}); err != nil {
+		b.Fatal(err)
+	}
+	var traversals int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim, err := noc.Simulate(p, pl, noc.Config{SpikesPerUnit: 2e-4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		traversals += sim.WireTraversals
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(traversals), "ns/traversal")
+}

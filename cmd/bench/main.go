@@ -57,8 +57,12 @@ type Record struct {
 	// sweep for higher worker counts); 0 when the op has no baseline.
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
 	// BytesPerOp reports the payload size of codec operations (the encoded
-	// snapshot size for snapshot-encode/decode); 0 elsewhere.
+	// snapshot size for snapshot-encode/decode) and the bytes allocated per
+	// run of noc-sim/event on resnet5142; 0 elsewhere.
 	BytesPerOp int64 `json:"bytes_per_op,omitempty"`
+	// NsPerWireTraversal is host time per simulated link crossing
+	// (noc-sim/event on resnet5142); 0 elsewhere.
+	NsPerWireTraversal float64 `json:"ns_per_wire_traversal,omitempty"`
 	// PeakBytes is the heap high-water mark of headline pipeline records
 	// (sampled via runtime.ReadMemStats, see expt.RunHeadline); 0 elsewhere.
 	PeakBytes int64 `json:"peak_bytes,omitempty"`
@@ -523,6 +527,25 @@ func main() {
 		add("noc-sim/event", sim.name, ev, speedup)
 	}
 
+	// resnet5142 is the acceptance benchmark's resnet_noc input (bench_test.go
+	// mirrors it as BenchmarkSimulateResNet): ResNet placed by HSC and
+	// fine-tuned with L2Sq, 2.2 M spikes over 13.4 M link crossings — deep
+	// queues, where the engine's memory traffic shows.
+	rp, rpl := resnetWorkload()
+	var wire int64
+	rsim := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := noc.Simulate(rp, rpl, noc.Config{SpikesPerUnit: 2e-4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			wire = res.WireTraversals
+		}
+	})
+	push(Record{Op: "noc-sim/event", Workload: "resnet5142", NsPerOp: rsim.NsPerOp(), AllocsPerOp: rsim.AllocsPerOp(),
+		BytesPerOp: rsim.AllocedBytesPerOp(), NsPerWireTraversal: float64(rsim.NsPerOp()) / float64(wire)})
+
 	// --- Sharded NoC simulation: strip-count sweep on a dense workload ---
 	// Speedups are measured against the shards=1 single-goroutine event
 	// engine, the baseline the tentpole targets (on a 1-core runner the
@@ -932,6 +955,28 @@ func longTailWorkload() (*pcn.PCN, *place.Placement) {
 
 // obsStop flushes the trace/profile outputs before a fatal exit.
 var obsStop func() error
+
+// resnetWorkload mirrors the acceptance benchmark's resnet_noc pipeline up
+// to the simulator: ResNet's 5142 clusters on a 72×72 mesh, HSC placement
+// along the Hilbert curve, FD fine-tuning under L2Sq to convergence.
+func resnetWorkload() (*pcn.PCN, *place.Placement) {
+	wl, err := expt.WorkloadByName("ResNet")
+	if err != nil {
+		fatal(err)
+	}
+	p, mesh, err := wl.Build()
+	if err != nil {
+		fatal(err)
+	}
+	pl, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
+	if err != nil {
+		fatal(err)
+	}
+	if _, err := mapping.Finetune(p, pl, mapping.FDConfig{Potential: mapping.L2Sq{}}); err != nil {
+		fatal(err)
+	}
+	return p, pl
+}
 
 func fatal(err error) {
 	if obsStop != nil {

@@ -19,9 +19,12 @@
 // typed ErrLivelock instead of a hang.
 //
 // Two drivers share one substrate. Simulate/SimulateContext run the
-// event-driven engine: only routers with occupied queues are visited each
-// cycle, exhausted injection trains are compacted out of the schedule, and
-// fully idle stretches between injection waves are fast-forwarded.
+// event-driven engine: an occupancy bitmap, kept exact at the queue push and
+// pop sites, names the non-empty ports, so a cycle's scan visits only those
+// (in ascending router order, the bitmap's bit order); exhausted injection
+// trains are compacted out of the schedule, each train's first hop is
+// resolved once, and fully idle stretches between injection waves are
+// fast-forwarded.
 // SimulateReference runs the original per-cycle scan of every router; it is
 // kept as the equivalence oracle — both drivers produce bit-identical
 // Results — and as the baseline the tracked benchmarks measure speedups
@@ -32,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
@@ -207,6 +211,20 @@ func (c Config) Validate() error {
 	if c.MaxSpikes < 0 {
 		return fmt.Errorf("%w: negative MaxSpikes %d", ErrBadConfig, c.MaxSpikes)
 	}
+	// Spike counts and cycle stamps are stored as int32 (train.count,
+	// flit.injected); a larger limit would let them wrap silently.
+	for _, v := range [...]struct {
+		name string
+		val  int64
+	}{
+		{"MaxSpikes", c.MaxSpikes},
+		{"MaxCycles", int64(c.MaxCycles)},
+		{"WatchdogCycles", int64(c.WatchdogCycles)},
+	} {
+		if v.val > math.MaxInt32 {
+			return fmt.Errorf("%w: %s %d exceeds %d", ErrBadConfig, v.name, v.val, math.MaxInt32)
+		}
+	}
 	return nil
 }
 
@@ -283,30 +301,46 @@ type flit struct {
 	yx       bool  // row-first dimension order (RouteYX / O1Turn choice)
 }
 
-// queue is a FIFO of flits with amortized O(1) operations.
+// queue is a FIFO of flits on a power-of-two ring buffer: push and pop are
+// O(1) with no element moves, and a full ring doubles with one copy that
+// unwraps it (oldest flit back at slot 0), so FIFO order survives growth.
 type queue struct {
-	items []flit
-	head  int
+	buf     []flit // len is 0 or a power of two
+	head, n int32  // slot of the oldest flit; flits held
 }
 
-func (q *queue) push(f flit) { q.items = append(q.items, f) }
-func (q *queue) len() int    { return len(q.items) - q.head }
-func (q *queue) peek() flit  { return q.items[q.head] }
-func (q *queue) pop() flit {
-	f := q.items[q.head]
-	q.head++
-	if q.head > 1024 && q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
+func (q *queue) len() int   { return int(q.n) }
+func (q *queue) peek() flit { return q.buf[q.head] }
+
+func (q *queue) push(f flit) {
+	if int(q.n) == len(q.buf) {
+		grown := make([]flit, max(4, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
 	}
+	q.buf[(int(q.head)+int(q.n))&(len(q.buf)-1)] = f
+	q.n++
+}
+
+func (q *queue) pop() flit {
+	f := q.buf[q.head]
+	q.head = (q.head + 1) & int32(len(q.buf)-1)
+	q.n--
 	return f
 }
 
 // train is one edge's injection schedule: count spikes from src to dst.
+// Every spike of a train starts at src with no hops and no detour state, so
+// its first routing decision is a constant of the train; the event engine
+// resolves it once (resolveTrains) into port/drop/blocked/yx.
 type train struct {
 	src, dst int32
 	count    int32
+	port     uint8 // output port at src
+	drop     bool  // no usable first hop: spikes are dropped at injection
+	blocked  bool  // first hop is a detour: spikes start in detour mode
+	yx       bool  // dimension order (see orientation)
 }
 
 // local is the fifth output port of every router: delivery to the core.
@@ -404,6 +438,17 @@ func newSimState(p *pcn.PCN, pl *place.Placement, cfg Config) (*simState, error)
 		}
 	}
 
+	// An unplaced cluster (place.None) or a short PosOf would index the
+	// component and defect tables out of range below.
+	if len(pl.PosOf) < p.NumClusters {
+		return nil, fmt.Errorf("%w: placement covers %d clusters, PCN has %d", ErrBadConfig, len(pl.PosOf), p.NumClusters)
+	}
+	for c, pos := range pl.PosOf[:p.NumClusters] {
+		if pos < 0 || int(pos) >= s.cores {
+			return nil, fmt.Errorf("%w: cluster %d is not placed on the mesh (PosOf=%d, %d cores)", ErrBadConfig, c, pos, s.cores)
+		}
+	}
+
 	// Build the injection schedule: per edge, a spike train. Spikes whose
 	// endpoints sit on dead cores — or in mesh regions disconnected from
 	// each other — can never be serviced; they count as injected-and-dropped
@@ -417,7 +462,7 @@ func newSimState(p *pcn.PCN, pl *place.Placement, cfg Config) (*simState, error)
 				n = 1
 			}
 			if s.res.Injected+n > cfg.MaxSpikes {
-				return nil, fmt.Errorf("noc: workload needs more than MaxSpikes=%d spikes; lower SpikesPerUnit", cfg.MaxSpikes)
+				return nil, fmt.Errorf("noc: workload needs more than MaxSpikes=%d spikes; lower SpikesPerUnit: %w", cfg.MaxSpikes, place.ErrCapacityExceeded)
 			}
 			s.res.Injected += n
 			dst := pl.PosOf[to]
@@ -561,6 +606,17 @@ func (s *simState) routePort(idx int, f flit) (int, bool, bool) {
 	return cand[h%uint32(n)], false, !primaryOK
 }
 
+// resolveTrains fills in every train's first routing decision, so an
+// injection wave costs no route computation.
+func (s *simState) resolveTrains() {
+	for i := range s.trains {
+		t := &s.trains[i]
+		t.yx = s.orientation(t.src, t.dst)
+		port, drop, blocked := s.routePort(int(t.src), flit{dst: t.dst, yx: t.yx})
+		t.port, t.drop, t.blocked = uint8(port), drop, blocked && !drop
+	}
+}
+
 // orientation decides a flit's dimension order at injection time.
 func (s *simState) orientation(src, dst int32) bool {
 	switch s.cfg.Routing {
@@ -659,6 +715,7 @@ func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg C
 // simulateEvent runs the event-driven engine: the single-goroutine
 // whole-mesh strip, or the sharded coordinator when Shards >= 2.
 func simulateEvent(ctx context.Context, s *simState) (Result, error) {
+	s.resolveTrains()
 	if s.cfg.Shards >= 2 {
 		return simulateSharded(ctx, s)
 	}
@@ -666,8 +723,8 @@ func simulateEvent(ctx context.Context, s *simState) (Result, error) {
 
 	// Single-goroutine event engine: one strip spanning the whole mesh,
 	// driven inline with no barriers. The strip primitives (inject,
-	// collect, apply, retire) are shared with the sharded engine, which
-	// is what keeps the two bit-identical.
+	// collect, apply) are shared with the sharded engine, which is what
+	// keeps the two bit-identical.
 	st := newStrip(s, 0, s.cores)
 	st.trains, s.trains = s.trains, nil
 
@@ -723,7 +780,6 @@ func simulateEvent(ctx context.Context, s *simState) (Result, error) {
 		}
 		st.collect(cycle, false)
 		st.apply(cycle, nil, nil)
-		st.retire()
 	}
 
 	s.mergeStrips(st)

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,8 +178,61 @@ func TestSimSpikeCap(t *testing.T) {
 	p := edgePCN(t, [][3]float64{{0, 1, 100}}, 2)
 	mesh := hw.MustMesh(1, 2)
 	pl := placeAt(t, p, mesh, geom.Point{X: 0, Y: 0}, geom.Point{X: 0, Y: 1})
-	if _, err := Simulate(p, pl, Config{MaxSpikes: 10}); err == nil {
-		t.Error("exceeding MaxSpikes must fail")
+	if _, err := Simulate(p, pl, Config{MaxSpikes: 10}); !errors.Is(err, place.ErrCapacityExceeded) {
+		t.Errorf("exceeding MaxSpikes: got %v, want ErrCapacityExceeded", err)
+	}
+}
+
+// TestSimRejectsBadPlacement: an unplaced cluster or a placement shorter
+// than the PCN used to index the defect tables with -1 and panic.
+func TestSimRejectsBadPlacement(t *testing.T) {
+	p := edgePCN(t, [][3]float64{{0, 1, 1}}, 2)
+	mesh := hw.MustMesh(2, 2)
+	unplaced := placeAt(t, p, mesh, geom.Point{X: 0, Y: 0}) // cluster 1 stays place.None
+	short, err := place.New(1, mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.Assign(0, 0)
+	offMesh := placeAt(t, p, mesh, geom.Point{X: 0, Y: 0}, geom.Point{X: 0, Y: 1})
+	offMesh.PosOf[1] = int32(mesh.Cores())
+	for name, pl := range map[string]*place.Placement{"unplaced": unplaced, "short": short, "off-mesh": offMesh} {
+		if _, err := Simulate(p, pl, Config{}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: Simulate got %v, want ErrBadConfig", name, err)
+		}
+		if _, err := SimulateReference(context.Background(), p, pl, Config{}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: SimulateReference got %v, want ErrBadConfig", name, err)
+		}
+	}
+}
+
+// TestSimLimitsFitInt32: spike counts and cycle stamps are int32 inside the
+// engine, so limits past MaxInt32 are rejected instead of wrapping (an edge
+// of weight 3e9 under MaxSpikes 1<<40 used to yield a negative train count),
+// and running into MaxSpikes is a typed capacity error.
+func TestSimLimitsFitInt32(t *testing.T) {
+	p := edgePCN(t, [][3]float64{{0, 1, 3e9}}, 2)
+	mesh := hw.MustMesh(1, 2)
+	pl := placeAt(t, p, mesh, geom.Point{X: 0, Y: 0}, geom.Point{X: 0, Y: 1})
+	over := int64(math.MaxInt32) + 1
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want error
+	}{
+		{"MaxSpikes", Config{MaxSpikes: 1 << 40}, ErrBadConfig},
+		{"MaxCycles", Config{MaxCycles: int(over)}, ErrBadConfig},
+		{"WatchdogCycles", Config{WatchdogCycles: int(over)}, ErrBadConfig},
+		{"spike cap", Config{MaxSpikes: math.MaxInt32}, place.ErrCapacityExceeded},
+	} {
+		if _, err := Simulate(p, pl, tc.cfg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	for _, ok := range []Config{{MaxSpikes: math.MaxInt32}, {MaxCycles: math.MaxInt32}, {WatchdogCycles: math.MaxInt32}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v must validate: %v", ok, err)
+		}
 	}
 }
 

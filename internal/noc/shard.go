@@ -3,7 +3,7 @@ package noc
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"snnmap/internal/obs"
@@ -80,46 +80,85 @@ type stripCand struct {
 }
 
 // ship is one pre-decided boundary crossing: the flit (already advanced by
-// its hop) and the destination queue the owning strip must push it into.
+// its hop) and the router and output port whose queue the owning strip must
+// push it into.
 type ship struct {
-	dq int32 // destination queue index in simState.queues
-	f  flit
+	to   int32
+	port uint8
+	f    flit
 }
 
-// strip owns the routers in [lo, hi): their queues, their injection
-// trains, and their active-router worklist. The single-goroutine event
-// engine is a strip spanning the whole mesh.
+// strip owns the routers in [lo, hi): their queues, their injection trains,
+// and their occupancy worklist. The single-goroutine event engine is a strip
+// spanning the whole mesh.
+//
+// The worklist is three levels, all indexed by router-lo so that no two
+// strips ever share a byte or word: occ[r] has bit p set iff port p's queue
+// of router lo+r is non-empty, word[r/64] has bit r%64 set iff occ[r] != 0,
+// and summary[w/64] has bit w%64 set iff word[w] != 0. push and pop are the
+// only writers, and every queue operation of the event engine goes through
+// them.
 type strip struct {
 	s        *simState
 	lo, hi   int     // owned router range [lo, hi)
 	trains   []train // injection trains with src in [lo, hi), original order
-	inActive []bool  // indexed by router-lo
-	active   []int32 // global router indices, sorted at collect
+	occ      []uint8
+	word     []uint64
+	summary  []uint64
 	cands    []stripCand
 	shipUp   []ship // pushes into the strip above (smaller router indices)
 	shipDown []ship // pushes into the strip below
 	acc      accum
+	// Strips are allocated back to back and each is written constantly by
+	// its own goroutine (acc, the cands header); the pad keeps two strips'
+	// fields off one cache line (and off an adjacent-line prefetch pair).
+	_ [128]byte
 }
 
 func newStrip(s *simState, lo, hi int) *strip {
-	return &strip{s: s, lo: lo, hi: hi, inActive: make([]bool, hi-lo)}
-}
-
-func (st *strip) markActive(idx int) {
-	if !st.inActive[idx-st.lo] {
-		st.inActive[idx-st.lo] = true
-		st.active = append(st.active, int32(idx))
+	words := (hi - lo + 63) / 64
+	return &strip{s: s, lo: lo, hi: hi,
+		occ:     make([]uint8, hi-lo),
+		word:    make([]uint64, words),
+		summary: make([]uint64, (words+63)/64),
 	}
 }
 
-func (st *strip) hasFlits(idx int) bool {
-	base := idx * 5
-	for port := 0; port < 5; port++ {
-		if st.s.queues[base+port].len() > 0 {
-			return true
+// push appends f to output port's queue of router idx (owned by this strip)
+// and accounts the router traversal the push stands for.
+func (st *strip) push(idx, port int, f flit) {
+	q := &st.s.queues[idx*5+port]
+	q.push(f)
+	if q.len() > st.acc.maxQueue {
+		st.acc.maxQueue = q.len()
+	}
+	st.s.res.RouterTraversals[idx]++
+	r := idx - st.lo
+	if st.occ[r] == 0 {
+		if st.word[r>>6] == 0 {
+			st.summary[r>>12] |= 1 << (r >> 6 & 63)
+		}
+		st.word[r>>6] |= 1 << (r & 63)
+	}
+	st.occ[r] |= 1 << port
+}
+
+// pop removes the head of queue qi (owned by this strip). It takes the queue
+// index candidates carry: the router and port are needed only when the queue
+// drains.
+func (st *strip) pop(qi int) flit {
+	q := &st.s.queues[qi]
+	f := q.pop()
+	if q.len() == 0 {
+		idx := qi / 5
+		r := idx - st.lo
+		if st.occ[r] &^= 1 << (qi - idx*5); st.occ[r] == 0 {
+			if st.word[r>>6] &^= 1 << (r & 63); st.word[r>>6] == 0 {
+				st.summary[r>>12] &^= 1 << (r >> 6 & 63)
+			}
 		}
 	}
-	return false
+	return f
 }
 
 // inject runs one injection wave over this strip's trains: due spikes enter
@@ -129,38 +168,27 @@ func (st *strip) hasFlits(idx int) bool {
 func (st *strip) inject(cycle int) {
 	s := st.s
 	w := 0
-	for ti := range st.trains {
-		t := st.trains[ti]
-		f := flit{dst: t.dst, injected: int32(cycle), yx: s.orientation(t.src, t.dst)}
-		port, drop, blocked := s.routePort(int(t.src), f)
-		if blocked && !drop {
-			f.detour = uint8(s.detourHops)
+	for _, t := range st.trains {
+		if t.blocked {
+			// Counted per attempt, stalled ones included, as the
+			// reference does.
 			st.acc.detours++
 		}
-		if drop {
+		switch {
+		case t.drop:
 			t.count--
 			st.acc.dropped++
-			if t.count > 0 {
-				st.trains[w] = t
-				w++
-			}
-			continue
-		}
-		q := &s.queues[int(t.src)*5+port]
-		if s.cfg.QueueCap > 0 && q.len() >= s.cfg.QueueCap {
+		case s.cfg.QueueCap > 0 && s.queues[int(t.src)*5+int(t.port)].len() >= s.cfg.QueueCap:
 			st.acc.injStalls++
-			st.trains[w] = t
-			w++
-			continue
+		default:
+			f := flit{dst: t.dst, injected: int32(cycle), yx: t.yx}
+			if t.blocked {
+				f.detour = uint8(s.detourHops)
+			}
+			t.count--
+			st.push(int(t.src), int(t.port), f)
+			st.acc.injections++
 		}
-		t.count--
-		q.push(f)
-		if q.len() > st.acc.maxQueue {
-			st.acc.maxQueue = q.len()
-		}
-		s.res.RouterTraversals[t.src]++
-		st.acc.injections++
-		st.markActive(int(t.src))
 		if t.count > 0 {
 			st.trains[w] = t
 			w++
@@ -171,8 +199,8 @@ func (st *strip) inject(cycle int) {
 
 // deliver pops one flit off a local queue and accounts its delivery into
 // the strip's accumulator.
-func (st *strip) deliver(q *queue, cycle int) {
-	f := q.pop()
+func (st *strip) deliver(qi, cycle int) {
+	f := st.pop(qi)
 	st.acc.delivered++
 	st.acc.exited++
 	lat := int(int32(cycle) - f.injected + 1)
@@ -182,9 +210,12 @@ func (st *strip) deliver(q *queue, cycle int) {
 	}
 }
 
-// collect scans this strip's active routers in ascending order, delivering
-// one flit per local queue and gathering one candidate per occupied output
-// port — the strip's slice of the reference's global service order.
+// collect scans this strip's occupied ports in ascending (router, port)
+// order — the bit order of the worklist — delivering one flit per local
+// queue and gathering one candidate per occupied output port: the strip's
+// slice of the reference's global service order. Each level is read into a
+// local before it is walked and collect pushes nothing, so the scan is a
+// snapshot: a port that apply makes non-empty is first serviced next cycle.
 //
 // With preDecide set (sharded, unbounded queues), candidates whose
 // destination lies outside [lo, hi) are resolved immediately: the move or
@@ -194,63 +225,72 @@ func (st *strip) deliver(q *queue, cycle int) {
 // toward the owning strip; the local candidate list keeps a pop marker at
 // the candidate's position.
 func (st *strip) collect(cycle int, preDecide bool) {
-	s := st.s
-	slices.Sort(st.active)
 	st.cands = st.cands[:0]
 	st.shipUp, st.shipDown = st.shipUp[:0], st.shipDown[:0]
-	for _, idx := range st.active {
-		base := int(idx) * 5
-		for port := 0; port < 5; port++ {
-			q := &s.queues[base+port]
-			if q.len() == 0 {
-				continue
+	for si, sum := range st.summary {
+		for ; sum != 0; sum &= sum - 1 {
+			wi := si<<6 | bits.TrailingZeros64(sum)
+			for word := st.word[wi]; word != 0; word &= word - 1 {
+				r := wi<<6 | bits.TrailingZeros64(word)
+				idx := st.lo + r
+				for occ := st.occ[r]; occ != 0; occ &= occ - 1 {
+					port := bits.TrailingZeros8(occ)
+					qi := idx*5 + port
+					if port == local {
+						st.deliver(qi, cycle)
+						continue
+					}
+					to := st.s.neighbor(idx, port)
+					if preDecide && (to < st.lo || to >= st.hi) {
+						st.collectCrossing(qi, to, cycle)
+						continue
+					}
+					st.cands = append(st.cands, stripCand{src: int32(qi), to: int32(to), kind: candIntra})
+				}
 			}
-			if port == local {
-				st.deliver(q, cycle)
-				continue
-			}
-			to := s.neighbor(int(idx), port)
-			if !preDecide || (to >= st.lo && to < st.hi) {
-				st.cands = append(st.cands, stripCand{src: int32(base + port), to: int32(to), kind: candIntra})
-				continue
-			}
-			f := q.peek()
-			if s.defects != nil && (f.hops >= s.maxHops || cycle-int(f.injected) > s.cfg.WatchdogCycles) {
-				st.cands = append(st.cands, stripCand{src: int32(base + port), kind: candDrop})
-				continue
-			}
-			outPort, drop, blocked := s.routePort(to, f)
-			if drop {
-				st.cands = append(st.cands, stripCand{src: int32(base + port), kind: candDrop})
-				continue
-			}
-			if blocked {
-				f.detour = uint8(s.detourHops)
-				st.acc.detours++
-			} else if f.detour > 0 {
-				f.detour--
-			}
-			f.hops++
-			sh := ship{dq: int32(to*5 + outPort), f: f}
-			if to < st.lo {
-				st.shipUp = append(st.shipUp, sh)
-			} else {
-				st.shipDown = append(st.shipDown, sh)
-			}
-			st.cands = append(st.cands, stripCand{src: int32(base + port), kind: candShip})
 		}
 	}
 }
 
-// applyCand services one candidate whose destination router is owned by
-// dst: the flit is dropped (detour TTL or fault), stalled (bounded full
-// queue), or moved one hop. In the sharded bounded-queue fallback the
-// coordinator calls this across strips; src and dst queues then may belong
-// to different strips, which is safe because the workers are parked at the
+// collectCrossing pre-decides the head of queue qi, bound for router to in a
+// neighboring strip.
+func (st *strip) collectCrossing(qi, to, cycle int) {
+	s := st.s
+	f := s.queues[qi].peek()
+	if s.defects != nil && (f.hops >= s.maxHops || cycle-int(f.injected) > s.cfg.WatchdogCycles) {
+		st.cands = append(st.cands, stripCand{src: int32(qi), kind: candDrop})
+		return
+	}
+	outPort, drop, blocked := s.routePort(to, f)
+	if drop {
+		st.cands = append(st.cands, stripCand{src: int32(qi), kind: candDrop})
+		return
+	}
+	if blocked {
+		f.detour = uint8(s.detourHops)
+		st.acc.detours++
+	} else if f.detour > 0 {
+		f.detour--
+	}
+	f.hops++
+	sh := ship{to: int32(to), port: uint8(outPort), f: f}
+	if to < st.lo {
+		st.shipUp = append(st.shipUp, sh)
+	} else {
+		st.shipDown = append(st.shipDown, sh)
+	}
+	st.cands = append(st.cands, stripCand{src: int32(qi), kind: candShip})
+}
+
+// applyCand services one candidate whose source queue this strip owns and
+// whose destination router dst owns: the flit is dropped (detour TTL or
+// fault), stalled (bounded full queue), or moved one hop, all accounted to
+// dst. The two strips differ only in the sharded bounded-queue fallback,
+// where the coordinator calls this while the workers are parked at the
 // barrier.
-func (s *simState) applyCand(c stripCand, cycle int, dst *strip) {
-	src := &s.queues[c.src]
-	f := src.peek()
+func (st *strip) applyCand(c stripCand, cycle int, dst *strip) {
+	s := st.s
+	f := s.queues[c.src].peek()
 	if s.defects != nil && (f.hops >= s.maxHops || cycle-int(f.injected) > s.cfg.WatchdogCycles) {
 		// Detour budget exhausted, or the spike has been in flight
 		// longer than the watchdog window (stuck in a traffic jam
@@ -260,24 +300,23 @@ func (s *simState) applyCand(c stripCand, cycle int, dst *strip) {
 		// faulty-mesh runs terminate whenever queues keep being
 		// serviced; the watchdog covers the remaining case of a full
 		// service stall (true deadlock).
-		src.pop()
+		st.pop(int(c.src))
 		dst.acc.dropped++
 		dst.acc.exited++
 		return
 	}
 	port, drop, blocked := s.routePort(int(c.to), f)
 	if drop {
-		src.pop()
+		st.pop(int(c.src))
 		dst.acc.dropped++
 		dst.acc.exited++
 		return
 	}
-	q := &s.queues[int(c.to)*5+port]
-	if s.cfg.QueueCap > 0 && q.len() >= s.cfg.QueueCap {
+	if s.cfg.QueueCap > 0 && s.queues[int(c.to)*5+port].len() >= s.cfg.QueueCap {
 		dst.acc.stalls++
 		return
 	}
-	src.pop()
+	st.pop(int(c.src))
 	if blocked {
 		f.detour = uint8(s.detourHops)
 		dst.acc.detours++
@@ -286,25 +325,7 @@ func (s *simState) applyCand(c stripCand, cycle int, dst *strip) {
 	}
 	f.hops++
 	dst.acc.wire++
-	q.push(f)
-	if q.len() > dst.acc.maxQueue {
-		dst.acc.maxQueue = q.len()
-	}
-	s.res.RouterTraversals[c.to]++
-	dst.markActive(int(c.to))
-}
-
-// applyShip pushes one pre-decided incoming flit into this strip's queues.
-func (st *strip) applyShip(sh ship) {
-	s := st.s
-	q := &s.queues[sh.dq]
-	q.push(sh.f)
-	if q.len() > st.acc.maxQueue {
-		st.acc.maxQueue = q.len()
-	}
-	to := int(sh.dq) / 5
-	s.res.RouterTraversals[to]++
-	st.markActive(to)
+	dst.push(int(c.to), port, f)
 }
 
 // apply services this strip's merged worklist for one cycle in global
@@ -312,40 +333,25 @@ func (st *strip) applyShip(sh ship) {
 // before this strip's own candidates), then the strip's own candidates,
 // then pushes shipped from the strip below.
 func (st *strip) apply(cycle int, fromAbove, fromBelow []ship) {
-	for i := range fromAbove {
-		st.applyShip(fromAbove[i])
+	for _, sh := range fromAbove {
+		st.push(int(sh.to), int(sh.port), sh.f)
 	}
 	for _, c := range st.cands {
 		switch c.kind {
 		case candIntra:
-			st.s.applyCand(c, cycle, st)
+			st.applyCand(c, cycle, st)
 		case candShip:
-			st.s.queues[c.src].pop()
+			st.pop(int(c.src))
 			st.acc.wire++
 		case candDrop:
-			st.s.queues[c.src].pop()
+			st.pop(int(c.src))
 			st.acc.dropped++
 			st.acc.exited++
 		}
 	}
-	for i := range fromBelow {
-		st.applyShip(fromBelow[i])
+	for _, sh := range fromBelow {
+		st.push(int(sh.to), int(sh.port), sh.f)
 	}
-}
-
-// retire drops routers whose queues all drained this cycle from the active
-// worklist (newly activated destinations were appended during apply and
-// are re-checked here too, which keeps the list duplicate-free and tight).
-func (st *strip) retire() {
-	keep := st.active[:0]
-	for _, idx := range st.active {
-		if st.hasFlits(int(idx)) {
-			keep = append(keep, idx)
-		} else {
-			st.inActive[int(idx)-st.lo] = false
-		}
-	}
-	st.active = keep
 }
 
 // mergeStrips folds the strips' accumulators into s.res (on top of the
@@ -398,17 +404,13 @@ type phaseCmd struct {
 	inject bool
 }
 
-// simulateSharded is the coordinator for Shards >= 2: it owns the cycle
-// loop (limits, watchdog, cancellation, termination and idle fast-forward,
-// all computed from merged per-strip tallies) and drives the worker
-// goroutines through the two phases of each cycle.
-func simulateSharded(ctx context.Context, s *simState) (Result, error) {
-	cfg := s.cfg
-	shards := cfg.Shards
-
-	// Partition rows into contiguous strips, as evenly as possible.
-	strips := make([]*strip, shards)
-	rowToStrip := make([]int, s.mesh.Rows)
+// newStrips partitions the mesh's rows into cfg.Shards contiguous strips, as
+// evenly as possible, and hands every strip the injection trains sourced in
+// it. rowToStrip maps a mesh row to the index of the strip that owns it.
+func newStrips(s *simState) (strips []*strip, rowToStrip []int) {
+	shards := s.cfg.Shards
+	strips = make([]*strip, shards)
+	rowToStrip = make([]int, s.mesh.Rows)
 	rowsPer, rem := s.mesh.Rows/shards, s.mesh.Rows%shards
 	r0 := 0
 	for i := range strips {
@@ -422,13 +424,24 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 		}
 		r0 += rows
 	}
-	// Distribute the injection schedule by source strip; relative order is
-	// preserved, so every source queue sees the reference's push order.
+	// Relative order is preserved, so every source queue sees the
+	// reference's push order.
 	for _, t := range s.trains {
 		st := strips[rowToStrip[int(t.src)/s.mesh.Cols]]
 		st.trains = append(st.trains, t)
 	}
 	s.trains = nil
+	return strips, rowToStrip
+}
+
+// simulateSharded is the coordinator for Shards >= 2: it owns the cycle
+// loop (limits, watchdog, cancellation, termination and idle fast-forward,
+// all computed from merged per-strip tallies) and drives the worker
+// goroutines through the two phases of each cycle.
+func simulateSharded(ctx context.Context, s *simState) (Result, error) {
+	cfg := s.cfg
+	shards := cfg.Shards
+	strips, rowToStrip := newStrips(s)
 
 	// With bounded queues, stall decisions depend on destination-queue
 	// occupancy at the candidate's exact global position, and stall chains
@@ -457,7 +470,6 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 						below = strips[i+1].shipUp
 					}
 					st.apply(cmd.cycle, above, below)
-					st.retire()
 				}
 				wg.Done()
 			}
@@ -562,11 +574,8 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 			// ascending-router candidate order.
 			for _, st := range strips {
 				for _, c := range st.cands {
-					s.applyCand(c, cycle, strips[rowToStrip[int(c.to)/s.mesh.Cols]])
+					st.applyCand(c, cycle, strips[rowToStrip[int(c.to)/s.mesh.Cols]])
 				}
-			}
-			for _, st := range strips {
-				st.retire()
 			}
 		}
 	}

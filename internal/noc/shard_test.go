@@ -9,6 +9,7 @@ import (
 	"snnmap/internal/hw"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
+	"snnmap/internal/snn"
 )
 
 // shardSweep is the shard-count axis of the determinism sweep: the
@@ -241,5 +242,81 @@ func TestClampShards(t *testing.T) {
 		if got := ClampShards(tc.n, tc.rows); got != tc.want {
 			t.Errorf("ClampShards(%d, %d) = %d, want %d", tc.n, tc.rows, got, tc.want)
 		}
+	}
+}
+
+// hotSpotWorkload is the deep-queue corpus entry: four sources, one at the
+// end of each arm of a cross centered on an 8×8 mesh's core 27, each stream
+// 4000 back-to-back spikes at it. The center's local port takes up to four
+// flits a cycle and delivers one, so its queue climbs past 4096 while its
+// head keeps moving — the ring grows while wrapped, many times, inside a run.
+func hotSpotWorkload(t testing.TB) (*pcn.PCN, *place.Placement) {
+	t.Helper()
+	var b snn.GraphBuilder
+	b.AddNeurons(5, -1)
+	for src := 0; src < 4; src++ {
+		b.AddSynapse(src, 4, 4000)
+	}
+	res, err := pcn.Partition(b.Build(), pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh := hw.MustMesh(8, 8)
+	pl, err := place.New(res.PCN.NumClusters, mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, core := range []int32{3, 31, 59, 24, 27} { // top, right, bottom, left, center
+		pl.Assign(c, core)
+	}
+	return res.PCN, pl
+}
+
+// TestShardedDeepQueueMatchesReference runs the hot spot through the event
+// engine and the sharded engine (parallel apply, and the bounded-queue
+// sequential fallback) against the reference, on a pristine mesh, on a
+// faulted one with detours, and with a queue bound the hot port runs into.
+func TestShardedDeepQueueMatchesReference(t *testing.T) {
+	p, pl := hotSpotWorkload(t)
+	faults := hw.NewDefectMap(pl.Mesh)
+	for _, link := range [][2]int{{11, 19}, {25, 26}} { // one link on the top arm, one on the left
+		if err := faults.FailLink(link[0], link[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"pristine", Config{}},
+		{"faulted", Config{Defects: faults, FaultAware: true}},
+		{"bounded", Config{QueueCap: 4500}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := SimulateReference(context.Background(), p, pl, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.MaxQueueLen <= 4096 || want.Delivered == 0 {
+				t.Fatalf("hot spot too shallow to grow a wrapped ring past 4096: %+v", want)
+			}
+			if tc.cfg.QueueCap > 0 && want.Stalls == 0 {
+				t.Fatalf("queue bound never bit: %+v", want)
+			}
+			if tc.cfg.FaultAware && want.Stats.Detours == 0 {
+				t.Fatalf("no detours on the faulted mesh: %+v", want)
+			}
+			for _, shards := range shardSweep {
+				cfg := tc.cfg
+				cfg.Shards = shards
+				got, err := Simulate(p, pl, cfg)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("shards=%d: Result diverges from reference:\ngot  %+v\nwant %+v", shards, got, want)
+				}
+			}
+		})
 	}
 }
