@@ -22,6 +22,7 @@ import (
 	"snnmap/internal/metrics"
 	"snnmap/internal/noc"
 	"snnmap/internal/pcn"
+	"snnmap/internal/place"
 	"snnmap/internal/snn"
 )
 
@@ -606,19 +607,56 @@ func BenchmarkUndirected(b *testing.B) {
 	}
 }
 
-// BenchmarkCongestionGrid measures exact congestion stamping on the
-// fine-tuned DNN_268M placement.
+// BenchmarkCongestionGrid measures congestion stamping on DNN_268M: exact
+// on the fine-tuned placement (every box inside the dense shape table),
+// long-edges on a 258×256 mesh after row 0 failed and RemapRows shifted it
+// to the spare rows (its clusters' boxes span the mesh and are stamped from
+// the universal rows), and sampled at the stride Evaluate derives from
+// Options.SampleEdges (one edge in 21).
 func BenchmarkCongestionGrid(b *testing.B) {
 	p, mesh := dnn268m(b)
 	res, err := mapping.Map(p, mesh, mapping.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		metrics.CongestionGrid(p, res.Placement, 1, 1)
+	shifted, err := rowShifted(p, mesh)
+	if err != nil {
+		b.Fatal(err)
 	}
+	sampleEdges := metrics.Options{}.Resolved().SampleEdges
+	stride := (int(p.NumEdges()) + sampleEdges - 1) / sampleEdges
+	for _, bc := range []struct {
+		name   string
+		pl     *place.Placement
+		stride int
+	}{{"exact", res.Placement, 1}, {"long-edges", shifted, 1}, {"sampled", res.Placement, stride}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				metrics.CongestionGrid(p, bc.pl, bc.stride, 1)
+			}
+		})
+	}
+}
+
+// rowShifted places p by HSC+FD on mesh grown by two spare rows, fails row
+// 0 and repairs it with RemapRows.
+func rowShifted(p *pcn.PCN, mesh hw.Mesh) (*place.Placement, error) {
+	mesh = hw.MustMesh(mesh.Rows+2, mesh.Cols)
+	cons := hw.Constraints{SpareRows: 2}
+	pl, err := mapping.InitialPlacementWorkers(p, mesh, curve.Hilbert{}, nil, cons, 1)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := mapping.Finetune(p, pl, mapping.FDConfig{Potential: mapping.L2Sq{}, Constraints: cons}); err != nil {
+		return nil, err
+	}
+	d := hw.NewDefectMap(mesh)
+	for col := 0; col < mesh.Cols; col++ {
+		d.MarkDead(col)
+	}
+	_, err = mapping.RemapRows(p, pl, d, cons, hw.DefaultCostModel())
+	return pl, err
 }
 
 // BenchmarkSimulateResNet measures the event-driven NoC engine on the

@@ -656,8 +656,8 @@ func main() {
 	// accounting, force build, initial queue) with the adjacency built inside
 	// the call (cold) or already cached on the PCN (warm); pcn-adjacency/*
 	// builds the transpose FD walks and the materialized Undirected copy the
-	// partitioner uses; congestion-grid/exact stamps the fine-tuned
-	// placement's exact grid.
+	// partitioner uses; congestion-grid/* stamps the fine-tuned
+	// placement's grid (see below).
 	section("kernels")
 	hinit, err := mapping.InitialPlacement(hp, hmesh, curve.Hilbert{})
 	if err != nil {
@@ -707,12 +707,41 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	add("congestion-grid/exact", headlineWl, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			metrics.CongestionGrid(hp, hmap.Placement, 1, 1)
-		}
-	}), 0)
+	// long-edges: two spare rows, row 0 failed and shifted onto them by
+	// RemapRows, so its clusters' boxes span the mesh; sampled: the stride
+	// Evaluate derives from Options.SampleEdges.
+	shiftMesh, shiftCons := hw.MustMesh(hmesh.Rows+2, hmesh.Cols), hw.Constraints{SpareRows: 2}
+	shifted, err := mapping.InitialPlacementWorkers(hp, shiftMesh, curve.Hilbert{}, nil, shiftCons, 1)
+	if err != nil {
+		fatal(err)
+	}
+	if _, err := mapping.Finetune(hp, shifted, mapping.FDConfig{Potential: mapping.L2Sq{}, Constraints: shiftCons}); err != nil {
+		fatal(err)
+	}
+	row0 := hw.NewDefectMap(shiftMesh)
+	for col := 0; col < shiftMesh.Cols; col++ {
+		row0.MarkDead(col)
+	}
+	if _, err := mapping.RemapRows(hp, shifted, row0, shiftCons, hw.DefaultCostModel()); err != nil {
+		fatal(err)
+	}
+	sampleEdges := metrics.Options{}.Resolved().SampleEdges
+	for _, bc := range []struct {
+		name   string
+		pl     *place.Placement
+		stride int
+	}{
+		{"exact", hmap.Placement, 1},
+		{"long-edges", shifted, 1},
+		{"sampled", hmap.Placement, (int(hp.NumEdges()) + sampleEdges - 1) / sampleEdges},
+	} {
+		add("congestion-grid/"+bc.name, headlineWl, testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				metrics.CongestionGrid(hp, bc.pl, bc.stride, 1)
+			}
+		}), 0)
+	}
 
 	section("")
 	rep.TotalWallMs = time.Since(matrixStart).Milliseconds()

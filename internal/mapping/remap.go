@@ -117,13 +117,26 @@ func nearestFree(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Const
 // interconnectEnergy is M_ec (Eq. 9) computed directly: the per-spike energy
 // of every directed connection at its current placement distance.
 func interconnectEnergy(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) float64 {
+	pos := clusterCoords(pl)
 	var total float64
 	for c := 0; c < p.NumClusters; c++ {
-		src := pl.Of(c)
+		src := pos[c]
 		tos, ws := p.OutEdges(c)
 		for k, to := range tos {
-			total += ws[k] * cost.SpikeEnergy(geom.Manhattan(src, pl.Of(int(to))))
+			dst := pos[to]
+			total += ws[k] * cost.SpikeEnergy(geom.Abs(int(src.x-dst.x))+geom.Abs(int(src.y-dst.y)))
 		}
 	}
 	return total
+}
+
+// clusterCoords tabulates pl.Of(c) for every cluster, so an O(E) walk pays
+// a load instead of a division per edge endpoint.
+func clusterCoords(pl *place.Placement) []cellXY {
+	pos := make([]cellXY, len(pl.PosOf))
+	for c, idx := range pl.PosOf {
+		pt := pl.Mesh.Coord(int(idx))
+		pos[c] = cellXY{int32(pt.X), int32(pt.Y)}
+	}
+	return pos
 }

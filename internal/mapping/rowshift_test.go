@@ -3,9 +3,11 @@ package mapping
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"snnmap/internal/curve"
+	"snnmap/internal/geom"
 	"snnmap/internal/hw"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
@@ -381,4 +383,62 @@ func pairedPCN(t *testing.T, n int) *pcn.PCN {
 		t.Fatalf("partition produced %d clusters, want %d", res.PCN.NumClusters, n)
 	}
 	return res.PCN
+}
+
+// TestInterconnectEnergyBits pins the coordinate-table energy walk to the
+// plain pl.Of loop, bit for bit, on a placement with dead cores, a failed
+// row shifted to the spares and fractional weights (so a changed summation
+// order would show).
+func TestInterconnectEnergyBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 600
+	var b snn.GraphBuilder
+	b.AddNeurons(n, -1)
+	for i := 0; i < 5*n; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			b.AddSynapse(u, v, rng.Float64()*9+0.5)
+		}
+	}
+	res, err := pcn.Partition(b.Build(), pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, mesh, cons, cost := res.PCN, hw.MustMesh(30, 24), hw.Constraints{SpareRows: 2}, hw.DefaultCostModel()
+	d := hw.InjectClustered(mesh, 0.02, 3, 11)
+	pl, err := InitialPlacementDefects(p, mesh, curve.Hilbert{}, d, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Finetune(p, pl, FDConfig{Potential: L2Sq{}, Defects: d, Constraints: cons}); err != nil {
+		t.Fatal(err)
+	}
+	plain := func() float64 {
+		var total float64
+		for c := 0; c < p.NumClusters; c++ {
+			tos, ws := p.OutEdges(c)
+			for k, to := range tos {
+				total += ws[k] * cost.SpikeEnergy(geom.Manhattan(pl.Of(c), pl.Of(int(to))))
+			}
+		}
+		return total
+	}
+	check := func(stage string, got float64) {
+		t.Helper()
+		if want := plain(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: energy %v, plain loop %v", stage, got, want)
+		}
+	}
+	check("fine-tuned", interconnectEnergy(p, pl, cost))
+	for col := 0; col < mesh.Cols; col++ {
+		d.MarkDead(col)
+	}
+	st, err := RemapRows(p, pl, d, cons, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Moved == 0 {
+		t.Fatal("row 0 failed but nothing moved")
+	}
+	check("row-shifted", interconnectEnergy(p, pl, cost))
+	check("RemapRows.EnergyAfter", st.EnergyAfter)
 }

@@ -203,32 +203,12 @@ func naiveCongestionGrid(p *pcn.PCN, pl *place.Placement, stride int) []float64 
 	return grid
 }
 
-// TestCongestionGridMatchesNaiveOracle pins the row-sliced stamping and the
-// dense shape table to the cell-by-cell definition, bit for bit: all four
-// sign quadrants, straight (dx=0 / dy=0) boxes, boxes touching every mesh
-// border, shapes inside and outside the table, strides {1, 3} and workers
-// {1, 2, 7}.
-func TestCongestionGridMatchesNaiveOracle(t *testing.T) {
-	const side = expeTableSide + 8
-	mesh := hw.MustMesh(side, side)
-	last := side - 1
-	T := expeTableSide
-	boxes := [][2]geom.Point{
-		// Border to border: every quadrant, every border, outside the table.
-		{{X: 0, Y: 0}, {X: last, Y: 4}}, {{X: last, Y: last}, {X: 0, Y: last - 4}},
-		{{X: 0, Y: last}, {X: 4, Y: 0}}, {{X: last, Y: 0}, {X: last - 4, Y: last}},
-		// Straight boxes along each border and through the middle.
-		{{X: 0, Y: 0}, {X: 0, Y: last}}, {{X: last, Y: last}, {X: last, Y: 0}},
-		{{X: 0, Y: 0}, {X: last, Y: 0}}, {{X: last, Y: last}, {X: 0, Y: last}},
-		{{X: 40, Y: 7}, {X: 40, Y: 2}}, {{X: 9, Y: 40}, {X: 30, Y: 40}},
-		// Small shapes in all four quadrants around one source.
-		{{X: 40, Y: 40}, {X: 41, Y: 40}}, {{X: 40, Y: 40}, {X: 40, Y: 39}},
-		{{X: 40, Y: 40}, {X: 37, Y: 45}}, {{X: 40, Y: 40}, {X: 44, Y: 33}},
-		{{X: 40, Y: 40}, {X: 36, Y: 38}}, {{X: 40, Y: 40}, {X: 42, Y: 47}},
-		// One side just inside and just outside the table.
-		{{X: 2, Y: 3}, {X: 2 + T - 1, Y: 8}}, {{X: 2, Y: 3}, {X: 2 + T, Y: 8}},
-		{{X: 70, Y: T + 5}, {X: 66, Y: 6}}, {{X: 70, Y: T + 5}, {X: 66, Y: 5}}, // dy = T−1, T
-	}
+// boxWorkload builds one cluster per distinct endpoint (ids in order of
+// first appearance, so pure targets — zero out-degree — interleave with
+// sources and fall on chunk boundaries), one edge per box with a random
+// weight, and places every cluster on its endpoint.
+func boxWorkload(t *testing.T, mesh hw.Mesh, boxes [][2]geom.Point) (*pcn.PCN, *place.Placement) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(8))
 	cluster := map[geom.Point]int{}
 	var cells []geom.Point
@@ -255,22 +235,77 @@ func TestCongestionGridMatchesNaiveOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxP := res.PCN
-	boxPl, err := place.New(boxP.NumClusters, mesh)
+	pl, err := place.New(res.PCN.NumClusters, mesh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c, pt := range cells {
-		boxPl.Assign(c, int32(mesh.Index(pt)))
+		pl.Assign(c, int32(mesh.Index(pt)))
 	}
+	return res.PCN, pl
+}
+
+// TestCongestionGridMatchesNaiveOracle pins the row-sliced stamping, the
+// dense shape table and the universal T/B rows to the cell-by-cell
+// definition, bit for bit: all four sign quadrants, straight (dx=0 / dy=0)
+// boxes, boxes touching every mesh border, shapes straddling the dense
+// table's side, a row-shifted 290×256 placement whose repaired row has long
+// edges in every quadrant, strides {1, 3, above any cluster's degree, above
+// |E|} and workers {1, 2, 7}.
+func TestCongestionGridMatchesNaiveOracle(t *testing.T) {
+	const side = 72
+	last := side - 1
+	T := expeDenseSide
+	boxP, boxPl := boxWorkload(t, hw.MustMesh(side, side), [][2]geom.Point{
+		// Border to border: every quadrant, every border, outside the table.
+		{{X: 0, Y: 0}, {X: last, Y: 4}}, {{X: last, Y: last}, {X: 0, Y: last - 4}},
+		{{X: 0, Y: last}, {X: 4, Y: 0}}, {{X: last, Y: 0}, {X: last - 4, Y: last}},
+		// Straight boxes along each border and through the middle.
+		{{X: 0, Y: 0}, {X: 0, Y: last}}, {{X: last, Y: last}, {X: last, Y: 0}},
+		{{X: 0, Y: 0}, {X: last, Y: 0}}, {{X: last, Y: last}, {X: 0, Y: last}},
+		{{X: 40, Y: 7}, {X: 40, Y: 2}}, {{X: 9, Y: 40}, {X: 30, Y: 40}},
+		// Small shapes in all four quadrants around one source.
+		{{X: 40, Y: 40}, {X: 41, Y: 40}}, {{X: 40, Y: 40}, {X: 40, Y: 39}},
+		{{X: 40, Y: 40}, {X: 37, Y: 45}}, {{X: 40, Y: 40}, {X: 44, Y: 33}},
+		{{X: 40, Y: 40}, {X: 36, Y: 38}}, {{X: 40, Y: 40}, {X: 42, Y: 47}},
+		// One side just inside and just outside the dense table, then both.
+		{{X: 2, Y: 3}, {X: 2 + T - 1, Y: 8}}, {{X: 2, Y: 3}, {X: 2 + T, Y: 8}},
+		{{X: 70, Y: T + 5}, {X: 66, Y: 6}}, {{X: 70, Y: T + 5}, {X: 66, Y: 5}}, // dy = T−1, T
+		{{X: 50, Y: 50}, {X: 50 - T + 1, Y: 50 - T + 1}}, {{X: 51, Y: 51}, {X: 51 - T, Y: 51 - T}},
+		{{X: 60, Y: 1}, {X: 60 - T, Y: T}}, {{X: 1, Y: 60}, {X: T + 1, Y: 61 - T}},
+	})
+
+	// Row 0 of a 256-wide placement failed and was shifted to the spare rows
+	// at the far end of a 290×256 mesh: its clusters keep their row-1
+	// neighbours, in both directions and on both sides, at the mesh's left
+	// border, interior and right border. Boxes stay thin (≤ 4 cells one way)
+	// because the oracle runs a full DP per cell.
+	var shifted [][2]geom.Point
+	for _, y := range []int{0, 100, 255} {
+		moved := geom.Point{X: 289, Y: y}
+		for _, d := range []int{-3, -1, 0, 2} {
+			if y+d < 0 || y+d > 255 {
+				continue
+			}
+			stay := geom.Point{X: 1, Y: y + d}
+			shifted = append(shifted, [2]geom.Point{moved, stay}, [2]geom.Point{stay, moved})
+		}
+	}
+	shifted = append(shifted,
+		// Full-width flat boxes and one just outside the dense table both ways.
+		[2]geom.Point{{X: 288, Y: 0}, {X: 286, Y: 255}}, [2]geom.Point{{X: 5, Y: 255}, {X: 6, Y: 0}},
+		[2]geom.Point{{X: 120, Y: 90}, {X: 120 + T, Y: 90 - T}}, [2]geom.Point{{X: 120, Y: 90}, {X: 120 - T, Y: 90 + T}})
+	shiftP, shiftPl := boxWorkload(t, hw.MustMesh(290, 256), shifted)
+
 	randP, randPl := randomMetricsWorkload(t, 9, 300, 1500, 18)
 
 	for _, tc := range []struct {
 		name string
 		p    *pcn.PCN
 		pl   *place.Placement
-	}{{"boxes", boxP, boxPl}, {"random", randP, randPl}} {
-		for _, stride := range []int{1, 3} {
+	}{{"boxes", boxP, boxPl}, {"rowshift", shiftP, shiftPl}, {"random", randP, randPl}} {
+		// 23 exceeds every out-degree here, so whole clusters are skipped.
+		for _, stride := range []int{1, 3, 23, int(tc.p.NumEdges()) + 7} {
 			want := naiveCongestionGrid(tc.p, tc.pl, stride)
 			for _, workers := range []int{1, 2, 7} {
 				got := CongestionGrid(tc.p, tc.pl, stride, workers)
@@ -284,32 +319,71 @@ func TestCongestionGridMatchesNaiveOracle(t *testing.T) {
 	}
 }
 
-// TestExpeTableBounded checks the accumulator keeps DP grids only for
-// shapes inside the compile-time table and recomputes larger ones.
-func TestExpeTableBounded(t *testing.T) {
-	const side = expeTableSide + 16
-	var a expeAccumulator
-	grid := make([]float64, side*side)
-	kept := func() (n int) {
-		for _, g := range a.table {
-			if g != nil {
-				n++
+// TestExpeUniversalEqualsDP stamps every shape up to 96×96 — through the
+// dense table below expeDenseSide, from the T and B rows above — and
+// compares with the per-shape DP bit for bit, left-to-right and mirrored;
+// T must also be bitwise symmetric, which is what lets one B serve the last
+// row and the last column.
+func TestExpeUniversalEqualsDP(t *testing.T) {
+	const maxExt = 96
+	x := newExpeTables(hw.MustMesh(maxExt+1, maxExt+1))
+	for dx := 0; dx <= maxExt; dx++ {
+		for dy := 0; dy <= maxExt; dy++ {
+			want := expeGrid(dx, dy)
+			got, mirrored := make([]float64, len(want)), make([]float64, len(want))
+			x.accumulate(got, dy+1, cellXY{}, cellXY{x: int32(dx), y: int32(dy)}, 1)
+			x.accumulate(mirrored, dy+1, cellXY{y: int32(dy)}, cellXY{x: int32(dx)}, 1)
+			for i, e := range want {
+				u, v := i/(dy+1), i%(dy+1)
+				if math.Float64bits(got[i]) != math.Float64bits(e) {
+					t.Fatalf("shape (%d,%d) cell (%d,%d) = %v, DP %v", dx, dy, u, v, got[i], e)
+				}
+				if m := mirrored[u*(dy+1)+dy-v]; math.Float64bits(m) != math.Float64bits(e) {
+					t.Fatalf("shape (%d,%d) mirrored cell (%d,%d) = %v, DP %v", dx, dy, u, v, m, e)
+				}
 			}
 		}
-		return n
 	}
-	a.accumulate(grid, side, cellXY{}, cellXY{x: side - 1, y: side - 1}, 1)
-	a.accumulate(grid, side, cellXY{}, cellXY{x: 3, y: expeTableSide}, 1)
-	if n := kept(); n != 0 {
-		t.Fatalf("%d oversized grids were kept", n)
+	if x.k != maxExt {
+		t.Fatalf("tables cover extent %d after stamping up to %d", x.k, maxExt)
 	}
-	for i := 0; i < 8; i++ {
-		a.accumulate(grid, side, cellXY{}, cellXY{x: int32(5 + i%2), y: int32(expeTableSide - 1 - (i/2)%2)}, 1)
+	for u := 0; u < x.k; u++ {
+		for v := 0; v < u; v++ {
+			if math.Float64bits(x.t[u*x.k+v]) != math.Float64bits(x.t[v*x.k+u]) {
+				t.Fatalf("T[%d][%d] = %v != T[%d][%d] = %v", u, v, x.t[u*x.k+v], v, u, x.t[v*x.k+u])
+			}
+		}
 	}
-	if n := kept(); n != 4 {
-		t.Fatalf("table keeps %d grids for 4 distinct shapes", n)
+}
+
+// TestExpeTableBounded bounds what one congestion grid retains for Expe on
+// a K×K mesh: the dense shapes (136² floats) and T and B at the dense
+// table's extent until a larger box arrives, under 2·K² floats more once a
+// full-mesh box has been stamped, and nothing further after that — there is
+// no per-edge scratch to grow.
+func TestExpeTableBounded(t *testing.T) {
+	const side = 8 * expeDenseSide
+	x := newExpeTables(hw.MustMesh(side, side))
+	retained := func() (floats int) {
+		for _, g := range x.dense {
+			floats += cap(g)
+		}
+		return floats + cap(x.t) + cap(x.b)
 	}
-	if g := a.table[5*expeTableSide+expeTableSide-1]; len(g) != 6*expeTableSide {
-		t.Fatalf("shape (5,%d) grid has %d cells, want %d", expeTableSide-1, len(g), 6*expeTableSide)
+	const tri = expeDenseSide * (expeDenseSide + 1) / 2
+	grid := make([]float64, side*side)
+	x.accumulate(grid, side, cellXY{x: 20, y: 20}, cellXY{x: 20 + expeDenseSide - 1, y: 20 - expeDenseSide + 1}, 1)
+	if n, limit := retained(), tri*tri+2*expeDenseSide*expeDenseSide; n > limit {
+		t.Fatalf("tables retain %d floats before any box outside the dense table, limit %d", n, limit)
+	}
+	x.accumulate(grid, side, cellXY{}, cellXY{x: side - 1, y: side - 1}, 1)
+	grown := retained()
+	if limit := tri*tri + 2*side*side; grown > limit {
+		t.Fatalf("tables retain %d floats on a %d×%d mesh, limit %d", grown, side, side, limit)
+	}
+	x.accumulate(grid, side, cellXY{x: side - 1}, cellXY{y: side - 1}, 1)
+	x.accumulate(grid, side, cellXY{x: 3}, cellXY{x: 5, y: side - 1}, 1)
+	if n := retained(); n != grown {
+		t.Fatalf("stamping more large boxes grew the tables from %d to %d floats", grown, n)
 	}
 }

@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"snnmap/internal/geom"
@@ -132,6 +131,12 @@ func sampleStride(p *pcn.PCN, opts Options) int {
 	return 1
 }
 
+// sampleSkip returns how many edges a walk starting at global CSR index e
+// passes over before the next one the stride samples.
+func sampleSkip(e int64, stride int) int {
+	return int((int64(stride) - e%int64(stride)) % int64(stride))
+}
+
 // Evaluate computes all five metrics of §3.3 for the placement.
 //
 // The edge walk is split into a fixed chunk count and, with opts.Workers >
@@ -173,11 +178,17 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 			defer func() { busy[ci] = time.Since(t0) }()
 		}
 		lo, hi := ci*n/k, (ci+1)*n/k
-		pt := &partials[ci]
+		// Partial sums stay in a local for the walk. skip counts down the
+		// edges before the next sampled one (global CSR index divisible by
+		// stride); without sampling it starts below zero and never gets there.
+		var pt evalPartial
+		skip := -1
+		if needSampled {
+			skip = sampleSkip(p.OutOff[lo], stride)
+		}
 		for c := lo; c < hi; c++ {
 			src := pos[c]
 			tos, ws := p.OutEdges(c)
-			edgeIdx := p.OutOff[c]
 			for kk, to := range tos {
 				dst := pos[to]
 				dx, dy := geom.Abs(int(src.x-dst.x)), geom.Abs(int(src.y-dst.y))
@@ -195,11 +206,14 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 				// the average (Eq. 12) is therefore exact and cheap.
 				pt.avgCongestion += w * float64(d+1)
 				pt.bboxWork += int64(dx+1) * int64(dy+1)
-				if needSampled && (edgeIdx+int64(kk))%int64(stride) == 0 {
+				if skip == 0 {
 					pt.sampledWeight += w
+					skip = stride
 				}
+				skip--
 			}
 		}
+		partials[ci] = pt
 	})
 	var totalWeight, weightedLatency, sampledWeight float64
 	var bboxWork int64
@@ -294,38 +308,34 @@ func CongestionGrid(p *pcn.PCN, pl *place.Placement, stride, workers int) []floa
 // congestionGrid is CongestionGrid on a cluster coordinate table, which
 // Evaluate shares with its own edge walk.
 func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int) []float64 {
-	if stride < 1 {
-		stride = 1
-	}
 	cores := mesh.Cores()
 	grid := make([]float64, cores)
-	n := p.NumClusters
+	n, edges := p.NumClusters, int(p.NumEdges())
+	if edges == 0 {
+		return grid
+	}
+	// A stride of |E| or more samples edge 0 alone; capped, the skip
+	// arithmetic below cannot overflow.
+	stride = max(1, min(stride, edges))
 	// Cap the chunk count so the transient per-chunk grids stay bounded
 	// (~64 MB of scratch on a million-core mesh).
 	k := chunksOf(n)
 	if maxGrids := 1 << 23 / max(cores, 1); k > maxGrids {
 		k = max(maxGrids, 1)
 	}
-	// Accumulators carry the table of filled Expe DP grids, so they must
-	// outlive a single chunk to pay off: pool them for reuse across chunks.
-	// At most one per worker is live at a time; sharing makes no observable
-	// difference because the table holds exactly the floats the DP would
-	// produce.
-	accPool := sync.Pool{New: func() any { return new(expeAccumulator) }}
+	tables := newExpeTables(mesh)
+	// Every stride-th edge in global CSR order: skip carries across clusters,
+	// so unsampled edges cost nothing and unsampled clusters one comparison.
 	accumulate := func(ci int, dst []float64) {
-		acc := accPool.Get().(*expeAccumulator)
-		defer accPool.Put(acc)
 		lo, hi := ci*n/k, (ci+1)*n/k
+		skip := sampleSkip(p.OutOff[lo], stride)
 		for c := lo; c < hi; c++ {
 			src := pos[c]
 			tos, ws := p.OutEdges(c)
-			edgeIdx := p.OutOff[c]
-			for kk, to := range tos {
-				if stride > 1 && (edgeIdx+int64(kk))%int64(stride) != 0 {
-					continue
-				}
-				acc.accumulate(dst, mesh.Cols, src, pos[to], ws[kk])
+			for ; skip < len(tos); skip += stride {
+				tables.accumulate(dst, mesh.Cols, src, pos[tos[skip]], ws[skip])
 			}
+			skip -= len(tos)
 		}
 	}
 	if workers <= 1 || k == 1 {
