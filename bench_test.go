@@ -463,6 +463,26 @@ func BenchmarkRefinePartition(b *testing.B) {
 	b.ReportMetric(100*reduction, "cut-reduction-%")
 }
 
+// BenchmarkAggregate measures the edge-aggregation kernels under multilevel
+// partitioning on the 131k partition workload — the flat CSR build, the fine
+// undirected build and the first contraction, all through pcn's one mergeRow.
+// cmd/bench mirrors them as pcn-aggregate/* records.
+func BenchmarkAggregate(b *testing.B) {
+	g := expt.PartitionGraph(131_072)
+	kernels, err := pcn.AggregateKernels(g, pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 128}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range kernels {
+		b.Run(k.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.Run()
+			}
+		})
+	}
+}
+
 // BenchmarkNoCRouting compares simulator throughput across routing
 // algorithms on a contended workload.
 func BenchmarkNoCRouting(b *testing.B) {

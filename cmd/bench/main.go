@@ -58,7 +58,8 @@ type Record struct {
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
 	// BytesPerOp reports the payload size of codec operations (the encoded
 	// snapshot size for snapshot-encode/decode) and the bytes allocated per
-	// run of noc-sim/event on resnet5142; 0 elsewhere.
+	// run of noc-sim/event on resnet5142 and of the pcn-aggregate/* kernels;
+	// 0 elsewhere.
 	BytesPerOp int64 `json:"bytes_per_op,omitempty"`
 	// NsPerWireTraversal is host time per simulated link crossing
 	// (noc-sim/event on resnet5142); 0 elsewhere.
@@ -225,7 +226,7 @@ func main() {
 	if smoke {
 		partSize, partWl = 32_768, "synthetic-32k"
 	}
-	pg := partitionWorkload(partSize)
+	pg := expt.PartitionGraph(partSize)
 	partCfg := pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 128}}
 	flatPart := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -272,6 +273,24 @@ func main() {
 		} else {
 			addParallel(fmt.Sprintf("partition/multilevel/workers=%d", workers), partWl, r, mlSeqNs)
 		}
+	}
+
+	// pcn-aggregate/* are the edge-aggregation kernels under the partition
+	// records above (BenchmarkAggregate in bench_test.go mirrors them): the
+	// flat CSR build, the fine undirected build and the first contraction,
+	// each through pcn's one mergeRow.
+	aggKernels, err := pcn.AggregateKernels(pg, partCfg)
+	if err != nil {
+		fatal(err)
+	}
+	for _, k := range aggKernels {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.Run()
+			}
+		})
+		addBytes("pcn-aggregate/"+k.Name, partWl, r, 0, r.AllocedBytesPerOp())
 	}
 
 	section("initial-placement")
@@ -784,31 +803,6 @@ func sweepFromEnv(name string, def []int) []int {
 		sweep = append(sweep, n)
 	}
 	return sweep
-}
-
-// partitionWorkload builds the partitioner benchmark graph: n neurons with
-// a heavy nearest-neighbor chain (the locality flat partitioning exploits),
-// six mid-range edges per neuron into the i+7..i+47 band (traffic that
-// crosses flat cluster boundaries and rewards refinement), and ~10%
-// long-range edges (cut weight no local move can remove). No layer tags, so
-// both partitioners pack purely by capacity.
-func partitionWorkload(n int) *snn.Graph {
-	rng := rand.New(rand.NewSource(11))
-	var gb snn.GraphBuilder
-	gb.AddNeurons(n, -1)
-	for i := 0; i < n; i++ {
-		gb.AddSynapse(i, (i+1)%n, 8+rng.Float64())
-		for k := 0; k < 6; k++ {
-			gb.AddSynapse(i, (i+7+rng.Intn(41))%n, 1+rng.Float64())
-		}
-		if rng.Float64() < 0.10 {
-			j := rng.Intn(n)
-			if j != i {
-				gb.AddSynapse(i, j, 0.5+rng.Float64())
-			}
-		}
-	}
-	return gb.Build()
 }
 
 // denseWorkload fills a side×side mesh with identity-placed clusters where

@@ -283,17 +283,24 @@ func resultKey(pk Key, mesh hw.Mesh, cfg *mapping.Config) Key {
 	return h.sum()
 }
 
-// partitionGraphKey is the stage key for Partition over a neuron graph.
+// partitionGraphKey is the stage key for Partition over a neuron graph. The
+// stage tag carries a revision: /2 is the arrival-order summation of parallel
+// edges (pcn.mergeRow). An entry under the unrevised tag was summed in
+// quicksort-pivot order and differs from a cold run in the last ulp wherever
+// three or more synapses share a cluster pair, so it must be a miss, not a
+// warm hit.
 func partitionGraphKey(g *snn.Graph, cfg *pcn.PartitionConfig) Key {
-	h := newHasher("partition-graph")
+	h := newHasher("partition-graph/2")
 	h.graphContent(g)
 	h.partitionConfig(cfg)
 	return h.sum()
 }
 
-// partitionNetKey is the stage key for Expand over a layer-spec net.
+// partitionNetKey is the stage key for Expand over a layer-spec net; /2 for
+// the same reason as partitionGraphKey (nets with three or more Conns between
+// one layer pair, and every multilevel contraction).
 func partitionNetKey(n *snn.Net, cfg *pcn.PartitionConfig) Key {
-	h := newHasher("partition-net")
+	h := newHasher("partition-net/2")
 	h.netContent(n)
 	h.partitionConfig(cfg)
 	return h.sum()

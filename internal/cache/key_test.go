@@ -44,7 +44,9 @@ func pcnKeyOf(p *pcn.PCN) Key {
 // TestKeyGolden pins the exact key bytes for a fixed input. If this test
 // fails, the canonical encoding changed: that is allowed ONLY together
 // with a keyVersion bump (which changes every key and makes old cache
-// directories cold), never silently.
+// directories cold), never silently. The partition-graph pin moved once,
+// with the stage tag's /2: pcn now sums parallel edges in arrival order, so
+// entries written by the sort-and-fold build must not be served.
 func TestKeyGolden(t *testing.T) {
 	p := goldenPCN()
 	cfg := goldenMappingConfig()
@@ -65,7 +67,7 @@ func TestKeyGolden(t *testing.T) {
 			b.AddSynapse(2, 3, 2)
 			pcfg := pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 2}}
 			return partitionGraphKey(b.Build(), &pcfg)
-		}(), "06e9e025edb5aae91dccd2f6511fe8ad12579ef127afa825d181764d98f63a8b"},
+		}(), "9516c02407140317ea3763ce741692f312597e65967465b02d5e597a25d9f4e4"},
 		{"metrics", metricsKey(pk, []int32{0, 1, 2}, mesh, hw.DefaultCostModel(),
 			metrics.Options{Congestion: metrics.CongestionExact}), "bff14fbcce496fa104dcd86d5c996d14493e590e8b88ca458c9eb00874633b36"},
 	}

@@ -7,6 +7,7 @@ package expt
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 
 	"snnmap/internal/hw"
@@ -199,4 +200,29 @@ func WorkloadNames() []string {
 		names[i] = w.Name
 	}
 	return names
+}
+
+// PartitionGraph builds the partitioner benchmark graph: n neurons with
+// a heavy nearest-neighbor chain (the locality flat partitioning exploits),
+// six mid-range edges per neuron into the i+7..i+47 band (traffic that
+// crosses flat cluster boundaries and rewards refinement), and ~10%
+// long-range edges (cut weight no local move can remove). No layer tags, so
+// both partitioners pack purely by capacity.
+func PartitionGraph(n int) *snn.Graph {
+	rng := rand.New(rand.NewSource(11))
+	var gb snn.GraphBuilder
+	gb.AddNeurons(n, -1)
+	for i := 0; i < n; i++ {
+		gb.AddSynapse(i, (i+1)%n, 8+rng.Float64())
+		for k := 0; k < 6; k++ {
+			gb.AddSynapse(i, (i+7+rng.Intn(41))%n, 1+rng.Float64())
+		}
+		if rng.Float64() < 0.10 {
+			j := rng.Intn(n)
+			if j != i {
+				gb.AddSynapse(i, j, 0.5+rng.Float64())
+			}
+		}
+	}
+	return gb.Build()
 }

@@ -5,10 +5,10 @@ package pcn
 // order (the pair representative is its smaller member), so the coarse
 // numbering is a pure function of the matching. Adjacency contraction is
 // parallel over coarse-vertex chunks: every coarse vertex gathers its
-// members' neighbor lists into a privately owned range of a shared bound
-// buffer, sorts and merges them there, and records its final degree — no
-// two chunks touch the same bytes, so the coarse graph is bit-identical at
-// any worker count.
+// members' neighbor lists (first member's, then second's) into a privately
+// owned range of a shared bound buffer, merges them there with mergeRow, and
+// records its final degree — no two chunks touch the same bytes, so the
+// coarse graph is bit-identical at any worker count.
 
 // gLevel is one level of the multilevel hierarchy: an undirected weighted
 // graph plus per-vertex occupancy, and the projection map to the next
@@ -93,7 +93,7 @@ func contract(lv *gLevel, match []int32, workers int, ar *levelArena) (*gLevel, 
 	cnt := grabI32(&ar.cnt, nc)
 	selfW := grabF64(&ar.selfW, nc)
 
-	runMatchChunks(workers, nc, func(_, lo, hi int) {
+	mergeRows(workers, nc, func(m *rowMerger, lo, hi int) {
 		for c := lo; c < hi; c++ {
 			base := bound[c]
 			write := base
@@ -115,20 +115,7 @@ func contract(lv *gLevel, match []int32, workers int, ar *levelArena) (*gLevel, 
 			if second[c] >= 0 {
 				gather(second[c])
 			}
-			seg := int(write - base)
-			sortEdges(bufTo[base:base+int64(seg)], bufW[base:base+int64(seg)])
-			// Merge duplicate coarse targets in place.
-			out := base
-			for k := base; k < base+int64(seg); k++ {
-				if out > base && bufTo[out-1] == bufTo[k] {
-					bufW[out-1] += bufW[k]
-					continue
-				}
-				bufTo[out] = bufTo[k]
-				bufW[out] = bufW[k]
-				out++
-			}
-			cnt[c] = int32(out - base)
+			cnt[c] = int32(m.mergeRow(bufTo[base:write], bufW[base:write]))
 			selfW[c] = self
 		}
 	})

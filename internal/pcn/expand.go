@@ -146,12 +146,12 @@ func expandWithGrain(n *snn.Net, cfg PartitionConfig, grain int) (*PCN, error) {
 	// materializing a (from, to, w) edge list and re-bucketing it: pass one
 	// counts each source cluster's slots, pass two writes targets and
 	// weights straight into the final CSR arrays through per-cluster
-	// cursors. The edge list plus buildCSR's bucket double-buffer used to
-	// hold every edge twice (28 bytes/edge transient at the 1M-cluster
-	// scale); streaming keeps only the 12 bytes/edge that survive in the
-	// PCN. Weight bookkeeping is unchanged: a Conn carries total traffic
-	// T = To.Neurons × FanIn × rate(From); each target cluster receives its
-	// neuron-proportional share, split across its source clusters.
+	// cursors, so only the 12 bytes/edge that survive in the PCN are ever
+	// held (an edge list plus a bucket copy is 28 bytes/edge transient at the
+	// 1M-cluster scale). Weight bookkeeping is unchanged: a Conn carries
+	// total traffic T = To.Neurons × FanIn × rate(From); each target cluster
+	// receives its neuron-proportional share, split across its source
+	// clusters.
 	counts := make([]int64, plan.total+1)
 	if err := traverseConns(n, p, plan, func(f, t int, _ float64) {
 		if f != t {
@@ -178,7 +178,7 @@ func expandWithGrain(n *snn.Net, cfg PartitionConfig, grain int) (*PCN, error) {
 		outTo[pos] = int32(t)
 		outW[pos] = weight
 	})
-	finalizeCSR(p, counts, outTo, outW, cfg.Workers)
+	p.OutOff, p.OutTo, p.OutW = finalizeCSR(counts, outTo, outW, cfg.Workers)
 	return p, nil
 }
 

@@ -79,6 +79,23 @@ func (o MultilevelOptions) withDefaults() MultilevelOptions {
 	return o
 }
 
+// takeMultilevel resolves the multilevel options (nil selects the defaults)
+// and turns cfg into the flat configuration of the internal calls: Multilevel
+// cleared, and the per-cluster edge merge fanned with the multilevel worker
+// pool unless the caller pinned a count (bit-identity-preserving).
+func (cfg *PartitionConfig) takeMultilevel() MultilevelOptions {
+	var o MultilevelOptions
+	if cfg.Multilevel != nil {
+		o = *cfg.Multilevel
+	}
+	o = o.withDefaults()
+	cfg.Multilevel = nil
+	if cfg.Workers <= 0 {
+		cfg.Workers = o.Workers
+	}
+	return o
+}
+
 // DefaultMultilevel returns the default multilevel configuration.
 func DefaultMultilevel() *MultilevelOptions {
 	o := MultilevelOptions{}.withDefaults()
@@ -128,12 +145,7 @@ type grouping struct {
 // PCN. If the multilevel cut is worse than the flat pipeline's, the flat
 // result is returned instead (Stats.UsedFlat).
 func PartitionMultilevel(g *snn.Graph, cfg PartitionConfig) (*Result, MultilevelStats, error) {
-	opts := cfg.Multilevel
-	if opts == nil {
-		opts = DefaultMultilevel()
-	}
-	o := opts.withDefaults()
-	cfg.Multilevel = nil // internal calls run flat
+	o := cfg.takeMultilevel()
 	sp := cfg.Obs.Span("partition.multilevel")
 	defer func() { sp.End() }()
 
@@ -143,26 +155,11 @@ func PartitionMultilevel(g *snn.Graph, cfg PartitionConfig) (*Result, Multilevel
 	}
 	stats := MultilevelStats{Grain: o.Grain, CutFlat: flat.PCN.TotalWeight()}
 
-	fineCfg := cfg
-	npcFine := cfg.Constraints.NeuronsPerCore / o.Grain
-	if npcFine < 1 {
-		npcFine = 1
-	}
-	fineCfg.Constraints.NeuronsPerCore = npcFine
-	// The fine granularity never needs its own PCN (sorted per-cluster CSR):
-	// grouping works on the undirected cluster graph, built straight from the
-	// neuron edges through the fine assignment.
-	fineOf, fineN, fineS, fineL, err := assignClusters(g, fineCfg)
+	base, fineOf, err := fineLevel(g, cfg, o)
 	if err != nil {
 		return nil, stats, err
 	}
-	base := &gLevel{
-		u:        undirectedFromAssignment(g, fineOf, len(fineN), o.Workers),
-		neurons:  fineN,
-		synapses: fineS,
-		layer:    fineL,
-	}
-	stats.FineVertices = len(fineN)
+	stats.FineVertices = len(base.neurons)
 	stats.FineEdges = int64(len(base.u.To)) / 2
 
 	grp := multilevelGroup(base, int64(g.NumNeurons), cfg, o)
@@ -174,7 +171,7 @@ func PartitionMultilevel(g *snn.Graph, cfg PartitionConfig) (*Result, Multilevel
 	for i := range clusterOf {
 		clusterOf[i] = grp.partOf[fineOf[i]]
 	}
-	ml, err := rebuildFromAssignment(g, clusterOf, grp.neurons, grp.synapses, grp.layer)
+	ml, err := rebuildFromAssignment(g, clusterOf, grp.neurons, grp.synapses, grp.layer, cfg.Workers)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -187,6 +184,52 @@ func PartitionMultilevel(g *snn.Graph, cfg PartitionConfig) (*Result, Multilevel
 		return flat, stats, nil
 	}
 	return ml, stats, nil
+}
+
+// fineLevel is level 0 of the explicit-graph hierarchy: Algorithm 1's walk at
+// CON_npc/Grain neurons per cluster and the undirected graph of those fine
+// clusters. The fine granularity never needs its own PCN (merged directed
+// CSR): grouping works on the undirected cluster graph, built straight from
+// the neuron edges through the fine assignment.
+func fineLevel(g *snn.Graph, cfg PartitionConfig, o MultilevelOptions) (*gLevel, []int32, error) {
+	cfg.Constraints.NeuronsPerCore = max(1, cfg.Constraints.NeuronsPerCore/o.Grain)
+	fineOf, fineN, fineS, fineL, err := assignClusters(g, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	u := undirectedFromAssignment(g, fineOf, len(fineN), o.Workers)
+	return &gLevel{u: u, neurons: fineN, synapses: fineS, layer: fineL}, fineOf, nil
+}
+
+// BenchKernel is one separately timeable kernel of this package.
+type BenchKernel struct {
+	Name string
+	Run  func()
+}
+
+// AggregateKernels returns the three edge-aggregation sites PartitionMultilevel
+// runs on g, each as a closure over inputs prepared here, so bench_test.go and
+// cmd/bench time the same kernels (pcn-aggregate/*): flat-csr is
+// csrFromAssignment at CON_npc, fine-undirected is undirectedFromAssignment at
+// the fine granularity, contract is the first coarsening step.
+func AggregateKernels(g *snn.Graph, cfg PartitionConfig) ([]BenchKernel, error) {
+	o := cfg.takeMultilevel()
+	flatOf, flatN, _, _, err := assignClusters(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	base, fineOf, err := fineLevel(g, cfg, o)
+	if err != nil {
+		return nil, err
+	}
+	match := heavyEdgeMatch(base.u, base.neurons, base.synapses, base.layer, cfg.Constraints.NeuronsPerCore, 0, false, o.MatchRounds, o.Workers, nil)
+	return []BenchKernel{
+		{"flat-csr", func() {
+			csrFromAssignment(&PCN{NumClusters: len(flatN)}, g.OutOff, g.OutTo, g.OutW, flatOf, cfg.Workers)
+		}},
+		{"fine-undirected", func() { undirectedFromAssignment(g, fineOf, len(base.neurons), o.Workers) }},
+		{"contract", func() { contract(base, match, o.Workers, nil) }},
+	}, nil
 }
 
 // emitMultilevelStats publishes the run-summary counters of one multilevel
@@ -210,11 +253,11 @@ func emitMultilevelStats(o *obs.Observer, s MultilevelStats) {
 }
 
 // undirectedFromAssignment builds the symmetrized cluster graph of a neuron
-// assignment directly from the neuron edges, skipping the sorted cluster CSR
-// a full Partition would build only to have Undirected re-derive it. Chunks
-// of clusters sort and duplicate-merge their (disjoint) adjacency ranges in
-// parallel; chunk boundaries depend only on the cluster count, so the result
-// is bit-identical at any worker count.
+// assignment directly from the neuron edges, skipping the merged cluster CSR
+// a full Partition would build only to have Undirected re-derive it. Every
+// cross synapse lands in both endpoint rows in the same (neuron, synapse)
+// order, so finalizeCSR sums W(i,j) and W(j,i) identically: the view is
+// bitwise symmetric, and bit-identical at any worker count.
 func undirectedFromAssignment(g *snn.Graph, clusterOf []int32, n, workers int) *Undirected {
 	deg := make([]int64, n+1)
 	for u := 0; u < g.NumNeurons; u++ {
@@ -250,40 +293,8 @@ func undirectedFromAssignment(g *snn.Graph, clusterOf []int32, n, workers int) *
 			to[pos], w[pos] = cu, ws[k]
 		}
 	}
-	count := make([]int64, n)
-	runMatchChunks(workers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s, e := deg[i], deg[i+1]
-			sortEdges(to[s:e], w[s:e])
-			write := s
-			for r := s; r < e; r++ {
-				if write > s && to[write-1] == to[r] {
-					w[write-1] += w[r]
-					continue
-				}
-				to[write], w[write] = to[r], w[r]
-				write++
-			}
-			count[i] = write - s
-		}
-	})
-	var total int64
-	for i := 0; i < n; i++ {
-		total += count[i]
-	}
-	u := &Undirected{
-		Off: make([]int64, n+1),
-		To:  make([]int32, 0, total),
-		W:   make([]float64, 0, total),
-	}
-	for i := 0; i < n; i++ {
-		u.Off[i] = int64(len(u.To))
-		s := deg[i]
-		u.To = append(u.To, to[s:s+count[i]]...)
-		u.W = append(u.W, w[s:s+count[i]]...)
-	}
-	u.Off[n] = int64(len(u.To))
-	return u
+	off, to, w := finalizeCSR(deg, to, w, workers)
+	return &Undirected{Off: off, To: to, W: w}
 }
 
 // preferFlat decides the fallback: keep the flat result unless multilevel
@@ -304,17 +315,7 @@ func preferFlat(stats MultilevelStats, ml, flat *PCN) bool {
 // cluster graph is grouped, and the fine PCN is contracted through the part
 // assignment. The same flat-fallback guarantee applies.
 func ExpandMultilevel(n *snn.Net, cfg PartitionConfig) (*PCN, MultilevelStats, error) {
-	opts := cfg.Multilevel
-	if opts == nil {
-		opts = DefaultMultilevel()
-	}
-	o := opts.withDefaults()
-	cfg.Multilevel = nil
-	if cfg.Workers <= 0 {
-		// Fan the expander's per-cluster CSR sort with the multilevel worker
-		// pool unless the caller pinned a count (bit-identity-preserving).
-		cfg.Workers = o.Workers
-	}
+	o := cfg.takeMultilevel()
 	sp := cfg.Obs.Span("partition.multilevel")
 	defer func() { sp.End() }()
 
@@ -361,7 +362,7 @@ func ExpandMultilevel(n *snn.Net, cfg PartitionConfig) (*PCN, MultilevelStats, e
 	stats.CoarsestVertices = grp.coarsest
 	stats.Moves = grp.moves
 
-	ml := contractPCN(fine, grp)
+	ml := contractPCN(fine, grp, cfg.Workers)
 	stats.CutMultilevel = ml.TotalWeight()
 	if preferFlat(stats, ml, flat) {
 		stats.UsedFlat = true
@@ -379,7 +380,7 @@ func ExpandMultilevel(n *snn.Net, cfg PartitionConfig) (*PCN, MultilevelStats, e
 // contractPCN maps a fine PCN's directed edges through a part assignment,
 // producing the final cluster-level PCN. Edges that become internal to a
 // part move into InternalTraffic.
-func contractPCN(fine *PCN, grp grouping) *PCN {
+func contractPCN(fine *PCN, grp grouping, workers int) *PCN {
 	p := &PCN{
 		Name:            fine.Name,
 		NumClusters:     len(grp.neurons),
@@ -388,25 +389,7 @@ func contractPCN(fine *PCN, grp grouping) *PCN {
 		Layer:           grp.layer,
 		InternalTraffic: fine.InternalTraffic,
 	}
-	ne := fine.NumEdges()
-	from := make([]int32, 0, ne)
-	to := make([]int32, 0, ne)
-	w := make([]float64, 0, ne)
-	for i := 0; i < fine.NumClusters; i++ {
-		ci := grp.partOf[i]
-		tos, ws := fine.OutEdges(i)
-		for k, t := range tos {
-			ct := grp.partOf[t]
-			if ci == ct {
-				p.InternalTraffic += ws[k]
-				continue
-			}
-			from = append(from, ci)
-			to = append(to, ct)
-			w = append(w, ws[k])
-		}
-	}
-	buildCSR(p, from, to, w)
+	csrFromAssignment(p, fine.OutOff, fine.OutTo, fine.OutW, grp.partOf, workers)
 	return p
 }
 

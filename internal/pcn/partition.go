@@ -24,10 +24,11 @@ type PartitionConfig struct {
 	// coarsen–partition–uncoarsen scheme (multilevel.go). Nil keeps the
 	// paper's flat Algorithm 1 pipeline.
 	Multilevel *MultilevelOptions
-	// Workers fans the expander's per-cluster CSR sort out over up to this
-	// many goroutines (0 or 1 = sequential). Like MultilevelOptions.Workers
-	// it is bit-identity-preserving: cluster buckets are disjoint and the
-	// merge pass runs in cluster order regardless of the count.
+	// Workers fans the per-cluster merge of parallel edges (finalizeCSR) out
+	// over up to this many goroutines (0 or 1 = sequential). Like
+	// MultilevelOptions.Workers it is bit-identity-preserving: a merged row
+	// depends only on that row's entries, and rows are compacted in cluster
+	// order regardless of the count.
 	Workers int
 	// Obs receives phase spans and per-level counters; nil disables
 	// telemetry. Observe-only: it never affects the partition produced.
@@ -67,12 +68,9 @@ func Partition(g *snn.Graph, cfg PartitionConfig) (*Result, error) {
 	}
 	p := &PCN{NumClusters: len(neurons), Neurons: neurons, Synapses: synapses, Layer: layers}
 
-	// Build E_P and w_P: sum spike densities of synapses crossing cluster
-	// boundaries (Eq. 5); same-cluster traffic is recorded separately. A
-	// counting pass sizes the edge list exactly so it never reallocates.
-	from, to, w := crossEdges(g, clusterOf, &p.InternalTraffic)
-	buildCSR(p, from, to, w)
-	sp.End(obs.KV{K: "clusters", V: float64(p.NumClusters)}, obs.KV{K: "edges", V: float64(len(w))})
+	cross := csrFromAssignment(p, g.OutOff, g.OutTo, g.OutW, clusterOf, cfg.Workers)
+	sp.End(obs.KV{K: "clusters", V: float64(p.NumClusters)}, obs.KV{K: "edges", V: float64(p.NumEdges())},
+		obs.KV{K: "cross_synapses", V: float64(cross)})
 	return &Result{PCN: p, ClusterOf: clusterOf}, nil
 }
 
@@ -135,36 +133,40 @@ func assignClusters(g *snn.Graph, cfg PartitionConfig) (clusterOf []int32, neuro
 	return clusterOf, neurons, synapses, layers, nil
 }
 
-// crossEdges collects the synapses crossing cluster boundaries under an
-// assignment, preallocated to the exact cross count; same-cluster traffic
-// accumulates into internal.
-func crossEdges(g *snn.Graph, clusterOf []int32, internal *float64) (from, to []int32, w []float64) {
-	var cross int64
-	for u := 0; u < g.NumNeurons; u++ {
-		cu := clusterOf[u]
-		tos, _ := g.OutEdges(u)
-		for _, v := range tos {
-			if clusterOf[v] != cu {
-				cross++
+// csrFromAssignment builds E_P and w_P (Eqs. 5–6) for p from a source CSR —
+// a neuron graph or a finer PCN — and the assignment of its rows to p's
+// clusters: entries whose endpoints share a cluster add to InternalTraffic,
+// the rest are counted, then written straight into exact-sized per-cluster
+// buckets in (source row, entry index) order and merged by finalizeCSR, so no
+// (from, to, w) edge list is ever held. It returns the raw cross-entry count.
+func csrFromAssignment(p *PCN, off []int64, to []int32, w []float64, of []int32, workers int) int64 {
+	n := p.NumClusters
+	counts := make([]int64, n+1)
+	for u, cu := range of {
+		for _, v := range to[off[u]:off[u+1]] {
+			if of[v] != cu {
+				counts[cu+1]++
 			}
 		}
 	}
-	from = make([]int32, 0, cross)
-	to = make([]int32, 0, cross)
-	w = make([]float64, 0, cross)
-	for u := 0; u < g.NumNeurons; u++ {
-		cu := clusterOf[u]
-		tos, ws := g.OutEdges(u)
-		for k, v := range tos {
-			cv := clusterOf[v]
-			if cu == cv {
-				*internal += ws[k]
+	for i := 0; i < n; i++ {
+		counts[i+1] += counts[i]
+	}
+	rawTo := make([]int32, counts[n])
+	rawW := make([]float64, counts[n])
+	next := make([]int64, n)
+	copy(next, counts[:n])
+	for u, cu := range of {
+		for k := off[u]; k < off[u+1]; k++ {
+			cv := of[to[k]]
+			if cv == cu {
+				p.InternalTraffic += w[k]
 				continue
 			}
-			from = append(from, cu)
-			to = append(to, cv)
-			w = append(w, ws[k])
+			rawTo[next[cu]], rawW[next[cu]] = cv, w[k]
+			next[cu]++
 		}
 	}
-	return from, to, w
+	p.OutOff, p.OutTo, p.OutW = finalizeCSR(counts, rawTo, rawW, workers)
+	return counts[n]
 }

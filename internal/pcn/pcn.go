@@ -231,140 +231,8 @@ func (p *PCN) buildUndirected() *Undirected {
 			w[pos] = ws[k]
 		}
 	}
-	// Per-node sort and duplicate merge (an i->j and j->i pair become one
-	// undirected entry with summed weight).
-	off := make([]int64, n+1)
-	var write int64
-	for i := 0; i < n; i++ {
-		off[i] = write
-		lo, hi := deg[i], deg[i+1]
-		sortEdges(to[lo:hi], w[lo:hi])
-		for k := lo; k < hi; k++ {
-			if write > off[i] && to[write-1] == to[k] {
-				w[write-1] += w[k]
-				continue
-			}
-			to[write] = to[k]
-			w[write] = w[k]
-			write++
-		}
-	}
-	off[n] = write
-	return &Undirected{Off: off, To: to[:write], W: w[:write]}
-}
-
-// sortEdges sorts parallel target/weight slices by target without
-// allocating: an interface-based sort.Sort here costs one heap allocation
-// per cluster, which dominated Partition's allocation profile (most
-// clusters have short edge lists, so insertion sort also wins on time).
-func sortEdges(to []int32, w []float64) {
-	for len(to) > 16 {
-		// Median-of-three quicksort on the larger ranges; recurse into the
-		// smaller half, loop on the larger to bound stack depth.
-		mid := len(to) / 2
-		if to[mid] < to[0] {
-			swapEdge(to, w, 0, mid)
-		}
-		if to[len(to)-1] < to[0] {
-			swapEdge(to, w, 0, len(to)-1)
-		}
-		if to[len(to)-1] < to[mid] {
-			swapEdge(to, w, mid, len(to)-1)
-		}
-		pivot := to[mid]
-		i, j := 0, len(to)-1
-		for i <= j {
-			for to[i] < pivot {
-				i++
-			}
-			for to[j] > pivot {
-				j--
-			}
-			if i <= j {
-				swapEdge(to, w, i, j)
-				i++
-				j--
-			}
-		}
-		if j+1 < len(to)-i {
-			sortEdges(to[:j+1], w[:j+1])
-			to, w = to[i:], w[i:]
-		} else {
-			sortEdges(to[i:], w[i:])
-			to, w = to[:j+1], w[:j+1]
-		}
-	}
-	for i := 1; i < len(to); i++ {
-		t, x := to[i], w[i]
-		j := i - 1
-		for j >= 0 && to[j] > t {
-			to[j+1], w[j+1] = to[j], w[j]
-			j--
-		}
-		to[j+1], w[j+1] = t, x
-	}
-}
-
-func swapEdge(to []int32, w []float64, i, j int) {
-	to[i], to[j] = to[j], to[i]
-	w[i], w[j] = w[j], w[i]
-}
-
-// buildCSR converts an edge list into the PCN's merged CSR fields.
-// It sorts edges by (from, to) and merges duplicates by summing weights.
-func buildCSR(p *PCN, from, to []int32, w []float64) {
-	n := p.NumClusters
-	counts := make([]int64, n+1)
-	for _, f := range from {
-		counts[f+1]++
-	}
-	for i := 0; i < n; i++ {
-		counts[i+1] += counts[i]
-	}
-	bucketTo := make([]int32, len(to))
-	bucketW := make([]float64, len(w))
-	next := make([]int64, n)
-	copy(next, counts[:n])
-	for k, f := range from {
-		pos := next[f]
-		next[f]++
-		bucketTo[pos] = to[k]
-		bucketW[pos] = w[k]
-	}
-	finalizeCSR(p, counts, bucketTo, bucketW, 1)
-}
-
-// finalizeCSR turns source-bucketed edge arrays — cluster i's edges occupy
-// [counts[i], counts[i+1]) of to/w, in any order — into the PCN's merged CSR:
-// each bucket is sorted by target and duplicates are merged in place by
-// summing weights. The buckets are disjoint slices, so the sort phase fans
-// out over workers goroutines (1 = inline); the result is bit-identical at
-// any worker count. The compaction pass then walks buckets in cluster order.
-// The streaming expander calls this directly with exact-sized arrays,
-// avoiding buildCSR's edge-list and double-buffer copies.
-func finalizeCSR(p *PCN, counts []int64, to []int32, w []float64, workers int) {
-	n := p.NumClusters
-	runMatchChunks(workers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sortEdges(to[counts[i]:counts[i+1]], w[counts[i]:counts[i+1]])
-		}
-	})
-	p.OutOff = make([]int64, n+1)
-	var write int64
-	for i := 0; i < n; i++ {
-		p.OutOff[i] = write
-		lo, hi := counts[i], counts[i+1]
-		for k := lo; k < hi; k++ {
-			if write > p.OutOff[i] && to[write-1] == to[k] {
-				w[write-1] += w[k]
-				continue
-			}
-			to[write] = to[k]
-			w[write] = w[k]
-			write++
-		}
-	}
-	p.OutOff[n] = write
-	p.OutTo = to[:write]
-	p.OutW = w[:write]
+	// Merge parallel entries (an i->j and j->i pair become one undirected
+	// entry with summed weight).
+	off, to, w := finalizeCSR(deg, to, w, 1)
+	return &Undirected{Off: off, To: to, W: w}
 }

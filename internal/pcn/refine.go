@@ -264,7 +264,7 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 		}
 	}
 
-	out, err := rebuildFromAssignment(g, clusterOf, neurons, synapses, layerOf)
+	out, err := rebuildFromAssignment(g, clusterOf, neurons, synapses, layerOf, cfg.Config.Workers)
 	if err != nil {
 		return nil, RefineStats{}, err
 	}
@@ -274,15 +274,14 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 
 // rebuildFromAssignment constructs a PCN from an explicit neuron→cluster
 // assignment with known per-cluster occupancy.
-func rebuildFromAssignment(g *snn.Graph, clusterOf []int32, neurons []int32, synapses []int64, layers []int32) (*Result, error) {
+func rebuildFromAssignment(g *snn.Graph, clusterOf []int32, neurons []int32, synapses []int64, layers []int32, workers int) (*Result, error) {
 	p := &PCN{
 		NumClusters: len(neurons),
 		Neurons:     neurons,
 		Synapses:    synapses,
 		Layer:       layers,
 	}
-	from, to, w := crossEdges(g, clusterOf, &p.InternalTraffic)
-	buildCSR(p, from, to, w)
+	csrFromAssignment(p, g.OutOff, g.OutTo, g.OutW, clusterOf, workers)
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("pcn: refined partition invalid: %w", err)
 	}
