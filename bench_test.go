@@ -514,9 +514,9 @@ func BenchmarkNoCRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkFDWorkers measures the deterministic parallel FD speedup (build
-// phases plus the selection sweep) on a larger instance, against the
-// full-sort sequential oracle.
+// BenchmarkFDWorkers measures how FD's parallel build phases (energy,
+// forces, initial queue) scale on a larger instance; the sweep after them is
+// sequential at every worker count. The full-sort oracle is the baseline.
 func BenchmarkFDWorkers(b *testing.B) {
 	wl, err := expt.WorkloadByName("DNN_16M")
 	if err != nil {

@@ -116,6 +116,7 @@ func main() {
 	flag.StringVar(&cli.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
 	smoke := *tier == "smoke"
+	workerSweep := sweepFromEnv()
 	if !smoke && *tier != "full" {
 		fmt.Fprintf(os.Stderr, "bench: unknown tier %q (smoke|full)\n", *tier)
 		os.Exit(1)
@@ -251,7 +252,7 @@ func main() {
 	})
 	add("partition/flat+refine", partWl, flatRefine, 0)
 	var mlSeqNs int64
-	for _, workers := range sweepFromEnv("BENCH_PART_WORKERS", []int{1, 2, 4, 8}) {
+	for _, workers := range workerSweep {
 		mlCfg := partCfg
 		mlCfg.Multilevel = pcn.DefaultMultilevel()
 		mlCfg.Multilevel.Workers = workers
@@ -322,13 +323,13 @@ func main() {
 		}
 	}), 0)
 
-	// --- FD fine-tuning: deterministic parallel sweep on a large mesh ---
+	// --- FD fine-tuning: build scaling on a large mesh ---
 	// fd-finetune/fullsort is the historical implementation (full queue
-	// sort per iteration, strictly sequential tension evaluation);
-	// fd-finetune/workers=1 measures the top-λ partial selection alone
-	// (speedup vs fullsort), and workers=N the worker-scaled sweep
-	// (speedup vs workers=1 — needs GOMAXPROCS > 1 to move, see the
-	// per-record gomaxprocs field).
+	// sort per iteration); fd-finetune/workers=1 measures the top-λ
+	// partial selection alone (speedup vs fullsort). workers=N measures
+	// build scaling only — energy, forces and the initial queue fan out,
+	// the sweep is sequential at every count (speedup vs workers=1 — needs
+	// GOMAXPROCS > 1 to move, see the per-record gomaxprocs field).
 	fdSide, fdWl, fdIterCap := 256, "synthetic-256x256", 3
 	if smoke {
 		fdSide, fdWl, fdIterCap = 96, "synthetic-96x96", 2
@@ -350,7 +351,7 @@ func main() {
 	fullSort := benchFD(mapping.FDConfig{Workers: 1, FullSort: true})
 	add("fd-finetune/fullsort", fdWl, fullSort, 0)
 	var fdSeqNs int64
-	for _, workers := range sweepFromEnv("BENCH_FD_WORKERS", []int{1, 2, 4, 8}) {
+	for _, workers := range workerSweep {
 		r := benchFD(mapping.FDConfig{Workers: workers})
 		if workers == 1 {
 			fdSeqNs = r.NsPerOp()
@@ -426,7 +427,7 @@ func main() {
 	}
 	cost := hw.DefaultCostModel()
 	var seqNs int64
-	for _, workers := range sweepFromEnv("BENCH_WORKERS", []int{1, 2, 4, 8}) {
+	for _, workers := range workerSweep {
 		w := workers
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -575,9 +576,8 @@ func main() {
 		shardSide, shardWl = 64, "dense64x64"
 	}
 	dp, dpl := denseWorkload(shardSide, 4)
-	shardSweep := sweepFromEnv("BENCH_SIM_SHARDS", []int{1, 2, 4, 8})
 	var oneShardNs int64
-	for _, shards := range shardSweep {
+	for _, shards := range workerSweep {
 		cfg := noc.Config{Shards: noc.ClampShards(shards, shardSide)}
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -651,7 +651,7 @@ func main() {
 		fatal(err)
 	}
 	var hscSeqNs int64
-	for _, workers := range sweepFromEnv("BENCH_HSC_WORKERS", []int{1, 2, 4, 8}) {
+	for _, workers := range workerSweep {
 		w := workers
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -785,14 +785,15 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %s (%d records, %s wall)\n", *out, len(rep.Records), (time.Duration(rep.TotalWallMs) * time.Millisecond).Round(time.Second))
 }
 
-// sweepFromEnv reads a comma-separated list of positive ints from the
-// environment, falling back to def when unset. CI uses it to size the
-// worker and shard sweeps to the runner's cores so the smoke tier
+// sweepFromEnv reads BENCH_WORKERS, a comma-separated list of positive ints
+// that every worker and shard sweep iterates, defaulting to 1,2,4,8. CI
+// uses it to size the sweeps to the runner's cores so the smoke tier
 // exercises the parallel paths rather than a hardcoded matrix.
-func sweepFromEnv(name string, def []int) []int {
+func sweepFromEnv() []int {
+	const name = "BENCH_WORKERS"
 	v := os.Getenv(name)
 	if v == "" {
-		return def
+		return []int{1, 2, 4, 8}
 	}
 	var sweep []int
 	for _, field := range strings.Split(v, ",") {

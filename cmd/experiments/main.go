@@ -31,7 +31,7 @@ func main() {
 		budget      = flag.Duration("budget", 30*time.Second, "wall-clock budget per method run (0 = unlimited)")
 		workload    = flag.String("workload", "ResNet", "workload for fig8/headline/ablation")
 		progress    = flag.Bool("progress", true, "print per-run progress lines during sweeps")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (build phases and the swap sweep) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
+		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
 		simShards   = flag.Int("sim-shards", runtime.GOMAXPROCS(0), "row-strip goroutines for the NoC simulator (1 = single goroutine; results are bit-identical at any count)")
 		partitioner = flag.String("partitioner", "flat", "partitioning scheme: flat (Algorithm 1) or multilevel (coarsen-partition-uncoarsen)")
 	)

@@ -29,10 +29,9 @@ type RunOptions struct {
 	// Constraints is the capacity baseline Defects' degrade scales apply
 	// to (zero value = unconstrained).
 	Constraints hw.Constraints
-	// Workers fans the HSC initial placement fill, FD fine-tuning (the
-	// build phases and the swap sweep's tension evaluation) and metrics
-	// evaluation out over up to this many goroutines (0 or 1 =
-	// sequential). Results are bit-identical across worker counts for all
+	// Workers fans the HSC initial placement fill, FD fine-tuning's build
+	// phases and metrics evaluation out over up to this many goroutines (0
+	// or 1 = sequential). Results are bit-identical across worker counts for all
 	// three, per mapping.Config.Workers', mapping.FDConfig's and
 	// metrics.Options' contracts.
 	Workers int

@@ -25,9 +25,7 @@ func PartQuality(w io.Writer, scale Scale, opts RunOptions) error {
 	mlOpts := opts.Multilevel
 	if mlOpts == nil {
 		mlOpts = pcn.DefaultMultilevel()
-		if opts.Workers > 1 {
-			mlOpts.Workers = opts.Workers
-		}
+		mlOpts.Workers = opts.Workers
 	}
 
 	type row struct {

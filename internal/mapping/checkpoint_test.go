@@ -26,11 +26,8 @@ func finalState(pos []int32, stats FDStats) ([]int32, FDStats) {
 // The snapshots are collected from a sequential run and resumed at every
 // worker count, so the matrix also re-verifies the Workers contract across
 // the serialization boundary of the engine state. Run under -race this
-// doubles as the data-race check for resumed parallel sweeps.
+// doubles as the data-race check for the resumed run's parallel phases.
 func TestResumeEquivalenceMatrix(t *testing.T) {
-	defer func(old int) { sweepParallelMin = old }(sweepParallelMin)
-	sweepParallelMin = 8
-
 	mesh := hw.MustMesh(22, 22)
 	p := randomPCN(t, 41, 440, 3200)
 	newPl := func() *place.Placement {

@@ -5,12 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 	"time"
 
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
 	"snnmap/internal/obs"
+	"snnmap/internal/par"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
@@ -46,27 +47,19 @@ type FDConfig struct {
 	// scales apply to. The zero value means unconstrained (degraded cores
 	// then only differ from healthy ones when dead).
 	Constraints hw.Constraints
-	// Workers parallelizes the O(|E|) build phases (initial forces, the
-	// initial tension queue, and energy accounting) and the sweep itself:
-	// each iteration's tension recomputation in nextQueue fans out over
-	// index-addressed slots, and the top-λ swap batch is speculatively
-	// pre-evaluated in parallel before the sequential apply phase
-	// (entries whose cells an earlier swap of the same batch touched are
-	// re-evaluated in place, so the executed swap sequence is exactly
-	// Algorithm 3's). Results are bit-identical regardless of the value:
-	// force cells are disjoint, the queue's total order fixes the
-	// consumed prefix, energy partial sums use a fixed chunk layout
-	// reduced in chunk order, and every parallel tension evaluation is a
-	// pure per-pair function. 0 or 1 means sequential (the paper's
+	// Workers parallelises the O(|E|) build phases (initial forces, the
+	// initial tension queue, and energy accounting); the swap sweep is
+	// Algorithm 3's sequential loop at any value. Results are bit-identical
+	// regardless: force cells are disjoint, the queue's total order fixes
+	// the consumed prefix, and energy partial sums use a fixed chunk layout
+	// reduced in chunk order. 0 or 1 means sequential (the paper's
 	// single-threaded C++ setting).
 	Workers int
-	// FullSort disables the top-⌈λ·|Q|⌉ partial queue selection and every
-	// sweep-phase parallel path, running the original implementation:
-	// full queue sort per iteration, strictly sequential tension
-	// evaluation. The output is bit-identical either way; the flag exists
-	// as the oracle for the equivalence suite and as the baseline of the
-	// fd-finetune benchmark tier in cmd/bench. Build-phase parallelism
-	// (Workers) is unaffected.
+	// FullSort disables the top-⌈λ·|Q|⌉ partial queue selection, running
+	// the original full queue sort per iteration. The output is
+	// bit-identical either way; the flag exists as the oracle for the
+	// equivalence suite and as the baseline of the fd-finetune benchmark
+	// tier in cmd/bench. Build-phase parallelism (Workers) is unaffected.
 	FullSort bool
 	// Checkpoint, when non-nil, snapshots the fine-tuning state so an
 	// interrupted run can continue with ResumeFinetune instead of
@@ -74,12 +67,11 @@ type FDConfig struct {
 	// the engine state is exactly a loop-head state — the invariant that
 	// makes resumption bit-identical to the uninterrupted run.
 	Checkpoint *CheckpointConfig
-	// Obs receives per-sweep spans, counters (swaps, tension checks,
-	// speculation hits, queue sizes), and throttled progress; nil disables
-	// telemetry. Observe-only: hot-loop bookkeeping stays in plain local
-	// counters published at sweep boundaries, so attaching an observer
-	// never changes the placement or FDStats produced. Not part of
-	// snapshots.
+	// Obs receives per-sweep spans, counters (swaps, tension checks, queue
+	// sizes), and throttled progress; nil disables telemetry. Observe-only:
+	// hot-loop bookkeeping stays in plain local counters published at sweep
+	// boundaries, so attaching an observer never changes the placement or
+	// FDStats produced. Not part of snapshots.
 	Obs *obs.Observer
 }
 
@@ -199,17 +191,13 @@ func FinetuneContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg F
 	}
 	start := time.Now()
 	e := newFDEngine(p, pl, cfg)
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	stats := FDStats{InitialEnergy: e.systemEnergyParallel(workers)}
+	stats := FDStats{InitialEnergy: e.systemEnergy(cfg.Workers)}
 	minGain := cfg.effectiveMinGain(stats.InitialEnergy)
 
 	// Build Force[p][0..3] for every occupied position (Alg. 3 lines 3-5).
-	e.buildAllForces(workers)
+	e.buildAllForces(cfg.Workers)
 	// Build the initial tension queue (lines 6-13).
-	queue := e.initialQueue(workers)
+	queue := e.initialQueue(cfg.Workers)
 
 	return e.run(ctx, cfg, queue, stats, minGain, start, 0)
 }
@@ -224,10 +212,6 @@ func FinetuneContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg F
 // determine the rest of the run; that is the resume bit-identity invariant
 // (see DESIGN.md).
 func (e *fdEngine) run(ctx context.Context, cfg FDConfig, queue []pairTension, stats FDStats, minGain float64, start time.Time, prior time.Duration) (FDStats, error) {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	deadline := time.Time{}
 	if cfg.Budget > 0 {
 		deadline = start.Add(cfg.Budget)
@@ -245,7 +229,7 @@ func (e *fdEngine) run(ctx context.Context, cfg FDConfig, queue []pairTension, s
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			stats.FinalEnergy = e.systemEnergyParallel(workers)
+			stats.FinalEnergy = e.systemEnergy(cfg.Workers)
 			stats.Elapsed = prior + time.Since(start)
 			cerr := fmt.Errorf("mapping: finetune: %v: %w", err, ErrCanceled)
 			if ckpt != nil && ckpt.Fn != nil {
@@ -259,7 +243,7 @@ func (e *fdEngine) run(ctx context.Context, cfg FDConfig, queue []pairTension, s
 			stats.Iterations > lastSnap && stats.Iterations%ckpt.Interval == 0 {
 			lastSnap = stats.Iterations
 			snapStats := stats
-			snapStats.FinalEnergy = e.systemEnergyParallel(workers)
+			snapStats.FinalEnergy = e.systemEnergy(cfg.Workers)
 			snapStats.Elapsed = prior + time.Since(start)
 			if err := ckpt.Fn(e.snapshot(queue, snapStats, minGain)); err != nil {
 				return snapStats, fmt.Errorf("mapping: finetune: checkpoint at iteration %d: %w", stats.Iterations, err)
@@ -270,12 +254,12 @@ func (e *fdEngine) run(ctx context.Context, cfg FDConfig, queue []pairTension, s
 		// Telemetry wraps the sweep with a span and publishes the hot-loop
 		// counters as before/after deltas; everything here is observe-only.
 		var sweepSp obs.Span
-		var swaps0, checks0, spec0 int64
+		var swaps0, checks0 int64
 		if cfg.Obs.Enabled() {
 			sweepSp = cfg.Obs.Span("fd.sweep",
 				obs.KV{K: "iter", V: float64(stats.Iterations)},
 				obs.KV{K: "queue", V: float64(len(queue))})
-			swaps0, checks0, spec0 = stats.Swaps, stats.TensionChecks, e.specHits
+			swaps0, checks0 = stats.Swaps, stats.TensionChecks
 		}
 
 		// Swap the top λ fraction of the queue (lines 17-29).
@@ -291,14 +275,13 @@ func (e *fdEngine) run(ctx context.Context, cfg FDConfig, queue []pairTension, s
 			sweepSp.End(
 				obs.KV{K: "swaps", V: float64(stats.Swaps - swaps0)},
 				obs.KV{K: "checks", V: float64(stats.TensionChecks - checks0)},
-				obs.KV{K: "spec_hits", V: float64(e.specHits - spec0)},
 				obs.KV{K: "next_queue", V: float64(len(queue))})
 			cfg.Obs.Progress("fd", int64(stats.Iterations), int64(cfg.MaxIterations))
 		}
 	}
 
 	stats.Converged = len(queue) == 0
-	stats.FinalEnergy = e.systemEnergyParallel(workers)
+	stats.FinalEnergy = e.systemEnergy(cfg.Workers)
 	stats.Elapsed = prior + time.Since(start)
 	return stats, nil
 }
@@ -318,8 +301,8 @@ type pairTension struct {
 type fdEngine struct {
 	p *pcn.PCN
 	// sym is the undirected adjacency every kernel walks; buf is its merge
-	// scratch for the sequential paths (parallel build phases bring one per
-	// goroutine).
+	// scratch for the sweep (the build phases get one per goroutine from
+	// par.DoScratch).
 	sym  *pcn.Symmetric
 	buf  pcn.MergeBuf
 	pl   *place.Placement
@@ -344,11 +327,6 @@ type fdEngine struct {
 	// lambda is the queue fraction consumed per iteration; the rebuilt
 	// queue only needs its top ⌈λ·|Q|⌉ prefix ordered (selectTop).
 	lambda float64
-	// sweepWorkers is the goroutine count for sweep-phase tension
-	// evaluation (nextQueue recomputation and speculative batch
-	// pre-evaluation); 1 when the run is sequential or FullSort pins the
-	// oracle behavior.
-	sweepWorkers int
 	// fullSort switches finalizeQueue back to the full per-iteration sort
 	// (the equivalence-test oracle).
 	fullSort bool
@@ -366,35 +344,21 @@ type fdEngine struct {
 	// pair id's two cells (0 when either is empty or they are unconnected),
 	// so tension() never binary-searches the adjacency. A swap changes the
 	// occupants of exactly two cells, so swapPair rebuilds only the ≤ 8 pair
-	// entries touching them; both cells are epoch-stamped by the same swap,
-	// which is what keeps speculative batch tensions consistent (batchDirty
-	// fires whenever a pair's mutw could have changed).
+	// entries touching them.
 	mutw []float64
 	// pairScratch is reusable swapPair scratch for the pair ids whose mutw a
 	// swap invalidates (sequential use only).
 	pairScratch []int32
 
-	// Epoch-stamped membership marks for queue and affected-list dedupe,
-	// plus per-cell stamps recording which cells the current epoch's swaps
-	// have touched (speculative-tension invalidation, see batchDirty).
+	// Epoch-stamped membership marks for queue and affected-list dedupe.
 	pairMark    []int32
 	clusterMark []int32
-	cellStamp   []int32
 	epoch       int32
 	affected    []int32 // clusters affected in the current epoch
 
-	// Reusable sweep scratch: candidate pair ids (nextQueue) and tension
-	// slots (nextQueue recomputation and batch speculation), hoisted here
-	// so steady-state iterations allocate nothing.
-	ids  []int32
-	tens []float64
-
-	// specHits counts batch entries whose speculated tension was consumed
-	// verbatim. Telemetry only, published per sweep through FDConfig.Obs —
-	// deliberately NOT part of FDStats: the speculation path only runs with
-	// Workers > 1, so the value is worker-dependent while FDStats must stay
-	// bit-identical at any worker count.
-	specHits int64
+	// ids is nextQueue's reusable candidate-pair scratch, hoisted here so
+	// steady-state iterations allocate nothing.
+	ids []int32
 }
 
 // cellXY is a mesh coordinate (row x, column y) in the engine's tables.
@@ -402,10 +366,6 @@ type cellXY struct{ x, y int32 }
 
 func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 	mesh := pl.Mesh
-	sweepWorkers := cfg.Workers
-	if sweepWorkers < 1 || cfg.FullSort {
-		sweepWorkers = 1
-	}
 	cols, rows := int32(mesh.Cols), int32(mesh.Rows)
 	coord := make([]cellXY, 0, mesh.Cores())
 	for x := int32(0); x < rows; x++ {
@@ -414,26 +374,24 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 		}
 	}
 	e := &fdEngine{
-		p:            p,
-		sym:          p.Symmetric(),
-		pl:           pl,
-		mesh:         mesh,
-		coord:        coord,
-		pot:          cfg.Potential,
-		field:        closedForm(cfg.Potential),
-		defects:      cfg.Defects,
-		cons:         cfg.Constraints,
-		unitCorr:     2 * (cfg.Potential.AtUnit() - cfg.Potential.AtZero()),
-		lambda:       cfg.Lambda,
-		sweepWorkers: sweepWorkers,
-		fullSort:     cfg.FullSort,
-		spareStart:   int32(cfg.Constraints.UsableRows(mesh)),
-		force:        make([]float64, 4*mesh.Cores()),
-		mutw:         make([]float64, 2*mesh.Cores()),
-		pairScratch:  make([]int32, 0, 8),
-		pairMark:     make([]int32, 2*mesh.Cores()),
-		clusterMark:  make([]int32, p.NumClusters),
-		cellStamp:    make([]int32, mesh.Cores()),
+		p:           p,
+		sym:         p.Symmetric(),
+		pl:          pl,
+		mesh:        mesh,
+		coord:       coord,
+		pot:         cfg.Potential,
+		field:       closedForm(cfg.Potential),
+		defects:     cfg.Defects,
+		cons:        cfg.Constraints,
+		unitCorr:    2 * (cfg.Potential.AtUnit() - cfg.Potential.AtZero()),
+		lambda:      cfg.Lambda,
+		fullSort:    cfg.FullSort,
+		spareStart:  int32(cfg.Constraints.UsableRows(mesh)),
+		force:       make([]float64, 4*mesh.Cores()),
+		mutw:        make([]float64, 2*mesh.Cores()),
+		pairScratch: make([]int32, 0, 8),
+		pairMark:    make([]int32, 2*mesh.Cores()),
+		clusterMark: make([]int32, p.NumClusters),
 	}
 	for idx, q := range coord {
 		if q.y < cols-1 {
@@ -468,10 +426,10 @@ func (e *fdEngine) steps(x, y int) (up, down, right, left float64) {
 	return float64(u), float64(d), float64(r), float64(l)
 }
 
-// systemEnergy returns E_s (Eq. 23) for the cluster range [lo, hi): the sum
-// over connections of u(P(c_j)−P(c_i))·w. Neighbor weights already combine
-// both directions.
-func (e *fdEngine) systemEnergy(lo, hi int, buf *pcn.MergeBuf) float64 {
+// energyRange returns E_s (Eq. 23) restricted to the clusters [lo, hi): the
+// sum over connections of u(P(c_j)−P(c_i))·w. Neighbor weights already
+// combine both directions.
+func (e *fdEngine) energyRange(lo, hi int, buf *pcn.MergeBuf) float64 {
 	var total float64
 	for c := lo; c < hi; c++ {
 		pc := e.coord[e.pl.PosOf[c]]
@@ -507,48 +465,20 @@ func (e *fdEngine) energyRun(total float64, c int32, pc cellXY, tos []int32, ws 
 	return total
 }
 
-// energyChunk is the fixed cluster-range size of one E_s partial sum. The
-// chunk layout depends only on the cluster count — never on the worker
-// count — so reducing the partials in chunk order yields the same float for
-// any FDConfig.Workers even when individual contributions are not exactly
-// representable (the Eq. 25 energy potential).
+// energyChunk is the fixed cluster-range size of one E_s partial sum: a
+// layout that depends on the cluster count alone, so the in-order reduction
+// yields the same float at any worker count even when contributions are not
+// exactly representable (the Eq. 25 energy potential).
 const energyChunk = 4096
 
-// systemEnergyParallel computes E_s with the given worker count. Partial
-// sums are produced per fixed chunk and reduced in chunk order, so the
-// result is identical for any worker count.
-func (e *fdEngine) systemEnergyParallel(workers int) float64 {
+// systemEnergy computes E_s (Eq. 23) as per-chunk partial sums reduced in
+// chunk order.
+func (e *fdEngine) systemEnergy(workers int) float64 {
 	n := e.p.NumClusters
-	if n <= energyChunk {
-		return e.systemEnergy(0, n, &e.buf)
-	}
-	chunks := (n + energyChunk - 1) / energyChunk
-	partial := make([]float64, chunks)
-	fill := func(lo, hi int, buf *pcn.MergeBuf) {
-		for c := lo; c < hi; c++ {
-			clo := c * energyChunk
-			partial[c] = e.systemEnergy(clo, min(clo+energyChunk, n), buf)
-		}
-	}
-	if workers <= 1 {
-		fill(0, chunks, &e.buf)
-	} else {
-		per := (chunks + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * per
-			hi := min(lo+per, chunks)
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				fill(lo, hi, new(pcn.MergeBuf))
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+	partial := make([]float64, (n+energyChunk-1)/energyChunk)
+	par.DoScratch(workers, len(partial), func(ci int, buf *pcn.MergeBuf) {
+		partial[ci] = e.energyRange(ci*energyChunk, min((ci+1)*energyChunk, n), buf)
+	})
 	var total float64
 	for _, p := range partial {
 		total += p
@@ -556,42 +486,20 @@ func (e *fdEngine) systemEnergyParallel(workers int) float64 {
 	return total
 }
 
-// buildAllForces fills the force array for every occupied cell, optionally
-// in parallel (cells are disjoint, the placement is immutable during the
-// build, so the result is identical for any worker count).
+// buildAllForces fills the force array for every occupied cell (cells are
+// disjoint and the placement is immutable during the build).
 func (e *fdEngine) buildAllForces(workers int) {
-	cores := int32(e.mesh.Cores())
-	if workers <= 1 || cores < 4096 {
-		for idx := int32(0); idx < cores; idx++ {
+	cores := e.mesh.Cores()
+	k := par.Chunks(cores)
+	chunk := (cores + k - 1) / k
+	par.DoScratch(workers, k, func(ci int, buf *pcn.MergeBuf) {
+		hi := int32(min((ci+1)*chunk, cores))
+		for idx := int32(ci * chunk); idx < hi; idx++ {
 			if e.pl.ClusterAt[idx] != place.None {
-				e.rebuildForce(idx, &e.buf)
+				e.rebuildForce(idx, buf)
 			}
 		}
-		return
-	}
-	chunk := (int(cores) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := int32(w * chunk)
-		hi := lo + int32(chunk)
-		if hi > cores {
-			hi = cores
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int32) {
-			defer wg.Done()
-			var buf pcn.MergeBuf
-			for idx := lo; idx < hi; idx++ {
-				if e.pl.ClusterAt[idx] != place.None {
-					e.rebuildForce(idx, &buf)
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }
 
 // rebuildForce recomputes Force[idx][0..3] from scratch (Eq. 27) for the
@@ -730,30 +638,16 @@ func (e *fdEngine) beginEpoch() {
 }
 
 // applyBatch executes the swap phase of one iteration (Alg. 3 lines 17-29)
-// on the queue's top-λ prefix. With sweep workers the whole batch's
-// tensions are speculatively evaluated in parallel first; the apply loop —
-// strictly sequential, preserving Algorithm 3's swap order — then consumes
-// a speculated value verbatim unless an earlier swap of the same batch
-// stamped one of the pair's cells, in which case it re-evaluates in place.
-// Either way each entry costs exactly one logical tension check, so
-// FDStats is bit-identical to the sequential oracle.
+// on the queue's top-λ prefix: re-check each pair's tension against the
+// state the earlier swaps of the batch left, and swap while it is positive.
 func (e *fdEngine) applyBatch(ctx context.Context, batch []pairTension, minGain float64, stats *FDStats) {
-	spec := e.speculate(batch)
 	for i := range batch {
 		if i&8191 == 8191 && ctx.Err() != nil {
 			break // finish the epoch bookkeeping, fail at the loop head
 		}
-		id := batch[i].id
-		var t float64
-		if spec != nil && !e.batchDirty(id) {
-			t = spec[i]
-			e.specHits++
-		} else {
-			t = e.tension(id)
-		}
 		stats.TensionChecks++
-		if t > minGain {
-			e.swapPair(id)
+		if e.tension(batch[i].id) > minGain {
+			e.swapPair(batch[i].id)
 			stats.Swaps++
 		}
 	}
@@ -768,9 +662,7 @@ func (e *fdEngine) markAffected(c int32) {
 
 // swapPair executes the swap of pair id (Alg. 3 lines 20-27): exchange the
 // two cells' contents, rebuild their forces, incrementally maintain the
-// forces of every connected cluster, and record affected clusters. Every
-// cell whose occupant or force slots change is stamped with the current
-// epoch so applyBatch knows which speculated tensions the swap invalidated.
+// forces of every connected cluster, and record affected clusters.
 func (e *fdEngine) swapPair(id int32) {
 	a, b, _ := e.pairCells(id)
 	ca, cb := e.pl.ClusterAt[a], e.pl.ClusterAt[b]
@@ -779,8 +671,6 @@ func (e *fdEngine) swapPair(id int32) {
 	e.pl.SwapCores(a, b)
 	e.rebuildForce(a, &e.buf)
 	e.rebuildForce(b, &e.buf)
-	e.cellStamp[a] = e.epoch
-	e.cellStamp[b] = e.epoch
 	// The swap changed the occupants of cells a and b, invalidating the
 	// cached mutual weights of every pair touching either cell.
 	e.pairScratch = e.pairsTouching(a, e.pairScratch[:0])
@@ -835,7 +725,6 @@ func (e *fdEngine) maintainRun(other int32, oldPos, newPos cellXY, tos []int32, 
 		if pk.y > 0 {
 			f[geom.Left] += w * (newL - oldL)
 		}
-		e.cellStamp[pkIdx] = e.epoch
 		e.markAffected(to)
 	}
 }
@@ -861,16 +750,15 @@ func (e *fdEngine) pairsTouching(idx int32, out []int32) []int32 {
 }
 
 // initialQueue builds the first tension queue (Alg. 3 lines 6-13): all
-// adjacent pairs with positive tension, ordered by finalizeQueue. The scan
-// parallelizes per cell range (chunks are concatenated in chunk order, so
-// the pre-selection sequence is the cell order either way); the final
-// total-order selection makes the result independent of the worker count.
+// adjacent pairs with positive tension, ordered by finalizeQueue. Per-chunk
+// scans of the cell range are concatenated in chunk order, so the
+// pre-selection sequence is the cell order at any worker count.
 func (e *fdEngine) initialQueue(workers int) []pairTension {
-	cores := int32(e.mesh.Cores())
-	scan := func(lo, hi int32) []pairTension {
+	parts := make([][]pairTension, par.Chunks(e.mesh.Cores()))
+	forChunks(workers, e.mesh.Cores(), func(ci, lo, hi int) {
 		var out []pairTension
 		var scratch [4]int32
-		for idx := lo; idx < hi; idx++ {
+		for idx := int32(lo); idx < int32(hi); idx++ {
 			for _, id := range e.pairsTouching(idx, scratch[:0]) {
 				if id/2 != idx {
 					continue // enumerate each pair from its first cell only
@@ -880,51 +768,19 @@ func (e *fdEngine) initialQueue(workers int) []pairTension {
 				}
 			}
 		}
-		return out
-	}
-	var queue []pairTension
-	if workers <= 1 || cores < 4096 {
-		queue = scan(0, cores)
-	} else {
-		chunk := (int(cores) + workers - 1) / workers
-		parts := make([][]pairTension, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := int32(w * chunk)
-			hi := lo + int32(chunk)
-			if hi > cores {
-				hi = cores
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(w int, lo, hi int32) {
-				defer wg.Done()
-				parts[w] = scan(lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, part := range parts {
-			queue = append(queue, part...)
-		}
-	}
+		parts[ci] = out
+	})
+	queue := slices.Concat(parts...)
 	e.finalizeQueue(queue)
 	return queue
 }
 
 // nextQueue implements Alg. 3 lines 30-40: start from the current queue,
 // add all pairs touching affected clusters, recompute every tension, drop
-// non-positive pairs, order the result (finalizeQueue). Candidate ids are
-// collected sequentially in deterministic order; their tensions — pure
-// per-pair functions of engine state that is frozen for the rest of the
-// iteration — are evaluated into index-addressed slots, in parallel when
-// the sweep has workers and the candidate set is large enough, then
-// filtered sequentially. The rebuilt queue is therefore identical at any
-// worker count.
+// non-positive pairs, order the result (finalizeQueue).
 func (e *fdEngine) nextQueue(queue []pairTension, minGain float64, checks *int64) []pairTension {
 	// Mark pairs already queued (dedupe epoch shared with pairMark).
-	e.epoch++ // fresh epoch for pair marks; cluster and cell marks are stale now
+	e.epoch++ // fresh epoch for pair marks; cluster marks are stale now
 	ids := e.ids[:0]
 	for _, pt := range queue {
 		if e.pairMark[pt.id] != e.epoch {
@@ -943,24 +799,12 @@ func (e *fdEngine) nextQueue(queue []pairTension, minGain float64, checks *int64
 	}
 	e.ids = ids[:0] // keep the grown buffer for the next iteration
 
-	tens := e.tensionScratch(len(ids))
-	if e.sweepWorkers > 1 && len(ids) >= sweepParallelMin {
-		e.parallelRanges(len(ids), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				tens[i] = e.tension(ids[i])
-			}
-		})
-	} else {
-		for i, id := range ids {
-			tens[i] = e.tension(id)
-		}
-	}
 	*checks += int64(len(ids))
 
 	next := queue[:0]
-	for i, id := range ids {
-		if tens[i] > minGain {
-			next = append(next, pairTension{id: id, tension: tens[i]})
+	for _, id := range ids {
+		if t := e.tension(id); t > minGain {
+			next = append(next, pairTension{id: id, tension: t})
 		}
 	}
 	e.finalizeQueue(next)

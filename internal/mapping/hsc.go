@@ -2,11 +2,10 @@ package mapping
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"snnmap/internal/curve"
 	"snnmap/internal/hw"
+	"snnmap/internal/par"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 	"snnmap/internal/toposort"
@@ -84,7 +83,7 @@ func InitialPlacementWorkers(p *pcn.PCN, mesh hw.Mesh, c curve.Curve, d *hw.Defe
 	}
 	if usableRows == mesh.Rows && d.NumDead() == 0 {
 		// Pristine mesh: curve step r holds the rank-r cluster directly.
-		runPlaceChunks(workers, p.NumClusters, func(_, lo, hi int) {
+		forChunks(workers, p.NumClusters, func(_, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				assign(r, mesh.Index(c.At(mesh.Rows, mesh.Cols, r)))
 			}
@@ -106,8 +105,8 @@ func InitialPlacementWorkers(p *pcn.PCN, mesh hw.Mesh, c curve.Curve, d *hw.Defe
 		idx := mesh.Index(pt)
 		return idx, !d.IsDead(idx)
 	}
-	counts := make([]int, placeChunksOf(total))
-	runPlaceChunks(workers, total, func(ci, lo, hi int) {
+	counts := make([]int, par.Chunks(total))
+	forChunks(workers, total, func(ci, lo, hi int) {
 		n := 0
 		for s := lo; s < hi; s++ {
 			if _, ok := usable(s); ok {
@@ -122,7 +121,7 @@ func InitialPlacementWorkers(p *pcn.PCN, mesh hw.Mesh, c curve.Curve, d *hw.Defe
 		starts[ci] = run
 		run += n
 	}
-	runPlaceChunks(workers, total, func(ci, lo, hi int) {
+	forChunks(workers, total, func(ci, lo, hi int) {
 		r := starts[ci]
 		for s := lo; s < hi && r < p.NumClusters; s++ {
 			if idx, ok := usable(s); ok {
@@ -184,62 +183,12 @@ func clusterFits(p *pcn.PCN, c int, cons hw.Constraints, scale float64) bool {
 	return sc.FitsNeurons(int(p.Neurons[c])) && sc.FitsSynapses(int(p.Synapses[c]))
 }
 
-// placeChunks is the fixed chunk count of the parallel placement fill. Like
-// the FD sweep's and the matcher's chunk layouts it must depend only on the
-// problem size, never on the worker count (DESIGN.md §10).
-const placeChunks = 64
-
-// placeChunksOf lowers the chunk count so no chunk is empty.
-func placeChunksOf(n int) int {
-	if n < 1 {
-		return 1
-	}
-	if n < placeChunks {
-		return n
-	}
-	return placeChunks
-}
-
-// runPlaceChunks executes fn(ci, lo, hi) for every chunk of [0, n). With
-// workers <= 1 it runs inline in chunk order; otherwise min(workers, k)
-// goroutines pull chunk indices from an atomic counter. Which goroutine
-// computes which chunk is irrelevant: chunks write disjoint slots.
-func runPlaceChunks(workers, n int, fn func(ci, lo, hi int)) {
-	k := placeChunksOf(n)
+// forChunks runs fn on par's fixed chunks of [0, n): chunk ci covers the
+// ceil-stride range [lo, hi), which depends on n alone.
+func forChunks(workers, n int, fn func(ci, lo, hi int)) {
+	k := par.Chunks(n)
 	chunk := (n + k - 1) / k
-	run := func(ci int) {
-		lo := ci * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo < hi {
-			fn(ci, lo, hi)
-		}
-	}
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 || k == 1 {
-		for ci := 0; ci < k; ci++ {
-			run(ci)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= k {
-					return
-				}
-				run(ci)
-			}
-		}()
-	}
-	wg.Wait()
+	par.Do(workers, k, func(ci int) {
+		fn(ci, min(ci*chunk, n), min((ci+1)*chunk, n))
+	})
 }

@@ -53,9 +53,6 @@ type opaque struct{ Potential }
 // built-in potential and once with the same potential hidden behind opaque:
 // placement and FDStats must agree bit for bit.
 func TestClosedFormKernelsEqualEvalPath(t *testing.T) {
-	defer func(old int) { sweepParallelMin = old }(sweepParallelMin)
-	sweepParallelMin = 8
-
 	mesh := hw.MustMesh(22, 22)
 	p := randomPCN(t, 41, 440, 3200)
 	defects := hw.NewDefectMap(mesh)

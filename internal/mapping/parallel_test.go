@@ -13,9 +13,8 @@ import (
 )
 
 // TestFinetuneWorkersBitIdentical verifies the FDConfig.Workers contract on
-// an instance large enough to cross every default parallel threshold (build
-// phases at ≥4096 cores, sweep phases at sweepParallelMin candidates)
-// without any test-only tuning, including against the FullSort oracle.
+// an instance spanning more than one E_s chunk (4500 clusters > 4096), so
+// every build phase fans out, including against the FullSort oracle.
 func TestFinetuneWorkersBitIdentical(t *testing.T) {
 	p := randomPCN(t, 99, 4500, 30000)
 	mesh := hw.MustMesh(68, 68)
@@ -75,14 +74,9 @@ type fdScenario struct {
 // TestFDParallelEquivalenceMatrix is the determinism suite: for every
 // scenario × potential, the placement must be byte-identical and FDStats
 // equal (modulo Elapsed) across Workers ∈ {1, 2, 4, 7} and against the
-// FullSort sequential oracle. sweepParallelMin is lowered so the
-// speculative batch evaluation and the parallel nextQueue recomputation
-// genuinely execute on these mesh sizes; run under -race this doubles as
-// the data-race check for the sweep fan-out.
+// FullSort sequential oracle. Run under -race this doubles as the
+// data-race check for the build-phase fan-out.
 func TestFDParallelEquivalenceMatrix(t *testing.T) {
-	defer func(old int) { sweepParallelMin = old }(sweepParallelMin)
-	sweepParallelMin = 8
-
 	mesh := hw.MustMesh(22, 22)
 	p := randomPCN(t, 41, 440, 3200)
 
@@ -155,12 +149,9 @@ func TestFDParallelEquivalenceMatrix(t *testing.T) {
 
 // TestFDParallelMidBatchCancel drives the in-batch cancellation check
 // (every 8192 entries) with a λ=1 sweep over a queue larger than 8192, so
-// the break path inside applyBatch executes both with and without
-// speculation and still yields identical partial results.
+// the break path inside applyBatch executes and yields identical partial
+// results at every worker count: the cancel point is worker-independent.
 func TestFDParallelMidBatchCancel(t *testing.T) {
-	defer func(old int) { sweepParallelMin = old }(sweepParallelMin)
-	sweepParallelMin = 8
-
 	p := randomPCN(t, 7, 8000, 48000)
 	mesh := hw.MustMesh(90, 90)
 	run := func(workers int, fullSort bool) ([]int32, FDStats) {
@@ -197,8 +188,9 @@ func TestFDParallelMidBatchCancel(t *testing.T) {
 }
 
 // BenchmarkFinetune tracks sweep throughput and steady-state allocations
-// (the nextQueue candidate and tension buffers are hoisted onto the
-// engine, so per-iteration allocation stays flat).
+// (the nextQueue candidate buffer is hoisted onto the engine, so
+// per-iteration allocation stays flat). The sweep is sequential at any
+// worker count; workers=4 differs from workers=1 by the build phases only.
 func BenchmarkFinetune(b *testing.B) {
 	p := randomPCN(b, 21, 4000, 24000)
 	mesh := hw.MustMesh(64, 64)

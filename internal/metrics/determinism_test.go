@@ -8,6 +8,7 @@ import (
 
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
+	"snnmap/internal/par"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 	"snnmap/internal/snn"
@@ -105,9 +106,9 @@ func TestSampledRescaleStrideConsistency(t *testing.T) {
 
 	// Independent reconstruction, chunked exactly like Evaluate's walk so
 	// the float grouping matches: the test pins the *enumeration*, the
-	// chunking is shared via chunksOf.
+	// chunking is shared via par.Chunks.
 	n := p.NumClusters
-	k := chunksOf(n)
+	k := par.Chunks(n)
 	var total, sampled float64
 	for ci := 0; ci < k; ci++ {
 		var pt, ps float64
@@ -177,7 +178,7 @@ func naiveCongestionGrid(p *pcn.PCN, pl *place.Placement, stride int) []float64 
 	mesh := pl.Mesh
 	grid := make([]float64, mesh.Cores())
 	n := p.NumClusters
-	k := chunksOf(n)
+	k := par.Chunks(n)
 	for ci := 0; ci < k; ci++ {
 		part := make([]float64, mesh.Cores())
 		for c := ci * n / k; c < (ci+1)*n/k; c++ {

@@ -11,6 +11,7 @@ import (
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
 	"snnmap/internal/obs"
+	"snnmap/internal/par"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
@@ -163,7 +164,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 
 	n := p.NumClusters
 	pos := clusterCoords(pl)
-	k := chunksOf(n)
+	k := par.Chunks(n)
 	partials := make([]evalPartial, k)
 	// Per-chunk busy durations, indexed by chunk so the sum below runs in
 	// chunk order regardless of which worker timed which chunk. Only
@@ -172,7 +173,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 	if opts.Obs.Enabled() {
 		busy = make([]time.Duration, k)
 	}
-	runChunks(opts.Workers, k, func(ci int) {
+	par.Do(opts.Workers, k, func(ci int) {
 		if busy != nil {
 			t0 := time.Now()
 			defer func() { busy[ci] = time.Since(t0) }()
@@ -319,7 +320,7 @@ func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int)
 	stride = max(1, min(stride, edges))
 	// Cap the chunk count so the transient per-chunk grids stay bounded
 	// (~64 MB of scratch on a million-core mesh).
-	k := chunksOf(n)
+	k := par.Chunks(n)
 	if maxGrids := 1 << 23 / max(cores, 1); k > maxGrids {
 		k = max(maxGrids, 1)
 	}
@@ -357,7 +358,7 @@ func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int)
 	for ci := range grids {
 		grids[ci] = backing[ci*cores : (ci+1)*cores]
 	}
-	runChunks(workers, k, func(ci int) { accumulate(ci, grids[ci]) })
+	par.Do(workers, k, func(ci int) { accumulate(ci, grids[ci]) })
 	for ci := 0; ci < k; ci++ {
 		for i, v := range grids[ci] {
 			grid[i] += v

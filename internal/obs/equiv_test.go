@@ -74,9 +74,8 @@ func randomPlacement(t testing.TB, p *pcn.PCN, mesh hw.Mesh, seed int64) *place.
 
 // TestFinetuneTelemetryEquivalence: FD fine-tuning with a live observer
 // reproduces the nil-observer placement and FDStats exactly, for workers ∈
-// {1, 2, 4, 7}. The graph is sized past the parallel-sweep threshold
-// (queue > 2048) so workers > 1 genuinely exercises the speculative
-// parallel path, where per-sweep counters are published.
+// {1, 2, 4, 7}: per-sweep counters are published between the sequential
+// sweeps while the build phases around them fan out.
 func TestFinetuneTelemetryEquivalence(t *testing.T) {
 	mesh := hw.MustMesh(52, 52)
 	p := randomPCN(t, 41, 2600, 13000)

@@ -1,9 +1,6 @@
 package pcn
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "snnmap/internal/par"
 
 // Deterministic parallel heavy-edge matching — the coarsening kernel of the
 // multilevel partitioner. Each round has two data-parallel phases over fixed
@@ -19,68 +16,8 @@ import (
 //     the phase is race-free and, again, worker-count independent.
 //
 // One-sided proposals are dropped and retried next round against the shrunk
-// candidate set. This is the same selection-based sweep structure as the FD
-// fine-tuning workers (DESIGN.md §5): chunk boundaries depend only on the
-// vertex count, never on Workers, making coarse graphs bit-identical.
-
-// matchChunks is the fixed chunk count of the parallel matching phases. Like
-// metrics' evalChunks it must not depend on the worker count.
-const matchChunks = 64
-
-// matchChunksOf lowers the chunk count so no chunk is empty.
-func matchChunksOf(n int) int {
-	if n < 1 {
-		return 1
-	}
-	if n < matchChunks {
-		return n
-	}
-	return matchChunks
-}
-
-// runMatchChunks executes fn(ci, lo, hi) for every chunk of [0, n). With
-// workers <= 1 it runs inline in chunk order; otherwise min(workers, k)
-// goroutines pull chunk indices from an atomic counter. Which goroutine
-// computes which chunk is irrelevant: chunks write disjoint index ranges.
-func runMatchChunks(workers, n int, fn func(ci, lo, hi int)) {
-	k := matchChunksOf(n)
-	chunk := (n + k - 1) / k
-	run := func(ci int) {
-		lo := ci * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo < hi || n == 0 {
-			fn(ci, lo, hi)
-		}
-	}
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 || k == 1 {
-		for ci := 0; ci < k; ci++ {
-			run(ci)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= k {
-					return
-				}
-				run(ci)
-			}
-		}()
-	}
-	wg.Wait()
-}
+// candidate set. Both phases run on par's fixed chunks of the vertex range
+// (DESIGN.md "Deterministic fork-join"), making coarse graphs bit-identical.
 
 // heavyEdgeMatch computes a matching of the undirected graph: match[v] is
 // v's partner, or v itself when the vertex stays a singleton. A pair is only
@@ -100,10 +37,13 @@ func heavyEdgeMatch(u *Undirected, neurons []int32, synapses []int64, layer []in
 	for v := range match {
 		match[v] = -1
 	}
-	counts := grabI64(&ar.counts, matchChunksOf(n))
+	chunks := par.Chunks(n)
+	chunk := (n + chunks - 1) / chunks
+	counts := grabI64(&ar.counts, chunks)
 	for r := 0; r < rounds; r++ {
-		runMatchChunks(workers, n, func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
+		par.Do(workers, chunks, func(ci int) {
+			hi := min((ci+1)*chunk, n)
+			for v := ci * chunk; v < hi; v++ {
 				pref[v] = -1
 				if match[v] >= 0 {
 					continue
@@ -132,9 +72,10 @@ func heavyEdgeMatch(u *Undirected, neurons []int32, synapses []int64, layer []in
 				pref[v] = best
 			}
 		})
-		runMatchChunks(workers, n, func(ci, lo, hi int) {
+		par.Do(workers, chunks, func(ci int) {
 			counts[ci] = 0
-			for v := lo; v < hi; v++ {
+			hi := min((ci+1)*chunk, n)
+			for v := ci * chunk; v < hi; v++ {
 				p := pref[v]
 				if p >= 0 && pref[p] == int32(v) {
 					match[v] = p

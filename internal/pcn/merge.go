@@ -3,6 +3,8 @@ package pcn
 import (
 	"math/bits"
 	"slices"
+
+	"snnmap/internal/par"
 )
 
 // Edge aggregation. Eqs. 5–6 sum the spike densities of all synapses between
@@ -90,21 +92,16 @@ func (m *rowMerger) mergeRow(to []int32, w []float64) int {
 	return d
 }
 
-// mergeRows runs fn over runMatchChunks' fixed chunks of the rows [0, n) of a
-// square adjacency, handing each call a rowMerger over the targets [0, n)
-// that no other goroutine holds: workers accumulators circulate through a
-// free list, so a chunk's rows are merged by whichever is idle and the output
-// cannot tell which.
+// mergeRows runs fn over par's fixed chunks of the rows [0, n) of a square
+// adjacency, handing each call a rowMerger over the targets [0, n) that is
+// its goroutine's own par scratch: a chunk's rows are merged by whichever
+// goroutine is idle and the output cannot tell which.
 func mergeRows(workers, n int, fn func(m *rowMerger, lo, hi int)) {
-	workers = max(1, min(workers, matchChunks))
-	free := make(chan *rowMerger, workers)
-	for i := 0; i < workers; i++ {
-		free <- &rowMerger{n: n}
-	}
-	runMatchChunks(workers, n, func(_, lo, hi int) {
-		m := <-free
-		fn(m, lo, hi)
-		free <- m
+	k := par.Chunks(n)
+	chunk := (n + k - 1) / k
+	par.DoScratch(workers, k, func(ci int, m *rowMerger) {
+		m.n = n
+		fn(m, ci*chunk, min((ci+1)*chunk, n))
 	})
 }
 

@@ -29,7 +29,7 @@ type MultilevelOptions struct {
 	// MaxLevels bounds the coarsening hierarchy depth. Default 32.
 	MaxLevels int
 	// Workers is the parallelism of matching and contraction. Results are
-	// bit-identical at any value. Default 1.
+	// bit-identical at any value; 0 or 1 is sequential.
 	Workers int
 	// RefinePasses bounds the boundary-refinement sweeps per level.
 	// Default 4.
@@ -57,9 +57,6 @@ func (o MultilevelOptions) withDefaults() MultilevelOptions {
 	}
 	if o.MaxLevels <= 0 {
 		o.MaxLevels = 32
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	if o.RefinePasses <= 0 {
 		o.RefinePasses = 4
