@@ -547,6 +547,44 @@ func BenchmarkFDWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkFDSweep is the sweep-bound record beside the build-bound
+// BenchmarkFDWorkers: CNN_16M's sparse PCN makes the O(E) build a few
+// percent and leaves the swap kernel and the queue rebuild, reported per
+// executed swap. benchmark/'s mapping.fd_sweep_s on cnn268m is the tracked
+// end-to-end number.
+func BenchmarkFDSweep(b *testing.B) {
+	wl, err := expt.WorkloadByName("CNN_16M")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, mesh, err := wl.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	init, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.Symmetric() // built once, outside the timed region
+	var swaps int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pl := init.Clone()
+		b.StartTimer()
+		stats, err := mapping.Finetune(p, pl, mapping.FDConfig{Potential: mapping.L2Sq{}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !stats.Converged || stats.Swaps == 0 {
+			b.Fatalf("converged=%v after %d swaps", stats.Converged, stats.Swaps)
+		}
+		swaps += stats.Swaps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(swaps), "ns/swap")
+}
+
 // Kernel benchmarks under the DNN_268M headline stages (65 536 clusters,
 // 4.19 M edges on 256×256): FD's O(E) build, the adjacency it walks, and
 // evaluate's congestion-grid stamping. cmd/bench mirrors them as

@@ -227,15 +227,24 @@ func ResumeFinetune(ctx context.Context, p *pcn.PCN, snap *Snapshot, cfg FDConfi
 		return nil, FDStats{}, fmt.Errorf("mapping: resume: %v: %w", err, ErrCanceled)
 	}
 
-	pl := snap.Placement.Clone()
-	e := newFDEngine(p, pl, cfg)
+	e, queue := resumeEngine(p, snap, cfg)
+	stats := snap.Stats
+	stats.Converged = false
+	stats, err := e.run(ctx, cfg, queue, stats, snap.MinGain, time.Now(), stats.Elapsed)
+	return e.pl, stats, err
+}
+
+// resumeEngine restores the loop-head state a snapshot captured: an engine on
+// a clone of its placement, and its ordered queue. The build walk is what
+// fills mutw; its forces are then replaced by the snapshot's incrementally
+// maintained ones, which the resumed run must continue from bit for bit.
+func resumeEngine(p *pcn.PCN, snap *Snapshot, cfg FDConfig) (*fdEngine, []pairTension) {
+	e := newFDEngine(p, snap.Placement.Clone(), cfg)
+	e.buildAllForces(cfg.Workers)
 	copy(e.force, snap.Force)
 	queue := make([]pairTension, len(snap.QueueIDs))
 	for i, id := range snap.QueueIDs {
 		queue[i] = pairTension{id: id, tension: snap.QueueTensions[i]}
 	}
-	stats := snap.Stats
-	stats.Converged = false
-	stats, err := e.run(ctx, cfg, queue, stats, snap.MinGain, time.Now(), stats.Elapsed)
-	return pl, stats, err
+	return e, queue
 }

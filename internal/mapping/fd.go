@@ -187,7 +187,10 @@ func FinetuneContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg F
 		return FDStats{}, fmt.Errorf("mapping: finetune: %v: %w", err, ErrCanceled)
 	}
 	if len(pl.PosOf) != p.NumClusters {
-		return FDStats{}, fmt.Errorf("mapping: placement covers %d clusters, PCN has %d", len(pl.PosOf), p.NumClusters)
+		return FDStats{}, fmt.Errorf("mapping: finetune: %w: placement covers %d clusters, PCN has %d", ErrBadConfig, len(pl.PosOf), p.NumClusters)
+	}
+	if err := pl.Validate(); err != nil {
+		return FDStats{}, fmt.Errorf("mapping: finetune: %w: %v", ErrBadConfig, err)
 	}
 	start := time.Now()
 	e := newFDEngine(p, pl, cfg)
@@ -275,6 +278,7 @@ func (e *fdEngine) run(ctx context.Context, cfg FDConfig, queue []pairTension, s
 			sweepSp.End(
 				obs.KV{K: "swaps", V: float64(stats.Swaps - swaps0)},
 				obs.KV{K: "checks", V: float64(stats.TensionChecks - checks0)},
+				obs.KV{K: "affected", V: float64(len(e.affected))},
 				obs.KV{K: "next_queue", V: float64(len(queue))})
 			cfg.Obs.Progress("fd", int64(stats.Iterations), int64(cfg.MaxIterations))
 		}
@@ -335,6 +339,10 @@ type fdEngine struct {
 	// zero tension so fine-tuning never occupies the spares. Equal to
 	// mesh.Rows when there is no reservation.
 	spareStart int32
+	// canBlock is whether blocked can ever report true (a defect map or a
+	// spare-row reservation exists), resolved once so tension skips the call
+	// on a pristine mesh.
+	canBlock bool
 
 	// force[idx*4+d] is Force[p][d] of Alg. 3 for the cluster at cell idx
 	// (0 for empty cells and off-mesh directions).
@@ -342,23 +350,17 @@ type fdEngine struct {
 
 	// mutw[id] caches the mutual undirected weight between the occupants of
 	// pair id's two cells (0 when either is empty or they are unconnected),
-	// so tension() never binary-searches the adjacency. A swap changes the
-	// occupants of exactly two cells, so swapPair rebuilds only the ≤ 8 pair
-	// entries touching them.
+	// so tension() never binary-searches the adjacency. The walks that sum a
+	// cell's force fill it: each meets every connected occupant of an
+	// adjacent cell with exactly that weight in hand (forceRun at build
+	// time, moveRun after a swap re-zeroed the ≤ 7 slots it invalidates).
 	mutw []float64
-	// pairScratch is reusable swapPair scratch for the pair ids whose mutw a
-	// swap invalidates (sequential use only).
-	pairScratch []int32
 
 	// Epoch-stamped membership marks for queue and affected-list dedupe.
 	pairMark    []int32
 	clusterMark []int32
 	epoch       int32
 	affected    []int32 // clusters affected in the current epoch
-
-	// ids is nextQueue's reusable candidate-pair scratch, hoisted here so
-	// steady-state iterations allocate nothing.
-	ids []int32
 }
 
 // cellXY is a mesh coordinate (row x, column y) in the engine's tables.
@@ -367,13 +369,14 @@ type cellXY struct{ x, y int32 }
 func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 	mesh := pl.Mesh
 	cols, rows := int32(mesh.Cols), int32(mesh.Rows)
+	spareStart := int32(cfg.Constraints.UsableRows(mesh))
 	coord := make([]cellXY, 0, mesh.Cores())
 	for x := int32(0); x < rows; x++ {
 		for y := int32(0); y < cols; y++ {
 			coord = append(coord, cellXY{x, y})
 		}
 	}
-	e := &fdEngine{
+	return &fdEngine{
 		p:           p,
 		sym:         p.Symmetric(),
 		pl:          pl,
@@ -386,22 +389,13 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 		unitCorr:    2 * (cfg.Potential.AtUnit() - cfg.Potential.AtZero()),
 		lambda:      cfg.Lambda,
 		fullSort:    cfg.FullSort,
-		spareStart:  int32(cfg.Constraints.UsableRows(mesh)),
+		spareStart:  spareStart,
+		canBlock:    cfg.Defects != nil || spareStart < rows,
 		force:       make([]float64, 4*mesh.Cores()),
 		mutw:        make([]float64, 2*mesh.Cores()),
-		pairScratch: make([]int32, 0, 8),
 		pairMark:    make([]int32, 2*mesh.Cores()),
 		clusterMark: make([]int32, p.NumClusters),
 	}
-	for idx, q := range coord {
-		if q.y < cols-1 {
-			e.rebuildMutw(int32(idx) * 2)
-		}
-		if q.x < rows-1 {
-			e.rebuildMutw(int32(idx)*2 + 1)
-		}
-	}
-	return e
 }
 
 // potential returns u((x, y)).
@@ -505,35 +499,47 @@ func (e *fdEngine) buildAllForces(workers int) {
 // rebuildForce recomputes Force[idx][0..3] from scratch (Eq. 27) for the
 // cluster currently at cell idx; empty cells get zero force. Each direction
 // is summed over the neighbors in ascending id order; off-mesh directions
-// stay zero.
+// stay zero. The walk also fills cell idx's own two mutw slots (forceRun).
 func (e *fdEngine) rebuildForce(idx int32, buf *pcn.MergeBuf) {
-	f := e.force[int(idx)*4:][:4]
-	f[0], f[1], f[2], f[3] = 0, 0, 0, 0
 	c := e.pl.ClusterAt[idx]
 	if c == place.None {
+		clear(e.force[int(idx)*4:][:4])
 		return
 	}
-	pa := e.coord[idx]
 	to1, w1, to2, w2 := e.sym.Neighbors(int(c), buf)
-	up, down, right, left := e.forceRun(pa, to1, w1, 0, 0, 0, 0)
-	up, down, right, left = e.forceRun(pa, to2, w2, up, down, right, left)
-	if pa.x > 0 {
-		f[geom.Up] = up
-	}
-	if pa.x < int32(e.mesh.Rows)-1 {
-		f[geom.Down] = down
-	}
-	if pa.y < int32(e.mesh.Cols)-1 {
-		f[geom.Right] = right
-	}
-	if pa.y > 0 {
-		f[geom.Left] = left
-	}
+	up, down, right, left := e.forceRun(idx, to1, w1, 0, 0, 0, 0)
+	up, down, right, left = e.forceRun(idx, to2, w2, up, down, right, left)
+	e.storeForce(idx, up, down, right, left)
 }
 
-// forceRun continues the four directional sums of the cluster at cell pa
-// over one neighbor run.
-func (e *fdEngine) forceRun(pa cellXY, tos []int32, ws []float64, up, down, right, left float64) (float64, float64, float64, float64) {
+// storeForce writes the four directional sums of cell idx, zeroing the
+// directions that point off the mesh.
+func (e *fdEngine) storeForce(idx int32, up, down, right, left float64) {
+	q := e.coord[idx]
+	if q.x == 0 {
+		up = 0
+	}
+	if q.x == int32(e.mesh.Rows)-1 {
+		down = 0
+	}
+	if q.y == int32(e.mesh.Cols)-1 {
+		right = 0
+	}
+	if q.y == 0 {
+		left = 0
+	}
+	f := e.force[int(idx)*4:][:4]
+	f[geom.Up], f[geom.Down], f[geom.Right], f[geom.Left] = up, down, right, left
+}
+
+// forceRun continues the four directional sums of the cluster at cell idx
+// over one neighbor run. A neighbor met one cell to the right or one below
+// is the other occupant of pair idx*2 or idx*2+1, and its combined weight —
+// Symmetric.Neighbors' out+in sum, the same bits from either end since
+// fl(a+b) = fl(b+a) — is that pair's mutw. Each cell writes only its own
+// two slots, so buildAllForces stays race-free at any worker count.
+func (e *fdEngine) forceRun(idx int32, tos []int32, ws []float64, up, down, right, left float64) (float64, float64, float64, float64) {
+	pa := e.coord[idx]
 	ws = ws[:len(tos)]
 	l2sq := e.field == fieldL2Sq
 	for k, to := range tos {
@@ -551,6 +557,11 @@ func (e *fdEngine) forceRun(pa cellXY, tos []int32, ws []float64, up, down, righ
 		down += w * sd
 		right += w * sr
 		left += w * sl
+		if x == 0 && y == 1 {
+			e.mutw[idx*2] = w
+		} else if x == 1 && y == 0 {
+			e.mutw[idx*2+1] = w
+		}
 	}
 	return up, down, right, left
 }
@@ -558,23 +569,11 @@ func (e *fdEngine) forceRun(pa cellXY, tos []int32, ws []float64, up, down, righ
 // pairCells decodes a pair id into its two cell indices and the direction
 // from the first cell to the second.
 func (e *fdEngine) pairCells(id int32) (a, b int32, d geom.Dir) {
-	a = id / 2
-	if id%2 == 0 {
+	a = id >> 1
+	if id&1 == 0 {
 		return a, a + 1, geom.Right
 	}
 	return a, a + int32(e.mesh.Cols), geom.Down
-}
-
-// rebuildMutw recomputes the cached mutual weight of the (in-mesh) pair id
-// from the current occupants of its two cells.
-func (e *fdEngine) rebuildMutw(id int32) {
-	a, b, _ := e.pairCells(id)
-	ca, cb := e.pl.ClusterAt[a], e.pl.ClusterAt[b]
-	if ca == place.None || cb == place.None {
-		e.mutw[id] = 0
-		return
-	}
-	e.mutw[id] = e.sym.Weight(ca, cb)
 }
 
 // blocked reports whether the swap of pair id is illegal on the defective
@@ -606,11 +605,14 @@ func (e *fdEngine) blocked(id int32) bool {
 	return false
 }
 
+// tension takes the direction opposite to a pair's Right or Down as d^1.
+var _ = [1]struct{}{}[(geom.Up^1)^geom.Down|(geom.Right^1)^geom.Left]
+
 // tension returns the exact swap gain (Eq. 30 corrected for mutual edges)
 // for the adjacent-cell pair id: the decrease of E_s if the two cells'
 // contents are exchanged. Swaps blocked by the defect map report zero.
 func (e *fdEngine) tension(id int32) float64 {
-	if e.blocked(id) {
+	if e.canBlock && e.blocked(id) {
 		return 0
 	}
 	a, b, d := e.pairCells(id)
@@ -621,9 +623,9 @@ func (e *fdEngine) tension(id int32) float64 {
 	case cb == place.None:
 		return e.force[int(a)*4+int(d)]
 	case ca == place.None:
-		return e.force[int(b)*4+int(d.Opposite())]
+		return e.force[int(b)*4+int(d^1)]
 	default:
-		t := e.force[int(a)*4+int(d)] + e.force[int(b)*4+int(d.Opposite())]
+		t := e.force[int(a)*4+int(d)] + e.force[int(b)*4+int(d^1)]
 		if w := e.mutw[id]; w != 0 {
 			t -= w * e.unitCorr
 		}
@@ -661,72 +663,107 @@ func (e *fdEngine) markAffected(c int32) {
 }
 
 // swapPair executes the swap of pair id (Alg. 3 lines 20-27): exchange the
-// two cells' contents, rebuild their forces, incrementally maintain the
-// forces of every connected cluster, and record affected clusters.
+// two cells' contents, then one neighborhood walk per moved cluster
+// (moveCluster) rebuilds its force, refills the mutw slots the swap
+// invalidated, maintains every connected cluster's force and records the
+// affected clusters.
+//
+// The two walks are independent because PCN.Validate admits no self-edge:
+// a moved cluster is never its own neighbor and the co-swapped one is
+// skipped, so the forces a walk maintains sit in neither swapped cell, and
+// the from-scratch sums read positions only — neither walk reads a force
+// the other writes.
 func (e *fdEngine) swapPair(id int32) {
 	a, b, _ := e.pairCells(id)
 	ca, cb := e.pl.ClusterAt[a], e.pl.ClusterAt[b]
-	pa, pb := e.coord[a], e.coord[b]
-
 	e.pl.SwapCores(a, b)
-	e.rebuildForce(a, &e.buf)
-	e.rebuildForce(b, &e.buf)
-	// The swap changed the occupants of cells a and b, invalidating the
-	// cached mutual weights of every pair touching either cell.
-	e.pairScratch = e.pairsTouching(a, e.pairScratch[:0])
-	e.pairScratch = e.pairsTouching(b, e.pairScratch)
-	for _, pid := range e.pairScratch {
-		e.rebuildMutw(pid)
+	// The occupants of cells a and b changed: every pair touching either
+	// cell has a stale mutual weight until the walks below refill it.
+	var stale [8]int32
+	for _, pid := range e.pairsTouching(b, e.pairsTouching(a, stale[:0])) {
+		e.mutw[pid] = 0
 	}
-
-	if ca != place.None {
-		e.maintainNeighbors(ca, cb, pa, pb)
-		e.markAffected(ca)
-	}
-	if cb != place.None {
-		e.maintainNeighbors(cb, ca, pb, pa)
-		e.markAffected(cb)
-	}
+	e.moveCluster(ca, cb, a, b)
+	e.moveCluster(cb, ca, b, a)
 }
 
-// maintainNeighbors applies the incremental force update for every cluster
-// connected to moved (which traveled oldPos → newPos), skipping other —
-// the co-swapped cluster, whose cell was fully rebuilt.
-func (e *fdEngine) maintainNeighbors(moved, other int32, oldPos, newPos cellXY) {
+// moveCluster is the swap kernel for the cluster moved, which SwapCores just
+// carried from cell src to cell dst (other, possibly place.None, went the
+// opposite way). One pass over moved's neighbors in ascending id order sums
+// its force at dst from scratch — the order and operands of rebuildForce,
+// other included — and applies Alg. 3 line 24 to every neighbor but other,
+// whose cell the opposite walk rebuilds. The affected order (neighbors
+// ascending, then moved) is part of the queue order and so of snapshots.
+func (e *fdEngine) moveCluster(moved, other, src, dst int32) {
+	if moved == place.None {
+		clear(e.force[int(dst)*4:][:4])
+		return
+	}
 	to1, w1, to2, w2 := e.sym.Neighbors(int(moved), &e.buf)
-	e.maintainRun(other, oldPos, newPos, to1, w1)
-	e.maintainRun(other, oldPos, newPos, to2, w2)
+	up, down, right, left := e.moveRun(other, src, dst, to1, w1, 0, 0, 0, 0)
+	up, down, right, left = e.moveRun(other, src, dst, to2, w2, up, down, right, left)
+	e.storeForce(dst, up, down, right, left)
+	e.markAffected(moved)
 }
 
-// maintainRun moves the field origin of one neighbor run from oldPos to
-// newPos: each neighbor's force changes by w·(steps(new) − steps(old)).
-func (e *fdEngine) maintainRun(other int32, oldPos, newPos cellXY, tos []int32, ws []float64) {
+// moveRun is moveCluster over one neighbor run. From each neighbor's
+// coordinate, loaded once, it (a) continues the moved cluster's four sums at
+// dst exactly as forceRun does; (b) when the neighbor's cell is adjacent to
+// dst, stores its weight as the mutw of the pair the two cells form — the
+// value Symmetric.Weight's binary searches would return (see forceRun); and
+// (c) moves the neighbor's field origin from src to dst: its force changes
+// by w·(steps(dst−pk) − steps(src−pk)), which for L2Sq is the per-swap
+// constant ±2·(dst−src), a difference of exact small integers.
+func (e *fdEngine) moveRun(other, src, dst int32, tos []int32, ws []float64, up, down, right, left float64) (float64, float64, float64, float64) {
 	rows, cols := int32(e.mesh.Rows), int32(e.mesh.Cols)
+	ps, pd := e.coord[src], e.coord[dst]
+	l2sq := e.field == fieldL2Sq
+	mx, my := int(pd.x-ps.x), int(pd.y-ps.y)
+	du, dd, dr, dl := float64(-2*mx), float64(2*mx), float64(2*my), float64(-2*my)
 	ws = ws[:len(tos)]
 	for k, to := range tos {
+		w := ws[k]
+		cell := e.pl.PosOf[to]
+		pk := e.coord[cell]
+		x, y := int(pk.x-pd.x), int(pk.y-pd.y)
+		var su, sd, sr, sl float64
+		if l2sq {
+			fx, fy := float64(2*x), float64(2*y)
+			su, sd, sr, sl = -fx-1, fx-1, fy-1, -fy-1
+		} else {
+			su, sd, sr, sl = e.steps(x, y)
+		}
+		up += w * su
+		down += w * sd
+		right += w * sr
+		left += w * sl
+		if x*x+y*y == 1 {
+			e.mutw[min(cell, dst)*2+int32(x&1)] = w
+		}
 		if to == other {
 			continue
 		}
-		w := ws[k]
-		pkIdx := e.pl.PosOf[to]
-		pk := e.coord[pkIdx]
-		f := e.force[int(pkIdx)*4:][:4]
-		newU, newD, newR, newL := e.steps(int(newPos.x-pk.x), int(newPos.y-pk.y))
-		oldU, oldD, oldR, oldL := e.steps(int(oldPos.x-pk.x), int(oldPos.y-pk.y))
+		if !l2sq {
+			newU, newD, newR, newL := e.steps(-x, -y)
+			oldU, oldD, oldR, oldL := e.steps(int(ps.x-pk.x), int(ps.y-pk.y))
+			du, dd, dr, dl = newU-oldU, newD-oldD, newR-oldR, newL-oldL
+		}
+		f := e.force[int(cell)*4:][:4]
 		if pk.x > 0 {
-			f[geom.Up] += w * (newU - oldU)
+			f[geom.Up] += w * du
 		}
 		if pk.x < rows-1 {
-			f[geom.Down] += w * (newD - oldD)
+			f[geom.Down] += w * dd
 		}
 		if pk.y < cols-1 {
-			f[geom.Right] += w * (newR - oldR)
+			f[geom.Right] += w * dr
 		}
 		if pk.y > 0 {
-			f[geom.Left] += w * (newL - oldL)
+			f[geom.Left] += w * dl
 		}
 		e.markAffected(to)
 	}
+	return up, down, right, left
 }
 
 // pairsTouching appends the (up to four) pair ids whose cells include the
@@ -775,39 +812,37 @@ func (e *fdEngine) initialQueue(workers int) []pairTension {
 	return queue
 }
 
-// nextQueue implements Alg. 3 lines 30-40: start from the current queue,
-// add all pairs touching affected clusters, recompute every tension, drop
-// non-positive pairs, order the result (finalizeQueue).
+// nextQueue implements Alg. 3 lines 30-40 in one pass: re-evaluate the
+// current queue in place (the write index never passes the read index),
+// then every not-yet-seen pair touching an affected cluster, keeping the
+// pairs whose tension is still positive; order the result (finalizeQueue).
 func (e *fdEngine) nextQueue(queue []pairTension, minGain float64, checks *int64) []pairTension {
-	// Mark pairs already queued (dedupe epoch shared with pairMark).
 	e.epoch++ // fresh epoch for pair marks; cluster marks are stale now
-	ids := e.ids[:0]
+	next := queue[:0]
 	for _, pt := range queue {
-		if e.pairMark[pt.id] != e.epoch {
-			e.pairMark[pt.id] = e.epoch
-			ids = append(ids, pt.id)
-		}
+		next = e.requeue(next, pt.id, minGain, checks)
 	}
 	var scratch [4]int32
 	for _, c := range e.affected {
 		for _, id := range e.pairsTouching(e.pl.PosOf[c], scratch[:0]) {
-			if e.pairMark[id] != e.epoch {
-				e.pairMark[id] = e.epoch
-				ids = append(ids, id)
-			}
-		}
-	}
-	e.ids = ids[:0] // keep the grown buffer for the next iteration
-
-	*checks += int64(len(ids))
-
-	next := queue[:0]
-	for _, id := range ids {
-		if t := e.tension(id); t > minGain {
-			next = append(next, pairTension{id: id, tension: t})
+			next = e.requeue(next, id, minGain, checks)
 		}
 	}
 	e.finalizeQueue(next)
+	return next
+}
+
+// requeue evaluates pair id once per epoch, appending it to next when its
+// tension exceeds minGain.
+func (e *fdEngine) requeue(next []pairTension, id int32, minGain float64, checks *int64) []pairTension {
+	if e.pairMark[id] == e.epoch {
+		return next
+	}
+	e.pairMark[id] = e.epoch
+	*checks++
+	if t := e.tension(id); t > minGain {
+		next = append(next, pairTension{id: id, tension: t})
+	}
 	return next
 }
 

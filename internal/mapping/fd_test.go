@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -282,6 +283,31 @@ func TestFinetunePlacementMismatch(t *testing.T) {
 	pl, _ := place.Sequential(5, hw.MustMesh(3, 3))
 	if _, err := Finetune(p, pl, FDConfig{}); err == nil {
 		t.Error("cluster-count mismatch must fail")
+	}
+}
+
+// TestFinetuneBadPlacement: a hand-built placement that is not a bijection
+// onto its mesh is reported as ErrBadConfig, not an index panic in the engine.
+func TestFinetuneBadPlacement(t *testing.T) {
+	p := randomPCN(t, 1, 10, 20)
+	mesh := hw.MustMesh(4, 4)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(pl *place.Placement)
+	}{
+		{"PosOf length", func(pl *place.Placement) { pl.PosOf = pl.PosOf[:5] }},
+		{"PosOf out of range", func(pl *place.Placement) { pl.PosOf[3] = int32(mesh.Cores()) }},
+		{"ClusterAt disagrees with PosOf", func(pl *place.Placement) { pl.ClusterAt[pl.PosOf[3]] = 4 }},
+		{"ClusterAt length", func(pl *place.Placement) { pl.ClusterAt = pl.ClusterAt[:mesh.Cores()-1] }},
+	} {
+		pl, err := place.Sequential(p.NumClusters, mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(pl)
+		if _, err := Finetune(p, pl, FDConfig{}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: got %v, want ErrBadConfig", tc.name, err)
+		}
 	}
 }
 

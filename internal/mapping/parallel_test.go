@@ -188,8 +188,8 @@ func TestFDParallelMidBatchCancel(t *testing.T) {
 }
 
 // BenchmarkFinetune tracks sweep throughput and steady-state allocations
-// (the nextQueue candidate buffer is hoisted onto the engine, so
-// per-iteration allocation stays flat). The sweep is sequential at any
+// (nextQueue rebuilds the queue in place, so per-iteration allocation
+// stays flat). The sweep is sequential at any
 // worker count; workers=4 differs from workers=1 by the build phases only.
 func BenchmarkFinetune(b *testing.B) {
 	p := randomPCN(b, 21, 4000, 24000)

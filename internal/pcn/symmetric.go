@@ -1,7 +1,5 @@
 package pcn
 
-import "slices"
-
 // Symmetric is the undirected view of a PCN without a materialized copy: the
 // PCN's own out-CSR plus its transpose, the in-edge CSR by target cluster.
 // Walking a cluster's in-sources and out-targets merged by id — summing the
@@ -108,22 +106,4 @@ func (s *Symmetric) Neighbors(c int, buf *MergeBuf) (to1 []int32, w1 []float64, 
 	to, w = append(to, out[j:]...), append(w, outW[j:]...)
 	buf.to, buf.w = to, w
 	return to, w, nil, nil
-}
-
-// Weight returns the combined undirected weight between two clusters (0
-// when unconnected) by binary search over both sides.
-func (s *Symmetric) Weight(c1, c2 int32) float64 {
-	out, outW := s.out.edges(int(c1))
-	in, inW := s.in.edges(int(c1))
-	i, okOut := slices.BinarySearch(out, c2)
-	j, okIn := slices.BinarySearch(in, c2)
-	switch {
-	case okOut && okIn:
-		return outW[i] + inW[j]
-	case okOut:
-		return outW[i]
-	case okIn:
-		return inW[j]
-	}
-	return 0
 }

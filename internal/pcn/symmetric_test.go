@@ -3,6 +3,7 @@ package pcn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -137,4 +138,24 @@ func TestLazyAdjacencyConcurrentFirstUse(t *testing.T) {
 	if q.Symmetric() != syms[0] {
 		t.Error("copied PCN rebuilt the view of the arrays it aliases")
 	}
+}
+
+// Weight returns the combined undirected weight between two clusters (0
+// when unconnected) by binary search over both sides. It is the oracle for
+// the weights Neighbors hands FD's force walks, which fill the mutual-weight
+// cache from them instead of searching.
+func (s *Symmetric) Weight(c1, c2 int32) float64 {
+	out, outW := s.out.edges(int(c1))
+	in, inW := s.in.edges(int(c1))
+	i, okOut := slices.BinarySearch(out, c2)
+	j, okIn := slices.BinarySearch(in, c2)
+	switch {
+	case okOut && okIn:
+		return outW[i] + inW[j]
+	case okOut:
+		return outW[i]
+	case okIn:
+		return inW[j]
+	}
+	return 0
 }
