@@ -58,8 +58,8 @@ type Record struct {
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
 	// BytesPerOp reports the payload size of codec operations (the encoded
 	// snapshot size for snapshot-encode/decode) and the bytes allocated per
-	// run of noc-sim/event on resnet5142 and of the pcn-aggregate/* kernels;
-	// 0 elsewhere.
+	// run of noc-sim/event on resnet5142 and of the pcn-aggregate/*,
+	// pcn-adjacency/* and fd-build/* kernels; 0 elsewhere.
 	BytesPerOp int64 `json:"bytes_per_op,omitempty"`
 	// NsPerWireTraversal is host time per simulated link crossing
 	// (noc-sim/event on resnet5142); 0 elsewhere.
@@ -695,7 +695,7 @@ func main() {
 		if warm {
 			op = "fd-build/adjacency=warm"
 		}
-		add(op, headlineWl, testing.Benchmark(func(b *testing.B) {
+		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -708,20 +708,24 @@ func main() {
 					b.Fatal(err)
 				}
 			}
-		}), 0)
+		})
+		addBytes(op, headlineWl, r, 0, r.AllocedBytesPerOp())
 	}
-	add("pcn-adjacency/transpose", headlineWl, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			uncached().Symmetric()
-		}
-	}), 0)
-	add("pcn-adjacency/undirected", headlineWl, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			uncached().Undirected()
-		}
-	}), 0)
+	for _, view := range []struct {
+		name  string
+		build func(*pcn.PCN)
+	}{
+		{"transpose", func(q *pcn.PCN) { q.Symmetric() }},
+		{"undirected", func(q *pcn.PCN) { q.Undirected() }},
+	} {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				view.build(uncached())
+			}
+		})
+		addBytes("pcn-adjacency/"+view.name, headlineWl, r, 0, r.AllocedBytesPerOp())
+	}
 	hmap, err := mapping.Map(hp, hmesh, mapping.Default())
 	if err != nil {
 		fatal(err)

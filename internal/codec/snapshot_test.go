@@ -174,7 +174,7 @@ func TestReadSnapshotRejectsCorruption(t *testing.T) {
 		{"version skew", patch(0, []byte("SNNCKP99")), "unsupported snapshot version"},
 		{"unknown flags", patch(8, le64(0x10)), "unknown flags"},
 		{"negative name length", patch(16, le64(1<<63)), "name length"},
-		{"huge name length", patch(16, le64(1 << 20)), "name length"},
+		{"huge name length", patch(16, le64(1<<20)), "name length"},
 		{"truncated header", valid[:20], ""},
 		{"truncated mid-placement", valid[:len(valid)/2], ""},
 		{"truncated by one byte", valid[:len(valid)-1], ""},

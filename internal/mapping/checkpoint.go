@@ -236,8 +236,9 @@ func ResumeFinetune(ctx context.Context, p *pcn.PCN, snap *Snapshot, cfg FDConfi
 
 // resumeEngine restores the loop-head state a snapshot captured: an engine on
 // a clone of its placement, and its ordered queue. The build walk is what
-// fills mutw; its forces are then replaced by the snapshot's incrementally
-// maintained ones, which the resumed run must continue from bit for bit.
+// fills mutw and the energy partials; its forces are then replaced by the
+// snapshot's incrementally maintained ones, which the resumed run must
+// continue from bit for bit.
 func resumeEngine(p *pcn.PCN, snap *Snapshot, cfg FDConfig) (*fdEngine, []pairTension) {
 	e := newFDEngine(p, snap.Placement.Clone(), cfg)
 	e.buildAllForces(cfg.Workers)

@@ -186,19 +186,15 @@ func FinetuneContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg F
 	if err := ctx.Err(); err != nil {
 		return FDStats{}, fmt.Errorf("mapping: finetune: %v: %w", err, ErrCanceled)
 	}
-	if len(pl.PosOf) != p.NumClusters {
-		return FDStats{}, fmt.Errorf("mapping: finetune: %w: placement covers %d clusters, PCN has %d", ErrBadConfig, len(pl.PosOf), p.NumClusters)
-	}
-	if err := pl.Validate(); err != nil {
-		return FDStats{}, fmt.Errorf("mapping: finetune: %w: %v", ErrBadConfig, err)
+	if err := validPlacement(p, pl); err != nil {
+		return FDStats{}, fmt.Errorf("mapping: finetune: %w", err)
 	}
 	start := time.Now()
 	e := newFDEngine(p, pl, cfg)
-	stats := FDStats{InitialEnergy: e.systemEnergy(cfg.Workers)}
+	// Build Force[p][0..3] for every occupied position (Alg. 3 lines 3-5);
+	// the same walk yields E_s.
+	stats := FDStats{InitialEnergy: e.buildAllForces(cfg.Workers)}
 	minGain := cfg.effectiveMinGain(stats.InitialEnergy)
-
-	// Build Force[p][0..3] for every occupied position (Alg. 3 lines 3-5).
-	e.buildAllForces(cfg.Workers)
 	// Build the initial tension queue (lines 6-13).
 	queue := e.initialQueue(cfg.Workers)
 
@@ -356,6 +352,15 @@ type fdEngine struct {
 	// time, moveRun after a swap re-zeroed the ≤ 7 slots it invalidates).
 	mutw []float64
 
+	// partial[ci] is E_s restricted to energyChunk's cluster range ci, as of
+	// the last build or systemEnergy; dirty[ci] is set once a cluster of the
+	// range was affected since. A partial reads only the positions of its
+	// own clusters and of their neighbors, and a move marks the moved cluster
+	// and every neighbor affected, so a clean partial is the bits a
+	// recompute would produce.
+	partial []float64
+	dirty   []bool
+
 	// Epoch-stamped membership marks for queue and affected-list dedupe.
 	pairMark    []int32
 	clusterMark []int32
@@ -393,6 +398,8 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 		canBlock:    cfg.Defects != nil || spareStart < rows,
 		force:       make([]float64, 4*mesh.Cores()),
 		mutw:        make([]float64, 2*mesh.Cores()),
+		partial:     make([]float64, (p.NumClusters+energyChunk-1)/energyChunk),
+		dirty:       make([]bool, (p.NumClusters+energyChunk-1)/energyChunk),
 		pairMark:    make([]int32, 2*mesh.Cores()),
 		clusterMark: make([]int32, p.NumClusters),
 	}
@@ -440,7 +447,7 @@ func (e *fdEngine) energyRun(total float64, c int32, pc cellXY, tos []int32, ws 
 	if len(tos) == 0 || tos[len(tos)-1] < c {
 		return total // ids ascend: the whole run is counted from the other side
 	}
-	ws = ws[:len(tos)]
+	mask := pcn.WeightMask(tos, ws)
 	l2sq := e.field == fieldL2Sq
 	for k, to := range tos {
 		if to < c {
@@ -454,7 +461,7 @@ func (e *fdEngine) energyRun(total float64, c int32, pc cellXY, tos []int32, ws 
 		} else {
 			u = e.potential(x, y)
 		}
-		total += ws[k] * u
+		total += ws[k&mask] * u
 	}
 	return total
 }
@@ -465,51 +472,44 @@ func (e *fdEngine) energyRun(total float64, c int32, pc cellXY, tos []int32, ws 
 // exactly representable (the Eq. 25 energy potential).
 const energyChunk = 4096
 
-// systemEnergy computes E_s (Eq. 23) as per-chunk partial sums reduced in
-// chunk order.
+// systemEnergy computes E_s (Eq. 23) as the per-chunk partial sums reduced
+// in chunk order, recomputing only the dirty ones.
 func (e *fdEngine) systemEnergy(workers int) float64 {
-	n := e.p.NumClusters
-	partial := make([]float64, (n+energyChunk-1)/energyChunk)
-	par.DoScratch(workers, len(partial), func(ci int, buf *pcn.MergeBuf) {
-		partial[ci] = e.energyRange(ci*energyChunk, min((ci+1)*energyChunk, n), buf)
+	par.DoScratch(workers, len(e.partial), func(ci int, buf *pcn.MergeBuf) {
+		if e.dirty[ci] {
+			hi := min((ci+1)*energyChunk, e.p.NumClusters)
+			e.partial[ci], e.dirty[ci] = e.energyRange(ci*energyChunk, hi, buf), false
+		}
 	})
 	var total float64
-	for _, p := range partial {
+	for _, p := range e.partial {
 		total += p
 	}
 	return total
 }
 
-// buildAllForces fills the force array for every occupied cell (cells are
-// disjoint and the placement is immutable during the build).
-func (e *fdEngine) buildAllForces(workers int) {
-	cores := e.mesh.Cores()
-	k := par.Chunks(cores)
-	chunk := (cores + k - 1) / k
-	par.DoScratch(workers, k, func(ci int, buf *pcn.MergeBuf) {
-		hi := int32(min((ci+1)*chunk, cores))
-		for idx := int32(ci * chunk); idx < hi; idx++ {
-			if e.pl.ClusterAt[idx] != place.None {
-				e.rebuildForce(idx, buf)
-			}
+// buildAllForces fills the force array and the mutw slots of every occupied
+// cell (Eq. 27: each direction summed over the neighbors in ascending id
+// order) and every energy partial, and returns E_s. Each cluster's
+// neighborhood is fetched once and walked twice while it is cache-resident:
+// energyRun in energyRange's order, then forceRun. Cells and chunks are
+// disjoint and the placement is immutable during the build.
+func (e *fdEngine) buildAllForces(workers int) float64 {
+	par.DoScratch(workers, len(e.partial), func(ci int, buf *pcn.MergeBuf) {
+		var total float64
+		hi := min((ci+1)*energyChunk, e.p.NumClusters)
+		for c := ci * energyChunk; c < hi; c++ {
+			idx := e.pl.PosOf[c]
+			to1, w1, to2, w2 := e.sym.Neighbors(c, buf)
+			total = e.energyRun(total, int32(c), e.coord[idx], to1, w1)
+			total = e.energyRun(total, int32(c), e.coord[idx], to2, w2)
+			up, down, right, left := e.forceRun(idx, to1, w1, 0, 0, 0, 0)
+			up, down, right, left = e.forceRun(idx, to2, w2, up, down, right, left)
+			e.storeForce(idx, up, down, right, left)
 		}
+		e.partial[ci], e.dirty[ci] = total, false
 	})
-}
-
-// rebuildForce recomputes Force[idx][0..3] from scratch (Eq. 27) for the
-// cluster currently at cell idx; empty cells get zero force. Each direction
-// is summed over the neighbors in ascending id order; off-mesh directions
-// stay zero. The walk also fills cell idx's own two mutw slots (forceRun).
-func (e *fdEngine) rebuildForce(idx int32, buf *pcn.MergeBuf) {
-	c := e.pl.ClusterAt[idx]
-	if c == place.None {
-		clear(e.force[int(idx)*4:][:4])
-		return
-	}
-	to1, w1, to2, w2 := e.sym.Neighbors(int(c), buf)
-	up, down, right, left := e.forceRun(idx, to1, w1, 0, 0, 0, 0)
-	up, down, right, left = e.forceRun(idx, to2, w2, up, down, right, left)
-	e.storeForce(idx, up, down, right, left)
+	return e.systemEnergy(workers) // nothing is dirty: the in-order reduction alone
 }
 
 // storeForce writes the four directional sums of cell idx, zeroing the
@@ -540,7 +540,7 @@ func (e *fdEngine) storeForce(idx int32, up, down, right, left float64) {
 // two slots, so buildAllForces stays race-free at any worker count.
 func (e *fdEngine) forceRun(idx int32, tos []int32, ws []float64, up, down, right, left float64) (float64, float64, float64, float64) {
 	pa := e.coord[idx]
-	ws = ws[:len(tos)]
+	mask := pcn.WeightMask(tos, ws)
 	l2sq := e.field == fieldL2Sq
 	for k, to := range tos {
 		q := e.coord[e.pl.PosOf[to]]
@@ -552,7 +552,7 @@ func (e *fdEngine) forceRun(idx int32, tos []int32, ws []float64, up, down, righ
 		} else {
 			su, sd, sr, sl = e.steps(x, y)
 		}
-		w := ws[k]
+		w := ws[k&mask]
 		up += w * su
 		down += w * sd
 		right += w * sr
@@ -656,6 +656,7 @@ func (e *fdEngine) applyBatch(ctx context.Context, batch []pairTension, minGain 
 }
 
 func (e *fdEngine) markAffected(c int32) {
+	e.dirty[c/energyChunk] = true
 	if e.clusterMark[c] != e.epoch {
 		e.clusterMark[c] = e.epoch
 		e.affected = append(e.affected, c)
@@ -690,7 +691,7 @@ func (e *fdEngine) swapPair(id int32) {
 // moveCluster is the swap kernel for the cluster moved, which SwapCores just
 // carried from cell src to cell dst (other, possibly place.None, went the
 // opposite way). One pass over moved's neighbors in ascending id order sums
-// its force at dst from scratch — the order and operands of rebuildForce,
+// its force at dst from scratch — the order and operands of buildAllForces,
 // other included — and applies Alg. 3 line 24 to every neighbor but other,
 // whose cell the opposite walk rebuilds. The affected order (neighbors
 // ascending, then moved) is part of the queue order and so of snapshots.
@@ -720,9 +721,9 @@ func (e *fdEngine) moveRun(other, src, dst int32, tos []int32, ws []float64, up,
 	l2sq := e.field == fieldL2Sq
 	mx, my := int(pd.x-ps.x), int(pd.y-ps.y)
 	du, dd, dr, dl := float64(-2*mx), float64(2*mx), float64(2*my), float64(-2*my)
-	ws = ws[:len(tos)]
+	mask := pcn.WeightMask(tos, ws)
 	for k, to := range tos {
-		w := ws[k]
+		w := ws[k&mask]
 		cell := e.pl.PosOf[to]
 		pk := e.coord[cell]
 		x, y := int(pk.x-pd.x), int(pk.y-pd.y)

@@ -135,11 +135,7 @@ func TestForceConsistencyAfterSwaps(t *testing.T) {
 	}
 	cfg := FDConfig{Potential: L1Sq{}, MaxIterations: 3}.withDefaults()
 	e := newFDEngine(p, pl, cfg)
-	for idx := int32(0); idx < int32(mesh.Cores()); idx++ {
-		if pl.ClusterAt[idx] != place.None {
-			e.rebuildForce(idx, &e.buf)
-		}
-	}
+	e.buildAllForces(1)
 	queue := e.initialQueue(1)
 	// Run a few iterations manually.
 	for iter := 0; iter < 3 && len(queue) > 0; iter++ {
@@ -155,11 +151,11 @@ func TestForceConsistencyAfterSwaps(t *testing.T) {
 	}
 	// Compare maintained forces against a fresh engine.
 	fresh := newFDEngine(p, pl, cfg)
+	fresh.buildAllForces(1)
 	for idx := int32(0); idx < int32(mesh.Cores()); idx++ {
 		if pl.ClusterAt[idx] == place.None {
 			continue
 		}
-		fresh.rebuildForce(idx, &fresh.buf)
 		for d := 0; d < 4; d++ {
 			got := e.force[int(idx)*4+d]
 			want := fresh.force[int(idx)*4+d]
@@ -183,11 +179,7 @@ func TestTensionEqualsSwapDelta(t *testing.T) {
 	for _, pot := range []Potential{L1{}, L2Sq{}, EnergyPotential{Cost: hw.DefaultCostModel()}} {
 		cfg := FDConfig{Potential: pot}.withDefaults()
 		e := newFDEngine(p, pl, cfg)
-		for idx := int32(0); idx < int32(mesh.Cores()); idx++ {
-			if pl.ClusterAt[idx] != place.None {
-				e.rebuildForce(idx, &e.buf)
-			}
-		}
+		e.buildAllForces(1)
 		base := bruteEnergy(p, pl, pot)
 		for idx := 0; idx < mesh.Cores(); idx++ {
 			var scratch [4]int32
@@ -286,27 +278,64 @@ func TestFinetunePlacementMismatch(t *testing.T) {
 	}
 }
 
+// badPlacements are hand-built corruptions of a valid placement of 10
+// clusters on a 4×4 mesh: all but the last index-panic an engine that
+// trusts them.
+var badPlacements = []struct {
+	name    string
+	corrupt func(pl *place.Placement)
+}{
+	{"PosOf length", func(pl *place.Placement) { pl.PosOf = pl.PosOf[:5] }},
+	{"PosOf out of range", func(pl *place.Placement) { pl.PosOf[3] = int32(pl.Mesh.Cores()) }},
+	{"ClusterAt disagrees with PosOf", func(pl *place.Placement) { pl.ClusterAt[pl.PosOf[3]] = 4 }},
+	{"two clusters on one cell", func(pl *place.Placement) { pl.PosOf[3] = pl.PosOf[4] }},
+	{"ClusterAt length", func(pl *place.Placement) { pl.ClusterAt = pl.ClusterAt[:pl.Mesh.Cores()-1] }},
+	{"valid, one cluster short", func(pl *place.Placement) {
+		short, _ := place.Sequential(len(pl.PosOf)-1, pl.Mesh)
+		*pl = *short
+	}},
+}
+
 // TestFinetuneBadPlacement: a hand-built placement that is not a bijection
 // onto its mesh is reported as ErrBadConfig, not an index panic in the engine.
 func TestFinetuneBadPlacement(t *testing.T) {
 	p := randomPCN(t, 1, 10, 20)
-	mesh := hw.MustMesh(4, 4)
-	for _, tc := range []struct {
-		name    string
-		corrupt func(pl *place.Placement)
-	}{
-		{"PosOf length", func(pl *place.Placement) { pl.PosOf = pl.PosOf[:5] }},
-		{"PosOf out of range", func(pl *place.Placement) { pl.PosOf[3] = int32(mesh.Cores()) }},
-		{"ClusterAt disagrees with PosOf", func(pl *place.Placement) { pl.ClusterAt[pl.PosOf[3]] = 4 }},
-		{"ClusterAt length", func(pl *place.Placement) { pl.ClusterAt = pl.ClusterAt[:mesh.Cores()-1] }},
-	} {
-		pl, err := place.Sequential(p.NumClusters, mesh)
+	for _, tc := range badPlacements {
+		pl, err := place.Sequential(p.NumClusters, hw.MustMesh(4, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		tc.corrupt(pl)
 		if _, err := Finetune(p, pl, FDConfig{}); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: got %v, want ErrBadConfig", tc.name, err)
+		}
+	}
+}
+
+// TestRemapBadPlacement: Remap and RemapRows report the same corruptions as
+// ErrBadConfig — with and without a defect map, since both walk the
+// placement for M_ec either way.
+func TestRemapBadPlacement(t *testing.T) {
+	p := randomPCN(t, 1, 10, 20)
+	mesh := hw.MustMesh(4, 4)
+	dead := hw.NewDefectMap(mesh)
+	dead.MarkDead(3)
+	cost := hw.DefaultCostModel()
+	for _, tc := range badPlacements {
+		for _, d := range []*hw.DefectMap{nil, dead} {
+			for name, remap := range map[string]func(*place.Placement) error{
+				"Remap":     func(pl *place.Placement) error { _, err := Remap(p, pl, d, hw.Constraints{}, cost); return err },
+				"RemapRows": func(pl *place.Placement) error { _, err := RemapRows(p, pl, d, hw.Constraints{}, cost); return err },
+			} {
+				pl, err := place.Sequential(p.NumClusters, mesh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.corrupt(pl)
+				if err := remap(pl); !errors.Is(err, ErrBadConfig) {
+					t.Errorf("%s, %s, defects=%v: got %v, want ErrBadConfig", name, tc.name, d != nil, err)
+				}
+			}
 		}
 	}
 }

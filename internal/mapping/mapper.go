@@ -21,8 +21,10 @@ var (
 	ErrUnplaceable = place.ErrUnplaceable
 	// ErrCanceled reports that the caller's context canceled the operation.
 	ErrCanceled = place.ErrCanceled
-	// ErrBadConfig reports an invalid FDConfig (see FDConfig.Validate) or a
-	// resume whose config/PCN does not match its snapshot.
+	// ErrBadConfig reports an invalid FDConfig (see FDConfig.Validate), a
+	// resume whose config/PCN does not match its snapshot, or a placement
+	// handed to Finetune, Remap or RemapRows that is not a bijection of the
+	// PCN's clusters onto in-mesh cells.
 	ErrBadConfig = place.ErrBadConfig
 )
 

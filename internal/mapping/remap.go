@@ -34,13 +34,14 @@ func (s RemapStats) DeltaEnergy() float64 { return s.EnergyAfter - s.EnergyBefor
 // a constrained cons, exceeding a degraded core's scaled capacity — migrates
 // to the nearest free healthy core that fits. Only affected clusters move
 // (minimal disruption), so a single core failure migrates a single cluster.
-// pl is mutated in place; on error it is left partially repaired, with every
-// completed migration still valid.
+// pl must be a valid placement of p's clusters (else an error wrapping
+// ErrBadConfig). It is mutated in place; on error it is left partially
+// repaired, with every completed migration still valid.
 func Remap(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints, cost hw.CostModel) (RemapStats, error) {
 	start := time.Now()
 	var st RemapStats
-	if len(pl.PosOf) != p.NumClusters {
-		return st, fmt.Errorf("mapping: remap: placement covers %d clusters, PCN has %d", len(pl.PosOf), p.NumClusters)
+	if err := validPlacement(p, pl); err != nil {
+		return st, fmt.Errorf("mapping: remap: %w", err)
 	}
 	if d == nil {
 		st.EnergyBefore = interconnectEnergy(p, pl, cost)
@@ -50,9 +51,6 @@ func Remap(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints
 	}
 	var victims []int32
 	for c, idx := range pl.PosOf {
-		if idx == place.None {
-			continue
-		}
 		if d.IsDead(int(idx)) || !clusterFits(p, c, cons, d.CapScale(int(idx))) {
 			victims = append(victims, int32(c))
 		}
@@ -83,6 +81,19 @@ func Remap(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints
 	st.EnergyAfter = interconnectEnergy(p, pl, cost)
 	st.Elapsed = time.Since(start)
 	return st, nil
+}
+
+// validPlacement checks what Remap, RemapRows and FinetuneContext index by:
+// a placement of exactly p's clusters that is a bijection onto in-mesh cells.
+// The error wraps ErrBadConfig.
+func validPlacement(p *pcn.PCN, pl *place.Placement) error {
+	if len(pl.PosOf) != p.NumClusters {
+		return fmt.Errorf("%w: placement covers %d clusters, PCN has %d", ErrBadConfig, len(pl.PosOf), p.NumClusters)
+	}
+	if err := pl.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	return nil
 }
 
 // nearestFree finds the closest free, alive core (by Manhattan distance from

@@ -56,13 +56,14 @@ func (s RowRemapStats) DeltaEnergy() float64 { return s.EnergyAfter - s.EnergyBe
 // exists at all — spares exhausted, or every candidate row has its own
 // dead/degraded cells under the victims' columns — the remaining victims
 // likewise fall back to per-cluster migration (nearest free healthy core).
-// pl is mutated in place; on error it is left partially repaired, with every
-// completed migration still valid.
+// pl must be a valid placement of p's clusters (else an error wrapping
+// ErrBadConfig). It is mutated in place; on error it is left partially
+// repaired, with every completed migration still valid.
 func RemapRows(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints, cost hw.CostModel) (RowRemapStats, error) {
 	start := time.Now()
 	var st RowRemapStats
-	if len(pl.PosOf) != p.NumClusters {
-		return st, fmt.Errorf("mapping: remap rows: placement covers %d clusters, PCN has %d", len(pl.PosOf), p.NumClusters)
+	if err := validPlacement(p, pl); err != nil {
+		return st, fmt.Errorf("mapping: remap rows: %w", err)
 	}
 	st.EnergyBefore = interconnectEnergy(p, pl, cost)
 	st.EnergyAfter = st.EnergyBefore
@@ -80,9 +81,6 @@ func RemapRows(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constra
 	}
 	anyVictim := false
 	for c, idx := range pl.PosOf {
-		if idx == place.None {
-			continue
-		}
 		if isVictim(c, idx) {
 			victimInRow[idx/int32(cols)] = true
 			anyVictim = true
@@ -182,7 +180,7 @@ func RemapRows(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constra
 		var perMoves []undo
 		perOK := true
 		for c, idx := range pl.PosOf {
-			if idx == place.None || int(idx)/cols != rf || !isVictim(c, idx) {
+			if int(idx)/cols != rf || !isVictim(c, idx) {
 				continue
 			}
 			to, ok := nearestFree(p, pl, d, cons, c, mesh.Coord(int(idx)))
@@ -236,7 +234,7 @@ func RemapRows(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constra
 	// wholesale target (Remap's migration policy: nearest free healthy core
 	// that fits).
 	for c, idx := range pl.PosOf {
-		if idx == place.None || !isVictim(c, idx) {
+		if !isVictim(c, idx) {
 			continue
 		}
 		from := mesh.Coord(int(idx))

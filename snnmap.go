@@ -347,7 +347,9 @@ var (
 	// ErrLivelock reports a NoC simulation that stopped making progress.
 	ErrLivelock = noc.ErrLivelock
 	// ErrBadConfig reports an invalid configuration (NoC simulator or FD
-	// fine-tuning) or a resume whose config does not match its snapshot.
+	// fine-tuning), a resume whose config does not match its snapshot, or a
+	// hand-built placement given to Finetune, Remap or RemapRows that is not
+	// a bijection of the PCN's clusters onto mesh cells.
 	ErrBadConfig = place.ErrBadConfig
 )
 
