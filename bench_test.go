@@ -665,12 +665,12 @@ func BenchmarkUndirected(b *testing.B) {
 	}
 }
 
-// BenchmarkCongestionGrid measures congestion stamping on DNN_268M: exact
-// on the fine-tuned placement (every box inside the dense shape table),
-// long-edges on a 258×256 mesh after row 0 failed and RemapRows shifted it
-// to the spare rows (its clusters' boxes span the mesh and are stamped from
-// the universal rows), and sampled at the stride Evaluate derives from
-// Options.SampleEdges (one edge in 21).
+// BenchmarkCongestionGrid measures the congestion grid on DNN_268M: exact
+// on the fine-tuned placement (one sweep per target quadrant over clustered
+// sources), long-edges on a 258×256 mesh after row 0 failed and RemapRows
+// shifted it to the spare rows (its targets' union boxes span the mesh), and
+// sampled at the stride Evaluate derives from Options.SampleEdges (one edge
+// in 21, each its own one-source sweep).
 func BenchmarkCongestionGrid(b *testing.B) {
 	p, mesh := dnn268m(b)
 	res, err := mapping.Map(p, mesh, mapping.Default())

@@ -675,7 +675,7 @@ func main() {
 	// accounting, force build, initial queue) with the adjacency built inside
 	// the call (cold) or already cached on the PCN (warm); pcn-adjacency/*
 	// builds the transpose FD walks and the materialized Undirected copy the
-	// partitioner uses; congestion-grid/* stamps the fine-tuned
+	// partitioner uses; congestion-grid/* propagates the fine-tuned
 	// placement's grid (see below).
 	section("kernels")
 	hinit, err := mapping.InitialPlacement(hp, hmesh, curve.Hilbert{})

@@ -308,10 +308,13 @@ func partitionNetKey(n *snn.Net, cfg *pcn.PartitionConfig) Key {
 
 // metricsKey is the stage key for Evaluate: PCN, placement, cost model
 // and the options that change Summary values (Workers and Obs are
-// bit-identity-preserving and excluded).
+// bit-identity-preserving and excluded). /2 since congestion is propagated
+// per target instead of stamped per edge: MaxCongestion can move in its last
+// bits for non-dyadic weights, so entries written by stamping must not be
+// served.
 func metricsKey(pk Key, plPosOf []int32, mesh hw.Mesh, cost hw.CostModel, opts metrics.Options) Key {
 	opts = opts.Resolved()
-	h := newHasher("metrics")
+	h := newHasher("metrics/2")
 	h.h.Write(pk[:])
 	h.mesh(mesh)
 	h.i32s(plPosOf)

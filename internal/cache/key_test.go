@@ -46,7 +46,9 @@ func pcnKeyOf(p *pcn.PCN) Key {
 // with a keyVersion bump (which changes every key and makes old cache
 // directories cold), never silently. The partition-graph pin moved once,
 // with the stage tag's /2: pcn now sums parallel edges in arrival order, so
-// entries written by the sort-and-fold build must not be served.
+// entries written by the sort-and-fold build must not be served. The metrics
+// pin moved with its /2: congestion is propagated per target, and a
+// MaxCongestion stamped per edge can differ in its last bits.
 func TestKeyGolden(t *testing.T) {
 	p := goldenPCN()
 	cfg := goldenMappingConfig()
@@ -69,7 +71,7 @@ func TestKeyGolden(t *testing.T) {
 			return partitionGraphKey(b.Build(), &pcfg)
 		}(), "9516c02407140317ea3763ce741692f312597e65967465b02d5e597a25d9f4e4"},
 		{"metrics", metricsKey(pk, []int32{0, 1, 2}, mesh, hw.DefaultCostModel(),
-			metrics.Options{Congestion: metrics.CongestionExact}), "bff14fbcce496fa104dcd86d5c996d14493e590e8b88ca458c9eb00874633b36"},
+			metrics.Options{Congestion: metrics.CongestionExact}), "618ac0e49b974677e56a4bbd463c9f3f6fa19730d34c6fa10a09e81c7cd856b0"},
 	}
 	for _, g := range golden {
 		if got := hex.EncodeToString(g.got[:]); got != g.want {

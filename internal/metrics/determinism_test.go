@@ -3,11 +3,14 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
+	"snnmap/internal/curve"
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
+	"snnmap/internal/mapping"
 	"snnmap/internal/par"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
@@ -207,8 +210,10 @@ func naiveCongestionGrid(p *pcn.PCN, pl *place.Placement, stride int) []float64 
 // boxWorkload builds one cluster per distinct endpoint (ids in order of
 // first appearance, so pure targets — zero out-degree — interleave with
 // sources and fall on chunk boundaries), one edge per box with a random
-// weight, and places every cluster on its endpoint.
-func boxWorkload(t *testing.T, mesh hw.Mesh, boxes [][2]geom.Point) (*pcn.PCN, *place.Placement) {
+// weight, and places every cluster on its endpoint. Integer weights are
+// drawn from [1, 2¹²] and kept to Σw < 2²⁰ (see exactInputs); real ones
+// from [0.5, 9.5).
+func boxWorkload(t *testing.T, mesh hw.Mesh, boxes [][2]geom.Point, integer bool) (*pcn.PCN, *place.Placement) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(8))
 	cluster := map[geom.Point]int{}
@@ -229,8 +234,13 @@ func boxWorkload(t *testing.T, mesh hw.Mesh, boxes [][2]geom.Point) (*pcn.PCN, *
 	}
 	var b snn.GraphBuilder
 	b.AddNeurons(len(cells), -1)
+	wmax := min(1<<12, (1<<20-1)/max(len(edges), 1))
 	for _, e := range edges {
-		b.AddSynapse(e.from, e.to, rng.Float64()*9+0.5)
+		w := rng.Float64()*9 + 0.5
+		if integer {
+			w = float64(1 + rng.Intn(wmax))
+		}
+		b.AddSynapse(e.from, e.to, w)
 	}
 	res, err := pcn.Partition(b.Build(), pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
 	if err != nil {
@@ -246,13 +256,56 @@ func boxWorkload(t *testing.T, mesh hw.Mesh, boxes [][2]geom.Point) (*pcn.PCN, *
 	return res.PCN, pl
 }
 
-// TestCongestionGridMatchesNaiveOracle pins the row-sliced stamping, the
-// dense shape table and the universal T/B rows to the cell-by-cell
-// definition, bit for bit: all four sign quadrants, straight (dx=0 / dy=0)
-// boxes, boxes touching every mesh border, shapes straddling the dense
-// table's side, a row-shifted 290×256 placement whose repaired row has long
-// edges in every quadrant, strides {1, 3, above any cluster's degree, above
-// |E|} and workers {1, 2, 7}.
+// groupBoxes gives targets on every corner, every border and in the
+// interior of a 24×24 mesh several sources each: three strictly inside every
+// quadrant the mesh leaves, two on the target's row and two on its column,
+// one each side — the tie rule's cases — and one target a single adjacent
+// source. Every box has dx + dy ≤ 9.
+func groupBoxes() [][2]geom.Point {
+	const last = 23
+	var boxes [][2]geom.Point
+	for _, tgt := range []geom.Point{
+		{X: 0, Y: 0}, {X: 0, Y: last}, {X: last, Y: 0}, {X: last, Y: last},
+		{X: 0, Y: 11}, {X: last, Y: 12}, {X: 11, Y: 0}, {X: 12, Y: last}, {X: 11, Y: 12},
+	} {
+		for _, o := range [][2]int{{1, 2}, {3, 1}, {4, 5}} {
+			for _, sg := range [][2]int{{-1, -1}, {-1, 1}, {1, -1}, {1, 1}} {
+				boxes = append(boxes, [2]geom.Point{{X: tgt.X + sg[0]*o[0], Y: tgt.Y + sg[1]*o[1]}, tgt})
+			}
+		}
+		for _, o := range [][2]int{{0, -2}, {0, 3}, {-3, 0}, {2, 0}} {
+			boxes = append(boxes, [2]geom.Point{{X: tgt.X + o[0], Y: tgt.Y + o[1]}, tgt})
+		}
+	}
+	boxes = append(boxes, [2]geom.Point{{X: 6, Y: 17}, {X: 5, Y: 17}})
+	var in [][2]geom.Point
+	for _, bx := range boxes {
+		if s := bx[0]; s.X >= 0 && s.X <= last && s.Y >= 0 && s.Y <= last {
+			in = append(in, bx)
+		}
+	}
+	return in
+}
+
+// exactInputs is the condition under which the propagated grid equals the
+// stamped one bit for bit, in any summation order: integer weights in
+// [1, 2¹²], Σw < 2²⁰ and every edge's dx + dy ≤ 30. Each spike's Expe value
+// at a router ℓ ≤ 30 steps from its source is a multiple of 2^−ℓ, so every
+// product, every ½-step of the sweep and every partial sum of a cell is an
+// integer multiple of 2^−30 no larger than Σw < 2²⁰: a numerator below 2⁵⁰,
+// exactly representable in a float64's 53-bit significand. No operation
+// rounds, so neither the order sources are summed in nor whether w
+// multiplies the DP before or after it can show in a bit.
+
+// TestCongestionGridMatchesNaiveOracle pins the propagated grid to the
+// cell-by-cell definition: bit for bit on exactInputs — targets with groups
+// of sources in every quadrant, on the tie row and column and on every
+// border and corner — and within 1e-12 relative per cell on real weights:
+// all four sign quadrants, straight (dx=0 / dy=0) boxes, boxes touching every
+// mesh border, a row-shifted 290×256 placement whose repaired row has long
+// edges in every quadrant, and a random graph. Strides {1, 3, above any
+// cluster's degree, above |E|}; workers {1, 2, 7} bitwise equal to one
+// another.
 func TestCongestionGridMatchesNaiveOracle(t *testing.T) {
 	const side = 72
 	last := side - 1
@@ -269,12 +322,13 @@ func TestCongestionGridMatchesNaiveOracle(t *testing.T) {
 		{{X: 40, Y: 40}, {X: 41, Y: 40}}, {{X: 40, Y: 40}, {X: 40, Y: 39}},
 		{{X: 40, Y: 40}, {X: 37, Y: 45}}, {{X: 40, Y: 40}, {X: 44, Y: 33}},
 		{{X: 40, Y: 40}, {X: 36, Y: 38}}, {{X: 40, Y: 40}, {X: 42, Y: 47}},
-		// One side just inside and just outside the dense table, then both.
+		// One side just inside and just outside the stamping oracle's dense
+		// table, then both.
 		{{X: 2, Y: 3}, {X: 2 + T - 1, Y: 8}}, {{X: 2, Y: 3}, {X: 2 + T, Y: 8}},
 		{{X: 70, Y: T + 5}, {X: 66, Y: 6}}, {{X: 70, Y: T + 5}, {X: 66, Y: 5}}, // dy = T−1, T
 		{{X: 50, Y: 50}, {X: 50 - T + 1, Y: 50 - T + 1}}, {{X: 51, Y: 51}, {X: 51 - T, Y: 51 - T}},
 		{{X: 60, Y: 1}, {X: 60 - T, Y: T}}, {{X: 1, Y: 60}, {X: T + 1, Y: 61 - T}},
-	})
+	}, false)
 
 	// Row 0 of a 256-wide placement failed and was shifted to the spare rows
 	// at the far end of a 290×256 mesh: its clusters keep their row-1
@@ -296,24 +350,101 @@ func TestCongestionGridMatchesNaiveOracle(t *testing.T) {
 		// Full-width flat boxes and one just outside the dense table both ways.
 		[2]geom.Point{{X: 288, Y: 0}, {X: 286, Y: 255}}, [2]geom.Point{{X: 5, Y: 255}, {X: 6, Y: 0}},
 		[2]geom.Point{{X: 120, Y: 90}, {X: 120 + T, Y: 90 - T}}, [2]geom.Point{{X: 120, Y: 90}, {X: 120 - T, Y: 90 + T}})
-	shiftP, shiftPl := boxWorkload(t, hw.MustMesh(290, 256), shifted)
+	shiftP, shiftPl := boxWorkload(t, hw.MustMesh(290, 256), shifted, false)
 
 	randP, randPl := randomMetricsWorkload(t, 9, 300, 1500, 18)
+	groupP, groupPl := boxWorkload(t, hw.MustMesh(24, 24), groupBoxes(), true)
 
 	for _, tc := range []struct {
-		name string
-		p    *pcn.PCN
-		pl   *place.Placement
-	}{{"boxes", boxP, boxPl}, {"rowshift", shiftP, shiftPl}, {"random", randP, randPl}} {
+		name  string
+		p     *pcn.PCN
+		pl    *place.Placement
+		exact bool
+	}{
+		{"boxes", boxP, boxPl, false}, {"rowshift", shiftP, shiftPl, false},
+		{"random", randP, randPl, false}, {"groups", groupP, groupPl, true},
+	} {
 		// 23 exceeds every out-degree here, so whole clusters are skipped.
 		for _, stride := range []int{1, 3, 23, int(tc.p.NumEdges()) + 7} {
 			want := naiveCongestionGrid(tc.p, tc.pl, stride)
-			for _, workers := range []int{1, 2, 7} {
+			seq := CongestionGrid(tc.p, tc.pl, stride, 1)
+			for i, w := range want {
+				if g := seq[i]; tc.exact && math.Float64bits(g) != math.Float64bits(w) ||
+					!tc.exact && !(math.Abs(g-w) <= 1e-12*w) {
+					t.Fatalf("%s stride %d: grid[%d] = %v, oracle %v", tc.name, stride, i, g, w)
+				}
+			}
+			for _, workers := range []int{2, 7} {
 				got := CongestionGrid(tc.p, tc.pl, stride, workers)
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s stride %d workers %d: grid[%d] = %v, oracle %v", tc.name, stride, workers, i, got[i], want[i])
+				for i := range seq {
+					if math.Float64bits(got[i]) != math.Float64bits(seq[i]) {
+						t.Fatalf("%s stride %d workers %d: grid[%d] = %v, workers 1 %v", tc.name, stride, workers, i, got[i], seq[i])
 					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzCongestionGrid propagates random exactInputs — up to 200 integer-weight
+// edges between clusters placed bijectively on a mesh of at most 12×12 — and
+// compares with the cell-by-cell definition bit for bit, exact and strided.
+func FuzzCongestionGrid(f *testing.F) {
+	f.Add(int64(1), uint8(11), uint8(11), uint8(143), uint8(200))
+	f.Add(int64(2), uint8(0), uint8(9), uint8(9), uint8(40))
+	f.Add(int64(3), uint8(6), uint8(2), uint8(3), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, rows, cols, clusters, edges uint8) {
+		mesh := hw.MustMesh(1+int(rows)%12, 1+int(cols)%12)
+		n := 1 + int(clusters)%mesh.Cores()
+		rng := rand.New(rand.NewSource(seed))
+		var b snn.GraphBuilder
+		b.AddNeurons(n, -1)
+		for e := 0; e < int(edges)%201; e++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				b.AddSynapse(u, v, float64(1+rng.Intn(1<<12)))
+			}
+		}
+		res, err := pcn.Partition(b.Build(), pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := place.Random(res.PCN.NumClusters, mesh, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stride := range []int{1, 3} {
+			want := naiveCongestionGrid(res.PCN, pl, stride)
+			got := CongestionGrid(res.PCN, pl, stride, 1)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%v stride %d: grid[%d] = %v, oracle %v", mesh, stride, i, got[i], want[i])
+				}
+			}
+		}
+	})
+}
+
+// TestCongestionGridDNNMatchesStamping propagates the exact grid of an HSC
+// placement of Expand(DNN_65K) and Expand(DNN_16M) — 4 096 clusters, 258 048
+// edges, every target's 64 in-edges in one broadcast row — and compares it
+// with the stamping oracle bit for bit at workers 1 and 2.
+func TestCongestionGridDNNMatchesStamping(t *testing.T) {
+	for _, net := range []*snn.Net{snn.DNN65K(), snn.DNN16M()} {
+		p, err := pcn.Expand(net, pcn.DefaultPartition())
+		if err != nil {
+			t.Fatal(err)
+		}
+		side := int(math.Ceil(math.Sqrt(float64(p.NumClusters))))
+		pl, err := mapping.InitialPlacement(p, hw.MustMesh(side, side), curve.Hilbert{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := stampedCongestionGrid(p, pl, 1)
+		for _, workers := range []int{1, 2} {
+			got := CongestionGrid(p, pl, 1, workers)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s workers %d: grid[%d] = %v, stamped %v", net.Name, workers, i, got[i], want[i])
 				}
 			}
 		}
@@ -357,34 +488,54 @@ func TestExpeUniversalEqualsDP(t *testing.T) {
 	}
 }
 
-// TestExpeTableBounded bounds what one congestion grid retains for Expe on
-// a K×K mesh: the dense shapes (136² floats) and T and B at the dense
-// table's extent until a larger box arrives, under 2·K² floats more once a
-// full-mesh box has been stamped, and nothing further after that — there is
-// no per-edge scratch to grow.
+// TestExpeTableBounded bounds the one scratch buffer a congestion-grid
+// worker keeps: over a run of ever larger boxes on a 128×128 mesh — targets
+// with sources in all four quadrants, then a one-source group spanning the
+// mesh — the box buffer never exceeds twice the largest four-quadrant union
+// total, and a fresh worker reallocates it O(log) times, not once per larger
+// box.
 func TestExpeTableBounded(t *testing.T) {
-	const side = 8 * expeDenseSide
-	x := newExpeTables(hw.MustMesh(side, side))
-	retained := func() (floats int) {
-		for _, g := range x.dense {
-			floats += cap(g)
+	const side = 128
+	mesh := hw.MustMesh(side, side)
+	type group struct {
+		t     cellXY
+		from  []int32
+		total int // Σ over the target's quadrants of (dx+1)·(dy+1)
+	}
+	var pos []cellXY
+	var run []group
+	for d := 1; d < side/2; d++ {
+		tg := cellXY{x: side / 2, y: side / 2}
+		g := group{t: tg, total: 4 * (d + 1) * (d + 1)}
+		for _, o := range []cellXY{{-1, -1}, {-1, 1}, {1, -1}, {1, 1}} {
+			g.from = append(g.from, int32(len(pos)))
+			pos = append(pos, cellXY{x: tg.x + o.x*int32(d), y: tg.y + o.y*int32(d)})
 		}
-		return floats + cap(x.t) + cap(x.b)
+		run = append(run, g)
 	}
-	const tri = expeDenseSide * (expeDenseSide + 1) / 2
-	grid := make([]float64, side*side)
-	x.accumulate(grid, side, cellXY{x: 20, y: 20}, cellXY{x: 20 + expeDenseSide - 1, y: 20 - expeDenseSide + 1}, 1)
-	if n, limit := retained(), tri*tri+2*expeDenseSide*expeDenseSide; n > limit {
-		t.Fatalf("tables retain %d floats before any box outside the dense table, limit %d", n, limit)
+	run = append(run, group{t: cellXY{x: side - 1, y: side - 1}, from: []int32{int32(len(pos))}, total: side * side})
+	pos = append(pos, cellXY{})
+	ws := []float64{1}
+
+	grid := make([]float64, mesh.Cores())
+	var s sweep
+	largest := 0
+	for _, g := range run {
+		largest = max(largest, g.total)
+		if cells := s.propagate(grid, side, pos, g.t, g.from, ws); cells != int64(g.total) {
+			t.Fatalf("target %v swept %d cells, union boxes hold %d", g.t, cells, g.total)
+		}
+		if c := cap(s.box); c > 2*largest {
+			t.Fatalf("box buffer holds %d floats after boxes of at most %d cells", c, largest)
+		}
 	}
-	x.accumulate(grid, side, cellXY{}, cellXY{x: side - 1, y: side - 1}, 1)
-	grown := retained()
-	if limit := tri*tri + 2*side*side; grown > limit {
-		t.Fatalf("tables retain %d floats on a %d×%d mesh, limit %d", grown, side, side, limit)
-	}
-	x.accumulate(grid, side, cellXY{x: side - 1}, cellXY{y: side - 1}, 1)
-	x.accumulate(grid, side, cellXY{x: 3}, cellXY{x: 5, y: side - 1}, 1)
-	if n := retained(); n != grown {
-		t.Fatalf("stamping more large boxes grew the tables from %d to %d floats", grown, n)
+	allocs := testing.AllocsPerRun(3, func() {
+		var s sweep
+		for _, g := range run {
+			s.propagate(grid, side, pos, g.t, g.from, ws)
+		}
+	})
+	if limit := float64(bits.Len(uint(side * side))); allocs > limit {
+		t.Fatalf("%d growing boxes made %.0f allocations, want ≤ %.0f", len(run), allocs, limit)
 	}
 }

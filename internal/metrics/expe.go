@@ -2,10 +2,10 @@ package metrics
 
 import (
 	"math"
-	"sync"
 
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
+	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
 
@@ -138,128 +138,96 @@ func fillExpeGrid(grid []float64, dx, dy int) {
 	}
 }
 
-// expeDenseSide bounds the shapes kept as contiguous (dx+1)×(dy+1) grids:
-// boxes with dx, dy < expeDenseSide — every box of an HSC+FD placement of the
-// layered workloads — are stamped from one stream, larger ones row by row
-// from T and B. Measured: 8 costs dnn268m's grid +15 %, 16 and 32 are level
-// on dnn268m, dnn268m_faulty and graph512k, and 16 holds Σ(dx+1)(dy+1) =
-// 136² floats = 148 KB where 64 held 34.6 MB.
-const expeDenseSide = 16
+// sweep is one worker's scratch: a target's four quadrant boxes back to
+// back, grown geometrically so that a run of ever larger boxes reallocates
+// O(log) times and holds at most twice the largest four-box total.
+type sweep struct {
+	box []float64
+	one [1]int32 // the source of a one-source group (sampled mode)
+}
 
-// expeTables holds Algorithm 4's DP for every bounding box of a mesh at
-// once. A DP cell depends on its box only through which of its two factors
-// are 1, so
+// propagate adds Σ_k ws[k]·Expe(·, pos[from[k]], t) to grid (row-major, cols
+// wide) and returns the box cells it swept; ws is one weight per source or
+// one broadcast (pcn.WeightMask). Algorithm 4's split at a router depends
+// only on the router and t — ½/½ toward t, straight on along t's row and
+// column — so each quadrant's sources are injected into the union of their
+// boxes and carried to t by one DP sweep, which by linearity is the sum of
+// their Expe grids (DESIGN.md §10). Quadrants go in index order; t's row and
+// column lie in two quadrant boxes and receive both sums.
+func (s *sweep) propagate(grid []float64, cols int, pos []cellXY, t cellXY, from []int32, ws []float64) int64 {
+	// ext[q]: the largest row and column distance of quadrant q's sources
+	// from t; an empty quadrant keeps −1 and takes no cells.
+	ext := [4][2]int{{-1, -1}, {-1, -1}, {-1, -1}, {-1, -1}}
+	for _, f := range from {
+		q, du, dv := quadrant(pos[f], t)
+		ext[q] = [2]int{max(ext[q][0], du), max(ext[q][1], dv)}
+	}
+	var base [5]int // quadrant q's box is box[base[q]:base[q+1]]
+	for q, e := range ext {
+		base[q+1] = base[q] + (e[0]+1)*(e[1]+1)
+	}
+	n := base[4]
+	if n > cap(s.box) {
+		s.box = make([]float64, max(n, 2*cap(s.box)))
+	}
+	box := s.box[:n]
+	clear(box)
+	mask := pcn.WeightMask(from, ws)
+	for k, f := range from {
+		q, du, dv := quadrant(pos[f], t)
+		dx, dy := ext[q][0], ext[q][1]
+		box[base[q]+(dx-du)*(dy+1)+dy-dv] += ws[k&mask]
+	}
+	for q, e := range ext {
+		if e[0] >= 0 {
+			sweepBox(grid, box[base[q]:base[q+1]], cols, t, e[0], e[1], q)
+		}
+	}
+	return int64(n)
+}
+
+// quadrant returns which quadrant around t a source at p is in — bit 1:
+// below t, bit 0: right of t, so t's own row counts as above and its column
+// as left — and the source's row and column distance from t. It does not
+// branch: a target's sources lie on either side of it in no set order.
+func quadrant(p, t cellXY) (q, du, dv int) {
+	du, dv = int(t.x-p.x), int(t.y-p.y)
+	below, right := du>>63, dv>>63 // −1 when below / right of t, else 0
+	return below&2 | right&1, du ^ below - below, dv ^ right - right
+}
+
+// sweepBox runs the DP over quadrant q's box m, (dx+1)×(dy+1) row-major from
+// the far corner (0, 0) to t at (dx, dy), with the weights injected,
 //
-//	T[u][v] = ½T[u-1][v] + ½T[u][v-1]    interior cell, u < dx and v < dy
-//	B[d][v] = ½T[d-1][v] + B[d][v-1]     last row u = dx = d, v < dy
+//	m[u][v] = inj + m[u-1][v]·(v==dy ? 1 : ½) + m[u][v-1]·(u==dx ? 1 : ½)
 //
-// are the DP's own expressions on the DP's own operands, the same floats in
-// every box. Float addition commutes, so T is bitwise symmetric and the last
-// column (v = dy, u < dx) is B[dy][u]; the corner is B[dy][dx-1] + B[dx][dy-1]
-// (DESIGN.md §10). One set serves a whole congestion grid; workers share it.
-type expeTables struct {
-	k     int       // largest box extent covered; row length of t and b
-	t, b  []float64 // T and B, (k+1)×k row-major (T's last row is unused)
-	dense [expeDenseSide * expeDenseSide][]float64
-	// T and B cover the dense table's extent until the first box outside it
-	// grows them to the mesh's (meshK), so a placement without such a box
-	// never holds 16·K² bytes of them.
-	meshK int
-	grow  sync.Once
-}
-
-func newExpeTables(mesh hw.Mesh) *expeTables {
-	x := &expeTables{meshK: max(mesh.Rows, mesh.Cols) - 1}
-	x.build(min(x.meshK, expeDenseSide-1))
-	rows, cols := min(mesh.Rows, expeDenseSide), min(mesh.Cols, expeDenseSide)
-	backing := make([]float64, rows*(rows+1)/2*cols*(cols+1)/2)
-	for dx := 0; dx < rows; dx++ {
-		for dy := 0; dy < cols; dy++ {
-			n := (dx + 1) * (dy + 1)
-			g := backing[:n:n]
-			backing = backing[n:]
-			x.stamp(g, 0, dy+1, dx, dy, false, 1) // 0 + 1·e = e
-			x.dense[dx*expeDenseSide+dy] = g
+// left to right, and adds each cell to grid as soon as it is final.
+func sweepBox(grid, m []float64, cols int, t cellXY, dx, dy, q int) {
+	rowStep, colStep := cols, 1 // rows and columns run toward t
+	if q&2 != 0 {
+		rowStep = -cols
+	}
+	if q&1 != 0 {
+		colStep = -1
+	}
+	at, w := int(t.x)*cols+int(t.y)-dx*rowStep-dy*colStep, dy+1 // at: box cell (0, 0)
+	for u := 0; u <= dx; u++ {
+		row := m[u*w : u*w+w]
+		up, half, straight := row, 0.0, 0.0 // row 0 has none above: itself × 0
+		if u > 0 {
+			up, half, straight = m[u*w-w:u*w], 0.5, 1
 		}
-	}
-	return x
-}
-
-// build fills T and B for boxes of extent up to k by the recurrences above.
-func (x *expeTables) build(k int) {
-	x.k, x.t, x.b = k, make([]float64, (k+1)*k), make([]float64, (k+1)*k)
-	up := make([]float64, k) // T[-1][·] = 0: row 0 has no upper neighbour
-	for d := 0; d <= k; d++ {
-		left, last := 0.0, 0.0 // T[d][-1] and B[d][-1]: no left neighbour
-		if d == 0 {
-			left, last = 2, 1 // T[0][0] = ½·2 = 1; dx = 0 goes straight, B[0][·] = 1
+		fl, left := 0.5, 0.0
+		if u == dx {
+			fl = 1 // t's row: straight on
 		}
-		for v, e := range up {
-			left = 0.5*e + 0.5*left
-			last += 0.5 * e
-			x.t[d*k+v], x.b[d*k+v] = left, last
+		for v := range dy {
+			e := row[v] + up[v]*half + left*fl
+			row[v], left = e, e
+			grid[at+v*colStep] += e
 		}
-		up = x.t[d*k : (d+1)*k]
-	}
-}
-
-// stamp adds w × the dx×dy box's DP grid to the box rows starting at
-// grid[at], rowStep apart, reading every row straight from T and B; mirror
-// reverses each row (the target is left of the source).
-func (x *expeTables) stamp(grid []float64, at, rowStep, dx, dy int, mirror bool, w float64) {
-	k, corner := x.k, 1.0
-	if dx > 0 && dy > 0 {
-		corner = x.b[dy*k+dx-1] + x.b[dx*k+dy-1]
-	}
-	body, tail := 0, dy // offsets in a box row of its first dy cells and its last
-	if mirror {
-		body, tail = 1, 0
-	}
-	for u, end := range x.b[dy*k : dy*k+dx] { // the last column, B[dy][u]
-		addRow(grid[at+body:at+body+dy], x.t[u*k:u*k+dy], w, mirror)
-		grid[at+tail] += w * end
+		row[dy] = row[dy] + up[dy]*straight + left*fl // t's column: straight on
+		grid[at+dy*colStep] += row[dy]
 		at += rowStep
-	}
-	addRow(grid[at+body:at+body+dy], x.b[dx*k:dx*k+dy], w, mirror)
-	grid[at+tail] += w * corner
-}
-
-// addRow adds w × in to the equally long out, reversed when mirror is set;
-// the left-to-right loop runs without bounds checks.
-func addRow(out, in []float64, w float64, mirror bool) {
-	out = out[:len(in)]
-	if !mirror {
-		for v, e := range in {
-			out[v] += w * e
-		}
-		return
-	}
-	for v, e := range in {
-		out[len(out)-1-v] += w * e
-	}
-}
-
-// accumulate adds w × Expe(·, src, dst) to every router in the edge's
-// bounding box on a mesh with cols columns, row by row. Every cell receives
-// exactly one product per edge, so the grid depends only on the order edges
-// are accumulated in.
-func (x *expeTables) accumulate(grid []float64, cols int, src, dst cellXY, w float64) {
-	dx, rowStep := int(dst.x-src.x), cols
-	if dx < 0 {
-		dx, rowStep = -dx, -cols
-	}
-	dy, left := int(dst.y-src.y), int(src.y)
-	if dy < 0 {
-		dy, left = -dy, int(dst.y)
-	}
-	at, mirror := int(src.x)*cols+left, dst.y < src.y
-	if dx >= expeDenseSide || dy >= expeDenseSide {
-		x.grow.Do(func() { x.build(x.meshK) })
-		x.stamp(grid, at, rowStep, dx, dy, mirror, w)
-		return
-	}
-	cells := x.dense[dx*expeDenseSide+dy]
-	for gw := dy + 1; len(cells) >= gw; cells, at = cells[gw:], at+rowStep {
-		addRow(grid[at:at+gw], cells[:gw], w, mirror)
 	}
 }

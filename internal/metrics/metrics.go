@@ -59,8 +59,8 @@ func (s Summary) Normalize(baseline Summary) Summary {
 type CongestionMode int
 
 const (
-	// CongestionAuto computes the exact grid when the estimated work is
-	// affordable and falls back to deterministic edge sampling otherwise.
+	// CongestionAuto computes the exact grid within Options.ExactWorkLimit
+	// and falls back to deterministic edge sampling above it.
 	CongestionAuto CongestionMode = iota
 	// CongestionExact always accumulates every edge's expectation grid.
 	CongestionExact
@@ -79,8 +79,10 @@ type Options struct {
 	// SampleEdges caps the number of edges accumulated in sampled mode
 	// (default 200 000).
 	SampleEdges int
-	// ExactWorkLimit bounds Σ bounding-box areas for CongestionAuto to
-	// choose the exact path (default 500 000 000).
+	// ExactWorkLimit is CongestionAuto's mode threshold on Σ (dx+1)(dy+1)
+	// over all edges (default 500 000 000): exact at or below, sampled above.
+	// The exact path sweeps one union box per target quadrant, far fewer
+	// cells than that sum; the rule stays so that no input changes mode.
 	ExactWorkLimit int64
 	// Workers fans the edge walk out over up to this many goroutines
 	// (same contract as mapping.FDConfig.Workers: 0 or 1 is sequential).
@@ -243,12 +245,13 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 			mode = CongestionSampled
 		}
 	}
-	switch mode {
-	case CongestionExact:
-		grid := congestionGrid(p, pos, mesh, 1, opts.Workers)
-		s.MaxCongestion = maxOf(grid)
-	case CongestionSampled:
-		grid := congestionGrid(p, pos, mesh, stride, opts.Workers)
+	var swept int64
+	if mode == CongestionExact || mode == CongestionSampled {
+		if mode == CongestionExact {
+			stride = 1
+		}
+		var grid []float64
+		grid, swept = congestionGrid(p, pos, mesh, stride, opts.Workers)
 		if stride > 1 && sampledWeight > 0 {
 			// Rescale by the sampled traffic share so the grid estimates
 			// the full-population congestion.
@@ -258,7 +261,6 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 			}
 		}
 		s.MaxCongestion = maxOf(grid)
-	case CongestionSkip:
 	}
 	if opts.Obs.Enabled() {
 		var busyTotal time.Duration
@@ -280,7 +282,9 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 	sp.End(
 		obs.KV{K: "energy", V: s.Energy},
 		obs.KV{K: "avg_latency", V: s.AvgLatency},
-		obs.KV{K: "max_congestion", V: s.MaxCongestion})
+		obs.KV{K: "max_congestion", V: s.MaxCongestion},
+		obs.KV{K: "box_cells", V: float64(bboxWork)},
+		obs.KV{K: "swept_cells", V: float64(swept)})
 	return s
 }
 
@@ -296,24 +300,28 @@ func maxOf(grid []float64) float64 {
 
 // CongestionGrid accumulates Con(x,y) (Eq. 13) over every stride-th edge of
 // the PCN (in global CSR order) and returns the router grid in row-major
-// order. stride 1 is exact.
+// order. stride 1 is exact: each target's in-row, read from p.Symmetric()
+// (built here if FD has not), is propagated by one sweep per quadrant of
+// sources (DESIGN.md §10); a larger stride propagates each sampled edge alone.
 //
-// With workers > 1 the cluster walk is chunked across goroutines into
-// per-chunk grids merged cell-wise in chunk order; the chunk count is fixed
-// independent of workers and the sequential path uses the same per-chunk
-// accumulation, so the grid is bit-identical for every worker count.
+// Targets (exact) or sources (sampled) fall into a fixed number of chunks
+// independent of workers, each accumulated into its own grid and merged
+// cell-wise in chunk order, so the grid is bit-identical for every worker
+// count.
 func CongestionGrid(p *pcn.PCN, pl *place.Placement, stride, workers int) []float64 {
-	return congestionGrid(p, clusterCoords(pl), pl.Mesh, stride, workers)
+	grid, _ := congestionGrid(p, clusterCoords(pl), pl.Mesh, stride, workers)
+	return grid
 }
 
 // congestionGrid is CongestionGrid on a cluster coordinate table, which
-// Evaluate shares with its own edge walk.
-func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int) []float64 {
+// Evaluate shares with its own edge walk; it also returns the box cells the
+// sweeps covered.
+func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int) ([]float64, int64) {
 	cores := mesh.Cores()
 	grid := make([]float64, cores)
 	n, edges := p.NumClusters, int(p.NumEdges())
 	if edges == 0 {
-		return grid
+		return grid, 0
 	}
 	// A stride of |E| or more samples edge 0 alone; capped, the skip
 	// arithmetic below cannot overflow.
@@ -324,45 +332,62 @@ func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int)
 	if maxGrids := 1 << 23 / max(cores, 1); k > maxGrids {
 		k = max(maxGrids, 1)
 	}
-	tables := newExpeTables(mesh)
-	// Every stride-th edge in global CSR order: skip carries across clusters,
-	// so unsampled edges cost nothing and unsampled clusters one comparison.
-	accumulate := func(ci int, dst []float64) {
+	var in *pcn.Symmetric
+	if stride == 1 {
+		in = p.Symmetric()
+	}
+	accumulate := func(ci int, dst []float64, s *sweep) (cells int64) {
 		lo, hi := ci*n/k, (ci+1)*n/k
+		if in != nil {
+			for t := lo; t < hi; t++ {
+				if from, ws := in.InEdges(t); len(from) > 0 {
+					cells += s.propagate(dst, mesh.Cols, pos, pos[t], from, ws)
+				}
+			}
+			return cells
+		}
+		// Every stride-th edge in global CSR order: skip carries across
+		// clusters, so unsampled edges cost nothing and unsampled clusters one
+		// comparison.
 		skip := sampleSkip(p.OutOff[lo], stride)
 		for c := lo; c < hi; c++ {
-			src := pos[c]
 			tos, ws := p.OutEdges(c)
+			s.one[0] = int32(c)
 			for ; skip < len(tos); skip += stride {
-				tables.accumulate(dst, mesh.Cols, src, pos[tos[skip]], ws[skip])
+				cells += s.propagate(dst, mesh.Cols, pos, pos[tos[skip]], s.one[:], ws[skip:skip+1])
 			}
 			skip -= len(tos)
 		}
+		return cells
 	}
+	swept := make([]int64, k) // per chunk, summed in chunk order
 	if workers <= 1 || k == 1 {
 		// One reused scratch grid, merged after each chunk: per cell this
 		// is the same addition sequence as the parallel per-chunk merge
 		// below (chunk-local sums, then += in chunk order).
 		scratch := make([]float64, cores)
+		var s sweep
 		for ci := 0; ci < k; ci++ {
 			clear(scratch)
-			accumulate(ci, scratch)
+			swept[ci] = accumulate(ci, scratch, &s)
 			for i, v := range scratch {
 				grid[i] += v
 			}
 		}
-		return grid
-	}
-	grids := make([][]float64, k)
-	backing := make([]float64, k*cores)
-	for ci := range grids {
-		grids[ci] = backing[ci*cores : (ci+1)*cores]
-	}
-	par.Do(workers, k, func(ci int) { accumulate(ci, grids[ci]) })
-	for ci := 0; ci < k; ci++ {
-		for i, v := range grids[ci] {
-			grid[i] += v
+	} else {
+		grids := make([]float64, k*cores)
+		par.DoScratch(workers, k, func(ci int, s *sweep) {
+			swept[ci] = accumulate(ci, grids[ci*cores:(ci+1)*cores], s)
+		})
+		for ci := 0; ci < k; ci++ {
+			for i, v := range grids[ci*cores : (ci+1)*cores] {
+				grid[i] += v
+			}
 		}
 	}
-	return grid
+	var cells int64
+	for _, c := range swept {
+		cells += c
+	}
+	return grid, cells
 }

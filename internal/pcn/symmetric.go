@@ -98,6 +98,13 @@ func (p *PCN) buildSymmetric() *Symmetric {
 	return &Symmetric{out: csr{p.OutOff, p.OutOff, p.OutTo, p.OutW}, in: csr{off, wOff, from, w}}
 }
 
+// InEdges returns cluster c's in-sources, strictly increasing, and their
+// weights: len(ws) == len(from), or 1 for a broadcast row (WeightMask). The
+// slices alias the transposed CSR and are read-only.
+func (s *Symmetric) InEdges(c int) (from []int32, ws []float64) {
+	return s.in.edges(c)
+}
+
 // MergeBuf is caller-owned scratch for Symmetric.Neighbors; one per
 // goroutine, reused across calls.
 type MergeBuf struct {
