@@ -1,10 +1,6 @@
 package metrics
 
 import (
-	"math"
-
-	"snnmap/internal/geom"
-	"snnmap/internal/hw"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
@@ -23,121 +19,6 @@ func clusterCoords(pl *place.Placement) []cellXY {
 	return pos
 }
 
-// Algorithm 4's Expe function models the routing of one spike from source to
-// target as a randomized minimal (dimension-balanced) walk: at every router
-// that is on neither the target's row nor column, the spike proceeds toward
-// the target in either dimension with probability ½; once a dimension is
-// exhausted the spike goes straight. Expe(x, y, s, t) is the expected number
-// of traversals of router (x,y) per spike.
-//
-// In normalized coordinates (u steps toward the target in x, v in y, with
-// the bounding box spanning dx×dy steps), the DP is
-//
-//	E[0][0] = 1
-//	E[u][v] = E[u-1][v]·(v==dy ? 1 : ½) + E[u][v-1]·(u==dx ? 1 : ½)
-//
-// and for interior points it has the closed form C(u+v, u) / 2^(u+v),
-// which ExpeClosedForm exposes for property testing.
-
-// Expe returns the expected traversals of router at by one spike sent from
-// src to dst (Algorithm 4). Routers outside the bounding box return 0.
-func Expe(at, src, dst geom.Point, _ hw.Mesh) float64 {
-	if !geom.Bounding(src, dst).Contains(at) {
-		return 0
-	}
-	dx := geom.Abs(dst.X - src.X)
-	dy := geom.Abs(dst.Y - src.Y)
-	u := geom.Abs(at.X - src.X)
-	v := geom.Abs(at.Y - src.Y)
-	return expeGrid(dx, dy)[u*(dy+1)+v]
-}
-
-// ExpeClosedForm returns the closed-form expectation for the normalized
-// offset (u, v) in a dx×dy box. It matches the DP exactly and exists so the
-// DP can be property-tested against an independent formulation.
-func ExpeClosedForm(u, v, dx, dy int) float64 {
-	switch {
-	case u < 0 || v < 0 || u > dx || v > dy:
-		return 0
-	case u < dx && v < dy:
-		return binomial(u+v, u) / math.Exp2(float64(u+v))
-	case u == dx && v == dy:
-		return 1
-	case u == dx:
-		// On the target column: accumulate all mass that entered it at or
-		// before row v. E = Σ_{j<=v'} interior inflow; recurse via DP row.
-		var sum float64
-		if dx == 0 {
-			return 1
-		}
-		for j := 0; j <= v; j++ {
-			// Inflow from (dx-1, j) times ½ (j<dy) plus nothing else;
-			// mass then flows straight down the column.
-			sum += binomial(dx-1+j, j) / math.Exp2(float64(dx-1+j)) * 0.5
-		}
-		return sum
-	default: // v == dy
-		var sum float64
-		if dy == 0 {
-			return 1
-		}
-		for i := 0; i <= u; i++ {
-			sum += binomial(dy-1+i, i) / math.Exp2(float64(dy-1+i)) * 0.5
-		}
-		return sum
-	}
-}
-
-func binomial(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	res := 1.0
-	for i := 1; i <= k; i++ {
-		res = res * float64(n-k+i) / float64(i)
-	}
-	return res
-}
-
-// expeGrid computes the full DP table for a dx×dy bounding box, laid out as
-// (dx+1)×(dy+1) row-major.
-func expeGrid(dx, dy int) []float64 {
-	grid := make([]float64, (dx+1)*(dy+1))
-	fillExpeGrid(grid, dx, dy)
-	return grid
-}
-
-func fillExpeGrid(grid []float64, dx, dy int) {
-	w := dy + 1
-	grid[0] = 1
-	for u := 0; u <= dx; u++ {
-		for v := 0; v <= dy; v++ {
-			if u == 0 && v == 0 {
-				continue
-			}
-			var e float64
-			if u > 0 {
-				f := 0.5
-				if v == dy {
-					f = 1
-				}
-				e += grid[(u-1)*w+v] * f
-			}
-			if v > 0 {
-				f := 0.5
-				if u == dx {
-					f = 1
-				}
-				e += grid[u*w+v-1] * f
-			}
-			grid[u*w+v] = e
-		}
-	}
-}
-
 // sweep is one worker's scratch: a target's four quadrant boxes back to
 // back, grown geometrically so that a run of ever larger boxes reallocates
 // O(log) times and holds at most twice the largest four-box total.
@@ -148,7 +29,21 @@ type sweep struct {
 
 // propagate adds Σ_k ws[k]·Expe(·, pos[from[k]], t) to grid (row-major, cols
 // wide) and returns the box cells it swept; ws is one weight per source or
-// one broadcast (pcn.WeightMask). Algorithm 4's split at a router depends
+// one broadcast (pcn.WeightMask).
+//
+// Algorithm 4's Expe function models the routing of one spike from source s
+// to target t as a randomized minimal (dimension-balanced) walk: at every
+// router that is on neither t's row nor column, the spike proceeds toward t
+// in either dimension with probability ½; once a dimension is exhausted the
+// spike goes straight. Expe(x, y, s, t) is the expected number of traversals
+// of router (x,y) per spike. In normalized coordinates (u steps toward t in
+// x, v in y, the bounding box spanning dx×dy steps) it is the DP
+//
+//	E[0][0] = 1
+//	E[u][v] = E[u-1][v]·(v==dy ? 1 : ½) + E[u][v-1]·(u==dx ? 1 : ½)
+//
+// with the closed form C(u+v, u) / 2^(u+v) at interior points
+// (expe_oracle_test.go keeps both as oracles). The split at a router depends
 // only on the router and t — ½/½ toward t, straight on along t's row and
 // column — so each quadrant's sources are injected into the union of their
 // boxes and carried to t by one DP sweep, which by linearity is the sum of

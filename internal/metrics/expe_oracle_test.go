@@ -1,19 +1,124 @@
 package metrics
 
-// The stamping oracle: the universal Expe tables that stamped one product per
-// (edge × box cell) before congestion was propagated per target, kept
-// verbatim. TestExpeUniversalEqualsDP pins them to the per-shape DP bit for
-// bit, and stampedCongestionGrid adds them up edge by edge, as fast as the
-// production path was, for inputs too large for naiveCongestionGrid.
+// The Expe oracles. Algorithm 4's per-edge DP (Expe, expeGrid) and its
+// closed form (ExpeClosedForm), which production stopped calling when
+// congestion became one propagated sweep per target; and the stamping
+// oracle: the universal Expe tables that stamped one product per (edge × box
+// cell) before propagation, kept verbatim. TestExpeUniversalEqualsDP pins the
+// tables to the per-shape DP bit for bit, and stampedCongestionGrid adds them
+// up edge by edge, as fast as the production path was, for inputs too large
+// for naiveCongestionGrid.
 
 import (
+	"math"
 	"sync"
 
+	"snnmap/internal/geom"
 	"snnmap/internal/hw"
 	"snnmap/internal/par"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
+
+// Expe returns the expected traversals of router at by one spike sent from
+// src to dst (Algorithm 4; the DP is on propagate). Routers outside the
+// bounding box return 0.
+func Expe(at, src, dst geom.Point, _ hw.Mesh) float64 {
+	if !geom.Bounding(src, dst).Contains(at) {
+		return 0
+	}
+	dx := geom.Abs(dst.X - src.X)
+	dy := geom.Abs(dst.Y - src.Y)
+	u := geom.Abs(at.X - src.X)
+	v := geom.Abs(at.Y - src.Y)
+	return expeGrid(dx, dy)[u*(dy+1)+v]
+}
+
+// ExpeClosedForm returns the closed-form expectation for the normalized
+// offset (u, v) in a dx×dy box. It matches the DP exactly and exists so the
+// DP can be property-tested against an independent formulation.
+func ExpeClosedForm(u, v, dx, dy int) float64 {
+	switch {
+	case u < 0 || v < 0 || u > dx || v > dy:
+		return 0
+	case u < dx && v < dy:
+		return binomial(u+v, u) / math.Exp2(float64(u+v))
+	case u == dx && v == dy:
+		return 1
+	case u == dx:
+		// On the target column: accumulate all mass that entered it at or
+		// before row v. E = Σ_{j<=v'} interior inflow; recurse via DP row.
+		var sum float64
+		if dx == 0 {
+			return 1
+		}
+		for j := 0; j <= v; j++ {
+			// Inflow from (dx-1, j) times ½ (j<dy) plus nothing else;
+			// mass then flows straight down the column.
+			sum += binomial(dx-1+j, j) / math.Exp2(float64(dx-1+j)) * 0.5
+		}
+		return sum
+	default: // v == dy
+		var sum float64
+		if dy == 0 {
+			return 1
+		}
+		for i := 0; i <= u; i++ {
+			sum += binomial(dy-1+i, i) / math.Exp2(float64(dy-1+i)) * 0.5
+		}
+		return sum
+	}
+}
+
+func binomial(n, k int) float64 {
+	if k < 0 || k > n {
+		return 0
+	}
+	if k > n-k {
+		k = n - k
+	}
+	res := 1.0
+	for i := 1; i <= k; i++ {
+		res = res * float64(n-k+i) / float64(i)
+	}
+	return res
+}
+
+// expeGrid computes the full DP table for a dx×dy bounding box, laid out as
+// (dx+1)×(dy+1) row-major.
+func expeGrid(dx, dy int) []float64 {
+	grid := make([]float64, (dx+1)*(dy+1))
+	fillExpeGrid(grid, dx, dy)
+	return grid
+}
+
+func fillExpeGrid(grid []float64, dx, dy int) {
+	w := dy + 1
+	grid[0] = 1
+	for u := 0; u <= dx; u++ {
+		for v := 0; v <= dy; v++ {
+			if u == 0 && v == 0 {
+				continue
+			}
+			var e float64
+			if u > 0 {
+				f := 0.5
+				if v == dy {
+					f = 1
+				}
+				e += grid[(u-1)*w+v] * f
+			}
+			if v > 0 {
+				f := 0.5
+				if u == dx {
+					f = 1
+				}
+				e += grid[u*w+v-1] * f
+			}
+			grid[u*w+v] = e
+		}
+	}
+}
 
 // expeDenseSide bounds the shapes kept as contiguous (dx+1)×(dy+1) grids:
 // boxes with dx, dy < expeDenseSide — every box of an HSC+FD placement of the

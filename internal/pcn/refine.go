@@ -117,19 +117,33 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 		return g.Layer[v]
 	}
 
-	// neuronGains fills dst with, per cluster, the traffic neuron v
-	// exchanges with that cluster. Moving v from c to d changes the cut by
-	// dst[d] − dst[c].
-	neuronGains := func(v int32, dst map[int32]float64) {
-		for k := range dst {
-			delete(dst, k)
+	// neuronGains fills gain with, per cluster, the traffic neuron v
+	// exchanges with that cluster, and cand with those clusters in
+	// first-seen neighbour order (out-edges, then in-edges): refineLevel's
+	// dense scratch, reset through cand on the next call, so candidates are
+	// examined in an order that does not depend on map iteration. Moving v
+	// from c to d changes the cut by gain[d] − gain[c].
+	gain := make([]float64, numClusters)
+	seen := make([]bool, numClusters)
+	var cand []int32
+	addGain := func(d int32, w float64) {
+		if !seen[d] {
+			seen[d] = true
+			cand = append(cand, d)
 		}
+		gain[d] += w
+	}
+	neuronGains := func(v int32) {
+		for _, d := range cand {
+			gain[d], seen[d] = 0, false
+		}
+		cand = cand[:0]
 		tos, ws := g.OutEdges(int(v))
 		for k, to := range tos {
-			dst[clusterOf[to]] += ws[k]
+			addGain(clusterOf[to], ws[k])
 		}
 		for k := inOff[v]; k < inOff[v+1]; k++ {
-			dst[clusterOf[inFrom[k]]] += inW[k]
+			addGain(clusterOf[inFrom[k]], inW[k])
 		}
 	}
 
@@ -159,27 +173,24 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 		return synapses[c]-int64(g.FanIn[out])+int64(g.FanIn[in]) <= spc
 	}
 
-	gainTo := map[int32]float64{}
-	partnerGain := map[int32]float64{}
-
 	for pass := 0; pass < cfg.MaxPasses; pass++ {
 		var movesThisPass int64
 		for vi := 0; vi < g.NumNeurons; vi++ {
 			v := int32(vi)
 			cv := clusterOf[v]
 			vLayer := layerTag(v)
-			neuronGains(v, gainTo)
-			internal := gainTo[cv]
+			neuronGains(v)
+			internal := gain[cv]
 
 			// Best single move into a cluster with free capacity.
 			bestCluster := cv
 			bestGain := cfg.MinGain
-			for d, traffic := range gainTo {
+			for _, d := range cand {
 				if d == cv {
 					continue
 				}
-				gain := traffic - internal
-				if gain <= bestGain {
+				moveGain := gain[d] - internal
+				if moveGain <= bestGain {
 					continue
 				}
 				if int(neurons[d])+1 > npc {
@@ -195,7 +206,7 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 				if neurons[cv] == 1 {
 					continue
 				}
-				bestGain = gain
+				bestGain = moveGain
 				bestCluster = d
 			}
 			if bestCluster != cv {
@@ -214,28 +225,28 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 			// when every cluster is at capacity).
 			targetD := cv
 			targetTraffic := internal
-			for d, traffic := range gainTo {
-				if d == cv || traffic <= targetTraffic {
+			for _, d := range cand {
+				if d == cv || gain[d] <= targetTraffic {
 					continue
 				}
 				if cfg.Config.SplitAtLayers && vLayer >= 0 && layerOf[d] != vLayer {
 					continue
 				}
 				targetD = d
-				targetTraffic = traffic
+				targetTraffic = gain[d]
 			}
 			if targetD == cv {
 				continue
 			}
-			gainV := gainTo[targetD] - internal
+			gainV := targetTraffic - internal
 			var bestU int32 = -1
 			bestSwap := cfg.MinGain
 			for _, u := range members[targetD] {
 				if cfg.Config.SplitAtLayers && layerTag(u) >= 0 && layerOf[cv] != layerTag(u) {
 					continue
 				}
-				neuronGains(u, partnerGain)
-				gainU := partnerGain[cv] - partnerGain[targetD]
+				neuronGains(u) // v's gains are spent: gainV holds what the swap needs
+				gainU := gain[cv] - gain[targetD]
 				swapGain := gainV + gainU - 2*edgeWeight(v, u)
 				if swapGain <= bestSwap {
 					continue

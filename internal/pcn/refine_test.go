@@ -3,6 +3,7 @@ package pcn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snnmap/internal/hw"
@@ -90,6 +91,34 @@ func TestRefinePartitionConvergesAndIsIdempotent(t *testing.T) {
 	}
 	if again.PCN.TotalWeight() != refined.PCN.TotalWeight() {
 		t.Error("idempotent refinement changed the cut")
+	}
+}
+
+// TestRefinePartitionDeterministic repeats one refinement and requires the
+// same assignment every time, at every worker count: candidate clusters are
+// examined in first-seen neighbour order, not map order.
+func TestRefinePartitionDeterministic(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		g := scrambledCommunities(t, 8, 32, seed)
+		var want []int32
+		for _, workers := range []int{1, 4} {
+			cfg := PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 32}, Workers: workers}
+			initial, err := Partition(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rep := 0; rep < 20; rep++ {
+				refined, _, err := RefinePartition(g, initial, RefineConfig{Config: cfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = refined.ClusterOf
+				} else if !slices.Equal(refined.ClusterOf, want) {
+					t.Fatalf("seed %d, workers %d, repeat %d: ClusterOf differs from the first call", seed, workers, rep)
+				}
+			}
+		}
 	}
 }
 

@@ -8,11 +8,13 @@ import "math"
 // two weights of a mutual pair — yields exactly the entries of
 // Undirected.Neighbors, ids and weight bits alike: both sides are strictly
 // increasing (the out-CSR is merged, so a neighbor appears at most once per
-// side) and a+b is commutative in IEEE-754. The transpose costs E×4 B of
-// source ids plus one weight per in-edge of a mixed row and one per uniform
-// row (every row of a layer-spec net: traverseConns gives a target cluster
-// one share per Conn), where Undirected costs 2E×12 B plus a scatter, a
-// per-node sort and a compaction.
+// side) and a+b is commutative in IEEE-754. The transpose stores each
+// distinct run of source ids once — adjacent targets with the same source
+// set share it, as every cluster of a dense layer shares its source layer —
+// plus one weight per in-edge of a mixed row and one per uniform row (every
+// row of a layer-spec net: traverseConns gives a target cluster one share
+// per Conn), where Undirected costs 2E×12 B plus a scatter, a per-node sort
+// and a compaction.
 type Symmetric struct {
 	// out is the PCN's own out-CSR (aliased, not copied); in holds the
 	// in-edges by target cluster. Within one cluster's range in-sources are
@@ -22,21 +24,29 @@ type Symmetric struct {
 }
 
 // csr is one direction of the adjacency: cluster i's neighbor ids (strictly
-// increasing) occupy [off[i], off[i+1]) and its weights [wOff[i], wOff[i+1]):
-// one per id, or a single weight every id of the row shares (a broadcast
-// row). The out side aliases off as wOff.
+// increasing) are id run r = row[i], [off[r], off[r+1]), and its weights
+// [wOff[i], wOff[i+1]): one per id, or a single weight every id of the row
+// shares (a broadcast row). A nil row is the identity, r = i: the out side,
+// which aliases off as wOff. On the in side several clusters may read one
+// id run, so runs are strictly read-only.
 type csr struct {
 	off, wOff []int64
+	row       []int32
 	ids       []int32
 	w         []float64
 }
 
 // edges returns cluster i's ids and weights, len(ws) == len(ids) or
 // len(ws) == 1; index the weights as ws[k&WeightMask(ids, ws)]. The slices
-// alias the storage.
+// alias the storage and are capacity-clipped.
 func (c csr) edges(i int) (ids []int32, ws []float64) {
-	lo, hi := c.wOff[i], c.wOff[i+1]
-	return c.ids[c.off[i]:c.off[i+1]], c.w[lo:hi:hi]
+	r := i
+	if c.row != nil {
+		r = int(c.row[i])
+	}
+	lo, hi := c.off[r], c.off[r+1]
+	wlo, whi := c.wOff[i], c.wOff[i+1]
+	return c.ids[lo:hi:hi], c.w[wlo:whi:whi]
 }
 
 // WeightMask returns the mask that turns a position k in ids into its index
@@ -57,50 +67,95 @@ func (p *PCN) Symmetric() *Symmetric {
 	return a.sym
 }
 
+// buildSymmetric transposes the out-CSR. Its counting pass walks each out-row
+// and learns, per target t: its in-degree (in off[t+1]); whether its in-row is
+// uniform (first[t] is the first weight it meets, mixed[t] whether a later one
+// differs in any bit); and adj[t], the number of sources whose row holds t−1
+// immediately before t. Rows are strictly increasing, so adj[t] counts the
+// sources t shares with t−1, and t's source set equals t−1's exactly when
+// indeg(t) == indeg(t−1) == adj[t]: t then reads t−1's id run. The count is
+// taken within a row, never across the flat OutTo array, where the entry
+// before t may end another source's row.
 func (p *PCN) buildSymmetric() *Symmetric {
 	n := p.NumClusters
 	off := make([]int64, n+1)
-	// The counting pass also learns which in-rows are uniform: first[t] is
-	// the first weight row t meets, mixed[t] whether a later one differs.
 	first := make([]float64, n)
 	mixed := make([]bool, n)
-	for k, to := range p.OutTo {
-		if w := p.OutW[k]; off[to+1] == 0 {
-			first[to] = w
-		} else if math.Float64bits(w) != math.Float64bits(first[to]) {
-			mixed[to] = true
-		}
-		off[to+1]++
-	}
-	wOff := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		deg := off[i+1]
-		off[i+1] += off[i]
-		if !mixed[i] {
-			deg = min(deg, 1)
-		}
-		wOff[i+1] = wOff[i] + deg
-	}
-	from := make([]int32, off[n])
-	w := make([]float64, wOff[n])
-	rank := make([]int64, n) // in-edges of each row scattered so far
+	adj := make([]int32, n)
 	for i := 0; i < n; i++ {
 		tos, ws := p.OutEdges(i)
 		for k, t := range tos {
-			r := rank[t]
-			rank[t]++
-			from[off[t]+r] = int32(i)
-			if lo := wOff[t]; r < wOff[t+1]-lo {
-				w[lo+r] = ws[k] // every edge of a mixed row, the first of a uniform one
+			if off[t+1] == 0 {
+				first[t] = ws[k]
+			} else if math.Float64bits(ws[k]) != math.Float64bits(first[t]) {
+				mixed[t] = true
+			}
+			off[t+1]++
+			if k > 0 && tos[k-1] == t-1 {
+				adj[t]++
 			}
 		}
 	}
-	return &Symmetric{out: csr{p.OutOff, p.OutOff, p.OutTo, p.OutW}, in: csr{off, wOff, from, w}}
+	// Number the id runs and compact their offsets into off in place: run r
+	// starts at off[r], and r ≤ t, so off[t+1] is read before it is reused.
+	// adj becomes the scatter's rank, the in-edges of row t scattered so far:
+	// it starts at 0 for a row the scatter writes — the first of its run
+	// (ids) or a mixed row (weights) — and at −1 for a row it skips.
+	row := make([]int32, n)
+	wOff := make([]int64, n+1)
+	runs, prev := 0, int64(-1)
+	for t := 0; t < n; t++ {
+		deg := off[t+1]
+		lead := deg != prev || int64(adj[t]) != deg
+		if lead {
+			off[runs+1] = off[runs] + deg
+			runs++
+		}
+		row[t], prev = int32(runs-1), deg
+		adj[t] = 0
+		if !mixed[t] {
+			deg = min(deg, 1)
+			if !lead {
+				adj[t] = -1
+			}
+		}
+		wOff[t+1] = wOff[t] + deg
+	}
+	off = off[:runs+1]
+	ids := make([]int32, off[runs])
+	w := make([]float64, wOff[n])
+	for t, f := range first {
+		if !mixed[t] && wOff[t+1] > wOff[t] {
+			w[wOff[t]] = f
+		}
+	}
+	rank := adj
+	for i := 0; i < n; i++ {
+		tos, ws := p.OutEdges(i)
+		for k, t := range tos {
+			r := int64(rank[t])
+			if r < 0 {
+				continue
+			}
+			rank[t]++
+			if t == 0 || row[t] != row[t-1] {
+				ids[off[row[t]]+r] = int32(i)
+			}
+			if mixed[t] {
+				w[wOff[t]+r] = ws[k]
+			}
+		}
+	}
+	return &Symmetric{
+		out: csr{off: p.OutOff, wOff: p.OutOff, ids: p.OutTo, w: p.OutW},
+		in:  csr{off: off, wOff: wOff, row: row, ids: ids, w: w},
+	}
 }
 
 // InEdges returns cluster c's in-sources, strictly increasing, and their
 // weights: len(ws) == len(from), or 1 for a broadcast row (WeightMask). The
-// slices alias the transposed CSR and are read-only.
+// slices alias the transposed CSR, whose id run every cluster with c's source
+// set reads too, so they are strictly read-only.
 func (s *Symmetric) InEdges(c int) (from []int32, ws []float64) {
 	return s.in.edges(c)
 }

@@ -55,14 +55,96 @@ func wantInWeights(p *PCN) (stored int, broadcastRows int) {
 	return stored, broadcastRows
 }
 
+// buildSymmetricOracle is the transpose as it was before in-rows shared id
+// runs, kept verbatim but for the final literal: one id per in-edge, every
+// cluster its own run.
+func (p *PCN) buildSymmetricOracle() *Symmetric {
+	n := p.NumClusters
+	off := make([]int64, n+1)
+	// The counting pass also learns which in-rows are uniform: first[t] is
+	// the first weight row t meets, mixed[t] whether a later one differs.
+	first := make([]float64, n)
+	mixed := make([]bool, n)
+	for k, to := range p.OutTo {
+		if w := p.OutW[k]; off[to+1] == 0 {
+			first[to] = w
+		} else if math.Float64bits(w) != math.Float64bits(first[to]) {
+			mixed[to] = true
+		}
+		off[to+1]++
+	}
+	wOff := make([]int64, n+1)
+	for i := 0; i < n; i++ {
+		deg := off[i+1]
+		off[i+1] += off[i]
+		if !mixed[i] {
+			deg = min(deg, 1)
+		}
+		wOff[i+1] = wOff[i] + deg
+	}
+	from := make([]int32, off[n])
+	w := make([]float64, wOff[n])
+	rank := make([]int64, n) // in-edges of each row scattered so far
+	for i := 0; i < n; i++ {
+		tos, ws := p.OutEdges(i)
+		for k, t := range tos {
+			r := rank[t]
+			rank[t]++
+			from[off[t]+r] = int32(i)
+			if lo := wOff[t]; r < wOff[t+1]-lo {
+				w[lo+r] = ws[k] // every edge of a mixed row, the first of a uniform one
+			}
+		}
+	}
+	return &Symmetric{out: csr{off: p.OutOff, wOff: p.OutOff, ids: p.OutTo, w: p.OutW}, in: csr{off: off, wOff: wOff, ids: from, w: w}}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// isLead reports whether cluster c starts an id run of the in-CSR.
+func (s *Symmetric) isLead(c int) bool { return c == 0 || s.in.row[c] != s.in.row[c-1] }
+
+// checkInEdgesMatchOracle asserts InEdges returns, for every cluster, the
+// ids and weight bits of buildSymmetricOracle; that a cluster reads its
+// predecessor's id run exactly when the two source sets are equal; and that
+// the stored ids are Σ indeg over the first cluster of each run. It returns
+// the number of runs and of stored ids.
+func checkInEdgesMatchOracle(t *testing.T, name string, p *PCN) (runs, storedIDs int) {
+	t.Helper()
+	want, s := p.buildSymmetricOracle(), p.Symmetric()
+	var leadDeg int
+	for c := 0; c < p.NumClusters; c++ {
+		ids, ws := s.InEdges(c)
+		wantIDs, wantWs := want.in.edges(c)
+		if !slices.Equal(ids, wantIDs) || !slices.EqualFunc(ws, wantWs, sameBits) {
+			t.Fatalf("%s: InEdges(%d) = %v %v, oracle %v %v", name, c, ids, ws, wantIDs, wantWs)
+		}
+		if c > 0 {
+			prev, _ := want.in.edges(c - 1)
+			if shared := slices.Equal(ids, prev); shared == s.isLead(c) {
+				t.Fatalf("%s: cluster %d has source set %v, cluster %d %v, but shares its run: %v", name, c, ids, c-1, prev, !s.isLead(c))
+			}
+		}
+		if s.isLead(c) {
+			leadDeg += len(ids)
+		}
+	}
+	if leadDeg != len(s.in.ids) {
+		t.Fatalf("%s: in-CSR stores %d ids, Σ indeg over run leads is %d", name, len(s.in.ids), leadDeg)
+	}
+	return len(s.in.off) - 1, len(s.in.ids)
+}
+
 // checkSymmetricEqualsUndirected asserts the merged out+transpose walk
 // yields Undirected's adjacency entry for entry — ids and weight bits, a
 // broadcast run expanded first — that Weight agrees with it for every
-// connected pair and some unconnected ones, and that the in-CSR stores
+// connected pair and some unconnected ones, that the in-CSR stores
 // exactly the weights wantInWeights counts (returned, with the number of
-// broadcast rows). Undirected is the oracle here; FD itself never builds it.
+// broadcast rows), and checkInEdgesMatchOracle. Undirected is the oracle
+// here; FD itself never builds it.
 func checkSymmetricEqualsUndirected(t *testing.T, name string, p *PCN) (stored, broadcastRows int) {
 	t.Helper()
+	checkInEdgesMatchOracle(t, name, p)
 	u, s := p.Undirected(), p.Symmetric()
 	stored, broadcastRows = wantInWeights(p)
 	if len(s.in.w) != stored {
@@ -142,7 +224,7 @@ func TestSymmetricEqualsUndirected(t *testing.T) {
 
 	// One hand-built PCN with every in-row shape next to the others.
 	{
-		const n = 12
+		const n = 24
 		p := &PCN{NumClusters: n, Neurons: make([]int32, n), Synapses: make([]int64, n), Layer: make([]int32, n)}
 		var from, to []int32
 		var w []float64
@@ -167,17 +249,40 @@ func TestSymmetricEqualsUndirected(t *testing.T) {
 		add(8, 3, 0.3)
 		add(8, 9, 0.7)
 		add(8, 10, 0.1)
+		// Shared id runs. 0: target 0 has a source. 14, 15, 16 share {12, 13},
+		// 16 under differing weights; 17 has their degree but one other source.
+		// Rows 13 and 18 (14–17 have none) and rows 19 and 20 meet in the flat
+		// OutTo at 16|17 and 20|21, where counting t−1-before-t across rows
+		// would wrongly share 17's and 21's runs. 1–2, 11–13, 18–19 and 22–23
+		// are runs of empty in-rows.
+		add(12, 0, 4)
+		for _, t := range []int{14, 15} {
+			add(12, t, 2)
+			add(13, t, 2)
+		}
+		add(12, 16, 2)
+		add(13, 16, 3)
+		add(12, 17, 5)
+		add(18, 17, 5)
+		add(19, 20, 6)
+		add(20, 21, 6)
 		buildCSR(p, from, to, w)
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		// In-rows 3, 4, 5, 7, 8, 9, 10 store 1, 1, 1, 5, 1, 2, 1 weights: what
-		// wantInWeights counts, pinned so the shapes above cannot silently change.
+		// In-rows 0, 3, 4, 5, 7, 8, 9, 10, 14, 15, 16, 17, 20, 21 store 1, 1, 1,
+		// 1, 5, 1, 2, 1, 1, 1, 2, 1, 1, 1 weights: what wantInWeights counts,
+		// pinned so the shapes above cannot silently change.
 		stored, broadcast := checkSymmetricEqualsUndirected(t, "row-shapes", p)
-		if broadcast != 2 || stored != 1+1+1+5+1+2+1 {
-			t.Fatalf("row-shapes: %d broadcast rows storing %d weights in all, want 2 and 12", broadcast, stored)
+		if broadcast != 5 || stored != 20 {
+			t.Fatalf("row-shapes: %d broadcast rows storing %d weights in all, want 5 and 20", broadcast, stored)
 		}
+		// 17 runs: 15 and 16 read 14's, and each empty stretch shares one. The
+		// 28 edges store 24 ids.
 		s := p.Symmetric()
+		if runs, ids := len(s.in.off)-1, len(s.in.ids); runs != 17 || ids != 24 {
+			t.Fatalf("row-shapes: %d id runs storing %d ids, want 17 and 24", runs, ids)
+		}
 		if _, ws := s.in.edges(8); len(ws) != 1 {
 			t.Fatalf("row-shapes: uniform in-row 8 stores %d weights", len(ws))
 		}
@@ -229,6 +334,89 @@ func TestSymmetricEqualsUndirected(t *testing.T) {
 	if withSources := dnn.NumClusters - 4; stored != withSources || broadcast != withSources {
 		t.Fatalf("DNN_65K: %d weights in %d broadcast rows for %d edges, want %d", stored, broadcast, dnn.NumEdges(), withSources)
 	}
+}
+
+// TestSymmetricSharedRuns pins the id-run sharing as counts on the
+// benchmark-scale nets, against the unshared oracle. DNN_268M's 1024 layers
+// of 64 clusters need one run per layer: the input layer's empty in-rows,
+// then the previous layer's 64 ids. CNN_268M's sliding windows share only
+// where a window repeats; ResNet's irregular layers in between.
+func TestSymmetricSharedRuns(t *testing.T) {
+	for _, c := range []struct {
+		net             *snn.Net
+		runs, ids, edge int
+	}{
+		{snn.DNN268M(), 1024, 65472, 4190208},
+		{snn.CNN268M(), 62404, 249612, 261888},
+		{snn.ResNet(), 3203, 70788, 165761},
+	} {
+		p, err := Expand(c.net, DefaultPartition())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, ids := checkInEdgesMatchOracle(t, c.net.Name, p)
+		if runs != c.runs || ids != c.ids || p.NumEdges() != int64(c.edge) {
+			t.Fatalf("%s: %d runs storing %d ids for %d edges, want %d, %d, %d", c.net.Name, runs, ids, p.NumEdges(), c.runs, c.ids, c.edge)
+		}
+	}
+}
+
+// FuzzSymmetric decodes a small PCN — per source, a window of targets with
+// holes punched in it, so neighbouring in-rows often share a source set,
+// and weights from a short palette, so rows are uniform as often as mixed —
+// and holds InEdges to the naive transpose bit for bit, with the stored ids
+// equal to Σ indeg over the clusters whose source set differs from their
+// predecessor's.
+func FuzzSymmetric(f *testing.F) {
+	f.Add([]byte{8, 0, 8, 0, 0, 8, 0, 1, 1, 1})
+	f.Add([]byte{12, 3, 5, 0x12, 2, 7, 4, 0, 9, 2, 0x80, 1, 2, 3})
+	f.Add([]byte{20, 19, 1, 0, 0, 1, 0, 1, 18, 255, 0, 5, 5, 5, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		n := 1 + next()%24
+		palette := [...]float64{2, 2.5, 0.1, 0.30000000000000004}
+		p := &PCN{NumClusters: n, OutOff: make([]int64, n+1)}
+		for i := 0; i < n; i++ {
+			lo, span, holes := next()%n, next()%(n+1), next()
+			for t := lo; t < min(n, lo+span); t++ {
+				if t != i && holes>>((t-lo)%8)&1 == 0 {
+					p.OutTo, p.OutW = append(p.OutTo, int32(t)), append(p.OutW, palette[next()%len(palette)])
+				}
+			}
+			p.OutOff[i+1] = int64(len(p.OutTo))
+		}
+		naiveIDs, naiveWs := make([][]int32, n), make([][]float64, n)
+		for i := 0; i < n; i++ {
+			tos, ws := p.OutEdges(i)
+			for k, t := range tos {
+				naiveIDs[t], naiveWs[t] = append(naiveIDs[t], int32(i)), append(naiveWs[t], ws[k])
+			}
+		}
+		s := p.Symmetric()
+		var stored int
+		for c := 0; c < n; c++ {
+			ids, ws := s.InEdges(c)
+			if !slices.Equal(ids, naiveIDs[c]) || !slices.EqualFunc(expandRun(t, nil, ids, ws), naiveWs[c], sameBits) {
+				t.Fatalf("InEdges(%d) = %v %v, naive transpose %v %v", c, ids, ws, naiveIDs[c], naiveWs[c])
+			}
+			if c == 0 || !slices.Equal(naiveIDs[c], naiveIDs[c-1]) {
+				stored += len(naiveIDs[c])
+			}
+		}
+		if len(s.in.ids) != stored {
+			t.Fatalf("in-CSR stores %d ids, want %d", len(s.in.ids), stored)
+		}
+		if want, _ := wantInWeights(p); len(s.in.w) != want {
+			t.Fatalf("in-CSR stores %d weights, want %d", len(s.in.w), want)
+		}
+	})
 }
 
 // TestLazyAdjacencyConcurrentFirstUse builds both lazy views from several
