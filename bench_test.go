@@ -22,9 +22,21 @@ import (
 	"snnmap/internal/metrics"
 	"snnmap/internal/noc"
 	"snnmap/internal/pcn"
-	"snnmap/internal/place"
 	"snnmap/internal/snn"
 )
+
+// buildWorkload returns a Table 3 workload's PCN and mesh.
+func buildWorkload(b *testing.B, name string) (*pcn.PCN, hw.Mesh) {
+	wl, err := expt.WorkloadByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, mesh, err := wl.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, mesh
+}
 
 // benchBudget caps per-method wall-clock time inside benchmarks, standing in
 // for the paper's 100-hour cap on a scale this machine can regenerate.
@@ -94,14 +106,7 @@ const fig8Workload = "MobileNet"
 // BenchmarkFig8Methods regenerates Figure 8: each method a)–j) mapping one
 // workload, with normalized energy attached as a metric.
 func BenchmarkFig8Methods(b *testing.B) {
-	wl, err := expt.WorkloadByName(fig8Workload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, mesh := buildWorkload(b, fig8Workload)
 	opts := expt.RunOptions{Seed: 1, Budget: benchBudget}
 	basePl, _, err := expt.RandomMethod().Run(p, mesh, opts)
 	if err != nil {
@@ -130,14 +135,7 @@ func BenchmarkFig8Methods(b *testing.B) {
 // Y axis; the sub-benchmark name encodes method and workload.
 func BenchmarkFig9SolveTime(b *testing.B) {
 	for _, wlName := range []string{"DNN_65K", "LeNet-ImageNet", "MobileNet", "CNN_16M", "DNN_16M"} {
-		wl, err := expt.WorkloadByName(wlName)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, mesh, err := wl.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
+		p, mesh := buildWorkload(b, wlName)
 		for _, m := range expt.ComparisonMethods() {
 			m := m
 			b.Run(m.Name+"/"+wlName, func(b *testing.B) {
@@ -164,14 +162,7 @@ func BenchmarkFig9SolveTime(b *testing.B) {
 func benchSweepMetric(b *testing.B, metric func(metrics.Summary) float64, unit string) {
 	b.Helper()
 	for _, wlName := range []string{"DNN_65K", "CNN_65K", "LeNet-ImageNet", "MobileNet"} {
-		wl, err := expt.WorkloadByName(wlName)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, mesh, err := wl.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
+		p, mesh := buildWorkload(b, wlName)
 		opts := expt.RunOptions{Seed: 1, Budget: benchBudget}
 		basePl, _, err := expt.RandomMethod().Run(p, mesh, opts)
 		if err != nil {
@@ -233,14 +224,7 @@ func BenchmarkFig13GeneralizedHilbert(b *testing.B) {
 // largest workload that fits a benchmark run (DNN_16M: 4 096 clusters;
 // DNN_4B is regenerated by `cmd/experiments -run headline -scale full`).
 func BenchmarkHeadlineProposed(b *testing.B) {
-	wl, err := expt.WorkloadByName("DNN_16M")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, mesh := buildWorkload(b, "DNN_16M")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := mapping.Map(p, mesh, mapping.Default())
@@ -257,14 +241,7 @@ func BenchmarkHeadlineProposed(b *testing.B) {
 // choice: FD fine-tuning cost and quality per potential, from the same HSC
 // start.
 func BenchmarkAblationPotentials(b *testing.B) {
-	wl, err := expt.WorkloadByName("LeNet-ImageNet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, mesh := buildWorkload(b, "LeNet-ImageNet")
 	init, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
 	if err != nil {
 		b.Fatal(err)
@@ -292,20 +269,13 @@ func BenchmarkAblationPotentials(b *testing.B) {
 // BenchmarkAblationLambda quantifies the §4.5 λ design choice: swap-queue
 // fraction vs convergence cost, from the same HSC start.
 func BenchmarkAblationLambda(b *testing.B) {
-	wl, err := expt.WorkloadByName("LeNet-ImageNet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, mesh := buildWorkload(b, "LeNet-ImageNet")
 	init, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, lambda := range []float64{0.05, 0.3, 1.0} {
-		b.Run(lambdaName(lambda), func(b *testing.B) {
+		b.Run(fmt.Sprintf("lambda=%.2f", lambda), func(b *testing.B) {
 			var iters float64
 			for i := 0; i < b.N; i++ {
 				pl := init.Clone()
@@ -320,28 +290,10 @@ func BenchmarkAblationLambda(b *testing.B) {
 	}
 }
 
-func lambdaName(l float64) string {
-	switch l {
-	case 0.05:
-		return "lambda=0.05"
-	case 0.3:
-		return "lambda=0.30"
-	default:
-		return "lambda=1.00"
-	}
-}
-
 // BenchmarkNoCSimulator measures the spike-level substrate's throughput on
 // the LeNet-MNIST workload (used to cross-validate the analytic metrics).
 func BenchmarkNoCSimulator(b *testing.B) {
-	wl, err := expt.WorkloadByName("LeNet-MNIST")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, mesh := buildWorkload(b, "LeNet-MNIST")
 	res, err := mapping.Map(p, mesh, mapping.Default())
 	if err != nil {
 		b.Fatal(err)
@@ -361,14 +313,7 @@ func BenchmarkNoCSimulator(b *testing.B) {
 // BenchmarkEvaluateMetrics measures the cost of the §3.3 metric computation
 // itself (exact congestion) on a mid-size workload.
 func BenchmarkEvaluateMetrics(b *testing.B) {
-	wl, err := expt.WorkloadByName("LeNet-ImageNet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, mesh := buildWorkload(b, "LeNet-ImageNet")
 	pl, _, err := baseline.Random(p, mesh, baseline.Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -385,14 +330,7 @@ func BenchmarkEvaluateMetrics(b *testing.B) {
 // BenchmarkMulticastEnergy measures the multicast-extension evaluation on a
 // mid-size workload.
 func BenchmarkMulticastEnergy(b *testing.B) {
-	wl, err := expt.WorkloadByName("LeNet-ImageNet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, mesh := buildWorkload(b, "LeNet-ImageNet")
 	res, err := mapping.Map(p, mesh, mapping.Default())
 	if err != nil {
 		b.Fatal(err)
@@ -408,14 +346,7 @@ func BenchmarkMulticastEnergy(b *testing.B) {
 
 // BenchmarkCodecRoundTrip measures binary PCN persistence throughput.
 func BenchmarkCodecRoundTrip(b *testing.B) {
-	wl, err := expt.WorkloadByName("CNN_16M")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, _, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, _ := buildWorkload(b, "CNN_16M")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
@@ -463,37 +394,10 @@ func BenchmarkRefinePartition(b *testing.B) {
 	b.ReportMetric(100*reduction, "cut-reduction-%")
 }
 
-// BenchmarkAggregate measures the edge-aggregation kernels under multilevel
-// partitioning on the 131k partition workload — the flat CSR build, the fine
-// undirected build and the first contraction, all through pcn's one mergeRow.
-// cmd/bench mirrors them as pcn-aggregate/* records.
-func BenchmarkAggregate(b *testing.B) {
-	g := expt.PartitionGraph(131_072)
-	kernels, err := pcn.AggregateKernels(g, pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 128}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range kernels {
-		b.Run(k.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				k.Run()
-			}
-		})
-	}
-}
-
 // BenchmarkNoCRouting compares simulator throughput across routing
 // algorithms on a contended workload.
 func BenchmarkNoCRouting(b *testing.B) {
-	wl, err := expt.WorkloadByName("LeNet-MNIST")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, mesh := buildWorkload(b, "LeNet-MNIST")
 	pl, _, err := baseline.Random(p, mesh, baseline.Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -514,238 +418,12 @@ func BenchmarkNoCRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkFDWorkers measures how FD's parallel build phases (energy,
-// forces, initial queue) scale on a larger instance; the sweep after them is
-// sequential at every worker count. The full-sort oracle is the baseline.
-func BenchmarkFDWorkers(b *testing.B) {
-	wl, err := expt.WorkloadByName("DNN_16M")
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkCases runs the benchmark case table cmd/bench records into
+// BENCH_eval.json: kernels under the partitioner, FD, the snapshot codec,
+// metrics and the congestion grid (see expt.BenchCases). -short runs the
+// CI-sized smoke tier.
+func BenchmarkCases(b *testing.B) {
+	for _, c := range expt.BenchCases(testing.Short()) {
+		b.Run(c.Op+"/"+c.Workload, c.Bench)
 	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(name string, cfg mapping.FDConfig) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pl, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg.Potential = mapping.L2Sq{}
-				if _, err := mapping.Finetune(p, pl, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	run("fullsort", mapping.FDConfig{Workers: 1, FullSort: true})
-	for _, workers := range []int{1, 2, 4} {
-		run(fmt.Sprintf("workers=%d", workers), mapping.FDConfig{Workers: workers})
-	}
-}
-
-// BenchmarkFDSweep is the sweep-bound record beside the build-bound
-// BenchmarkFDWorkers: CNN_16M's sparse PCN makes the O(E) build a few
-// percent and leaves the swap kernel and the queue rebuild, reported per
-// executed swap. benchmark/'s mapping.fd_sweep_s on cnn268m is the tracked
-// end-to-end number.
-func BenchmarkFDSweep(b *testing.B) {
-	wl, err := expt.WorkloadByName("CNN_16M")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	init, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.Symmetric() // built once, outside the timed region
-	var swaps int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		pl := init.Clone()
-		b.StartTimer()
-		stats, err := mapping.Finetune(p, pl, mapping.FDConfig{Potential: mapping.L2Sq{}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !stats.Converged || stats.Swaps == 0 {
-			b.Fatalf("converged=%v after %d swaps", stats.Converged, stats.Swaps)
-		}
-		swaps += stats.Swaps
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(swaps), "ns/swap")
-}
-
-// Kernel benchmarks under the DNN_268M headline stages (65 536 clusters,
-// 4.19 M edges on 256×256): FD's O(E) build, the adjacency it walks, and
-// evaluate's congestion-grid stamping. cmd/bench mirrors them as
-// fd-build/*, pcn-adjacency/* and congestion-grid/* records.
-
-// dnn268m builds the DNN_268M PCN and mesh.
-func dnn268m(b *testing.B) (*pcn.PCN, hw.Mesh) {
-	wl, err := expt.WorkloadByName("DNN_268M")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p, mesh
-}
-
-// uncachedPCN returns a PCN sharing p's arrays but none of its lazily built
-// adjacency views, so a benchmark iteration pays for the build.
-func uncachedPCN(p *pcn.PCN) *pcn.PCN {
-	return &pcn.PCN{
-		Name: p.Name, NumClusters: p.NumClusters,
-		Neurons: p.Neurons, Synapses: p.Synapses, Layer: p.Layer,
-		OutOff: p.OutOff, OutTo: p.OutTo, OutW: p.OutW,
-		InternalTraffic: p.InternalTraffic,
-	}
-}
-
-// BenchmarkFDBuild measures one Finetune sweep from the HSC placement —
-// energy accounting, the force build and the initial queue, plus 1/55 of
-// the sweeping — with the adjacency built inside the timed call (cold, what
-// a mapping run pays) and already cached on the PCN (warm).
-func BenchmarkFDBuild(b *testing.B) {
-	p, mesh := dnn268m(b)
-	init, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, warm := range []bool{false, true} {
-		name := "adjacency=cold"
-		if warm {
-			name = "adjacency=warm"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				q, pl := p, init.Clone()
-				if !warm {
-					q = uncachedPCN(p)
-				}
-				b.StartTimer()
-				if _, err := mapping.Finetune(q, pl, mapping.FDConfig{Potential: mapping.L2Sq{}, MaxIterations: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTranspose measures building the in-edge CSR FD walks.
-func BenchmarkTranspose(b *testing.B) {
-	p, _ := dnn268m(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		uncachedPCN(p).Symmetric()
-	}
-}
-
-// BenchmarkUndirected measures materializing the symmetrized copy the
-// partitioner and the baselines use.
-func BenchmarkUndirected(b *testing.B) {
-	p, _ := dnn268m(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		uncachedPCN(p).Undirected()
-	}
-}
-
-// BenchmarkCongestionGrid measures the congestion grid on DNN_268M: exact
-// on the fine-tuned placement (one sweep per target quadrant over clustered
-// sources), long-edges on a 258×256 mesh after row 0 failed and RemapRows
-// shifted it to the spare rows (its targets' union boxes span the mesh), and
-// sampled at the stride Evaluate derives from Options.SampleEdges (one edge
-// in 21, each its own one-source sweep).
-func BenchmarkCongestionGrid(b *testing.B) {
-	p, mesh := dnn268m(b)
-	res, err := mapping.Map(p, mesh, mapping.Default())
-	if err != nil {
-		b.Fatal(err)
-	}
-	shifted, err := rowShifted(p, mesh)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sampleEdges := metrics.Options{}.Resolved().SampleEdges
-	stride := (int(p.NumEdges()) + sampleEdges - 1) / sampleEdges
-	for _, bc := range []struct {
-		name   string
-		pl     *place.Placement
-		stride int
-	}{{"exact", res.Placement, 1}, {"long-edges", shifted, 1}, {"sampled", res.Placement, stride}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				metrics.CongestionGrid(p, bc.pl, bc.stride, 1)
-			}
-		})
-	}
-}
-
-// rowShifted places p by HSC+FD on mesh grown by two spare rows, fails row
-// 0 and repairs it with RemapRows.
-func rowShifted(p *pcn.PCN, mesh hw.Mesh) (*place.Placement, error) {
-	mesh = hw.MustMesh(mesh.Rows+2, mesh.Cols)
-	cons := hw.Constraints{SpareRows: 2}
-	pl, err := mapping.InitialPlacementWorkers(p, mesh, curve.Hilbert{}, nil, cons, 1)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := mapping.Finetune(p, pl, mapping.FDConfig{Potential: mapping.L2Sq{}, Constraints: cons}); err != nil {
-		return nil, err
-	}
-	d := hw.NewDefectMap(mesh)
-	for col := 0; col < mesh.Cols; col++ {
-		d.MarkDead(col)
-	}
-	_, err = mapping.RemapRows(p, pl, d, cons, hw.DefaultCostModel())
-	return pl, err
-}
-
-// BenchmarkSimulateResNet measures the event-driven NoC engine on the
-// acceptance benchmark's resnet_noc input: ResNet (5142 clusters, 72×72)
-// placed by HSC and fine-tuned with L2Sq, 2.2 M spikes, 13.4 M link
-// crossings. ns/traversal is host time per simulated link crossing.
-func BenchmarkSimulateResNet(b *testing.B) {
-	wl, err := expt.WorkloadByName("ResNet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := mapping.Finetune(p, pl, mapping.FDConfig{Potential: mapping.L2Sq{}}); err != nil {
-		b.Fatal(err)
-	}
-	var traversals int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := noc.Simulate(p, pl, noc.Config{SpikesPerUnit: 2e-4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		traversals += sim.WireTraversals
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(traversals), "ns/traversal")
 }

@@ -1,48 +1,28 @@
-// Command bench times the mapping-and-evaluation pipeline on a fixed
-// workload matrix and writes BENCH_eval.json — the tracked performance
-// baseline future changes are measured against.
-//
-// Each record reports one operation on one workload (ns/op and allocs/op,
-// measured with testing.Benchmark) plus, where an operation has a
-// sequential baseline, the speedup against it: the event-driven NoC
-// simulator against the full-scan reference driver, and parallel metrics
-// evaluation against the single-worker walk.
+// Command bench times the benchmark case table (expt.BenchCases) with
+// testing.Benchmark and writes BENCH_eval.json, the tracked kernel-level
+// baseline. Each record is one operation on one workload: ns/op, allocs/op,
+// bytes/op and, where the case names a base case, the speedup against it.
+// End-to-end and parallel-scaling numbers live in the benchmark/ module.
 //
 // Usage:
 //
-//	bench -o BENCH_eval.json              # full matrix (~2 min)
-//	bench -tier smoke -o BENCH_eval.json  # CI-sized subset (~30 s)
+//	bench -o BENCH_eval.json              # full table (~1 min)
+//	bench -tier smoke -o BENCH_eval.json  # CI-sized table
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
-	"slices"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
-	"snnmap/internal/cache"
-	"snnmap/internal/codec"
-	"snnmap/internal/curve"
 	"snnmap/internal/expt"
 	"snnmap/internal/fsx"
-	"snnmap/internal/hw"
-	"snnmap/internal/mapping"
-	"snnmap/internal/metrics"
-	"snnmap/internal/noc"
 	"snnmap/internal/obs"
-	"snnmap/internal/pcn"
-	"snnmap/internal/place"
-	"snnmap/internal/snn"
 )
 
 // Record is one benchmark measurement in BENCH_eval.json.
@@ -51,38 +31,17 @@ type Record struct {
 	Workload    string `json:"workload"`
 	NsPerOp     int64  `json:"ns_per_op"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
-	// SpeedupVsSequential compares against the op's sequential baseline
-	// (the reference NoC driver, the workers=1 metrics walk, the
-	// full-sort FD sweep for fd-finetune/workers=1, or the workers=1 FD
-	// sweep for higher worker counts); 0 when the op has no baseline.
+	// SpeedupVsSequential is the base case's ns/op over this one's; 0 when
+	// the case has no base.
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
-	// BytesPerOp reports the payload size of codec operations (the encoded
-	// snapshot size for snapshot-encode/decode) and the bytes allocated per
-	// run of noc-sim/event on resnet5142 and of the pcn-aggregate/*,
-	// pcn-adjacency/* and fd-build/* kernels; 0 elsewhere.
+	// BytesPerOp is the payload size for cases that set one (the encoded
+	// snapshot for snapshot-encode/decode), bytes allocated per op otherwise.
 	BytesPerOp int64 `json:"bytes_per_op,omitempty"`
-	// NsPerWireTraversal is host time per simulated link crossing
-	// (noc-sim/event on resnet5142); 0 elsewhere.
-	NsPerWireTraversal float64 `json:"ns_per_wire_traversal,omitempty"`
-	// PeakBytes is the heap high-water mark of headline pipeline records
-	// (sampled via runtime.ReadMemStats, see expt.RunHeadline); 0 elsewhere.
-	PeakBytes int64 `json:"peak_bytes,omitempty"`
-	// Gomaxprocs is the effective GOMAXPROCS when this record was
-	// measured. Worker/shard sweeps recorded on a single-core box
-	// legitimately read ~1.0x; the per-record value keeps that visible
-	// even when records from different machines are compared.
-	Gomaxprocs int `json:"gomaxprocs"`
-	// Warning marks records whose speedup field was suppressed: a
-	// worker/shard-scaling ratio measured with GOMAXPROCS=1 reads the
-	// scheduler, not the implementation, so it is zeroed and annotated
-	// rather than recorded as a ~1.0x regression.
-	Warning string `json:"warning,omitempty"`
+	Gomaxprocs int   `json:"gomaxprocs"`
 }
 
-// SectionTime is the wall-clock total of one benchmark section — every
-// testing.Benchmark calibration run plus untimed setup, so sections sum to
-// roughly the process runtime and a slow section is attributable at a
-// glance.
+// SectionTime is the wall-clock total of one workload's cases: its setup
+// plus every testing.Benchmark calibration run.
 type SectionTime struct {
 	Section string `json:"section"`
 	WallMs  int64  `json:"wall_ms"`
@@ -90,926 +49,107 @@ type SectionTime struct {
 
 // Report is the BENCH_eval.json document.
 type Report struct {
-	Tier       string `json:"tier"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Warning flags artifacts whose parallel sweeps could not exercise real
-	// parallelism — set when the full tier is recorded with GOMAXPROCS=1, so
-	// a ~1.0x plateau in worker/shard speedups is read as a machine artifact
-	// rather than a regression.
-	Warning string `json:"warning,omitempty"`
-	// Sections are per-section wall-clock totals; TotalWallMs covers the
-	// whole matrix.
+	Tier        string        `json:"tier"`
+	GoVersion   string        `json:"go_version"`
+	GOMAXPROCS  int           `json:"gomaxprocs"`
 	Sections    []SectionTime `json:"sections"`
 	TotalWallMs int64         `json:"total_wall_ms"`
 	Records     []Record      `json:"records"`
 }
 
-func main() {
-	var (
-		tier = flag.String("tier", "full", "workload matrix: smoke (CI-sized) or full")
-		out  = flag.String("o", "BENCH_eval.json", "output file (- for stdout)")
-	)
-	var cli obs.CLI
-	flag.StringVar(&cli.TraceOut, "trace-out", "", "write per-section spans as Chrome trace-event JSON to this file (open in Perfetto or chrome://tracing)")
-	flag.StringVar(&cli.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the whole matrix to this file")
-	flag.StringVar(&cli.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
-	flag.Parse()
-	smoke := *tier == "smoke"
-	workerSweep := sweepFromEnv()
-	if !smoke && *tier != "full" {
-		fmt.Fprintf(os.Stderr, "bench: unknown tier %q (smoke|full)\n", *tier)
-		os.Exit(1)
-	}
-	o, stopObs, err := cli.Start(os.Stderr)
-	if err != nil {
-		fatal(err)
-	}
-	obsStop = stopObs
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	rep := Report{Tier: *tier, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	// Section accounting: section(name) closes the previous section's
-	// wall-clock total (and trace span) and opens the next; section("")
-	// closes the last one. Benchmarked code itself runs with a nil
-	// observer — telemetry here brackets sections, never the measured ops.
-	matrixStart := time.Now()
-	var secName string
-	var secStart time.Time
-	var secSpan obs.Span
-	section := func(name string) {
-		if secName != "" {
-			rep.Sections = append(rep.Sections, SectionTime{Section: secName, WallMs: time.Since(secStart).Milliseconds()})
-			secSpan.End()
-		}
-		secName, secStart = name, time.Now()
-		if name != "" {
-			secSpan = o.Span("bench." + name)
-		}
+// run is the command: flags in args, the report to stdout with -o -,
+// progress and errors to stderr. It returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tier := fs.String("tier", "full", "case table: smoke (CI-sized) or full")
+	out := fs.String("o", "BENCH_eval.json", "output file (- for stdout)")
+	var cli obs.CLI
+	fs.StringVar(&cli.TraceOut, "trace-out", "", "write per-section spans as Chrome trace-event JSON to this file (open in Perfetto or chrome://tracing)")
+	fs.StringVar(&cli.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the whole table to this file")
+	fs.StringVar(&cli.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if rep.GOMAXPROCS == 1 {
-		rep.Warning = "recorded with gomaxprocs=1: worker/shard scaling speedups are suppressed per record (a single-core ratio measures the scheduler, not the implementation)"
-		fmt.Fprintf(os.Stderr, "bench: warning: %s\n", rep.Warning)
+	if *tier != "smoke" && *tier != "full" {
+		fmt.Fprintf(stderr, "bench: unknown tier %q (smoke|full)\n", *tier)
+		return 1
 	}
-	push := func(rec Record) {
-		rec.Gomaxprocs = runtime.GOMAXPROCS(0)
+	if err := record(*tier, *out, cli, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "bench:", err)
+		return 1
+	}
+	return 0
+}
+
+// record measures the tier's table and writes the report to out.
+func record(tier, out string, cli obs.CLI, stdout, stderr io.Writer) error {
+	o, stopObs, err := cli.Start(stderr)
+	if err != nil {
+		return err
+	}
+	rep, err := measure(expt.BenchCases(tier == "smoke"), o, stderr)
+	if stopErr := stopObs(); err == nil {
+		err = stopErr
+	}
+	if err != nil {
+		return err
+	}
+	rep.Tier = tier
+	enc, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	enc = append(enc, '\n')
+	if out == "-" {
+		_, err = stdout.Write(enc)
+		return err
+	}
+	if err := fsx.WriteFileAtomic(out, enc); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "wrote %s (%d records, %s wall)\n", out, len(rep.Records), (time.Duration(rep.TotalWallMs) * time.Millisecond).Round(time.Second))
+	return nil
+}
+
+// measure benchmarks every case in table order, one section (and trace
+// span) per workload. A case with a base gets the base's ns/op over its own.
+func measure(cases []expt.BenchCase, o *obs.Observer, log io.Writer) (Report, error) {
+	rep := Report{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	start, secStart := time.Now(), time.Now()
+	var span obs.Span
+	ns := map[[2]string]int64{}
+	for i, c := range cases {
+		if i == 0 || c.Workload != cases[i-1].Workload {
+			secStart, span = time.Now(), o.Span("bench."+c.Workload)
+		}
+		r := testing.Benchmark(c.Bench)
+		if r.N == 0 {
+			span.End()
+			return rep, fmt.Errorf("%s %s failed (go test -run '^$' -bench Cases . shows why)", c.Op, c.Workload)
+		}
+		rec := Record{Op: c.Op, Workload: c.Workload, NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp: r.Bytes, Gomaxprocs: rep.GOMAXPROCS}
+		if rec.BytesPerOp == 0 {
+			rec.BytesPerOp = r.AllocedBytesPerOp()
+		}
+		if base := ns[[2]string{c.Base, c.Workload}]; base > 0 && rec.NsPerOp > 0 {
+			rec.SpeedupVsSequential = float64(base) / float64(rec.NsPerOp)
+		}
+		ns[[2]string{c.Op, c.Workload}] = rec.NsPerOp
 		rep.Records = append(rep.Records, rec)
 		note := ""
 		if rec.SpeedupVsSequential > 0 {
-			note = fmt.Sprintf("  (%.2fx vs sequential)", rec.SpeedupVsSequential)
+			note = fmt.Sprintf("  (%.2fx vs %s)", rec.SpeedupVsSequential, c.Base)
 		}
-		if rec.BytesPerOp > 0 {
-			note += fmt.Sprintf("  %d bytes", rec.BytesPerOp)
-		}
-		if rec.PeakBytes > 0 {
-			note += fmt.Sprintf("  peak %.1f MiB", float64(rec.PeakBytes)/(1<<20))
-		}
-		if rec.Warning != "" {
-			note += "  [" + rec.Warning + "]"
-		}
-		fmt.Fprintf(os.Stderr, "%-28s %-14s %12d ns/op %8d allocs/op%s\n", rec.Op, rec.Workload, rec.NsPerOp, rec.AllocsPerOp, note)
-	}
-	addBytes := func(op, workload string, r testing.BenchmarkResult, speedup float64, bytes int64) {
-		push(Record{Op: op, Workload: workload, NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), SpeedupVsSequential: speedup, BytesPerOp: bytes})
-	}
-	add := func(op, workload string, r testing.BenchmarkResult, speedup float64) {
-		addBytes(op, workload, r, speedup, 0)
-	}
-	// addParallel records a worker/shard-scaling measurement whose speedup
-	// baseline is the same op at workers=1. With GOMAXPROCS=1 the ratio is a
-	// machine artifact, so it is suppressed and annotated instead.
-	addParallel := func(op, workload string, r testing.BenchmarkResult, seqNs int64) {
-		rec := Record{Op: op, Workload: workload, NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp()}
-		if runtime.GOMAXPROCS(0) == 1 {
-			rec.Warning = "gomaxprocs=1: parallel speedup suppressed"
-		} else if seqNs > 0 && r.NsPerOp() > 0 {
-			rec.SpeedupVsSequential = float64(seqNs) / float64(r.NsPerOp())
-		}
-		push(rec)
-	}
-
-	// --- Mapping pipeline on a real Table 3 workload ---
-	section("partition")
-	wlName := "MobileNet"
-	if smoke {
-		wlName = "LeNet-MNIST"
-	}
-	wl, err := expt.WorkloadByName(wlName)
-	if err != nil {
-		fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		fatal(err)
-	}
-
-	add("partition", wlName, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := pcn.Expand(wl.Net(), pcn.DefaultPartition()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}), 0)
-
-	// --- Partitioners: flat Algorithm 1 vs multilevel on a large explicit
-	// graph ---
-	// partition/flat is the plain Algorithm 1 contiguous walk — a single
-	// linear pass, unbeatable in time but quality-blind, so it is NOT the
-	// speedup comparator. The quality-equivalent flat pipeline is
-	// partition/flat+refine (Algorithm 1 followed by neuron-level KL/FM
-	// refinement, the partition-centric baseline of §2.2); the multilevel
-	// tentpole claims ≥3x against that while matching or improving its cut.
-	// partition/multilevel/workers=1 records the speedup vs flat+refine,
-	// workers=N the parallel-matching scaling vs workers=1 (needs
-	// GOMAXPROCS > 1 to move — see the report-level warning field).
-	section("partitioners")
-	partSize, partWl := 131_072, "synthetic-131k"
-	if smoke {
-		partSize, partWl = 32_768, "synthetic-32k"
-	}
-	pg := expt.PartitionGraph(partSize)
-	partCfg := pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 128}}
-	flatPart := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := pcn.Partition(pg, partCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	add("partition/flat", partWl, flatPart, 0)
-	flatRes, err := pcn.Partition(pg, partCfg)
-	if err != nil {
-		fatal(err)
-	}
-	flatRefine := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pcn.RefinePartition(pg, flatRes, pcn.RefineConfig{Config: partCfg}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	add("partition/flat+refine", partWl, flatRefine, 0)
-	var mlSeqNs int64
-	for _, workers := range workerSweep {
-		mlCfg := partCfg
-		mlCfg.Multilevel = pcn.DefaultMultilevel()
-		mlCfg.Multilevel.Workers = workers
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := pcn.PartitionMultilevel(pg, mlCfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if workers == 1 {
-			mlSeqNs = r.NsPerOp()
-			speedup := 0.0
-			if r.NsPerOp() > 0 {
-				speedup = float64(flatRefine.NsPerOp()) / float64(r.NsPerOp())
-			}
-			add("partition/multilevel/workers=1", partWl, r, speedup)
-		} else {
-			addParallel(fmt.Sprintf("partition/multilevel/workers=%d", workers), partWl, r, mlSeqNs)
+		fmt.Fprintf(log, "%-30s %-18s %12d ns/op %8d allocs/op %12d B/op%s\n", rec.Op, rec.Workload, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp, note)
+		if i == len(cases)-1 || cases[i+1].Workload != c.Workload {
+			rep.Sections = append(rep.Sections, SectionTime{Section: c.Workload, WallMs: time.Since(secStart).Milliseconds()})
+			span.End()
 		}
 	}
-
-	// pcn-aggregate/* are the edge-aggregation kernels under the partition
-	// records above (BenchmarkAggregate in bench_test.go mirrors them): the
-	// flat CSR build, the fine undirected build and the first contraction,
-	// each through pcn's one mergeRow.
-	aggKernels, err := pcn.AggregateKernels(pg, partCfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, k := range aggKernels {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				k.Run()
-			}
-		})
-		addBytes("pcn-aggregate/"+k.Name, partWl, r, 0, r.AllocedBytesPerOp())
-	}
-
-	section("initial-placement")
-	add("initial-placement", wlName, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}), 0)
-
-	section("fd-finetune")
-	initial, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
-	if err != nil {
-		fatal(err)
-	}
-	fdIters := 4
-	if smoke {
-		fdIters = 2
-	}
-	add("fd-finetune", wlName, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pl := clonePlacement(initial)
-			if _, err := mapping.Finetune(p, pl, mapping.FDConfig{MaxIterations: fdIters}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}), 0)
-
-	// --- FD fine-tuning: build scaling on a large mesh ---
-	// fd-finetune/fullsort is the historical implementation (full queue
-	// sort per iteration); fd-finetune/workers=1 measures the top-λ
-	// partial selection alone (speedup vs fullsort). workers=N measures
-	// build scaling only — energy, forces and the initial queue fan out,
-	// the sweep is sequential at every count (speedup vs workers=1 — needs
-	// GOMAXPROCS > 1 to move, see the per-record gomaxprocs field).
-	fdSide, fdWl, fdIterCap := 256, "synthetic-256x256", 3
-	if smoke {
-		fdSide, fdWl, fdIterCap = 96, "synthetic-96x96", 2
-	}
-	fp, fpl := fdWorkload(fdSide)
-	benchFD := func(cfg mapping.FDConfig) testing.BenchmarkResult {
-		cfg.Potential = mapping.L2Sq{}
-		cfg.MaxIterations = fdIterCap
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pl := clonePlacement(fpl)
-				if _, err := mapping.Finetune(fp, pl, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	fullSort := benchFD(mapping.FDConfig{Workers: 1, FullSort: true})
-	add("fd-finetune/fullsort", fdWl, fullSort, 0)
-	var fdSeqNs int64
-	for _, workers := range workerSweep {
-		r := benchFD(mapping.FDConfig{Workers: workers})
-		if workers == 1 {
-			fdSeqNs = r.NsPerOp()
-			speedup := 0.0
-			if r.NsPerOp() > 0 {
-				speedup = float64(fullSort.NsPerOp()) / float64(r.NsPerOp())
-			}
-			add("fd-finetune/workers=1", fdWl, r, speedup)
-		} else {
-			addParallel(fmt.Sprintf("fd-finetune/workers=%d", workers), fdWl, r, fdSeqNs)
-		}
-	}
-
-	// fd-finetune/obs=trace reruns the workers=1 sweep with a live trace
-	// sink attached (events discarded): its speedup field reads the cost of
-	// enabled telemetry directly — expected ~1.0x, since per-sweep spans
-	// aggregate plain local counters kept outside the hot loop.
-	obsRun := benchFD(mapping.FDConfig{Workers: 1,
-		Obs: obs.New(obs.Config{Sink: obs.NewTraceSink(io.Discard)})})
-	obsSpeedup := 0.0
-	if fdSeqNs > 0 && obsRun.NsPerOp() > 0 {
-		obsSpeedup = float64(fdSeqNs) / float64(obsRun.NsPerOp())
-	}
-	add("fd-finetune/obs=trace", fdWl, obsRun, obsSpeedup)
-
-	section("checkpoint")
-	// --- Checkpointing: interval-1 snapshot overhead and codec cost ---
-	// fd-finetune/checkpoint=1 reruns the workers=1 sweep with a snapshot
-	// captured (and discarded) every iteration — the worst-case checkpoint
-	// cadence; its speedup field reads the overhead directly (<1x).
-	// snapshot-encode/decode time the on-disk codec on a mid-run snapshot
-	// with its PCN embedded (the self-contained form cmd/snnmap writes),
-	// recording the encoded size in bytes_per_op.
-	ckptRun := benchFD(mapping.FDConfig{Workers: 1, Checkpoint: &mapping.CheckpointConfig{
-		Interval: 1,
-		Fn:       func(*mapping.Snapshot) error { return nil },
-	}})
-	ckptSpeedup := 0.0
-	if fdSeqNs > 0 && ckptRun.NsPerOp() > 0 {
-		ckptSpeedup = float64(fdSeqNs) / float64(ckptRun.NsPerOp())
-	}
-	add("fd-finetune/checkpoint=1", fdWl, ckptRun, ckptSpeedup)
-
-	snap := captureSnapshot(fp, fpl, fdIterCap)
-	var snapBuf bytes.Buffer
-	if err := codec.WriteSnapshot(&snapBuf, snap); err != nil {
-		fatal(err)
-	}
-	snapBytes := int64(snapBuf.Len())
-	addBytes("snapshot-encode", fdWl, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := codec.WriteSnapshot(io.Discard, snap); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}), 0, snapBytes)
-	addBytes("snapshot-decode", fdWl, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := codec.ReadSnapshot(bytes.NewReader(snapBuf.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}), 0, snapBytes)
-
-	// --- Metrics evaluation: worker sweep on a congestion-heavy graph ---
-	section("metrics")
-	mp, mpl := metricsWorkload(smoke)
-	mwl := "synthetic-3k"
-	if smoke {
-		mwl = "synthetic-300"
-	}
-	cost := hw.DefaultCostModel()
-	var seqNs int64
-	for _, workers := range workerSweep {
-		w := workers
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				metrics.Evaluate(mp, mpl, cost, metrics.Options{Congestion: metrics.CongestionExact, Workers: w})
-			}
-		})
-		if workers == 1 {
-			seqNs = r.NsPerOp()
-			add("metrics-evaluate/workers=1", mwl, r, 0)
-		} else {
-			addParallel(fmt.Sprintf("metrics-evaluate/workers=%d", workers), mwl, r, seqNs)
-		}
-	}
-
-	// --- Artifact cache: cold pipeline vs content-addressed warm start ---
-	// pipeline/cold runs partition → map (HSC + FD) → evaluate write-through
-	// against an empty cache directory, recreated every iteration;
-	// pipeline/warm replays the identical pipeline against the populated
-	// directory, so partitioning, fine-tuning and metric evaluation are all
-	// served from disk (bit-identical by the warm-equals-cold invariant,
-	// CI-enforced). The warm record's speedup field is the cold/warm ratio.
-	section("cache")
-	cacheRoot, err := os.MkdirTemp("", "snnmap-bench-cache-*")
-	if err != nil {
-		fatal(err)
-	}
-	defer os.RemoveAll(cacheRoot)
-	cachePartCfg := pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 128}}
-	cacheMesh := expt.MeshFor(partSize / 128)
-	cacheFDIters := 6
-	if smoke {
-		cacheFDIters = 3
-	}
-	runPipeline := func(b *testing.B, c *cache.Cache) *place.Placement {
-		res, _, err := c.Partition(pg, cachePartCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mres, err := mapping.Map(res.PCN, cacheMesh, mapping.Config{
-			FD:          &mapping.FDConfig{Potential: mapping.L2Sq{}, MaxIterations: cacheFDIters},
-			Constraints: cachePartCfg.Constraints,
-			Cache:       c,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.Evaluate(res.PCN, mres.Placement, cost, metrics.Options{})
-		return mres.Placement
-	}
-	cold := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := fmt.Sprintf("%s/cold-%d", cacheRoot, i)
-			c, err := cache.New(cache.Config{Dir: dir})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			runPipeline(b, c)
-			b.StopTimer()
-			os.RemoveAll(dir)
-			b.StartTimer()
-		}
-	})
-	add("pipeline/cold", partWl, cold, 0)
-	warmCache, err := cache.New(cache.Config{Dir: cacheRoot + "/warm"})
-	if err != nil {
-		fatal(err)
-	}
-	testing.Benchmark(func(b *testing.B) { runPipeline(b, warmCache) }) // populate
-	warm := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runPipeline(b, warmCache)
-		}
-	})
-	warmSpeedup := 0.0
-	if warm.NsPerOp() > 0 {
-		warmSpeedup = float64(cold.NsPerOp()) / float64(warm.NsPerOp())
-	}
-	add("pipeline/warm", partWl, warm, warmSpeedup)
-
-	// --- NoC simulation: event-driven engine vs full-scan reference ---
-	section("noc-sim")
-	for _, sim := range []struct {
-		name  string
-		build func() (*pcn.PCN, *place.Placement)
-		cfg   noc.Config
-	}{
-		{"sparse64x64", sparse64x64Workload, noc.Config{InjectionInterval: 24}},
-		{"longtail400", longTailWorkload, noc.Config{InjectionInterval: 4}},
-	} {
-		sp, spl := sim.build()
-		ref := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := noc.SimulateReference(context.Background(), sp, spl, sim.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		add("noc-sim/reference", sim.name, ref, 0)
-		ev := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := noc.Simulate(sp, spl, sim.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		speedup := 0.0
-		if ev.NsPerOp() > 0 {
-			speedup = float64(ref.NsPerOp()) / float64(ev.NsPerOp())
-		}
-		add("noc-sim/event", sim.name, ev, speedup)
-	}
-
-	// resnet5142 is the acceptance benchmark's resnet_noc input (bench_test.go
-	// mirrors it as BenchmarkSimulateResNet): ResNet placed by HSC and
-	// fine-tuned with L2Sq, 2.2 M spikes over 13.4 M link crossings — deep
-	// queues, where the engine's memory traffic shows.
-	rp, rpl := resnetWorkload()
-	var wire int64
-	rsim := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := noc.Simulate(rp, rpl, noc.Config{SpikesPerUnit: 2e-4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			wire = res.WireTraversals
-		}
-	})
-	push(Record{Op: "noc-sim/event", Workload: "resnet5142", NsPerOp: rsim.NsPerOp(), AllocsPerOp: rsim.AllocsPerOp(),
-		BytesPerOp: rsim.AllocedBytesPerOp(), NsPerWireTraversal: float64(rsim.NsPerOp()) / float64(wire)})
-
-	// --- Sharded NoC simulation: strip-count sweep on a dense workload ---
-	// Speedups are measured against the shards=1 single-goroutine event
-	// engine, the baseline the tentpole targets (on a 1-core runner the
-	// gomaxprocs field above explains a ~1x plateau).
-	section("noc-sim-sharded")
-	shardSide, shardWl := 128, "dense128x128"
-	if smoke {
-		shardSide, shardWl = 64, "dense64x64"
-	}
-	dp, dpl := denseWorkload(shardSide, 4)
-	var oneShardNs int64
-	for _, shards := range workerSweep {
-		cfg := noc.Config{Shards: noc.ClampShards(shards, shardSide)}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := noc.Simulate(dp, dpl, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if shards == 1 {
-			oneShardNs = r.NsPerOp()
-			add("noc-sim/sharded/shards=1", shardWl, r, 0)
-		} else {
-			addParallel(fmt.Sprintf("noc-sim/sharded/shards=%d", shards), shardWl, r, oneShardNs)
-		}
-	}
-
-	// --- Headline: instrumented end-to-end pipeline with peak-heap splits ---
-	// pipeline/headline runs the full proposed pipeline (layer-spec
-	// expansion → parallel HSC placement → FD fine-tuning → metrics
-	// evaluation) once via expt.RunHeadline — the same instrumentation
-	// cmd/experiments -run headline prints — and records per-stage wall
-	// time, allocation counts and the sampled heap high-water mark
-	// (peak_bytes). A single instrumented run rather than testing.Benchmark:
-	// the op is seconds-scale and the high-water sampler must bracket
-	// exactly one execution. The full tier uses DNN_268M; BENCH_SCALE=full
-	// substitutes DNN_4B (the paper's 1 M-core headline workload, several
-	// GB of heap); the smoke tier uses DNN_65K. BENCH_HEADLINE_FD caps the
-	// fine-tuning iterations (default 2) so the record measures a fixed
-	// amount of work.
-	section("headline")
-	headlineWl := "DNN_268M"
-	switch {
-	case smoke:
-		headlineWl = "DNN_65K"
-	case os.Getenv("BENCH_SCALE") == "full":
-		headlineWl = "DNN_4B"
-	}
-	headlineFD := 2
-	if v := os.Getenv("BENCH_HEADLINE_FD"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			fatal(fmt.Errorf("BENCH_HEADLINE_FD=%q: want a non-negative int", v))
-		}
-		headlineFD = n
-	}
-	hres, err := expt.RunHeadline(headlineWl, expt.RunOptions{Workers: runtime.GOMAXPROCS(0)}, expt.HeadlineOptions{FDIterations: headlineFD})
-	if err != nil {
-		fatal(err)
-	}
-	var headlineAllocs int64
-	for _, s := range hres.Stages {
-		headlineAllocs += int64(s.Allocs)
-		push(Record{Op: "pipeline/headline/" + s.Name, Workload: headlineWl,
-			NsPerOp: s.Wall.Nanoseconds(), AllocsPerOp: int64(s.Allocs), PeakBytes: int64(s.PeakBytes)})
-	}
-	push(Record{Op: "pipeline/headline", Workload: headlineWl,
-		NsPerOp: hres.TotalWall.Nanoseconds(), AllocsPerOp: headlineAllocs, PeakBytes: int64(hres.PeakBytes)})
-
-	// pipeline/headline/hsc-place/workers=N isolates the parallel HSC fill
-	// on the headline PCN (the process-memoized expansion — identical input
-	// to the instrumented run by the expansion's determinism): workers=1 is
-	// the baseline, higher counts record the scaling (suppressed at
-	// gomaxprocs=1 like every parallel sweep).
-	hwl, err := expt.WorkloadByName(headlineWl)
-	if err != nil {
-		fatal(err)
-	}
-	hp, hmesh, err := hwl.Build()
-	if err != nil {
-		fatal(err)
-	}
-	var hscSeqNs int64
-	for _, workers := range workerSweep {
-		w := workers
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := mapping.InitialPlacementWorkers(hp, hmesh, curve.Hilbert{}, nil, hw.Constraints{}, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		op := fmt.Sprintf("pipeline/headline/hsc-place/workers=%d", workers)
-		if workers == 1 {
-			hscSeqNs = r.NsPerOp()
-			add(op, headlineWl, r, 0)
-		} else {
-			addParallel(op, headlineWl, r, hscSeqNs)
-		}
-	}
-
-	// --- Kernels under the headline stages (bench_test.go mirrors these) ---
-	// fd-build/* is one Finetune sweep from the HSC placement (energy
-	// accounting, force build, initial queue) with the adjacency built inside
-	// the call (cold) or already cached on the PCN (warm); pcn-adjacency/*
-	// builds the transpose FD walks and the materialized Undirected copy the
-	// partitioner uses; congestion-grid/* propagates the fine-tuned
-	// placement's grid (see below).
-	section("kernels")
-	hinit, err := mapping.InitialPlacement(hp, hmesh, curve.Hilbert{})
-	if err != nil {
-		fatal(err)
-	}
-	uncached := func() *pcn.PCN {
-		return &pcn.PCN{
-			Name: hp.Name, NumClusters: hp.NumClusters,
-			Neurons: hp.Neurons, Synapses: hp.Synapses, Layer: hp.Layer,
-			OutOff: hp.OutOff, OutTo: hp.OutTo, OutW: hp.OutW,
-			InternalTraffic: hp.InternalTraffic,
-		}
-	}
-	for _, warm := range []bool{false, true} {
-		op := "fd-build/adjacency=cold"
-		if warm {
-			op = "fd-build/adjacency=warm"
-		}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				q, pl := hp, hinit.Clone()
-				if !warm {
-					q = uncached()
-				}
-				b.StartTimer()
-				if _, err := mapping.Finetune(q, pl, mapping.FDConfig{Potential: mapping.L2Sq{}, MaxIterations: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		addBytes(op, headlineWl, r, 0, r.AllocedBytesPerOp())
-	}
-	for _, view := range []struct {
-		name  string
-		build func(*pcn.PCN)
-	}{
-		{"transpose", func(q *pcn.PCN) { q.Symmetric() }},
-		{"undirected", func(q *pcn.PCN) { q.Undirected() }},
-	} {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				view.build(uncached())
-			}
-		})
-		addBytes("pcn-adjacency/"+view.name, headlineWl, r, 0, r.AllocedBytesPerOp())
-	}
-	hmap, err := mapping.Map(hp, hmesh, mapping.Default())
-	if err != nil {
-		fatal(err)
-	}
-	// long-edges: two spare rows, row 0 failed and shifted onto them by
-	// RemapRows, so its clusters' boxes span the mesh; sampled: the stride
-	// Evaluate derives from Options.SampleEdges.
-	shiftMesh, shiftCons := hw.MustMesh(hmesh.Rows+2, hmesh.Cols), hw.Constraints{SpareRows: 2}
-	shifted, err := mapping.InitialPlacementWorkers(hp, shiftMesh, curve.Hilbert{}, nil, shiftCons, 1)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := mapping.Finetune(hp, shifted, mapping.FDConfig{Potential: mapping.L2Sq{}, Constraints: shiftCons}); err != nil {
-		fatal(err)
-	}
-	row0 := hw.NewDefectMap(shiftMesh)
-	for col := 0; col < shiftMesh.Cols; col++ {
-		row0.MarkDead(col)
-	}
-	if _, err := mapping.RemapRows(hp, shifted, row0, shiftCons, hw.DefaultCostModel()); err != nil {
-		fatal(err)
-	}
-	sampleEdges := metrics.Options{}.Resolved().SampleEdges
-	for _, bc := range []struct {
-		name   string
-		pl     *place.Placement
-		stride int
-	}{
-		{"exact", hmap.Placement, 1},
-		{"long-edges", shifted, 1},
-		{"sampled", hmap.Placement, (int(hp.NumEdges()) + sampleEdges - 1) / sampleEdges},
-	} {
-		add("congestion-grid/"+bc.name, headlineWl, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				metrics.CongestionGrid(hp, bc.pl, bc.stride, 1)
-			}
-		}), 0)
-	}
-
-	section("")
-	rep.TotalWallMs = time.Since(matrixStart).Milliseconds()
-
-	obsStop = nil
-	if err := stopObs(); err != nil {
-		fatal(err)
-	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	enc = append(enc, '\n')
-	if *out == "-" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := fsx.WriteFileAtomic(*out, enc); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d records, %s wall)\n", *out, len(rep.Records), (time.Duration(rep.TotalWallMs) * time.Millisecond).Round(time.Second))
-}
-
-// sweepFromEnv reads BENCH_WORKERS, a comma-separated list of positive ints
-// that every worker and shard sweep iterates, defaulting to 1,2,4,8. CI
-// uses it to size the sweeps to the runner's cores so the smoke tier
-// exercises the parallel paths rather than a hardcoded matrix.
-func sweepFromEnv() []int {
-	const name = "BENCH_WORKERS"
-	v := os.Getenv(name)
-	if v == "" {
-		return []int{1, 2, 4, 8}
-	}
-	var sweep []int
-	for _, field := range strings.Split(v, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil || n < 1 {
-			fatal(fmt.Errorf("%s=%q: want a comma-separated list of positive ints", name, v))
-		}
-		sweep = append(sweep, n)
-	}
-	return sweep
-}
-
-// denseWorkload fills a side×side mesh with identity-placed clusters where
-// every core streams spikes half the mesh height downward (and one column
-// over): sustained vertical traffic in every row strip, the worst case for
-// the sharded engine's boundary exchange.
-func denseWorkload(side int, spikes float64) (*pcn.PCN, *place.Placement) {
-	mesh := hw.MustMesh(side, side)
-	var gb snn.GraphBuilder
-	gb.AddNeurons(side*side, -1)
-	for r := 0; r < side; r++ {
-		for c := 0; c < side; c++ {
-			dst := ((r+side/2)%side)*side + (c+1)%side
-			gb.AddSynapse(r*side+c, dst, spikes)
-		}
-	}
-	res, err := pcn.Partition(gb.Build(), pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
-	if err != nil {
-		fatal(err)
-	}
-	pl, err := place.New(res.PCN.NumClusters, mesh)
-	if err != nil {
-		fatal(err)
-	}
-	for c := 0; c < res.PCN.NumClusters; c++ {
-		pl.Assign(c, int32(c))
-	}
-	return res.PCN, pl
-}
-
-// fdWorkload builds the FD worker-sweep workload: a full side×side mesh of
-// single-neuron clusters whose edges mix short-range (mesh-neighbor) and
-// uniform long-range targets, randomly placed — large tension queues that
-// keep every sweep iteration busy for the configured iteration cap.
-func fdWorkload(side int) (*pcn.PCN, *place.Placement) {
-	n := side * side
-	rng := rand.New(rand.NewSource(7))
-	var gb snn.GraphBuilder
-	gb.AddNeurons(n, -1)
-	for i := 0; i < n; i++ {
-		// Two local edges keep tension gradients smooth; two long-range
-		// edges keep the queue from draining early.
-		for _, j := range []int{(i + 1) % n, (i + side) % n, rng.Intn(n), rng.Intn(n)} {
-			if j != i {
-				gb.AddSynapse(i, j, rng.Float64()*9+0.5)
-			}
-		}
-	}
-	res, err := pcn.Partition(gb.Build(), pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
-	if err != nil {
-		fatal(err)
-	}
-	pl, err := place.Random(res.PCN.NumClusters, hw.MustMesh(side, side), rng)
-	if err != nil {
-		fatal(err)
-	}
-	return res.PCN, pl
-}
-
-// captureSnapshot runs the FD workload to its iteration cap and returns the
-// last checkpoint snapshot (with the PCN embedded by the engine).
-func captureSnapshot(p *pcn.PCN, initial *place.Placement, iters int) *mapping.Snapshot {
-	var snap *mapping.Snapshot
-	pl := clonePlacement(initial)
-	if _, err := mapping.Finetune(p, pl, mapping.FDConfig{
-		Potential:     mapping.L2Sq{},
-		MaxIterations: iters,
-		Checkpoint: &mapping.CheckpointConfig{Interval: 1, Fn: func(s *mapping.Snapshot) error {
-			snap = s
-			return nil
-		}},
-	}); err != nil {
-		fatal(err)
-	}
-	if snap == nil {
-		fatal(fmt.Errorf("fd workload converged before the first checkpoint"))
-	}
-	return snap
-}
-
-func clonePlacement(pl *place.Placement) *place.Placement {
-	return &place.Placement{Mesh: pl.Mesh, PosOf: slices.Clone(pl.PosOf), ClusterAt: slices.Clone(pl.ClusterAt)}
-}
-
-// metricsWorkload builds the congestion-heavy random graph the metrics
-// worker sweep runs on (exact expectation grids dominate the cost).
-func metricsWorkload(smoke bool) (*pcn.PCN, *place.Placement) {
-	clusters, edges, side := 3000, 60_000, 55
-	if smoke {
-		clusters, edges, side = 300, 3000, 18
-	}
-	rng := rand.New(rand.NewSource(6))
-	var b snn.GraphBuilder
-	b.AddNeurons(clusters, -1)
-	for e := 0; e < edges; e++ {
-		u, v := rng.Intn(clusters), rng.Intn(clusters)
-		if u != v {
-			b.AddSynapse(u, v, rng.Float64()*9+0.5)
-		}
-	}
-	res, err := pcn.Partition(b.Build(), pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
-	if err != nil {
-		fatal(err)
-	}
-	pl, err := place.Random(res.PCN.NumClusters, hw.MustMesh(side, side), rng)
-	if err != nil {
-		fatal(err)
-	}
-	return res.PCN, pl
-}
-
-// sparse64x64Workload is the tentpole NoC benchmark: a 64×64 mesh with 64
-// injecting cores (every 8th row/column), each feeding four neighbors
-// eight cores away, 48 spikes per edge, in waves that fully drain between
-// injections. The reference driver scans all 4096·5 queues every cycle;
-// the event engine visits only occupied routers and fast-forwards the
-// idle gaps.
-func sparse64x64Workload() (*pcn.PCN, *place.Placement) {
-	const side = 64
-	mesh := hw.MustMesh(side, side)
-	var gb snn.GraphBuilder
-	gb.AddNeurons(side*side, -1)
-	for r := 4; r < side; r += 8 {
-		for c := 4; c < side; c += 8 {
-			src := r*side + c
-			for _, d := range [][2]int{{-8, 0}, {8, 0}, {0, -8}, {0, 8}} {
-				nr, nc := r+d[0], c+d[1]
-				if nr >= 0 && nr < side && nc >= 0 && nc < side {
-					gb.AddSynapse(src, nr*side+nc, 48)
-				}
-			}
-		}
-	}
-	res, err := pcn.Partition(gb.Build(), pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
-	if err != nil {
-		fatal(err)
-	}
-	pl, err := place.New(res.PCN.NumClusters, mesh)
-	if err != nil {
-		fatal(err)
-	}
-	for c := 0; c < res.PCN.NumClusters; c++ {
-		pl.Assign(c, int32(c))
-	}
-	return res.PCN, pl
-}
-
-// longTailWorkload stresses injection-train bookkeeping: ~2000 one-shot
-// trains plus one 3000-spike edge that keeps injecting long after the
-// rest have drained.
-func longTailWorkload() (*pcn.PCN, *place.Placement) {
-	rng := rand.New(rand.NewSource(5))
-	const clusters = 400
-	var gb snn.GraphBuilder
-	gb.AddNeurons(clusters, -1)
-	for e := 0; e < 2000; e++ {
-		u, v := rng.Intn(clusters), rng.Intn(clusters)
-		if u != v {
-			gb.AddSynapse(u, v, 1)
-		}
-	}
-	gb.AddSynapse(0, clusters-1, 3000)
-	res, err := pcn.Partition(gb.Build(), pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
-	if err != nil {
-		fatal(err)
-	}
-	pl, err := place.Random(res.PCN.NumClusters, hw.MustMesh(20, 20), rng)
-	if err != nil {
-		fatal(err)
-	}
-	return res.PCN, pl
-}
-
-// obsStop flushes the trace/profile outputs before a fatal exit.
-var obsStop func() error
-
-// resnetWorkload mirrors the acceptance benchmark's resnet_noc pipeline up
-// to the simulator: ResNet's 5142 clusters on a 72×72 mesh, HSC placement
-// along the Hilbert curve, FD fine-tuning under L2Sq to convergence.
-func resnetWorkload() (*pcn.PCN, *place.Placement) {
-	wl, err := expt.WorkloadByName("ResNet")
-	if err != nil {
-		fatal(err)
-	}
-	p, mesh, err := wl.Build()
-	if err != nil {
-		fatal(err)
-	}
-	pl, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := mapping.Finetune(p, pl, mapping.FDConfig{Potential: mapping.L2Sq{}}); err != nil {
-		fatal(err)
-	}
-	return p, pl
-}
-
-func fatal(err error) {
-	if obsStop != nil {
-		obsStop()
-	}
-	fmt.Fprintln(os.Stderr, "bench:", err)
-	os.Exit(1)
+	rep.TotalWallMs = time.Since(start).Milliseconds()
+	return rep, nil
 }

@@ -196,7 +196,7 @@ func (h *hasher) defects(d *hw.DefectMap) {
 }
 
 // fdPhase hashes the fields of one (resolved) FD phase that determine
-// its output. Workers, FullSort, Obs and Checkpoint are excluded — they
+// its output. Workers, Obs and Checkpoint are excluded — they
 // are bit-identity-preserving by contract (see FDConfig) — and Budget
 // never reaches here because budgeted configs bypass the cache.
 func (h *hasher) fdPhase(cfg *mapping.FDConfig, topDefects *hw.DefectMap, topCons hw.Constraints) {

@@ -82,7 +82,7 @@ func TestKeyGolden(t *testing.T) {
 
 // TestKeyFieldSensitivity is the contract of what is — and is not — part
 // of a result key. Fields documented as bit-identity-preserving (Workers,
-// FullSort, Obs, Checkpoint, Cache itself, the PCN/graph Name) must NOT
+// Obs, Checkpoint, Cache itself, the PCN/graph Name) must NOT
 // change the key; anything that changes the pipeline's output MUST.
 func TestKeyFieldSensitivity(t *testing.T) {
 	mesh := hw.MustMesh(4, 4)
@@ -99,7 +99,6 @@ func TestKeyFieldSensitivity(t *testing.T) {
 	}{
 		{"pcn name", func(p *pcn.PCN, cfg *mapping.Config) { p.Name = "renamed" }},
 		{"fd workers", func(p *pcn.PCN, cfg *mapping.Config) { cfg.FD.Workers = 8 }},
-		{"fd fullsort", func(p *pcn.PCN, cfg *mapping.Config) { cfg.FD.FullSort = true }},
 		{"fd checkpoint", func(p *pcn.PCN, cfg *mapping.Config) {
 			cfg.FD.Checkpoint = &mapping.CheckpointConfig{Interval: 5, Fn: func(*mapping.Snapshot) error { return nil }}
 		}},

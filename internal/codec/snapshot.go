@@ -20,7 +20,7 @@ import (
 //	i64  potential-name length, then that many bytes
 //	f64  potential u(1), f64 potential u(0)
 //	f64  lambda, f64 minGain
-//	u8   fullSort (0/1)
+//	u8   reserved (written 0, ignored on read)
 //	i64  clusters, i64 edges                      (PCN fingerprint)
 //	i64  iterations, i64 swaps, i64 tensionChecks
 //	f64  initialEnergy, f64 finalEnergy
@@ -75,7 +75,7 @@ func WriteSnapshot(w io.Writer, snap *mapping.Snapshot) error {
 	for _, v := range []interface{}{
 		snap.PotUnit, snap.PotZero,
 		snap.Lambda, snap.MinGain,
-		snap.FullSort,
+		uint8(0), // reserved
 		int64(snap.Clusters), snap.Edges,
 		int64(snap.Stats.Iterations), snap.Stats.Swaps, snap.Stats.TensionChecks,
 		snap.Stats.InitialEnergy, snap.Stats.FinalEnergy,
@@ -136,7 +136,7 @@ func ReadSnapshot(r io.Reader) (*mapping.Snapshot, error) {
 		fixed struct {
 			PotUnit, PotZero float64
 			Lambda, MinGain  float64
-			FullSort         bool
+			Reserved         uint8
 			Clusters, Edges  int64
 			Iterations       int64
 			Swaps, Checks    int64
@@ -170,7 +170,6 @@ func ReadSnapshot(r io.Reader) (*mapping.Snapshot, error) {
 	}
 	snap.PotUnit, snap.PotZero = fixed.PotUnit, fixed.PotZero
 	snap.Lambda, snap.MinGain = fixed.Lambda, fixed.MinGain
-	snap.FullSort = fixed.FullSort
 	snap.Clusters, snap.Edges = int(fixed.Clusters), fixed.Edges
 	snap.Stats = mapping.FDStats{
 		Iterations:    int(fixed.Iterations),

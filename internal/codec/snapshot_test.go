@@ -53,7 +53,7 @@ func snapshotsEqual(tb testing.TB, a, b *mapping.Snapshot) {
 		tb.Fatalf("potential fingerprint differs: %q/%g/%g vs %q/%g/%g",
 			a.Potential, a.PotUnit, a.PotZero, b.Potential, b.PotUnit, b.PotZero)
 	}
-	if a.Lambda != b.Lambda || a.MinGain != b.MinGain || a.FullSort != b.FullSort {
+	if a.Lambda != b.Lambda || a.MinGain != b.MinGain {
 		tb.Fatalf("config fingerprint differs")
 	}
 	if a.Clusters != b.Clusters || a.Edges != b.Edges {

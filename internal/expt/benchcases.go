@@ -1,0 +1,406 @@
+package expt
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"snnmap/internal/codec"
+	"snnmap/internal/curve"
+	"snnmap/internal/hw"
+	"snnmap/internal/mapping"
+	"snnmap/internal/metrics"
+	"snnmap/internal/obs"
+	"snnmap/internal/pcn"
+	"snnmap/internal/place"
+	"snnmap/internal/snn"
+)
+
+// BenchCase is one row of the benchmark table: an operation timed on a
+// named workload. cmd/bench records every case into BENCH_eval.json and the
+// root package's BenchmarkCases runs the same table under go test. Base,
+// when set, names an earlier case on the same workload this one is
+// compared against (base ns/op ÷ ns/op).
+type BenchCase struct {
+	Op, Workload, Base string
+	Bench              func(*testing.B)
+}
+
+// BenchCases returns the full benchmark table, or the CI-sized smoke tier.
+// Building it runs nothing: each workload's inputs are built by the first
+// Bench that needs them and shared after, so testing.Benchmark's
+// calibration reruns do not rebuild them. Cases on one workload are
+// contiguous.
+func BenchCases(smoke bool) []BenchCase {
+	net, netFD := "MobileNet", 4
+	partN, partWl := 131_072, "synthetic-131k"
+	fdSide, fdIters, fdWl := 256, 3, "synthetic-256x256"
+	evalN, evalWl := 3000, "synthetic-3k"
+	kernNet, sweepNet := "DNN_268M", "CNN_16M"
+	if smoke {
+		net, netFD = "LeNet-MNIST", 2
+		partN, partWl = 32_768, "synthetic-32k"
+		fdSide, fdIters, fdWl = 96, 2, "synthetic-96x96"
+		evalN, evalWl = 300, "synthetic-300"
+		kernNet, sweepNet = "DNN_65K", "CNN_65K"
+	}
+	var cases []BenchCase
+	add := func(op, workload, base string, bench func(*testing.B)) {
+		cases = append(cases, BenchCase{op, workload, base, bench})
+	}
+
+	// A Table 3 workload through the three pipeline stages.
+	netHSC := hscPlaced(net)
+	add("partition", net, "", func(b *testing.B) {
+		w, err := WorkloadByName(net)
+		if err != nil {
+			b.Fatal(err)
+		}
+		timed(b, func() error { _, err := pcn.Expand(w.Net(), pcn.DefaultPartition()); return err })
+	})
+	add("initial-placement", net, "", func(b *testing.B) {
+		w := netHSC(b)
+		timed(b, func() error { _, err := mapping.InitialPlacement(w.p, w.pl.Mesh, curve.Hilbert{}); return err })
+	})
+	add("fd-finetune", net, "", func(b *testing.B) {
+		w := netHSC(b)
+		timed(b, func() error {
+			_, err := mapping.Finetune(w.p, w.pl.Clone(), mapping.FDConfig{MaxIterations: netFD})
+			return err
+		})
+	})
+
+	// Partitioners on a large explicit graph. partition/flat is Algorithm
+	// 1's single linear pass: unbeatable in time but quality-blind, so the
+	// multilevel partitioner is compared against flat+refine (Algorithm 1
+	// followed by neuron-level KL/FM refinement, §2.2's partition-centric
+	// baseline). pcn-aggregate/* are the edge-aggregation kernels under it.
+	graph := sync.OnceValue(func() *snn.Graph { return PartitionGraph(partN) })
+	partCfg := pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 128}}
+	flat := mustGet(sync.OnceValues(func() (*pcn.Result, error) { return pcn.Partition(graph(), partCfg) }))
+	add("partition/flat", partWl, "", func(b *testing.B) {
+		g := graph()
+		timed(b, func() error { _, err := pcn.Partition(g, partCfg); return err })
+	})
+	add("partition/flat+refine", partWl, "", func(b *testing.B) {
+		g, in := graph(), flat(b)
+		timed(b, func() error { _, _, err := pcn.RefinePartition(g, in, pcn.RefineConfig{Config: partCfg}); return err })
+	})
+	for _, workers := range []int{1, 2} {
+		cfg := partCfg
+		cfg.Multilevel = pcn.DefaultMultilevel()
+		cfg.Multilevel.Workers = workers
+		base := "partition/flat+refine"
+		if workers > 1 {
+			base = "partition/multilevel/workers=1"
+		}
+		add(fmt.Sprintf("partition/multilevel/workers=%d", workers), partWl, base, func(b *testing.B) {
+			g := graph()
+			timed(b, func() error { _, _, err := pcn.PartitionMultilevel(g, cfg); return err })
+		})
+	}
+	kernels := mustGet(sync.OnceValues(func() ([]pcn.BenchKernel, error) { return pcn.AggregateKernels(graph(), partCfg) }))
+	for i, name := range []string{"flat-csr", "fine-undirected", "contract"} {
+		add("pcn-aggregate/"+name, partWl, "", func(b *testing.B) {
+			k := kernels(b)[i]
+			if k.Name != name {
+				b.Fatalf("aggregate kernel %d is %q, want %q", i, k.Name, name)
+			}
+			timed(b, func() error { k.Run(); return nil })
+		})
+	}
+
+	// FD on a full mesh of randomly placed single-neuron clusters: large
+	// tension queues that keep every sweep busy up to the iteration cap.
+	// obs=trace attaches a live trace sink (events discarded) and
+	// checkpoint=1 snapshots every iteration; both read their overhead
+	// against workers=1. snapshot-encode/decode time the on-disk codec on a
+	// mid-run snapshot with its PCN embedded.
+	fdOnce := sync.OnceValues(func() (placed, error) { return fdGraph(fdSide) })
+	fdw := mustGet(fdOnce)
+	fdRun := func(cfg mapping.FDConfig) func(*testing.B) {
+		cfg.Potential, cfg.MaxIterations = mapping.L2Sq{}, fdIters
+		return func(b *testing.B) {
+			w := fdw(b)
+			timed(b, func() error { _, err := mapping.Finetune(w.p, w.pl.Clone(), cfg); return err })
+		}
+	}
+	add("fd-finetune/workers=1", fdWl, "", fdRun(mapping.FDConfig{Workers: 1}))
+	add("fd-finetune/obs=trace", fdWl, "fd-finetune/workers=1", fdRun(mapping.FDConfig{Workers: 1,
+		Obs: obs.New(obs.Config{Sink: obs.NewTraceSink(io.Discard)})}))
+	add("fd-finetune/checkpoint=1", fdWl, "fd-finetune/workers=1", fdRun(mapping.FDConfig{Workers: 1,
+		Checkpoint: &mapping.CheckpointConfig{Interval: 1, Fn: func(*mapping.Snapshot) error { return nil }}}))
+	snap := mustGet(sync.OnceValues(func() (encodedSnapshot, error) {
+		w, err := fdOnce()
+		if err != nil {
+			return encodedSnapshot{}, err
+		}
+		return captureSnapshot(w, fdIters)
+	}))
+	add("snapshot-encode", fdWl, "", func(b *testing.B) {
+		s := snap(b)
+		b.SetBytes(int64(len(s.enc)))
+		timed(b, func() error { return codec.WriteSnapshot(io.Discard, s.snap) })
+	})
+	add("snapshot-decode", fdWl, "", func(b *testing.B) {
+		s := snap(b)
+		b.SetBytes(int64(len(s.enc)))
+		timed(b, func() error { _, err := codec.ReadSnapshot(bytes.NewReader(s.enc)); return err })
+	})
+
+	// Exact metrics on a congestion-heavy random graph.
+	eval := mustGet(sync.OnceValues(func() (placed, error) { return evalGraph(evalN) }))
+	add("metrics-evaluate/workers=1", evalWl, "", func(b *testing.B) {
+		w, cost := eval(b), hw.DefaultCostModel()
+		timed(b, func() error {
+			metrics.Evaluate(w.p, w.pl, cost, metrics.Options{Congestion: metrics.CongestionExact, Workers: 1})
+			return nil
+		})
+	})
+
+	// Kernels under the dense DNN pipeline stages. fd-build/* is one Finetune
+	// sweep from the HSC placement with the adjacency built inside the call
+	// (cold, what a mapping run pays) or already cached on the PCN (warm);
+	// pcn-adjacency/* builds the transpose FD walks and the Undirected copy
+	// the partitioner uses; congestion-grid/* propagates the grid on the
+	// HSC+FD placement (exact), on a row-shifted repair whose union boxes
+	// span the mesh (long-edges), and at the stride Evaluate derives from
+	// Options.SampleEdges (sampled).
+	kern := hscPlaced(kernNet)
+	for _, warm := range []bool{false, true} {
+		op := "fd-build/adjacency=cold"
+		if warm {
+			op = "fd-build/adjacency=warm"
+		}
+		add(op, kernNet, "", func(b *testing.B) {
+			w := kern(b)
+			timed(b, func() error {
+				b.StopTimer()
+				q, pl := w.p, w.pl.Clone()
+				if !warm {
+					q = uncachedPCN(q)
+				}
+				b.StartTimer()
+				_, err := mapping.Finetune(q, pl, mapping.FDConfig{Potential: mapping.L2Sq{}, MaxIterations: 1})
+				return err
+			})
+		})
+	}
+	add("pcn-adjacency/transpose", kernNet, "", func(b *testing.B) {
+		p := kern(b).p
+		timed(b, func() error { uncachedPCN(p).Symmetric(); return nil })
+	})
+	add("pcn-adjacency/undirected", kernNet, "", func(b *testing.B) {
+		p := kern(b).p
+		timed(b, func() error { uncachedPCN(p).Undirected(); return nil })
+	})
+	mapped := mustGet(sync.OnceValues(func() (*place.Placement, error) {
+		p, mesh, err := buildNet(kernNet)
+		if err != nil {
+			return nil, err
+		}
+		res, err := mapping.Map(p, mesh, mapping.Default())
+		if err != nil {
+			return nil, err
+		}
+		return res.Placement, nil
+	}))
+	shifted := mustGet(sync.OnceValues(func() (*place.Placement, error) {
+		p, mesh, err := buildNet(kernNet)
+		if err != nil {
+			return nil, err
+		}
+		return rowShifted(p, mesh)
+	}))
+	for _, g := range []struct {
+		name    string
+		pl      func(*testing.B) *place.Placement
+		sampled bool
+	}{{"exact", mapped, false}, {"long-edges", shifted, false}, {"sampled", mapped, true}} {
+		add("congestion-grid/"+g.name, kernNet, "", func(b *testing.B) {
+			p, pl, stride := kern(b).p, g.pl(b), 1
+			if g.sampled {
+				n := metrics.Options{}.Resolved().SampleEdges
+				stride = (int(p.NumEdges()) + n - 1) / n
+			}
+			timed(b, func() error { metrics.CongestionGrid(p, pl, stride, 1); return nil })
+		})
+	}
+
+	// FD to convergence on a sparse CNN, where the O(E) build is a few
+	// percent and the swap kernel and queue rebuild dominate; ns/swap is the
+	// per-swap cost (go test reports it; cmd/bench records ns/op).
+	sweep := hscPlaced(sweepNet)
+	add("fd-sweep", sweepNet, "", func(b *testing.B) {
+		w := sweep(b)
+		w.p.Symmetric() // built once, outside the timed region
+		var swaps int64
+		timed(b, func() error {
+			b.StopTimer()
+			pl := w.pl.Clone()
+			b.StartTimer()
+			st, err := mapping.Finetune(w.p, pl, mapping.FDConfig{Potential: mapping.L2Sq{}})
+			swaps += st.Swaps
+			return err
+		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(swaps), "ns/swap")
+	})
+	return cases
+}
+
+// mustGet adapts a memoised build to a benchmark: the returned getter fails
+// the benchmark when the build did.
+func mustGet[T any](get func() (T, error)) func(*testing.B) T {
+	return func(b *testing.B) T {
+		v, err := get()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return v
+	}
+}
+
+// timed runs op b.N times with allocations reported. The timer restarts
+// first, so a memoised build this call triggered stays out of the result.
+func timed(b *testing.B, op func() error) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// placed is a PCN with a placement of its clusters.
+type placed struct {
+	p  *pcn.PCN
+	pl *place.Placement
+}
+
+func buildNet(name string) (*pcn.PCN, hw.Mesh, error) {
+	w, err := WorkloadByName(name)
+	if err != nil {
+		return nil, hw.Mesh{}, err
+	}
+	return w.Build()
+}
+
+// hscPlaced memoises a Table 3 workload's HSC placement along the Hilbert
+// curve.
+func hscPlaced(name string) func(*testing.B) placed {
+	return mustGet(sync.OnceValues(func() (placed, error) {
+		p, mesh, err := buildNet(name)
+		if err != nil {
+			return placed{}, err
+		}
+		pl, err := mapping.InitialPlacement(p, mesh, curve.Hilbert{})
+		return placed{p, pl}, err
+	}))
+}
+
+// uncachedPCN returns a PCN sharing p's arrays but none of its lazily built
+// adjacency views, so a benchmark iteration pays for the build.
+func uncachedPCN(p *pcn.PCN) *pcn.PCN {
+	return &pcn.PCN{
+		Name: p.Name, NumClusters: p.NumClusters,
+		Neurons: p.Neurons, Synapses: p.Synapses, Layer: p.Layer,
+		OutOff: p.OutOff, OutTo: p.OutTo, OutW: p.OutW,
+		InternalTraffic: p.InternalTraffic,
+	}
+}
+
+// randomPlaced partitions g one neuron per cluster and places the clusters
+// at random on mesh.
+func randomPlaced(g *snn.Graph, mesh hw.Mesh, rng *rand.Rand) (placed, error) {
+	res, err := pcn.Partition(g, pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
+	if err != nil {
+		return placed{}, err
+	}
+	pl, err := place.Random(res.PCN.NumClusters, mesh, rng)
+	return placed{res.PCN, pl}, err
+}
+
+// fdGraph fills a side×side mesh with clusters whose edges mix two
+// short-range targets (smooth tension gradients) with two uniform long-range
+// ones (a queue that does not drain early).
+func fdGraph(side int) (placed, error) {
+	n := side * side
+	rng := rand.New(rand.NewSource(7))
+	var gb snn.GraphBuilder
+	gb.AddNeurons(n, -1)
+	for i := 0; i < n; i++ {
+		for _, j := range []int{(i + 1) % n, (i + side) % n, rng.Intn(n), rng.Intn(n)} {
+			if j != i {
+				gb.AddSynapse(i, j, rng.Float64()*9+0.5)
+			}
+		}
+	}
+	return randomPlaced(gb.Build(), hw.MustMesh(side, side), rng)
+}
+
+// evalGraph is n clusters with 20·n uniform random edges: exact expectation
+// grids dominate evaluating it.
+func evalGraph(n int) (placed, error) {
+	rng := rand.New(rand.NewSource(6))
+	var gb snn.GraphBuilder
+	gb.AddNeurons(n, -1)
+	for e := 0; e < 20*n; e++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			gb.AddSynapse(u, v, rng.Float64()*9+0.5)
+		}
+	}
+	return randomPlaced(gb.Build(), MeshFor(n), rng)
+}
+
+type encodedSnapshot struct {
+	snap *mapping.Snapshot
+	enc  []byte
+}
+
+// captureSnapshot fine-tunes w to the iteration cap and encodes the last
+// checkpoint snapshot (with the PCN embedded by the engine).
+func captureSnapshot(w placed, iters int) (encodedSnapshot, error) {
+	var s encodedSnapshot
+	_, err := mapping.Finetune(w.p, w.pl.Clone(), mapping.FDConfig{
+		Potential:     mapping.L2Sq{},
+		MaxIterations: iters,
+		Checkpoint: &mapping.CheckpointConfig{Interval: 1, Fn: func(snap *mapping.Snapshot) error {
+			s.snap = snap
+			return nil
+		}},
+	})
+	if err == nil && s.snap == nil {
+		err = fmt.Errorf("expt: fd workload converged before the first checkpoint")
+	}
+	if err != nil {
+		return s, err
+	}
+	var buf bytes.Buffer
+	err = codec.WriteSnapshot(&buf, s.snap)
+	s.enc = buf.Bytes()
+	return s, err
+}
+
+// rowShifted places p by HSC + FD on mesh grown by two spare rows, fails row
+// 0 and repairs it with RemapRows.
+func rowShifted(p *pcn.PCN, mesh hw.Mesh) (*place.Placement, error) {
+	mesh = hw.MustMesh(mesh.Rows+2, mesh.Cols)
+	cons := hw.Constraints{SpareRows: 2}
+	pl, err := mapping.InitialPlacementWorkers(p, mesh, curve.Hilbert{}, nil, cons, 1)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := mapping.Finetune(p, pl, mapping.FDConfig{Potential: mapping.L2Sq{}, Constraints: cons}); err != nil {
+		return nil, err
+	}
+	d := hw.NewDefectMap(mesh)
+	for col := 0; col < mesh.Cols; col++ {
+		d.MarkDead(col)
+	}
+	_, err = mapping.RemapRows(p, pl, d, cons, hw.DefaultCostModel())
+	return pl, err
+}

@@ -308,9 +308,8 @@ func Fig13(w io.Writer) {
 
 // Headline runs the proposed approach on a single workload and prints the
 // §5.3 headline numbers (the paper: DNN_4B, 1 M cores, mapped in seconds
-// while all baselines exceed 100 hours). The per-stage wall/peak-heap
-// split table comes from the same RunHeadline instrumentation cmd/bench
-// records into BENCH_eval.json.
+// while all baselines exceed 100 hours), with RunHeadline's per-stage
+// wall/peak-heap split table.
 func Headline(w io.Writer, workload string, opts RunOptions) error {
 	res, err := RunHeadline(workload, opts, HeadlineOptions{})
 	if err != nil {

@@ -18,15 +18,14 @@ import (
 
 // The instrumented headline pipeline: expand → HSC place → FD fine-tune →
 // evaluate, each stage timed and bracketed by a heap high-water sampler.
-// RunHeadline is the single source of the per-stage wall/peak-bytes splits —
-// cmd/bench records them into BENCH_eval.json and cmd/experiments prints
-// them, so the two reports can never drift apart.
+// RunHeadline is the single source of the per-stage wall/peak-bytes splits
+// cmd/experiments prints.
 
 // HeadlineOptions tunes the instrumented pipeline beyond RunOptions.
 type HeadlineOptions struct {
 	// FDIterations caps the fine-tuning outer loop (0 = run to convergence
-	// or the RunOptions budget). The benchmark tier pins a small cap so the
-	// headline record measures a fixed amount of work.
+	// or the RunOptions budget). Tests pin a small cap so a run does a
+	// fixed amount of work.
 	FDIterations int
 	// SampleInterval is the heap sampler cadence (default 5ms). Each sample
 	// is one runtime.ReadMemStats call; at the default cadence the sampler
@@ -182,8 +181,7 @@ func RunHeadline(workload string, opts RunOptions, hopts HeadlineOptions) (*Head
 }
 
 // Render prints the result as the cmd/experiments headline report: the
-// workload line, the per-stage split table, and the totals. The stage rows
-// are the same measurements cmd/bench records, by construction.
+// workload line, the per-stage split table, and the totals.
 func (r *HeadlineResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "%s: %s neurons, %d clusters, %s connections, %v mesh\n",
 		r.Workload, humanCount(r.Neurons), r.Clusters, humanCount(r.Edges), r.Mesh)

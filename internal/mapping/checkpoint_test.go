@@ -40,7 +40,7 @@ func TestResumeEquivalenceMatrix(t *testing.T) {
 
 	// Uninterrupted oracle.
 	oraclePl := newPl()
-	oracleStats, err := Finetune(p, oraclePl, FDConfig{Potential: L2Sq{}, Workers: 1, FullSort: true})
+	oracleStats, err := Finetune(p, oraclePl, FDConfig{Potential: L2Sq{}, Workers: 1, fullSort: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,6 @@ func TestResumeRejectsMismatches(t *testing.T) {
 		}},
 		{"wrong lambda", func() error {
 			_, _, err := ResumeFinetune(context.Background(), p, snap, FDConfig{Potential: L2Sq{}, Lambda: 0.5})
-			return err
-		}},
-		{"wrong fullsort", func() error {
-			_, _, err := ResumeFinetune(context.Background(), p, snap, FDConfig{Potential: L2Sq{}, FullSort: true})
 			return err
 		}},
 		{"wrong mingain", func() error {

@@ -55,12 +55,6 @@ type FDConfig struct {
 	// reduced in chunk order. 0 or 1 means sequential (the paper's
 	// single-threaded C++ setting).
 	Workers int
-	// FullSort disables the top-⌈λ·|Q|⌉ partial queue selection, running
-	// the original full queue sort per iteration. The output is
-	// bit-identical either way; the flag exists as the oracle for the
-	// equivalence suite and as the baseline of the fd-finetune benchmark
-	// tier in cmd/bench. Build-phase parallelism (Workers) is unaffected.
-	FullSort bool
 	// Checkpoint, when non-nil, snapshots the fine-tuning state so an
 	// interrupted run can continue with ResumeFinetune instead of
 	// restarting. Snapshots are taken at iteration boundaries only, where
@@ -73,6 +67,12 @@ type FDConfig struct {
 	// boundaries, so attaching an observer never changes the placement or
 	// FDStats produced. Not part of snapshots.
 	Obs *obs.Observer
+
+	// fullSort replaces the top-⌈λ·|Q|⌉ partial queue selection with the
+	// original full queue sort per iteration: the oracle the equivalence
+	// tests compare against (bit-identical output, see finalizeQueue). Only
+	// this package's tests set it.
+	fullSort bool
 }
 
 // CheckpointConfig configures FDConfig.Checkpoint hooks.
@@ -393,7 +393,7 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 		cons:        cfg.Constraints,
 		unitCorr:    2 * (cfg.Potential.AtUnit() - cfg.Potential.AtZero()),
 		lambda:      cfg.Lambda,
-		fullSort:    cfg.FullSort,
+		fullSort:    cfg.fullSort,
 		spareStart:  spareStart,
 		canBlock:    cfg.Defects != nil || spareStart < rows,
 		force:       make([]float64, 4*mesh.Cores()),
@@ -848,7 +848,7 @@ func (e *fdEngine) requeue(next []pairTension, id int32, minGain float64, checks
 }
 
 // finalizeQueue orders a freshly built queue for the next iteration. Only
-// the FullSort oracle needs the historical full sort: the sweep consumes
+// the fullSort oracle needs the historical full sort: the sweep consumes
 // exactly the top ⌈λ·|Q|⌉ entries in order and nextQueue treats the rest
 // of the queue as an unordered set, so deterministically selecting and
 // sorting that prefix alone (selectTop) leaves the executed swap sequence

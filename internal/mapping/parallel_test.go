@@ -14,7 +14,7 @@ import (
 
 // TestFinetuneWorkersBitIdentical verifies the FDConfig.Workers contract on
 // an instance spanning more than one E_s chunk (4500 clusters > 4096), so
-// every build phase fans out, including against the FullSort oracle.
+// every build phase fans out, including against the fullSort oracle.
 func TestFinetuneWorkersBitIdentical(t *testing.T) {
 	p := randomPCN(t, 99, 4500, 30000)
 	mesh := hw.MustMesh(68, 68)
@@ -32,7 +32,7 @@ func TestFinetuneWorkersBitIdentical(t *testing.T) {
 		stats.Elapsed = 0
 		return pl.PosOf, stats
 	}
-	oraclePos, oracleStats := run(FDConfig{Workers: 1, FullSort: true})
+	oraclePos, oracleStats := run(FDConfig{Workers: 1, fullSort: true})
 	for _, workers := range []int{1, 4, 8} {
 		pos, stats := run(FDConfig{Workers: workers})
 		if stats != oracleStats {
@@ -65,7 +65,7 @@ func (c *errCountCtx) Err() error {
 // fdScenario is one cell of the determinism matrix.
 type fdScenario struct {
 	name string
-	cfg  FDConfig // Potential/Workers/FullSort filled in by the test
+	cfg  FDConfig // Potential/Workers/fullSort filled in by the test
 	ctx  func() context.Context
 	// wantCanceled is set for the mid-run cancel scenario.
 	wantCanceled bool
@@ -74,7 +74,7 @@ type fdScenario struct {
 // TestFDParallelEquivalenceMatrix is the determinism suite: for every
 // scenario × potential, the placement must be byte-identical and FDStats
 // equal (modulo Elapsed) across Workers ∈ {1, 2, 4, 7} and against the
-// FullSort sequential oracle. Run under -race this doubles as the
+// fullSort sequential oracle. Run under -race this doubles as the
 // data-race check for the build-phase fan-out.
 func TestFDParallelEquivalenceMatrix(t *testing.T) {
 	mesh := hw.MustMesh(22, 22)
@@ -117,7 +117,7 @@ func TestFDParallelEquivalenceMatrix(t *testing.T) {
 					cfg := sc.cfg
 					cfg.Potential = pot
 					cfg.Workers = workers
-					cfg.FullSort = fullSort
+					cfg.fullSort = fullSort
 					stats, err := FinetuneContext(sc.ctx(), p, pl, cfg)
 					if sc.wantCanceled {
 						if !errors.Is(err, ErrCanceled) {
@@ -164,7 +164,7 @@ func TestFDParallelMidBatchCancel(t *testing.T) {
 			Potential: L2Sq{},
 			Lambda:    1,
 			Workers:   workers,
-			FullSort:  fullSort,
+			fullSort:  fullSort,
 		})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("got %v, want ErrCanceled", err)
@@ -202,7 +202,7 @@ func BenchmarkFinetune(b *testing.B) {
 		name string
 		cfg  FDConfig
 	}{
-		{"fullsort", FDConfig{Workers: 1, FullSort: true}},
+		{"fullsort", FDConfig{Workers: 1, fullSort: true}},
 		{"workers=1", FDConfig{Workers: 1}},
 		{"workers=4", FDConfig{Workers: 4}},
 	} {

@@ -400,7 +400,7 @@ func TestNextQueueContents(t *testing.T) {
 			for _, fullSort := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/fullsort=%v", sc.name, pot.Name(), fullSort)
 				cfg := sc.cfg
-				cfg.Potential, cfg.FullSort = pot, fullSort
+				cfg.Potential, cfg.fullSort = pot, fullSort
 				cfg = cfg.withDefaults()
 				got := newFDEngine(p, sc.start.Clone(), cfg)
 				got.buildAllForces(1)

@@ -48,7 +48,7 @@ func BenchmarkSimulateLongTail(b *testing.B) {
 		run  func() (Result, error)
 	}{
 		{"event", func() (Result, error) { return Simulate(p, pl, cfg) }},
-		{"reference", func() (Result, error) { return SimulateReference(context.Background(), p, pl, cfg) }},
+		{"reference", func() (Result, error) { return simulateReference(context.Background(), p, pl, cfg) }},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -75,7 +75,7 @@ func BenchmarkSimulateSparse64x64(b *testing.B) {
 		run  func() (Result, error)
 	}{
 		{"event", func() (Result, error) { return Simulate(p, pl, cfg) }},
-		{"reference", func() (Result, error) { return SimulateReference(context.Background(), p, pl, cfg) }},
+		{"reference", func() (Result, error) { return simulateReference(context.Background(), p, pl, cfg) }},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -41,7 +41,7 @@ func randomCorpusWorkload(t testing.TB, seed int64, rows, cols, clusters, edges 
 // golden corpus spanning pristine and faulty meshes, all three routings,
 // bounded and unbounded queues, and sparse injection schedules, the
 // event-driven Simulate must produce a Result bit-identical to the original
-// per-cycle SimulateReference scan — every field, including traversal
+// per-cycle simulateReference scan — every field, including traversal
 // vectors, float aggregates, queue peaks and stall counters.
 func TestEventEngineMatchesReference(t *testing.T) {
 	mesh := hw.MustMesh(12, 12)
@@ -73,7 +73,7 @@ func TestEventEngineMatchesReference(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				p, pl := randomCorpusWorkload(t, seed, 12, 12, 60, 300)
 				got, errGot := Simulate(p, pl, tc.cfg)
-				want, errWant := SimulateReference(context.Background(), p, pl, tc.cfg)
+				want, errWant := simulateReference(context.Background(), p, pl, tc.cfg)
 				if (errGot == nil) != (errWant == nil) {
 					t.Fatalf("seed %d: error mismatch: event=%v reference=%v", seed, errGot, errWant)
 				}
@@ -102,7 +102,7 @@ func TestEventEngineMatchesReferenceErrorPaths(t *testing.T) {
 		{InjectionInterval: 500, SpikesPerUnit: 4, MaxCycles: 750},
 	} {
 		got, errGot := Simulate(p, pl, cfg)
-		want, errWant := SimulateReference(context.Background(), p, pl, cfg)
+		want, errWant := simulateReference(context.Background(), p, pl, cfg)
 		if errGot == nil || errWant == nil {
 			t.Fatalf("MaxCycles=%d: expected both drivers to fail, got event=%v reference=%v", cfg.MaxCycles, errGot, errWant)
 		}
@@ -126,7 +126,7 @@ func TestEventEngineFastForwardsIdleGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SimulateReference(context.Background(), p, pl, cfg)
+	want, err := simulateReference(context.Background(), p, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,10 @@
 // trains are compacted out of the schedule, each train's first hop is
 // resolved once, and fully idle stretches between injection waves are
 // fast-forwarded.
-// SimulateReference runs the original per-cycle scan of every router; it is
-// kept as the equivalence oracle — both drivers produce bit-identical
-// Results — and as the baseline the tracked benchmarks measure speedups
-// against.
+//
+// The original per-cycle scan of every router survives only in this
+// package's tests, as the equivalence oracle the event engine (at every
+// shard count) must match bit for bit.
 package noc
 
 import (
@@ -134,8 +134,8 @@ type Config struct {
 	WatchdogCycles int
 	// Shards partitions the mesh into this many contiguous row strips,
 	// each simulated by its own goroutine with cycle-synchronized
-	// boundary exchange; Results are bit-identical to SimulateReference
-	// at every shard count. 0 or 1 runs the single-goroutine event
+	// boundary exchange; Results are bit-identical at every shard
+	// count. 0 or 1 runs the single-goroutine event
 	// engine. Shards must not exceed the mesh's row count (one row strip
 	// per shard at minimum); see ClampShards for a caller-side clamp.
 	// With bounded queues (QueueCap > 0) credit decisions form a
@@ -147,7 +147,7 @@ type Config struct {
 	// (flits, hops, drops, detours, stalls) emitted in strip order after
 	// the run; nil disables telemetry. Observe-only: the simulation and its
 	// Result are bit-identical with or without it. Only the event-driven
-	// drivers emit; SimulateReference stays the pristine oracle.
+	// drivers emit; the test-only reference scan stays the pristine oracle.
 	Obs *obs.Observer
 }
 
@@ -347,7 +347,7 @@ type train struct {
 const local = 4
 
 // simState is the substrate shared by the event-driven engine
-// (SimulateContext) and the per-cycle reference scan (SimulateReference):
+// (SimulateContext) and the per-cycle reference scan the tests keep:
 // the injection schedule, the route computation and all accounting. Both
 // drivers mutate this state through the same primitives, which is what
 // keeps their Results bit-identical.
@@ -664,16 +664,9 @@ func (s *simState) finish() Result {
 	return s.res
 }
 
-// candidate is one queue head eligible to move this cycle.
-type candidate struct {
-	src int // source queue index in queues
-	to  int // destination router
-}
-
 // Simulate injects the PCN's traffic into the mesh under the placement and
 // runs until every spike is delivered or dropped (or a limit is hit,
-// returning an error). It runs the event-driven engine; SimulateReference
-// is the bit-identical full-scan oracle.
+// returning an error). It runs the event-driven engine.
 func Simulate(p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 	return SimulateContext(context.Background(), p, pl, cfg)
 }
@@ -685,7 +678,7 @@ func Simulate(p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 // With cfg.Shards >= 2 the mesh is partitioned into row strips simulated by
 // one goroutine each (see shard.go); otherwise the event-driven engine runs
 // on a single whole-mesh strip. Either way the Result is bit-identical to
-// SimulateReference.
+// the per-cycle reference scan this package's tests keep.
 func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err

@@ -200,8 +200,8 @@ func TestSimRejectsBadPlacement(t *testing.T) {
 		if _, err := Simulate(p, pl, Config{}); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: Simulate got %v, want ErrBadConfig", name, err)
 		}
-		if _, err := SimulateReference(context.Background(), p, pl, Config{}); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("%s: SimulateReference got %v, want ErrBadConfig", name, err)
+		if _, err := simulateReference(context.Background(), p, pl, Config{}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: simulateReference got %v, want ErrBadConfig", name, err)
 		}
 	}
 }

@@ -8,20 +8,17 @@ import (
 	"snnmap/internal/place"
 )
 
-// SimulateReference runs the original per-cycle simulator: every cycle it
+// simulateReference runs the original per-cycle simulator: every cycle it
 // scans all cores·5 queues and every injection train, whether occupied or
-// not. It is kept for two reasons:
-//
-//   - Equivalence oracle: Simulate's event-driven engine must produce a
-//     bit-identical Result for every workload, mesh, defect map, routing
-//     and queue bound — the determinism test suite asserts this on a
-//     golden corpus against SimulateReference.
-//   - Benchmark baseline: the tracked perf numbers in BENCH_eval.json
-//     report the event-driven engine's speedup over this implementation.
+// not. It is the equivalence oracle: Simulate's event-driven engine (at
+// every shard count) must produce a bit-identical Result for every
+// workload, mesh, defect map, routing and queue bound, and the suites in
+// this package assert that against it. BenchmarkSimulateLongTail and
+// BenchmarkSimulateSparse64x64 time both drivers side by side.
 //
 // Both drivers share simState — the injection schedule, route computation
 // and all accounting — and differ only in how they find work each cycle.
-func SimulateReference(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
+func simulateReference(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -156,4 +153,10 @@ func SimulateReference(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg
 	}
 
 	return s.finish(), nil
+}
+
+// candidate is one queue head eligible to move this cycle.
+type candidate struct {
+	src int // source queue index in queues
+	to  int // destination router
 }

@@ -19,7 +19,7 @@ var shardSweep = []int{1, 2, 3, 7}
 
 // TestShardedMatchesReferenceSweep is the tentpole determinism contract:
 // for every shard count × workload combination the sharded engine must
-// produce a Result bit-identical to SimulateReference — every field,
+// produce a Result bit-identical to simulateReference — every field,
 // including traversal vectors, drop counters, float aggregates and queue
 // peaks. Run under -race this also proves the strip ownership discipline
 // (no queue is touched by two goroutines).
@@ -40,7 +40,7 @@ func TestShardedMatchesReferenceSweep(t *testing.T) {
 			if wl.name == "faulted-links" {
 				cfg.Defects = faultedLinksDefects(t, pl.Mesh)
 			}
-			want, err := SimulateReference(context.Background(), p, pl, cfg)
+			want, err := simulateReference(context.Background(), p, pl, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestShardedMatchesReferenceCorpus(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
 				p, pl := randomCorpusWorkload(t, seed, 12, 12, 60, 300)
-				want, errWant := SimulateReference(context.Background(), p, pl, tc.cfg)
+				want, errWant := simulateReference(context.Background(), p, pl, tc.cfg)
 				for _, shards := range []int{2, 3} {
 					cfg := tc.cfg
 					cfg.Shards = shards
@@ -143,7 +143,7 @@ func TestShardedCrossBoundaryDetour(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Defects: d, FaultAware: true}
-	want, err := SimulateReference(context.Background(), p, pl, cfg)
+	want, err := simulateReference(context.Background(), p, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestShardedErrorPaths(t *testing.T) {
 		{MaxCycles: 3},
 		{InjectionInterval: 500, SpikesPerUnit: 4, MaxCycles: 750},
 	} {
-		want, errWant := SimulateReference(context.Background(), p, pl, cfg)
+		want, errWant := simulateReference(context.Background(), p, pl, cfg)
 		if errWant == nil {
 			t.Fatalf("MaxCycles=%d: expected the reference to fail", cfg.MaxCycles)
 		}
@@ -217,7 +217,7 @@ func TestShardsValidation(t *testing.T) {
 		t.Errorf("Shards=4 on a 3-row mesh: got %v, want ErrBadConfig", err)
 	}
 
-	want, err := SimulateReference(context.Background(), p, pl, Config{})
+	want, err := simulateReference(context.Background(), p, pl, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestShardedDeepQueueMatchesReference(t *testing.T) {
 		{"bounded", Config{QueueCap: 4500}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := SimulateReference(context.Background(), p, pl, tc.cfg)
+			want, err := simulateReference(context.Background(), p, pl, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

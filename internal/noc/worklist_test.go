@@ -105,7 +105,7 @@ func checkOccupancy(t *testing.T, cycle int, strips []*strip) {
 func TestOccupancyMatchesQueues(t *testing.T) {
 	p, pl := faultedLinksWorkload(t)
 	base := Config{FaultAware: true, Defects: faultedLinksDefects(t, pl.Mesh)}
-	want, err := SimulateReference(context.Background(), p, pl, base)
+	want, err := simulateReference(context.Background(), p, pl, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestApplyPushServicedNextCycle(t *testing.T) {
 	pl := placeAt(t, p, mesh, mesh.Coord(0), mesh.Coord(2))
 	for _, run := range []func() (Result, error){
 		func() (Result, error) { return Simulate(p, pl, Config{}) },
-		func() (Result, error) { return SimulateReference(context.Background(), p, pl, Config{}) },
+		func() (Result, error) { return simulateReference(context.Background(), p, pl, Config{}) },
 	} {
 		res, err := run()
 		if err != nil {

@@ -4,8 +4,8 @@ package obs_test
 // *Observer: every call must cost a nil check and nothing else, so
 // instrumented hot loops stay as fast as uninstrumented ones. The
 // micro-benchmarks pin the per-call cost; the Finetune pair measures the
-// end-to-end cost of an enabled trace sink on the fd-finetune tier
-// (cmd/bench records the same pair as the fd-finetune/obs=trace record in
+// end-to-end cost of an enabled trace sink on FD fine-tuning (the
+// fd-finetune/obs=trace case of expt.BenchCases records the same pair in
 // BENCH_eval.json, so regressions show up in the tracked baseline).
 //
 //	go test ./internal/obs -bench . -benchtime 100x

@@ -205,8 +205,8 @@ type BenchKernel struct {
 }
 
 // AggregateKernels returns the three edge-aggregation sites PartitionMultilevel
-// runs on g, each as a closure over inputs prepared here, so bench_test.go and
-// cmd/bench time the same kernels (pcn-aggregate/*): flat-csr is
+// runs on g, each as a closure over inputs prepared here, so the benchmark
+// case table (expt.BenchCases, pcn-aggregate/*) times the kernels: flat-csr is
 // csrFromAssignment at CON_npc, fine-undirected is undirectedFromAssignment at
 // the fine granularity, contract is the first coarsening step.
 func AggregateKernels(g *snn.Graph, cfg PartitionConfig) ([]BenchKernel, error) {
