@@ -15,25 +15,42 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"snnmap/internal/expt"
 	"snnmap/internal/obs"
-	"snnmap/internal/pcn"
 )
+
+// runNames lists the experiments -run accepts.
+var runNames = []string{"table1", "table2", "table3", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "sweep", "headline", "ablation", "multicast", "faults", "recovery", "all"}
+
+// parseRuns splits the comma-separated -run value into the set of requested
+// experiments, rejecting any name outside runNames so a typo fails instead
+// of running nothing.
+func parseRuns(s string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, r := range strings.Split(s, ",") {
+		r = strings.TrimSpace(r)
+		if !slices.Contains(runNames, r) {
+			return nil, fmt.Errorf("unknown -run %q (%s)", r, strings.Join(runNames, "|"))
+		}
+		want[r] = true
+	}
+	return want, nil
+}
 
 func main() {
 	var (
-		runs        = flag.String("run", "all", "comma-separated experiments: table1,table2,table3,fig6,fig8,fig9,fig10,fig11,fig12,fig13,sweep,headline,ablation,multicast,faults,recovery,partquality,all")
-		scaleStr    = flag.String("scale", "small", "workload tier: tiny|small|medium|full")
-		seed        = flag.Int64("seed", 1, "seed for randomized methods")
-		budget      = flag.Duration("budget", 30*time.Second, "wall-clock budget per method run (0 = unlimited)")
-		workload    = flag.String("workload", "ResNet", "workload for fig8/headline/ablation")
-		progress    = flag.Bool("progress", true, "print per-run progress lines during sweeps")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
-		simShards   = flag.Int("sim-shards", runtime.GOMAXPROCS(0), "row-strip goroutines for the NoC simulator (1 = single goroutine; results are bit-identical at any count)")
-		partitioner = flag.String("partitioner", "flat", "partitioning scheme: flat (Algorithm 1) or multilevel (coarsen-partition-uncoarsen)")
+		runs      = flag.String("run", "all", "comma-separated experiments: "+strings.Join(runNames, ","))
+		scaleStr  = flag.String("scale", "small", "workload tier: tiny|small|medium|full")
+		seed      = flag.Int64("seed", 1, "seed for randomized methods")
+		budget    = flag.Duration("budget", 30*time.Second, "wall-clock budget per method run (0 = unlimited)")
+		workload  = flag.String("workload", "ResNet", "workload for fig8/headline/ablation")
+		progress  = flag.Bool("progress", true, "print per-run progress lines during sweeps")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
+		simShards = flag.Int("sim-shards", runtime.GOMAXPROCS(0), "row-strip goroutines for the NoC simulator (1 = single goroutine; results are bit-identical at any count)")
 	)
 	// -progress predates the obs layer and keeps its meaning (per-run sweep
 	// lines) while also driving the live renderer, so only the three
@@ -44,6 +61,10 @@ func main() {
 	flag.StringVar(&cli.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
 	cli.Progress = *progress
+	want, err := parseRuns(*runs)
+	if err != nil {
+		fatal(err)
+	}
 
 	o, stopObs, err := cli.Start(os.Stderr)
 	if err != nil {
@@ -56,20 +77,6 @@ func main() {
 		fatal(err)
 	}
 	opts := expt.RunOptions{Seed: *seed, Budget: *budget, Workers: *workers, SimShards: *simShards, Obs: o}
-	switch *partitioner {
-	case "flat":
-	case "multilevel":
-		ml := pcn.DefaultMultilevel()
-		ml.Workers = *workers
-		opts.Multilevel = ml
-	default:
-		fatal(fmt.Errorf("unknown -partitioner %q (flat|multilevel)", *partitioner))
-	}
-
-	want := map[string]bool{}
-	for _, r := range strings.Split(*runs, ",") {
-		want[strings.TrimSpace(r)] = true
-	}
 	all := want["all"]
 	out := os.Stdout
 
@@ -172,12 +179,6 @@ func main() {
 			wl = "LeNet-ImageNet"
 		}
 		if err := expt.RecoverySweep(out, wl, []int{0, 1, 2}, opts); err != nil {
-			fatal(err)
-		}
-	}
-	if all || want["partquality"] {
-		section("Partition quality: flat Algorithm 1 vs multilevel")
-		if err := expt.PartQuality(out, scale, opts); err != nil {
 			fatal(err)
 		}
 	}

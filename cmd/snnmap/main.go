@@ -42,28 +42,27 @@ import (
 
 func main() {
 	var (
-		workload    = flag.String("workload", "LeNet-MNIST", "Table 3 workload name ("+strings.Join(expt.WorkloadNames(), ", ")+")")
-		netFile     = flag.String("net", "", "JSON workload description file (overrides -workload; see internal/codec net schema)")
-		method      = flag.String("method", "Proposed", "mapping method (Random, TrueNorth, DFSynthesizer, PSO, PACMAN, Annealing, Proposed, HSC, ZigZag, Circle, ...)")
-		seed        = flag.Int64("seed", 1, "seed for randomized methods")
-		budget      = flag.Duration("budget", time.Minute, "wall-clock budget (0 = unlimited)")
-		sim         = flag.Bool("sim", false, "replay the traffic through the NoC simulator (small workloads)")
-		faults      = flag.String("faults", "", "defect map: a JSON file path, or a spec like uniform:dead=0.05,links=0.02,seed=7 / clustered:dead=0.1,blobs=3 / lines:rows=1 (grows the mesh for headroom)")
-		render      = flag.Bool("render", false, "render the layer map and congestion heatmap (small meshes)")
-		multicast   = flag.Bool("multicast", false, "also evaluate the multicast tree-routing energy model")
-		savePCN     = flag.String("save-pcn", "", "write the partitioned cluster network (binary) to this file")
-		savePlace   = flag.String("save-placement", "", "write the placement (binary) to this file")
-		exportDot   = flag.String("export-dot", "", "write the PCN as Graphviz DOT to this file")
-		exportCSV   = flag.String("export-csv", "", "write the placement as CSV to this file")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
-		simShards   = flag.Int("sim-shards", runtime.GOMAXPROCS(0), "row-strip goroutines for the NoC simulator (1 = single goroutine; results are bit-identical at any count)")
-		ckptPath    = flag.String("checkpoint", "", "periodically write the fine-tuning state (self-contained snapshot, atomic replace) to this file; continue later with -resume")
-		ckptEvery   = flag.Int("checkpoint-every", 32, "iterations between -checkpoint snapshots")
-		resume      = flag.String("resume", "", "resume fine-tuning from a snapshot file written by -checkpoint (bit-identical to the uninterrupted run, at any -workers count)")
-		spareRows   = flag.Int("spare-rows", 0, "reserve this many extra mesh rows as hot spares for wholesale row-shift repair (grows the mesh; placement and fine-tuning leave them empty)")
-		partitioner = flag.String("partitioner", "flat", "partitioning scheme: flat (Algorithm 1) or multilevel (coarsen-partition-uncoarsen; deterministic at any -workers count)")
-		cacheDir    = flag.String("cache-dir", "", "content-addressed artifact cache directory: warm-starts partitioning, placement, fine-tuning and metrics from prior runs with identical inputs (warm results are bit-identical to cold; fine-tuning is only cached with -budget 0)")
-		cacheRemap  = flag.Bool("cache-remap", false, "with -cache-dir and -faults: repair a cached pristine-mesh result with incremental remapping instead of replaying a cold run (fast, but not bit-identical to a cold defective run)")
+		workload   = flag.String("workload", "LeNet-MNIST", "Table 3 workload name ("+strings.Join(expt.WorkloadNames(), ", ")+")")
+		netFile    = flag.String("net", "", "JSON workload description file (overrides -workload; see internal/codec net schema)")
+		method     = flag.String("method", "Proposed", "mapping method (Random, TrueNorth, DFSynthesizer, PSO, PACMAN, Annealing, Proposed, HSC, ZigZag, Circle, ...)")
+		seed       = flag.Int64("seed", 1, "seed for randomized methods")
+		budget     = flag.Duration("budget", time.Minute, "wall-clock budget (0 = unlimited)")
+		sim        = flag.Bool("sim", false, "replay the traffic through the NoC simulator (small workloads)")
+		faults     = flag.String("faults", "", "defect map: a JSON file path, or a spec like uniform:dead=0.05,links=0.02,seed=7 / clustered:dead=0.1,blobs=3 / lines:rows=1 (grows the mesh for headroom)")
+		render     = flag.Bool("render", false, "render the layer map and congestion heatmap (small meshes)")
+		multicast  = flag.Bool("multicast", false, "also evaluate the multicast tree-routing energy model")
+		savePCN    = flag.String("save-pcn", "", "write the partitioned cluster network (binary) to this file")
+		savePlace  = flag.String("save-placement", "", "write the placement (binary) to this file")
+		exportDot  = flag.String("export-dot", "", "write the PCN as Graphviz DOT to this file")
+		exportCSV  = flag.String("export-csv", "", "write the placement as CSV to this file")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
+		simShards  = flag.Int("sim-shards", runtime.GOMAXPROCS(0), "row-strip goroutines for the NoC simulator (1 = single goroutine; results are bit-identical at any count)")
+		ckptPath   = flag.String("checkpoint", "", "periodically write the fine-tuning state (self-contained snapshot, atomic replace) to this file; continue later with -resume")
+		ckptEvery  = flag.Int("checkpoint-every", 32, "iterations between -checkpoint snapshots")
+		resume     = flag.String("resume", "", "resume fine-tuning from a snapshot file written by -checkpoint (bit-identical to the uninterrupted run, at any -workers count)")
+		spareRows  = flag.Int("spare-rows", 0, "reserve this many extra mesh rows as hot spares for wholesale row-shift repair (grows the mesh; placement and fine-tuning leave them empty)")
+		cacheDir   = flag.String("cache-dir", "", "content-addressed artifact cache directory: warm-starts partitioning, placement, fine-tuning and metrics from prior runs with identical inputs (warm results are bit-identical to cold; fine-tuning is only cached with -budget 0)")
+		cacheRemap = flag.Bool("cache-remap", false, "with -cache-dir and -faults: repair a cached pristine-mesh result with incremental remapping instead of replaying a cold run (fast, but not bit-identical to a cold defective run)")
 	)
 	var cli obs.CLI
 	cli.Register(flag.CommandLine)
@@ -82,21 +81,7 @@ func main() {
 		}
 	}
 
-	var mlOpts *pcn.MultilevelOptions
-	switch *partitioner {
-	case "flat":
-	case "multilevel":
-		mlOpts = pcn.DefaultMultilevel()
-		mlOpts.Workers = *workers
-	default:
-		fatal(fmt.Errorf("unknown -partitioner %q (flat|multilevel)", *partitioner))
-	}
-
-	var (
-		p    *pcn.PCN
-		mesh hw.Mesh
-		net  *snn.Net
-	)
+	var net *snn.Net
 	if *netFile != "" {
 		f, err := os.Open(*netFile)
 		if err != nil {
@@ -107,29 +92,22 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg := pcn.DefaultPartition()
-		cfg.Multilevel = mlOpts
-		cfg.Obs = o
-		if p, err = expandNet(artifacts, net, cfg); err != nil {
-			fatal(err)
-		}
-		mesh = expt.MeshFor(p.NumClusters)
 	} else {
 		wl, err := expt.WorkloadByName(*workload)
 		if err != nil {
 			fatal(err)
 		}
 		net = wl.Net()
-		// Expand directly (rather than via the workload cache) so the
-		// partitioner sees the observer and the trace covers this phase.
-		cfg := pcn.DefaultPartition()
-		cfg.Multilevel = mlOpts
-		cfg.Obs = o
-		if p, err = expandNet(artifacts, net, cfg); err != nil {
-			fatal(err)
-		}
-		mesh = expt.MeshFor(p.NumClusters)
 	}
+	// Expand directly (rather than via the workload cache) so the
+	// partitioner sees the observer and the trace covers this phase.
+	cfg := pcn.DefaultPartition()
+	cfg.Obs = o
+	p, err := expandNet(artifacts, net, cfg)
+	if err != nil {
+		fatal(err)
+	}
+	mesh := expt.MeshFor(p.NumClusters)
 	fmt.Printf("%s: %d neurons, %d synapses → %d clusters, %d connections on %v\n",
 		net.Name, net.NumNeurons(), net.NumSynapses(), p.NumClusters, p.NumEdges(), mesh)
 

@@ -237,7 +237,6 @@ func (h *hasher) multilevel(o *pcn.MultilevelOptions) {
 	h.i64(int64(o.RefinePasses))
 	h.f64(o.MinGain)
 	h.i64(int64(o.Grain))
-	h.i64(int64(o.MaxFineEdges))
 	h.i64(int64(o.MatchRounds))
 }
 

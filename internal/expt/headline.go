@@ -78,11 +78,10 @@ func (r *HeadlineResult) Stage(name string) HeadlineStage {
 
 // RunHeadline executes the full proposed pipeline on one workload with
 // per-stage instrumentation. The expansion stage always runs fresh (never
-// the process-wide Build memo) so its time and footprint are measured, and
-// it honors opts.Multilevel like buildFor. The placement stage is the
-// parallel HSC fill at opts.Workers; fine-tuning and evaluation also fan
-// out at opts.Workers. Results are bit-identical at any worker count per
-// the underlying contracts.
+// the process-wide Build memo) so its time and footprint are measured. The
+// placement stage is the parallel HSC fill at opts.Workers; fine-tuning and
+// evaluation also fan out at opts.Workers. Results are bit-identical at any
+// worker count per the underlying contracts.
 func RunHeadline(workload string, opts RunOptions, hopts HeadlineOptions) (*HeadlineResult, error) {
 	wl, err := WorkloadByName(workload)
 	if err != nil {
@@ -126,13 +125,7 @@ func RunHeadline(workload string, opts RunOptions, hopts HeadlineOptions) (*Head
 		cfg.Workers = opts.Workers
 		cfg.Obs = opts.Obs
 		var err error
-		if opts.Multilevel != nil {
-			cfg.Multilevel = opts.Multilevel
-			p, _, err = pcn.ExpandMultilevel(wl.Net(), cfg)
-		} else {
-			p, err = pcn.Expand(wl.Net(), cfg)
-		}
-		if err != nil {
+		if p, err = pcn.Expand(wl.Net(), cfg); err != nil {
 			return err
 		}
 		mesh = MeshFor(p.NumClusters)

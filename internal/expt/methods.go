@@ -44,10 +44,6 @@ type RunOptions struct {
 	// snapshot their progress (mapping.FDConfig.Checkpoint). Methods
 	// without an FD phase ignore it.
 	Checkpoint *mapping.CheckpointConfig
-	// Multilevel, when non-nil, partitions workloads with the multilevel
-	// coarsen–partition–uncoarsen scheme instead of the flat Algorithm 1
-	// pipeline (-partitioner=multilevel on the CLIs).
-	Multilevel *pcn.MultilevelOptions
 	// Obs receives phase spans, hot-loop counters and throttled progress
 	// from every stage a run touches (partitioning, FD fine-tuning, metric
 	// evaluation, sweep progress). Nil disables telemetry. Observe-only:

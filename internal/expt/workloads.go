@@ -88,38 +88,10 @@ func (w *Workload) Build() (*pcn.PCN, hw.Mesh, error) {
 	return w.pcn, w.mesh, w.err
 }
 
-// BuildMultilevel expands the workload with the multilevel partitioner
-// (uncached: multilevel runs are configuration-dependent, unlike the shared
-// flat Build).
-func (w *Workload) BuildMultilevel(opts *pcn.MultilevelOptions) (*pcn.PCN, hw.Mesh, error) {
-	cfg := pcn.DefaultPartition()
-	cfg.Multilevel = opts
-	if cfg.Multilevel == nil {
-		cfg.Multilevel = pcn.DefaultMultilevel()
-	}
-	p, _, err := pcn.ExpandMultilevel(w.Net(), cfg)
-	if err != nil {
-		return nil, hw.Mesh{}, err
-	}
-	return p, MeshFor(p.NumClusters), nil
-}
-
-// buildFor resolves a workload's PCN under the run options: the multilevel
-// partitioner when opts.Multilevel is set, the cached flat expansion
-// otherwise. The multilevel path threads opts.Obs into the partitioner for
-// per-level telemetry; the cached flat path wraps the (possibly memoized)
-// build in a span so partitioning time still shows up on the trace.
+// buildFor resolves a workload's PCN through the cached Build, wrapped in a
+// span so partitioning time still shows up on the trace when the build is
+// memoized.
 func buildFor(w *Workload, opts RunOptions) (*pcn.PCN, hw.Mesh, error) {
-	if opts.Multilevel != nil {
-		cfg := pcn.DefaultPartition()
-		cfg.Multilevel = opts.Multilevel
-		cfg.Obs = opts.Obs
-		p, _, err := pcn.ExpandMultilevel(w.Net(), cfg)
-		if err != nil {
-			return nil, hw.Mesh{}, err
-		}
-		return p, MeshFor(p.NumClusters), nil
-	}
 	sp := opts.Obs.Span("workload.build:" + w.Name)
 	p, mesh, err := w.Build()
 	if err != nil {

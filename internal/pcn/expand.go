@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"snnmap/internal/obs"
+	"snnmap/internal/place"
 	"snnmap/internal/snn"
 )
 
@@ -14,14 +15,14 @@ import (
 // total spike traffic (synapse count × source spike density) attributed to
 // each cluster pair. The result is identical in structure to running
 // Algorithm 1 on the materialized graph, but needs no neuron storage.
-// With cfg.Multilevel set, the multilevel partitioner runs instead.
+// Multilevel partitioning is for explicit graphs only: a non-nil
+// cfg.Multilevel is an error wrapping place.ErrBadConfig.
 func Expand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
 	if cfg.Multilevel != nil {
-		p, _, err := ExpandMultilevel(n, cfg)
-		return p, err
+		return nil, fmt.Errorf("pcn: multilevel partitioning takes an explicit graph, not a layer-spec net: %w", place.ErrBadConfig)
 	}
 	sp := cfg.Obs.Span("partition.expand")
-	p, err := expandWithGrain(n, cfg, 1)
+	p, err := expand(n, cfg)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -39,12 +40,9 @@ type layerPlan struct {
 	total int     // total cluster count
 }
 
-// planLayers computes the cluster sizing at a granularity: grain 1 is the
-// flat per-layer sizing; grain g > 1 divides each layer's cluster size by
-// its largest divisor ≤ g, so fine cluster boundaries remain a superset of
-// the flat ones (the multilevel grouping can always reproduce the flat
-// partition exactly).
-func planLayers(n *snn.Net, cfg PartitionConfig, grain int) (layerPlan, error) {
+// planLayers computes the per-layer cluster sizing: CON_npc neurons per
+// cluster, lowered to fit CON_spc when synapse limits are enforced.
+func planLayers(n *snn.Net, cfg PartitionConfig) (layerPlan, error) {
 	npc := cfg.Constraints.NeuronsPerCore
 	if npc <= 0 {
 		return layerPlan{}, fmt.Errorf("pcn: expand requires a positive CON_npc, got %d", npc)
@@ -69,16 +67,6 @@ func planLayers(n *snn.Net, cfg PartitionConfig, grain int) (layerPlan, error) {
 				per = bySyn
 			}
 		}
-		if grain > 1 {
-			g := int64(grain)
-			if g > per {
-				g = per
-			}
-			for per%g != 0 {
-				g--
-			}
-			per /= g
-		}
 		plan.per[li] = per
 		plan.count[li] = int((l.Neurons + per - 1) / per)
 		plan.first[li] = plan.total
@@ -87,40 +75,13 @@ func planLayers(n *snn.Net, cfg PartitionConfig, grain int) (layerPlan, error) {
 	return plan, nil
 }
 
-// estimateEdges returns the exact number of edges an expansion of the plan
-// emits (self-edges included). It is the fine-graph size estimator for the
-// multilevel grain adaptation; the streaming expansion itself sizes its CSR
-// from the counting pass.
-func estimateEdges(n *snn.Net, plan layerPlan) int64 {
-	var est int64
-	for _, c := range n.Conns {
-		fc, tc := int64(plan.count[c.From]), int64(plan.count[c.To])
-		switch c.Pattern {
-		case snn.Dense:
-			est += tc * fc
-		case snn.Local:
-			window := int64(c.Window)
-			if window < 1 {
-				window = 1
-			}
-			if window > fc {
-				window = fc
-			}
-			est += tc * window
-		default: // OneToOne and anything unknown (rejected later)
-			est += tc
-		}
-	}
-	return est
-}
-
-// expandWithGrain is the granular expansion core shared by Expand (grain 1)
-// and ExpandMultilevel (grain > 1).
-func expandWithGrain(n *snn.Net, cfg PartitionConfig, grain int) (*PCN, error) {
+// expand is Expand without its telemetry span: plan the per-layer clusters,
+// then stream the connections into the PCN's CSR.
+func expand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("pcn: invalid net: %w", err)
 	}
-	plan, err := planLayers(n, cfg, grain)
+	plan, err := planLayers(n, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +145,7 @@ func expandWithGrain(n *snn.Net, cfg PartitionConfig, grain int) (*PCN, error) {
 
 // traverseConns streams every cluster-level edge of the net's connections
 // (self-edges included) to emit, in a deterministic order grouped by Conn
-// and target cluster. It is run twice by expandWithGrain — once counting,
+// and target cluster. It is run twice by expand — once counting,
 // once writing — so the expansion never holds a full edge list.
 func traverseConns(n *snn.Net, p *PCN, plan layerPlan, emit func(f, t int, weight float64)) error {
 	for _, c := range n.Conns {

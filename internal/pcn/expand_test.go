@@ -1,10 +1,12 @@
 package pcn
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"snnmap/internal/hw"
+	"snnmap/internal/place"
 	"snnmap/internal/snn"
 )
 
@@ -183,6 +185,21 @@ func TestExpandRejectsInvalid(t *testing.T) {
 	good := snn.DNN65K()
 	if _, err := Expand(good, PartitionConfig{}); err == nil {
 		t.Error("zero CON_npc must fail")
+	}
+}
+
+// TestExpandRejectsMultilevel: multilevel partitioning is for explicit graphs
+// only, so a layer-spec expansion asked for it must fail with ErrBadConfig
+// rather than quietly return the flat PCN.
+func TestExpandRejectsMultilevel(t *testing.T) {
+	cfg := DefaultPartition()
+	cfg.Multilevel = DefaultMultilevel()
+	p, err := Expand(snn.DNN65K(), cfg)
+	if !errors.Is(err, place.ErrBadConfig) {
+		t.Fatalf("Expand with Multilevel: err = %v, want ErrBadConfig", err)
+	}
+	if p != nil {
+		t.Fatal("Expand with Multilevel returned a PCN alongside its error")
 	}
 }
 

@@ -22,12 +22,11 @@ import "snnmap/internal/par"
 // heavyEdgeMatch computes a matching of the undirected graph: match[v] is
 // v's partner, or v itself when the vertex stays a singleton. A pair is only
 // eligible when the merged neuron weight fits mergeCap (and the merged
-// synapse weight fits synCap when synCap > 0) and, with splitLayers, both
-// vertices carry the same layer tag (untagged vertices, layer < 0, match
-// freely). rounds bounds the proposal/acceptance sweeps. ar recycles the
+// synapse weight fits synCap when synCap > 0); layer tags play no part.
+// rounds bounds the proposal/acceptance sweeps. ar recycles the
 // match/pref/counts scratch across coarsening levels (nil allocates fresh);
 // the returned matching aliases the arena and is valid until the next grab.
-func heavyEdgeMatch(u *Undirected, neurons []int32, synapses []int64, layer []int32, mergeCap int, synCap int64, splitLayers bool, rounds, workers int, ar *levelArena) []int32 {
+func heavyEdgeMatch(u *Undirected, neurons []int32, synapses []int64, mergeCap int, synCap int64, rounds, workers int, ar *levelArena) []int32 {
 	if ar == nil {
 		ar = &levelArena{}
 	}
@@ -59,9 +58,6 @@ func heavyEdgeMatch(u *Undirected, neurons []int32, synapses []int64, layer []in
 						continue
 					}
 					if synCap > 0 && synapses[v]+synapses[t] > synCap {
-						continue
-					}
-					if splitLayers && layer[v] >= 0 && layer[t] >= 0 && layer[v] != layer[t] {
 						continue
 					}
 					if ws[k] > bestW || (ws[k] == bestW && (best < 0 || t < best)) {

@@ -238,29 +238,6 @@ func TestCSRFromAssignmentEqualsEdgeList(t *testing.T) {
 		t.Fatalf("graph too sparse to test summation order: %d edges from %d synapses", want.NumEdges(), len(w))
 	}
 
-	// Second source shape: a PCN contracted through a part assignment.
-	partOf := make([]int32, want.NumClusters)
-	for i := range partOf {
-		partOf[i] = int32(i / 3)
-	}
-	parts := int(partOf[len(partOf)-1]) + 1
-	grp := grouping{partOf: partOf, neurons: make([]int32, parts), synapses: make([]int64, parts), layer: make([]int32, parts)}
-	coarse := &PCN{NumClusters: parts, Neurons: grp.neurons, Synapses: grp.synapses, Layer: grp.layer, InternalTraffic: want.InternalTraffic}
-	from, to, w = from[:0], to[:0], w[:0]
-	for i := 0; i < want.NumClusters; i++ {
-		tos, ws := want.OutEdges(i)
-		for k, v := range tos {
-			if partOf[i] == partOf[v] {
-				coarse.InternalTraffic += ws[k]
-				continue
-			}
-			from, to, w = append(from, partOf[i]), append(to, partOf[v]), append(w, ws[k])
-		}
-	}
-	buildCSR(coarse, from, to, w)
-	for _, workers := range []int{1, 4} {
-		samePCN(t, "contractPCN", coarse, contractPCN(want, grp, workers))
-	}
 }
 
 func TestUndirectedBitwiseSymmetric(t *testing.T) {

@@ -1,23 +1,24 @@
 package pcn
 
 import (
-	"fmt"
-
 	"snnmap/internal/obs"
 	"snnmap/internal/snn"
 )
 
 // The multilevel coarsen–partition–uncoarsen partitioner (SNEAP-style; see
-// PAPERS.md). Instead of cutting the neuron order greedily like Algorithm 1,
-// it works on a fine-granularity cluster graph: heavy-edge matching contracts
-// the graph level by level until it is small, a greedy growth pass partitions
-// the coarsest graph under the hardware capacity constraints, and the
-// assignment is projected back level by level with boundary-only KL/FM
-// refinement — the same gain accounting as RefinePartition (move gain =
-// connectivity-to-target − connectivity-to-home), applied to cluster-graph
-// vertices instead of single neurons. Every stage is deterministic at any
-// Workers count; the final result is additionally guarded by a flat
-// fallback, so its cut is never worse than the flat pipeline's.
+// PAPERS.md) for explicit graphs. Instead of cutting the neuron order greedily
+// like Algorithm 1, it works on a fine-granularity cluster graph: heavy-edge
+// matching contracts the graph level by level until it is small, a greedy
+// growth pass partitions the coarsest graph under the hardware capacity
+// constraints, and the assignment is projected back level by level with
+// boundary-only KL/FM refinement — the same gain accounting as
+// RefinePartition (move gain = connectivity-to-target − connectivity-to-home),
+// applied to cluster-graph vertices instead of single neurons. Every stage is
+// deterministic at any Workers count; the final result is additionally
+// guarded by a flat fallback, so its cut is never worse than the flat
+// pipeline's. Layer-spec nets keep the paper's per-layer cut (Expand): after
+// HSC + FD the multilevel grouping lost energy on most Table 3 workloads
+// (EXPERIMENTS.md).
 
 // MultilevelOptions tunes the multilevel partitioner. The zero value of any
 // field selects its default.
@@ -41,11 +42,6 @@ type MultilevelOptions struct {
 	// about CON_npc/Grain neurons, giving refinement Grain× more freedom
 	// than whole-cluster moves. Default 8.
 	Grain int
-	// MaxFineEdges caps the fine graph size for the analytic (layer-spec)
-	// path: the effective grain is halved until the estimated fine edge
-	// count fits, so billion-synapse nets do not materialize huge cluster
-	// graphs. Default 4Mi edges.
-	MaxFineEdges int64
 	// MatchRounds bounds the proposal/acceptance rounds per matching sweep.
 	// Default 8.
 	MatchRounds int
@@ -66,9 +62,6 @@ func (o MultilevelOptions) withDefaults() MultilevelOptions {
 	}
 	if o.Grain <= 0 {
 		o.Grain = 8
-	}
-	if o.MaxFineEdges <= 0 {
-		o.MaxFineEdges = 4 << 20
 	}
 	if o.MatchRounds <= 0 {
 		o.MatchRounds = 8
@@ -111,7 +104,8 @@ type MultilevelStats struct {
 	// CoarsestVertices is the size of the graph the initial partitioning
 	// ran on.
 	CoarsestVertices int
-	// Grain is the effective granularity after the MaxFineEdges adaptation.
+	// Grain is the granularity factor the fine graph was cut at: the
+	// resolved MultilevelOptions.Grain, used as given.
 	Grain int
 	// Moves counts refinement moves across all levels.
 	Moves int64
@@ -219,7 +213,7 @@ func AggregateKernels(g *snn.Graph, cfg PartitionConfig) ([]BenchKernel, error) 
 	if err != nil {
 		return nil, err
 	}
-	match := heavyEdgeMatch(base.u, base.neurons, base.synapses, base.layer, cfg.Constraints.NeuronsPerCore, 0, false, o.MatchRounds, o.Workers, nil)
+	match := heavyEdgeMatch(base.u, base.neurons, base.synapses, cfg.Constraints.NeuronsPerCore, 0, o.MatchRounds, o.Workers, nil)
 	return []BenchKernel{
 		{"flat-csr", func() {
 			csrFromAssignment(&PCN{NumClusters: len(flatN)}, g.OutOff, g.OutTo, g.OutW, flatOf, cfg.Workers)
@@ -305,91 +299,6 @@ func preferFlat(stats MultilevelStats, ml, flat *PCN) bool {
 	return stats.CutMultilevel == stats.CutFlat && ml.NumClusters >= flat.NumClusters
 }
 
-// ExpandMultilevel partitions a layer-spec Net with the multilevel scheme
-// without materializing neurons: the analytic expander runs at a finer
-// granularity (per-layer cluster sizes divided by the largest divisor ≤
-// Grain, so fine cluster boundaries stay aligned with flat ones), the fine
-// cluster graph is grouped, and the fine PCN is contracted through the part
-// assignment. The same flat-fallback guarantee applies.
-func ExpandMultilevel(n *snn.Net, cfg PartitionConfig) (*PCN, MultilevelStats, error) {
-	o := cfg.takeMultilevel()
-	sp := cfg.Obs.Span("partition.multilevel")
-	defer func() { sp.End() }()
-
-	flat, err := Expand(n, cfg)
-	if err != nil {
-		return nil, MultilevelStats{}, err
-	}
-	stats := MultilevelStats{CutFlat: flat.TotalWeight()}
-
-	// Adapt the grain so the fine graph stays bounded: Dense connections
-	// grow quadratically with the per-layer cluster count, so billion-neuron
-	// nets may need a coarser fine graph than the configured Grain.
-	grain := o.Grain
-	for grain > 1 {
-		plan, err := planLayers(n, cfg, grain)
-		if err != nil {
-			return nil, stats, err
-		}
-		if estimateEdges(n, plan) <= o.MaxFineEdges {
-			break
-		}
-		grain /= 2
-	}
-	stats.Grain = grain
-
-	fine := flat
-	if grain > 1 {
-		fine, err = expandWithGrain(n, cfg, grain)
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	base := &gLevel{
-		u:        fine.Undirected(),
-		neurons:  fine.Neurons,
-		synapses: fine.Synapses,
-		layer:    fine.Layer,
-	}
-	stats.FineVertices = fine.NumClusters
-	stats.FineEdges = int64(len(base.u.To)) / 2
-
-	grp := multilevelGroup(base, fine.TotalNeurons(), cfg, o)
-	stats.Levels = grp.levels
-	stats.CoarsestVertices = grp.coarsest
-	stats.Moves = grp.moves
-
-	ml := contractPCN(fine, grp, cfg.Workers)
-	stats.CutMultilevel = ml.TotalWeight()
-	if preferFlat(stats, ml, flat) {
-		stats.UsedFlat = true
-	}
-	emitMultilevelStats(cfg.Obs, stats)
-	if stats.UsedFlat {
-		return flat, stats, nil
-	}
-	if err := ml.Validate(); err != nil {
-		return nil, stats, fmt.Errorf("pcn: multilevel result invalid: %w", err)
-	}
-	return ml, stats, nil
-}
-
-// contractPCN maps a fine PCN's directed edges through a part assignment,
-// producing the final cluster-level PCN. Edges that become internal to a
-// part move into InternalTraffic.
-func contractPCN(fine *PCN, grp grouping, workers int) *PCN {
-	p := &PCN{
-		Name:            fine.Name,
-		NumClusters:     len(grp.neurons),
-		Neurons:         grp.neurons,
-		Synapses:        grp.synapses,
-		Layer:           grp.layer,
-		InternalTraffic: fine.InternalTraffic,
-	}
-	csrFromAssignment(p, fine.OutOff, fine.OutTo, fine.OutW, grp.partOf, workers)
-	return p
-}
-
 // multilevelGroup packs the vertices of a fine cluster graph into parts that
 // each fit the hardware constraints: coarsen by heavy-edge matching,
 // partition the coarsest graph greedily, project back with boundary
@@ -401,13 +310,12 @@ func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, o Multileve
 	if cfg.EnforceSynapses {
 		synCap = int64(cfg.Constraints.SynapsesPerCore)
 	}
-	// The cluster-level grouping merges freely across layer boundaries:
-	// feed-forward nets have no intra-layer cluster edges, so honoring
-	// SplitAtLayers here would leave matching and growth nothing to work
+	// The cluster-level grouping ignores SplitAtLayers and merges freely
+	// across layer boundaries: feed-forward nets have no intra-layer cluster
+	// edges, so honoring it would leave matching and growth nothing to work
 	// with — and internalizing cross-layer traffic is exactly where the
 	// multilevel cut reduction comes from. Mixed parts are tagged layer -1;
 	// the flat fallback still guards callers that need layer purity.
-	cfg.SplitAtLayers = false
 
 	// Keep at least two coarse vertices per feasible part so the initial
 	// partitioning is not forced into a fixed grouping.
@@ -424,14 +332,14 @@ func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, o Multileve
 	levels := []*gLevel{base}
 	lv := base
 	for len(levels) <= o.MaxLevels && len(lv.neurons) > target {
-		match := heavyEdgeMatch(lv.u, lv.neurons, lv.synapses, lv.layer, npc, synCap, cfg.SplitAtLayers, o.MatchRounds, o.Workers, ar)
+		match := heavyEdgeMatch(lv.u, lv.neurons, lv.synapses, npc, synCap, o.MatchRounds, o.Workers, ar)
 		pairs := 0
 		for v, m := range match {
 			if int(m) > v {
 				pairs++
 			}
 		}
-		// Stalled matchings (capacity- or layer-bound) shrink the graph too
+		// Stalled (capacity-bound) matchings shrink the graph too
 		// slowly to be worth another level.
 		if pairs*32 < len(match) {
 			break
@@ -452,31 +360,17 @@ func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, o Multileve
 	grp := grouping{levels: len(levels), coarsest: len(lv.neurons)}
 
 	initSp := cfg.Obs.Span("multilevel.initial")
-	partOf, parts := greedyPartition(lv, cfg, npc, synCap)
+	partOf, parts := greedyPartition(lv, npc, synCap)
 	initSp.End(obs.KV{K: "parts", V: float64(parts)})
 	partN := make([]int32, parts)
 	partS := make([]int64, parts)
-	partLayer := make([]int32, parts)
-	for p := range partLayer {
-		partLayer[p] = -2 // unset sentinel
-	}
-	for v := range partOf {
-		p := partOf[v]
+	for v, p := range partOf {
 		partN[p] += lv.neurons[v]
 		partS[p] += lv.synapses[v]
-		if partLayer[p] == -2 {
-			partLayer[p] = lv.layer[v]
-		} else if partLayer[p] != lv.layer[v] {
-			partLayer[p] = -1
-		}
-	}
-	partVerts := make([]int32, parts)
-	for _, p := range partOf {
-		partVerts[p]++
 	}
 
 	uncoarsenSp := cfg.Obs.Span("multilevel.uncoarsen")
-	moves := refineLevel(lv, partOf, partN, partS, partLayer, partVerts, cfg, o, npc, synCap, ar)
+	moves := refineLevel(lv, partOf, partN, partS, o, npc, synCap, ar)
 	grp.moves += moves
 	if cfg.Obs.Enabled() {
 		cfg.Obs.Counter("multilevel.refine", obs.KV{K: "level", V: float64(len(levels) - 1)}, obs.KV{K: "moves", V: float64(moves)})
@@ -488,13 +382,7 @@ func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, o Multileve
 			fp[v] = partOf[finer.coarseOf[v]]
 		}
 		partOf = fp
-		for p := range partVerts {
-			partVerts[p] = 0
-		}
-		for _, p := range partOf {
-			partVerts[p]++
-		}
-		moves = refineLevel(finer, partOf, partN, partS, partLayer, partVerts, cfg, o, npc, synCap, ar)
+		moves = refineLevel(finer, partOf, partN, partS, o, npc, synCap, ar)
 		grp.moves += moves
 		if cfg.Obs.Enabled() {
 			cfg.Obs.Counter("multilevel.refine", obs.KV{K: "level", V: float64(li)}, obs.KV{K: "moves", V: float64(moves)})
@@ -542,7 +430,7 @@ func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, o Multileve
 // the part that still fits (ties toward the smaller index), until nothing
 // fits. A seed is always admitted, mirroring Algorithm 1's empty-cluster
 // rule. The scan order and tie-breaks make the result deterministic.
-func greedyPartition(lv *gLevel, cfg PartitionConfig, npc int, synCap int64) ([]int32, int) {
+func greedyPartition(lv *gLevel, npc int, synCap int64) ([]int32, int) {
 	n := len(lv.neurons)
 	partOf := make([]int32, n)
 	for v := range partOf {
@@ -559,7 +447,7 @@ func greedyPartition(lv *gLevel, cfg PartitionConfig, npc int, synCap int64) ([]
 	// vertex that still fits the part, so disconnected components pack into
 	// full parts (Algorithm 1's contiguous walk) instead of leaking
 	// singleton parts.
-	fill := func(pN int32, pS int64, pLayer int32) int32 {
+	fill := func(pN int32, pS int64) int32 {
 		for c := seed; c < n; c++ {
 			if partOf[c] >= 0 {
 				continue
@@ -568,9 +456,6 @@ func greedyPartition(lv *gLevel, cfg PartitionConfig, npc int, synCap int64) ([]
 				continue
 			}
 			if synCap > 0 && pS+lv.synapses[c] > synCap {
-				continue
-			}
-			if cfg.SplitAtLayers && lv.layer[c] >= 0 && pLayer >= 0 && lv.layer[c] != pLayer {
 				continue
 			}
 			return int32(c)
@@ -584,15 +469,11 @@ func greedyPartition(lv *gLevel, cfg PartitionConfig, npc int, synCap int64) ([]
 		v := int32(seed)
 		var pN int32
 		var pS int64
-		pLayer := int32(-1)
 		for {
 			partOf[v] = part
 			assigned++
 			pN += lv.neurons[v]
 			pS += lv.synapses[v]
-			if pLayer < 0 {
-				pLayer = lv.layer[v]
-			}
 			tos, ws := lv.u.Neighbors(int(v))
 			for k, t := range tos {
 				if partOf[t] >= 0 {
@@ -620,9 +501,6 @@ func greedyPartition(lv *gLevel, cfg PartitionConfig, npc int, synCap int64) ([]
 				if synCap > 0 && pS+lv.synapses[t] > synCap {
 					continue
 				}
-				if cfg.SplitAtLayers && lv.layer[t] >= 0 && pLayer >= 0 && lv.layer[t] != pLayer {
-					continue
-				}
 				if conn[t] > bestConn || (conn[t] == bestConn && (best < 0 || t < best)) {
 					best = t
 					bestConn = conn[t]
@@ -630,7 +508,7 @@ func greedyPartition(lv *gLevel, cfg PartitionConfig, npc int, synCap int64) ([]
 			}
 			frontier = live
 			if best < 0 {
-				best = fill(pN, pS, pLayer)
+				best = fill(pN, pS)
 			}
 			if best < 0 {
 				break
@@ -651,14 +529,14 @@ func greedyPartition(lv *gLevel, cfg PartitionConfig, npc int, synCap int64) ([]
 // hierarchy level: each pass walks the vertices in index order, skips
 // interior vertices with a cheap neighbor scan, and moves a boundary vertex
 // to the adjacent part with the largest positive cut gain that still fits
-// the capacity and layer constraints. Candidate parts are examined in
+// the capacity constraints. Candidate parts are examined in
 // neighbor order with strict-improvement ties, so the outcome does not
 // depend on map iteration order or worker count. Occupancy arrays are
 // mutated in place; the returned count is the number of moves applied. ar
 // recycles the gain/seen scratch across levels (nil allocates fresh): the
 // part count is constant through the uncoarsening walk, and the
 // candidate-list reset leaves both buffers all-zero between calls.
-func refineLevel(lv *gLevel, partOf []int32, partN []int32, partS []int64, partLayer []int32, partVerts []int32, cfg PartitionConfig, o MultilevelOptions, npc int, synCap int64, ar *levelArena) int64 {
+func refineLevel(lv *gLevel, partOf []int32, partN []int32, partS []int64, o MultilevelOptions, npc int, synCap int64, ar *levelArena) int64 {
 	if ar == nil {
 		ar = &levelArena{}
 	}
@@ -712,9 +590,6 @@ func refineLevel(lv *gLevel, partOf []int32, partN []int32, partS []int64, partL
 				if synCap > 0 && partS[d]+lv.synapses[v] > synCap {
 					continue
 				}
-				if cfg.SplitAtLayers && lv.layer[v] >= 0 && partLayer[d] >= 0 && partLayer[d] != lv.layer[v] {
-					continue
-				}
 				best = d
 				bestGain = g
 			}
@@ -727,10 +602,8 @@ func refineLevel(lv *gLevel, partOf []int32, partN []int32, partS []int64, partL
 			}
 			partN[cv] -= lv.neurons[v]
 			partS[cv] -= lv.synapses[v]
-			partVerts[cv]--
 			partN[best] += lv.neurons[v]
 			partS[best] += lv.synapses[v]
-			partVerts[best]++
 			partOf[v] = best
 			passMoves++
 		}

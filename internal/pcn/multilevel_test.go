@@ -51,52 +51,11 @@ func stressedGraph(t *testing.T) (*snn.Graph, PartitionConfig) {
 	return g, cfg
 }
 
-// TestMultilevelWorkerEquivalence is the determinism matrix of the issue:
-// Workers ∈ {1,2,4,7} must produce bit-identical PCNs, assignments, and
-// stats on a layer-spec net (MobileNet), a layer-spec giant (CNN_16M), and
-// a faulted-constraints explicit graph. Run under -race in CI.
+// TestMultilevelWorkerEquivalence is the multilevel determinism matrix:
+// Workers ∈ {1,2,4,7} must produce bit-identical assignments and PCNs on a
+// faulted-constraints explicit graph. Run under -race in CI.
 func TestMultilevelWorkerEquivalence(t *testing.T) {
 	workers := []int{1, 2, 4, 7}
-
-	t.Run("MobileNet", func(t *testing.T) {
-		net := snn.MobileNet()
-		var base *PCN
-		var baseStats MultilevelStats
-		for _, w := range workers {
-			cfg := DefaultPartition()
-			cfg.Multilevel = &MultilevelOptions{Workers: w, MaxFineEdges: 1 << 20}
-			p, stats, err := ExpandMultilevel(net, cfg)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
-			}
-			if base == nil {
-				base, baseStats = p, stats
-				continue
-			}
-			samePCN(t, "MobileNet", base, p)
-			if stats != baseStats {
-				t.Fatalf("workers=%d: stats differ: %+v vs %+v", w, stats, baseStats)
-			}
-		}
-	})
-
-	t.Run("CNN_16M", func(t *testing.T) {
-		net := snn.CNN16M()
-		var base *PCN
-		for _, w := range workers {
-			cfg := DefaultPartition()
-			cfg.Multilevel = &MultilevelOptions{Workers: w, MaxFineEdges: 1 << 19}
-			p, _, err := ExpandMultilevel(net, cfg)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
-			}
-			if base == nil {
-				base = p
-				continue
-			}
-			samePCN(t, "CNN_16M", base, p)
-		}
-	})
 
 	t.Run("StressedConstraints", func(t *testing.T) {
 		g, cfg := stressedGraph(t)
@@ -118,58 +77,6 @@ func TestMultilevelWorkerEquivalence(t *testing.T) {
 			samePCN(t, "stressed", base.PCN, res.PCN)
 		}
 	})
-}
-
-// TestMultilevelQualityGate asserts the issue's quality criterion on the
-// tier-1 layer-spec workloads: the multilevel cut is never worse than the
-// flat cut (the flat fallback makes this a hard guarantee), total traffic
-// and occupancy are conserved, and the result satisfies the hardware
-// capacity constraints.
-func TestMultilevelQualityGate(t *testing.T) {
-	nets := []*snn.Net{
-		snn.DNN65K(), snn.CNN65K(), snn.LeNetMNIST(),
-		snn.LeNetImageNet(), snn.AlexNet(), snn.MobileNet(),
-	}
-	for _, net := range nets {
-		t.Run(net.Name, func(t *testing.T) {
-			cfg := DefaultPartition()
-			flat, err := Expand(net, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Multilevel = &MultilevelOptions{Workers: 2, MaxFineEdges: 1 << 20}
-			ml, stats, err := ExpandMultilevel(net, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ml.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if cut, flatCut := ml.TotalWeight(), flat.TotalWeight(); cut > flatCut*(1+1e-12) {
-				t.Errorf("multilevel cut %g worse than flat %g (stats %+v)", cut, flatCut, stats)
-			}
-			if ml.TotalNeurons() != flat.TotalNeurons() {
-				t.Errorf("neurons not conserved: %d vs %d", ml.TotalNeurons(), flat.TotalNeurons())
-			}
-			if ml.TotalSynapses() != flat.TotalSynapses() {
-				t.Errorf("synapses not conserved: %d vs %d", ml.TotalSynapses(), flat.TotalSynapses())
-			}
-			totalFlat := flat.TotalWeight() + flat.InternalTraffic
-			totalML := ml.TotalWeight() + ml.InternalTraffic
-			if math.Abs(totalFlat-totalML) > 1e-6*math.Max(1, totalFlat) {
-				t.Errorf("total traffic not conserved: flat %g, multilevel %g", totalFlat, totalML)
-			}
-			npc := int32(cfg.Constraints.NeuronsPerCore)
-			for c, n := range ml.Neurons {
-				if n > npc {
-					t.Fatalf("cluster %d holds %d neurons > CON_npc %d", c, n, npc)
-				}
-				if n <= 0 {
-					t.Fatalf("cluster %d empty", c)
-				}
-			}
-		})
-	}
 }
 
 // TestMultilevelExplicitAgainstFlat checks the explicit-graph path end to
@@ -219,7 +126,7 @@ func TestMultilevelExplicitAgainstFlat(t *testing.T) {
 }
 
 // TestHeavyEdgeMatchInvariants checks the matching is an involution that
-// respects the merge caps and layer purity, at several worker counts.
+// respects the merge caps, at several worker counts.
 func TestHeavyEdgeMatchInvariants(t *testing.T) {
 	g, cfg := stressedGraph(t)
 	fineCfg := cfg
@@ -232,7 +139,7 @@ func TestHeavyEdgeMatchInvariants(t *testing.T) {
 	u := p.Undirected()
 	var base []int32
 	for _, workers := range []int{1, 3, 8} {
-		match := heavyEdgeMatch(u, p.Neurons, p.Synapses, p.Layer, 48, 600, true, 8, workers, nil)
+		match := heavyEdgeMatch(u, p.Neurons, p.Synapses, 48, 600, 8, workers, nil)
 		if base == nil {
 			base = match
 		} else if !reflect.DeepEqual(base, match) {
@@ -275,7 +182,7 @@ func TestContractConservesTotals(t *testing.T) {
 	}
 	p := fine.PCN
 	lv := &gLevel{u: p.Undirected(), neurons: p.Neurons, synapses: p.Synapses, layer: p.Layer}
-	match := heavyEdgeMatch(lv.u, lv.neurons, lv.synapses, lv.layer, 48, 600, true, 8, 2, nil)
+	match := heavyEdgeMatch(lv.u, lv.neurons, lv.synapses, 48, 600, 8, 2, nil)
 	coarse, internal := contract(lv, match, 2, nil)
 
 	var fineN, coarseN int64

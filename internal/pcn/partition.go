@@ -20,9 +20,12 @@ type PartitionConfig struct {
 	// source graph carries layer tags. The paper's per-layer cluster counts
 	// (e.g. LeNet-MNIST = 9) require it; default true in DefaultPartition.
 	SplitAtLayers bool
-	// Multilevel switches Partition and Expand to the multilevel
-	// coarsen–partition–uncoarsen scheme (multilevel.go). Nil keeps the
-	// paper's flat Algorithm 1 pipeline.
+	// Multilevel switches Partition to the multilevel
+	// coarsen–partition–uncoarsen scheme (multilevel.go), for explicit graphs
+	// only: Expand rejects it, since layer-spec nets keep the paper's
+	// per-layer cut. The options are used as given (the fine grain is not
+	// adapted to the graph size). Nil keeps the paper's flat Algorithm 1
+	// pipeline.
 	Multilevel *MultilevelOptions
 	// Workers fans the per-cluster merge of parallel edges (finalizeCSR) out
 	// over up to this many goroutines (0 or 1 = sequential). Like
@@ -133,9 +136,8 @@ func assignClusters(g *snn.Graph, cfg PartitionConfig) (clusterOf []int32, neuro
 	return clusterOf, neurons, synapses, layers, nil
 }
 
-// csrFromAssignment builds E_P and w_P (Eqs. 5–6) for p from a source CSR —
-// a neuron graph or a finer PCN — and the assignment of its rows to p's
-// clusters: entries whose endpoints share a cluster add to InternalTraffic,
+// csrFromAssignment builds E_P and w_P (Eqs. 5–6) for p from a neuron graph's
+// CSR and the assignment of its rows to p's clusters: entries whose endpoints share a cluster add to InternalTraffic,
 // the rest are counted, then written straight into exact-sized per-cluster
 // buckets in (source row, entry index) order and merged by finalizeCSR, so no
 // (from, to, w) edge list is ever held. It returns the raw cross-entry count.

@@ -15,7 +15,7 @@ var (
 	ErrUnplaceable = errors.New("unplaceable")
 	// ErrCanceled reports that the caller's context canceled the operation.
 	ErrCanceled = errors.New("canceled")
-	// ErrBadConfig reports an invalid configuration (see noc.Config.Validate
-	// and mapping.FDConfig.Validate).
+	// ErrBadConfig reports an invalid configuration (see noc.Config.Validate,
+	// mapping.FDConfig.Validate and pcn.Expand).
 	ErrBadConfig = errors.New("invalid config")
 )

@@ -103,7 +103,8 @@ type (
 	// PartitionResult pairs a PCN with the neuron→cluster assignment.
 	PartitionResult = pcn.Result
 	// MultilevelOptions tunes the multilevel coarsen–partition–uncoarsen
-	// partitioner (set PartitionConfig.Multilevel to enable it).
+	// partitioner for explicit graphs (set PartitionConfig.Multilevel to
+	// enable it in Partition; Expand rejects it).
 	MultilevelOptions = pcn.MultilevelOptions
 	// MultilevelStats reports one multilevel partitioning run.
 	MultilevelStats = pcn.MultilevelStats
@@ -130,13 +131,6 @@ func DefaultMultilevel() *MultilevelOptions { return pcn.DefaultMultilevel() }
 // at any MultilevelOptions.Workers count.
 func PartitionMultilevel(g *Graph, cfg PartitionConfig) (*PartitionResult, MultilevelStats, error) {
 	return pcn.PartitionMultilevel(g, cfg)
-}
-
-// ExpandMultilevel runs the multilevel partitioner on a layer-spec Net
-// without materializing neurons, with the same guarantees as
-// PartitionMultilevel.
-func ExpandMultilevel(n *Net, cfg PartitionConfig) (*PCN, MultilevelStats, error) {
-	return pcn.ExpandMultilevel(n, cfg)
 }
 
 // Mapping (§4).
