@@ -107,7 +107,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mesh := expt.MeshFor(p.NumClusters)
+	mesh := hw.MeshFor(p.NumClusters)
 	fmt.Printf("%s: %d neurons, %d synapses → %d clusters, %d connections on %v\n",
 		net.Name, net.NumNeurons(), net.NumSynapses(), p.NumClusters, p.NumEdges(), mesh)
 
@@ -144,7 +144,7 @@ func main() {
 	if *ckptPath != "" {
 		ckptCfg = &mapping.CheckpointConfig{Interval: *ckptEvery, Fn: func(s *mapping.Snapshot) error {
 			snapsWritten++
-			return writeSnapshotAtomic(*ckptPath, s)
+			return fsx.WriteAtomic(*ckptPath, func(w io.Writer) error { return codec.WriteSnapshot(w, s) })
 		}}
 	}
 	opts := expt.RunOptions{Seed: *seed, Budget: *budget, Defects: defects, Constraints: cons,
@@ -214,7 +214,7 @@ func main() {
 
 	if *sim {
 		res, err := noc.Simulate(p, pl, noc.Config{
-			SpikesPerUnit: simScale(p.TotalWeight()),
+			SpikesPerUnit: expt.SimSpikesPerUnit(p.TotalWeight()),
 			Defects:       defects,
 			FaultAware:    defects != nil,
 			Shards:        noc.ClampShards(*simShards, mesh.Rows),
@@ -255,10 +255,10 @@ func main() {
 			s.ResultHits, s.ResultMisses, s.MetricsHits, s.MetricsMisses, s.Remaps, s.Corrupt)
 	}
 
-	writeFile(*savePCN, func(f *os.File) error { return codec.WritePCN(f, p) })
-	writeFile(*savePlace, func(f *os.File) error { return codec.WritePlacement(f, pl) })
-	writeFile(*exportDot, func(f *os.File) error { return codec.WriteDOT(f, p, 0) })
-	writeFile(*exportCSV, func(f *os.File) error { return codec.WritePlacementCSV(f, pl) })
+	writeFile(*savePCN, func(w io.Writer) error { return codec.WritePCN(w, p) })
+	writeFile(*savePlace, func(w io.Writer) error { return codec.WritePlacement(w, pl) })
+	writeFile(*exportDot, func(w io.Writer) error { return codec.WriteDOT(w, p, 0) })
+	writeFile(*exportCSV, func(w io.Writer) error { return codec.WritePlacementCSV(w, pl) })
 
 	obsStop = nil
 	if err := stopObs(); err != nil {
@@ -370,36 +370,19 @@ func expandNet(artifacts *cache.Cache, net *snn.Net, cfg pcn.PartitionConfig) (*
 	return pcn.Expand(net, cfg)
 }
 
-// writeSnapshotAtomic persists a snapshot with crash-safe replace semantics
-// (temp file + fsync + rename; see internal/fsx).
-func writeSnapshotAtomic(path string, s *mapping.Snapshot) error {
-	return fsx.WriteAtomic(path, func(w io.Writer) error { return codec.WriteSnapshot(w, s) })
-}
-
 func fileExists(path string) bool {
 	st, err := os.Stat(path)
 	return err == nil && !st.IsDir()
 }
 
-// simScale picks a spikes-per-unit factor that keeps simulations below
-// roughly one million spikes.
-func simScale(totalWeight float64) float64 {
-	if totalWeight <= 1_000_000 {
-		return 1
-	}
-	return 1_000_000 / totalWeight
-}
-
-func writeFile(path string, write func(*os.File) error) {
+// writeFile writes one output artifact with crash-safe replace semantics
+// (temp file + fsync + rename; see internal/fsx): a failed write leaves any
+// previous file at path untouched rather than a truncated one.
+func writeFile(path string, write func(io.Writer) error) {
 	if path == "" {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
+	if err := fsx.WriteAtomic(path, write); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s\n", path)

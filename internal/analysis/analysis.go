@@ -1,7 +1,7 @@
-// Package analysis implements the statistical study of §4.3 (Figure 6):
-// distance heatmaps of space-filling curves, SNN connection images, the
-// curve cost measure obtained by masking one with the other, and the
-// probability-cloud ensemble that compares curves on arbitrary unknown SNNs.
+// Package analysis implements the statistical study of §4.3 (Figure 6): the
+// curve cost measure of an SNN connection image laid along a space-filling
+// curve, and the probability-cloud ensemble that compares curves on
+// arbitrary unknown SNNs.
 package analysis
 
 import (
@@ -10,60 +10,28 @@ import (
 
 	"snnmap/internal/curve"
 	"snnmap/internal/geom"
-	"snnmap/internal/pcn"
 	"snnmap/internal/snn"
 )
 
-// DistanceHeatmap returns the (n·m)×(n·m) matrix whose (i, j) entry is the
-// Manhattan distance between the mesh positions of sequence indices i and j
-// under the curve (Figure 6.b), flattened row-major. Intended for small
-// meshes (the figure uses 8×8); it refuses sizes whose heatmap would exceed
-// 64 M entries.
-func DistanceHeatmap(c curve.Curve, n, m int) ([]int32, error) {
-	total := n * m
-	if total > 8192 {
-		return nil, fmt.Errorf("analysis: heatmap for %d×%d mesh would need %d entries", n, m, total*total)
-	}
-	pts := c.Points(n, m)
-	h := make([]int32, total*total)
-	for i := 0; i < total; i++ {
-		for j := 0; j < total; j++ {
-			h[i*total+j] = int32(geom.Manhattan(pts[i], pts[j]))
-		}
-	}
-	return h, nil
+// outRows is a weighted digraph read one out-row at a time; *snn.Graph and
+// *pcn.PCN both satisfy it.
+type outRows interface {
+	OutEdges(v int) ([]int32, []float64)
 }
 
-// GraphCost is the Figure 6.d cost: lay neuron i at the curve's i-th mesh
-// position and sum w·distance over every synapse — equivalently, mask the
+// CurveCost is the Figure 6.d cost: lay vertex i of g (a neuron of an
+// snn.Graph, or a cluster of a pcn.PCN) at the curve's i-th mesh position
+// and sum w·distance over every edge — equivalently, mask the curve's
 // distance heatmap with the connection image and sum the covered values.
-// The graph must fit the mesh.
-func GraphCost(c curve.Curve, g *snn.Graph, n, m int) (float64, error) {
-	if g.NumNeurons > n*m {
-		return 0, fmt.Errorf("analysis: %d neurons exceed %d×%d mesh", g.NumNeurons, n, m)
+// g has the given number of vertices, which must fit the n×m mesh.
+func CurveCost(c curve.Curve, g outRows, vertices, n, m int) (float64, error) {
+	if vertices > n*m {
+		return 0, fmt.Errorf("analysis: %d vertices exceed %d×%d mesh", vertices, n, m)
 	}
 	pts := c.Points(n, m)
 	var cost float64
-	for i := 0; i < g.NumNeurons; i++ {
+	for i := 0; i < vertices; i++ {
 		tos, ws := g.OutEdges(i)
-		for k, to := range tos {
-			cost += ws[k] * float64(geom.Manhattan(pts[i], pts[to]))
-		}
-	}
-	return cost, nil
-}
-
-// PCNCost is GraphCost at cluster granularity: clusters are laid along the
-// curve in index order and the weighted distance of every PCN edge is
-// summed.
-func PCNCost(c curve.Curve, p *pcn.PCN, n, m int) (float64, error) {
-	if p.NumClusters > n*m {
-		return 0, fmt.Errorf("analysis: %d clusters exceed %d×%d mesh", p.NumClusters, n, m)
-	}
-	pts := c.Points(n, m)
-	var cost float64
-	for i := 0; i < p.NumClusters; i++ {
-		tos, ws := p.OutEdges(i)
 		for k, to := range tos {
 			cost += ws[k] * float64(geom.Manhattan(pts[i], pts[to]))
 		}
@@ -125,7 +93,7 @@ func CloudCost(cfg CloudConfig, curves []curve.Curve, rng *rand.Rand) (map[strin
 			return nil, err
 		}
 		for _, c := range curves {
-			cost, err := GraphCost(c, g, cfg.MeshN, cfg.MeshM)
+			cost, err := CurveCost(c, g, g.NumNeurons, cfg.MeshN, cfg.MeshM)
 			if err != nil {
 				return nil, err
 			}

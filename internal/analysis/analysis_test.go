@@ -5,46 +5,10 @@ import (
 	"testing"
 
 	"snnmap/internal/curve"
+	"snnmap/internal/hw"
 	"snnmap/internal/pcn"
 	"snnmap/internal/snn"
 )
-
-func TestDistanceHeatmapBasics(t *testing.T) {
-	h, err := DistanceHeatmap(curve.ZigZag{}, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h) != 16 {
-		t.Fatalf("heatmap size %d, want 16", len(h))
-	}
-	total := 4
-	for i := 0; i < total; i++ {
-		if h[i*total+i] != 0 {
-			t.Errorf("diagonal (%d,%d) = %d, want 0", i, i, h[i*total+i])
-		}
-		for j := 0; j < total; j++ {
-			if h[i*total+j] != h[j*total+i] {
-				t.Errorf("heatmap not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-	// ZigZag 2x2 order: (0,0),(0,1),(1,1),(1,0); dist(seq0, seq3) = 1.
-	if h[3] != 1 {
-		t.Errorf("h[0][3] = %d, want 1", h[3])
-	}
-	// Consecutive indices are adjacent for the snake scan.
-	for i := 0; i < 3; i++ {
-		if h[i*total+i+1] != 1 {
-			t.Errorf("consecutive distance = %d, want 1", h[i*total+i+1])
-		}
-	}
-}
-
-func TestDistanceHeatmapSizeCap(t *testing.T) {
-	if _, err := DistanceHeatmap(curve.Hilbert{}, 128, 128); err == nil {
-		t.Error("oversized heatmap must fail")
-	}
-}
 
 func TestGraphCostHandChecked(t *testing.T) {
 	// Chain of 4 neurons on a 2x2 ZigZag: positions (0,0),(0,1),(1,1),(1,0);
@@ -55,7 +19,7 @@ func TestGraphCostHandChecked(t *testing.T) {
 	b.AddSynapse(1, 2, 1)
 	b.AddSynapse(2, 3, 1)
 	g := b.Build()
-	cost, err := GraphCost(curve.ZigZag{}, g, 2, 2)
+	cost, err := CurveCost(curve.ZigZag{}, g, g.NumNeurons, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +30,7 @@ func TestGraphCostHandChecked(t *testing.T) {
 	var b2 snn.GraphBuilder
 	b2.AddNeurons(4, -1)
 	b2.AddSynapse(0, 3, 2) // seq 0 → seq 3: distance 1, weight 2
-	cost, err = GraphCost(curve.ZigZag{}, b2.Build(), 2, 2)
+	cost, err = CurveCost(curve.ZigZag{}, b2.Build(), 4, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,23 +42,30 @@ func TestGraphCostHandChecked(t *testing.T) {
 func TestGraphCostOverflow(t *testing.T) {
 	var b snn.GraphBuilder
 	b.AddNeurons(5, -1)
-	if _, err := GraphCost(curve.Hilbert{}, b.Build(), 2, 2); err == nil {
+	if _, err := CurveCost(curve.Hilbert{}, b.Build(), 5, 2, 2); err == nil {
 		t.Error("5 neurons on 4 cells must fail")
 	}
 }
 
+// TestPCNCost: at cluster granularity the cost is the same sum over PCN
+// edges — a 4-neuron chain at one neuron per core is a 4-cluster chain
+// costing 3 on the 2x2 ZigZag, exactly as the neuron graph does.
 func TestPCNCost(t *testing.T) {
-	g := snn.FullyConnected(2, 2)
-	res, err := pcn.Partition(g, pcn.DefaultPartition())
+	var b snn.GraphBuilder
+	b.AddNeurons(4, -1)
+	b.AddSynapse(0, 1, 1)
+	b.AddSynapse(1, 2, 1)
+	b.AddSynapse(2, 3, 1)
+	res, err := pcn.Partition(b.Build(), pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With CON_npc=4096 the whole net is 1 cluster... use explicit config.
-	if res.PCN.NumClusters == 1 {
-		c, err := PCNCost(curve.Hilbert{}, res.PCN, 2, 2)
-		if err != nil || c != 0 {
-			t.Fatalf("single-cluster cost = %g err %v", c, err)
-		}
+	cost, err := CurveCost(curve.ZigZag{}, res.PCN, res.PCN.NumClusters, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost != 3 {
+		t.Errorf("PCN cost = %g, want 3", cost)
 	}
 }
 

@@ -5,8 +5,8 @@
 // its output (and nothing else: knobs that are bit-identity-preserving
 // by contract, like Workers and Obs, are excluded). Lookups are staged:
 // a full-result hit skips partition, placement and FD entirely; an
-// initial-placement hit skips the curve walk; a partition hit skips
-// Algorithm 1/the multilevel scheme.
+// initial-placement hit skips the curve walk; a partition hit skips the
+// layer-spec expansion.
 //
 // Invariant: a warm hit returns exactly the bytes the cold run produced
 // (placements, FD statistics, summaries bit-identical; only the caller's
@@ -71,18 +71,14 @@ type Cache struct {
 	cost       hw.CostModel
 	remapDelta bool
 
-	// Single-entry content-hash memos: pipelines hash the same *pcn.PCN
-	// for the initial, result and metrics stages of one run, and sweeps
-	// re-partition the same *snn.Graph, so remember the last hashed
-	// pointer of each. Content-keyed correctness is unaffected — a
+	// Single-entry content-hash memo: pipelines hash the same *pcn.PCN for
+	// the initial, result and metrics stages of one run, so remember the
+	// last hashed pointer. Content-keyed correctness is unaffected — a
 	// different pointer simply rehashes — but, like everywhere else in
-	// this module, graphs and PCNs are treated as immutable once built.
-	mu           sync.Mutex
-	lastPCN      *pcn.PCN
-	lastKey      Key
-	lastGraph    *snn.Graph
-	lastGraphCfg pcn.PartitionConfig
-	lastGraphKey Key
+	// this module, PCNs are treated as immutable once built.
+	mu      sync.Mutex
+	lastPCN *pcn.PCN
+	lastKey Key
 
 	n counters
 }
@@ -151,28 +147,6 @@ func (c *Cache) pcnKey(p *pcn.PCN) Key {
 	k := h.sum()
 	c.mu.Lock()
 	c.lastPCN, c.lastKey = p, k
-	c.mu.Unlock()
-	return k
-}
-
-// graphKey memoizes partitionGraphKey for the last (graph pointer,
-// config) pair — the graph content is by far the largest key input.
-// PartitionConfig is compared field-wise, so it must stay comparable;
-// the Obs and Multilevel pointers participate in the comparison but not
-// in the key (both are output-neutral).
-func (c *Cache) graphKey(g *snn.Graph, cfg pcn.PartitionConfig) Key {
-	keyCfg := cfg
-	keyCfg.Obs = nil // output-neutral and frequently swapped per run
-	c.mu.Lock()
-	if c.lastGraph == g && c.lastGraphCfg == keyCfg {
-		k := c.lastGraphKey
-		c.mu.Unlock()
-		return k
-	}
-	c.mu.Unlock()
-	k := partitionGraphKey(g, &cfg)
-	c.mu.Lock()
-	c.lastGraph, c.lastGraphCfg, c.lastGraphKey = g, keyCfg, k
 	c.mu.Unlock()
 	return k
 }
@@ -264,30 +238,16 @@ func (c *Cache) StoreInitial(p *pcn.PCN, mesh hw.Mesh, cfg *mapping.Config, pl *
 
 // --- partition stage ---
 
-// Partition is pcn.Partition behind the cache: a hit returns the stored
-// cluster graph and assignment without touching the partitioner; a miss
-// runs it cold and stores the result. The boolean reports the hit.
-func (c *Cache) Partition(g *snn.Graph, cfg pcn.PartitionConfig) (*pcn.Result, bool, error) {
-	k := c.graphKey(g, cfg)
-	if body, ok := c.load(stagePartition, k); ok {
-		if res, err := decodePartition(body); err == nil {
-			c.n.partitionHits.Add(1)
-			return res, true, nil
-		}
-		c.n.corrupt.Add(1)
-	}
-	c.n.partitionMisses.Add(1)
-	res, err := pcn.Partition(g, cfg)
-	if err != nil {
+// Expand is pcn.Expand behind the cache: a hit returns the stored cluster
+// graph without expanding the net; a miss expands it cold and stores the
+// result. The boolean reports the hit. A multilevel config is rejected
+// before the lookup, exactly as pcn.Expand rejects it, so no stored entry
+// can serve what a cold run refuses.
+func (c *Cache) Expand(n *snn.Net, cfg pcn.PartitionConfig) (*pcn.PCN, bool, error) {
+	if cfg.Multilevel != nil {
+		_, err := pcn.Expand(n, cfg)
 		return nil, false, err
 	}
-	c.put(stagePartition, k, func(w io.Writer) error { return encodePartition(w, res) })
-	return res, false, nil
-}
-
-// Expand is pcn.Expand behind the cache (layer-spec nets; no per-neuron
-// assignment to store, so the payload is the PCN alone).
-func (c *Cache) Expand(n *snn.Net, cfg pcn.PartitionConfig) (*pcn.PCN, bool, error) {
 	k := partitionNetKey(n, &cfg)
 	if body, ok := c.load(stagePartition, k); ok {
 		if p, err := codec.ReadPCN(bytes.NewReader(body)); err == nil {
@@ -430,43 +390,6 @@ func decodeResult(body []byte) (mapping.CachedResult, error) {
 		return mapping.CachedResult{}, errCorrupt
 	}
 	return mapping.CachedResult{Placement: pl, FD: fd, Polish: polish}, nil
-}
-
-func encodePartition(w io.Writer, res *pcn.Result) error {
-	if err := writeSection(w, func(sw io.Writer) error {
-		return codec.WritePCN(sw, res.PCN)
-	}); err != nil {
-		return err
-	}
-	var lenBuf [8]byte
-	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(res.ClusterOf)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, res.ClusterOf)
-}
-
-func decodePartition(body []byte) (*pcn.Result, error) {
-	sec, rest, err := readSection(body)
-	if err != nil {
-		return nil, err
-	}
-	p, err := codec.ReadPCN(bytes.NewReader(sec))
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) < 8 {
-		return nil, errCorrupt
-	}
-	n := binary.LittleEndian.Uint64(rest[:8])
-	if n > maxEntryPayload/4 || uint64(len(rest)-8) != 4*n {
-		return nil, errCorrupt
-	}
-	clusterOf := make([]int32, n)
-	for i := range clusterOf {
-		clusterOf[i] = int32(binary.LittleEndian.Uint32(rest[8+4*i:]))
-	}
-	return &pcn.Result{PCN: p, ClusterOf: clusterOf}, nil
 }
 
 const summaryLen = 5 * 8

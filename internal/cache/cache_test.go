@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -192,59 +193,6 @@ func TestInitialPlacementPartialHit(t *testing.T) {
 	}
 }
 
-// TestPartitionCached exercises the partition-only stage: a second call
-// with the same graph and config must hit and return an identical
-// cluster graph and assignment, without re-running the partitioner.
-func TestPartitionCached(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var b snn.GraphBuilder
-	b.AddNeurons(400, -1)
-	for e := 0; e < 2000; e++ {
-		u, v := rng.Intn(400), rng.Intn(400)
-		if u != v {
-			b.AddSynapse(u, v, rng.Float64()+0.5)
-		}
-	}
-	g := b.Build()
-	cfg := pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 4}}
-
-	dir := t.TempDir()
-	c1 := newTestCache(t, Config{Dir: dir})
-	cold, hit, err := c1.Partition(g, cfg)
-	if err != nil || hit {
-		t.Fatalf("cold partition: hit=%v err=%v", hit, err)
-	}
-	c2 := newTestCache(t, Config{Dir: dir})
-	warm, hit, err := c2.Partition(g, cfg)
-	if err != nil || !hit {
-		t.Fatalf("warm partition: hit=%v err=%v", hit, err)
-	}
-	var bc, bw bytes.Buffer
-	if err := codec.WritePCN(&bc, cold.PCN); err != nil {
-		t.Fatal(err)
-	}
-	if err := codec.WritePCN(&bw, warm.PCN); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bc.Bytes(), bw.Bytes()) {
-		t.Fatal("cached PCN differs from cold partition")
-	}
-	if len(cold.ClusterOf) != len(warm.ClusterOf) {
-		t.Fatal("ClusterOf length mismatch")
-	}
-	for i := range cold.ClusterOf {
-		if cold.ClusterOf[i] != warm.ClusterOf[i] {
-			t.Fatalf("ClusterOf[%d] = %d != %d", i, warm.ClusterOf[i], cold.ClusterOf[i])
-		}
-	}
-	// A different config must miss.
-	cfg2 := cfg
-	cfg2.Constraints.NeuronsPerCore = 8
-	if _, hit, err := c2.Partition(g, cfg2); err != nil || hit {
-		t.Fatalf("changed constraints should miss: hit=%v err=%v", hit, err)
-	}
-}
-
 // TestExpandCached exercises the layer-spec partition stage.
 func TestExpandCached(t *testing.T) {
 	net := snn.LeNetMNIST()
@@ -268,6 +216,30 @@ func TestExpandCached(t *testing.T) {
 	}
 	if !bytes.Equal(bc.Bytes(), bw.Bytes()) {
 		t.Fatal("cached expanded PCN differs")
+	}
+}
+
+// TestExpandRejectsMultilevelBeforeLookup: pcn.Expand refuses a multilevel
+// config, so the cache must too — even when an entry exists under that
+// config's key (the multilevel options are not part of a net key).
+func TestExpandRejectsMultilevelBeforeLookup(t *testing.T) {
+	net := snn.LeNetMNIST()
+	flat := pcn.DefaultPartition()
+	c := newTestCache(t, Config{})
+	if _, _, err := c.Expand(net, flat); err != nil {
+		t.Fatal(err)
+	}
+	cfg := flat
+	cfg.Multilevel = pcn.DefaultMultilevel()
+	if partitionNetKey(net, &cfg) != partitionNetKey(net, &flat) {
+		t.Fatal("test premise: the multilevel config must key like the stored flat entry")
+	}
+	p, hit, err := c.Expand(net, cfg)
+	if !errors.Is(err, place.ErrBadConfig) || p != nil || hit {
+		t.Fatalf("Expand(multilevel) = %v, hit=%v, err=%v; want ErrBadConfig", p, hit, err)
+	}
+	if s := c.Stats(); s.PartitionHits != 0 || s.PartitionMisses != 1 {
+		t.Fatalf("rejected config touched the cache: %+v", s)
 	}
 }
 

@@ -133,17 +133,6 @@ func (h *hasher) pcnContent(p *pcn.PCN) {
 	h.f64(p.InternalTraffic)
 }
 
-// graphContent hashes a neuron-level CSR graph.
-func (h *hasher) graphContent(g *snn.Graph) {
-	h.i64(int64(g.NumNeurons))
-	h.i64s(g.OutOff)
-	h.i32s(g.OutTo)
-	h.f64s(g.OutW)
-	h.i32s(g.FanIn)
-	h.boolean(g.Layer != nil)
-	h.i32s(g.Layer)
-}
-
 // netContent hashes a layer-spec network.
 func (h *hasher) netContent(n *snn.Net) {
 	h.i64(int64(len(n.Layers)))
@@ -224,27 +213,14 @@ func (h *hasher) fdPhase(cfg *mapping.FDConfig, topDefects *hw.DefectMap, topCon
 	}
 }
 
-// multilevel hashes partitioner multilevel options. Workers is excluded
-// (bit-identical by contract).
-func (h *hasher) multilevel(o *pcn.MultilevelOptions) {
-	if o == nil {
-		h.boolean(false)
-		return
-	}
-	h.boolean(true)
-	h.i64(int64(o.CoarsestSize))
-	h.i64(int64(o.MaxLevels))
-	h.i64(int64(o.RefinePasses))
-	h.f64(o.MinGain)
-	h.i64(int64(o.Grain))
-	h.i64(int64(o.MatchRounds))
-}
-
 func (h *hasher) partitionConfig(cfg *pcn.PartitionConfig) {
 	h.constraints(cfg.Constraints)
 	h.boolean(cfg.EnforceSynapses)
 	h.boolean(cfg.SplitAtLayers)
-	h.multilevel(cfg.Multilevel)
+	// The absent-Multilevel presence byte: Expand rejects a multilevel
+	// config before keying, so the byte is constant, and writing it keeps
+	// every net key at its earlier hex.
+	h.boolean(false)
 }
 
 // curveName resolves the mapping config's curve the way MapContext does
@@ -282,22 +258,12 @@ func resultKey(pk Key, mesh hw.Mesh, cfg *mapping.Config) Key {
 	return h.sum()
 }
 
-// partitionGraphKey is the stage key for Partition over a neuron graph. The
+// partitionNetKey is the stage key for Expand over a layer-spec net. The
 // stage tag carries a revision: /2 is the arrival-order summation of parallel
 // edges (pcn.mergeRow). An entry under the unrevised tag was summed in
 // quicksort-pivot order and differs from a cold run in the last ulp wherever
-// three or more synapses share a cluster pair, so it must be a miss, not a
-// warm hit.
-func partitionGraphKey(g *snn.Graph, cfg *pcn.PartitionConfig) Key {
-	h := newHasher("partition-graph/2")
-	h.graphContent(g)
-	h.partitionConfig(cfg)
-	return h.sum()
-}
-
-// partitionNetKey is the stage key for Expand over a layer-spec net; /2 for
-// the same reason as partitionGraphKey (nets with three or more Conns between
-// one layer pair, and every multilevel contraction).
+// a net has three or more Conns between one layer pair, so it must be a
+// miss, not a warm hit.
 func partitionNetKey(n *snn.Net, cfg *pcn.PartitionConfig) Key {
 	h := newHasher("partition-net/2")
 	h.netContent(n)

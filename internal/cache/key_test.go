@@ -44,11 +44,9 @@ func pcnKeyOf(p *pcn.PCN) Key {
 // TestKeyGolden pins the exact key bytes for a fixed input. If this test
 // fails, the canonical encoding changed: that is allowed ONLY together
 // with a keyVersion bump (which changes every key and makes old cache
-// directories cold), never silently. The partition-graph pin moved once,
-// with the stage tag's /2: pcn now sums parallel edges in arrival order, so
-// entries written by the sort-and-fold build must not be served. The metrics
-// pin moved with its /2: congestion is propagated per target, and a
-// MaxCongestion stamped per edge can differ in its last bits.
+// directories cold), never silently. The metrics pin moved with its /2:
+// congestion is propagated per target, and a MaxCongestion stamped per edge
+// can differ in its last bits.
 func TestKeyGolden(t *testing.T) {
 	p := goldenPCN()
 	cfg := goldenMappingConfig()
@@ -62,14 +60,10 @@ func TestKeyGolden(t *testing.T) {
 		{"pcn", pk, "1da50ce454e248a5a33637ba26f2ed6b01aac5aa5fd8b9c642b59ccdcea14454"},
 		{"initial", initialKey(pk, mesh, &cfg), "43acf9ddc94b54b3b0890ec415134b94e119262be54a2730578b2fef35097658"},
 		{"result", resultKey(pk, mesh, &cfg), "663bbb10e320e858fc8ba0d7ee53a37849e5f77c558aa0a11a76db6d988ea282"},
-		{"partition-graph", func() Key {
-			var b snn.GraphBuilder
-			b.AddNeurons(4, -1)
-			b.AddSynapse(0, 1, 1)
-			b.AddSynapse(2, 3, 2)
-			pcfg := pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 2}}
-			return partitionGraphKey(b.Build(), &pcfg)
-		}(), "9516c02407140317ea3763ce741692f312597e65967465b02d5e597a25d9f4e4"},
+		{"partition-net", func() Key {
+			cfg := pcn.DefaultPartition()
+			return partitionNetKey(snn.LeNetMNIST(), &cfg)
+		}(), "b6623d4415d0bb7743d58324dbdd89186f011c5ee56dbb3e422fa7f379c4115a"},
 		{"metrics", metricsKey(pk, []int32{0, 1, 2}, mesh, hw.DefaultCostModel(),
 			metrics.Options{Congestion: metrics.CongestionExact}), "618ac0e49b974677e56a4bbd463c9f3f6fa19730d34c6fa10a09e81c7cd856b0"},
 	}

@@ -152,21 +152,6 @@ func TestReadPlacementRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestPCNJSONRoundTrip(t *testing.T) {
-	p := samplePCN(t, 5, 12, 50)
-	var buf bytes.Buffer
-	if err := WritePCNJSON(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	q, err := ReadPCNJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pcnsEqual(p, q) {
-		t.Fatal("JSON round trip changed the PCN")
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	p := samplePCN(t, 7, 8, 30)
 	var buf bytes.Buffer
@@ -197,18 +182,5 @@ func TestWritePlacementCSV(t *testing.T) {
 	want := "cluster,row,col\n0,0,0\n1,0,1\n2,1,0\n"
 	if buf.String() != want {
 		t.Errorf("CSV = %q, want %q", buf.String(), want)
-	}
-}
-
-func TestWriteGridCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteGridCSV(&buf, []float64{1, 2, 3, 4.5}, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "1,2\n3,4.5\n" {
-		t.Errorf("grid CSV = %q", buf.String())
-	}
-	if err := WriteGridCSV(&buf, []float64{1}, 2, 2); err == nil {
-		t.Error("size mismatch accepted")
 	}
 }

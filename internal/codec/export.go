@@ -2,101 +2,12 @@ package codec
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
-
-// jsonPCN is the JSON shape of a PCN export.
-type jsonPCN struct {
-	Name            string     `json:"name"`
-	NumClusters     int        `json:"numClusters"`
-	Neurons         []int32    `json:"neurons"`
-	Synapses        []int64    `json:"synapses"`
-	Layer           []int32    `json:"layer"`
-	InternalTraffic float64    `json:"internalTraffic"`
-	Edges           []jsonEdge `json:"edges"`
-}
-
-type jsonEdge struct {
-	From   int32   `json:"from"`
-	To     int32   `json:"to"`
-	Weight float64 `json:"weight"`
-}
-
-// maxJSONEdges guards against accidentally serializing a multi-gigabyte
-// graph as JSON; use the binary format for large PCNs.
-const maxJSONEdges = 1 << 22
-
-// WritePCNJSON exports a PCN as indented JSON. It refuses graphs above
-// maxJSONEdges edges.
-func WritePCNJSON(w io.Writer, p *pcn.PCN) error {
-	if p.NumEdges() > maxJSONEdges {
-		return fmt.Errorf("codec: %d edges exceed the JSON export cap %d (use WritePCN)", p.NumEdges(), maxJSONEdges)
-	}
-	out := jsonPCN{
-		Name:            p.Name,
-		NumClusters:     p.NumClusters,
-		Neurons:         p.Neurons,
-		Synapses:        p.Synapses,
-		Layer:           p.Layer,
-		InternalTraffic: p.InternalTraffic,
-		Edges:           make([]jsonEdge, 0, p.NumEdges()),
-	}
-	for c := 0; c < p.NumClusters; c++ {
-		tos, ws := p.OutEdges(c)
-		for k, to := range tos {
-			out.Edges = append(out.Edges, jsonEdge{From: int32(c), To: to, Weight: ws[k]})
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// ReadPCNJSON imports a PCN exported by WritePCNJSON and validates it.
-func ReadPCNJSON(r io.Reader) (*pcn.PCN, error) {
-	var in jsonPCN
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("codec: decoding PCN JSON: %w", err)
-	}
-	p := &pcn.PCN{
-		Name:            in.Name,
-		NumClusters:     in.NumClusters,
-		Neurons:         in.Neurons,
-		Synapses:        in.Synapses,
-		Layer:           in.Layer,
-		InternalTraffic: in.InternalTraffic,
-	}
-	p.OutOff = make([]int64, in.NumClusters+1)
-	counts := make([]int64, in.NumClusters)
-	for _, e := range in.Edges {
-		if e.From < 0 || int(e.From) >= in.NumClusters {
-			return nil, fmt.Errorf("codec: edge source %d out of range", e.From)
-		}
-		counts[e.From]++
-	}
-	for i := 0; i < in.NumClusters; i++ {
-		p.OutOff[i+1] = p.OutOff[i] + counts[i]
-	}
-	p.OutTo = make([]int32, len(in.Edges))
-	p.OutW = make([]float64, len(in.Edges))
-	next := make([]int64, in.NumClusters)
-	copy(next, p.OutOff[:in.NumClusters])
-	for _, e := range in.Edges {
-		pos := next[e.From]
-		next[e.From]++
-		p.OutTo[pos] = e.To
-		p.OutW[pos] = e.Weight
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("codec: imported PCN invalid: %w", err)
-	}
-	return p, nil
-}
 
 // WriteDOT exports the PCN as a Graphviz digraph. Node labels carry cluster
 // sizes; edge thickness attributes encode traffic. Graphs above maxEdges
@@ -154,27 +65,6 @@ func WritePlacementCSV(w io.Writer, pl *place.Placement) error {
 	for c := range pl.PosOf {
 		pt := pl.Of(c)
 		fmt.Fprintf(bw, "%d,%d,%d\n", c, pt.X, pt.Y)
-	}
-	return bw.Flush()
-}
-
-// WriteGridCSV exports a row-major metric grid (e.g. the congestion grid of
-// Eq. 13) as a rows×cols CSV matrix.
-func WriteGridCSV(w io.Writer, grid []float64, rows, cols int) error {
-	if len(grid) != rows*cols {
-		return fmt.Errorf("codec: grid length %d does not match %dx%d", len(grid), rows, cols)
-	}
-	bw := bufio.NewWriter(w)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c > 0 {
-				if err := bw.WriteByte(','); err != nil {
-					return err
-				}
-			}
-			fmt.Fprintf(bw, "%g", grid[r*cols+c])
-		}
-		fmt.Fprintln(bw)
 	}
 	return bw.Flush()
 }

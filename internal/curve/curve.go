@@ -10,7 +10,6 @@ package curve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"snnmap/internal/geom"
@@ -18,7 +17,8 @@ import (
 
 // Curve enumerates the cells of a rectangular mesh in a fixed visit order.
 type Curve interface {
-	// Name returns the curve's registry name (e.g. "hilbert").
+	// Name returns the curve's identifier (e.g. "hilbert"), used in reports
+	// and as the curve's part of a cache key.
 	Name() string
 	// Points returns the mesh positions in visit order for an n-row,
 	// m-column mesh. The result has exactly n*m entries and is a
@@ -35,10 +35,6 @@ type Curve interface {
 	// panics if the mesh is invalid or p is outside it.
 	Index(n, m int, p geom.Point) int
 }
-
-// Map builds the sequence-index → position function of Eq. 16 for the given
-// curve and mesh, as a slice indexed by sequence position.
-func Map(c Curve, n, m int) []geom.Point { return c.Points(n, m) }
 
 // IsPermutation reports whether pts visits every cell of the n×m mesh
 // exactly once. It is used by tests and by callers validating custom curves.
@@ -69,36 +65,6 @@ func TotalStepLength(pts []geom.Point) int {
 		total += geom.Manhattan(pts[i-1], pts[i])
 	}
 	return total
-}
-
-var registry = map[string]Curve{}
-
-// Register adds a curve to the package registry. It panics on duplicate
-// names; registration normally happens in this package's init functions.
-func Register(c Curve) {
-	if _, dup := registry[c.Name()]; dup {
-		panic(fmt.Sprintf("curve: duplicate registration of %q", c.Name()))
-	}
-	registry[c.Name()] = c
-}
-
-// Lookup returns the registered curve with the given name.
-func Lookup(name string) (Curve, error) {
-	c, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("curve: unknown curve %q (have %v)", name, Names())
-	}
-	return c, nil
-}
-
-// Names returns the registered curve names in sorted order.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func checkMesh(n, m int) {

@@ -133,39 +133,6 @@ func TestCircleEndsNearCenter(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	for _, name := range []string{"hilbert", "zigzag", "circle"} {
-		c, err := Lookup(name)
-		if err != nil {
-			t.Fatalf("Lookup(%q): %v", name, err)
-		}
-		if c.Name() != name {
-			t.Errorf("Lookup(%q).Name() = %q", name, c.Name())
-		}
-	}
-	if _, err := Lookup("nope"); err == nil {
-		t.Error("Lookup of unknown curve should fail")
-	}
-	names := Names()
-	if len(names) < 3 {
-		t.Errorf("Names() = %v, want at least 3", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("Names() not sorted: %v", names)
-		}
-	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate registration")
-		}
-	}()
-	Register(Hilbert{})
-}
-
 func TestInvalidMeshPanics(t *testing.T) {
 	for _, c := range allCurves() {
 		func() {

@@ -2,7 +2,7 @@ package curve
 
 import "testing"
 
-// FuzzCurveCoverage asserts the core contract of every registered curve: on
+// FuzzCurveCoverage asserts the core contract of every curve: on
 // any W×H rectangle the visit order is a permutation of the cells — each cell
 // exactly once, none out of bounds. The seeds cover the degenerate single-row
 // and single-column shapes where recursive subdivision is easiest to get
@@ -22,11 +22,8 @@ func FuzzCurveCoverage(f *testing.F) {
 		if n < 1 || m < 1 || n > 64 || m > 64 {
 			t.Skip()
 		}
-		for _, name := range Names() {
-			c, err := Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, c := range allCurves() {
+			name := c.Name()
 			pts := c.Points(n, m)
 			if !IsPermutation(pts, n, m) {
 				t.Errorf("curve %q on %dx%d: visit order is not a permutation of the cells", name, n, m)
@@ -35,7 +32,7 @@ func FuzzCurveCoverage(f *testing.F) {
 	})
 }
 
-// FuzzCurveIndex asserts the direct-arithmetic fast path of every registered
+// FuzzCurveIndex asserts the direct-arithmetic fast path of every
 // curve against its materialized walk on arbitrary W×H rectangles: At must
 // reproduce Points (for Hilbert, the retained recursive construction is the
 // oracle) and Index must invert At — the round-trip both ways.
@@ -55,11 +52,8 @@ func FuzzCurveIndex(f *testing.F) {
 		if n < 1 || m < 1 || n > 64 || m > 64 {
 			t.Skip()
 		}
-		for _, name := range Names() {
-			c, err := Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, c := range allCurves() {
+			name := c.Name()
 			pts := c.Points(n, m)
 			for d, want := range pts {
 				got := c.At(n, m, d)

@@ -9,8 +9,6 @@ import "snnmap/internal/geom"
 // sizes.
 type Hilbert struct{}
 
-func init() { Register(Hilbert{}) }
-
 // Name implements Curve.
 func (Hilbert) Name() string { return "hilbert" }
 

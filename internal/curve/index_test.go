@@ -19,11 +19,8 @@ var meshesUnderTest = [][2]int{
 // materialized visit order, which stays the equivalence oracle (for Hilbert,
 // the retained recursive construction).
 func TestAtIndexMatchPoints(t *testing.T) {
-	for _, name := range Names() {
-		c, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range allCurves() {
+		name := c.Name()
 		for _, nm := range meshesUnderTest {
 			n, m := nm[0], nm[1]
 			pts := c.Points(n, m)

@@ -9,8 +9,6 @@ import "snnmap/internal/geom"
 // sequence maximally far apart, which penalizes feed-forward SNN dataflow.
 type Circle struct{}
 
-func init() { Register(Circle{}) }
-
 // Name implements Curve.
 func (Circle) Name() string { return "circle" }
 

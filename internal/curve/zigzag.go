@@ -9,8 +9,6 @@ import "snnmap/internal/geom"
 // long-distance failure mode the paper's heatmap analysis exposes.
 type ZigZag struct{}
 
-func init() { Register(ZigZag{}) }
-
 // Name implements Curve.
 func (ZigZag) Name() string { return "zigzag" }
 

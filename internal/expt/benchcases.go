@@ -353,7 +353,7 @@ func evalGraph(n int) (placed, error) {
 			gb.AddSynapse(u, v, rng.Float64()*9+0.5)
 		}
 	}
-	return randomPlaced(gb.Build(), MeshFor(n), rng)
+	return randomPlaced(gb.Build(), hw.MeshFor(n), rng)
 }
 
 type encodedSnapshot struct {

@@ -12,6 +12,7 @@ import (
 	"snnmap/internal/hw"
 	"snnmap/internal/mapping"
 	"snnmap/internal/metrics"
+	"snnmap/internal/pcn"
 )
 
 // Table1 prints the platform-capacity table (Table 1).
@@ -84,7 +85,7 @@ func Fig6(w io.Writer, seed int64) error {
 		}
 		costs := map[string]float64{}
 		for _, c := range curves {
-			cost, err := analysis.PCNCost(c, p, mesh.Rows, mesh.Cols)
+			cost, err := analysis.CurveCost(c, p, p.NumClusters, mesh.Rows, mesh.Cols)
 			if err != nil {
 				return err
 			}
@@ -139,24 +140,18 @@ func Fig8(w io.Writer, workload string, opts RunOptions) error {
 	if err != nil {
 		return err
 	}
-	opts = opts.withDefaults()
 	fmt.Fprintf(w, "Figure 8 on %s: %d clusters, %s mesh\n", wl.Name, p.NumClusters, mesh)
+	rows, err := runMethods(wl.Name, p, mesh, Figure8Methods(), opts.withDefaults(), nil)
+	if err != nil {
+		return err
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Method\tEnergy\tAvgLat\tMaxLat\tAvgCon\tMaxCon\tTime")
-	var base metrics.Summary
-	for i, m := range Figure8Methods() {
-		pl, stats, err := m.Run(p, mesh, opts)
-		if err != nil {
-			return fmt.Errorf("method %s: %w", m.Name, err)
-		}
-		sum := metrics.Evaluate(p, pl, opts.Cost, metrics.Options{Workers: opts.Workers, Obs: opts.Obs})
-		if i == 0 {
-			base = sum
-		}
-		n := sum.Normalize(base)
+	for i, r := range rows {
+		n := r.Norm
 		fmt.Fprintf(tw, "%c) %s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%s%s\n",
-			'a'+i, m.Name, n.Energy, n.AvgLatency, n.MaxLatency, n.AvgCongestion, n.MaxCongestion,
-			fmtDuration(stats.Elapsed), esMark(stats.EarlyStopped))
+			'a'+i, r.Method, n.Energy, n.AvgLatency, n.MaxLatency, n.AvgCongestion, n.MaxCongestion,
+			fmtDuration(r.Elapsed), esMark(r.EarlyStopped))
 	}
 	return tw.Flush()
 }
@@ -190,27 +185,46 @@ func Sweep(scale Scale, opts RunOptions, progress io.Writer) ([]SweepRow, error)
 		if err != nil {
 			return nil, fmt.Errorf("build %s: %w", wl.Name, err)
 		}
-		var base metrics.Summary
-		for i, m := range methods {
-			pl, stats, err := m.Run(p, mesh, opts)
-			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", m.Name, wl.Name, err)
-			}
-			sum := metrics.Evaluate(p, pl, opts.Cost, metrics.Options{Workers: opts.Workers, Obs: opts.Obs})
-			if i == 0 {
-				base = sum
-			}
-			rows = append(rows, SweepRow{
-				Workload: wl.Name, Clusters: p.NumClusters, Method: m.Name,
-				Elapsed: stats.Elapsed, EarlyStopped: stats.EarlyStopped,
-				Metrics: sum, Norm: sum.Normalize(base),
-			})
+		wlRows, err := runMethods(wl.Name, p, mesh, methods, opts, func(r SweepRow) {
 			done++
 			opts.Obs.Progress("sweep", done, total)
 			if progress != nil {
 				fmt.Fprintf(progress, "# %-14s %-14s %10s%s  %s\n",
-					wl.Name, m.Name, fmtDuration(stats.Elapsed), esMark(stats.EarlyStopped), sum)
+					r.Workload, r.Method, fmtDuration(r.Elapsed), esMark(r.EarlyStopped), r.Metrics)
 			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, wlRows...)
+	}
+	return rows, nil
+}
+
+// runMethods runs each method on one workload's PCN, evaluates every
+// placement, and normalizes each row to the first method's metrics. done
+// (optional) receives each row as it finishes. opts must have its defaults
+// applied.
+func runMethods(workload string, p *pcn.PCN, mesh hw.Mesh, methods []Method, opts RunOptions, done func(SweepRow)) ([]SweepRow, error) {
+	rows := make([]SweepRow, 0, len(methods))
+	for _, m := range methods {
+		pl, stats, err := m.Run(p, mesh, opts)
+		if err != nil {
+			return nil, fmt.Errorf("%s on %s: %w", m.Name, workload, err)
+		}
+		sum := metrics.Evaluate(p, pl, opts.Cost, metrics.Options{Workers: opts.Workers, Obs: opts.Obs})
+		base := sum
+		if len(rows) > 0 {
+			base = rows[0].Metrics
+		}
+		r := SweepRow{
+			Workload: workload, Clusters: p.NumClusters, Method: m.Name,
+			Elapsed: stats.Elapsed, EarlyStopped: stats.EarlyStopped,
+			Metrics: sum, Norm: sum.Normalize(base),
+		}
+		rows = append(rows, r)
+		if done != nil {
+			done(r)
 		}
 	}
 	return rows, nil
@@ -308,14 +322,27 @@ func Fig13(w io.Writer) {
 
 // Headline runs the proposed approach on a single workload and prints the
 // §5.3 headline numbers (the paper: DNN_4B, 1 M cores, mapped in seconds
-// while all baselines exceed 100 hours), with RunHeadline's per-stage
-// wall/peak-heap split table.
+// while all baselines exceed 100 hours): the workload line, the mapping
+// time and the metrics. Per-stage walls come from the -trace-out spans;
+// benchmark/'s dnn268m and dnn4b workloads track time and peak memory.
 func Headline(w io.Writer, workload string, opts RunOptions) error {
-	res, err := RunHeadline(workload, opts, HeadlineOptions{})
+	wl, err := WorkloadByName(workload)
 	if err != nil {
 		return err
 	}
-	res.Render(w)
+	p, mesh, err := buildFor(wl, opts)
+	if err != nil {
+		return err
+	}
+	rows, err := runMethods(wl.Name, p, mesh, []Method{Proposed()}, opts.withDefaults(), nil)
+	if err != nil {
+		return err
+	}
+	r := rows[0]
+	fmt.Fprintf(w, "%s: %s neurons, %d clusters, %s connections, %v mesh\n",
+		wl.Name, humanCount(wl.Net().NumNeurons()), p.NumClusters, humanCount(p.NumEdges()), mesh)
+	fmt.Fprintf(w, "proposed approach solved in %s%s\n", fmtDuration(r.Elapsed), esMark(r.EarlyStopped))
+	fmt.Fprintf(w, "metrics: %s\n", r.Metrics)
 	return nil
 }
 

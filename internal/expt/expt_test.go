@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"snnmap/internal/curve"
+	"snnmap/internal/hw"
 )
 
 func TestWorkloadRegistry(t *testing.T) {
@@ -58,8 +59,8 @@ func TestWorkloadBuildTinyTier(t *testing.T) {
 func TestMeshForMatchesTable3(t *testing.T) {
 	cases := map[int]int{16: 4, 9: 3, 4096: 64, 65536: 256, 251: 16, 229: 16, 1688: 42, 3570: 60, 6956: 84, 1048576: 1024}
 	for clusters, side := range cases {
-		if m := MeshFor(clusters); m.Rows != side || m.Cols != side {
-			t.Errorf("MeshFor(%d) = %v, want %dx%d", clusters, m, side, side)
+		if m := hw.MeshFor(clusters); m.Rows != side || m.Cols != side {
+			t.Errorf("hw.MeshFor(%d) = %v, want %dx%d", clusters, m, side, side)
 		}
 	}
 }

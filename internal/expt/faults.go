@@ -14,11 +14,11 @@ import (
 )
 
 // MeshForHealthy returns the smallest square mesh whose *healthy* core count
-// holds n clusters when a deadFrac fraction of cores is defective — MeshFor
-// with fault headroom, so degraded-mesh sweeps stay placeable.
+// holds n clusters when a deadFrac fraction of cores is defective —
+// hw.MeshFor with fault headroom, so degraded-mesh sweeps stay placeable.
 func MeshForHealthy(n int, deadFrac float64) hw.Mesh {
 	if deadFrac <= 0 {
-		return MeshFor(n)
+		return hw.MeshFor(n)
 	}
 	if deadFrac >= 1 {
 		deadFrac = 0.99
@@ -109,7 +109,7 @@ func faultSweepRows(wl *Workload, fracs []float64, linkFrac float64, opts RunOpt
 			Cost:          opts.Cost,
 			Defects:       d,
 			FaultAware:    true,
-			SpikesPerUnit: simSpikesPerUnit(p.TotalWeight()),
+			SpikesPerUnit: SimSpikesPerUnit(p.TotalWeight()),
 			Shards:        noc.ClampShards(opts.SimShards, pl.Mesh.Rows),
 		})
 		if err != nil {
@@ -141,8 +141,9 @@ func faultSweepRows(wl *Workload, fracs []float64, linkFrac float64, opts RunOpt
 	return rows, nil
 }
 
-// simSpikesPerUnit keeps sweep simulations below roughly one million spikes.
-func simSpikesPerUnit(totalWeight float64) float64 {
+// SimSpikesPerUnit is the noc.Config.SpikesPerUnit that keeps a simulation
+// of a PCN with this total traffic below roughly one million spikes.
+func SimSpikesPerUnit(totalWeight float64) float64 {
 	if totalWeight <= 1_000_000 {
 		return 1
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 func TestMeshForHealthy(t *testing.T) {
-	if m := MeshForHealthy(16, 0); m != MeshFor(16) {
-		t.Fatalf("no faults must fall back to MeshFor: got %v", m)
+	if m := MeshForHealthy(16, 0); m != hw.MeshFor(16) {
+		t.Fatalf("no faults must fall back to hw.MeshFor: got %v", m)
 	}
 	for _, tc := range []struct {
 		n    int

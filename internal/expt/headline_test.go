@@ -6,88 +6,41 @@ import (
 	"testing"
 )
 
-func TestRunHeadlineStages(t *testing.T) {
-	res, err := RunHeadline("DNN_65K", RunOptions{Workers: 2}, HeadlineOptions{FDIterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"expand", "hsc-place", "fd-finetune", "evaluate"}
-	if len(res.Stages) != len(want) {
-		t.Fatalf("got %d stages, want %d", len(res.Stages), len(want))
-	}
-	var total int64
-	for i, s := range res.Stages {
-		if s.Name != want[i] {
-			t.Errorf("stage %d = %q, want %q", i, s.Name, want[i])
+// TestHeadlineWorkerIndependent: the proposed pipeline's metrics are
+// bit-identical at any worker count, so Headline's metrics line is too.
+func TestHeadlineWorkerIndependent(t *testing.T) {
+	metricsLine := func(workers int) string {
+		var buf bytes.Buffer
+		if err := Headline(&buf, "DNN_65K", RunOptions{Workers: workers}); err != nil {
+			t.Fatal(err)
 		}
-		if s.PeakBytes == 0 {
-			t.Errorf("stage %s: peak bytes not sampled", s.Name)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "metrics: ") {
+				return line
+			}
 		}
-		if s.Wall < 0 {
-			t.Errorf("stage %s: negative wall %v", s.Name, s.Wall)
-		}
-		total += s.Wall.Nanoseconds()
+		t.Fatalf("no metrics line at workers=%d:\n%s", workers, buf.String())
+		return ""
 	}
-	if res.TotalWall.Nanoseconds() != total {
-		t.Errorf("TotalWall %d != stage sum %d", res.TotalWall.Nanoseconds(), total)
-	}
-	if res.PeakBytes == 0 {
-		t.Error("run-wide peak bytes not sampled")
-	}
-	if res.Clusters != 16 {
-		t.Errorf("DNN_65K clusters = %d, want 16", res.Clusters)
-	}
-	if got := res.Stage("expand"); got.Name != "expand" {
-		t.Errorf("Stage(expand) = %+v", got)
-	}
-	if got := res.Stage("nope"); got != (HeadlineStage{}) {
-		t.Errorf("Stage(nope) = %+v, want zero", got)
+	if a, b := metricsLine(1), metricsLine(4); a != b {
+		t.Errorf("metrics differ across worker counts:\n  w=1: %s\n  w=4: %s", a, b)
 	}
 }
 
-func TestRunHeadlineWorkerIndependent(t *testing.T) {
-	a, err := RunHeadline("DNN_65K", RunOptions{Workers: 1}, HeadlineOptions{FDIterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunHeadline("DNN_65K", RunOptions{Workers: 4}, HeadlineOptions{FDIterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Summary != b.Summary {
-		t.Errorf("summaries differ across worker counts:\n  w=1: %+v\n  w=4: %+v", a.Summary, b.Summary)
-	}
-	if a.FD.Swaps != b.FD.Swaps || a.FD.Iterations != b.FD.Iterations {
-		t.Errorf("FD stats differ across worker counts: %+v vs %+v", a.FD, b.FD)
-	}
-}
-
+// TestHeadlineRenderTable pins the report's three lines: the workload, the
+// mapping time and the metrics (the shape of results/headline_dnn4b.txt).
 func TestHeadlineRenderTable(t *testing.T) {
-	res, err := RunHeadline("DNN_65K", RunOptions{}, HeadlineOptions{FDIterations: 1})
-	if err != nil {
+	var buf bytes.Buffer
+	if err := Headline(&buf, "DNN_65K", RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	out := buf.String()
-	for _, want := range []string{"Stage", "Peak heap", "expand", "hsc-place", "fd-finetune", "evaluate", "total", "proposed approach solved in", "metrics:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render output missing %q:\n%s", want, out)
-		}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3:\n%s", len(lines), buf.String())
 	}
-}
-
-func TestHumanBytes(t *testing.T) {
-	cases := map[uint64]string{
-		512:           "512 B",
-		2 << 10:       "2.0 KiB",
-		3 << 20:       "3.0 MiB",
-		5 << 30:       "5.00 GiB",
-		1<<30 + 1<<29: "1.50 GiB",
-	}
-	for in, want := range cases {
-		if got := humanBytes(in); got != want {
-			t.Errorf("humanBytes(%d) = %q, want %q", in, got, want)
+	for i, prefix := range []string{"DNN_65K: 65.5K neurons, 16 clusters, 48 connections, 4x4 mesh", "proposed approach solved in ", "metrics: energy="} {
+		if !strings.HasPrefix(lines[i], prefix) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], prefix)
 		}
 	}
 }

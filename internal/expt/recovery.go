@@ -75,7 +75,7 @@ func recoveryRows(wl *Workload, spareRows []int, opts RunOptions) ([]RecoveryRow
 		// zero reserved spares both repair paths have free cells to move
 		// into (that unreserved slack row is fair game for fine-tuning, so
 		// unlike a reserved spare it is not guaranteed empty at repair time).
-		base := MeshFor(p.NumClusters)
+		base := hw.MeshFor(p.NumClusters)
 		extra := spares
 		if extra < 1 {
 			extra = 1

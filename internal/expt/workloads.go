@@ -6,7 +6,6 @@ package expt
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
@@ -83,7 +82,7 @@ func (w *Workload) Build() (*pcn.PCN, hw.Mesh, error) {
 			return
 		}
 		w.pcn = p
-		w.mesh = MeshFor(p.NumClusters)
+		w.mesh = hw.MeshFor(p.NumClusters)
 	})
 	return w.pcn, w.mesh, w.err
 }
@@ -100,17 +99,6 @@ func buildFor(w *Workload, opts RunOptions) (*pcn.PCN, hw.Mesh, error) {
 	}
 	sp.End(obs.KV{K: "clusters", V: float64(p.NumClusters)})
 	return p, mesh, nil
-}
-
-// MeshFor returns the smallest square mesh holding n clusters — the sizing
-// rule that reproduces every Table 3 "Target Hardware" column (e.g. 6 956
-// clusters → 84×84).
-func MeshFor(n int) hw.Mesh {
-	side := int(math.Ceil(math.Sqrt(float64(n))))
-	if side < 1 {
-		side = 1
-	}
-	return hw.MustMesh(side, side)
 }
 
 // workloads lists the 13 benchmarks of Table 3 in the paper's order.

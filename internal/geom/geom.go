@@ -102,22 +102,6 @@ func (d Dir) String() string {
 	return fmt.Sprintf("Dir(%d)", uint8(d))
 }
 
-// Toward returns the direction of the single-step move from p to the
-// adjacent point q. It panics if p and q are not mesh neighbors.
-func Toward(p, q Point) Dir {
-	switch (Point{q.X - p.X, q.Y - p.Y}) {
-	case Point{-1, 0}:
-		return Up
-	case Point{1, 0}:
-		return Down
-	case Point{0, 1}:
-		return Right
-	case Point{0, -1}:
-		return Left
-	}
-	panic(fmt.Sprintf("geom: %v and %v are not adjacent", p, q))
-}
-
 // Rect is a half-open axis-aligned rectangle of mesh cells: rows
 // [MinX, MaxX), columns [MinY, MaxY).
 type Rect struct {

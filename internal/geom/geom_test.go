@@ -96,25 +96,6 @@ func TestDirString(t *testing.T) {
 	}
 }
 
-func TestToward(t *testing.T) {
-	p := Point{5, 5}
-	for d := Dir(0); d < NumDirs; d++ {
-		q := p.Add(d.Delta())
-		if got := Toward(p, q); got != d {
-			t.Errorf("Toward(%v,%v) = %v, want %v", p, q, got, d)
-		}
-	}
-}
-
-func TestTowardPanicsOnNonAdjacent(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-adjacent points")
-		}
-	}()
-	Toward(Point{0, 0}, Point{2, 0})
-}
-
 func TestRect(t *testing.T) {
 	r := RectFromSize(3, 5)
 	if r.Height() != 3 || r.Width() != 5 || r.Area() != 15 {

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -417,7 +418,8 @@ func ReadDefectMap(r io.Reader) (*DefectMap, error) {
 //	clustered:dead=0.05,blobs=3,seed=7
 //	lines:rows=1,cols=1,seed=7
 //
-// Omitted keys default to zero (seed defaults to 1).
+// Omitted keys default to zero (seed defaults to 1). The dead and links
+// fractions must lie in [0, 1], and rows and cols must not be negative.
 func ParseDefectSpec(mesh Mesh, spec string) (*DefectMap, error) {
 	kind, rest, _ := strings.Cut(spec, ":")
 	kind = strings.TrimSpace(kind)
@@ -440,20 +442,21 @@ func ParseDefectSpec(mesh Mesh, spec string) (*DefectMap, error) {
 			return 0, nil
 		}
 		delete(kv, key)
+		// !(f >= 0 && f <= 1) also rejects NaN.
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
-			return 0, fmt.Errorf("hw: defect spec %q: bad %s=%q", spec, key, v)
+		if err != nil || !(f >= 0 && f <= 1) {
+			return 0, fmt.Errorf("hw: defect spec %q: bad %s=%q (want a fraction in [0, 1])", spec, key, v)
 		}
 		return f, nil
 	}
-	getI := func(key string, def int) (int, error) {
+	getI := func(key string, def, min int) (int, error) {
 		v, ok := kv[key]
 		if !ok {
 			return def, nil
 		}
 		delete(kv, key)
 		n, err := strconv.Atoi(v)
-		if err != nil {
+		if err != nil || n < min {
 			return 0, fmt.Errorf("hw: defect spec %q: bad %s=%q", spec, key, v)
 		}
 		return n, nil
@@ -479,7 +482,7 @@ func ParseDefectSpec(mesh Mesh, spec string) (*DefectMap, error) {
 		if err != nil {
 			return nil, err
 		}
-		seed, err := getI("seed", 1)
+		seed, err := getI("seed", 1, math.MinInt)
 		if err != nil {
 			return nil, err
 		}
@@ -492,11 +495,11 @@ func ParseDefectSpec(mesh Mesh, spec string) (*DefectMap, error) {
 		if err != nil {
 			return nil, err
 		}
-		blobs, err := getI("blobs", 3)
+		blobs, err := getI("blobs", 3, math.MinInt)
 		if err != nil {
 			return nil, err
 		}
-		seed, err := getI("seed", 1)
+		seed, err := getI("seed", 1, math.MinInt)
 		if err != nil {
 			return nil, err
 		}
@@ -505,15 +508,15 @@ func ParseDefectSpec(mesh Mesh, spec string) (*DefectMap, error) {
 		}
 		return InjectClustered(mesh, dead, blobs, int64(seed)), nil
 	case "lines":
-		rows, err := getI("rows", 0)
+		rows, err := getI("rows", 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		cols, err := getI("cols", 0)
+		cols, err := getI("cols", 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		seed, err := getI("seed", 1)
+		seed, err := getI("seed", 1, math.MinInt)
 		if err != nil {
 			return nil, err
 		}

@@ -235,6 +235,61 @@ func TestParseDefectSpec(t *testing.T) {
 	}
 }
 
+// TestParseDefectSpecRejectsBadValues: fractions must be finite and in
+// [0, 1] and line counts non-negative, or the injectors would slice a
+// permutation with a negative length. Each error names the bad key.
+func TestParseDefectSpecRejectsBadValues(t *testing.T) {
+	mesh := MustMesh(8, 8)
+	for _, tc := range []struct{ spec, key string }{
+		{"uniform:dead=NaN", "dead"},
+		{"uniform:dead=Inf", "dead"},
+		{"uniform:dead=1.5", "dead"},
+		{"uniform:links=Inf", "links"},
+		{"uniform:links=-Inf", "links"},
+		{"uniform:links=NaN", "links"},
+		{"clustered:dead=NaN", "dead"},
+		{"clustered:dead=2", "dead"},
+		{"lines:rows=-1", "rows"},
+		{"lines:cols=-3", "cols"},
+	} {
+		_, err := ParseDefectSpec(mesh, tc.spec)
+		if err == nil {
+			t.Errorf("ParseDefectSpec(%q) accepted", tc.spec)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.key+"=") {
+			t.Errorf("ParseDefectSpec(%q): error %q does not name %s", tc.spec, err, tc.key)
+		}
+	}
+	for _, ok := range []string{"uniform:dead=0,links=1", "uniform:dead=1", "lines:rows=0,cols=0"} {
+		if _, err := ParseDefectSpec(mesh, ok); err != nil {
+			t.Errorf("ParseDefectSpec(%q): %v", ok, err)
+		}
+	}
+}
+
+// FuzzParseDefectSpec: no spec string panics, and an accepted map never
+// counts more dead cores than the mesh has.
+func FuzzParseDefectSpec(f *testing.F) {
+	for _, seed := range []string{
+		"none", "uniform:dead=0.05,links=0.02,seed=7", "clustered:dead=0.1,blobs=3",
+		"lines:rows=1,cols=2", "uniform:dead=NaN", "uniform:links=Inf",
+		"lines:rows=-1", "clustered:dead=NaN", "clustered:blobs=-4,dead=1",
+	} {
+		f.Add(seed)
+	}
+	mesh := MustMesh(6, 7)
+	f.Fuzz(func(t *testing.T, spec string) {
+		d, err := ParseDefectSpec(mesh, spec)
+		if err != nil {
+			return
+		}
+		if d.NumDead() > mesh.Cores() {
+			t.Fatalf("ParseDefectSpec(%q): %d dead cores on a %d-core mesh", spec, d.NumDead(), mesh.Cores())
+		}
+	})
+}
+
 func TestConstraintsScale(t *testing.T) {
 	c := Constraints{NeuronsPerCore: 1000, SynapsesPerCore: 0}
 	s := c.Scale(0.5)

@@ -7,6 +7,7 @@ package hw
 
 import (
 	"fmt"
+	"math"
 
 	"snnmap/internal/geom"
 )
@@ -120,12 +121,15 @@ func (c CostModel) SpikeLatency(hops int) float64 {
 	return float64(hops+1)*c.RouterLatency + float64(hops)*c.WireLatency
 }
 
-// System bundles the full hardware description consumed by mapping
-// algorithms and metrics.
-type System struct {
-	Mesh        Mesh
-	Constraints Constraints
-	Cost        CostModel
+// MeshFor returns the smallest square mesh holding n clusters — the sizing
+// rule that reproduces every Table 3 "Target Hardware" column (e.g. 6 956
+// clusters → 84×84).
+func MeshFor(n int) Mesh {
+	side := max(int(math.Sqrt(float64(n))), 1)
+	for side*side < n {
+		side++
+	}
+	return Mesh{Rows: side, Cols: side}
 }
 
 // DefaultCostModel returns the Table 2 parameters of the paper's target
@@ -138,23 +142,4 @@ func DefaultCostModel() CostModel {
 // CON_spc=64K.
 func DefaultConstraints() Constraints {
 	return Constraints{NeuronsPerCore: 4096, SynapsesPerCore: 64 * 1024}
-}
-
-// DefaultSystem returns the paper's target platform (Table 2) on a mesh of
-// the given size.
-func DefaultSystem(rows, cols int) (System, error) {
-	mesh, err := NewMesh(rows, cols)
-	if err != nil {
-		return System{}, err
-	}
-	return System{Mesh: mesh, Constraints: DefaultConstraints(), Cost: DefaultCostModel()}, nil
-}
-
-// MustDefaultSystem is DefaultSystem that panics on error.
-func MustDefaultSystem(rows, cols int) System {
-	s, err := DefaultSystem(rows, cols)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }

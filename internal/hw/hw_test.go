@@ -94,16 +94,15 @@ func TestDefaultConstraintsTable2(t *testing.T) {
 	}
 }
 
-func TestDefaultSystem(t *testing.T) {
-	s, err := DefaultSystem(4, 4)
-	if err != nil {
-		t.Fatal(err)
+func TestMeshFor(t *testing.T) {
+	if m := MeshFor(0); m != MustMesh(1, 1) {
+		t.Errorf("MeshFor(0) = %v, want 1x1", m)
 	}
-	if s.Mesh.Cores() != 16 || s.Constraints.NeuronsPerCore != 4096 {
-		t.Errorf("system = %+v", s)
-	}
-	if _, err := DefaultSystem(0, 4); err == nil {
-		t.Error("invalid mesh must fail")
+	for n := 1; n <= 5000; n++ {
+		m := MeshFor(n)
+		if m.Rows != m.Cols || m.Cores() < n || (m.Rows-1)*(m.Rows-1) >= n {
+			t.Fatalf("MeshFor(%d) = %v: not the smallest square holding %d", n, m, n)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // InitialPlacement computes P_init = Hilbert ∘ Seq (Eq. 17): the PCN is
 // linearized by Algorithm 2's topological sort and the sequence is laid
-// along the given space-filling curve over the mesh. Any registered curve
+// along the given space-filling curve over the mesh. Any curve.Curve
 // works; the paper's approach uses the Hilbert curve, with ZigZag and Circle
 // retained for the Figure 6/8 comparisons.
 func InitialPlacement(p *pcn.PCN, mesh hw.Mesh, c curve.Curve) (*place.Placement, error) {

@@ -15,7 +15,7 @@ import (
 // Workers ∈ {1, 2, 4, 7} × {pristine, defective-cores, spare-rows,
 // defective+spare} must produce placements byte-identical to the retained
 // sequential curve walk (initialPlacementSeq), for both a monotone
-// (identity-order) and a cyclic (heap-order) PCN, on every registered curve.
+// (identity-order) and a cyclic (heap-order) PCN, on all three curves.
 // Run under -race this doubles as the data-race proof for the chunked fill.
 func TestInitialPlacementWorkersBitIdentical(t *testing.T) {
 	mesh := hw.MustMesh(18, 18)

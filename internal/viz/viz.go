@@ -1,9 +1,8 @@
 // Package viz renders placements and metric grids as terminal-friendly
-// text: shaded heatmaps of router congestion (Eq. 13), layer maps showing
-// where each application layer landed on the mesh, and occupancy maps. The
-// renderings make the paper's qualitative claims inspectable — the U-shaped
-// dataflow layout of the Hilbert placement (Figure 5) is directly visible
-// in a layer map.
+// text: shaded heatmaps of router congestion (Eq. 13) and layer maps showing
+// where each application layer landed on the mesh. The renderings make the
+// paper's qualitative claims inspectable — the U-shaped dataflow layout of
+// the Hilbert placement (Figure 5) is directly visible in a layer map.
 package viz
 
 import (
@@ -80,78 +79,6 @@ func LayerMap(w io.Writer, p *pcn.PCN, pl *place.Placement) error {
 				continue
 			}
 			bw.WriteByte(layerGlyphs[int(layer)%len(layerGlyphs)])
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}
-
-// OccupancyMap renders occupied cores as '#' and free cores as '.'.
-func OccupancyMap(w io.Writer, pl *place.Placement) error {
-	mesh := pl.Mesh
-	bw := bufio.NewWriter(w)
-	for r := 0; r < mesh.Rows; r++ {
-		for c := 0; c < mesh.Cols; c++ {
-			if pl.ClusterAt[r*mesh.Cols+c] == place.None {
-				bw.WriteByte('.')
-			} else {
-				bw.WriteByte('#')
-			}
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}
-
-// Histogram renders a simple horizontal-bar histogram of values with the
-// given bucket count, used for link-length and congestion distributions.
-func Histogram(w io.Writer, values []float64, buckets int) error {
-	if buckets <= 0 {
-		return fmt.Errorf("viz: bucket count %d", buckets)
-	}
-	bw := bufio.NewWriter(w)
-	if len(values) == 0 {
-		fmt.Fprintln(bw, "(no values)")
-		return bw.Flush()
-	}
-	min, max := values[0], values[0]
-	for _, v := range values {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	if max == min {
-		fmt.Fprintf(bw, "all %d values = %g\n", len(values), min)
-		return bw.Flush()
-	}
-	counts := make([]int, buckets)
-	for _, v := range values {
-		idx := int((v - min) / (max - min) * float64(buckets))
-		if idx >= buckets {
-			idx = buckets - 1
-		}
-		counts[idx]++
-	}
-	peak := 0
-	for _, c := range counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	const barWidth = 50
-	for i, c := range counts {
-		lo := min + (max-min)*float64(i)/float64(buckets)
-		hi := min + (max-min)*float64(i+1)/float64(buckets)
-		bar := 0
-		if peak > 0 {
-			bar = c * barWidth / peak
-		}
-		fmt.Fprintf(bw, "[%10.4g, %10.4g) %7d ", lo, hi, c)
-		for j := 0; j < bar; j++ {
-			bw.WriteByte('#')
 		}
 		bw.WriteByte('\n')
 	}

@@ -79,48 +79,3 @@ func TestLayerMap(t *testing.T) {
 		t.Error("mismatch accepted")
 	}
 }
-
-func TestOccupancyMap(t *testing.T) {
-	_, pl := layeredPlacement(t)
-	var buf bytes.Buffer
-	if err := OccupancyMap(&buf, pl); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "###\n###\n...\n" {
-		t.Errorf("occupancy = %q", buf.String())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Histogram(&buf, []float64{1, 1, 2, 3, 3, 3}, 3); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "#") {
-		t.Errorf("no bars rendered:\n%s", out)
-	}
-	if strings.Count(out, "\n") != 3 {
-		t.Errorf("want 3 buckets:\n%s", out)
-	}
-
-	buf.Reset()
-	if err := Histogram(&buf, nil, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "no values") {
-		t.Error("empty input not reported")
-	}
-
-	buf.Reset()
-	if err := Histogram(&buf, []float64{5, 5, 5}, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "all 3 values") {
-		t.Error("constant input not reported")
-	}
-
-	if err := Histogram(&buf, []float64{1}, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-}

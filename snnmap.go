@@ -73,8 +73,6 @@ type (
 	Constraints = hw.Constraints
 	// CostModel holds EN_r, EN_w, L_r, L_w.
 	CostModel = hw.CostModel
-	// System bundles mesh, constraints and cost model.
-	System = hw.System
 	// Platform is a published hardware preset (Table 1).
 	Platform = hw.Platform
 )
@@ -223,13 +221,7 @@ func ResumeFinetune(ctx context.Context, p *PCN, snap *FDSnapshot, cfg FDConfig)
 
 // MeshFor returns the smallest square mesh holding n clusters (the paper's
 // Table 3 sizing rule).
-func MeshFor(n int) Mesh {
-	side := 1
-	for side*side < n {
-		side++
-	}
-	return hw.MustMesh(side, side)
-}
+func MeshFor(n int) Mesh { return hw.MeshFor(n) }
 
 // Metrics (§3.3).
 type (
