@@ -46,7 +46,16 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 // TestBadInputsExitOne: invalid user input is a clean exit 1 with a
 // "snnmap:" message — never a panic (exit 2).
 func TestBadInputsExitOne(t *testing.T) {
+	// Traffic 256 neurons × fan-in 1e10 × rate 1e300 per target cluster
+	// overflows float64.
+	infNet := filepath.Join(t.TempDir(), "inf.json")
+	if err := os.WriteFile(infNet, []byte(`{"name": "inf",
+		"layers": [{"name": "a", "neurons": 8192, "rate": 1e300}, {"name": "b", "neurons": 8192}],
+		"connections": [{"from": 0, "to": 1, "fanIn": 10000000000, "pattern": "dense"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
+		{"-net", infNet, "-budget", "0"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "uniform:dead=NaN"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "uniform:links=Inf"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "lines:rows=-1"},

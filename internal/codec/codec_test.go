@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -104,6 +105,36 @@ func TestReadPCNRejectsGarbage(t *testing.T) {
 	data[len(data)-4] ^= 0xFF // clobber a weight
 	if _, err := ReadPCN(bytes.NewReader(data[:len(data)-9])); err == nil {
 		t.Error("truncated body accepted")
+	}
+}
+
+// TestReadPCNRejectsBadValues: a well-formed file holding values no PCN can
+// have — a non-finite edge weight, non-finite or negative internal traffic,
+// negative neuron or synapse counts — fails to load, where it would
+// otherwise make every downstream metric NaN.
+func TestReadPCNRejectsBadValues(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(p *pcn.PCN)
+	}{
+		{"NaN weight", func(p *pcn.PCN) { p.OutW[len(p.OutW)/2] = math.NaN() }},
+		{"+Inf weight", func(p *pcn.PCN) { p.OutW[0] = math.Inf(1) }},
+		{"-Inf weight", func(p *pcn.PCN) { p.OutW[len(p.OutW)-1] = math.Inf(-1) }},
+		{"NaN internal traffic", func(p *pcn.PCN) { p.InternalTraffic = math.NaN() }},
+		{"+Inf internal traffic", func(p *pcn.PCN) { p.InternalTraffic = math.Inf(1) }},
+		{"negative internal traffic", func(p *pcn.PCN) { p.InternalTraffic = -1 }},
+		{"negative neurons", func(p *pcn.PCN) { p.Neurons[3] = -1 }},
+		{"negative synapses", func(p *pcn.PCN) { p.Synapses[p.NumClusters-1] = -5 }},
+	} {
+		p := samplePCN(t, 3, 10, 40)
+		c.mutate(p)
+		var buf bytes.Buffer
+		if err := WritePCN(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		if q, err := ReadPCN(&buf); err == nil {
+			t.Errorf("%s: ReadPCN accepted the PCN (%d clusters)", c.name, q.NumClusters)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"snnmap/internal/hw"
@@ -71,6 +72,10 @@ func FuzzReadNetJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"x","layers":[{"name":"a","neurons":1}]}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`[]`))
+	f.Add([]byte(`{"name":"inf","layers":[{"name":"a","neurons":8192,"rate":1e300},{"name":"b","neurons":8192}],` +
+		`"connections":[{"from":0,"to":1,"fanIn":10000000000,"pattern":"dense"}]}`))
+	f.Add([]byte(`{"name":"wide","layers":[{"name":"a","neurons":4096},{"name":"b","neurons":4096}],` +
+		`"connections":[{"from":0,"to":1,"fanIn":9000000000000000000,"pattern":"local","window":3}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, err := ReadNetJSON(bytes.NewReader(data))
 		if err != nil {
@@ -78,6 +83,23 @@ func FuzzReadNetJSON(f *testing.F) {
 		}
 		if vErr := n.Validate(); vErr != nil {
 			t.Fatalf("decoder accepted an invalid net: %v", vErr)
+		}
+		// An accepted net expands to a valid PCN or is refused as a bad
+		// configuration. Layers are capped so the expansion stays small.
+		for _, l := range n.Layers {
+			if l.Neurons > 1<<20 {
+				return
+			}
+		}
+		p, err := pcn.Expand(n, pcn.DefaultPartition())
+		if err != nil {
+			if !errors.Is(err, place.ErrBadConfig) {
+				t.Fatalf("Expand of an accepted net: %v, want an ErrBadConfig", err)
+			}
+			return
+		}
+		if vErr := p.Validate(); vErr != nil {
+			t.Fatalf("an accepted net expanded to an invalid PCN: %v", vErr)
 		}
 	})
 }

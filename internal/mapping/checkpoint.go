@@ -232,7 +232,7 @@ func ResumeFinetune(ctx context.Context, p *pcn.PCN, snap *Snapshot, cfg FDConfi
 // continue from bit for bit.
 func resumeEngine(p *pcn.PCN, snap *Snapshot, cfg FDConfig) (*fdEngine, []pairTension) {
 	e := newFDEngine(p, snap.Placement.Clone(), cfg)
-	e.buildAllForces(cfg.Workers)
+	e.buildAllForces(cfg.Workers) // its counts serve only the fd.build span
 	copy(e.force, snap.Force)
 	queue := make([]pairTension, len(snap.QueueIDs))
 	for i, id := range snap.QueueIDs {

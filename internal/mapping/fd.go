@@ -193,7 +193,13 @@ func FinetuneContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg F
 	e := newFDEngine(p, pl, cfg)
 	// Build Force[p][0..3] for every occupied position (Alg. 3 lines 3-5);
 	// the same walk yields E_s.
-	stats := FDStats{InitialEnergy: e.buildAllForces(cfg.Workers)}
+	sp := cfg.Obs.Span("fd.build")
+	energy, built := e.buildAllForces(cfg.Workers)
+	sp.End(obs.KV{K: "aggregated", V: float64(built.aggregated)},
+		obs.KV{K: "walked", V: float64(built.walked)},
+		obs.KV{K: "runs", V: float64(built.runs)},
+		obs.KV{K: "closed_chunks", V: float64(built.closedChunks)})
+	stats := FDStats{InitialEnergy: energy}
 	minGain := cfg.effectiveMinGain(stats.InitialEnergy)
 	// Build the initial tension queue (lines 6-13).
 	queue := e.initialQueue(cfg.Workers)
@@ -340,6 +346,11 @@ type fdEngine struct {
 	// on a pristine mesh.
 	canBlock bool
 
+	// maxRun is the longest id run whose int64 cell aggregates cannot
+	// overflow, n·max(rows, cols)² < 2^60, and forceSpan is 2·max(rows,
+	// cols)+1, which bounds |±2d−1| over the mesh (see blocks).
+	maxRun, forceSpan int64
+
 	// force[idx*4+d] is Force[p][d] of Alg. 3 for the cluster at cell idx
 	// (0 for empty cells and off-mesh directions).
 	force []float64
@@ -381,7 +392,10 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 			coord = append(coord, cellXY{x, y})
 		}
 	}
+	side := int64(max(rows, cols))
 	return &fdEngine{
+		maxRun:      (1 << 60) / (side * side),
+		forceSpan:   2*side + 1,
 		p:           p,
 		sym:         p.Symmetric(),
 		pl:          pl,
@@ -490,26 +504,291 @@ func (e *fdEngine) systemEnergy(workers int) float64 {
 
 // buildAllForces fills the force array and the mutw slots of every occupied
 // cell (Eq. 27: each direction summed over the neighbors in ascending id
-// order) and every energy partial, and returns E_s. Each cluster's
-// neighborhood is fetched once and walked twice while it is cache-resident:
-// energyRun in energyRange's order, then forceRun. Cells and chunks are
-// disjoint and the placement is immutable during the build.
-func (e *fdEngine) buildAllForces(workers int) float64 {
+// order) and every energy partial, and returns E_s with counts of how each
+// cluster and chunk was built. Each cluster's neighborhood is fetched once.
+// Under L2Sq a cluster that passes blocks' exactness guard, and whose runs
+// repeat its predecessor's, is summed in closed form from run aggregates;
+// any other is walked while cache-resident — energyRun in energyRange's
+// order, and forceRun. Both give the same bits (see blocks). Cells and
+// chunks are disjoint and the placement is immutable during the build.
+func (e *fdEngine) buildAllForces(workers int) (float64, buildStats) {
+	stats := make([]buildStats, len(e.partial))
 	par.DoScratch(workers, len(e.partial), func(ci int, buf *pcn.MergeBuf) {
+		lo, hi := ci*energyChunk, min((ci+1)*energyChunk, e.p.NumClusters)
+		st := &stats[ci]
+		var cache blockCache
 		var total float64
-		hi := min((ci+1)*energyChunk, e.p.NumClusters)
-		for c := ci * energyChunk; c < hi; c++ {
+		// exact holds while every cluster so far passed blocks' guard, so
+		// every term in total is an integer; summed records that some entered
+		// in closed form, so total is no longer the walk's own sum.
+		exact, summed := e.field == fieldL2Sq, false
+		for c := lo; c < hi; c++ {
 			idx := e.pl.PosOf[c]
-			to1, w1, to2, w2 := e.sym.Neighbors(c, buf)
-			total = e.energyRun(total, int32(c), e.coord[idx], to1, w1)
-			total = e.energyRun(total, int32(c), e.coord[idx], to2, w2)
-			up, down, right, left := e.forceRun(idx, to1, w1, 0, 0, 0, 0)
-			up, down, right, left = e.forceRun(idx, to2, w2, up, down, right, left)
+			pc := e.coord[idx]
+			b, ok, closed := e.blocks(c, &cache, &st.runs)
+			if !ok && exact {
+				exact = false
+				if summed {
+					total = e.energyRange(lo, c, buf)
+				}
+			}
+			if closed {
+				st.aggregated++
+				for i := range b {
+					r := &b[i]
+					if exact {
+						total += r.energy(int32(c), pc)
+						summed = true
+					} else {
+						total = e.energyRun(total, int32(c), pc, r.ids, r.ws)
+					}
+				}
+				e.blockForce(idx, b)
+				continue
+			}
+			st.walked++
+			if b == nil {
+				b = cache.b[:]
+				b[0].ids, b[0].ws, b[1].ids, b[1].ws = e.sym.Neighbors(c, buf)
+			}
+			var up, down, right, left float64
+			for i := range b {
+				r := &b[i]
+				total = e.energyRun(total, int32(c), pc, r.ids, r.ws)
+				up, down, right, left = e.forceRun(idx, r.ids, r.ws, up, down, right, left)
+			}
 			e.storeForce(idx, up, down, right, left)
+		}
+		// Every term is a non-negative integer below 2^53 or the total reaches
+		// 2^53, so a total below exactLimit was summed without rounding, and
+		// so were the walk's own partial sums, which never exceed it: both are
+		// the same integer.
+		if summed && exact && !(total < exactLimit) {
+			summed, total = false, e.energyRange(lo, hi, buf)
+		}
+		if summed && exact {
+			st.closedChunks++
 		}
 		e.partial[ci], e.dirty[ci] = total, false
 	})
-	return e.systemEnergy(workers) // nothing is dirty: the in-order reduction alone
+	var sum buildStats
+	for _, st := range stats {
+		sum.aggregated += st.aggregated
+		sum.walked += st.walked
+		sum.runs += st.runs
+		sum.closedChunks += st.closedChunks
+	}
+	return e.systemEnergy(workers), sum // nothing is dirty: the in-order reduction alone
+}
+
+// buildStats counts how buildAllForces built: clusters summed from
+// aggregates and clusters walked, distinct runs aggregated, and E_s chunks
+// summed in closed form.
+type buildStats struct {
+	aggregated, walked, runs, closedChunks int
+}
+
+// exactLimit bounds every sum the closed-form build relies on: integers of
+// magnitude below 2^52 add and multiply without rounding while the result
+// stays below 2^53.
+const exactLimit = 1 << 52
+
+// block is one neighbor run of a cluster taken whole: its ids and weights as
+// Symmetric.Neighbors returns them, its side (0 in-run, 1 out-row), the one
+// weight w every id carries, and the aggregate of the ids' cells.
+type block struct {
+	ids  []int32
+	ws   []float64
+	side int
+	w    float64
+	agg  runAgg
+}
+
+// runAgg is the aggregate of an id run's cells under the current placement:
+// the member count and the sums of the rows x, the columns y and their
+// squares.
+type runAgg struct{ n, sx, sy, sxx, syy int64 }
+
+// blockCache holds, per side, the run a build chunk last met and, once it
+// has been needed, its aggregate. A cluster is summed in closed form only
+// when its runs repeat the previous ones: consecutive clusters of a dense
+// layer read one shared in-run (the same slice) and hold out-rows with equal
+// ids, so each distinct run is aggregated about once, while a cluster with a
+// run no predecessor shares (a sliding window) is walked, since aggregating
+// that run would cost the walk again. b is the storage of the runs blocks and
+// the walk hand around.
+type blockCache struct {
+	ids   [2][]int32
+	agg   [2]runAgg
+	ready [2]bool
+	b     [2]block
+}
+
+// blocks returns cluster c's nonempty neighbor runs in Symmetric.Neighbors'
+// order when Neighbors would concatenate them (nil when it would merge them
+// or the potential is not L2Sq), whether the closed form reproduces the
+// walk's bits for c, and whether it is taken: the runs repeat the previous
+// cluster's and carry their aggregates. The closed form is exact when the
+// potential is L2Sq and
+//   - Neighbors concatenates c's in-run and out-row rather than merging them;
+//   - every id of a run carries one weight w, finite with w == Trunc(w);
+//   - no run straddles c, so energyRun counts a run whole or not at all;
+//   - Σ_runs w·n·(2·max(rows, cols)+1) < 2^52, which bounds every partial
+//     sum of the force walk, each of whose terms is an integer w·(±2d−1);
+//   - n ≤ maxRun, so the int64 aggregates and the energy's integer distance
+//     sum cannot overflow.
+//
+// All operands then are integers, every partial sum of the walk is exact,
+// and any association of the same terms gives the same bits. runs counts the
+// aggregates computed. The blocks live in cache until its next use.
+func (e *fdEngine) blocks(c int, cache *blockCache, runs *int) (b []block, exact, closed bool) {
+	if e.field != fieldL2Sq {
+		return nil, false, false
+	}
+	inIDs, inW := e.sym.InEdges(c)
+	outIDs, outW := e.p.OutEdges(c)
+	first := 0 // the in-run's position in Neighbors' order
+	switch {
+	case len(inIDs) == 0 || len(outIDs) == 0 || inIDs[len(inIDs)-1] < outIDs[0]:
+	case outIDs[len(outIDs)-1] < inIDs[0]:
+		first = 1
+	default:
+		return nil, false, false
+	}
+	b = cache.b[:]
+	b[first].ids, b[first].ws, b[first].side = inIDs, inW, 0
+	b[1-first].ids, b[1-first].ws, b[1-first].side = outIDs, outW, 1
+	if len(b[1].ids) == 0 {
+		b = b[:1]
+	}
+	if len(b[0].ids) == 0 {
+		b = b[1:]
+	}
+	var bound float64
+	repeated := true
+	for i := range b {
+		r := &b[i]
+		n := int64(len(r.ids))
+		var uniform bool
+		r.w, uniform = uniformWeight(r.ws)
+		if !uniform || r.w != math.Trunc(r.w) || math.IsInf(r.w, 0) ||
+			(int(r.ids[0]) < c && c < int(r.ids[n-1])) || n > e.maxRun {
+			return b, false, false
+		}
+		if bound += r.w * float64(n*e.forceSpan); !(bound < exactLimit) {
+			return b, false, false
+		}
+		if !sameRun(cache.ids[r.side], r.ids) {
+			cache.ids[r.side], cache.ready[r.side], repeated = r.ids, false, false
+		}
+	}
+	if !repeated {
+		return b, true, false
+	}
+	for i := range b {
+		r := &b[i]
+		if !cache.ready[r.side] {
+			cache.agg[r.side], cache.ready[r.side] = e.aggregate(r.ids), true
+			*runs++
+		}
+		r.agg = cache.agg[r.side]
+	}
+	return b, true, true
+}
+
+// uniformWeight returns the weight every entry of a weight run carries, and
+// whether there is exactly one (a broadcast run is one weight long).
+func uniformWeight(ws []float64) (float64, bool) {
+	for _, w := range ws[1:] {
+		if math.Float64bits(w) != math.Float64bits(ws[0]) {
+			return 0, false
+		}
+	}
+	return ws[0], true
+}
+
+// sameRun reports whether two strictly increasing id runs are equal. Equal
+// ends and length with the span of a run of consecutive ids leave no room for
+// a difference, so dense rows compare in O(1).
+func sameRun(a, b []int32) bool {
+	switch {
+	case len(a) != len(b):
+		return false
+	case len(a) == 0 || &a[0] == &b[0]:
+		return true
+	case a[0] != b[0] || a[len(a)-1] != b[len(b)-1]:
+		return false
+	}
+	return int(a[len(a)-1]-a[0]) == len(a)-1 || slices.Equal(a, b)
+}
+
+// aggregate sums the cells of an id run.
+func (e *fdEngine) aggregate(ids []int32) runAgg {
+	a := runAgg{n: int64(len(ids))}
+	for _, id := range ids {
+		q := e.coord[e.pl.PosOf[id]]
+		x, y := int64(q.x), int64(q.y)
+		a.sx += x
+		a.sy += y
+		a.sxx += x * x
+		a.syy += y * y
+	}
+	return a
+}
+
+// energy returns the block's contribution to E_s from cluster c at cell pc:
+// w·Σ_k ((x_k−x_c)² + (y_k−y_c)²) when the run lies above c (energyRun counts
+// each pair from its smaller cluster), else 0.
+func (r *block) energy(c int32, pc cellXY) float64 {
+	if r.ids[0] < c {
+		return 0
+	}
+	x, y := int64(pc.x), int64(pc.y)
+	a := r.agg
+	d := a.sxx - 2*x*a.sx + a.n*x*x + a.syy - 2*y*a.sy + a.n*y*y
+	return r.w * float64(d)
+}
+
+// blockForce stores the force of the cluster at cell idx from its blocks and
+// fills the cell's mutw slots: forceRun's sums in closed form. Over a run,
+// Σ_k (−2(x_k−x_c) − 1) = −2(Σx − n·x_c) − n is Force-up per unit weight,
+// and the other directions follow the same pattern. The mutw slot of pair
+// idx*2 (idx*2+1) holds the weight of the run containing the occupant of
+// the cell to the right (below), found by binary search.
+func (e *fdEngine) blockForce(idx int32, b []block) {
+	q := e.coord[idx]
+	x, y := int64(q.x), int64(q.y)
+	var up, down, right, left float64
+	for i := range b {
+		r := &b[i]
+		a := r.agg
+		dx, dy := 2*(a.sx-a.n*x), 2*(a.sy-a.n*y)
+		up += r.w * float64(-dx-a.n)
+		down += r.w * float64(dx-a.n)
+		right += r.w * float64(dy-a.n)
+		left += r.w * float64(-dy-a.n)
+	}
+	e.storeForce(idx, up, down, right, left)
+	if q.y < int32(e.mesh.Cols)-1 {
+		e.fillMutw(idx*2, e.pl.ClusterAt[idx+1], b)
+	}
+	if q.x < int32(e.mesh.Rows)-1 {
+		e.fillMutw(idx*2+1, e.pl.ClusterAt[idx+int32(e.mesh.Cols)], b)
+	}
+}
+
+// fillMutw stores in mutw[id] the weight of the block holding cluster other,
+// if any.
+func (e *fdEngine) fillMutw(id, other int32, b []block) {
+	if other == place.None {
+		return
+	}
+	for i := range b {
+		if _, found := slices.BinarySearch(b[i].ids, other); found {
+			e.mutw[id] = b[i].w
+			return
+		}
+	}
 }
 
 // storeForce writes the four directional sums of cell idx, zeroing the

@@ -166,7 +166,7 @@ func runLockstep(t *testing.T, name string, c fusedCase, cfg FDConfig) lockstepR
 			t.Fatalf("%s %s: a chunk is still dirty after systemEnergy", name, when)
 		}
 	}
-	if e0 := got.buildAllForces(cfg.Workers); math.Float64bits(e0) != math.Float64bits(stats.InitialEnergy) {
+	if e0, _ := got.buildAllForces(cfg.Workers); math.Float64bits(e0) != math.Float64bits(stats.InitialEnergy) {
 		t.Fatalf("%s: the build walk returns E_s = %v, the oracle engine's own walk %v", name, e0, stats.InitialEnergy)
 	}
 	sameEnergy("after build", stats.InitialEnergy)

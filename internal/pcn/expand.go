@@ -2,6 +2,7 @@ package pcn
 
 import (
 	"fmt"
+	"math"
 
 	"snnmap/internal/obs"
 	"snnmap/internal/place"
@@ -53,7 +54,10 @@ func planLayers(n *snn.Net, cfg PartitionConfig) (layerPlan, error) {
 		first: make([]int, len(n.Layers)),
 		fanIn: make([]int64, len(n.Layers)),
 	}
-	for _, c := range n.Conns {
+	for i, c := range n.Conns {
+		if plan.fanIn[c.To] > math.MaxInt64-c.FanIn {
+			return layerPlan{}, fmt.Errorf("pcn: net %q conn %d overflows layer %d's int64 fan-in: %w", n.Name, i, c.To, place.ErrBadConfig)
+		}
 		plan.fanIn[c.To] += c.FanIn
 	}
 	for li, l := range n.Layers {
@@ -66,6 +70,10 @@ func planLayers(n *snn.Net, cfg PartitionConfig) (layerPlan, error) {
 			if bySyn < per {
 				per = bySyn
 			}
+		}
+		if plan.fanIn[li] > math.MaxInt64/per {
+			return layerPlan{}, fmt.Errorf("pcn: net %q layer %d: %d neurons per cluster × fan-in %d overflows the int64 synapse count: %w",
+				n.Name, li, per, plan.fanIn[li], place.ErrBadConfig)
 		}
 		plan.per[li] = per
 		plan.count[li] = int((l.Neurons + per - 1) / per)
@@ -103,23 +111,33 @@ func expand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
 		}
 	}
 
-	// Expand connections by streaming the traversal twice instead of
-	// materializing a (from, to, w) edge list and re-bucketing it: pass one
-	// counts each source cluster's slots, pass two writes targets and
-	// weights straight into the final CSR arrays through per-cluster
-	// cursors, so only the 12 bytes/edge that survive in the PCN are ever
-	// held (an edge list plus a bucket copy is 28 bytes/edge transient at the
-	// 1M-cluster scale). Weight bookkeeping is unchanged: a Conn carries
-	// total traffic T = To.Neurons × FanIn × rate(From); each target cluster
-	// receives its neuron-proportional share, split across its source
-	// clusters.
+	// Expand connections in two passes straight into the final CSR arrays,
+	// instead of materializing a (from, to, w) edge list and re-bucketing it:
+	// pass one counts each source cluster's slots, pass two writes targets and
+	// weights through per-cluster cursors, so only the 12 bytes/edge that
+	// survive in the PCN are ever held (an edge list plus a bucket copy is 28
+	// bytes/edge transient at the 1M-cluster scale). A Conn carries total
+	// traffic T = To.Neurons × FanIn × rate(From); each target cluster receives
+	// its neuron-proportional share, split across its source clusters. Within
+	// a row, entries arrive in Conn order, then ascending target: the order
+	// finalizeCSR's merge sums parallel entries in.
 	counts := make([]int64, plan.total+1)
-	if err := traverseConns(n, p, plan, func(f, t int, _ float64) {
-		if f != t {
-			counts[f+1]++
+	var traffic []float64
+	for i, c := range n.Conns {
+		if traffic, err = plan.targetTraffic(n, p, i, traffic); err != nil {
+			return nil, err
 		}
-	}); err != nil {
-		return nil, err
+		f0, fc := plan.first[c.From], plan.count[c.From]
+		switch c.Pattern {
+		case snn.Dense:
+			for f := f0; f < f0+fc; f++ {
+				counts[f+1] += int64(plan.count[c.To])
+			}
+		case snn.Local, snn.OneToOne:
+			traverseSparse(c, plan, traffic, func(f, _ int, _ float64) { counts[f+1]++ })
+		default:
+			return nil, fmt.Errorf("pcn: unknown pattern %v in net %q", c.Pattern, n.Name)
+		}
 	}
 	for i := 0; i < plan.total; i++ {
 		counts[i+1] += counts[i]
@@ -128,68 +146,80 @@ func expand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
 	outW := make([]float64, counts[plan.total])
 	next := make([]int64, plan.total)
 	copy(next, counts[:plan.total])
-	// The pattern error surfaced in pass one; pass two cannot fail.
-	_ = traverseConns(n, p, plan, func(f, t int, weight float64) {
-		if f == t {
-			p.InternalTraffic += weight
-			return
+	var share []float64
+	for i, c := range n.Conns {
+		// Pass one checked every Conn: these calls cannot fail.
+		traffic, _ = plan.targetTraffic(n, p, i, traffic)
+		if c.Pattern != snn.Dense {
+			traverseSparse(c, plan, traffic, func(f, t int, weight float64) {
+				outTo[next[f]], outW[next[f]] = int32(t), weight
+				next[f]++
+			})
+			continue
 		}
-		pos := next[f]
-		next[f]++
-		outTo[pos] = int32(t)
-		outW[pos] = weight
-	})
+		// A dense Conn is a complete bipartite block: each source row gets the
+		// whole target range as one sequential run. Every weight is the single
+		// product traffic[t]·share[f], so its bits do not depend on the order
+		// the block is written in.
+		f0, fc, t0 := plan.first[c.From], plan.count[c.From], plan.first[c.To]
+		srcNeurons := float64(n.Layers[c.From].Neurons)
+		share = share[:0]
+		for f := f0; f < f0+fc; f++ {
+			share = append(share, float64(p.Neurons[f])/srcNeurons)
+		}
+		tc := int64(len(traffic))
+		for fi, s := range share {
+			pos := next[f0+fi]
+			next[f0+fi] += tc
+			to, w := outTo[pos:pos+tc], outW[pos:pos+tc]
+			for tj, tt := range traffic {
+				to[tj], w[tj] = int32(t0+tj), tt*s
+			}
+		}
+	}
 	p.OutOff, p.OutTo, p.OutW = finalizeCSR(counts, outTo, outW, cfg.Workers)
 	return p, nil
 }
 
-// traverseConns streams every cluster-level edge of the net's connections
-// (self-edges included) to emit, in a deterministic order grouped by Conn
-// and target cluster. It is run twice by expand — once counting,
-// once writing — so the expansion never holds a full edge list.
-func traverseConns(n *snn.Net, p *PCN, plan layerPlan, emit func(f, t int, weight float64)) error {
-	for _, c := range n.Conns {
-		fc, tc := plan.count[c.From], plan.count[c.To]
-		f0, t0 := plan.first[c.From], plan.first[c.To]
-		rate := n.RateOf(c.From)
-		for tj := 0; tj < tc; tj++ {
-			targetTraffic := float64(p.Neurons[t0+tj]) * float64(c.FanIn) * rate
-			switch c.Pattern {
-			case snn.Dense:
-				// Source clusters contribute in proportion to their size.
-				srcNeurons := float64(n.Layers[c.From].Neurons)
-				for fi := 0; fi < fc; fi++ {
-					share := float64(p.Neurons[f0+fi]) / srcNeurons
-					emit(f0+fi, t0+tj, targetTraffic*share)
-				}
-			case snn.Local:
-				window := c.Window
-				if window < 1 {
-					window = 1
-				}
-				if window > fc {
-					window = fc
-				}
-				center := proportional(tj, tc, fc)
-				start := center - (window-1)/2
-				if start < 0 {
-					start = 0
-				}
-				if start+window > fc {
-					start = fc - window
-				}
-				share := targetTraffic / float64(window)
-				for fi := start; fi < start+window; fi++ {
-					emit(f0+fi, t0+tj, share)
-				}
-			case snn.OneToOne:
-				emit(f0+proportional(tj, tc, fc), t0+tj, targetTraffic)
-			default:
-				return fmt.Errorf("pcn: unknown pattern %v in net %q", c.Pattern, n.Name)
-			}
+// targetTraffic returns, in buf's storage, the spike traffic into each target
+// cluster of Conn i — Neurons × FanIn × rate(From) — or an error wrapping
+// place.ErrBadConfig when one is not finite. Every edge weight of the Conn
+// is at most its target's traffic, so this one check per target keeps
+// infinities and NaNs out of the PCN.
+func (plan layerPlan) targetTraffic(n *snn.Net, p *PCN, i int, buf []float64) ([]float64, error) {
+	c := n.Conns[i]
+	t0, tc := plan.first[c.To], plan.count[c.To]
+	rate := n.RateOf(c.From)
+	buf = buf[:0]
+	for t := t0; t < t0+tc; t++ {
+		tt := float64(p.Neurons[t]) * float64(c.FanIn) * rate
+		if math.IsInf(tt, 0) || math.IsNaN(tt) {
+			return nil, fmt.Errorf("pcn: net %q conn %d (layer %d -> %d) carries traffic %g into cluster %d: %w",
+				n.Name, i, c.From, c.To, tt, t, place.ErrBadConfig)
+		}
+		buf = append(buf, tt)
+	}
+	return buf, nil
+}
+
+// traverseSparse streams the cluster-level edges of a Local or OneToOne
+// Conn to emit, target-major: for each target cluster in ascending order,
+// its source clusters ascending. traffic is the Conn's per-target traffic.
+func traverseSparse(c snn.Conn, plan layerPlan, traffic []float64, emit func(f, t int, weight float64)) {
+	fc, tc := plan.count[c.From], plan.count[c.To]
+	f0, t0 := plan.first[c.From], plan.first[c.To]
+	for tj, tt := range traffic {
+		if c.Pattern == snn.OneToOne {
+			emit(f0+proportional(tj, tc, fc), t0+tj, tt)
+			continue
+		}
+		window := min(max(c.Window, 1), fc)
+		start := min(max(proportional(tj, tc, fc)-(window-1)/2, 0), fc-window)
+		share := tt / float64(window)
+		for fi := start; fi < start+window; fi++ {
+			emit(f0+fi, t0+tj, share)
 		}
 	}
-	return nil
 }
 
 // proportional maps index j of a tc-element sequence onto an fc-element

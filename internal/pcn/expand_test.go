@@ -3,6 +3,7 @@ package pcn
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"snnmap/internal/hw"
@@ -39,18 +40,23 @@ func TestExpandSyntheticShapes(t *testing.T) {
 }
 
 func TestExpandTrafficConservation(t *testing.T) {
-	// For every net: Σ w_P + internal = Σ_conns To.Neurons × FanIn × rate.
+	// For every net: Σ w_P = Σ_conns To.Neurons × FanIn × rate.
 	nets := []*snn.Net{snn.DNN65K(), snn.CNN65K(), snn.LeNetMNIST(), snn.MobileNet()}
 	for _, n := range nets {
 		p, err := Expand(n, DefaultPartition())
 		if err != nil {
 			t.Fatalf("%s: %v", n.Name, err)
 		}
+		// Net.Validate admits no self-loop Conn, so no traffic stays inside a
+		// cluster of an expanded net.
+		if p.InternalTraffic != 0 {
+			t.Errorf("%s: InternalTraffic %g, want 0", n.Name, p.InternalTraffic)
+		}
 		var want float64
 		for _, c := range n.Conns {
 			want += float64(n.Layers[c.To].Neurons) * float64(c.FanIn) * n.RateOf(c.From)
 		}
-		got := p.TotalWeight() + p.InternalTraffic
+		got := p.TotalWeight()
 		if math.Abs(got-want)/want > 1e-9 {
 			t.Errorf("%s traffic %g, want %g", n.Name, got, want)
 		}
@@ -185,6 +191,35 @@ func TestExpandRejectsInvalid(t *testing.T) {
 	good := snn.DNN65K()
 	if _, err := Expand(good, PartitionConfig{}); err == nil {
 		t.Error("zero CON_npc must fail")
+	}
+	// 4096 neurons per cluster × fan-in 2^62 synapses each overflows int64.
+	huge := &snn.Net{Name: "huge"}
+	huge.Chain(snn.Layer{Name: "a", Neurons: 4096}, 0, snn.Dense, 0)
+	huge.Chain(snn.Layer{Name: "b", Neurons: 4096}, 1<<62, snn.Dense, 0)
+	if _, err := Expand(huge, DefaultPartition()); !errors.Is(err, place.ErrBadConfig) {
+		t.Errorf("synapse-count overflow: err = %v, want ErrBadConfig", err)
+	}
+}
+
+// TestExpandRejectsNonFiniteTraffic: a Conn whose per-target traffic
+// overflows float64 is an ErrBadConfig naming the Conn, under every pattern —
+// not a PCN of +Inf weights whose metrics come out Inf and NaN.
+func TestExpandRejectsNonFiniteTraffic(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		pattern snn.Pattern
+		window  int
+	}{{"dense", snn.Dense, 0}, {"local", snn.Local, 3}, {"one-to-one", snn.OneToOne, 0}} {
+		n := &snn.Net{Name: "inf"}
+		n.Chain(snn.Layer{Name: "a", Neurons: 8192, Rate: 1e300}, 0, snn.Dense, 0)
+		n.Chain(snn.Layer{Name: "b", Neurons: 8192}, 1e10, c.pattern, c.window)
+		p, err := Expand(n, DefaultPartition())
+		if !errors.Is(err, place.ErrBadConfig) || !strings.Contains(err.Error(), "conn 0") {
+			t.Errorf("%s: err = %v, want ErrBadConfig naming conn 0", c.name, err)
+		}
+		if p != nil {
+			t.Errorf("%s: Expand returned a PCN alongside its error", c.name)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package pcn
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -149,9 +150,15 @@ func (p *PCN) Validate() error {
 	if p.OutOff[p.NumClusters] != int64(len(p.OutTo)) {
 		return fmt.Errorf("pcn: OutOff[%d] = %d, want %d", p.NumClusters, p.OutOff[p.NumClusters], len(p.OutTo))
 	}
+	if t := p.InternalTraffic; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("pcn: internal traffic %g, want a finite value ≥ 0", t)
+	}
 	for i := 0; i < p.NumClusters; i++ {
 		if p.OutOff[i] < 0 || p.OutOff[i] > p.OutOff[i+1] {
 			return fmt.Errorf("pcn: OutOff not monotone at cluster %d", i)
+		}
+		if p.Neurons[i] < 0 || p.Synapses[i] < 0 {
+			return fmt.Errorf("pcn: cluster %d has %d neurons and %d synapses", i, p.Neurons[i], p.Synapses[i])
 		}
 	}
 	for i := 0; i < p.NumClusters; i++ {
@@ -166,8 +173,8 @@ func (p *PCN) Validate() error {
 			if k > 0 && tos[k-1] >= to {
 				return fmt.Errorf("pcn: cluster %d targets not strictly increasing", i)
 			}
-			if ws[k] < 0 {
-				return fmt.Errorf("pcn: negative weight on edge %d->%d", i, to)
+			if ws[k] < 0 || math.IsNaN(ws[k]) || math.IsInf(ws[k], 0) {
+				return fmt.Errorf("pcn: edge %d->%d has weight %g, want a finite value ≥ 0", i, to, ws[k])
 			}
 		}
 	}

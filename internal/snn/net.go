@@ -1,6 +1,9 @@
 package snn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Pattern describes how the clusters of two layers connect once the layers
 // are partitioned. Patterns operate at cluster granularity so that very
@@ -98,8 +101,8 @@ func (n *Net) Validate() error {
 		if l.Neurons <= 0 {
 			return fmt.Errorf("snn: net %q layer %d (%s) has %d neurons", n.Name, i, l.Name, l.Neurons)
 		}
-		if l.Rate < 0 {
-			return fmt.Errorf("snn: net %q layer %d (%s) has negative rate", n.Name, i, l.Name)
+		if l.Rate < 0 || math.IsNaN(l.Rate) || math.IsInf(l.Rate, 0) {
+			return fmt.Errorf("snn: net %q layer %d (%s) has rate %g, want a finite value ≥ 0", n.Name, i, l.Name, l.Rate)
 		}
 	}
 	for i, c := range n.Conns {

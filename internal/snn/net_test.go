@@ -1,6 +1,9 @@
 package snn
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func twoLayerNet() *Net {
 	n := &Net{Name: "test"}
@@ -30,6 +33,8 @@ func TestNetValidate(t *testing.T) {
 		{"no layers", &Net{Name: "x"}},
 		{"zero neurons", &Net{Name: "x", Layers: []Layer{{Neurons: 0}}}},
 		{"negative rate", &Net{Name: "x", Layers: []Layer{{Neurons: 1, Rate: -1}}}},
+		{"NaN rate", &Net{Name: "x", Layers: []Layer{{Neurons: 1, Rate: math.NaN()}}}},
+		{"infinite rate", &Net{Name: "x", Layers: []Layer{{Neurons: 1, Rate: math.Inf(1)}}}},
 		{"conn out of range", &Net{Name: "x", Layers: []Layer{{Neurons: 1}},
 			Conns: []Conn{{From: 0, To: 3, FanIn: 1}}}},
 		{"self loop", &Net{Name: "x", Layers: []Layer{{Neurons: 1}},
