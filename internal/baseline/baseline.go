@@ -90,20 +90,27 @@ func placementEnergy(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) float64
 // contents of cores a and b (either may be empty). Negative is better. Any
 // mutual edge between the two swapped clusters keeps its length and cancels.
 func swapEnergyDelta(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, a, b int32) float64 {
-	und := p.Undirected()
+	sym := p.Symmetric()
+	var buf pcn.MergeBuf
 	ca, cb := pl.ClusterAt[a], pl.ClusterAt[b]
 	pa, pb := pl.Mesh.Coord(int(a)), pl.Mesh.Coord(int(b))
 	var delta float64
-	moveCost := func(c, other int32, from, to geom.Point) {
-		tos, ws := und.Neighbors(int(c))
+	walk := func(tos []int32, ws []float64, other int32, from, to geom.Point) {
+		m := pcn.WeightMask(tos, ws)
 		for k, t := range tos {
 			if t == other {
 				continue
 			}
 			pk := pl.Of(int(t))
-			delta += ws[k] * (cost.SpikeEnergy(geom.Manhattan(to, pk)) -
+			delta += ws[k&m] * (cost.SpikeEnergy(geom.Manhattan(to, pk)) -
 				cost.SpikeEnergy(geom.Manhattan(from, pk)))
 		}
+	}
+	moveCost := func(c, other int32, from, to geom.Point) {
+		// The two runs hold c's neighbors once each, ascending across both.
+		to1, w1, to2, w2 := sym.Neighbors(int(c), &buf)
+		walk(to1, w1, other, from, to)
+		walk(to2, w2, other, from, to)
 	}
 	if ca != place.None {
 		moveCost(ca, cb, pa, pb)

@@ -164,11 +164,10 @@ func BenchCases(smoke bool) []BenchCase {
 	// Kernels under the dense DNN pipeline stages. fd-build/* is one Finetune
 	// sweep from the HSC placement with the adjacency built inside the call
 	// (cold, what a mapping run pays) or already cached on the PCN (warm);
-	// pcn-adjacency/* builds the transpose FD walks and the Undirected copy
-	// the partitioner uses; congestion-grid/* propagates the grid on the
-	// HSC+FD placement (exact), on a row-shifted repair whose union boxes
-	// span the mesh (long-edges), and at the stride Evaluate derives from
-	// Options.SampleEdges (sampled).
+	// pcn-adjacency/transpose builds the transpose FD and the baselines walk;
+	// congestion-grid/* propagates the grid on the HSC+FD placement (exact),
+	// on a row-shifted repair whose union boxes span the mesh (long-edges),
+	// and at the stride Evaluate derives from Options.SampleEdges (sampled).
 	kern := hscPlaced(kernNet)
 	for _, warm := range []bool{false, true} {
 		op := "fd-build/adjacency=cold"
@@ -192,10 +191,6 @@ func BenchCases(smoke bool) []BenchCase {
 	add("pcn-adjacency/transpose", kernNet, "", func(b *testing.B) {
 		p := kern(b).p
 		timed(b, func() error { uncachedPCN(p).Symmetric(); return nil })
-	})
-	add("pcn-adjacency/undirected", kernNet, "", func(b *testing.B) {
-		p := kern(b).p
-		timed(b, func() error { uncachedPCN(p).Undirected(); return nil })
 	})
 	mapped := mustGet(sync.OnceValues(func() (*place.Placement, error) {
 		p, mesh, err := buildNet(kernNet)

@@ -35,16 +35,14 @@ func randomPCN(t testing.TB, seed int64, n, e int) *pcn.PCN {
 	return res.PCN
 }
 
-// bruteEnergy computes E_s by direct summation.
+// bruteEnergy computes E_s by direct summation over the directed edges: every
+// potential is symmetric (u(p) = u(−p)), so an edge's term is its share of
+// the undirected pair's.
 func bruteEnergy(p *pcn.PCN, pl *place.Placement, pot Potential) float64 {
 	var total float64
-	u := p.Undirected()
 	for c := 0; c < p.NumClusters; c++ {
-		tos, ws := u.Neighbors(c)
+		tos, ws := p.OutEdges(c)
 		for k, to := range tos {
-			if int(to) < c {
-				continue
-			}
 			total += ws[k] * pot.Eval(pl.Of(int(to)).Sub(pl.Of(c)))
 		}
 	}

@@ -172,7 +172,7 @@ func runLockstep(t *testing.T, name string, c fusedCase, cfg FDConfig) lockstepR
 	sameEnergy("after build", stats.InitialEnergy)
 	requireSameState(t, name+" after build", got, want, pairs)
 	if brute := bruteEnergy(c.p, c.start, cfg.Potential); math.Abs(stats.InitialEnergy-brute) > 1e-9*brute {
-		t.Fatalf("%s: initial E_s %v, direct summation over Undirected %v", name, stats.InitialEnergy, brute)
+		t.Fatalf("%s: initial E_s %v, direct summation %v", name, stats.InitialEnergy, brute)
 	}
 
 	res := lockstepResult{energy: []float64{stats.InitialEnergy}}

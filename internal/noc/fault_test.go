@@ -3,6 +3,7 @@ package noc
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"snnmap/internal/hw"
@@ -188,6 +189,9 @@ func TestConfigValidate(t *testing.T) {
 		"o1turn bounded":     {Routing: RouteO1Turn, QueueCap: 4},
 		"negative queue":     {QueueCap: -1},
 		"negative spikes":    {SpikesPerUnit: -2},
+		"NaN spikes":         {SpikesPerUnit: math.NaN()},
+		"+Inf spikes":        {SpikesPerUnit: math.Inf(1)},
+		"-Inf spikes":        {SpikesPerUnit: math.Inf(-1)},
 		"negative interval":  {InjectionInterval: -1},
 		"negative cycles":    {MaxCycles: -1},
 		"negative detour":    {MaxDetourHops: -1},

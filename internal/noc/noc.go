@@ -18,13 +18,14 @@
 // progress watchdog converts a livelocked or deadlocked simulation into a
 // typed ErrLivelock instead of a hang.
 //
-// Two drivers share one substrate. Simulate/SimulateContext run the
-// event-driven engine: an occupancy bitmap, kept exact at the queue push and
-// pop sites, names the non-empty ports, so a cycle's scan visits only those
-// (in ascending router order, the bitmap's bit order); exhausted injection
-// trains are compacted out of the schedule, each train's first hop is
-// resolved once, and fully idle stretches between injection waves are
-// fast-forwarded.
+// Simulate/SimulateContext run the event-driven engine: one coordinator loop
+// over k ≥ 1 row strips (Config.Shards), with a goroutine per strip only for
+// k ≥ 2. Per strip, an occupancy bitmap kept exact at the queue push and pop
+// sites names the non-empty ports, so a cycle's scan visits only those (in
+// ascending router order, the bitmap's bit order); exhausted trains are
+// compacted out, each train's first hop is resolved once, idle stretches
+// between injection waves are fast-forwarded, and each hop is decided in one
+// place, simState.hop.
 //
 // The original per-cycle scan of every router survives only in this
 // package's tests, as the equivalence oracle the event engine (at every
@@ -103,7 +104,7 @@ type Config struct {
 	QueueCap int
 	// SpikesPerUnit scales PCN edge weights into injected spike counts
 	// (each edge injects max(1, round(w·SpikesPerUnit)) spikes). Zero
-	// means 1.
+	// means 1; NaN and ±Inf are rejected.
 	SpikesPerUnit float64
 	// InjectionInterval is the gap in cycles between consecutive spikes of
 	// the same edge (1 = back-to-back). Zero means 1.
@@ -135,9 +136,9 @@ type Config struct {
 	// Shards partitions the mesh into this many contiguous row strips,
 	// each simulated by its own goroutine with cycle-synchronized
 	// boundary exchange; Results are bit-identical at every shard
-	// count. 0 or 1 runs the single-goroutine event
-	// engine. Shards must not exceed the mesh's row count (one row strip
-	// per shard at minimum); see ClampShards for a caller-side clamp.
+	// count. 0 or 1 means one whole-mesh strip stepped on the calling
+	// goroutine. Shards must not exceed the mesh's row count (one row
+	// strip per shard at minimum); see ClampShards for a caller-side clamp.
 	// With bounded queues (QueueCap > 0) credit decisions form a
 	// sequential dependency chain across strips, so the service-apply
 	// phase runs on the coordinator while injection and the
@@ -147,7 +148,7 @@ type Config struct {
 	// (flits, hops, drops, detours, stalls) emitted in strip order after
 	// the run; nil disables telemetry. Observe-only: the simulation and its
 	// Result are bit-identical with or without it. Only the event-driven
-	// drivers emit; the test-only reference scan stays the pristine oracle.
+	// engine emits; the test-only reference scan stays the pristine oracle.
 	Obs *obs.Observer
 }
 
@@ -191,8 +192,8 @@ func (c Config) Validate() error {
 	if c.QueueCap < 0 {
 		return fmt.Errorf("%w: negative QueueCap %d", ErrBadConfig, c.QueueCap)
 	}
-	if c.SpikesPerUnit < 0 {
-		return fmt.Errorf("%w: negative SpikesPerUnit %g", ErrBadConfig, c.SpikesPerUnit)
+	if !(c.SpikesPerUnit >= 0) || math.IsInf(c.SpikesPerUnit, 1) {
+		return fmt.Errorf("%w: SpikesPerUnit %g, want a finite value ≥ 0", ErrBadConfig, c.SpikesPerUnit)
 	}
 	for _, v := range [...]struct {
 		name string
@@ -364,6 +365,7 @@ type simState struct {
 	res    Result
 
 	latencySum int64
+	// The reference scan's tallies; the engine's strips keep theirs in accum.
 	inFlight   int64
 	injections int64
 }
@@ -457,11 +459,11 @@ func newSimState(p *pcn.PCN, pl *place.Placement, cfg Config) (*simState, error)
 		src := pl.PosOf[c]
 		tos, ws := p.OutEdges(c)
 		for k, to := range tos {
-			n := int64(ws[k]*cfg.SpikesPerUnit + 0.5)
-			if n < 1 {
-				n = 1
-			}
-			if s.res.Injected+n > cfg.MaxSpikes {
+			// The float count is bounded before int64 uses it: a NaN, +Inf or
+			// ≥ 2^63 count converts to math.MinInt64 and would clamp to 1.
+			x := ws[k]*cfg.SpikesPerUnit + 0.5
+			n := max(int64(x), 1)
+			if !(x < float64(cfg.MaxSpikes)+1) || s.res.Injected+n > cfg.MaxSpikes {
 				return nil, fmt.Errorf("noc: workload needs more than MaxSpikes=%d spikes; lower SpikesPerUnit: %w", cfg.MaxSpikes, place.ErrCapacityExceeded)
 			}
 			s.res.Injected += n
@@ -606,6 +608,41 @@ func (s *simState) routePort(idx int, f flit) (int, bool, bool) {
 	return cand[h%uint32(n)], false, !primaryOK
 }
 
+// hop decides the fate of *f, a copy of the head of a queue whose port leads
+// into router to: drop it there, or move it into to's output port with *f
+// advanced (detour state, hop count). blocked reports a (re-)entry into
+// sticky detour mode; callers count it once the move is committed. f is a
+// pointer because returning a just-written flit by value stalls store
+// forwarding, a cost paid per hop.
+func (s *simState) hop(f *flit, to, cycle int) (port int, drop, blocked bool) {
+	if s.defects == nil {
+		// No port is ever blocked, so no flit detours and routePort is
+		// route, read before the hop count moves (the same stall).
+		port = s.route(to, *f)
+		f.hops++
+		return port, false, false
+	}
+	if f.hops >= s.maxHops || cycle-int(f.injected) > s.cfg.WatchdogCycles {
+		// Detour budget exhausted, or in flight longer than the watchdog
+		// window (jammed against a fault boundary, where deep queues make
+		// the hop TTL glacial): abandon the spike here. The age cap ends
+		// faulty runs whose queues keep moving; the watchdog covers a full
+		// service stall (true deadlock).
+		return 0, true, false
+	}
+	port, drop, blocked = s.routePort(to, *f)
+	if drop {
+		return 0, true, false
+	}
+	if blocked {
+		f.detour = uint8(s.detourHops)
+	} else if f.detour > 0 {
+		f.detour--
+	}
+	f.hops++
+	return port, false, blocked
+}
+
 // resolveTrains fills in every train's first routing decision, so an
 // injection wave costs no route computation.
 func (s *simState) resolveTrains() {
@@ -636,7 +673,7 @@ func (s *simState) orientation(src, dst int32) bool {
 	return false
 }
 
-// deliver pops one flit off a local queue and accounts its delivery.
+// deliver pops one flit off a local queue and accounts it (reference scan).
 func (s *simState) deliver(q *queue, cycle int) {
 	f := q.pop()
 	s.res.Delivered++
@@ -675,14 +712,11 @@ func Simulate(p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 // checks ctx periodically and returns the partial Result with an error
 // wrapping ErrCanceled when the context is done.
 //
-// With cfg.Shards >= 2 the mesh is partitioned into row strips simulated by
-// one goroutine each (see shard.go); otherwise the event-driven engine runs
-// on a single whole-mesh strip. Either way the Result is bit-identical to
-// the per-cycle reference scan this package's tests keep.
+// The mesh is partitioned into cfg.Shards row strips (one whole-mesh strip
+// by default), simulated on one goroutine each when there are two or more
+// (see shard.go). At every shard count the Result is bit-identical to the
+// per-cycle reference scan this package's tests keep.
 func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, fmt.Errorf("noc: %v: %w", err, ErrCanceled)
 	}
@@ -693,7 +727,7 @@ func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg C
 	sp := s.cfg.Obs.Span("noc.sim",
 		obs.KV{K: "spikes", V: float64(s.res.Injected)},
 		obs.KV{K: "shards", V: float64(s.cfg.Shards)})
-	res, err := simulateEvent(ctx, s)
+	res, err := simulateStrips(ctx, s)
 	if err != nil {
 		sp.End()
 		return res, err
@@ -705,89 +739,10 @@ func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg C
 	return res, nil
 }
 
-// simulateEvent runs the event-driven engine: the single-goroutine
-// whole-mesh strip, or the sharded coordinator when Shards >= 2.
-func simulateEvent(ctx context.Context, s *simState) (Result, error) {
-	s.resolveTrains()
-	if s.cfg.Shards >= 2 {
-		return simulateSharded(ctx, s)
-	}
-	cfg := s.cfg
-
-	// Single-goroutine event engine: one strip spanning the whole mesh,
-	// driven inline with no barriers. The strip primitives (inject,
-	// collect, apply) are shared with the sharded engine, which is what
-	// keeps the two bit-identical.
-	st := newStrip(s, 0, s.cores)
-	st.trains, s.trains = s.trains, nil
-
-	// Progress watchdog state: progress means an injection, delivery or
-	// drop — wire movement alone does not count, so a spike orbiting an
-	// unreachable destination forever is detected, not just a full stop.
-	lastProgress := int64(-1)
-	lastProgressCycle := 0
-	// ffSkipped counts idle cycles jumped by fast-forward (telemetry only;
-	// never part of Result — the reference oracle has no fast-forward).
-	var ffSkipped int64
-
-	for cycle := 0; ; cycle++ {
-		inFlight := st.acc.injections - st.acc.exited
-		if cycle > cfg.MaxCycles {
-			return s.mergeStrips(st), fmt.Errorf("noc: exceeded MaxCycles=%d with %d spikes in flight: %w", cfg.MaxCycles, inFlight, ErrLivelock)
-		}
-		if cycle&2047 == 0 && ctx.Err() != nil {
-			return s.mergeStrips(st), fmt.Errorf("noc: %v after %d cycles: %w", ctx.Err(), cycle, ErrCanceled)
-		}
-		delivered, dropped := st.acc.delivered, s.res.Dropped+st.acc.dropped
-		if progress := st.acc.injections + delivered + dropped; progress != lastProgress {
-			lastProgress = progress
-			lastProgressCycle = cycle
-		} else if cycle-lastProgressCycle > cfg.WatchdogCycles {
-			return s.mergeStrips(st), fmt.Errorf("noc: no forward progress for %d cycles with %d spikes in flight (delivered %d, dropped %d): %w",
-				cfg.WatchdogCycles, inFlight, delivered, dropped, ErrLivelock)
-		}
-		if cfg.Obs.Enabled() && cycle&4095 == 0 {
-			cfg.Obs.Progress("noc.sim", delivered+dropped, s.res.Injected)
-		}
-		if len(st.trains) > 0 && cycle%cfg.InjectionInterval == 0 {
-			st.inject(cycle)
-		}
-		if inFlight = st.acc.injections - st.acc.exited; inFlight == 0 && len(st.trains) == 0 {
-			s.res.Cycles = cycle
-			break
-		}
-		if inFlight == 0 {
-			// Every queue is empty but trains remain: nothing can happen
-			// until the next injection wave, so fast-forward to it. The
-			// jump is capped at MaxCycles+1 so a wave scheduled past the
-			// cycle limit still fails exactly where the reference fails.
-			next := (cycle/cfg.InjectionInterval + 1) * cfg.InjectionInterval
-			if next > cfg.MaxCycles+1 {
-				next = cfg.MaxCycles + 1
-			}
-			if next-1 > cycle {
-				ffSkipped += int64(next - 1 - cycle)
-				cycle = next - 1
-			}
-			continue
-		}
-		st.collect(cycle, false)
-		st.apply(cycle, nil, nil)
-	}
-
-	s.mergeStrips(st)
-	if cfg.Obs.Enabled() {
-		cfg.Obs.Counter("noc.fastforward", obs.KV{K: "skipped_cycles", V: float64(ffSkipped)})
-		emitShardCounters(cfg.Obs, st)
-		cfg.Obs.Progress("noc.sim", s.res.Delivered+s.res.Dropped, s.res.Injected)
-	}
-	return s.finish(), nil
-}
-
 // emitShardCounters publishes one "noc.shard" counter sample per strip, in
 // strip order — a fixed aggregation order regardless of how the strips'
 // goroutines interleaved.
-func emitShardCounters(o *obs.Observer, strips ...*strip) {
+func emitShardCounters(o *obs.Observer, strips []*strip) {
 	for i, st := range strips {
 		o.Counter("noc.shard",
 			obs.KV{K: "shard", V: float64(i)},

@@ -183,6 +183,37 @@ func TestSimSpikeCap(t *testing.T) {
 	}
 }
 
+// TestSimStateHugeSpikeCounts: a spike count past int64's range (a huge
+// SpikesPerUnit or edge weight) is a capacity error, never the one spike per
+// edge its wrapped int64 conversion used to clamp to; a non-finite
+// SpikesPerUnit is a configuration error.
+func TestSimStateHugeSpikeCounts(t *testing.T) {
+	mesh := hw.MustMesh(1, 2)
+	for _, tc := range []struct {
+		name   string
+		weight float64
+		cfg    Config
+		want   error
+	}{
+		{"SpikesPerUnit 1e300", 1, Config{SpikesPerUnit: 1e300}, place.ErrCapacityExceeded},
+		{"SpikesPerUnit 1e7", 1, Config{SpikesPerUnit: 1e7}, place.ErrCapacityExceeded},
+		{"weight 1e19", 1e19, Config{}, place.ErrCapacityExceeded},
+		{"weight 1e300 overflows", 1e300, Config{SpikesPerUnit: 1e300}, place.ErrCapacityExceeded},
+		{"SpikesPerUnit NaN", 1, Config{SpikesPerUnit: math.NaN()}, ErrBadConfig},
+		{"SpikesPerUnit +Inf", 1, Config{SpikesPerUnit: math.Inf(1)}, ErrBadConfig},
+	} {
+		p := edgePCN(t, [][3]float64{{0, 1, tc.weight}}, 2)
+		pl := placeAt(t, p, mesh, geom.Point{X: 0, Y: 0}, geom.Point{X: 0, Y: 1})
+		if s, err := newSimState(p, pl, tc.cfg); !errors.Is(err, tc.want) {
+			injected := int64(-1)
+			if s != nil {
+				injected = s.res.Injected
+			}
+			t.Errorf("%s: newSimState injected %d, err %v; want %v", tc.name, injected, err, tc.want)
+		}
+	}
+}
+
 // TestSimRejectsBadPlacement: an unplaced cluster or a placement shorter
 // than the PCN used to index the defect tables with -1 and panic.
 func TestSimRejectsBadPlacement(t *testing.T) {

@@ -9,11 +9,13 @@ import (
 	"snnmap/internal/obs"
 )
 
-// This file implements sharded simulation: the mesh is partitioned into
-// contiguous row strips, each owned by one goroutine running the
-// event-driven engine over its strip, with a conservative barrier between
-// the two phases of every cycle (Booksim-style parallel discrete-event
-// simulation specialized to a deterministic-cycle mesh).
+// This file implements the event-driven engine: the mesh is partitioned into
+// contiguous row strips (one whole-mesh strip unless Config.Shards asks for
+// more), and one coordinator loop steps every strip through the two phases
+// of each cycle. One strip is stepped inline; two or more are each owned by
+// a worker goroutine, with a conservative barrier between the phases
+// (Booksim-style parallel discrete-event simulation specialized to a
+// deterministic-cycle mesh).
 //
 // Row strips make ownership trivial under row-major indexing: strip k owns
 // the contiguous router range [lo, hi), so the concatenation of per-strip
@@ -49,7 +51,7 @@ import (
 
 // accum collects one strip's share of the running tallies. All fields are
 // either sums or maxes, so merging per-strip accumulators in any order
-// reproduces the sequential engine's totals exactly.
+// reproduces the one-strip totals exactly.
 type accum struct {
 	delivered  int64 // spikes delivered to their destination core
 	dropped    int64 // spikes dropped during the run (injection-time + in-network)
@@ -89,8 +91,8 @@ type ship struct {
 }
 
 // strip owns the routers in [lo, hi): their queues, their injection trains,
-// and their occupancy worklist. The single-goroutine event engine is a strip
-// spanning the whole mesh.
+// and their occupancy worklist. With one shard a single strip spans the
+// whole mesh.
 //
 // The worklist is three levels, all indexed by router-lo so that no two
 // strips ever share a byte or word: occ[r] has bit p set iff port p's queue
@@ -113,15 +115,6 @@ type strip struct {
 	// its own goroutine (acc, the cands header); the pad keeps two strips'
 	// fields off one cache line (and off an adjacent-line prefetch pair).
 	_ [128]byte
-}
-
-func newStrip(s *simState, lo, hi int) *strip {
-	words := (hi - lo + 63) / 64
-	return &strip{s: s, lo: lo, hi: hi,
-		occ:     make([]uint8, hi-lo),
-		word:    make([]uint64, words),
-		summary: make([]uint64, (words+63)/64),
-	}
 }
 
 // push appends f to output port's queue of router idx (owned by this strip)
@@ -217,7 +210,7 @@ func (st *strip) deliver(qi, cycle int) {
 // local before it is walked and collect pushes nothing, so the scan is a
 // snapshot: a port that apply makes non-empty is first serviced next cycle.
 //
-// With preDecide set (sharded, unbounded queues), candidates whose
+// With preDecide set (unbounded queues), candidates whose
 // destination lies outside [lo, hi) are resolved immediately: the move or
 // drop depends only on the flit and static state, never on queue
 // occupancy, so the outcome is identical to deciding it at apply time. A
@@ -255,25 +248,16 @@ func (st *strip) collect(cycle int, preDecide bool) {
 // collectCrossing pre-decides the head of queue qi, bound for router to in a
 // neighboring strip.
 func (st *strip) collectCrossing(qi, to, cycle int) {
-	s := st.s
-	f := s.queues[qi].peek()
-	if s.defects != nil && (f.hops >= s.maxHops || cycle-int(f.injected) > s.cfg.WatchdogCycles) {
-		st.cands = append(st.cands, stripCand{src: int32(qi), kind: candDrop})
-		return
-	}
-	outPort, drop, blocked := s.routePort(to, f)
+	f := st.s.queues[qi].peek()
+	port, drop, blocked := st.s.hop(&f, to, cycle)
 	if drop {
 		st.cands = append(st.cands, stripCand{src: int32(qi), kind: candDrop})
 		return
 	}
 	if blocked {
-		f.detour = uint8(s.detourHops)
 		st.acc.detours++
-	} else if f.detour > 0 {
-		f.detour--
 	}
-	f.hops++
-	sh := ship{to: int32(to), port: uint8(outPort), f: f}
+	sh := ship{to: int32(to), port: uint8(port), f: f}
 	if to < st.lo {
 		st.shipUp = append(st.shipUp, sh)
 	} else {
@@ -285,27 +269,12 @@ func (st *strip) collectCrossing(qi, to, cycle int) {
 // applyCand services one candidate whose source queue this strip owns and
 // whose destination router dst owns: the flit is dropped (detour TTL or
 // fault), stalled (bounded full queue), or moved one hop, all accounted to
-// dst. The two strips differ only in the sharded bounded-queue fallback,
-// where the coordinator calls this while the workers are parked at the
-// barrier.
+// dst. dst is another strip only when the coordinator applies bounded
+// queues across strips, with the workers parked at the barrier.
 func (st *strip) applyCand(c stripCand, cycle int, dst *strip) {
 	s := st.s
 	f := s.queues[c.src].peek()
-	if s.defects != nil && (f.hops >= s.maxHops || cycle-int(f.injected) > s.cfg.WatchdogCycles) {
-		// Detour budget exhausted, or the spike has been in flight
-		// longer than the watchdog window (stuck in a traffic jam
-		// against a fault boundary, where deep queues make the hop
-		// TTL glacial): the destination is effectively unreachable;
-		// abandon the spike at this router. The age cap guarantees
-		// faulty-mesh runs terminate whenever queues keep being
-		// serviced; the watchdog covers the remaining case of a full
-		// service stall (true deadlock).
-		st.pop(int(c.src))
-		dst.acc.dropped++
-		dst.acc.exited++
-		return
-	}
-	port, drop, blocked := s.routePort(int(c.to), f)
+	port, drop, blocked := s.hop(&f, int(c.to), cycle)
 	if drop {
 		st.pop(int(c.src))
 		dst.acc.dropped++
@@ -318,12 +287,8 @@ func (st *strip) applyCand(c stripCand, cycle int, dst *strip) {
 	}
 	st.pop(int(c.src))
 	if blocked {
-		f.detour = uint8(s.detourHops)
 		dst.acc.detours++
-	} else if f.detour > 0 {
-		f.detour--
 	}
-	f.hops++
 	dst.acc.wire++
 	dst.push(int(c.to), port, f)
 }
@@ -372,8 +337,6 @@ func (s *simState) mergeStrips(strips ...*strip) Result {
 			s.res.MaxQueueLen = st.acc.maxQueue
 		}
 		s.latencySum += st.acc.latencySum
-		s.inFlight += st.acc.injections - st.acc.exited
-		s.injections += st.acc.injections
 	}
 	return s.res
 }
@@ -418,29 +381,42 @@ func newStrips(s *simState) (strips []*strip, rowToStrip []int) {
 		if i < rem {
 			rows++
 		}
-		strips[i] = newStrip(s, r0*s.mesh.Cols, (r0+rows)*s.mesh.Cols)
+		lo, hi := r0*s.mesh.Cols, (r0+rows)*s.mesh.Cols
+		words := (hi - lo + 63) / 64
+		strips[i] = &strip{s: s, lo: lo, hi: hi,
+			occ:     make([]uint8, hi-lo),
+			word:    make([]uint64, words),
+			summary: make([]uint64, (words+63)/64),
+		}
 		for r := r0; r < r0+rows; r++ {
 			rowToStrip[r] = i
 		}
 		r0 += rows
 	}
 	// Relative order is preserved, so every source queue sees the
-	// reference's push order.
-	for _, t := range s.trains {
-		st := strips[rowToStrip[int(t.src)/s.mesh.Cols]]
-		st.trains = append(st.trains, t)
+	// reference's push order. A lone strip takes the schedule uncopied.
+	if shards == 1 {
+		strips[0].trains = s.trains
+	} else {
+		for _, t := range s.trains {
+			st := strips[rowToStrip[int(t.src)/s.mesh.Cols]]
+			st.trains = append(st.trains, t)
+		}
 	}
 	s.trains = nil
 	return strips, rowToStrip
 }
 
-// simulateSharded is the coordinator for Shards >= 2: it owns the cycle
-// loop (limits, watchdog, cancellation, termination and idle fast-forward,
-// all computed from merged per-strip tallies) and drives the worker
-// goroutines through the two phases of each cycle.
-func simulateSharded(ctx context.Context, s *simState) (Result, error) {
+// simulateStrips is the event-driven engine, the one cycle loop for every
+// shard count. It resolves the trains' first hops, splits the mesh into
+// cfg.Shards strips, owns the loop (limits, watchdog, cancellation,
+// termination and idle fast-forward, all computed from merged per-strip
+// tallies) and steps the strips through the two phases of each cycle: one
+// strip inline on the calling goroutine, two or more on one persistent
+// worker goroutine each.
+func simulateStrips(ctx context.Context, s *simState) (Result, error) {
 	cfg := s.cfg
-	shards := cfg.Shards
+	s.resolveTrains()
 	strips, rowToStrip := newStrips(s)
 
 	// With bounded queues, stall decisions depend on destination-queue
@@ -449,43 +425,50 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 	// applies those sequentially instead.
 	parallelApply := cfg.QueueCap == 0
 
-	var wg sync.WaitGroup
-	cmds := make([]chan phaseCmd, shards)
-	for i := range cmds {
-		cmds[i] = make(chan phaseCmd, 1)
-		go func(i int, st *strip) {
-			for cmd := range cmds[i] {
-				switch cmd.phase {
-				case phaseCollect:
-					if cmd.inject {
-						st.inject(cmd.cycle)
-					}
-					st.collect(cmd.cycle, parallelApply)
-				case phaseApply:
-					var above, below []ship
-					if i > 0 {
-						above = strips[i-1].shipDown
-					}
-					if i < len(strips)-1 {
-						below = strips[i+1].shipUp
-					}
-					st.apply(cmd.cycle, above, below)
-				}
-				wg.Done()
+	step := func(i int, cmd phaseCmd) {
+		st := strips[i]
+		switch cmd.phase {
+		case phaseCollect:
+			if cmd.inject {
+				st.inject(cmd.cycle)
 			}
-		}(i, strips[i])
+			st.collect(cmd.cycle, parallelApply)
+		case phaseApply:
+			var above, below []ship
+			if i > 0 {
+				above = strips[i-1].shipDown
+			}
+			if i < len(strips)-1 {
+				below = strips[i+1].shipUp
+			}
+			st.apply(cmd.cycle, above, below)
+		}
 	}
-	defer func() {
-		for _, c := range cmds {
-			close(c)
+	runPhase := func(cmd phaseCmd) { step(0, cmd) }
+	if len(strips) > 1 {
+		var wg sync.WaitGroup
+		cmds := make([]chan phaseCmd, len(strips))
+		for i := range cmds {
+			cmds[i] = make(chan phaseCmd, 1)
+			go func() {
+				for cmd := range cmds[i] {
+					step(i, cmd)
+					wg.Done()
+				}
+			}()
 		}
-	}()
-	runPhase := func(cmd phaseCmd) {
-		wg.Add(shards)
-		for _, c := range cmds {
-			c <- cmd
+		defer func() {
+			for _, c := range cmds {
+				close(c)
+			}
+		}()
+		runPhase = func(cmd phaseCmd) {
+			wg.Add(len(cmds))
+			for _, c := range cmds {
+				c <- cmd
+			}
+			wg.Wait()
 		}
-		wg.Wait()
 	}
 	pendingTrains := func() int {
 		n := 0
@@ -495,6 +478,8 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 		return n
 	}
 
+	// Progress is an injection, delivery or drop, not wire movement, so the
+	// watchdog also catches a spike orbiting an unreachable destination.
 	lastProgress := int64(-1)
 	lastProgressCycle := 0
 	// ffSkipped counts idle cycles jumped by fast-forward (telemetry only;
@@ -504,15 +489,14 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 	for cycle := 0; ; cycle++ {
 		// Merged tallies as of the end of the previous cycle (workers are
 		// parked at the barrier, so reads are safe).
-		var injections, delivered, dropped, entered, exited int64
+		var injections, delivered, dropped, exited int64
 		for _, st := range strips {
 			injections += st.acc.injections
 			delivered += st.acc.delivered
 			dropped += st.acc.dropped
-			entered += st.acc.injections
 			exited += st.acc.exited
 		}
-		inFlight := entered - exited
+		inFlight := injections - exited
 		dropped += s.res.Dropped // injection-time setup drops
 		if cycle > cfg.MaxCycles {
 			return s.mergeStrips(strips...), fmt.Errorf("noc: exceeded MaxCycles=%d with %d spikes in flight: %w", cfg.MaxCycles, inFlight, ErrLivelock)
@@ -535,7 +519,7 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 		runPhase(phaseCmd{cycle: cycle, phase: phaseCollect, inject: doInject})
 
 		// Termination and fast-forward use the in-flight count as the
-		// sequential engine sees it at this point: after injection but
+		// reference sees it at this point: after injection but
 		// before this cycle's deliveries — phase-1 deliveries are excluded
 		// by using the pre-phase exit count. (If it is zero, no queue held
 		// a flit, so the collect pass delivered nothing and found no
@@ -569,7 +553,7 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 		if parallelApply {
 			runPhase(phaseCmd{cycle: cycle, phase: phaseApply})
 		} else {
-			// Sequential fallback: the per-strip candidate lists
+			// Sequential apply: the per-strip candidate lists
 			// concatenated in strip order are exactly the reference's
 			// ascending-router candidate order.
 			for _, st := range strips {
@@ -583,7 +567,7 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 	s.mergeStrips(strips...)
 	if cfg.Obs.Enabled() {
 		cfg.Obs.Counter("noc.fastforward", obs.KV{K: "skipped_cycles", V: float64(ffSkipped)})
-		emitShardCounters(cfg.Obs, strips...)
+		emitShardCounters(cfg.Obs, strips)
 		cfg.Obs.Progress("noc.sim", s.res.Delivered+s.res.Dropped, s.res.Injected)
 	}
 	return s.finish(), nil

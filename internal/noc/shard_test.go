@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"snnmap/internal/hw"
+	"snnmap/internal/obs"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 	"snnmap/internal/snn"
@@ -227,6 +229,24 @@ func TestShardsValidation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("single-row strips diverge:\nsharded:   %+v\nreference: %+v", got, want)
+	}
+}
+
+// TestShardsOneStartsNoWorkers: with Shards ≤ 1 the engine steps its one
+// strip on the calling goroutine, so a progress callback, which runs inside
+// the cycle loop, sees no goroutine beyond those alive before the run; with
+// two strips it sees their workers.
+func TestShardsOneStartsNoWorkers(t *testing.T) {
+	p, pl := faultedLinksWorkload(t)
+	for _, shards := range []int{0, 1, 2} {
+		base, extra := runtime.NumGoroutine(), 0
+		o := obs.New(obs.Config{OnProgress: func(obs.Progress) { extra = max(extra, runtime.NumGoroutine()-base) }})
+		if _, err := Simulate(p, pl, Config{Shards: shards, Obs: o}); err != nil {
+			t.Fatal(err)
+		}
+		if workers := shards >= 2; (extra > 0) != workers {
+			t.Errorf("shards=%d: %d goroutines beyond the caller's during the run", shards, extra)
+		}
 	}
 }
 

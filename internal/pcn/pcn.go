@@ -38,23 +38,21 @@ type PCN struct {
 	// and is excluded from E_P.
 	InternalTraffic float64
 
-	adj *adjacency // lazily built views, see lazyAdjacency()
+	adj *adjacency // lazily built view, see lazyAdjacency()
 }
 
-// adjacency holds the lazily built views of one PCN's edges. It hangs off
-// the PCN by pointer so the PCN itself stays a plain copyable value (a copy
-// shares the views, which describe the edge arrays the copy aliases too).
+// adjacency holds the lazily built view of one PCN's edges. It hangs off the
+// PCN by pointer so the PCN itself stays a plain copyable value (a copy
+// shares the view, which describes the edge arrays the copy aliases too).
 type adjacency struct {
-	undirOnce sync.Once
-	undir     *Undirected
-	symOnce   sync.Once
-	sym       *Symmetric
+	symOnce sync.Once
+	sym     *Symmetric
 }
 
-// adjMu guards only the first allocation of PCN.adj; the builds themselves
-// run under the per-PCN sync.Once values, so concurrent mappings of one PCN
-// build each view exactly once and mappings of different PCNs never wait on
-// each other's build.
+// adjMu guards only the first allocation of PCN.adj; the build itself runs
+// under the per-PCN sync.Once, so concurrent mappings of one PCN build the
+// view exactly once and mappings of different PCNs never wait on each
+// other's build.
 var adjMu sync.Mutex
 
 func (p *PCN) lazyAdjacency() *adjacency {
@@ -181,10 +179,10 @@ func (p *PCN) Validate() error {
 	return nil
 }
 
-// Undirected is the symmetrized view of the PCN: for every unordered
-// cluster pair {i, j} the weight is w_P(e_ij) + w_P(e_ji). All placement
-// potentials in the paper are symmetric (u(p) = u(−p)), so energy and force
-// computations run on this view.
+// Undirected is a materialized symmetrized cluster graph: for every
+// unordered cluster pair {i, j} the weight is w_P(e_ij) + w_P(e_ji). It is
+// the multilevel partitioner's level graph; a PCN's own undirected view is
+// Symmetric, which walks the out-CSR and its transpose without this copy.
 type Undirected struct {
 	Off []int64
 	To  []int32
@@ -199,47 +197,3 @@ func (u *Undirected) Neighbors(i int) ([]int32, []float64) {
 
 // Degree returns the number of distinct neighbors of cluster i.
 func (u *Undirected) Degree(i int) int { return int(u.Off[i+1] - u.Off[i]) }
-
-// Undirected returns (building on first use) the symmetrized adjacency. It
-// is safe to call from concurrent goroutines sharing the PCN.
-func (p *PCN) Undirected() *Undirected {
-	a := p.lazyAdjacency()
-	a.undirOnce.Do(func() { a.undir = p.buildUndirected() })
-	return a.undir
-}
-
-func (p *PCN) buildUndirected() *Undirected {
-	n := p.NumClusters
-	deg := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		tos, _ := p.OutEdges(i)
-		deg[i+1] += int64(len(tos))
-		for _, to := range tos {
-			deg[to+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		deg[i+1] += deg[i]
-	}
-	to := make([]int32, deg[n])
-	w := make([]float64, deg[n])
-	next := make([]int64, n)
-	copy(next, deg[:n])
-	for i := 0; i < n; i++ {
-		tos, ws := p.OutEdges(i)
-		for k, t := range tos {
-			pos := next[i]
-			next[i]++
-			to[pos] = t
-			w[pos] = ws[k]
-			pos = next[t]
-			next[t]++
-			to[pos] = int32(i)
-			w[pos] = ws[k]
-		}
-	}
-	// Merge parallel entries (an i->j and j->i pair become one undirected
-	// entry with summed weight).
-	off, to, w := finalizeCSR(deg, to, w, 1)
-	return &Undirected{Off: off, To: to, W: w}
-}
