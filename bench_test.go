@@ -385,7 +385,7 @@ func BenchmarkRefinePartition(b *testing.B) {
 	b.ResetTimer()
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		_, stats, err := pcn.RefinePartition(g, initial, pcn.RefineConfig{Config: cfg})
+		_, stats, err := pcn.RefinePartition(g, initial, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func main() {
 	fmt.Printf("sequential partition: %d clusters, cut traffic %.0f (internal %.0f)\n",
 		initial.PCN.NumClusters, initial.PCN.TotalWeight(), initial.PCN.InternalTraffic)
 
-	refined, stats, err := snnmap.RefinePartition(g, initial, snnmap.RefineConfig{Config: cfg})
+	refined, stats, err := snnmap.RefinePartition(g, initial, cfg)
 	if err != nil {
 		fatal(err)
 	}

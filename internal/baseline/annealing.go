@@ -10,37 +10,21 @@ import (
 	"snnmap/internal/place"
 )
 
-// AnnealingConfig tunes SimulatedAnnealing.
-type AnnealingConfig struct {
-	// InitialAcceptance is the target probability of accepting an average
-	// uphill move at the starting temperature (default 0.5).
-	InitialAcceptance float64
-	// CoolingRate is the per-epoch geometric temperature decay
-	// (default 0.95).
-	CoolingRate float64
-	// MovesPerEpoch is the number of proposed swaps per temperature step
-	// (default 8×clusters).
-	MovesPerEpoch int
-	// FinalTemperatureRatio stops the schedule once T falls below this
-	// fraction of the initial temperature (default 1e-4).
-	FinalTemperatureRatio float64
+// annealSchedule is a geometric cooling schedule. SimulatedAnnealing runs a
+// fixed one; only this package's tests run others.
+type annealSchedule struct {
+	// coolingRate is the per-epoch geometric temperature decay.
+	coolingRate float64
+	// movesPerEpoch is the number of proposed swaps per temperature step.
+	movesPerEpoch int
+	// finalTemperatureRatio stops the schedule once T falls below this
+	// fraction of the initial temperature.
+	finalTemperatureRatio float64
 }
 
-func (c AnnealingConfig) withDefaults(clusters int) AnnealingConfig {
-	if c.InitialAcceptance <= 0 || c.InitialAcceptance >= 1 {
-		c.InitialAcceptance = 0.5
-	}
-	if c.CoolingRate <= 0 || c.CoolingRate >= 1 {
-		c.CoolingRate = 0.95
-	}
-	if c.MovesPerEpoch <= 0 {
-		c.MovesPerEpoch = 8 * clusters
-	}
-	if c.FinalTemperatureRatio <= 0 {
-		c.FinalTemperatureRatio = 1e-4
-	}
-	return c
-}
+// initialAcceptance is the target probability of accepting an average
+// uphill move at the starting temperature.
+const initialAcceptance = 0.5
 
 // SimulatedAnnealing is the classic placement metaheuristic (the workhorse
 // of VLSI placers and a natural upper-effort comparator the paper's related
@@ -49,13 +33,12 @@ func (c AnnealingConfig) withDefaults(clusters int) AnnealingConfig {
 // the objective. Deterministic per seed; budget-capped like every other
 // baseline.
 func SimulatedAnnealing(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, Stats, error) {
-	return AnnealWith(p, mesh, opts, AnnealingConfig{})
+	return annealWith(p, mesh, opts, annealSchedule{coolingRate: 0.95, movesPerEpoch: 8 * p.NumClusters, finalTemperatureRatio: 1e-4})
 }
 
-// AnnealWith is SimulatedAnnealing with an explicit schedule.
-func AnnealWith(p *pcn.PCN, mesh hw.Mesh, opts Options, cfg AnnealingConfig) (*place.Placement, Stats, error) {
+// annealWith is SimulatedAnnealing with an explicit schedule.
+func annealWith(p *pcn.PCN, mesh hw.Mesh, opts Options, cfg annealSchedule) (*place.Placement, Stats, error) {
 	opts = opts.withDefaults()
-	cfg = cfg.withDefaults(p.NumClusters)
 	start := time.Now()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	pl, err := place.Random(p.NumClusters, mesh, rng)
@@ -81,9 +64,9 @@ func AnnealWith(p *pcn.PCN, mesh hw.Mesh, opts Options, cfg AnnealingConfig) (*p
 	}
 	temperature := 1.0
 	if uphillN > 0 {
-		temperature = -(uphill / float64(uphillN)) / math.Log(cfg.InitialAcceptance)
+		temperature = -(uphill / float64(uphillN)) / math.Log(initialAcceptance)
 	}
-	floor := temperature * cfg.FinalTemperatureRatio
+	floor := temperature * cfg.finalTemperatureRatio
 
 	best := pl.Clone()
 	bestEnergy := placementEnergy(p, pl, opts.Cost)
@@ -96,7 +79,7 @@ func AnnealWith(p *pcn.PCN, mesh hw.Mesh, opts Options, cfg AnnealingConfig) (*p
 	}
 
 	for temperature > floor {
-		for move := 0; move < cfg.MovesPerEpoch; move++ {
+		for move := 0; move < cfg.movesPerEpoch; move++ {
 			if !deadline.IsZero() && move%1024 == 0 && time.Now().After(deadline) {
 				stats.EarlyStopped = true
 				stats.Elapsed = time.Since(start)
@@ -119,7 +102,7 @@ func AnnealWith(p *pcn.PCN, mesh hw.Mesh, opts Options, cfg AnnealingConfig) (*p
 				}
 			}
 		}
-		temperature *= cfg.CoolingRate
+		temperature *= cfg.coolingRate
 	}
 	stats.Elapsed = time.Since(start)
 	return best, stats, nil

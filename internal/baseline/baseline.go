@@ -29,20 +29,11 @@ type Options struct {
 	// Cost is the energy model used by objective functions; zero value
 	// means hw.DefaultCostModel().
 	Cost hw.CostModel
-	// Iterations overrides the method's default iteration count (PSO
-	// generations or DFSynthesizer swap attempts per cluster). Zero keeps
-	// the default.
-	Iterations int
-	// Particles overrides the PSO swarm size (default 20).
-	Particles int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Cost == (hw.CostModel{}) {
 		o.Cost = hw.DefaultCostModel()
-	}
-	if o.Particles <= 0 {
-		o.Particles = 20
 	}
 	return o
 }

@@ -233,7 +233,7 @@ func TestPSOImprovesOverWorstParticle(t *testing.T) {
 	p := randomPCN(t, 21, 16, 120)
 	mesh := hw.MustMesh(4, 4)
 	cost := hw.DefaultCostModel()
-	pso, stats, err := PSO(p, mesh, Options{Seed: 5, Iterations: 20, Particles: 8})
+	pso, stats, err := PSO(p, mesh, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +267,11 @@ func TestPSOBudgetAndDeterminism(t *testing.T) {
 	if !stats.EarlyStopped {
 		t.Error("nanosecond budget must early-stop")
 	}
-	a, _, err := PSO(p, mesh, Options{Seed: 3, Iterations: 5, Particles: 4})
+	a, _, err := PSO(p, mesh, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := PSO(p, mesh, Options{Seed: 3, Iterations: 5, Particles: 4})
+	b, _, err := PSO(p, mesh, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

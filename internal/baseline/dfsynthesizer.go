@@ -16,9 +16,8 @@ import (
 // the new mapping only if the metric improves.
 //
 // The cost metric is the interconnect energy M_ec (Eq. 9), evaluated
-// incrementally per swap. The default effort is 40 swap attempts per
-// cluster (Options.Iterations overrides the per-cluster attempt count);
-// the budget early-stops long runs, as the paper's protocol does.
+// incrementally per swap. The effort is 40 swap attempts per cluster; the
+// budget early-stops long runs, as the paper's protocol does.
 func DFSynthesizer(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, Stats, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -29,11 +28,8 @@ func DFSynthesizer(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, St
 	}
 	var stats Stats
 
-	perCluster := opts.Iterations
-	if perCluster <= 0 {
-		perCluster = 40
-	}
-	attempts := int64(perCluster) * int64(p.NumClusters)
+	const perCluster = 40
+	attempts := perCluster * int64(p.NumClusters)
 
 	var deadline time.Time
 	if opts.Budget > 0 {

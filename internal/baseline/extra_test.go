@@ -52,8 +52,8 @@ func TestSimulatedAnnealingImprovesEnergy(t *testing.T) {
 	p := randomPCN(t, 17, 25, 250)
 	mesh := hw.MustMesh(6, 6)
 	cost := hw.DefaultCostModel()
-	sa, stats, err := AnnealWith(p, mesh, Options{Seed: 3}, AnnealingConfig{
-		MovesPerEpoch: 200, CoolingRate: 0.85,
+	sa, stats, err := annealWith(p, mesh, Options{Seed: 3}, annealSchedule{
+		movesPerEpoch: 200, coolingRate: 0.85, finalTemperatureRatio: 1e-4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,12 +76,12 @@ func TestSimulatedAnnealingImprovesEnergy(t *testing.T) {
 func TestSimulatedAnnealingDeterminism(t *testing.T) {
 	p := randomPCN(t, 29, 16, 120)
 	mesh := hw.MustMesh(4, 4)
-	cfg := AnnealingConfig{MovesPerEpoch: 64, CoolingRate: 0.7}
-	a, _, err := AnnealWith(p, mesh, Options{Seed: 9}, cfg)
+	cfg := annealSchedule{movesPerEpoch: 64, coolingRate: 0.7, finalTemperatureRatio: 1e-4}
+	a, _, err := annealWith(p, mesh, Options{Seed: 9}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := AnnealWith(p, mesh, Options{Seed: 9}, cfg)
+	b, _, err := annealWith(p, mesh, Options{Seed: 9}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +113,10 @@ func TestSimulatedAnnealingReturnsBestNotLast(t *testing.T) {
 	p := randomPCN(t, 41, 20, 200)
 	mesh := hw.MustMesh(5, 5)
 	cost := hw.DefaultCostModel()
-	pl, _, err := AnnealWith(p, mesh, Options{Seed: 2}, AnnealingConfig{
-		MovesPerEpoch:         100,
-		CoolingRate:           0.9,
-		FinalTemperatureRatio: 0.5, // stop while still hot
+	pl, _, err := annealWith(p, mesh, Options{Seed: 2}, annealSchedule{
+		movesPerEpoch:         100,
+		coolingRate:           0.9,
+		finalTemperatureRatio: 0.5, // stop while still hot
 	})
 	if err != nil {
 		t.Fatal(err)

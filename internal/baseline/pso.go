@@ -17,26 +17,24 @@ import (
 // the target core (the position binarization of SpiNeMap). Fitness is the
 // interconnect energy M_ec (Eq. 9).
 //
-// Defaults follow the scale of the SOTA configuration the paper compares
-// against: 20 particles, 50 generations (Options.Particles / Iterations
-// override); the wall-clock budget early-stops long runs.
+// The effort follows the scale of the SOTA configuration the paper compares
+// against: 20 particles, 50 generations; the wall-clock budget early-stops
+// long runs.
 func PSO(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, Stats, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var stats Stats
 
-	generations := opts.Iterations
-	if generations <= 0 {
-		generations = 50
-	}
-
-	// PSO coefficients: inertia (random exploration), cognitive pull
-	// toward the personal best, social pull toward the global best.
+	// Swarm size, generations, and the PSO coefficients: inertia (random
+	// exploration), cognitive pull toward the personal best, social pull
+	// toward the global best.
 	const (
-		inertia   = 0.05
-		cognitive = 0.30
-		social    = 0.30
+		particles   = 20
+		generations = 50
+		inertia     = 0.05
+		cognitive   = 0.30
+		social      = 0.30
 	)
 
 	type particle struct {
@@ -46,7 +44,7 @@ func PSO(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, Stats, error
 		bestFit float64
 	}
 
-	swarm := make([]particle, opts.Particles)
+	swarm := make([]particle, particles)
 	var gbest *place.Placement
 	gbestFit := 0.0
 	for i := range swarm {

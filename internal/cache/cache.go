@@ -363,10 +363,7 @@ func encodeResult(w io.Writer, res *mapping.Result) error {
 	}); err != nil {
 		return err
 	}
-	if err := writeFDStats(w, &res.FD); err != nil {
-		return err
-	}
-	return writeFDStats(w, &res.Polish)
+	return writeFDStats(w, &res.FD)
 }
 
 func decodeResult(body []byte) (mapping.CachedResult, error) {
@@ -382,14 +379,10 @@ func decodeResult(body []byte) (mapping.CachedResult, error) {
 	if err != nil {
 		return mapping.CachedResult{}, err
 	}
-	polish, rest, err := readFDStats(rest)
-	if err != nil {
-		return mapping.CachedResult{}, err
-	}
 	if len(rest) != 0 {
 		return mapping.CachedResult{}, errCorrupt
 	}
-	return mapping.CachedResult{Placement: pl, FD: fd, Polish: polish}, nil
+	return mapping.CachedResult{Placement: pl, FD: fd}, nil
 }
 
 const summaryLen = 5 * 8

@@ -99,7 +99,7 @@ func samePlacement(t *testing.T, a, b *place.Placement) {
 }
 
 // TestWarmEqualsColdFullHit is the tentpole invariant: a warm full-hit
-// returns a bit-identical Result (placement bytes and both FDStats,
+// returns a bit-identical Result (placement bytes and FDStats,
 // including the cold run's recorded wall clock) while executing none of
 // the placement/finetune stages.
 func TestWarmEqualsColdFullHit(t *testing.T) {
@@ -128,13 +128,10 @@ func TestWarmEqualsColdFullHit(t *testing.T) {
 	if warmRes.FD != coldRes.FD {
 		t.Fatalf("FD stats differ: warm %+v cold %+v", warmRes.FD, coldRes.FD)
 	}
-	if warmRes.Polish != coldRes.Polish {
-		t.Fatalf("Polish stats differ")
-	}
 	if s := warm.Stats(); s.ResultHits != 1 {
 		t.Fatalf("warm run stats: %+v", s)
 	}
-	for _, stage := range []string{"placement", "finetune", "polish"} {
+	for _, stage := range []string{"placement", "finetune"} {
 		if rec.has(stage) {
 			t.Fatalf("warm full hit executed stage %q", stage)
 		}
@@ -230,7 +227,7 @@ func TestExpandRejectsMultilevelBeforeLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := flat
-	cfg.Multilevel = pcn.DefaultMultilevel()
+	cfg.Multilevel = &pcn.MultilevelOptions{}
 	if partitionNetKey(net, &cfg) != partitionNetKey(net, &flat) {
 		t.Fatal("test premise: the multilevel config must key like the stored flat entry")
 	}

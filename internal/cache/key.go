@@ -184,7 +184,7 @@ func (h *hasher) defects(d *hw.DefectMap) {
 	}
 }
 
-// fdPhase hashes the fields of one (resolved) FD phase that determine
+// fdPhase hashes the fields of the (resolved) FD phase that determine
 // its output. Workers, Obs and Checkpoint are excluded — they
 // are bit-identity-preserving by contract (see FDConfig) — and Budget
 // never reaches here because budgeted configs bypass the cache.
@@ -199,7 +199,6 @@ func (h *hasher) fdPhase(cfg *mapping.FDConfig, topDefects *hw.DefectMap, topCon
 	h.f64(r.Potential.AtUnit())
 	h.f64(r.Potential.AtZero())
 	h.f64(r.Lambda)
-	h.f64(r.MinGain)
 	h.i64(int64(r.MaxIterations))
 	// Effective per-phase fault model, resolved exactly as MapContext does:
 	// a phase with its own Defects keeps its own Constraints, otherwise it
@@ -245,16 +244,17 @@ func initialKey(pk Key, mesh hw.Mesh, cfg *mapping.Config) Key {
 }
 
 // resultKey is the stage key for the finished mapping pipeline: the
-// initial-placement material plus both FD phases.
+// initial-placement material plus the FD phase. /2 since the pipeline runs
+// one FD phase with no min-gain field: the entry payload holds one FDStats
+// block, so entries under the unrevised tag must miss, not read as corrupt.
 func resultKey(pk Key, mesh hw.Mesh, cfg *mapping.Config) Key {
-	h := newHasher("result")
+	h := newHasher("result/2")
 	h.h.Write(pk[:])
 	h.mesh(mesh)
 	h.str(curveName(cfg))
 	h.defects(cfg.Defects)
 	h.constraints(cfg.Constraints)
 	h.fdPhase(cfg.FD, cfg.Defects, cfg.Constraints)
-	h.fdPhase(cfg.Polish, cfg.Defects, cfg.Constraints)
 	return h.sum()
 }
 

@@ -46,7 +46,8 @@ func pcnKeyOf(p *pcn.PCN) Key {
 // with a keyVersion bump (which changes every key and makes old cache
 // directories cold), never silently. The metrics pin moved with its /2:
 // congestion is propagated per target, and a MaxCongestion stamped per edge
-// can differ in its last bits.
+// can differ in its last bits. The result pin moved with its /2: one FD
+// phase, no min-gain field, one FDStats block in the payload.
 func TestKeyGolden(t *testing.T) {
 	p := goldenPCN()
 	cfg := goldenMappingConfig()
@@ -59,7 +60,7 @@ func TestKeyGolden(t *testing.T) {
 	}{
 		{"pcn", pk, "1da50ce454e248a5a33637ba26f2ed6b01aac5aa5fd8b9c642b59ccdcea14454"},
 		{"initial", initialKey(pk, mesh, &cfg), "43acf9ddc94b54b3b0890ec415134b94e119262be54a2730578b2fef35097658"},
-		{"result", resultKey(pk, mesh, &cfg), "663bbb10e320e858fc8ba0d7ee53a37849e5f77c558aa0a11a76db6d988ea282"},
+		{"result", resultKey(pk, mesh, &cfg), "356080d1284fa43f999952d3fdd7630a017ca93b6f55641e5ce41b6ff4b35376"},
 		{"partition-net", func() Key {
 			cfg := pcn.DefaultPartition()
 			return partitionNetKey(snn.LeNetMNIST(), &cfg)
@@ -124,11 +125,8 @@ func TestKeyFieldSensitivity(t *testing.T) {
 		{"curve", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.Curve = curve.ZigZag{} }},
 		{"potential", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.FD.Potential = mapping.L1{} }},
 		{"lambda", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.FD.Lambda = 0.5 }},
-		{"min gain", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.FD.MinGain = 1e-3 }},
 		{"max iterations", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.FD.MaxIterations = 41 }},
-		{"polish phase", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) {
-			cfg.Polish = &mapping.FDConfig{Potential: mapping.L2Sq{}}
-		}},
+		{"no fd phase", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.FD = nil }},
 		{"constraints", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.Constraints.NeuronsPerCore = 3 }},
 		{"spare rows", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.Constraints.SpareRows = 1 }},
 		{"defect map", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) {

@@ -87,12 +87,11 @@ func BenchCases(smoke bool) []BenchCase {
 	})
 	add("partition/flat+refine", partWl, "", func(b *testing.B) {
 		g, in := graph(), flat(b)
-		timed(b, func() error { _, _, err := pcn.RefinePartition(g, in, pcn.RefineConfig{Config: partCfg}); return err })
+		timed(b, func() error { _, _, err := pcn.RefinePartition(g, in, partCfg); return err })
 	})
 	for _, workers := range []int{1, 2} {
 		cfg := partCfg
-		cfg.Multilevel = pcn.DefaultMultilevel()
-		cfg.Multilevel.Workers = workers
+		cfg.Multilevel = &pcn.MultilevelOptions{Workers: workers}
 		base := "partition/flat+refine"
 		if workers > 1 {
 			base = "partition/multilevel/workers=1"

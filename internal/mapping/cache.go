@@ -35,10 +35,10 @@ type ResultCache interface {
 // CachedResult is a ResultCache.LoadResult hit.
 type CachedResult struct {
 	Placement *place.Placement
-	// FD and Polish are the stored statistics of the cold run that
-	// produced the placement (their Elapsed fields report the cold run's
-	// wall clock, preserved verbatim).
-	FD, Polish FDStats
+	// FD is the stored statistics of the cold run that produced the
+	// placement (its Elapsed field reports the cold run's wall clock,
+	// preserved verbatim).
+	FD FDStats
 	// Remapped reports that the hit was synthesized from a cached
 	// pristine-mesh result by routing the requested defect map through
 	// Remap rather than replaying a cold run — an opt-in incremental path
@@ -56,13 +56,7 @@ func (c *Config) cacheable() bool {
 	if c.Cache == nil {
 		return false
 	}
-	if c.FD != nil && c.FD.Budget > 0 {
-		return false
-	}
-	if c.Polish != nil && c.Polish.Budget > 0 {
-		return false
-	}
-	return true
+	return c.FD == nil || c.FD.Budget <= 0
 }
 
 // Resolved returns the config with documentation defaults filled in

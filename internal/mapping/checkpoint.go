@@ -32,9 +32,10 @@ type Snapshot struct {
 	// different cost model is still rejected.
 	Potential        string
 	PotUnit, PotZero float64
-	// Lambda and MinGain are the resolved (post-default) values; MinGain is
-	// authoritative on resume because the adaptive default depends on the
-	// initial energy, which a resumed run no longer observes.
+	// Lambda is the resolved (post-default) value. MinGain is the run's
+	// tension threshold (minGainFor); it is authoritative on resume because
+	// it depends on the initial energy, which a resumed run no longer
+	// observes.
 	Lambda  float64
 	MinGain float64
 	// Clusters and Edges fingerprint the PCN the snapshot belongs to.
@@ -170,12 +171,12 @@ func (s *Snapshot) Validate() error {
 // (freshly cloned) placement it worked on together with the cumulative
 // statistics. p may be nil when the snapshot embeds its PCN; when both are
 // given, p is used but must match the snapshot's fingerprint. cfg must agree
-// with the run that produced the snapshot on Potential, Lambda and (if
-// explicitly set) MinGain — any other combination would not
-// reproduce the uninterrupted run and is rejected with ErrBadConfig. Budget,
-// MaxIterations, Workers, Checkpoint, Defects and Constraints are the
-// caller's to choose: Budget caps this run's wall clock (resumed runs get a
-// fresh budget), MaxIterations still bounds the cumulative iteration count,
+// with the run that produced the snapshot on Potential and Lambda — any
+// other combination would not reproduce the uninterrupted run and is
+// rejected with ErrBadConfig. The tension threshold is the snapshot's MinGain.
+// Budget, MaxIterations, Workers, Checkpoint, Defects and Constraints are
+// the caller's to choose: Budget caps this run's wall clock (resumed runs
+// get a fresh budget), MaxIterations still bounds the cumulative iteration count,
 // and Workers is free to differ because results are bit-identical at any
 // worker count. Defects and Constraints are not captured in the snapshot and
 // must be re-supplied identically by the caller for bit-identical resumption.
@@ -209,10 +210,6 @@ func ResumeFinetune(ctx context.Context, p *pcn.PCN, snap *Snapshot, cfg FDConfi
 	if cfg.Lambda != snap.Lambda {
 		return nil, FDStats{}, fmt.Errorf("mapping: resume: %w: lambda %g does not match snapshot's %g",
 			ErrBadConfig, cfg.Lambda, snap.Lambda)
-	}
-	if cfg.MinGain > 0 && cfg.MinGain != snap.MinGain {
-		return nil, FDStats{}, fmt.Errorf("mapping: resume: %w: MinGain %g does not match snapshot's resolved %g",
-			ErrBadConfig, cfg.MinGain, snap.MinGain)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, FDStats{}, fmt.Errorf("mapping: resume: %v: %w", err, ErrCanceled)

@@ -155,10 +155,6 @@ func TestResumeRejectsMismatches(t *testing.T) {
 			_, _, err := ResumeFinetune(context.Background(), p, snap, FDConfig{Potential: L2Sq{}, Lambda: 0.5})
 			return err
 		}},
-		{"wrong mingain", func() error {
-			_, _, err := ResumeFinetune(context.Background(), p, snap, FDConfig{Potential: L2Sq{}, MinGain: 123})
-			return err
-		}},
 		{"wrong pcn", func() error {
 			_, _, err := ResumeFinetune(context.Background(), other, snap, FDConfig{Potential: L2Sq{}})
 			return err
@@ -199,7 +195,6 @@ func TestFDConfigValidate(t *testing.T) {
 		{"negative lambda", func(c *FDConfig) { c.Lambda = -0.1 }, false},
 		{"lambda above one", func(c *FDConfig) { c.Lambda = 1.5 }, false},
 		{"NaN lambda", func(c *FDConfig) { c.Lambda = math.NaN() }, false},
-		{"negative mingain", func(c *FDConfig) { c.MinGain = -1 }, false},
 		{"negative max iterations", func(c *FDConfig) { c.MaxIterations = -2 }, false},
 		{"negative budget", func(c *FDConfig) { c.Budget = -time.Second }, false},
 		{"negative workers", func(c *FDConfig) { c.Workers = -4 }, false},

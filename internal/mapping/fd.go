@@ -24,14 +24,6 @@ type FDConfig struct {
 	// Lambda is the fraction of the tension queue swapped per iteration
 	// (§4.5 design choice 2). Zero means the paper's practical value 0.3.
 	Lambda float64
-	// MinGain is the smallest tension treated as positive; it guards the
-	// monotone-descent argument (Eq. 31) against float round-off in the
-	// incrementally maintained force arrays. Zero means adaptive:
-	// max(1e-9, 1e-12·E_s(initial)), so drift proportional to the energy
-	// scale never masquerades as real tension (the flat u_a potential
-	// produces exactly-zero tensions that drift would otherwise keep
-	// re-queueing forever).
-	MinGain float64
 	// MaxIterations caps the outer loop (0 = until the queue drains).
 	MaxIterations int
 	// Budget caps wall-clock time (0 = unlimited). When exceeded the
@@ -110,9 +102,6 @@ func (c FDConfig) Validate() error {
 	if math.IsNaN(c.Lambda) || c.Lambda <= 0 || c.Lambda > 1 {
 		return fmt.Errorf("%w: lambda %g outside (0, 1]", ErrBadConfig, c.Lambda)
 	}
-	if math.IsNaN(c.MinGain) || c.MinGain < 0 {
-		return fmt.Errorf("%w: negative MinGain %g", ErrBadConfig, c.MinGain)
-	}
 	if c.MaxIterations < 0 {
 		return fmt.Errorf("%w: negative MaxIterations %d", ErrBadConfig, c.MaxIterations)
 	}
@@ -136,12 +125,13 @@ func (c FDConfig) Validate() error {
 	return nil
 }
 
-// effectiveMinGain resolves the adaptive MinGain default against the
-// initial system energy.
-func (c FDConfig) effectiveMinGain(initialEnergy float64) float64 {
-	if c.MinGain > 0 {
-		return c.MinGain
-	}
+// minGainFor is the smallest tension treated as positive: max(1e-9,
+// 1e-12·E_s(initial)). It guards the monotone-descent argument (Eq. 31)
+// against float round-off in the incrementally maintained force arrays, and
+// scales with the energy so drift never masquerades as real tension (the
+// flat u_a potential produces exactly-zero tensions that drift would
+// otherwise keep re-queueing forever).
+func minGainFor(initialEnergy float64) float64 {
 	eps := 1e-12 * math.Abs(initialEnergy)
 	if eps < 1e-9 {
 		eps = 1e-9
@@ -200,7 +190,7 @@ func FinetuneContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg F
 		obs.KV{K: "runs", V: float64(built.runs)},
 		obs.KV{K: "closed_chunks", V: float64(built.closedChunks)})
 	stats := FDStats{InitialEnergy: energy}
-	minGain := cfg.effectiveMinGain(stats.InitialEnergy)
+	minGain := minGainFor(stats.InitialEnergy)
 	// Build the initial tension queue (lines 6-13).
 	queue := e.initialQueue(cfg.Workers)
 

@@ -177,7 +177,7 @@ func runLockstep(t *testing.T, name string, c fusedCase, cfg FDConfig) lockstepR
 
 	res := lockstepResult{energy: []float64{stats.InitialEnergy}}
 	gotStats := stats
-	minGain := cfg.effectiveMinGain(stats.InitialEnergy)
+	minGain := minGainFor(stats.InitialEnergy)
 	gotQ, wantQ := got.initialQueue(cfg.Workers), want.initialQueue(cfg.Workers)
 	for len(wantQ) > 0 && stats.Iterations < cfg.MaxIterations {
 		for _, side := range []struct {

@@ -36,18 +36,15 @@ type Config struct {
 	// Curve selects the space-filling curve for the initial placement;
 	// nil means the Hilbert curve.
 	Curve curve.Curve
-	// FD enables Force-Directed fine-tuning when non-nil.
+	// FD enables Force-Directed fine-tuning when non-nil. A second descent
+	// of the exact M_ec objective is a Finetune call on the result with
+	// EnergyPotential (Eq. 25).
 	FD *FDConfig
-	// Polish optionally runs a second FD phase after FD converges,
-	// typically with the exact energy potential of Eq. 25: the quadratic
-	// u_c shapes the layout, the energy potential then descends the true
-	// M_ec objective from an already-good configuration.
-	Polish *FDConfig
 	// Workers fans the initial placement's curve-position fill out over up
 	// to this many goroutines (0 or 1 = sequential). Results are
 	// bit-identical at any count per InitialPlacementWorkers' contract;
-	// like FDConfig.Workers it is excluded from cache keys. Each FD phase
-	// keeps its own FDConfig.Workers knob.
+	// like FDConfig.Workers it is excluded from cache keys. FD keeps its
+	// own FDConfig.Workers knob.
 	Workers int
 	// Defects marks dead cores, degraded capacities and failed links of
 	// the physical mesh. The initial placement lays the curve sequence
@@ -57,10 +54,9 @@ type Config struct {
 	// Constraints is the per-core capacity baseline that Defects' degrade
 	// scales apply to (zero value = unconstrained).
 	Constraints hw.Constraints
-	// Obs receives phase spans ("placement", "finetune", "polish") and is
-	// forwarded to each FD phase unless that phase's FDConfig already
-	// carries its own observer. Nil disables telemetry; observe-only either
-	// way.
+	// Obs receives phase spans ("placement", "finetune") and is forwarded
+	// to FD unless its FDConfig already carries its own observer. Nil
+	// disables telemetry; observe-only either way.
 	Obs *obs.Observer
 	// Cache, when non-nil, warm-starts the pipeline from previously stored
 	// artifacts: a full-result hit skips placement and fine-tuning
@@ -82,9 +78,7 @@ type Result struct {
 	Placement *place.Placement
 	// FD holds fine-tuning statistics (zero value when FD was disabled).
 	FD FDStats
-	// Polish holds second-phase statistics (zero value when disabled).
-	Polish FDStats
-	// Snapshot is the latest fine-tuning snapshot when a phase failed
+	// Snapshot is the latest fine-tuning snapshot when fine-tuning failed
 	// mid-run (always set on cancellation, even without a user Checkpoint
 	// config, so the caller holds a resumable state alongside ErrCanceled);
 	// nil on success.
@@ -112,7 +106,6 @@ func MapContext(ctx context.Context, p *pcn.PCN, mesh hw.Mesh, cfg Config) (Resu
 			return Result{
 				Placement: cr.Placement,
 				FD:        cr.FD,
-				Polish:    cr.Polish,
 				Elapsed:   time.Since(start),
 			}, nil
 		}
@@ -139,25 +132,18 @@ func MapContext(ctx context.Context, p *pcn.PCN, mesh hw.Mesh, cfg Config) (Resu
 		}
 	}
 	res := Result{Placement: pl}
-	for _, phase := range []struct {
-		cfg  *FDConfig
-		out  *FDStats
-		name string
-	}{{cfg.FD, &res.FD, "finetune"}, {cfg.Polish, &res.Polish, "polish"}} {
-		if phase.cfg == nil {
-			continue
-		}
-		fdcfg := *phase.cfg
+	if cfg.FD != nil {
+		fdcfg := *cfg.FD
 		if fdcfg.Defects == nil {
 			fdcfg.Defects = cfg.Defects
 			fdcfg.Constraints = cfg.Constraints
 		}
 		if err := fdcfg.withDefaults().Validate(); err != nil {
-			return res, fmt.Errorf("mapping: %s: %w", phase.name, err)
+			return res, fmt.Errorf("mapping: finetune: %w", err)
 		}
-		// Tee the phase's checkpoints so the latest snapshot rides along
-		// with any error; the wrapper alone (user Interval 0, nil user Fn)
-		// still captures the cancellation snapshot every canceled run emits.
+		// Tee the checkpoints so the latest snapshot rides along with any
+		// error; the wrapper alone (user Interval 0, nil user Fn) still
+		// captures the cancellation snapshot every canceled run emits.
 		user := fdcfg.Checkpoint
 		wrapped := CheckpointConfig{Fn: func(s *Snapshot) error {
 			res.Snapshot = s
@@ -173,17 +159,17 @@ func MapContext(ctx context.Context, p *pcn.PCN, mesh hw.Mesh, cfg Config) (Resu
 		if fdcfg.Obs == nil {
 			fdcfg.Obs = cfg.Obs
 		}
-		phaseSp := cfg.Obs.Span(phase.name)
-		*phase.out, err = FinetuneContext(ctx, p, pl, fdcfg)
+		fdSp := cfg.Obs.Span("finetune")
+		res.FD, err = FinetuneContext(ctx, p, pl, fdcfg)
 		if err != nil {
-			phaseSp.End()
+			fdSp.End()
 			res.Elapsed = time.Since(start)
-			return res, fmt.Errorf("mapping: %s: %w", phase.name, err)
+			return res, fmt.Errorf("mapping: finetune: %w", err)
 		}
-		phaseSp.End(
-			obs.KV{K: "iterations", V: float64(phase.out.Iterations)},
-			obs.KV{K: "swaps", V: float64(phase.out.Swaps)},
-			obs.KV{K: "final_energy", V: phase.out.FinalEnergy})
+		fdSp.End(
+			obs.KV{K: "iterations", V: float64(res.FD.Iterations)},
+			obs.KV{K: "swaps", V: float64(res.FD.Swaps)},
+			obs.KV{K: "final_energy", V: res.FD.FinalEnergy})
 	}
 	res.Snapshot = nil
 	res.Elapsed = time.Since(start)

@@ -170,11 +170,9 @@ func TestMultilevelTelemetryEquivalence(t *testing.T) {
 	g := randomGraph(13, 4000, 16000)
 
 	run := func(workers int, o *obs.Observer) *pcn.Result {
-		ml := pcn.DefaultMultilevel()
-		ml.Workers = workers
 		res, err := pcn.Partition(g, pcn.PartitionConfig{
 			Constraints: hw.Constraints{NeuronsPerCore: 32},
-			Multilevel:  ml,
+			Multilevel:  &pcn.MultilevelOptions{Workers: workers},
 			Obs:         o,
 		})
 		if err != nil {

@@ -228,7 +228,7 @@ func TestExpandRejectsNonFiniteTraffic(t *testing.T) {
 // rather than quietly return the flat PCN.
 func TestExpandRejectsMultilevel(t *testing.T) {
 	cfg := DefaultPartition()
-	cfg.Multilevel = DefaultMultilevel()
+	cfg.Multilevel = &MultilevelOptions{}
 	p, err := Expand(snn.DNN65K(), cfg)
 	if !errors.Is(err, place.ErrBadConfig) {
 		t.Fatalf("Expand with Multilevel: err = %v, want ErrBadConfig", err)

@@ -20,76 +20,50 @@ import (
 // HSC + FD the multilevel grouping lost energy on most Table 3 workloads
 // (EXPERIMENTS.md).
 
-// MultilevelOptions tunes the multilevel partitioner. The zero value of any
-// field selects its default.
-type MultilevelOptions struct {
-	// CoarsestSize stops coarsening once the graph has at most this many
+// The multilevel schedule is fixed, as in SNEAP, not tuned per call.
+const (
+	// coarsestSize stops coarsening once the graph has at most this many
 	// vertices (floored at twice the minimum feasible part count so the
-	// initial partitioning still has freedom). Default 128.
-	CoarsestSize int
-	// MaxLevels bounds the coarsening hierarchy depth. Default 32.
-	MaxLevels int
+	// initial partitioning still has freedom).
+	coarsestSize = 128
+	// maxLevels bounds the coarsening hierarchy depth.
+	maxLevels = 32
+	// refinePasses bounds the refinement sweeps per level, and
+	// RefinePartition's sweeps over all neurons.
+	refinePasses = 4
+	// minGain is the smallest cut reduction worth a refinement move, here
+	// and in RefinePartition.
+	minGain = 1e-9
+	// grain is the granularity factor of the fine graph: fine clusters hold
+	// about CON_npc/grain neurons, giving refinement grain× more freedom
+	// than whole-cluster moves.
+	grain = 8
+	// matchRounds bounds the proposal/acceptance rounds per matching sweep.
+	matchRounds = 8
+)
+
+// MultilevelOptions selects the multilevel partitioner
+// (PartitionConfig.Multilevel); its schedule is fixed.
+type MultilevelOptions struct {
 	// Workers is the parallelism of matching and contraction. Results are
 	// bit-identical at any value; 0 or 1 is sequential.
 	Workers int
-	// RefinePasses bounds the boundary-refinement sweeps per level.
-	// Default 4.
-	RefinePasses int
-	// MinGain is the smallest cut reduction worth a refinement move.
-	// Default 1e-9.
-	MinGain float64
-	// Grain is the granularity factor of the fine graph: fine clusters hold
-	// about CON_npc/Grain neurons, giving refinement Grain× more freedom
-	// than whole-cluster moves. Default 8.
-	Grain int
-	// MatchRounds bounds the proposal/acceptance rounds per matching sweep.
-	// Default 8.
-	MatchRounds int
 }
 
-func (o MultilevelOptions) withDefaults() MultilevelOptions {
-	if o.CoarsestSize <= 0 {
-		o.CoarsestSize = 128
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 32
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 4
-	}
-	if o.MinGain <= 0 {
-		o.MinGain = 1e-9
-	}
-	if o.Grain <= 0 {
-		o.Grain = 8
-	}
-	if o.MatchRounds <= 0 {
-		o.MatchRounds = 8
-	}
-	return o
-}
-
-// takeMultilevel resolves the multilevel options (nil selects the defaults)
-// and turns cfg into the flat configuration of the internal calls: Multilevel
-// cleared, and the per-cluster edge merge fanned with the multilevel worker
-// pool unless the caller pinned a count (bit-identity-preserving).
-func (cfg *PartitionConfig) takeMultilevel() MultilevelOptions {
-	var o MultilevelOptions
+// takeMultilevel returns the multilevel worker count and turns cfg into the
+// flat configuration of the internal calls: Multilevel cleared, and the
+// per-cluster edge merge fanned with the multilevel worker pool unless the
+// caller pinned a count (bit-identity-preserving).
+func (cfg *PartitionConfig) takeMultilevel() int {
+	var workers int
 	if cfg.Multilevel != nil {
-		o = *cfg.Multilevel
+		workers = cfg.Multilevel.Workers
 	}
-	o = o.withDefaults()
 	cfg.Multilevel = nil
 	if cfg.Workers <= 0 {
-		cfg.Workers = o.Workers
+		cfg.Workers = workers
 	}
-	return o
-}
-
-// DefaultMultilevel returns the default multilevel configuration.
-func DefaultMultilevel() *MultilevelOptions {
-	o := MultilevelOptions{}.withDefaults()
-	return &o
+	return workers
 }
 
 // MultilevelStats reports what the multilevel partitioner did.
@@ -104,9 +78,6 @@ type MultilevelStats struct {
 	// CoarsestVertices is the size of the graph the initial partitioning
 	// ran on.
 	CoarsestVertices int
-	// Grain is the granularity factor the fine graph was cut at: the
-	// resolved MultilevelOptions.Grain, used as given.
-	Grain int
 	// Moves counts refinement moves across all levels.
 	Moves int64
 	// CutFlat and CutMultilevel are the total inter-cluster traffic of the
@@ -130,13 +101,14 @@ type grouping struct {
 }
 
 // PartitionMultilevel partitions an explicit SNN graph with the multilevel
-// scheme: a fine Algorithm 1 partition at CON_npc/Grain granularity supplies
+// scheme: a fine Algorithm 1 partition at CON_npc/grain granularity supplies
 // the fine cluster graph, multilevelGroup packs the fine clusters into
 // full-capacity parts, and the composed neuron assignment is rebuilt into a
 // PCN. If the multilevel cut is worse than the flat pipeline's, the flat
-// result is returned instead (Stats.UsedFlat).
+// result is returned instead (Stats.UsedFlat). SplitAtLayers shapes only the
+// flat walks: the grouping merges across layers (see multilevelGroup).
 func PartitionMultilevel(g *snn.Graph, cfg PartitionConfig) (*Result, MultilevelStats, error) {
-	o := cfg.takeMultilevel()
+	workers := cfg.takeMultilevel()
 	sp := cfg.Obs.Span("partition.multilevel")
 	defer func() { sp.End() }()
 
@@ -144,16 +116,16 @@ func PartitionMultilevel(g *snn.Graph, cfg PartitionConfig) (*Result, Multilevel
 	if err != nil {
 		return nil, MultilevelStats{}, err
 	}
-	stats := MultilevelStats{Grain: o.Grain, CutFlat: flat.PCN.TotalWeight()}
+	stats := MultilevelStats{CutFlat: flat.PCN.TotalWeight()}
 
-	base, fineOf, err := fineLevel(g, cfg, o)
+	base, fineOf, err := fineLevel(g, cfg, workers)
 	if err != nil {
 		return nil, stats, err
 	}
 	stats.FineVertices = len(base.neurons)
 	stats.FineEdges = int64(len(base.u.To)) / 2
 
-	grp := multilevelGroup(base, int64(g.NumNeurons), cfg, o)
+	grp := multilevelGroup(base, int64(g.NumNeurons), cfg, workers)
 	stats.Levels = grp.levels
 	stats.CoarsestVertices = grp.coarsest
 	stats.Moves = grp.moves
@@ -178,17 +150,17 @@ func PartitionMultilevel(g *snn.Graph, cfg PartitionConfig) (*Result, Multilevel
 }
 
 // fineLevel is level 0 of the explicit-graph hierarchy: Algorithm 1's walk at
-// CON_npc/Grain neurons per cluster and the undirected graph of those fine
+// CON_npc/grain neurons per cluster and the undirected graph of those fine
 // clusters. The fine granularity never needs its own PCN (merged directed
 // CSR): grouping works on the undirected cluster graph, built straight from
 // the neuron edges through the fine assignment.
-func fineLevel(g *snn.Graph, cfg PartitionConfig, o MultilevelOptions) (*gLevel, []int32, error) {
-	cfg.Constraints.NeuronsPerCore = max(1, cfg.Constraints.NeuronsPerCore/o.Grain)
+func fineLevel(g *snn.Graph, cfg PartitionConfig, workers int) (*gLevel, []int32, error) {
+	cfg.Constraints.NeuronsPerCore = max(1, cfg.Constraints.NeuronsPerCore/grain)
 	fineOf, fineN, fineS, fineL, err := assignClusters(g, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	u := undirectedFromAssignment(g, fineOf, len(fineN), o.Workers)
+	u := undirectedFromAssignment(g, fineOf, len(fineN), workers)
 	return &gLevel{u: u, neurons: fineN, synapses: fineS, layer: fineL}, fineOf, nil
 }
 
@@ -204,22 +176,22 @@ type BenchKernel struct {
 // csrFromAssignment at CON_npc, fine-undirected is undirectedFromAssignment at
 // the fine granularity, contract is the first coarsening step.
 func AggregateKernels(g *snn.Graph, cfg PartitionConfig) ([]BenchKernel, error) {
-	o := cfg.takeMultilevel()
+	workers := cfg.takeMultilevel()
 	flatOf, flatN, _, _, err := assignClusters(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	base, fineOf, err := fineLevel(g, cfg, o)
+	base, fineOf, err := fineLevel(g, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
-	match := heavyEdgeMatch(base.u, base.neurons, base.synapses, cfg.Constraints.NeuronsPerCore, 0, o.MatchRounds, o.Workers, nil)
+	match := heavyEdgeMatch(base.u, base.neurons, base.synapses, cfg.Constraints.NeuronsPerCore, 0, matchRounds, workers, nil)
 	return []BenchKernel{
 		{"flat-csr", func() {
 			csrFromAssignment(&PCN{NumClusters: len(flatN)}, g.OutOff, g.OutTo, g.OutW, flatOf, cfg.Workers)
 		}},
-		{"fine-undirected", func() { undirectedFromAssignment(g, fineOf, len(base.neurons), o.Workers) }},
-		{"contract", func() { contract(base, match, o.Workers, nil) }},
+		{"fine-undirected", func() { undirectedFromAssignment(g, fineOf, len(base.neurons), workers) }},
+		{"contract", func() { contract(base, match, workers, nil) }},
 	}, nil
 }
 
@@ -304,7 +276,7 @@ func preferFlat(stats MultilevelStats, ml, flat *PCN) bool {
 // partition the coarsest graph greedily, project back with boundary
 // refinement at every level, then compact part indices by first appearance.
 // total is the neuron count the fine graph represents.
-func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, o MultilevelOptions) grouping {
+func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, workers int) grouping {
 	npc := cfg.Constraints.NeuronsPerCore
 	var synCap int64
 	if cfg.EnforceSynapses {
@@ -314,13 +286,15 @@ func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, o Multileve
 	// across layer boundaries: feed-forward nets have no intra-layer cluster
 	// edges, so honoring it would leave matching and growth nothing to work
 	// with — and internalizing cross-layer traffic is exactly where the
-	// multilevel cut reduction comes from. Mixed parts are tagged layer -1;
-	// the flat fallback still guards callers that need layer purity.
+	// multilevel cut reduction comes from. Mixed parts are tagged layer -1.
+	// Nothing restores layer purity afterwards: the flat fallback compares
+	// cuts only, so a caller that needs layer-pure clusters uses flat
+	// Partition.
 
 	// Keep at least two coarse vertices per feasible part so the initial
 	// partitioning is not forced into a fixed grouping.
 	minParts := int((total + int64(npc) - 1) / int64(npc))
-	target := o.CoarsestSize
+	target := coarsestSize
 	if t := 2 * minParts; t > target {
 		target = t
 	}
@@ -331,8 +305,8 @@ func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, o Multileve
 	ar := &levelArena{}
 	levels := []*gLevel{base}
 	lv := base
-	for len(levels) <= o.MaxLevels && len(lv.neurons) > target {
-		match := heavyEdgeMatch(lv.u, lv.neurons, lv.synapses, npc, synCap, o.MatchRounds, o.Workers, ar)
+	for len(levels) <= maxLevels && len(lv.neurons) > target {
+		match := heavyEdgeMatch(lv.u, lv.neurons, lv.synapses, npc, synCap, matchRounds, workers, ar)
 		pairs := 0
 		for v, m := range match {
 			if int(m) > v {
@@ -344,7 +318,7 @@ func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, o Multileve
 		if pairs*32 < len(match) {
 			break
 		}
-		coarse, _ := contract(lv, match, o.Workers, ar)
+		coarse, _ := contract(lv, match, workers, ar)
 		levels = append(levels, coarse)
 		if cfg.Obs.Enabled() {
 			cfg.Obs.Counter("multilevel.level",
@@ -370,7 +344,7 @@ func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, o Multileve
 	}
 
 	uncoarsenSp := cfg.Obs.Span("multilevel.uncoarsen")
-	moves := refineLevel(lv, partOf, partN, partS, o, npc, synCap, ar)
+	moves := refineLevel(lv, partOf, partN, partS, npc, synCap, ar)
 	grp.moves += moves
 	if cfg.Obs.Enabled() {
 		cfg.Obs.Counter("multilevel.refine", obs.KV{K: "level", V: float64(len(levels) - 1)}, obs.KV{K: "moves", V: float64(moves)})
@@ -382,7 +356,7 @@ func multilevelGroup(base *gLevel, total int64, cfg PartitionConfig, o Multileve
 			fp[v] = partOf[finer.coarseOf[v]]
 		}
 		partOf = fp
-		moves = refineLevel(finer, partOf, partN, partS, o, npc, synCap, ar)
+		moves = refineLevel(finer, partOf, partN, partS, npc, synCap, ar)
 		grp.moves += moves
 		if cfg.Obs.Enabled() {
 			cfg.Obs.Counter("multilevel.refine", obs.KV{K: "level", V: float64(li)}, obs.KV{K: "moves", V: float64(moves)})
@@ -536,7 +510,7 @@ func greedyPartition(lv *gLevel, npc int, synCap int64) ([]int32, int) {
 // recycles the gain/seen scratch across levels (nil allocates fresh): the
 // part count is constant through the uncoarsening walk, and the
 // candidate-list reset leaves both buffers all-zero between calls.
-func refineLevel(lv *gLevel, partOf []int32, partN []int32, partS []int64, o MultilevelOptions, npc int, synCap int64, ar *levelArena) int64 {
+func refineLevel(lv *gLevel, partOf []int32, partN []int32, partS []int64, npc int, synCap int64, ar *levelArena) int64 {
 	if ar == nil {
 		ar = &levelArena{}
 	}
@@ -548,7 +522,7 @@ func refineLevel(lv *gLevel, partOf []int32, partN []int32, partS []int64, o Mul
 	seen := grabBool(&ar.seen, len(partN))
 	cand := make([]int32, 0, 16)
 	var moves int64
-	for pass := 0; pass < o.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		var passMoves int64
 		for vi := 0; vi < n; vi++ {
 			v := int32(vi)
@@ -575,7 +549,7 @@ func refineLevel(lv *gLevel, partOf []int32, partN []int32, partS []int64, o Mul
 			}
 			internal := gain[cv]
 			best := cv
-			bestGain := o.MinGain
+			bestGain := minGain
 			for _, d := range cand {
 				if d == cv {
 					continue

@@ -1,6 +1,8 @@
 package pcn
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -125,6 +127,97 @@ func TestMultilevelExplicitAgainstFlat(t *testing.T) {
 	samePCN(t, "config-route", res.PCN, viaConfig.PCN)
 }
 
+// TestFixedScheduleReproducesDefaults pins the multilevel schedule and
+// RefinePartition's passes and minimum gain, which are constants, to the
+// results their former option defaults gave on one seeded random graph.
+func TestFixedScheduleReproducesDefaults(t *testing.T) {
+	g, err := snn.RandomGraph(snn.RandomConfig{
+		Neurons:       30000,
+		AvgDegree:     8,
+		LocalityBand:  0.02,
+		LongRangeFrac: 0.05,
+		MaxDensity:    1,
+	}, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 256}}
+	ml := cfg
+	ml.Multilevel = &MultilevelOptions{}
+	res, st, err := PartitionMultilevel(g, ml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, c := range res.ClusterOf {
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(c)))
+	}
+	if st.UsedFlat || st.Levels != 4 || st.Moves != 31 ||
+		math.Float64bits(res.PCN.TotalWeight()) != 0x40f6e16216399826 || h.Sum64() != 0x96a4ce64eba41425 {
+		t.Errorf("multilevel: usedFlat %v, %d levels, %d moves, cut bits %x, assignment hash %#x; want false, 4, 31, 40f6e16216399826, 0x96a4ce64eba41425",
+			st.UsedFlat, st.Levels, st.Moves, math.Float64bits(res.PCN.TotalWeight()), h.Sum64())
+	}
+
+	flat, err := Partition(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rs, err := RefinePartition(g, flat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Passes != 4 || rs.Moves != 27447 || math.Float64bits(rs.CutAfter) != 0x40f139216439843c {
+		t.Errorf("refine: %d passes, %d moves, cut bits %x; want 4, 27447, 40f139216439843c",
+			rs.Passes, rs.Moves, math.Float64bits(rs.CutAfter))
+	}
+}
+
+// TestMultilevelIgnoresSplitAtLayers pins the documented behaviour: the
+// multilevel grouping merges across layer boundaries even under
+// SplitAtLayers and tags mixed clusters layer -1 (the flat fallback compares
+// cuts only), while flat Partition on the same graph keeps every cluster
+// inside one layer.
+func TestMultilevelIgnoresSplitAtLayers(t *testing.T) {
+	g := snn.FullyConnected(4, 256)
+	cfg := PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 64}, SplitAtLayers: true}
+	flat, err := Partition(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, l := range flat.PCN.Layer {
+		if l < 0 {
+			t.Fatalf("flat cluster %d mixes layers", c)
+		}
+	}
+	cfg.Multilevel = &MultilevelOptions{}
+	res, st, err := PartitionMultilevel(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.UsedFlat {
+		t.Fatal("test premise: multilevel must beat flat on this graph")
+	}
+	layers := make([]map[int32]bool, res.PCN.NumClusters)
+	for v, c := range res.ClusterOf {
+		if layers[c] == nil {
+			layers[c] = map[int32]bool{}
+		}
+		layers[c][g.Layer[v]] = true
+	}
+	mixed := 0
+	for c, l := range res.PCN.Layer {
+		if pure := len(layers[c]) == 1; pure != (l >= 0) {
+			t.Fatalf("cluster %d tagged layer %d but holds %d layers", c, l, len(layers[c]))
+		}
+		if l < 0 {
+			mixed++
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no multilevel cluster mixes layers; the documented behaviour is not exercised")
+	}
+}
+
 // TestHeavyEdgeMatchInvariants checks the matching is an involution that
 // respects the merge caps, at several worker counts.
 func TestHeavyEdgeMatchInvariants(t *testing.T) {
@@ -244,7 +337,7 @@ func FuzzMultilevelRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint16(2000), uint8(32), uint8(4), true)
 	f.Add(int64(2), uint16(500), uint8(7), uint8(3), false)
 	f.Add(int64(3), uint16(4096), uint8(64), uint8(8), true)
-	f.Fuzz(func(t *testing.T, seed int64, neurons uint16, npc uint8, grain uint8, enforce bool) {
+	f.Fuzz(func(t *testing.T, seed int64, neurons uint16, npc uint8, workers uint8, enforce bool) {
 		n := int(neurons)%5000 + 2
 		g, err := snn.RandomGraph(snn.RandomConfig{
 			Neurons:       n,
@@ -260,7 +353,7 @@ func FuzzMultilevelRoundTrip(f *testing.F) {
 		cfg := PartitionConfig{
 			Constraints:     hw.Constraints{NeuronsPerCore: int(npc)%64 + 1, SynapsesPerCore: spc},
 			EnforceSynapses: enforce,
-			Multilevel:      &MultilevelOptions{Grain: int(grain)%16 + 1, Workers: 3},
+			Multilevel:      &MultilevelOptions{Workers: int(workers)%8 + 1},
 		}
 		res, _, err := PartitionMultilevel(g, cfg)
 		if err != nil {

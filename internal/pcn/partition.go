@@ -19,13 +19,15 @@ type PartitionConfig struct {
 	// SplitAtLayers closes the current cluster at layer boundaries when the
 	// source graph carries layer tags. The paper's per-layer cluster counts
 	// (e.g. LeNet-MNIST = 9) require it; default true in DefaultPartition.
+	// It holds for flat Algorithm 1 and RefinePartition only: the multilevel
+	// grouping merges across layers and tags mixed clusters layer -1.
 	SplitAtLayers bool
 	// Multilevel switches Partition to the multilevel
 	// coarsen–partition–uncoarsen scheme (multilevel.go), for explicit graphs
 	// only: Expand rejects it, since layer-spec nets keep the paper's
-	// per-layer cut. The options are used as given (the fine grain is not
-	// adapted to the graph size). Nil keeps the paper's flat Algorithm 1
-	// pipeline.
+	// per-layer cut. Its schedule is fixed (the fine grain is CON_npc/8 at
+	// any graph size), and its clusters may mix layers whatever
+	// SplitAtLayers says. Nil keeps the paper's flat Algorithm 1 pipeline.
 	Multilevel *MultilevelOptions
 	// Workers fans the per-cluster merge of parallel edges (finalizeCSR) out
 	// over up to this many goroutines (0 or 1 = sequential). Like

@@ -17,29 +17,6 @@ import (
 // library reproduce the partition-centric baselines faithfully and measure
 // how much cut reduction is available.
 
-// RefineConfig tunes RefinePartition.
-type RefineConfig struct {
-	// Config is the partition configuration whose constraints the refined
-	// partition must keep satisfying.
-	Config PartitionConfig
-	// MaxPasses bounds the number of full sweeps over all neurons
-	// (default 4; KL-style refinement converges quickly).
-	MaxPasses int
-	// MinGain is the smallest cut-weight reduction worth a move
-	// (default 1e-9).
-	MinGain float64
-}
-
-func (c RefineConfig) withDefaults() RefineConfig {
-	if c.MaxPasses <= 0 {
-		c.MaxPasses = 4
-	}
-	if c.MinGain <= 0 {
-		c.MinGain = 1e-9
-	}
-	return c
-}
-
 // RefineStats reports what RefinePartition did.
 type RefineStats struct {
 	// Passes is the number of sweeps executed.
@@ -54,19 +31,25 @@ type RefineStats struct {
 // RefinePartition improves a neuron→cluster assignment produced by
 // Partition: each pass walks every neuron and moves it to the neighboring
 // cluster (one that already holds a synaptic partner) that most reduces the
-// cut weight, if capacity and layer constraints allow. It returns the
-// refined PCN, the updated assignment, and statistics. The input Result is
-// not modified.
-func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, RefineStats, error) {
-	cfg = cfg.withDefaults()
+// cut weight, if cfg's capacity and layer constraints allow, for at most
+// refinePasses sweeps. It returns the refined PCN, the updated assignment,
+// and statistics. The input Result is not modified.
+//
+// Per-cluster occupancy is recounted from in.ClusterOf and g.FanIn rather
+// than read from in.PCN, so an assignment edited without its PCN cannot
+// smuggle stale counts through. The input must already fit CON_npc.
+func RefinePartition(g *snn.Graph, in *Result, cfg PartitionConfig) (*Result, RefineStats, error) {
+	if in == nil || in.PCN == nil {
+		return nil, RefineStats{}, fmt.Errorf("pcn: refine needs an input partition and its PCN")
+	}
 	if len(in.ClusterOf) != g.NumNeurons {
 		return nil, RefineStats{}, fmt.Errorf("pcn: assignment covers %d neurons, graph has %d", len(in.ClusterOf), g.NumNeurons)
 	}
-	npc := cfg.Config.Constraints.NeuronsPerCore
+	npc := cfg.Constraints.NeuronsPerCore
 	if npc <= 0 {
 		return nil, RefineStats{}, fmt.Errorf("pcn: refine requires a positive CON_npc")
 	}
-	spc := int64(cfg.Config.Constraints.SynapsesPerCore)
+	spc := int64(cfg.Constraints.SynapsesPerCore)
 
 	clusterOf := make([]int32, len(in.ClusterOf))
 	copy(clusterOf, in.ClusterOf)
@@ -75,8 +58,18 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 	// Mutable per-cluster occupancy.
 	neurons := make([]int32, numClusters)
 	synapses := make([]int64, numClusters)
-	copy(neurons, in.PCN.Neurons)
-	copy(synapses, in.PCN.Synapses)
+	for v, c := range clusterOf {
+		if c < 0 || int(c) >= numClusters {
+			return nil, RefineStats{}, fmt.Errorf("pcn: neuron %d assigned to cluster %d, PCN has %d", v, c, numClusters)
+		}
+		neurons[c]++
+		synapses[c] += int64(g.FanIn[v])
+	}
+	for c, n := range neurons {
+		if int(n) > npc {
+			return nil, RefineStats{}, fmt.Errorf("pcn: input cluster %d holds %d neurons, CON_npc is %d", c, n, npc)
+		}
+	}
 	layerOf := make([]int32, numClusters)
 	copy(layerOf, in.PCN.Layer)
 
@@ -167,13 +160,13 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 	}
 
 	fitsAfterSwap := func(c int32, out, in int32) bool {
-		if !cfg.Config.EnforceSynapses || spc <= 0 {
+		if !cfg.EnforceSynapses || spc <= 0 {
 			return true
 		}
 		return synapses[c]-int64(g.FanIn[out])+int64(g.FanIn[in]) <= spc
 	}
 
-	for pass := 0; pass < cfg.MaxPasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		var movesThisPass int64
 		for vi := 0; vi < g.NumNeurons; vi++ {
 			v := int32(vi)
@@ -184,7 +177,7 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 
 			// Best single move into a cluster with free capacity.
 			bestCluster := cv
-			bestGain := cfg.MinGain
+			bestGain := minGain
 			for _, d := range cand {
 				if d == cv {
 					continue
@@ -196,10 +189,10 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 				if int(neurons[d])+1 > npc {
 					continue
 				}
-				if cfg.Config.EnforceSynapses && spc > 0 && synapses[d]+int64(g.FanIn[v]) > spc {
+				if cfg.EnforceSynapses && spc > 0 && synapses[d]+int64(g.FanIn[v]) > spc {
 					continue
 				}
-				if cfg.Config.SplitAtLayers && vLayer >= 0 && layerOf[d] != vLayer {
+				if cfg.SplitAtLayers && vLayer >= 0 && layerOf[d] != vLayer {
 					continue
 				}
 				// Never empty a cluster: indices must stay dense.
@@ -229,7 +222,7 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 				if d == cv || gain[d] <= targetTraffic {
 					continue
 				}
-				if cfg.Config.SplitAtLayers && vLayer >= 0 && layerOf[d] != vLayer {
+				if cfg.SplitAtLayers && vLayer >= 0 && layerOf[d] != vLayer {
 					continue
 				}
 				targetD = d
@@ -240,9 +233,9 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 			}
 			gainV := targetTraffic - internal
 			var bestU int32 = -1
-			bestSwap := cfg.MinGain
+			bestSwap := minGain
 			for _, u := range members[targetD] {
-				if cfg.Config.SplitAtLayers && layerTag(u) >= 0 && layerOf[cv] != layerTag(u) {
+				if cfg.SplitAtLayers && layerTag(u) >= 0 && layerOf[cv] != layerTag(u) {
 					continue
 				}
 				neuronGains(u) // v's gains are spent: gainV holds what the swap needs
@@ -275,7 +268,7 @@ func RefinePartition(g *snn.Graph, in *Result, cfg RefineConfig) (*Result, Refin
 		}
 	}
 
-	out, err := rebuildFromAssignment(g, clusterOf, neurons, synapses, layerOf, cfg.Config.Workers)
+	out, err := rebuildFromAssignment(g, clusterOf, neurons, synapses, layerOf, cfg.Workers)
 	if err != nil {
 		return nil, RefineStats{}, err
 	}

@@ -40,7 +40,7 @@ func TestRefinePartitionReducesCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, stats, err := RefinePartition(g, initial, RefineConfig{Config: cfg})
+	refined, stats, err := RefinePartition(g, initial, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestRefinePartitionConvergesAndIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, _, err := RefinePartition(g, initial, RefineConfig{Config: cfg, MaxPasses: 20})
+	refined, _, err := RefinePartition(g, initial, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, stats, err := RefinePartition(g, refined, RefineConfig{Config: cfg, MaxPasses: 20})
+	again, stats, err := RefinePartition(g, refined, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRefinePartitionDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			for rep := 0; rep < 20; rep++ {
-				refined, _, err := RefinePartition(g, initial, RefineConfig{Config: cfg})
+				refined, _, err := RefinePartition(g, initial, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func TestRefinePartitionRespectsLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, _, err := RefinePartition(g, initial, RefineConfig{Config: cfg})
+	refined, _, err := RefinePartition(g, initial, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +155,68 @@ func TestRefinePartitionDoesNotEmptyClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, stats, err := RefinePartition(g, initial, RefineConfig{Config: cfg})
+	refined, stats, err := RefinePartition(g, initial, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Moves != 0 || refined.PCN.NumClusters != 2 {
 		t.Errorf("moves=%d clusters=%d; want 0 moves, 2 clusters", stats.Moves, refined.PCN.NumClusters)
+	}
+}
+
+// TestRefinePartitionRejectsBadInput: RefinePartition must not trust its
+// input. Missing or out-of-range input is an error, not a panic; occupancy
+// comes from the assignment, not from a PCN it may no longer match; and an
+// input cluster over CON_npc is refused rather than refined.
+func TestRefinePartitionRejectsBadInput(t *testing.T) {
+	g := scrambledCommunities(t, 5, 8, 3) // 40 neurons: clusters 16, 16, 8
+	cfg := PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 16}}
+	in, err := Partition(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := func(moves map[int]int32) *Result {
+		of := slices.Clone(in.ClusterOf)
+		for v, c := range moves {
+			of[v] = c
+		}
+		return &Result{PCN: in.PCN, ClusterOf: of}
+	}
+	bad := []struct {
+		name string
+		in   *Result
+		cfg  PartitionConfig
+	}{
+		{"nil result", nil, cfg},
+		{"nil PCN", &Result{ClusterOf: in.ClusterOf}, cfg},
+		{"cluster past the PCN", edited(map[int]int32{5: 99}), cfg},
+		{"negative cluster", edited(map[int]int32{5: -1}), cfg},
+		{"stale occupancy over CON_npc", edited(map[int]int32{16: 0, 17: 0}), cfg},
+		{"input over a smaller CON_npc", in, PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 4}}},
+	}
+	for _, c := range bad {
+		if _, _, err := RefinePartition(g, c.in, c.cfg); err == nil {
+			t.Errorf("%s: err = nil, want an error", c.name)
+		}
+	}
+
+	// Two neurons moved into the half-full cluster without touching the
+	// PCN: refinement proceeds on the recounted occupancy.
+	out, _, err := RefinePartition(g, edited(map[int]int32{0: 2, 1: 2}), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int32, out.PCN.NumClusters)
+	for _, c := range out.ClusterOf {
+		sizes[c]++
+	}
+	if !slices.Equal(sizes, out.PCN.Neurons) {
+		t.Fatalf("PCN.Neurons %v disagrees with the assignment %v", out.PCN.Neurons, sizes)
+	}
+	for c, n := range sizes {
+		if n > 16 {
+			t.Errorf("cluster %d holds %d neurons, CON_npc 16", c, n)
+		}
 	}
 }
 
@@ -170,11 +226,11 @@ func TestRefinePartitionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RefinePartition(g, res, RefineConfig{}); err == nil {
+	if _, _, err := RefinePartition(g, res, PartitionConfig{}); err == nil {
 		t.Error("zero CON_npc must fail")
 	}
 	bad := &Result{PCN: res.PCN, ClusterOf: res.ClusterOf[:1]}
-	if _, _, err := RefinePartition(g, bad, RefineConfig{Config: PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 2}}}); err == nil {
+	if _, _, err := RefinePartition(g, bad, PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 2}}); err == nil {
 		t.Error("short assignment must fail")
 	}
 }

@@ -100,9 +100,10 @@ type (
 	PartitionConfig = pcn.PartitionConfig
 	// PartitionResult pairs a PCN with the neuron→cluster assignment.
 	PartitionResult = pcn.Result
-	// MultilevelOptions tunes the multilevel coarsen–partition–uncoarsen
+	// MultilevelOptions selects the multilevel coarsen–partition–uncoarsen
 	// partitioner for explicit graphs (set PartitionConfig.Multilevel to
-	// enable it in Partition; Expand rejects it).
+	// enable it in Partition; Expand rejects it). Its schedule is fixed;
+	// the zero value runs it sequentially.
 	MultilevelOptions = pcn.MultilevelOptions
 	// MultilevelStats reports one multilevel partitioning run.
 	MultilevelStats = pcn.MultilevelStats
@@ -119,9 +120,6 @@ func Partition(g *Graph, cfg PartitionConfig) (*PartitionResult, error) {
 // Expand partitions a layer-spec Net analytically (identical cluster
 // structure, no neuron materialization).
 func Expand(n *Net, cfg PartitionConfig) (*PCN, error) { return pcn.Expand(n, cfg) }
-
-// DefaultMultilevel returns the default multilevel partitioner options.
-func DefaultMultilevel() *MultilevelOptions { return pcn.DefaultMultilevel() }
 
 // PartitionMultilevel runs the multilevel partitioner on an explicit graph,
 // returning the per-run statistics alongside the result. The cut is
@@ -460,16 +458,13 @@ func ApplyRates(n *Net, profile RateProfile) error { return snn.ApplyRates(n, pr
 
 // Partition refinement (the partition-optimization substrate of the
 // related-work baselines).
-type (
-	// RefineConfig tunes RefinePartition.
-	RefineConfig = pcn.RefineConfig
-	// RefineStats reports a refinement run.
-	RefineStats = pcn.RefineStats
-)
+
+// RefineStats reports a refinement run.
+type RefineStats = pcn.RefineStats
 
 // RefinePartition improves a neuron→cluster assignment with KL-style moves
-// and swaps, reducing inter-cluster traffic under the same constraints.
-func RefinePartition(g *Graph, in *PartitionResult, cfg RefineConfig) (*PartitionResult, RefineStats, error) {
+// and swaps, reducing inter-cluster traffic under cfg's constraints.
+func RefinePartition(g *Graph, in *PartitionResult, cfg PartitionConfig) (*PartitionResult, RefineStats, error) {
 	return pcn.RefinePartition(g, in, cfg)
 }
 
