@@ -42,27 +42,26 @@ import (
 
 func main() {
 	var (
-		workload   = flag.String("workload", "LeNet-MNIST", "Table 3 workload name ("+strings.Join(expt.WorkloadNames(), ", ")+")")
-		netFile    = flag.String("net", "", "JSON workload description file (overrides -workload; see internal/codec net schema)")
-		method     = flag.String("method", "Proposed", "mapping method (Random, TrueNorth, DFSynthesizer, PSO, PACMAN, Annealing, Proposed, HSC, ZigZag, Circle, ...)")
-		seed       = flag.Int64("seed", 1, "seed for randomized methods")
-		budget     = flag.Duration("budget", time.Minute, "wall-clock budget (0 = unlimited)")
-		sim        = flag.Bool("sim", false, "replay the traffic through the NoC simulator (small workloads)")
-		faults     = flag.String("faults", "", "defect map: a JSON file path, or a spec like uniform:dead=0.05,links=0.02,seed=7 / clustered:dead=0.1,blobs=3 / lines:rows=1 (grows the mesh for headroom)")
-		render     = flag.Bool("render", false, "render the layer map and congestion heatmap (small meshes)")
-		multicast  = flag.Bool("multicast", false, "also evaluate the multicast tree-routing energy model")
-		savePCN    = flag.String("save-pcn", "", "write the partitioned cluster network (binary) to this file")
-		savePlace  = flag.String("save-placement", "", "write the placement (binary) to this file")
-		exportDot  = flag.String("export-dot", "", "write the PCN as Graphviz DOT to this file")
-		exportCSV  = flag.String("export-csv", "", "write the placement as CSV to this file")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
-		simShards  = flag.Int("sim-shards", runtime.GOMAXPROCS(0), "row-strip goroutines for the NoC simulator (1 = single goroutine; results are bit-identical at any count)")
-		ckptPath   = flag.String("checkpoint", "", "periodically write the fine-tuning state (self-contained snapshot, atomic replace) to this file; continue later with -resume")
-		ckptEvery  = flag.Int("checkpoint-every", 32, "iterations between -checkpoint snapshots")
-		resume     = flag.String("resume", "", "resume fine-tuning from a snapshot file written by -checkpoint (bit-identical to the uninterrupted run, at any -workers count)")
-		spareRows  = flag.Int("spare-rows", 0, "reserve this many extra mesh rows as hot spares for wholesale row-shift repair (grows the mesh; placement and fine-tuning leave them empty)")
-		cacheDir   = flag.String("cache-dir", "", "content-addressed artifact cache directory: warm-starts partitioning, placement, fine-tuning and metrics from prior runs with identical inputs (warm results are bit-identical to cold; fine-tuning is only cached with -budget 0)")
-		cacheRemap = flag.Bool("cache-remap", false, "with -cache-dir and -faults: repair a cached pristine-mesh result with incremental remapping instead of replaying a cold run (fast, but not bit-identical to a cold defective run)")
+		workload  = flag.String("workload", "LeNet-MNIST", "Table 3 workload name ("+strings.Join(expt.WorkloadNames(), ", ")+")")
+		netFile   = flag.String("net", "", "JSON workload description file (overrides -workload; see internal/codec net schema)")
+		method    = flag.String("method", "Proposed", "mapping method (Random, TrueNorth, DFSynthesizer, PSO, PACMAN, Annealing, Proposed, HSC, ZigZag, Circle, ...)")
+		seed      = flag.Int64("seed", 1, "seed for randomized methods")
+		budget    = flag.Duration("budget", time.Minute, "wall-clock budget (0 = unlimited)")
+		sim       = flag.Bool("sim", false, "replay the traffic through the NoC simulator (small workloads)")
+		faults    = flag.String("faults", "", "defect map: a JSON file path, or a spec like uniform:dead=0.05,links=0.02,seed=7 / clustered:dead=0.1,blobs=3 / lines:rows=1 (grows the mesh for headroom)")
+		render    = flag.Bool("render", false, "render the layer map and congestion heatmap (small meshes)")
+		multicast = flag.Bool("multicast", false, "also evaluate the multicast tree-routing energy model")
+		savePCN   = flag.String("save-pcn", "", "write the partitioned cluster network (binary) to this file")
+		savePlace = flag.String("save-placement", "", "write the placement (binary) to this file")
+		exportDot = flag.String("export-dot", "", "write the PCN as Graphviz DOT to this file")
+		exportCSV = flag.String("export-csv", "", "write the placement as CSV to this file")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
+		simShards = flag.Int("sim-shards", runtime.GOMAXPROCS(0), "row-strip goroutines for the NoC simulator (1 = single goroutine; results are bit-identical at any count)")
+		ckptPath  = flag.String("checkpoint", "", "periodically write the fine-tuning state (self-contained snapshot, atomic replace) to this file; continue later with -resume")
+		ckptEvery = flag.Int("checkpoint-every", 32, "iterations between -checkpoint snapshots")
+		resume    = flag.String("resume", "", "resume fine-tuning from a snapshot file written by -checkpoint (bit-identical to the uninterrupted run, at any -workers count)")
+		spareRows = flag.Int("spare-rows", 0, "reserve this many extra mesh rows as hot spares for wholesale row-shift repair (grows the mesh; placement and fine-tuning leave them empty)")
+		cacheDir  = flag.String("cache-dir", "", "content-addressed artifact cache directory: serves the mapping result (placement + fine-tuning statistics) and the metrics from prior runs with identical inputs (warm results are bit-identical to cold; mapping results are only cached with -budget 0)")
 	)
 	var cli obs.CLI
 	cli.Register(flag.CommandLine)
@@ -76,7 +75,7 @@ func main() {
 
 	var artifacts *cache.Cache
 	if *cacheDir != "" {
-		if artifacts, err = cache.New(cache.Config{Dir: *cacheDir, RemapDelta: *cacheRemap}); err != nil {
+		if artifacts, err = cache.New(cache.Config{Dir: *cacheDir}); err != nil {
 			fatal(err)
 		}
 	}
@@ -103,7 +102,7 @@ func main() {
 	// partitioner sees the observer and the trace covers this phase.
 	cfg := pcn.DefaultPartition()
 	cfg.Obs = o
-	p, err := expandNet(artifacts, net, cfg)
+	p, err := pcn.Expand(net, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -125,6 +124,11 @@ func main() {
 			defects.NumDead(), defects.NumDegraded(), defects.NumFailedLinks(), mesh)
 	}
 	cons := hw.Constraints{SpareRows: *spareRows}
+	if *spareRows > mesh.Rows {
+		// A spare for every row is already full redundancy; more would only
+		// grow the mesh without bound.
+		fatal(fmt.Errorf("-spare-rows %d exceeds the %d rows of the %v mesh", *spareRows, mesh.Rows, mesh))
+	}
 	if *spareRows > 0 {
 		if *faults != "" && !specFaults {
 			fatal(fmt.Errorf("-spare-rows cannot grow the fixed mesh of a defect-map file; use a defect spec instead"))
@@ -187,7 +191,11 @@ func main() {
 		fmt.Printf("%s mapped in %v%s\n", m.Name, stats.Elapsed, es)
 	}
 	if *ckptPath != "" && snapsWritten == 0 {
-		fmt.Printf("no checkpoint written: fine-tuning finished before the first %d-iteration interval\n", *ckptEvery)
+		if artifacts != nil && artifacts.Stats().ResultHits > 0 {
+			fmt.Println("no checkpoint written: the mapping result was served from -cache-dir, so fine-tuning did not run")
+		} else {
+			fmt.Printf("no checkpoint written: fine-tuning finished before the first %d-iteration interval\n", *ckptEvery)
+		}
 	}
 
 	cost := hw.DefaultCostModel()
@@ -250,9 +258,8 @@ func main() {
 
 	if artifacts != nil {
 		s := artifacts.Stats()
-		fmt.Printf("cache: hits/misses partition %d/%d initial %d/%d result %d/%d metrics %d/%d; remaps %d, corrupt %d\n",
-			s.PartitionHits, s.PartitionMisses, s.InitialHits, s.InitialMisses,
-			s.ResultHits, s.ResultMisses, s.MetricsHits, s.MetricsMisses, s.Remaps, s.Corrupt)
+		fmt.Printf("cache: hits/misses result %d/%d metrics %d/%d; corrupt %d\n",
+			s.ResultHits, s.ResultMisses, s.MetricsHits, s.MetricsMisses, s.Corrupt)
 	}
 
 	writeFile(*savePCN, func(w io.Writer) error { return codec.WritePCN(w, p) })
@@ -358,16 +365,6 @@ func resumeRun(path string, p *pcn.PCN, defects *hw.DefectMap, cons hw.Constrain
 	fmt.Printf("resumed %s from iteration %d: %d iterations total, converged=%v, in %v (cumulative %v)\n",
 		path, snap.Stats.Iterations, stats.Iterations, stats.Converged, time.Since(start).Round(time.Millisecond), stats.Elapsed.Round(time.Millisecond))
 	return pl, p, mesh, nil
-}
-
-// expandNet partitions a layer-spec net, through the artifact cache when one
-// is configured.
-func expandNet(artifacts *cache.Cache, net *snn.Net, cfg pcn.PartitionConfig) (*pcn.PCN, error) {
-	if artifacts != nil {
-		p, _, err := artifacts.Expand(net, cfg)
-		return p, err
-	}
-	return pcn.Expand(net, cfg)
 }
 
 func fileExists(path string) bool {

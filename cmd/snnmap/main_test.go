@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"snnmap/internal/codec"
+	"snnmap/internal/obs"
 )
 
 // runAsCLIEnv makes the test binary run main() instead of the tests, so the
@@ -60,6 +61,8 @@ func TestBadInputsExitOne(t *testing.T) {
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "uniform:links=Inf"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "lines:rows=-1"},
 		{"-workload", "NoSuchNet"},
+		{"-workload", "LeNet-MNIST", "-budget", "0", "-spare-rows", "9223372036854775807"},
+		{"-workload", "LeNet-MNIST", "-budget", "0", "-spare-rows", "100000000"},
 	} {
 		code, _, stderr := runCLI(t, args...)
 		if code != 1 || !strings.Contains(stderr, "snnmap:") {
@@ -90,5 +93,107 @@ func TestSavePlacement(t *testing.T) {
 	}
 	if len(pl.PosOf) != 9 {
 		t.Errorf("placement has %d clusters, want LeNet-MNIST's 9", len(pl.PosOf))
+	}
+}
+
+// metricsLine returns the "metrics:" line of a run's stdout.
+func metricsLine(t *testing.T, stdout string) string {
+	t.Helper()
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "metrics:") {
+			return line
+		}
+	}
+	t.Fatalf("no metrics line in:\n%s", stdout)
+	return ""
+}
+
+// TestWarmRunEqualsCold: a second run against the same -cache-dir is served
+// from the result and metrics stages and reproduces the cold run's placement
+// bytes and metrics, and those two stages are all the cache holds.
+func TestWarmRunEqualsCold(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	var placements [2][]byte
+	var metrics [2]string
+	var warmOut string
+	for i, name := range []string{"cold.plc", "warm.plc"} {
+		path := filepath.Join(dir, name)
+		code, stdout, stderr := runCLI(t, "-workload", "LeNet-MNIST", "-budget", "0", "-cache-dir", cacheDir, "-save-placement", path)
+		if code != 0 {
+			t.Fatalf("run %d: exit %d, stderr:\n%s", i, code, stderr)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placements[i], metrics[i], warmOut = b, metricsLine(t, stdout), stdout
+	}
+	if !bytes.Equal(placements[0], placements[1]) {
+		t.Error("warm placement bytes differ from cold")
+	}
+	if metrics[0] != metrics[1] {
+		t.Errorf("warm %q != cold %q", metrics[1], metrics[0])
+	}
+	if !strings.Contains(warmOut, "result 1/0 metrics 1/0") {
+		t.Errorf("warm run was not served from the cache:\n%s", warmOut)
+	}
+	entries, err := os.ReadDir(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages []string
+	for _, e := range entries {
+		stages = append(stages, e.Name())
+	}
+	if strings.Join(stages, " ") != "metrics result" {
+		t.Errorf("cache directory holds %v, want [metrics result]", stages)
+	}
+}
+
+// TestCheckpointOnWarmHit: a run whose result comes from -cache-dir never
+// fine-tunes, so it must say that rather than claim fine-tuning finished
+// before the first checkpoint interval.
+func TestCheckpointOnWarmHit(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	run := func(snap string) string {
+		t.Helper()
+		code, stdout, stderr := runCLI(t, "-workload", "LeNet-ImageNet", "-budget", "0", "-cache-dir", cacheDir,
+			"-checkpoint", snap, "-checkpoint-every", "4")
+		if code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+		}
+		return stdout
+	}
+	coldSnap, warmSnap := filepath.Join(dir, "cold.snap"), filepath.Join(dir, "warm.snap")
+	run(coldSnap)
+	if _, err := os.Stat(coldSnap); err != nil {
+		t.Fatalf("cold run wrote no checkpoint: %v", err)
+	}
+	out := run(warmSnap)
+	if _, err := os.Stat(warmSnap); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("warm run wrote a checkpoint (stat: %v)", err)
+	}
+	if !strings.Contains(out, "served from -cache-dir") || strings.Contains(out, "finished before") {
+		t.Errorf("warm run misreports why no checkpoint was written:\n%s", out)
+	}
+}
+
+// TestFailedRunLeavesValidTrace: a run that fails after tracing started
+// exits 1 and still flushes a well-formed (truncated) trace.
+func TestFailedRunLeavesValidTrace(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "t.json")
+	code, _, stderr := runCLI(t, "-workload", "LeNet-MNIST", "-budget", "0", "-faults", "uniform:dead=NaN", "-trace-out", trace)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := obs.ValidateTrace(f); err != nil {
+		t.Errorf("trace of the failed run does not validate: %v", err)
 	}
 }

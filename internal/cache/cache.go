@@ -1,12 +1,11 @@
 // Package cache is a content-addressed, on-disk artifact store that
-// warm-starts the mapping pipeline. Each expensive stage — partition,
-// initial placement, FD fine-tuning, metrics evaluation — is keyed by a
-// SHA-256 over a canonical binary encoding of the inputs that determine
-// its output (and nothing else: knobs that are bit-identity-preserving
-// by contract, like Workers and Obs, are excluded). Lookups are staged:
-// a full-result hit skips partition, placement and FD entirely; an
-// initial-placement hit skips the curve walk; a partition hit skips the
-// layer-spec expansion.
+// warm-starts the mapping pipeline. It keeps the two stages whose hits
+// measurably beat recomputing them — the finished mapping (placement +
+// FD statistics) and the metrics summary — each keyed by a SHA-256 over a
+// canonical binary encoding of the inputs that determine its output (and
+// nothing else: knobs that are bit-identity-preserving by contract, like
+// Workers and Obs, are excluded). A result hit skips placement and FD
+// entirely; a metrics hit skips Evaluate.
 //
 // Invariant: a warm hit returns exactly the bytes the cold run produced
 // (placements, FD statistics, summaries bit-identical; only the caller's
@@ -35,44 +34,29 @@ import (
 	"snnmap/internal/metrics"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
-	"snnmap/internal/snn"
 )
 
 // Stage names double as the on-disk directory layout:
 // <dir>/<stage>/<hex[:2]>/<hex>.
 const (
-	stagePartition = "partition"
-	stageInitial   = "initial"
-	stageResult    = "result"
-	stageMetrics   = "metrics"
+	stageResult  = "result"
+	stageMetrics = "metrics"
 )
 
 // Config configures a Cache.
 type Config struct {
 	// Dir is the cache root directory (created if absent).
 	Dir string
-	// Cost is the cost model used when synthesizing defect-delta results
-	// through mapping.Remap. The zero value means hw.DefaultCostModel().
-	Cost hw.CostModel
-	// RemapDelta opts in to the incremental fault path: when an exact
-	// result lookup misses but the same pipeline with a pristine mesh is
-	// cached, the cached placement is repaired with mapping.Remap instead
-	// of replaying a cold run. The synthesized result is marked Remapped
-	// and never stored — a cold run with those defects would differ, and
-	// the warm-equals-cold invariant only ever serves stored cold runs.
-	RemapDelta bool
 }
 
 // Cache is the on-disk store. It is safe for concurrent use; concurrent
 // writers of the same entry race benignly (last atomic rename wins,
 // every rename holds identical bytes).
 type Cache struct {
-	st         store
-	cost       hw.CostModel
-	remapDelta bool
+	st store
 
 	// Single-entry content-hash memo: pipelines hash the same *pcn.PCN for
-	// the initial, result and metrics stages of one run, so remember the
+	// the result and metrics stages of one run, so remember the
 	// last hashed pointer. Content-keyed correctness is unaffected — a
 	// different pointer simply rehashes — but, like everywhere else in
 	// this module, PCNs are treated as immutable once built.
@@ -84,23 +68,21 @@ type Cache struct {
 }
 
 type counters struct {
-	partitionHits, partitionMisses atomic.Int64
-	initialHits, initialMisses     atomic.Int64
-	resultHits, resultMisses       atomic.Int64
-	metricsHits, metricsMisses     atomic.Int64
-	remaps                         atomic.Int64
-	corrupt                        atomic.Int64
-	storeErrors                    atomic.Int64
+	resultHits, resultMisses   atomic.Int64
+	metricsHits, metricsMisses atomic.Int64
+	corrupt                    atomic.Int64
+	storeErrors                atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of cache activity.
 type Stats struct {
+	// PartitionHits, PartitionMisses, InitialHits and InitialMisses are
+	// always zero: no stage counts them. They remain only for readers that
+	// still sum them.
 	PartitionHits, PartitionMisses int64
 	InitialHits, InitialMisses     int64
 	ResultHits, ResultMisses       int64
 	MetricsHits, MetricsMisses     int64
-	// Remaps counts defect-delta hits synthesized through mapping.Remap.
-	Remaps int64
 	// Corrupt counts entries that existed but failed verification or
 	// decoding (each degraded to a miss).
 	Corrupt int64
@@ -116,20 +98,14 @@ func New(cfg Config) (*Cache, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	if cfg.Cost == (hw.CostModel{}) {
-		cfg.Cost = hw.DefaultCostModel()
-	}
-	return &Cache{st: store{dir: cfg.Dir}, cost: cfg.Cost, remapDelta: cfg.RemapDelta}, nil
+	return &Cache{st: store{dir: cfg.Dir}}, nil
 }
 
 // Stats returns a snapshot of the hit/miss counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		PartitionHits: c.n.partitionHits.Load(), PartitionMisses: c.n.partitionMisses.Load(),
-		InitialHits: c.n.initialHits.Load(), InitialMisses: c.n.initialMisses.Load(),
 		ResultHits: c.n.resultHits.Load(), ResultMisses: c.n.resultMisses.Load(),
 		MetricsHits: c.n.metricsHits.Load(), MetricsMisses: c.n.metricsMisses.Load(),
-		Remaps:  c.n.remaps.Load(),
 		Corrupt: c.n.corrupt.Load(), StoreErrors: c.n.storeErrors.Load(),
 	}
 }
@@ -175,37 +151,17 @@ func (c *Cache) put(stage string, k Key, payload func(io.Writer) error) {
 var _ mapping.ResultCache = (*Cache)(nil)
 
 // LoadResult implements mapping.ResultCache: the finished pipeline
-// output for these exact inputs, or — with RemapDelta — a pristine-mesh
-// base result incrementally repaired for cfg.Defects.
-func (c *Cache) LoadResult(p *pcn.PCN, mesh hw.Mesh, cfg *mapping.Config) (mapping.CachedResult, bool) {
-	pk := c.pcnKey(p)
-	if body, ok := c.load(stageResult, resultKey(pk, mesh, cfg)); ok {
-		if cr, err := decodeResult(body); err == nil {
+// output for these exact inputs.
+func (c *Cache) LoadResult(p *pcn.PCN, mesh hw.Mesh, cfg *mapping.Config) (mapping.Result, bool) {
+	if body, ok := c.load(stageResult, resultKey(c.pcnKey(p), mesh, cfg)); ok {
+		if res, err := decodeResult(body); err == nil {
 			c.n.resultHits.Add(1)
-			return cr, true
+			return res, true
 		}
 		c.n.corrupt.Add(1)
 	}
 	c.n.resultMisses.Add(1)
-	if c.remapDelta && cfg.Defects != nil {
-		base := *cfg
-		base.Defects = nil
-		if body, ok := c.load(stageResult, resultKey(pk, mesh, &base)); ok {
-			cr, err := decodeResult(body)
-			if err != nil {
-				c.n.corrupt.Add(1)
-				return mapping.CachedResult{}, false
-			}
-			rs, rerr := mapping.Remap(p, cr.Placement, cfg.Defects, cfg.Constraints, c.cost)
-			if rerr == nil {
-				c.n.remaps.Add(1)
-				cr.Remapped = true
-				cr.RemapStats = rs
-				return cr, true
-			}
-		}
-	}
-	return mapping.CachedResult{}, false
+	return mapping.Result{}, false
 }
 
 // StoreResult implements mapping.ResultCache.
@@ -213,56 +169,6 @@ func (c *Cache) StoreResult(p *pcn.PCN, mesh hw.Mesh, cfg *mapping.Config, res *
 	c.put(stageResult, resultKey(c.pcnKey(p), mesh, cfg), func(w io.Writer) error {
 		return encodeResult(w, res)
 	})
-}
-
-// LoadInitial implements mapping.ResultCache.
-func (c *Cache) LoadInitial(p *pcn.PCN, mesh hw.Mesh, cfg *mapping.Config) (*place.Placement, bool) {
-	body, ok := c.load(stageInitial, initialKey(c.pcnKey(p), mesh, cfg))
-	if ok {
-		if pl, err := codec.ReadPlacement(bytes.NewReader(body)); err == nil {
-			c.n.initialHits.Add(1)
-			return pl, true
-		}
-		c.n.corrupt.Add(1)
-	}
-	c.n.initialMisses.Add(1)
-	return nil, false
-}
-
-// StoreInitial implements mapping.ResultCache.
-func (c *Cache) StoreInitial(p *pcn.PCN, mesh hw.Mesh, cfg *mapping.Config, pl *place.Placement) {
-	c.put(stageInitial, initialKey(c.pcnKey(p), mesh, cfg), func(w io.Writer) error {
-		return codec.WritePlacement(w, pl)
-	})
-}
-
-// --- partition stage ---
-
-// Expand is pcn.Expand behind the cache: a hit returns the stored cluster
-// graph without expanding the net; a miss expands it cold and stores the
-// result. The boolean reports the hit. A multilevel config is rejected
-// before the lookup, exactly as pcn.Expand rejects it, so no stored entry
-// can serve what a cold run refuses.
-func (c *Cache) Expand(n *snn.Net, cfg pcn.PartitionConfig) (*pcn.PCN, bool, error) {
-	if cfg.Multilevel != nil {
-		_, err := pcn.Expand(n, cfg)
-		return nil, false, err
-	}
-	k := partitionNetKey(n, &cfg)
-	if body, ok := c.load(stagePartition, k); ok {
-		if p, err := codec.ReadPCN(bytes.NewReader(body)); err == nil {
-			c.n.partitionHits.Add(1)
-			return p, true, nil
-		}
-		c.n.corrupt.Add(1)
-	}
-	c.n.partitionMisses.Add(1)
-	p, err := pcn.Expand(n, cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	c.put(stagePartition, k, func(w io.Writer) error { return codec.WritePCN(w, p) })
-	return p, false, nil
 }
 
 // --- metrics stage ---
@@ -366,23 +272,25 @@ func encodeResult(w io.Writer, res *mapping.Result) error {
 	return writeFDStats(w, &res.FD)
 }
 
-func decodeResult(body []byte) (mapping.CachedResult, error) {
+// decodeResult returns the stored placement and FD statistics; Elapsed is
+// left for the caller to set.
+func decodeResult(body []byte) (mapping.Result, error) {
 	sec, rest, err := readSection(body)
 	if err != nil {
-		return mapping.CachedResult{}, err
+		return mapping.Result{}, err
 	}
 	pl, err := codec.ReadPlacement(bytes.NewReader(sec))
 	if err != nil {
-		return mapping.CachedResult{}, err
+		return mapping.Result{}, err
 	}
 	fd, rest, err := readFDStats(rest)
 	if err != nil {
-		return mapping.CachedResult{}, err
+		return mapping.Result{}, err
 	}
 	if len(rest) != 0 {
-		return mapping.CachedResult{}, errCorrupt
+		return mapping.Result{}, errCorrupt
 	}
-	return mapping.CachedResult{Placement: pl, FD: fd}, nil
+	return mapping.Result{Placement: pl, FD: fd}, nil
 }
 
 const summaryLen = 5 * 8

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -138,10 +137,10 @@ func TestWarmEqualsColdFullHit(t *testing.T) {
 	}
 }
 
-// TestInitialPlacementPartialHit deletes the result stage, leaving only
-// the cached initial placement: the warm run must skip the curve walk
-// but re-run FD, and still produce a result identical to the cold run.
-func TestInitialPlacementPartialHit(t *testing.T) {
+// TestDeletedResultReplaysCold deletes the result stage between runs:
+// the next run must replay placement and FD cold, produce the cold run's
+// placement and FD statistics, and store the result again.
+func TestDeletedResultReplaysCold(t *testing.T) {
 	p, mesh := testWorkload(t, 2)
 	dir := t.TempDir()
 	cold := newTestCache(t, Config{Dir: dir})
@@ -154,31 +153,30 @@ func TestInitialPlacementPartialHit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := newTestCache(t, Config{Dir: dir})
+	replay := newTestCache(t, Config{Dir: dir})
 	rec := &spanRecorder{}
-	warmCfg := cfg
-	warmCfg.Cache = warm
-	warmCfg.Obs = obs.New(obs.Config{Sink: rec})
-	warmRes, err := mapping.Map(p, mesh, warmCfg)
+	replayCfg := cfg
+	replayCfg.Cache = replay
+	replayCfg.Obs = obs.New(obs.Config{Sink: rec})
+	replayRes, err := mapping.Map(p, mesh, replayCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePlacement(t, coldRes.Placement, warmRes.Placement)
-	if warmRes.FD.Swaps != coldRes.FD.Swaps || warmRes.FD.Iterations != coldRes.FD.Iterations ||
-		warmRes.FD.FinalEnergy != coldRes.FD.FinalEnergy {
-		t.Fatalf("FD stats differ: warm %+v cold %+v", warmRes.FD, coldRes.FD)
+	samePlacement(t, coldRes.Placement, replayRes.Placement)
+	got, want := replayRes.FD, coldRes.FD
+	got.Elapsed, want.Elapsed = 0, 0 // wall clock, never comparable
+	if got != want {
+		t.Fatalf("FD stats differ: replay %+v cold %+v", replayRes.FD, coldRes.FD)
 	}
-	s := warm.Stats()
-	if s.InitialHits != 1 || s.ResultHits != 0 || s.ResultMisses != 1 {
-		t.Fatalf("partial-hit stats: %+v", s)
+	if s := replay.Stats(); s.ResultHits != 0 || s.ResultMisses != 1 || s.Corrupt != 0 {
+		t.Fatalf("replay stats: %+v", s)
 	}
-	if rec.has("placement") {
-		t.Fatal("initial-placement hit still ran the curve walk")
+	for _, stage := range []string{"placement", "finetune"} {
+		if !rec.has(stage) {
+			t.Fatalf("replay after deletion skipped stage %q", stage)
+		}
 	}
-	if !rec.has("finetune") {
-		t.Fatal("partial hit should have re-run FD")
-	}
-	// The re-run stored the full result: a third run is a full hit.
+	// The replay stored the result again: a third run is a hit.
 	third := newTestCache(t, Config{Dir: dir})
 	thirdCfg := cfg
 	thirdCfg.Cache = third
@@ -186,57 +184,7 @@ func TestInitialPlacementPartialHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s := third.Stats(); s.ResultHits != 1 {
-		t.Fatalf("result not re-stored after partial hit: %+v", s)
-	}
-}
-
-// TestExpandCached exercises the layer-spec partition stage.
-func TestExpandCached(t *testing.T) {
-	net := snn.LeNetMNIST()
-	cfg := pcn.DefaultPartition()
-	dir := t.TempDir()
-	c := newTestCache(t, Config{Dir: dir})
-	cold, hit, err := c.Expand(net, cfg)
-	if err != nil || hit {
-		t.Fatalf("cold expand: hit=%v err=%v", hit, err)
-	}
-	warm, hit, err := c.Expand(net, cfg)
-	if err != nil || !hit {
-		t.Fatalf("warm expand: hit=%v err=%v", hit, err)
-	}
-	var bc, bw bytes.Buffer
-	if err := codec.WritePCN(&bc, cold); err != nil {
-		t.Fatal(err)
-	}
-	if err := codec.WritePCN(&bw, warm); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bc.Bytes(), bw.Bytes()) {
-		t.Fatal("cached expanded PCN differs")
-	}
-}
-
-// TestExpandRejectsMultilevelBeforeLookup: pcn.Expand refuses a multilevel
-// config, so the cache must too — even when an entry exists under that
-// config's key (the multilevel options are not part of a net key).
-func TestExpandRejectsMultilevelBeforeLookup(t *testing.T) {
-	net := snn.LeNetMNIST()
-	flat := pcn.DefaultPartition()
-	c := newTestCache(t, Config{})
-	if _, _, err := c.Expand(net, flat); err != nil {
-		t.Fatal(err)
-	}
-	cfg := flat
-	cfg.Multilevel = &pcn.MultilevelOptions{}
-	if partitionNetKey(net, &cfg) != partitionNetKey(net, &flat) {
-		t.Fatal("test premise: the multilevel config must key like the stored flat entry")
-	}
-	p, hit, err := c.Expand(net, cfg)
-	if !errors.Is(err, place.ErrBadConfig) || p != nil || hit {
-		t.Fatalf("Expand(multilevel) = %v, hit=%v, err=%v; want ErrBadConfig", p, hit, err)
-	}
-	if s := c.Stats(); s.PartitionHits != 0 || s.PartitionMisses != 1 {
-		t.Fatalf("rejected config touched the cache: %+v", s)
+		t.Fatalf("result not re-stored after deletion: %+v", s)
 	}
 }
 
@@ -267,60 +215,6 @@ func TestEvaluateCached(t *testing.T) {
 	cost2.WireEnergy *= 2
 	if _, hit := c.Evaluate(p, pl, cost2, metrics.Options{Congestion: metrics.CongestionExact}); hit {
 		t.Fatal("changed cost model should miss")
-	}
-}
-
-// TestRemapDeltaEquivalence: with RemapDelta on, a defect-map miss over
-// a cached pristine result must return exactly Remap applied to the
-// cached base placement — and must not be re-stored as a cold result.
-func TestRemapDeltaEquivalence(t *testing.T) {
-	p, mesh := testWorkload(t, 5)
-	dir := t.TempDir()
-	base := newTestCache(t, Config{Dir: dir})
-	cfg := mapping.Config{FD: fdTestConfig(), Cache: base}
-	baseRes, err := mapping.Map(p, mesh, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill the core hosting cluster 0.
-	d := hw.NewDefectMap(mesh)
-	d.MarkDead(int(baseRes.Placement.PosOf[0]))
-	cost := hw.DefaultCostModel()
-
-	// Expected: the incremental repair of the cached pristine placement.
-	expected := baseRes.Placement.Clone()
-	expectedStats, err := mapping.Remap(p, expected, d, hw.Constraints{}, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	delta := newTestCache(t, Config{Dir: dir, Cost: cost, RemapDelta: true})
-	dcfg := mapping.Config{FD: fdTestConfig(), Defects: d, Cache: delta}
-	cr, ok := delta.LoadResult(p, mesh, &dcfg)
-	if !ok {
-		t.Fatal("remap-delta lookup missed")
-	}
-	if !cr.Remapped {
-		t.Fatal("hit not marked Remapped")
-	}
-	gotStats, wantStats := cr.RemapStats, expectedStats
-	gotStats.Elapsed, wantStats.Elapsed = 0, 0 // wall clock, never comparable
-	if gotStats != wantStats {
-		t.Fatalf("remap stats %+v != expected %+v", gotStats, wantStats)
-	}
-	samePlacement(t, expected, cr.Placement)
-	if err := cr.Placement.ValidateDefects(d); err != nil {
-		t.Fatalf("remapped placement invalid: %v", err)
-	}
-	if s := delta.Stats(); s.Remaps != 1 {
-		t.Fatalf("stats: %+v", s)
-	}
-
-	// Without RemapDelta the same lookup is a plain miss.
-	plain := newTestCache(t, Config{Dir: dir})
-	if _, ok := plain.LoadResult(p, mesh, &dcfg); ok {
-		t.Fatal("RemapDelta off must miss on a defect delta")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"snnmap/internal/mapping"
 	"snnmap/internal/metrics"
 	"snnmap/internal/pcn"
-	"snnmap/internal/snn"
 )
 
 // keyVersion is folded into every key so any change to the canonical
@@ -133,24 +132,6 @@ func (h *hasher) pcnContent(p *pcn.PCN) {
 	h.f64(p.InternalTraffic)
 }
 
-// netContent hashes a layer-spec network.
-func (h *hasher) netContent(n *snn.Net) {
-	h.i64(int64(len(n.Layers)))
-	for _, l := range n.Layers {
-		h.str(l.Name)
-		h.i64(l.Neurons)
-		h.f64(l.Rate)
-	}
-	h.i64(int64(len(n.Conns)))
-	for _, c := range n.Conns {
-		h.i64(int64(c.From))
-		h.i64(int64(c.To))
-		h.i64(c.FanIn)
-		h.u64(uint64(c.Pattern))
-		h.i64(int64(c.Window))
-	}
-}
-
 func (h *hasher) mesh(m hw.Mesh) {
 	h.i64(int64(m.Rows))
 	h.i64(int64(m.Cols))
@@ -212,16 +193,6 @@ func (h *hasher) fdPhase(cfg *mapping.FDConfig, topDefects *hw.DefectMap, topCon
 	}
 }
 
-func (h *hasher) partitionConfig(cfg *pcn.PartitionConfig) {
-	h.constraints(cfg.Constraints)
-	h.boolean(cfg.EnforceSynapses)
-	h.boolean(cfg.SplitAtLayers)
-	// The absent-Multilevel presence byte: Expand rejects a multilevel
-	// config before keying, so the byte is constant, and writing it keeps
-	// every net key at its earlier hex.
-	h.boolean(false)
-}
-
 // curveName resolves the mapping config's curve the way MapContext does
 // (nil means Hilbert).
 func curveName(cfg *mapping.Config) string {
@@ -231,20 +202,9 @@ func curveName(cfg *mapping.Config) string {
 	return cfg.Curve.Name()
 }
 
-// initialKey is the stage key for the curve-walk initial placement:
-// PCN content, mesh, curve, and the fault model the walk avoids.
-func initialKey(pk Key, mesh hw.Mesh, cfg *mapping.Config) Key {
-	h := newHasher("initial")
-	h.h.Write(pk[:])
-	h.mesh(mesh)
-	h.str(curveName(cfg))
-	h.defects(cfg.Defects)
-	h.constraints(cfg.Constraints)
-	return h.sum()
-}
-
-// resultKey is the stage key for the finished mapping pipeline: the
-// initial-placement material plus the FD phase. /2 since the pipeline runs
+// resultKey is the stage key for the finished mapping pipeline: PCN
+// content, mesh, curve, the fault model the curve walk avoids, and the FD
+// phase. /2 since the pipeline runs
 // one FD phase with no min-gain field: the entry payload holds one FDStats
 // block, so entries under the unrevised tag must miss, not read as corrupt.
 func resultKey(pk Key, mesh hw.Mesh, cfg *mapping.Config) Key {
@@ -255,19 +215,6 @@ func resultKey(pk Key, mesh hw.Mesh, cfg *mapping.Config) Key {
 	h.defects(cfg.Defects)
 	h.constraints(cfg.Constraints)
 	h.fdPhase(cfg.FD, cfg.Defects, cfg.Constraints)
-	return h.sum()
-}
-
-// partitionNetKey is the stage key for Expand over a layer-spec net. The
-// stage tag carries a revision: /2 is the arrival-order summation of parallel
-// edges (pcn.mergeRow). An entry under the unrevised tag was summed in
-// quicksort-pivot order and differs from a cold run in the last ulp wherever
-// a net has three or more Conns between one layer pair, so it must be a
-// miss, not a warm hit.
-func partitionNetKey(n *snn.Net, cfg *pcn.PartitionConfig) Key {
-	h := newHasher("partition-net/2")
-	h.netContent(n)
-	h.partitionConfig(cfg)
 	return h.sum()
 }
 

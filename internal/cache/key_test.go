@@ -10,7 +10,6 @@ import (
 	"snnmap/internal/metrics"
 	"snnmap/internal/obs"
 	"snnmap/internal/pcn"
-	"snnmap/internal/snn"
 )
 
 // goldenPCN is a fixed tiny cluster graph for key pinning.
@@ -59,12 +58,7 @@ func TestKeyGolden(t *testing.T) {
 		want string
 	}{
 		{"pcn", pk, "1da50ce454e248a5a33637ba26f2ed6b01aac5aa5fd8b9c642b59ccdcea14454"},
-		{"initial", initialKey(pk, mesh, &cfg), "43acf9ddc94b54b3b0890ec415134b94e119262be54a2730578b2fef35097658"},
 		{"result", resultKey(pk, mesh, &cfg), "356080d1284fa43f999952d3fdd7630a017ca93b6f55641e5ce41b6ff4b35376"},
-		{"partition-net", func() Key {
-			cfg := pcn.DefaultPartition()
-			return partitionNetKey(snn.LeNetMNIST(), &cfg)
-		}(), "b6623d4415d0bb7743d58324dbdd89186f011c5ee56dbb3e422fa7f379c4115a"},
 		{"metrics", metricsKey(pk, []int32{0, 1, 2}, mesh, hw.DefaultCostModel(),
 			metrics.Options{Congestion: metrics.CongestionExact}), "618ac0e49b974677e56a4bbd463c9f3f6fa19730d34c6fa10a09e81c7cd856b0"},
 	}

@@ -3,7 +3,6 @@ package mapping
 import (
 	"snnmap/internal/hw"
 	"snnmap/internal/pcn"
-	"snnmap/internal/place"
 )
 
 // ResultCache is the warm-start hook MapContext consults before running
@@ -19,33 +18,11 @@ import (
 // I/O error, corruption — must surface as a miss, never an error.
 type ResultCache interface {
 	// LoadResult returns the finished pipeline output for these exact
-	// inputs, if cached. Remapped reports a defect-delta hit (see
-	// CachedResult); callers needing strict warm-equals-cold must treat
-	// Remapped results accordingly.
-	LoadResult(p *pcn.PCN, mesh hw.Mesh, cfg *Config) (CachedResult, bool)
+	// inputs, if cached: the stored Placement and FD statistics (FD.Elapsed
+	// is the cold run's wall clock, preserved verbatim).
+	LoadResult(p *pcn.PCN, mesh hw.Mesh, cfg *Config) (Result, bool)
 	// StoreResult records a successful cold run's output.
 	StoreResult(p *pcn.PCN, mesh hw.Mesh, cfg *Config, res *Result)
-	// LoadInitial returns the curve-walk initial placement for these
-	// inputs, if cached, letting MapContext skip straight to FD.
-	LoadInitial(p *pcn.PCN, mesh hw.Mesh, cfg *Config) (*place.Placement, bool)
-	// StoreInitial records a freshly computed initial placement.
-	StoreInitial(p *pcn.PCN, mesh hw.Mesh, cfg *Config, pl *place.Placement)
-}
-
-// CachedResult is a ResultCache.LoadResult hit.
-type CachedResult struct {
-	Placement *place.Placement
-	// FD is the stored statistics of the cold run that produced the
-	// placement (its Elapsed field reports the cold run's wall clock,
-	// preserved verbatim).
-	FD FDStats
-	// Remapped reports that the hit was synthesized from a cached
-	// pristine-mesh result by routing the requested defect map through
-	// Remap rather than replaying a cold run — an opt-in incremental path
-	// for in-field failures. Remapped results are never re-stored.
-	Remapped bool
-	// RemapStats describes the incremental repair when Remapped.
-	RemapStats RemapStats
 }
 
 // cacheable reports whether the pipeline output for this config is a

@@ -59,8 +59,7 @@ type Config struct {
 	// disables telemetry; observe-only either way.
 	Obs *obs.Observer
 	// Cache, when non-nil, warm-starts the pipeline from previously stored
-	// artifacts: a full-result hit skips placement and fine-tuning
-	// entirely, an initial-placement hit skips the curve walk, and
+	// results: a hit skips placement and fine-tuning entirely, and
 	// successful cold runs are stored for next time. Excluded from cache
 	// keys itself (like Obs and Workers, it never changes the output);
 	// configs with a wall-clock Budget bypass it entirely. See
@@ -102,34 +101,20 @@ func MapContext(ctx context.Context, p *pcn.PCN, mesh hw.Mesh, cfg Config) (Resu
 	}
 	useCache := cfg.cacheable()
 	if useCache {
-		if cr, ok := cfg.Cache.LoadResult(p, mesh, &cfg); ok {
-			return Result{
-				Placement: cr.Placement,
-				FD:        cr.FD,
-				Elapsed:   time.Since(start),
-			}, nil
+		if res, ok := cfg.Cache.LoadResult(p, mesh, &cfg); ok {
+			res.Elapsed = time.Since(start)
+			return res, nil
 		}
 	}
 	c := cfg.Curve
 	if c == nil {
 		c = curve.Hilbert{}
 	}
-	var pl *place.Placement
-	var err error
-	initialCached := false
-	if useCache {
-		pl, initialCached = cfg.Cache.LoadInitial(p, mesh, &cfg)
-	}
-	if !initialCached {
-		placeSp := cfg.Obs.Span("placement", obs.KV{K: "clusters", V: float64(p.NumClusters)})
-		pl, err = InitialPlacementWorkers(p, mesh, c, cfg.Defects, cfg.Constraints, cfg.Workers)
-		placeSp.End()
-		if err != nil {
-			return Result{}, fmt.Errorf("mapping: initial placement: %w", err)
-		}
-		if useCache {
-			cfg.Cache.StoreInitial(p, mesh, &cfg, pl)
-		}
+	placeSp := cfg.Obs.Span("placement", obs.KV{K: "clusters", V: float64(p.NumClusters)})
+	pl, err := InitialPlacementWorkers(p, mesh, c, cfg.Defects, cfg.Constraints, cfg.Workers)
+	placeSp.End()
+	if err != nil {
+		return Result{}, fmt.Errorf("mapping: initial placement: %w", err)
 	}
 	res := Result{Placement: pl}
 	if cfg.FD != nil {

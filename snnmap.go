@@ -494,16 +494,16 @@ func AnnealingPlacement(p *PCN, mesh Mesh, opts BaselineOptions) (*Placement, Ba
 
 // Caching. A content-addressed on-disk artifact store warm-starts the
 // pipeline: set Config.Cache (or RunOptions.Cache) to an opened cache and
-// repeated runs with identical inputs skip partitioning, placement,
-// fine-tuning and metric evaluation. Warm results are bit-identical to the
-// cold run; corrupt or deleted entries silently degrade to a cold run.
+// repeated runs with identical inputs skip placement and fine-tuning
+// (Cache.Evaluate likewise skips metric evaluation). Warm results are
+// bit-identical to the cold run; corrupt or deleted entries silently
+// degrade to a cold run.
 type (
 	// Cache is the on-disk artifact store (safe for concurrent use).
 	Cache = cache.Cache
-	// CacheConfig configures OpenCache (directory, cost model for
-	// defect-delta remaps, RemapDelta opt-in).
+	// CacheConfig configures OpenCache (its root directory).
 	CacheConfig = cache.Config
-	// CacheStats is a snapshot of hit/miss/remap/corruption counters.
+	// CacheStats is a snapshot of hit/miss/corruption counters.
 	CacheStats = cache.Stats
 	// ResultCache is the interface Config.Cache accepts; *Cache
 	// implements it.
