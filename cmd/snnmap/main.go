@@ -166,19 +166,25 @@ func main() {
 	} else {
 		var stats expt.MethodStats
 		pl, stats, err = m.Run(p, mesh, opts)
-		for errors.Is(err, mapping.ErrUnplaceable) && specFaults {
-			// Spec-based faults: grow the mesh one row/column and re-inject
-			// until the workload fits around the dead cores (preserving the
-			// spare-row reservation on top of the square usable region).
+		// Spec-based faults: grow the mesh one row/column and re-inject until
+		// the workload fits around the dead cores (preserving the spare-row
+		// reservation on top of the square usable region), up to 4× the first
+		// side. A spec that kills every core or row gains no healthy core by
+		// growing, so that stops it at once with the ErrUnplaceable error.
+		for limit := 4 * mesh.Cols; errors.Is(err, mapping.ErrUnplaceable) && specFaults; {
 			side := mesh.Cols + 1
-			if side > 4*mesh.Cols {
+			if side > limit {
 				break
 			}
-			mesh = hw.MustMesh(side+*spareRows, side)
-			if defects, err = hw.ParseDefectSpec(mesh, *faults); err != nil {
-				fatal(err)
+			grown := hw.MustMesh(side+*spareRows, side)
+			d, perr := hw.ParseDefectSpec(grown, *faults)
+			if perr != nil {
+				fatal(perr)
 			}
-			opts.Defects = defects
+			if d.HealthyCores() <= defects.HealthyCores() {
+				break
+			}
+			mesh, defects, opts.Defects = grown, d, d
 			pl, stats, err = m.Run(p, mesh, opts)
 		}
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"snnmap/internal/codec"
 	"snnmap/internal/obs"
@@ -45,7 +46,9 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 }
 
 // TestBadInputsExitOne: invalid user input is a clean exit 1 with a
-// "snnmap:" message — never a panic (exit 2).
+// "snnmap:" message — never a panic (exit 2) — within 5 s. A fault spec that
+// leaves no healthy core however far the mesh grows (every core dead, every
+// row failed) is such input: the run must not grow the mesh without end.
 func TestBadInputsExitOne(t *testing.T) {
 	// Traffic 256 neurons × fan-in 1e10 × rate 1e300 per target cluster
 	// overflows float64.
@@ -63,10 +66,17 @@ func TestBadInputsExitOne(t *testing.T) {
 		{"-workload", "NoSuchNet"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-spare-rows", "9223372036854775807"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-spare-rows", "100000000"},
+		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "uniform:dead=1"},
+		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "clustered:dead=1"},
+		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "lines:rows=100000"},
 	} {
+		start := time.Now()
 		code, _, stderr := runCLI(t, args...)
 		if code != 1 || !strings.Contains(stderr, "snnmap:") {
 			t.Errorf("snnmap %s: exit %d, stderr:\n%s", strings.Join(args, " "), code, stderr)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("snnmap %s: took %v", strings.Join(args, " "), d)
 		}
 	}
 }

@@ -223,10 +223,12 @@ func resultKey(pk Key, mesh hw.Mesh, cfg *mapping.Config) Key {
 // bit-identity-preserving and excluded). /2 since congestion is propagated
 // per target instead of stamped per edge: MaxCongestion can move in its last
 // bits for non-dyadic weights, so entries written by stamping must not be
-// served.
+// served. /3 since a repeated dense out-row is summed per row instead of per
+// edge: Energy, AvgLatency and AvgCongestion can move in their last bits, so
+// entries written by the edge walk must not be served either.
 func metricsKey(pk Key, plPosOf []int32, mesh hw.Mesh, cost hw.CostModel, opts metrics.Options) Key {
 	opts = opts.Resolved()
-	h := newHasher("metrics/2")
+	h := newHasher("metrics/3")
 	h.h.Write(pk[:])
 	h.mesh(mesh)
 	h.i32s(plPosOf)

@@ -45,7 +45,9 @@ func pcnKeyOf(p *pcn.PCN) Key {
 // with a keyVersion bump (which changes every key and makes old cache
 // directories cold), never silently. The metrics pin moved with its /2:
 // congestion is propagated per target, and a MaxCongestion stamped per edge
-// can differ in its last bits. The result pin moved with its /2: one FD
+// can differ in its last bits; and with its /3: a repeated dense out-row is
+// summed per row, and Energy, AvgLatency and AvgCongestion walked per edge
+// can differ in their last bits. The result pin moved with its /2: one FD
 // phase, no min-gain field, one FDStats block in the payload.
 func TestKeyGolden(t *testing.T) {
 	p := goldenPCN()
@@ -60,7 +62,7 @@ func TestKeyGolden(t *testing.T) {
 		{"pcn", pk, "1da50ce454e248a5a33637ba26f2ed6b01aac5aa5fd8b9c642b59ccdcea14454"},
 		{"result", resultKey(pk, mesh, &cfg), "356080d1284fa43f999952d3fdd7630a017ca93b6f55641e5ce41b6ff4b35376"},
 		{"metrics", metricsKey(pk, []int32{0, 1, 2}, mesh, hw.DefaultCostModel(),
-			metrics.Options{Congestion: metrics.CongestionExact}), "618ac0e49b974677e56a4bbd463c9f3f6fa19730d34c6fa10a09e81c7cd856b0"},
+			metrics.Options{Congestion: metrics.CongestionExact}), "16ca32925680ef2739dbda297f2fd66540989649965662e255870d89540bd319"},
 	}
 	for _, g := range golden {
 		if got := hex.EncodeToString(g.got[:]); got != g.want {

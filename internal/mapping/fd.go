@@ -602,11 +602,11 @@ type runAgg struct{ n, sx, sy, sxx, syy int64 }
 // blockCache holds, per side, the run a build chunk last met and, once it
 // has been needed, its aggregate. A cluster is summed in closed form only
 // when its runs repeat the previous ones: consecutive clusters of a dense
-// layer read one shared in-run (the same slice) and hold out-rows with equal
-// ids, so each distinct run is aggregated about once, while a cluster with a
-// run no predecessor shares (a sliding window) is walked, since aggregating
-// that run would cost the walk again. b is the storage of the runs blocks and
-// the walk hand around.
+// layer read one shared in-run and one shared out-row (the same slices, which
+// sameRun's pointer test matches), so each distinct run is aggregated about
+// once, while a cluster with a run no predecessor shares (a sliding window) is
+// walked, since aggregating that run would cost the walk again. b is the
+// storage of the runs blocks and the walk hand around.
 type blockCache struct {
 	ids   [2][]int32
 	agg   [2]runAgg
@@ -636,7 +636,7 @@ func (e *fdEngine) blocks(c int, cache *blockCache, runs *int) (b []block, exact
 		return nil, false, false
 	}
 	inIDs, inW := e.sym.InEdges(c)
-	outIDs, outW := e.p.OutEdges(c)
+	outIDs, outW := e.sym.OutEdges(c)
 	first := 0 // the in-run's position in Neighbors' order
 	switch {
 	case len(inIDs) == 0 || len(outIDs) == 0 || inIDs[len(inIDs)-1] < outIDs[0]:
@@ -768,13 +768,19 @@ func (e *fdEngine) blockForce(idx int32, b []block) {
 }
 
 // fillMutw stores in mutw[id] the weight of the block holding cluster other,
-// if any.
+// if any: by range on a run of consecutive ids, else by binary search.
 func (e *fdEngine) fillMutw(id, other int32, b []block) {
 	if other == place.None {
 		return
 	}
 	for i := range b {
-		if _, found := slices.BinarySearch(b[i].ids, other); found {
+		ids := b[i].ids
+		lo, hi := ids[0], ids[len(ids)-1]
+		found := lo <= other && other <= hi
+		if found && int(hi-lo) != len(ids)-1 {
+			_, found = slices.BinarySearch(ids, other)
+		}
+		if found {
 			e.mutw[id] = b[i].w
 			return
 		}

@@ -120,6 +120,37 @@ type evalPartial struct {
 	totalWeight, avgCongestion          float64
 	sampledWeight                       float64
 	bboxWork                            int64
+	// rows counts the clusters whose out-row was summed from a rowTable.
+	rows int64
+}
+
+// addRow adds the edges of the table's out-row, from the source at cell src
+// with the row's broadcast weight w: what the edge walk adds, reassociated.
+// SpikeEnergy and SpikeLatency are affine in d, so over the row's n edges
+// Σ_k w·SpikeEnergy(d_k) = w·((Σd+n)·EN_r + Σd·EN_w), and likewise for
+// latency; max latency is SpikeLatency(max d). The sampled-weight countdown
+// skip advances over the row by arithmetic: the row holds m sampled edges,
+// the first skip edges in, then every stride-th.
+func (pt *evalPartial) addRow(t *rowTable, src cellXY, w float64, cost hw.CostModel, skip *int, stride int) {
+	n := len(t.ids)
+	sumD, box, maxD := t.sums(src)
+	sd, nn := float64(sumD), float64(n)
+	pt.energy += w * ((sd+nn)*cost.RouterEnergy + sd*cost.WireEnergy)
+	pt.weightedLatency += w * ((sd+nn)*cost.RouterLatency + sd*cost.WireLatency)
+	if lat := cost.SpikeLatency(maxD); lat > pt.maxLatency {
+		pt.maxLatency = lat
+	}
+	pt.totalWeight += w * nn
+	pt.avgCongestion += w * (sd + nn)
+	pt.bboxWork += box
+	pt.rows++
+	if s := *skip; s >= 0 && s < n {
+		m := (n-1-s)/stride + 1
+		pt.sampledWeight += w * float64(m)
+		*skip = s + m*stride - n
+	} else {
+		*skip = s - n
+	}
 }
 
 // sampleStride returns the deterministic edge stride CongestionSampled
@@ -142,9 +173,15 @@ func sampleSkip(e int64, stride int) int {
 
 // Evaluate computes all five metrics of §3.3 for the placement.
 //
-// The edge walk is split into a fixed chunk count and, with opts.Workers >
-// 1, fanned out over goroutines; partials are reduced in chunk order so the
-// Summary is bit-identical for every worker count (including sequential).
+// The edge walk reads each source's out-row from p.Symmetric() (built here if
+// FD has not). A broadcast, consecutive out-row that the previous cluster
+// read too — every cluster of a dense layer but the first — is summed per row
+// from a rowTable: Energy, AvgLatency and AvgCongestion are the edge-by-edge
+// sums reassociated (within 1e-12 relative), MaxLatency and the box-cell
+// count are exact. The walk is split into a fixed chunk count and, with
+// opts.Workers > 1, fanned out over goroutines; partials are reduced in chunk
+// order so the Summary is bit-identical for every worker count (including
+// sequential).
 func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) Summary {
 	opts = opts.withDefaults()
 	var s Summary
@@ -166,6 +203,10 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 
 	n := p.NumClusters
 	pos := clusterCoords(pl)
+	sym := p.Symmetric()
+	// The per-row sums take max latency at max d, which needs SpikeLatency
+	// non-decreasing in d.
+	perRow := cost.RouterLatency >= 0 && cost.WireLatency >= 0
 	k := par.Chunks(n)
 	partials := make([]evalPartial, k)
 	// Per-chunk busy durations, indexed by chunk so the sum below runs in
@@ -185,18 +226,24 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		// edges before the next sampled one (global CSR index divisible by
 		// stride); without sampling it starts below zero and never gets there.
 		var pt evalPartial
+		var table rowTable
 		skip := -1
 		if needSampled {
 			skip = sampleSkip(p.OutOff[lo], stride)
 		}
 		for c := lo; c < hi; c++ {
 			src := pos[c]
-			tos, ws := p.OutEdges(c)
+			tos, ws := sym.OutEdges(c)
+			if perRow && table.use(tos, ws, pos) {
+				pt.addRow(&table, src, ws[0], cost, &skip, stride)
+				continue
+			}
+			mask := pcn.WeightMask(tos, ws)
 			for kk, to := range tos {
 				dst := pos[to]
 				dx, dy := geom.Abs(int(src.x-dst.x)), geom.Abs(int(src.y-dst.y))
 				d := dx + dy
-				w := ws[kk]
+				w := ws[kk&mask]
 				pt.energy += w * cost.SpikeEnergy(d)
 				lat := cost.SpikeLatency(d)
 				pt.weightedLatency += w * lat
@@ -219,7 +266,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		partials[ci] = pt
 	})
 	var totalWeight, weightedLatency, sampledWeight float64
-	var bboxWork int64
+	var bboxWork, rows int64
 	for ci := range partials {
 		pt := &partials[ci]
 		s.Energy += pt.energy
@@ -231,6 +278,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		s.AvgCongestion += pt.avgCongestion
 		sampledWeight += pt.sampledWeight
 		bboxWork += pt.bboxWork
+		rows += pt.rows
 	}
 	if totalWeight > 0 {
 		s.AvgLatency = weightedLatency / totalWeight
@@ -284,7 +332,8 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		obs.KV{K: "avg_latency", V: s.AvgLatency},
 		obs.KV{K: "max_congestion", V: s.MaxCongestion},
 		obs.KV{K: "box_cells", V: float64(bboxWork)},
-		obs.KV{K: "swept_cells", V: float64(swept)})
+		obs.KV{K: "swept_cells", V: float64(swept)},
+		obs.KV{K: "row_sums", V: float64(rows)})
 	return s
 }
 

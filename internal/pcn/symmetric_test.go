@@ -135,6 +135,44 @@ func checkInEdgesMatchOracle(t *testing.T, name string, p *PCN) (runs, storedIDs
 	return len(s.in.off) - 1, len(s.in.ids)
 }
 
+// checkOutEdgesShared asserts Symmetric.OutEdges expands to the PCN's own
+// out-row for every cluster, ids and weight bits; that a cluster reads its
+// predecessor's id slice exactly when the two nonempty out-rows are
+// bit-equal; that a shared out side stores one weight for a uniform row; and
+// that the out side is the identity alias of the PCN's CSR when no row is
+// shared. It returns the number of clusters that share their predecessor's
+// out-row.
+func checkOutEdgesShared(t *testing.T, name string, p *PCN) (shared int) {
+	t.Helper()
+	s := p.Symmetric()
+	for c := 0; c < p.NumClusters; c++ {
+		ids, ws := s.OutEdges(c)
+		wantIDs, wantWs := p.OutEdges(c)
+		if !slices.Equal(ids, wantIDs) || !slices.EqualFunc(expandRun(t, nil, ids, ws), wantWs, sameBits) {
+			t.Fatalf("%s: OutEdges(%d) = %v %v, PCN %v %v", name, c, ids, ws, wantIDs, wantWs)
+		}
+		if s.out.row != nil && len(ws) > 1 && !slices.ContainsFunc(ws, func(w float64) bool { return !sameBits(w, ws[0]) }) {
+			t.Fatalf("%s: uniform out-row %d stores %d weights", name, c, len(ws))
+		}
+		if c == 0 || len(ids) == 0 {
+			continue
+		}
+		prevIDs, prevWs := p.OutEdges(c - 1)
+		equal := slices.Equal(prevIDs, wantIDs) && slices.EqualFunc(prevWs, wantWs, sameBits)
+		got, _ := s.OutEdges(c - 1)
+		if same := len(got) == len(ids) && &got[0] == &ids[0]; same != equal {
+			t.Fatalf("%s: out-rows %d and %d bit-equal %v, one slice %v", name, c-1, c, equal, same)
+		}
+		if equal {
+			shared++
+		}
+	}
+	if alias := s.out.row == nil; alias != (shared == 0) {
+		t.Fatalf("%s: %d out-rows shared, out side aliases the PCN's CSR: %v", name, shared, alias)
+	}
+	return shared
+}
+
 // checkSymmetricEqualsUndirected asserts the merged out+transpose walk
 // yields Undirected's adjacency entry for entry — ids and weight bits, a
 // broadcast run expanded first — that Weight agrees with it for every
@@ -340,33 +378,46 @@ func TestSymmetricEqualsUndirected(t *testing.T) {
 // benchmark-scale nets, against the unshared oracle. DNN_268M's 1024 layers
 // of 64 clusters need one run per layer: the input layer's empty in-rows,
 // then the previous layer's 64 ids. CNN_268M's sliding windows share only
-// where a window repeats; ResNet's irregular layers in between.
+// where a window repeats; ResNet's irregular layers in between. On the out
+// side every cluster of a dense layer but the first shares its
+// predecessor's out-row (DNN_268M: 1023 layers × 63), no CNN window repeats,
+// and ResNet's and MobileNet's layers share where one layer feeds the next
+// whole. ragged's out-rows are mixed (the 904-neuron last target takes a
+// smaller share) yet repeat, but for the 904-neuron source's, which carries
+// less traffic: two shared per source layer.
 func TestSymmetricSharedRuns(t *testing.T) {
 	for _, c := range []struct {
-		net             *snn.Net
-		runs, ids, edge int
+		net                     *snn.Net
+		runs, ids, edge, shared int
 	}{
-		{snn.DNN268M(), 1024, 65472, 4190208},
-		{snn.CNN268M(), 62404, 249612, 261888},
-		{snn.ResNet(), 3203, 70788, 165761},
+		{snn.DNN268M(), 1024, 65472, 4190208, 1023 * 63},
+		{snn.CNN268M(), 62404, 249612, 261888, 0},
+		{snn.ResNet(), 3203, 70788, 165761, 1502},
+		{snn.MobileNet(), -1, -1, 45055, 490},
+		{snn.SynthDNN("ragged", 5, 3*4096+904), -1, -1, 64, 4 * 2},
 	} {
 		p, err := Expand(c.net, DefaultPartition())
 		if err != nil {
 			t.Fatal(err)
 		}
 		runs, ids := checkInEdgesMatchOracle(t, c.net.Name, p)
-		if runs != c.runs || ids != c.ids || p.NumEdges() != int64(c.edge) {
+		if c.runs >= 0 && (runs != c.runs || ids != c.ids) || p.NumEdges() != int64(c.edge) {
 			t.Fatalf("%s: %d runs storing %d ids for %d edges, want %d, %d, %d", c.net.Name, runs, ids, p.NumEdges(), c.runs, c.ids, c.edge)
+		}
+		if shared := checkOutEdgesShared(t, c.net.Name, p); shared != c.shared {
+			t.Fatalf("%s: %d clusters share their predecessor's out-row, want %d", c.net.Name, shared, c.shared)
 		}
 	}
 }
 
 // FuzzSymmetric decodes a small PCN — per source, a window of targets with
 // holes punched in it, so neighbouring in-rows often share a source set,
-// and weights from a short palette, so rows are uniform as often as mixed —
-// and holds InEdges to the naive transpose bit for bit, with the stored ids
-// equal to Σ indeg over the clusters whose source set differs from their
-// predecessor's.
+// and weights from a short palette, so rows are uniform as often as mixed;
+// or, for one source in four, its predecessor's out-row again, so stretches
+// of equal out-rows form — and holds InEdges to the naive transpose bit for
+// bit, with the stored ids equal to Σ indeg over the clusters whose source
+// set differs from their predecessor's, and OutEdges to the PCN's rows with
+// equal consecutive rows sharing one slice (checkOutEdgesShared).
 func FuzzSymmetric(f *testing.F) {
 	f.Add([]byte{8, 0, 8, 0, 0, 8, 0, 1, 1, 1})
 	f.Add([]byte{12, 3, 5, 0x12, 2, 7, 4, 0, 9, 2, 0x80, 1, 2, 3})
@@ -384,6 +435,14 @@ func FuzzSymmetric(f *testing.F) {
 		palette := [...]float64{2, 2.5, 0.1, 0.30000000000000004}
 		p := &PCN{NumClusters: n, OutOff: make([]int64, n+1)}
 		for i := 0; i < n; i++ {
+			if i > 0 && next()%4 == 0 {
+				tos, ws := p.OutEdges(i - 1)
+				if !slices.Contains(tos, int32(i)) {
+					p.OutTo, p.OutW = append(p.OutTo, tos...), append(p.OutW, ws...)
+					p.OutOff[i+1] = int64(len(p.OutTo))
+					continue
+				}
+			}
 			lo, span, holes := next()%n, next()%(n+1), next()
 			for t := lo; t < min(n, lo+span); t++ {
 				if t != i && holes>>((t-lo)%8)&1 == 0 {
@@ -416,6 +475,7 @@ func FuzzSymmetric(f *testing.F) {
 		if want, _ := wantInWeights(p); len(s.in.w) != want {
 			t.Fatalf("in-CSR stores %d weights, want %d", len(s.in.w), want)
 		}
+		checkOutEdgesShared(t, "fuzz", p)
 	})
 }
 
