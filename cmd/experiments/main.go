@@ -43,14 +43,13 @@ func parseRuns(s string) (map[string]bool, error) {
 
 func main() {
 	var (
-		runs      = flag.String("run", "all", "comma-separated experiments: "+strings.Join(runNames, ","))
-		scaleStr  = flag.String("scale", "small", "workload tier: tiny|small|medium|full")
-		seed      = flag.Int64("seed", 1, "seed for randomized methods")
-		budget    = flag.Duration("budget", 30*time.Second, "wall-clock budget per method run (0 = unlimited)")
-		workload  = flag.String("workload", "ResNet", "workload for fig8/headline/ablation")
-		progress  = flag.Bool("progress", true, "print per-run progress lines during sweeps")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
-		simShards = flag.Int("sim-shards", runtime.GOMAXPROCS(0), "row-strip goroutines for the NoC simulator (1 = single goroutine; results are bit-identical at any count)")
+		runs     = flag.String("run", "all", "comma-separated experiments: "+strings.Join(runNames, ","))
+		scaleStr = flag.String("scale", "small", "workload tier: tiny|small|medium|full")
+		seed     = flag.Int64("seed", 1, "seed for randomized methods")
+		budget   = flag.Duration("budget", 30*time.Second, "wall-clock budget per method run (0 = unlimited)")
+		workload = flag.String("workload", "ResNet", "workload for fig8/headline/ablation")
+		progress = flag.Bool("progress", true, "print per-run progress lines during sweeps")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
 	)
 	// -progress predates the obs layer and keeps its meaning (per-run sweep
 	// lines) while also driving the live renderer, so only the three
@@ -76,7 +75,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := expt.RunOptions{Seed: *seed, Budget: *budget, Workers: *workers, SimShards: *simShards, Obs: o}
+	opts := expt.RunOptions{Seed: *seed, Budget: *budget, Workers: *workers, Obs: o}
 	all := want["all"]
 	out := os.Stdout
 

@@ -56,7 +56,6 @@ func main() {
 		exportDot = flag.String("export-dot", "", "write the PCN as Graphviz DOT to this file")
 		exportCSV = flag.String("export-csv", "", "write the placement as CSV to this file")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
-		simShards = flag.Int("sim-shards", runtime.GOMAXPROCS(0), "row-strip goroutines for the NoC simulator (1 = single goroutine; results are bit-identical at any count)")
 		ckptPath  = flag.String("checkpoint", "", "periodically write the fine-tuning state (self-contained snapshot, atomic replace) to this file; continue later with -resume")
 		ckptEvery = flag.Int("checkpoint-every", 32, "iterations between -checkpoint snapshots")
 		resume    = flag.String("resume", "", "resume fine-tuning from a snapshot file written by -checkpoint (bit-identical to the uninterrupted run, at any -workers count)")
@@ -152,7 +151,7 @@ func main() {
 		}}
 	}
 	opts := expt.RunOptions{Seed: *seed, Budget: *budget, Defects: defects, Constraints: cons,
-		Workers: *workers, SimShards: *simShards, Checkpoint: ckptCfg, Obs: o}
+		Workers: *workers, Checkpoint: ckptCfg, Obs: o}
 	if artifacts != nil {
 		// Only assign on the concrete path: a typed-nil interface would read
 		// as a configured cache downstream.
@@ -231,7 +230,6 @@ func main() {
 			SpikesPerUnit: expt.SimSpikesPerUnit(p.TotalWeight()),
 			Defects:       defects,
 			FaultAware:    defects != nil,
-			Shards:        noc.ClampShards(*simShards, mesh.Rows),
 			Obs:           o,
 		})
 		if err != nil {

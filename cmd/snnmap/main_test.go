@@ -29,7 +29,7 @@ func TestMain(m *testing.M) {
 // runCLI runs snnmap with args and returns its exit code, stdout and stderr.
 func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], append([]string{"-workers", "1", "-sim-shards", "1"}, args...)...)
+	cmd := exec.Command(os.Args[0], append([]string{"-workers", "1"}, args...)...)
 	cmd.Env = append(os.Environ(), runAsCLIEnv+"=1")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr

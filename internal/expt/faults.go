@@ -110,7 +110,6 @@ func faultSweepRows(wl *Workload, fracs []float64, linkFrac float64, opts RunOpt
 			Defects:       d,
 			FaultAware:    true,
 			SpikesPerUnit: SimSpikesPerUnit(p.TotalWeight()),
-			Shards:        noc.ClampShards(opts.SimShards, pl.Mesh.Rows),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("expt: fault sweep at dead=%.2f: simulate: %w", frac, err)

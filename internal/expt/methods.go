@@ -35,11 +35,6 @@ type RunOptions struct {
 	// three, per mapping.Config.Workers', mapping.FDConfig's and
 	// metrics.Options' contracts.
 	Workers int
-	// SimShards partitions NoC simulation runs into this many row-strip
-	// goroutines (0 or 1 = single goroutine). Clamped to the mesh's row
-	// count; results are bit-identical at any shard count per
-	// noc.Config.Shards' contract.
-	SimShards int
 	// Checkpoint, when non-nil, is passed to FD fine-tuning so method runs
 	// snapshot their progress (mapping.FDConfig.Checkpoint). Methods
 	// without an FD phase ignore it.

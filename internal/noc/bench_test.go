@@ -2,7 +2,6 @@ package noc
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -90,8 +89,7 @@ func BenchmarkSimulateSparse64x64(b *testing.B) {
 
 // denseWorkload fills a side×side mesh with identity-placed clusters where
 // every core streams spikes half the mesh height downward (and one column
-// over), so every row strip carries sustained vertical traffic — the
-// worst case for the sharded engine's boundary exchange.
+// over), so every row carries sustained vertical traffic.
 func denseWorkload(b testing.TB, side int, spikes float64) (*pcn.PCN, *place.Placement) {
 	b.Helper()
 	mesh := hw.MustMesh(side, side)
@@ -117,21 +115,51 @@ func denseWorkload(b testing.TB, side int, spikes float64) (*pcn.PCN, *place.Pla
 	return res.PCN, pl
 }
 
-// BenchmarkSimulateSharded tracks the sharded engine's scaling and the
-// allocation cost of its exchange buffers on a dense all-cores workload.
-// shards=1 is the single-goroutine event engine the speedups are measured
-// against.
-func BenchmarkSimulateSharded(b *testing.B) {
+// BenchmarkSimulateDense times both engines on a dense all-cores workload:
+// the calendar (unbounded queues) and the queue engine (bounded queues).
+func BenchmarkSimulateDense(b *testing.B) {
 	p, pl := denseWorkload(b, 64, 4)
-	for _, shards := range []int{1, 2, 4} {
-		cfg := Config{Shards: shards}
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+	for _, bench := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"calendar", Config{}},
+		{"queues", Config{QueueCap: 8}},
+	} {
+		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Simulate(p, pl, cfg); err != nil {
+				if _, err := Simulate(p, pl, bench.cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSimulateHotSpot times the deep-queue hot spot (hotSpotWorkload:
+// one port past 4096 flits) per wire traversal, on the calendar and on the
+// queue engine with a queue bound the hot port runs into.
+func BenchmarkSimulateHotSpot(b *testing.B) {
+	p, pl := hotSpotWorkload(b)
+	for _, bench := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"calendar", Config{}},
+		{"queues", Config{QueueCap: 4500}},
+	} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var wire int64
+			for i := 0; i < b.N; i++ {
+				res, err := Simulate(p, pl, bench.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				wire += res.WireTraversals
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(wire), "ns/traversal")
 		})
 	}
 }

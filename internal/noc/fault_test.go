@@ -221,3 +221,37 @@ func TestDeliveredFractionEmptyRun(t *testing.T) {
 		t.Fatalf("DeliveredFraction = %g, want 0.75", f)
 	}
 }
+
+// TestTakeRules pins the injection attempt both engines share, in the
+// reference's order: a blocked first hop counts a detour on every attempt;
+// a spike with no usable first hop is dropped even when its source queue is
+// full; a full queue stalls the spike without spending it; otherwise the
+// spike leaves as a flit stamped with the cycle (in detour mode when its
+// first hop is blocked).
+func TestTakeRules(t *testing.T) {
+	s := &simState{detourHops: 9}
+	for _, tc := range []struct {
+		name  string
+		tr    train
+		full  bool
+		ok    bool
+		want  accum
+		count int32
+		f     flit
+	}{
+		{"drop", train{drop: true, count: 2}, false, false, accum{dropped: 1}, 1, flit{}},
+		{"drop-full", train{drop: true, count: 2}, true, false, accum{dropped: 1}, 1, flit{}},
+		{"stall", train{count: 2}, true, false, accum{injStalls: 1}, 2, flit{}},
+		{"stall-blocked", train{blocked: true, count: 2}, true, false, accum{injStalls: 1, detours: 1}, 2, flit{}},
+		{"inject", train{dst: 5, yx: true, count: 2}, false, true, accum{injections: 1}, 1, flit{dst: 5, injected: 7, yx: true}},
+		{"inject-blocked", train{dst: 5, blocked: true, count: 1}, false, true, accum{injections: 1, detours: 1}, 0, flit{dst: 5, injected: 7, detour: 9}},
+	} {
+		var a accum
+		tr := tc.tr
+		f, ok := s.take(&a, &tr, 7, tc.full)
+		if ok != tc.ok || f != tc.f || a != tc.want || tr.count != tc.count {
+			t.Errorf("%s: got ok=%v flit %+v accum %+v count %d, want ok=%v flit %+v accum %+v count %d",
+				tc.name, ok, f, a, tr.count, tc.ok, tc.f, tc.want, tc.count)
+		}
+	}
+}

@@ -18,18 +18,24 @@
 // progress watchdog converts a livelocked or deadlocked simulation into a
 // typed ErrLivelock instead of a hang.
 //
-// Simulate/SimulateContext run the event-driven engine: one coordinator loop
-// over k ≥ 1 row strips (Config.Shards), with a goroutine per strip only for
-// k ≥ 2. Per strip, an occupancy bitmap kept exact at the queue push and pop
-// sites names the non-empty ports, so a cycle's scan visits only those (in
-// ascending router order, the bitmap's bit order); exhausted trains are
-// compacted out, each train's first hop is resolved once, idle stretches
-// between injection waves are fast-forwarded, and each hop is decided in one
-// place, simState.hop.
+// Simulate/SimulateContext run one cycle loop (simState.run: limits, the
+// watchdog, injection, termination, idle fast-forward) over one of two
+// engines, and each hop is decided in one place, simState.hop; exhausted
+// trains are compacted out and each train's first hop is resolved once.
 //
-// The original per-cycle scan of every router survives only in this
-// package's tests, as the equivalence oracle the event engine (at every
-// shard count) must match bit for bit.
+//   - Unbounded queues (QueueCap == 0, every CLI and experiment run) take the
+//     calendar engine (calendar.go). A port then releases one flit per cycle
+//     whenever it holds one, so a flit's departure cycle is fixed when it is
+//     pushed; the engine files each flit under that cycle and streams one
+//     cycle's flits at a time, keeping no queues at all.
+//   - Bounded queues take the queue engine (queues.go): per-port ring
+//     queues with an occupancy bitmap kept exact at the queue push and pop
+//     sites, so a cycle's scan visits only the non-empty ports (in ascending
+//     router order, the bitmap's bit order).
+//
+// Both engines run on the calling goroutine. The original per-cycle scan of
+// every router survives only in this package's tests, as the equivalence
+// oracle both engines must match bit for bit.
 package noc
 
 import (
@@ -100,7 +106,8 @@ type Config struct {
 	// Dimension-ordered routing keeps the channel dependency graph acyclic,
 	// so bounded runs stay deadlock-free; fault-aware detours can break
 	// that guarantee, in which case the progress watchdog reports
-	// ErrLivelock instead of hanging. 0 means unbounded.
+	// ErrLivelock instead of hanging. 0 means unbounded, and selects the
+	// calendar engine; bounded runs take the queue engine.
 	QueueCap int
 	// SpikesPerUnit scales PCN edge weights into injected spike counts
 	// (each edge injects max(1, round(w·SpikesPerUnit)) spikes). Zero
@@ -133,22 +140,18 @@ type Config struct {
 	// flight, the run fails with ErrLivelock. Zero means 1_000_000; it is
 	// clamped to at least twice the injection interval.
 	WatchdogCycles int
-	// Shards partitions the mesh into this many contiguous row strips,
-	// each simulated by its own goroutine with cycle-synchronized
-	// boundary exchange; Results are bit-identical at every shard
-	// count. 0 or 1 means one whole-mesh strip stepped on the calling
-	// goroutine. Shards must not exceed the mesh's row count (one row
-	// strip per shard at minimum); see ClampShards for a caller-side clamp.
-	// With bounded queues (QueueCap > 0) credit decisions form a
-	// sequential dependency chain across strips, so the service-apply
-	// phase runs on the coordinator while injection and the
-	// collect/deliver scan still fan out.
+	// Shards is accepted and ignored: both engines run on the calling
+	// goroutine. (Splitting bounded runs into row strips with a worker
+	// each measured slower, since every move must still be applied in one
+	// global order.) It must not be negative or exceed the mesh's row
+	// count; ClampShards turns any request into a count that validates.
 	Shards int
-	// Obs receives a run span, throttled progress, and per-shard counters
-	// (flits, hops, drops, detours, stalls) emitted in strip order after
-	// the run; nil disables telemetry. Observe-only: the simulation and its
-	// Result are bit-identical with or without it. Only the event-driven
-	// engine emits; the test-only reference scan stays the pristine oracle.
+	// Obs receives a run span, throttled progress, and one noc.shard
+	// counter sample (flits, hops, drops, detours, stalls, max_queue)
+	// after the run; nil disables telemetry.
+	// Observe-only: the simulation and its Result are bit-identical with or
+	// without it. Only the engines emit; the test-only reference scan stays
+	// the pristine oracle.
 	Obs *obs.Observer
 }
 
@@ -174,10 +177,20 @@ func (c Config) withDefaults() Config {
 	if c.WatchdogCycles < 2*c.InjectionInterval {
 		c.WatchdogCycles = 2 * c.InjectionInterval
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	return c
+}
+
+// ClampShards bounds a requested shard count to what Config.Shards accepts
+// on a mesh with rows rows: at least 1 and at most rows. Callers use it to
+// turn a machine-wide default like GOMAXPROCS into a valid Config.Shards.
+func ClampShards(n, rows int) int {
+	if n < 1 {
+		return 1
+	}
+	if n > rows {
+		return rows
+	}
+	return n
 }
 
 // Validate checks the configuration up front, before any simulation state is
@@ -212,8 +225,9 @@ func (c Config) Validate() error {
 	if c.MaxSpikes < 0 {
 		return fmt.Errorf("%w: negative MaxSpikes %d", ErrBadConfig, c.MaxSpikes)
 	}
-	// Spike counts and cycle stamps are stored as int32 (train.count,
-	// flit.injected); a larger limit would let them wrap silently.
+	// Spike counts, cycle stamps and hop counts are stored as int32
+	// (train.count, flit.injected, flit.hops against maxHops); a larger
+	// limit would let them wrap silently.
 	for _, v := range [...]struct {
 		name string
 		val  int64
@@ -221,6 +235,7 @@ func (c Config) Validate() error {
 		{"MaxSpikes", c.MaxSpikes},
 		{"MaxCycles", int64(c.MaxCycles)},
 		{"WatchdogCycles", int64(c.WatchdogCycles)},
+		{"MaxDetourHops", int64(c.MaxDetourHops)},
 	} {
 		if v.val > math.MaxInt32 {
 			return fmt.Errorf("%w: %s %d exceeds %d", ErrBadConfig, v.name, v.val, math.MaxInt32)
@@ -300,6 +315,7 @@ type flit struct {
 	hops     int32 // links crossed so far (detour budget accounting)
 	detour   uint8 // remaining hops of sticky detour mode after a blocked port
 	yx       bool  // row-first dimension order (RouteYX / O1Turn choice)
+	slot     uint8 // calendar engine: departure cycle mod calWindow (the queue engine leaves it 0)
 }
 
 // queue is a FIFO of flits on a power-of-two ring buffer: push and pop are
@@ -333,8 +349,8 @@ func (q *queue) pop() flit {
 
 // train is one edge's injection schedule: count spikes from src to dst.
 // Every spike of a train starts at src with no hops and no detour state, so
-// its first routing decision is a constant of the train; the event engine
-// resolves it once (resolveTrains) into port/drop/blocked/yx.
+// its first routing decision is a constant of the train; the engines
+// resolve it once (resolveTrains) into port/drop/blocked/yx.
 type train struct {
 	src, dst int32
 	count    int32
@@ -347,8 +363,8 @@ type train struct {
 // local is the fifth output port of every router: delivery to the core.
 const local = 4
 
-// simState is the substrate shared by the event-driven engine
-// (SimulateContext) and the per-cycle reference scan the tests keep:
+// simState is the substrate shared by the two engines (SimulateContext) and
+// the per-cycle reference scan the tests keep:
 // the injection schedule, the route computation and all accounting. Both
 // drivers mutate this state through the same primitives, which is what
 // keeps their Results bit-identical.
@@ -361,18 +377,18 @@ type simState struct {
 	detourHops int
 
 	trains []train
-	queues []queue // cores*5: 4 directions + local delivery per router
 	res    Result
 
 	latencySum int64
-	// The reference scan's tallies; the engine's strips keep theirs in accum.
+	// The reference scan's tallies; the engines keep theirs in accum.
 	inFlight   int64
 	injections int64
 }
 
 // newSimState validates the configuration and builds the shared simulation
-// state: connected components of the (possibly faulty) mesh, the injection
-// schedule, and the empty router queues.
+// state: connected components of the (possibly faulty) mesh and the
+// injection schedule. The router queues belong to whichever driver keeps
+// them.
 func newSimState(p *pcn.PCN, pl *place.Placement, cfg Config) (*simState, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -380,7 +396,7 @@ func newSimState(p *pcn.PCN, pl *place.Placement, cfg Config) (*simState, error)
 	cfg = cfg.withDefaults()
 	mesh := pl.Mesh
 	if cfg.Shards > mesh.Rows {
-		return nil, fmt.Errorf("%w: Shards=%d exceeds the mesh's %d rows (each shard needs at least one row strip)", ErrBadConfig, cfg.Shards, mesh.Rows)
+		return nil, fmt.Errorf("%w: Shards=%d exceeds the mesh's %d rows", ErrBadConfig, cfg.Shards, mesh.Rows)
 	}
 	s := &simState{
 		cfg:     cfg,
@@ -478,7 +494,6 @@ func newSimState(p *pcn.PCN, pl *place.Placement, cfg Config) (*simState, error)
 		}
 	}
 
-	s.queues = make([]queue, s.cores*5)
 	s.res.RouterTraversals = make([]int64, s.cores)
 	return s, nil
 }
@@ -608,8 +623,8 @@ func (s *simState) routePort(idx int, f flit) (int, bool, bool) {
 	return cand[h%uint32(n)], false, !primaryOK
 }
 
-// hop decides the fate of *f, a copy of the head of a queue whose port leads
-// into router to: drop it there, or move it into to's output port with *f
+// hop decides the fate of *f, a copy of a flit leaving a queue whose port
+// leads into router to: drop it there, or move it into to's output port with *f
 // advanced (detour state, hop count). blocked reports a (re-)entry into
 // sticky detour mode; callers count it once the move is committed. f is a
 // pointer because returning a just-written flit by value stalls store
@@ -641,6 +656,34 @@ func (s *simState) hop(f *flit, to, cycle int) (port int, drop, blocked bool) {
 	}
 	f.hops++
 	return port, false, blocked
+}
+
+// take takes train t's spike due in cycle. full reports that its source
+// queue is at the QueueCap bound: the spike then waits for a later wave (an
+// injection stall). Otherwise it is dropped (no usable first hop) or
+// returned, ok, as the flit to push onto its source queue. A blocked first
+// hop counts a detour per attempt, stalled ones included, as the reference
+// does.
+func (s *simState) take(a *accum, t *train, cycle int, full bool) (f flit, ok bool) {
+	if t.blocked {
+		a.detours++
+	}
+	switch {
+	case t.drop:
+		t.count--
+		a.dropped++
+	case full:
+		a.injStalls++
+	default:
+		t.count--
+		a.injections++
+		f = flit{dst: t.dst, injected: int32(cycle), yx: t.yx}
+		if t.blocked {
+			f.detour = uint8(s.detourHops)
+		}
+		return f, true
+	}
+	return f, false
 }
 
 // resolveTrains fills in every train's first routing decision, so an
@@ -703,7 +746,7 @@ func (s *simState) finish() Result {
 
 // Simulate injects the PCN's traffic into the mesh under the placement and
 // runs until every spike is delivered or dropped (or a limit is hit,
-// returning an error). It runs the event-driven engine.
+// returning an error).
 func Simulate(p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 	return SimulateContext(context.Background(), p, pl, cfg)
 }
@@ -712,10 +755,10 @@ func Simulate(p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 // checks ctx periodically and returns the partial Result with an error
 // wrapping ErrCanceled when the context is done.
 //
-// The mesh is partitioned into cfg.Shards row strips (one whole-mesh strip
-// by default), simulated on one goroutine each when there are two or more
-// (see shard.go). At every shard count the Result is bit-identical to the
-// per-cycle reference scan this package's tests keep.
+// Unbounded queues (QueueCap == 0) run the calendar engine (calendar.go),
+// bounded ones the queue engine (queues.go), both on the calling goroutine.
+// Either way the Result is bit-identical to the per-cycle reference scan
+// this package's tests keep.
 func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, fmt.Errorf("noc: %v: %w", err, ErrCanceled)
@@ -724,10 +767,15 @@ func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg C
 	if err != nil {
 		return Result{}, err
 	}
-	sp := s.cfg.Obs.Span("noc.sim",
-		obs.KV{K: "spikes", V: float64(s.res.Injected)},
-		obs.KV{K: "shards", V: float64(s.cfg.Shards)})
-	res, err := simulateStrips(ctx, s)
+	s.resolveTrains()
+	var e engine
+	if s.cfg.QueueCap == 0 {
+		e = newCalendar(s)
+	} else {
+		e = newQueueEngine(s)
+	}
+	sp := s.cfg.Obs.Span("noc.sim", obs.KV{K: "spikes", V: float64(s.res.Injected)})
+	res, err := s.run(ctx, e)
 	if err != nil {
 		sp.End()
 		return res, err
@@ -739,18 +787,139 @@ func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg C
 	return res, nil
 }
 
-// emitShardCounters publishes one "noc.shard" counter sample per strip, in
-// strip order — a fixed aggregation order regardless of how the strips'
-// goroutines interleaved.
-func emitShardCounters(o *obs.Observer, strips []*strip) {
-	for i, st := range strips {
-		o.Counter("noc.shard",
-			obs.KV{K: "shard", V: float64(i)},
-			obs.KV{K: "flits", V: float64(st.acc.injections)},
-			obs.KV{K: "hops", V: float64(st.acc.wire)},
-			obs.KV{K: "drops", V: float64(st.acc.dropped)},
-			obs.KV{K: "detours", V: float64(st.acc.detours)},
-			obs.KV{K: "stalls", V: float64(st.acc.stalls)},
-			obs.KV{K: "max_queue", V: float64(st.acc.maxQueue)})
+// accum collects an engine's running tallies, folded into the Result by
+// simState.merge.
+type accum struct {
+	delivered  int64 // spikes delivered to their destination core
+	dropped    int64 // spikes dropped during the run (injection-time + in-network)
+	injections int64 // spikes that entered the network (successful queue pushes)
+	exited     int64 // resident spikes that left: deliveries + in-network drops
+	latencySum int64
+	wire       int64
+	stalls     int64
+	injStalls  int64
+	detours    int64 // sticky detour-mode entries at blocked ports
+	maxLatency int
+	maxQueue   int
+}
+
+// deliver accounts the delivery in cycle of a flit injected in cycle
+// injected.
+func (a *accum) deliver(cycle int, injected int32) {
+	lat := cycle - int(injected) + 1
+	a.delivered++
+	a.exited++
+	a.latencySum += int64(lat)
+	a.maxLatency = max(a.maxLatency, lat)
+}
+
+// engine services the queues; simState.run owns the cycle loop around it.
+type engine interface {
+	// tallies returns the engine's accumulator.
+	tallies() *accum
+	// pending reports whether any injection train has spikes left.
+	pending() bool
+	// begin opens a cycle with the injection wave when inject is set. It
+	// may also deliver the cycle's local flits (the queue engine does, in
+	// its scan): run counts exits from before begin until the next cycle.
+	begin(cycle int, inject bool)
+	// service delivers, moves or drops every flit that leaves a queue in
+	// cycle.
+	service(cycle int)
+}
+
+// run is the cycle loop shared by both engines: limits, cancellation, the
+// watchdog, injection, termination and idle fast-forward, all computed from
+// the engine's merged tallies.
+func (s *simState) run(ctx context.Context, e engine) (Result, error) {
+	cfg := s.cfg
+	a := e.tallies()
+	// Progress is an injection, delivery or drop, not wire movement, so the
+	// watchdog also catches a spike orbiting an unreachable destination.
+	lastProgress := int64(-1)
+	lastProgressCycle := 0
+	// ffSkipped counts idle cycles jumped by fast-forward (telemetry only;
+	// never part of Result — the reference oracle has no fast-forward).
+	var ffSkipped int64
+
+	for cycle := 0; ; cycle++ {
+		// Tallies as of the end of the previous cycle.
+		injections, delivered, exited := a.injections, a.delivered, a.exited
+		inFlight := injections - exited
+		dropped := a.dropped + s.res.Dropped // plus injection-time setup drops
+		if cycle > cfg.MaxCycles {
+			return s.merge(a), fmt.Errorf("noc: exceeded MaxCycles=%d with %d spikes in flight: %w", cfg.MaxCycles, inFlight, ErrLivelock)
+		}
+		if cycle&2047 == 0 && ctx.Err() != nil {
+			return s.merge(a), fmt.Errorf("noc: %v after %d cycles: %w", ctx.Err(), cycle, ErrCanceled)
+		}
+		if progress := injections + delivered + dropped; progress != lastProgress {
+			lastProgress = progress
+			lastProgressCycle = cycle
+		} else if cycle-lastProgressCycle > cfg.WatchdogCycles {
+			return s.merge(a), fmt.Errorf("noc: no forward progress for %d cycles with %d spikes in flight (delivered %d, dropped %d): %w",
+				cfg.WatchdogCycles, inFlight, delivered, dropped, ErrLivelock)
+		}
+		if cfg.Obs.Enabled() && cycle&4095 == 0 {
+			cfg.Obs.Progress("noc.sim", delivered+dropped, s.res.Injected)
+		}
+
+		e.begin(cycle, e.pending() && cycle%cfg.InjectionInterval == 0)
+
+		// Termination and fast-forward use the in-flight count as the
+		// reference sees it at this point: after injection but before this
+		// cycle's deliveries, hence the exit count from before begin. (If it
+		// is zero, no queue held a flit, so begin delivered nothing.)
+		afterInject := a.injections - exited
+		if afterInject == 0 && !e.pending() {
+			s.res.Cycles = cycle
+			break
+		}
+		if afterInject == 0 {
+			// Idle fast-forward to the next injection wave. Capped at
+			// MaxCycles+1 so a wave scheduled past the cycle limit still
+			// fails exactly where the reference fails.
+			next := (cycle/cfg.InjectionInterval + 1) * cfg.InjectionInterval
+			if next > cfg.MaxCycles+1 {
+				next = cfg.MaxCycles + 1
+			}
+			if next-1 > cycle {
+				ffSkipped += int64(next - 1 - cycle)
+				cycle = next - 1
+			}
+			continue
+		}
+		e.service(cycle)
 	}
+
+	s.merge(a)
+	if cfg.Obs.Enabled() {
+		cfg.Obs.Counter("noc.fastforward", obs.KV{K: "skipped_cycles", V: float64(ffSkipped)})
+		cfg.Obs.Counter("noc.shard",
+			obs.KV{K: "shard", V: 0},
+			obs.KV{K: "flits", V: float64(a.injections)},
+			obs.KV{K: "hops", V: float64(a.wire)},
+			obs.KV{K: "drops", V: float64(a.dropped)},
+			obs.KV{K: "detours", V: float64(a.detours)},
+			obs.KV{K: "stalls", V: float64(a.stalls)},
+			obs.KV{K: "max_queue", V: float64(a.maxQueue)})
+		cfg.Obs.Progress("noc.sim", s.res.Delivered+s.res.Dropped, s.res.Injected)
+	}
+	return s.finish(), nil
+}
+
+// merge folds the engine's tallies into s.res (on top of the injection-time
+// accounting newSimState left there) and returns it. The engine stops at the
+// first merge, so it happens once.
+func (s *simState) merge(a *accum) Result {
+	s.res.Delivered += a.delivered
+	s.res.Dropped += a.dropped
+	s.res.WireTraversals += a.wire
+	s.res.Stalls += a.stalls
+	s.res.InjectionStalls += a.injStalls
+	s.res.Stats.Detours += a.detours
+	s.res.MaxLatencyCycles = max(s.res.MaxLatencyCycles, a.maxLatency)
+	s.res.MaxQueueLen = max(s.res.MaxQueueLen, a.maxQueue)
+	s.latencySum += a.latencySum
+	return s.res
 }

@@ -254,13 +254,14 @@ func TestSimLimitsFitInt32(t *testing.T) {
 		{"MaxSpikes", Config{MaxSpikes: 1 << 40}, ErrBadConfig},
 		{"MaxCycles", Config{MaxCycles: int(over)}, ErrBadConfig},
 		{"WatchdogCycles", Config{WatchdogCycles: int(over)}, ErrBadConfig},
+		{"MaxDetourHops", Config{MaxDetourHops: int(over)}, ErrBadConfig},
 		{"spike cap", Config{MaxSpikes: math.MaxInt32}, place.ErrCapacityExceeded},
 	} {
 		if _, err := Simulate(p, pl, tc.cfg); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	for _, ok := range []Config{{MaxSpikes: math.MaxInt32}, {MaxCycles: math.MaxInt32}, {WatchdogCycles: math.MaxInt32}} {
+	for _, ok := range []Config{{MaxSpikes: math.MaxInt32}, {MaxCycles: math.MaxInt32}, {WatchdogCycles: math.MaxInt32}, {MaxDetourHops: math.MaxInt32}} {
 		if err := ok.Validate(); err != nil {
 			t.Errorf("%+v must validate: %v", ok, err)
 		}

@@ -10,10 +10,9 @@ import (
 
 // simulateReference runs the original per-cycle simulator: every cycle it
 // scans all cores·5 queues and every injection train, whether occupied or
-// not. It is the equivalence oracle: Simulate's event-driven engine (at
-// every shard count) must produce a bit-identical Result for every
-// workload, mesh, defect map, routing and queue bound, and the suites in
-// this package assert that against it. BenchmarkSimulateLongTail and
+// not. It is the equivalence oracle: Simulate's engines must produce a
+// bit-identical Result for every workload, mesh, defect map, routing and
+// queue bound, and the suites in this package assert that against it. BenchmarkSimulateLongTail and
 // BenchmarkSimulateSparse64x64 time both drivers side by side.
 //
 // Both drivers share simState — the injection schedule, route computation
@@ -31,6 +30,7 @@ func simulateReference(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg
 	}
 	cfg = s.cfg
 
+	queues := make([]queue, s.cores*5) // 4 directions + local delivery per router
 	pendingTrains := len(s.trains)
 	var candidates []candidate
 
@@ -76,7 +76,7 @@ func simulateReference(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg
 					s.res.Dropped++
 					continue
 				}
-				q := &s.queues[int(t.src)*5+port]
+				q := &queues[int(t.src)*5+port]
 				if cfg.QueueCap > 0 && q.len() >= cfg.QueueCap {
 					s.res.InjectionStalls++
 					continue
@@ -103,7 +103,7 @@ func simulateReference(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg
 		for idx := 0; idx < s.cores; idx++ {
 			base := idx * 5
 			for port := 0; port < 5; port++ {
-				q := &s.queues[base+port]
+				q := &queues[base+port]
 				if q.len() == 0 {
 					continue
 				}
@@ -115,7 +115,7 @@ func simulateReference(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg
 			}
 		}
 		for _, m := range candidates {
-			src := &s.queues[m.src]
+			src := &queues[m.src]
 			f := src.peek()
 			if s.defects != nil && (f.hops >= s.maxHops || cycle-int(f.injected) > cfg.WatchdogCycles) {
 				src.pop()
@@ -130,7 +130,7 @@ func simulateReference(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg
 				s.inFlight--
 				continue
 			}
-			q := &s.queues[m.to*5+port]
+			q := &queues[m.to*5+port]
 			if cfg.QueueCap > 0 && q.len() >= cfg.QueueCap {
 				s.res.Stalls++
 				continue

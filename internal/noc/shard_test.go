@@ -14,17 +14,16 @@ import (
 	"snnmap/internal/snn"
 )
 
-// shardSweep is the shard-count axis of the determinism sweep: the
-// single-goroutine engine, an even split, an uneven split (64 rows / 3),
-// and a prime count that leaves single-row strips on small meshes.
+// shardSweep is the Config.Shards axis of the determinism sweep. Shards is
+// accepted and ignored, so every count must give the same bits.
 var shardSweep = []int{1, 2, 3, 7}
 
-// TestShardedMatchesReferenceSweep is the tentpole determinism contract:
-// for every shard count × workload combination the sharded engine must
-// produce a Result bit-identical to simulateReference — every field,
-// including traversal vectors, drop counters, float aggregates and queue
-// peaks. Run under -race this also proves the strip ownership discipline
-// (no queue is touched by two goroutines).
+// TestShardedMatchesReferenceSweep is the determinism contract across
+// engines and shard counts: for every workload, with unbounded queues (the
+// calendar engine) and with bounded ones (the queue engine), every shard
+// count must produce a Result bit-identical to simulateReference — every
+// field, including traversal vectors, drop counters, float aggregates and
+// queue peaks. Every case is one the reference completes.
 func TestShardedMatchesReferenceSweep(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -38,23 +37,35 @@ func TestShardedMatchesReferenceSweep(t *testing.T) {
 	for _, wl := range workloads {
 		t.Run(wl.name, func(t *testing.T) {
 			p, pl := wl.load(t)
-			cfg := wl.cfg
-			if wl.name == "faulted-links" {
-				cfg.Defects = faultedLinksDefects(t, pl.Mesh)
-			}
-			want, err := simulateReference(context.Background(), p, pl, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range shardSweep {
-				shardCfg := cfg
-				shardCfg.Shards = shards
-				got, err := Simulate(p, pl, shardCfg)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
+			for _, queueCap := range []int{0, 3} {
+				cfg := wl.cfg
+				cfg.QueueCap = queueCap
+				if wl.name == "faulted-links" {
+					cfg.Defects = faultedLinksDefects(t, pl.Mesh)
+					if queueCap > 0 {
+						// Detours jam bounded queues; a short watchdog
+						// window lets the age cap drop the jammed flits
+						// (about 60 % of the spikes) so the run ends.
+						cfg.WatchdogCycles = 2000
+					}
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("shards=%d: Result diverges from reference:\nsharded:   %+v\nreference: %+v", shards, got, want)
+				want, err := simulateReference(context.Background(), p, pl, cfg)
+				if err != nil {
+					t.Fatalf("QueueCap=%d: reference: %v", queueCap, err)
+				}
+				if want.Delivered == 0 || queueCap > 0 && want.Stalls == 0 {
+					t.Fatalf("QueueCap=%d: run does not exercise the engine: %+v", queueCap, want)
+				}
+				for _, shards := range shardSweep {
+					shardCfg := cfg
+					shardCfg.Shards = shards
+					got, err := Simulate(p, pl, shardCfg)
+					if err != nil {
+						t.Fatalf("QueueCap=%d shards=%d: %v", queueCap, shards, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("QueueCap=%d shards=%d: Result diverges from reference:\nsharded:   %+v\nreference: %+v", queueCap, shards, got, want)
+					}
 				}
 			}
 		})
@@ -78,9 +89,8 @@ func faultedLinksDefects(t testing.TB, mesh hw.Mesh) *hw.DefectMap {
 
 // TestShardedMatchesReferenceCorpus runs the full golden equivalence corpus
 // (routings, bounded queues, dead cores, failed links, sparse injection)
-// through the sharded engine at shard counts 2 and 3, asserting
-// bit-identity with the reference — including the bounded-queue
-// configurations that exercise the coordinator's sequential-apply fallback.
+// through both engines at shard counts 2 and 3, asserting bit-identity with
+// the reference.
 func TestShardedMatchesReferenceCorpus(t *testing.T) {
 	mesh := hw.MustMesh(12, 12)
 	deadMap := hw.InjectUniform(mesh, 0.05, 0, 7)
@@ -128,19 +138,17 @@ func TestShardedMatchesReferenceCorpus(t *testing.T) {
 	}
 }
 
-// TestShardedCrossBoundaryDetour pins the hardest boundary interaction: a
-// failed vertical link lying exactly on a strip boundary, forcing detour
-// traffic to cross between goroutines in both directions. Every shard
-// count must deliver the spike and agree with the reference bit for bit.
+// TestShardedCrossBoundaryDetour pins a detour around a failed vertical
+// link between rows 1 and 2, the boundary a row split into 2 or 4 strips
+// would put there. Every shard count must deliver the spike and agree with
+// the reference bit for bit.
 func TestShardedCrossBoundaryDetour(t *testing.T) {
 	p := edgePCN(t, [][3]float64{{0, 1, 1}}, 2)
 	mesh := hw.MustMesh(4, 3)
 	// src at (0,0), dst at (3,0): straight XY path runs down column 0.
 	pl := placeAt(t, p, mesh, mesh.Coord(0), mesh.Coord(9))
 	d := hw.NewDefectMap(mesh)
-	// Fail the vertical link between rows 1 and 2 in column 0 — with 2 or 4
-	// shards that link is a strip boundary, so the detour around it ships
-	// flits across the exchange buffers.
+	// Fail the vertical link between rows 1 and 2 in column 0.
 	if err := d.FailLink(3, 6); err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +208,8 @@ func TestShardedErrorPaths(t *testing.T) {
 
 // TestShardsValidation covers the Shards knob's edges: negative counts are
 // rejected by Validate, counts exceeding the mesh's rows are rejected when
-// the mesh is known, and a shard count equal to the row count (single-row
-// strips) works and stays bit-identical.
+// the mesh is known, and a shard count equal to the row count works and
+// stays bit-identical.
 func TestShardsValidation(t *testing.T) {
 	if err := (Config{Shards: -1}).Validate(); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("Shards=-1: got %v, want ErrBadConfig", err)
@@ -223,29 +231,30 @@ func TestShardsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Simulate(p, pl, Config{Shards: 3}) // one row per strip
+	got, err := Simulate(p, pl, Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("single-row strips diverge:\nsharded:   %+v\nreference: %+v", got, want)
+		t.Errorf("Shards=3 diverges:\nsharded:   %+v\nreference: %+v", got, want)
 	}
 }
 
-// TestShardsOneStartsNoWorkers: with Shards ≤ 1 the engine steps its one
-// strip on the calling goroutine, so a progress callback, which runs inside
-// the cycle loop, sees no goroutine beyond those alive before the run; with
-// two strips it sees their workers.
+// TestShardsOneStartsNoWorkers: both engines run on the calling goroutine
+// at every shard count, so a progress callback, which runs inside the cycle
+// loop, sees no goroutine beyond those alive before the run.
 func TestShardsOneStartsNoWorkers(t *testing.T) {
 	p, pl := faultedLinksWorkload(t)
-	for _, shards := range []int{0, 1, 2} {
-		base, extra := runtime.NumGoroutine(), 0
-		o := obs.New(obs.Config{OnProgress: func(obs.Progress) { extra = max(extra, runtime.NumGoroutine()-base) }})
-		if _, err := Simulate(p, pl, Config{Shards: shards, Obs: o}); err != nil {
-			t.Fatal(err)
-		}
-		if workers := shards >= 2; (extra > 0) != workers {
-			t.Errorf("shards=%d: %d goroutines beyond the caller's during the run", shards, extra)
+	for _, queueCap := range []int{0, 8} {
+		for _, shards := range []int{0, 1, 2} {
+			base, extra := runtime.NumGoroutine(), 0
+			o := obs.New(obs.Config{OnProgress: func(obs.Progress) { extra = max(extra, runtime.NumGoroutine()-base) }})
+			if _, err := Simulate(p, pl, Config{QueueCap: queueCap, Shards: shards, Obs: o}); err != nil {
+				t.Fatal(err)
+			}
+			if extra > 0 {
+				t.Errorf("QueueCap=%d shards=%d: %d goroutines beyond the caller's during the run", queueCap, shards, extra)
+			}
 		}
 	}
 }
@@ -292,10 +301,10 @@ func hotSpotWorkload(t testing.TB) (*pcn.PCN, *place.Placement) {
 	return res.PCN, pl
 }
 
-// TestShardedDeepQueueMatchesReference runs the hot spot through the event
-// engine and the sharded engine (parallel apply, and the bounded-queue
-// sequential fallback) against the reference, on a pristine mesh, on a
-// faulted one with detours, and with a queue bound the hot port runs into.
+// TestShardedDeepQueueMatchesReference runs the hot spot through both
+// engines against the reference, on a pristine mesh, on a faulted one with
+// detours (the calendar), and with a queue bound the hot port runs into (the
+// queue engine).
 func TestShardedDeepQueueMatchesReference(t *testing.T) {
 	p, pl := hotSpotWorkload(t)
 	faults := hw.NewDefectMap(pl.Mesh)

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"snnmap/internal/hw"
@@ -57,105 +58,86 @@ func FuzzQueueRing(f *testing.F) {
 	})
 }
 
-// checkOccupancy asserts the worklist invariants for every router of every
-// strip: occ bit ⇔ non-empty queue, word bit ⇔ occ != 0, summary bit ⇔
-// word != 0. Whole words are compared, so a stray bit past the strip's last
-// router fails too.
-func checkOccupancy(t *testing.T, cycle int, strips []*strip) {
+// checkOccupancy asserts the worklist invariants for every router: occ bit
+// ⇔ non-empty queue, word bit ⇔ occ != 0, summary bit ⇔ word != 0. Whole
+// words are compared, so a stray bit past the last router fails too.
+func checkOccupancy(t *testing.T, cycle int, e *queueEngine) {
 	t.Helper()
-	for si, st := range strips {
-		wantWord := make([]uint64, len(st.word))
-		for r := range st.occ {
-			var want uint8
-			for port := 0; port < 5; port++ {
-				if st.s.queues[(st.lo+r)*5+port].len() > 0 {
-					want |= 1 << port
-				}
-			}
-			if st.occ[r] != want {
-				t.Fatalf("cycle %d strip %d router %d: occ %05b, non-empty ports %05b", cycle, si, st.lo+r, st.occ[r], want)
-			}
-			if want != 0 {
-				wantWord[r>>6] |= 1 << (r & 63)
+	wantWord := make([]uint64, len(e.word))
+	for r := range e.occ {
+		var want uint8
+		for port := 0; port < 5; port++ {
+			if e.queues[r*5+port].len() > 0 {
+				want |= 1 << port
 			}
 		}
-		wantSummary := make([]uint64, len(st.summary))
-		for w, word := range st.word {
-			if word != wantWord[w] {
-				t.Fatalf("cycle %d strip %d word %d: %064b, want %064b", cycle, si, w, word, wantWord[w])
-			}
-			if word != 0 {
-				wantSummary[w>>6] |= 1 << (w & 63)
-			}
+		if e.occ[r] != want {
+			t.Fatalf("cycle %d router %d: occ %05b, non-empty ports %05b", cycle, r, e.occ[r], want)
 		}
-		for i, sum := range st.summary {
-			if sum != wantSummary[i] {
-				t.Fatalf("cycle %d strip %d summary %d: %064b, want %064b", cycle, si, i, sum, wantSummary[i])
-			}
+		if want != 0 {
+			wantWord[r>>6] |= 1 << (r & 63)
+		}
+	}
+	wantSummary := make([]uint64, len(e.summary))
+	for w, word := range e.word {
+		if word != wantWord[w] {
+			t.Fatalf("cycle %d word %d: %064b, want %064b", cycle, w, word, wantWord[w])
+		}
+		if word != 0 {
+			wantSummary[w>>6] |= 1 << (w & 63)
+		}
+	}
+	for i, sum := range e.summary {
+		if sum != wantSummary[i] {
+			t.Fatalf("cycle %d summary %d: %064b, want %064b", cycle, i, sum, wantSummary[i])
 		}
 	}
 }
 
-// TestOccupancyMatchesQueues steps the strip primitives by hand — the same
-// inject/collect/apply sequence the drivers issue, strips taken in order
-// instead of concurrently — over a faulted fault-aware run, and checks the
-// worklist against the queues after every phase of every cycle. The final
-// tallies must equal the reference's, which ties the hand-driven loop to the
-// real engine.
+// TestOccupancyMatchesQueues steps the queue engine's primitives by hand —
+// the inject/collect/apply sequence it issues — over a faulted fault-aware
+// run with a queue bound that stalls both injections and hops, and checks
+// the worklist against the queues after every phase of every cycle. The
+// final tallies must equal the reference's, which ties the hand-driven loop
+// to the real engine.
 func TestOccupancyMatchesQueues(t *testing.T) {
 	p, pl := faultedLinksWorkload(t)
-	base := Config{FaultAware: true, Defects: faultedLinksDefects(t, pl.Mesh)}
-	want, err := simulateReference(context.Background(), p, pl, base)
+	cfg := Config{QueueCap: 16, FaultAware: true, Defects: faultedLinksDefects(t, pl.Mesh),
+		WatchdogCycles: 2000} // the age cap clears the detours' jams
+	want, err := simulateReference(context.Background(), p, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range shardSweep {
-		cfg := base
-		cfg.Shards = shards
-		s, err := newSimState(p, pl, cfg)
-		if err != nil {
-			t.Fatal(err)
+	if want.Stalls == 0 || want.InjectionStalls == 0 {
+		t.Fatalf("queue bound never bit: %+v", want)
+	}
+	s, err := newSimState(p, pl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.resolveTrains()
+	e := newQueueEngine(s)
+	cycle := 0
+	for ; ; cycle++ {
+		if cycle > 100_000 {
+			t.Fatal("did not drain")
 		}
-		s.resolveTrains()
-		strips, _ := newStrips(s)
-		cycle := 0
-		for ; ; cycle++ {
-			if cycle > 100_000 {
-				t.Fatalf("shards=%d: did not drain", shards)
-			}
-			pending, inFlight := 0, int64(0)
-			for _, st := range strips {
-				st.inject(cycle)
-				pending += len(st.trains)
-				inFlight += st.acc.injections - st.acc.exited
-			}
-			checkOccupancy(t, cycle, strips)
-			if pending == 0 && inFlight == 0 {
-				break
-			}
-			for _, st := range strips {
-				st.collect(cycle, shards > 1)
-			}
-			checkOccupancy(t, cycle, strips)
-			for i, st := range strips {
-				var above, below []ship
-				if i > 0 {
-					above = strips[i-1].shipDown
-				}
-				if i < len(strips)-1 {
-					below = strips[i+1].shipUp
-				}
-				st.apply(cycle, above, below)
-			}
-			checkOccupancy(t, cycle, strips)
+		e.inject(cycle)
+		checkOccupancy(t, cycle, e)
+		if len(e.trains) == 0 && e.acc.injections == e.acc.exited {
+			break
 		}
-		s.res.Cycles = cycle
-		s.mergeStrips(strips...)
-		got := s.finish()
-		if got.Delivered != want.Delivered || got.Dropped != want.Dropped || got.Cycles != want.Cycles ||
-			got.WireTraversals != want.WireTraversals || got.MaxQueueLen != want.MaxQueueLen || got.Stats != want.Stats {
-			t.Errorf("shards=%d: hand-driven run diverges from the reference:\ngot  %+v\nwant %+v", shards, got, want)
+		e.collect(cycle)
+		checkOccupancy(t, cycle, e)
+		for _, c := range e.cands {
+			e.applyCand(c, cycle)
 		}
+		checkOccupancy(t, cycle, e)
+	}
+	s.res.Cycles = cycle
+	s.merge(&e.acc)
+	if got := s.finish(); !reflect.DeepEqual(got, want) {
+		t.Errorf("hand-driven run diverges from the reference:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

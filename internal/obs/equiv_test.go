@@ -3,7 +3,7 @@ package obs_test
 // The telemetry determinism contract (DESIGN.md §8): an observer is
 // observe-only, so every pipeline stage produces bit-identical results with
 // telemetry enabled or disabled, at every worker/shard count. These tests
-// run the real stages — FD fine-tuning, the sharded NoC simulator, parallel
+// run the real stages — FD fine-tuning, the NoC simulator, parallel
 // metrics evaluation, and the multilevel partitioner — against a fully
 // wired observer (trace sink + progress callback) and require exact
 // equality with the nil-observer run. Under -race they double as the
@@ -112,29 +112,33 @@ func TestFinetuneTelemetryEquivalence(t *testing.T) {
 
 // TestSimulateTelemetryEquivalence: the NoC simulator's full Result —
 // metrics, transport Stats, everything — is identical with and without an
-// observer, for shards ∈ {1, 2, 4, 7}.
+// observer, for shards ∈ {1, 2, 4, 7} (accepted and ignored), on both
+// engines (bounded queues run the queue engine, unbounded ones the
+// calendar).
 func TestSimulateTelemetryEquivalence(t *testing.T) {
 	mesh := hw.MustMesh(8, 8)
 	p := randomPCN(t, 7, 60, 420)
 	pl := randomPlacement(t, p, mesh, 5)
 
-	run := func(shards int, o *obs.Observer) noc.Result {
-		res, err := noc.Simulate(p, pl, noc.Config{Shards: shards, QueueCap: 4, Obs: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	want := run(1, nil)
-	for _, s := range parallelCounts {
-		for _, withObs := range []bool{false, true} {
-			var o *obs.Observer
-			if withObs {
-				o = fullObserver()
+	for _, queueCap := range []int{4, 0} {
+		run := func(shards int, o *obs.Observer) noc.Result {
+			res, err := noc.Simulate(p, pl, noc.Config{Shards: shards, QueueCap: queueCap, Obs: o})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := run(s, o); !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=%d obs=%v: Result = %+v, want %+v", s, withObs, got, want)
+			return res
+		}
+
+		want := run(1, nil)
+		for _, s := range parallelCounts {
+			for _, withObs := range []bool{false, true} {
+				var o *obs.Observer
+				if withObs {
+					o = fullObserver()
+				}
+				if got := run(s, o); !reflect.DeepEqual(got, want) {
+					t.Errorf("QueueCap=%d shards=%d obs=%v: Result = %+v, want %+v", queueCap, s, withObs, got, want)
+				}
 			}
 		}
 	}

@@ -9,11 +9,6 @@
 //
 // Worker counts are normalised here and nowhere else: workers <= 1 means
 // inline, in index order, on the calling goroutine.
-//
-// noc/shard.go is deliberately not a caller. Its strips are long-lived
-// goroutines that meet at a two-phase barrier every simulated cycle, not a
-// fork that joins; bending Do to serve them would cost every other caller
-// the property that it returns with no goroutine left behind.
 package par
 
 import (
