@@ -224,6 +224,31 @@ func BenchCases(smoke bool) []BenchCase {
 		})
 	}
 
+	// Field repair after the first occupied row of a defective, spare-row
+	// mesh fails (the benchmark's dnn268m_faulty shape): the row shift with
+	// its trial walks, and per-cluster migration to the nearest free core.
+	faulty := mustGet(sync.OnceValues(func() (rowFailure, error) { return failTopRow(kernNet) }))
+	add("repair/remap-rows", kernNet, "", func(b *testing.B) {
+		f, cost := faulty(b), hw.DefaultCostModel()
+		timed(b, func() error {
+			b.StopTimer()
+			pl := f.pl.Clone()
+			b.StartTimer()
+			_, err := mapping.RemapRows(f.p, pl, f.d, f.cons, cost)
+			return err
+		})
+	})
+	add("repair/remap", kernNet, "", func(b *testing.B) {
+		f, cost := faulty(b), hw.DefaultCostModel()
+		timed(b, func() error {
+			b.StopTimer()
+			pl := f.pl.Clone()
+			b.StartTimer()
+			_, err := mapping.Remap(f.p, pl, f.d, f.cons, cost)
+			return err
+		})
+	})
+
 	// FD to convergence on a sparse CNN, where the O(E) build is a few
 	// percent and the swap kernel and queue rebuild dominate; ns/swap is the
 	// per-swap cost (go test reports it; cmd/bench records ns/op).
@@ -377,6 +402,45 @@ func captureSnapshot(w placed, iters int) (encodedSnapshot, error) {
 	err = codec.WriteSnapshot(&buf, s.snap)
 	s.enc = buf.Bytes()
 	return s, err
+}
+
+// rowFailure is a fine-tuned placement on a defective mesh and the field
+// defect map that kills its first occupied row.
+type rowFailure struct {
+	placed
+	d    *hw.DefectMap
+	cons hw.Constraints
+}
+
+// failTopRow places the named workload by HSC + FD on its mesh grown by an
+// eighth plus two spare rows, with 2 % of the cores dead in eight blobs,
+// then fails the first occupied row.
+func failTopRow(name string) (rowFailure, error) {
+	p, mesh, err := buildNet(name)
+	if err != nil {
+		return rowFailure{}, err
+	}
+	mesh = hw.MustMesh(mesh.Rows+mesh.Rows/8+2, mesh.Cols)
+	cons := hw.Constraints{SpareRows: 2}
+	d := hw.InjectClustered(mesh, 0.02, 8, 1)
+	pl, err := mapping.InitialPlacementWorkers(p, mesh, curve.Hilbert{}, d, cons, 1)
+	if err != nil {
+		return rowFailure{}, err
+	}
+	if _, err := mapping.Finetune(p, pl, mapping.FDConfig{Potential: mapping.L2Sq{}, Defects: d, Constraints: cons}); err != nil {
+		return rowFailure{}, err
+	}
+	field := d.Clone()
+	for idx, c := range pl.ClusterAt {
+		if c != place.None {
+			row := idx / mesh.Cols
+			for col := 0; col < mesh.Cols; col++ {
+				field.MarkDead(row*mesh.Cols + col)
+			}
+			break
+		}
+	}
+	return rowFailure{placed{p, pl}, field, cons}, nil
 }
 
 // rowShifted places p by HSC + FD on mesh grown by two spare rows, fails row

@@ -176,7 +176,7 @@ func FinetuneContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg F
 	if err := ctx.Err(); err != nil {
 		return FDStats{}, fmt.Errorf("mapping: finetune: %v: %w", err, ErrCanceled)
 	}
-	if err := validPlacement(p, pl); err != nil {
+	if err := validPlacement(p, pl, cfg.Defects); err != nil {
 		return FDStats{}, fmt.Errorf("mapping: finetune: %w", err)
 	}
 	start := time.Now()

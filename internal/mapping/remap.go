@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"snnmap/internal/geom"
@@ -40,7 +41,7 @@ func (s RemapStats) DeltaEnergy() float64 { return s.EnergyAfter - s.EnergyBefor
 func Remap(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints, cost hw.CostModel) (RemapStats, error) {
 	start := time.Now()
 	var st RemapStats
-	if err := validPlacement(p, pl); err != nil {
+	if err := validPlacement(p, pl, d); err != nil {
 		return st, fmt.Errorf("mapping: remap: %w", err)
 	}
 	if d == nil {
@@ -62,14 +63,15 @@ func Remap(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints
 		return st, nil
 	}
 	mesh := pl.Mesh
+	free := newFreeCores(pl, d)
 	for _, c := range victims {
 		from := pl.Of(int(c))
-		to, ok := nearestFree(p, pl, d, cons, int(c), from)
+		to, ok := free.nearest(p, cons, int(c), from)
 		if !ok {
 			st.Elapsed = time.Since(start)
 			return st, fmt.Errorf("mapping: remap: no healthy free core fits cluster %d: %w", c, ErrUnplaceable)
 		}
-		if err := pl.Move(int(c), int32(to)); err != nil {
+		if err := free.move(pl, int(c), int32(to)); err != nil {
 			return st, err
 		}
 		st.Moved++
@@ -84,58 +86,182 @@ func Remap(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints
 }
 
 // validPlacement checks what Remap, RemapRows and FinetuneContext index by:
-// a placement of exactly p's clusters that is a bijection onto in-mesh cells.
-// The error wraps ErrBadConfig.
-func validPlacement(p *pcn.PCN, pl *place.Placement) error {
+// a placement of exactly p's clusters that is a bijection onto in-mesh cells,
+// and a defect map (nil allowed) of the placement's own mesh. The error wraps
+// ErrBadConfig.
+func validPlacement(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap) error {
 	if len(pl.PosOf) != p.NumClusters {
 		return fmt.Errorf("%w: placement covers %d clusters, PCN has %d", ErrBadConfig, len(pl.PosOf), p.NumClusters)
 	}
 	if err := pl.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
+	if d != nil && d.Mesh() != pl.Mesh {
+		return fmt.Errorf("%w: defect map is for a %v mesh, placement for %v", ErrBadConfig, d.Mesh(), pl.Mesh)
+	}
 	return nil
 }
 
-// nearestFree finds the closest free, alive core (by Manhattan distance from
-// `from`, ties broken in deterministic ring order) where cluster c fits.
-func nearestFree(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints, c int, from geom.Point) (int, bool) {
+// freeCores indexes the free, alive cores of a placement's mesh: one bitset
+// per mesh row, bit y of row x set when core (x, y) holds no cluster and is
+// not dead. Every placement change of a repair goes through move, which
+// keeps the bits current.
+type freeCores struct {
+	mesh  hw.Mesh
+	d     *hw.DefectMap
+	words int      // uint64 words per row
+	bits  []uint64 // row x is bits[x*words : (x+1)*words]
+}
+
+func newFreeCores(pl *place.Placement, d *hw.DefectMap) *freeCores {
 	mesh := pl.Mesh
-	for r := 1; r <= mesh.Rows+mesh.Cols; r++ {
-		for dx := -r; dx <= r; dx++ {
-			dy := r - geom.Abs(dx)
-			cands := [2]geom.Point{{X: from.X + dx, Y: from.Y + dy}, {X: from.X + dx, Y: from.Y - dy}}
-			n := 2
-			if dy == 0 {
-				n = 1 // the two candidates coincide on the axis
+	f := &freeCores{mesh: mesh, d: d, words: (mesh.Cols + 63) / 64}
+	f.bits = make([]uint64, mesh.Rows*f.words)
+	for idx, c := range pl.ClusterAt {
+		if c == place.None && !d.IsDead(idx) {
+			f.set(idx, true)
+		}
+	}
+	return f
+}
+
+// set sets (free) or clears core idx's bit.
+func (f *freeCores) set(idx int, free bool) {
+	x, y := idx/f.mesh.Cols, idx%f.mesh.Cols
+	w := &f.bits[x*f.words+y/64]
+	if free {
+		*w |= 1 << (y % 64)
+	} else {
+		*w &^= 1 << (y % 64)
+	}
+}
+
+// move is pl.Move(c, to) with the index kept current: to is taken, and the
+// core c leaves becomes free unless it is dead.
+func (f *freeCores) move(pl *place.Placement, c int, to int32) error {
+	from := pl.PosOf[c]
+	if err := pl.Move(c, to); err != nil {
+		return err
+	}
+	f.set(int(to), false)
+	f.set(int(from), !f.d.IsDead(int(from)))
+	return nil
+}
+
+// next returns the first free column ≥ y of row x, or -1.
+func (f *freeCores) next(x, y int) int {
+	if y >= f.mesh.Cols {
+		return -1
+	}
+	row := f.bits[x*f.words : (x+1)*f.words]
+	i := y / 64
+	w := row[i] >> (y % 64) << (y % 64)
+	for w == 0 {
+		if i++; i == len(row) {
+			return -1
+		}
+		w = row[i]
+	}
+	return i*64 + bits.TrailingZeros64(w)
+}
+
+// prev returns the last free column ≤ y of row x, or -1.
+func (f *freeCores) prev(x, y int) int {
+	if y < 0 {
+		return -1
+	}
+	row := f.bits[x*f.words : (x+1)*f.words]
+	i := y / 64
+	w := row[i] << (63 - y%64) >> (63 - y%64)
+	for w == 0 {
+		if i--; i < 0 {
+			return -1
+		}
+		w = row[i]
+	}
+	return i*64 + 63 - bits.LeadingZeros64(w)
+}
+
+// nearest finds the free, alive core closest to `from` where cluster c
+// fits. Its answer is the first fitting core in ring order: Manhattan
+// distance ascending, then signed row offset ascending, then the +column
+// cell before the −column one. from itself is never a candidate.
+//
+// Rows are visited outward from from's row. In each, the nearest fitting
+// free column on either side is found by bit scans within the distance
+// budget the best answer so far leaves; the walk stops once the row offset
+// exceeds the best distance (at equal offset a row above can still win on
+// signed offset).
+func (f *freeCores) nearest(p *pcn.PCN, cons hw.Constraints, c int, from geom.Point) (int, bool) {
+	rows, cols := f.mesh.Rows, f.mesh.Cols
+	fits := func(x, y int) bool {
+		return clusterFits(p, c, cons, f.d.CapScale(x*cols+y))
+	}
+	best, bestDist, bestDx := -1, rows+cols, 0
+	maxK := max(from.X, rows-1-from.X)
+	for k := 0; k <= maxK && k <= bestDist; k++ {
+		for i, dx := range [2]int{-k, k} {
+			if i == 1 && k == 0 {
+				break // offset 0 is one row
 			}
-			for _, pt := range cands[:n] {
-				if !mesh.Contains(pt) {
-					continue
+			x := from.X + dx
+			if x < 0 || x >= rows {
+				continue
+			}
+			lim := bestDist - k // no column farther than this can win
+			lo := from.Y
+			if k == 0 {
+				lo++
+			}
+			right := -1
+			for y := f.next(x, lo); y >= 0 && y-from.Y <= lim; y = f.next(x, y+1) {
+				if fits(x, y) {
+					right = y
+					break
 				}
-				idx := mesh.Index(pt)
-				if pl.ClusterAt[idx] != place.None || d.IsDead(idx) {
-					continue
+			}
+			if right >= 0 {
+				lim = right - from.Y - 1 // left must be strictly nearer
+			}
+			left := -1
+			for y := f.prev(x, from.Y-1); y >= 0 && from.Y-y <= lim; y = f.prev(x, y-1) {
+				if fits(x, y) {
+					left = y
+					break
 				}
-				if clusterFits(p, c, cons, d.CapScale(idx)) {
-					return idx, true
-				}
+			}
+			y := right
+			if left >= 0 {
+				y = left
+			}
+			if y < 0 {
+				continue
+			}
+			if dist := k + geom.Abs(y-from.Y); dist < bestDist || (dist == bestDist && dx < bestDx) {
+				best, bestDist, bestDx = x*cols+y, dist, dx
 			}
 		}
 	}
-	return 0, false
+	return best, best >= 0
 }
 
 // interconnectEnergy is M_ec (Eq. 9) computed directly: the per-spike energy
-// of every directed connection at its current placement distance.
+// of every directed connection at its current placement distance. The
+// per-spike energy is read from a table of SpikeEnergy by hop count — the
+// same float64 values, so the same sum bit for bit.
 func interconnectEnergy(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) float64 {
 	pos := clusterCoords(pl)
+	hop := make([]float64, pl.Mesh.Rows+pl.Mesh.Cols-1)
+	for h := range hop {
+		hop[h] = cost.SpikeEnergy(h)
+	}
 	var total float64
 	for c := 0; c < p.NumClusters; c++ {
 		src := pos[c]
 		tos, ws := p.OutEdges(c)
 		for k, to := range tos {
 			dst := pos[to]
-			total += ws[k] * cost.SpikeEnergy(geom.Abs(int(src.x-dst.x))+geom.Abs(int(src.y-dst.y)))
+			total += ws[k] * hop[geom.Abs(int(src.x-dst.x))+geom.Abs(int(src.y-dst.y))]
 		}
 	}
 	return total
