@@ -394,30 +394,6 @@ func BenchmarkRefinePartition(b *testing.B) {
 	b.ReportMetric(100*reduction, "cut-reduction-%")
 }
 
-// BenchmarkNoCRouting compares simulator throughput across routing
-// algorithms on a contended workload.
-func BenchmarkNoCRouting(b *testing.B) {
-	p, mesh := buildWorkload(b, "LeNet-MNIST")
-	pl, _, err := baseline.Random(p, mesh, baseline.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, routing := range []noc.Routing{noc.RouteXY, noc.RouteYX, noc.RouteO1Turn} {
-		routing := routing
-		b.Run(routing.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := noc.Simulate(p, pl, noc.Config{SpikesPerUnit: 0.01, Routing: routing})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Delivered == 0 {
-					b.Fatal("no delivery")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCases runs the benchmark case table cmd/bench records into
 // BENCH_eval.json: kernels under the partitioner, FD, the snapshot codec,
 // metrics and the congestion grid (see expt.BenchCases). -short runs the

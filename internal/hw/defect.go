@@ -418,8 +418,9 @@ func ReadDefectMap(r io.Reader) (*DefectMap, error) {
 //	clustered:dead=0.05,blobs=3,seed=7
 //	lines:rows=1,cols=1,seed=7
 //
-// Omitted keys default to zero (seed defaults to 1). The dead and links
-// fractions must lie in [0, 1], and rows and cols must not be negative.
+// Omitted keys default to zero, except seed (1) and blobs (3). The dead and
+// links fractions must lie in [0, 1], rows and cols must not be negative, and
+// blobs must be at least 1.
 func ParseDefectSpec(mesh Mesh, spec string) (*DefectMap, error) {
 	kind, rest, _ := strings.Cut(spec, ":")
 	kind = strings.TrimSpace(kind)
@@ -495,7 +496,7 @@ func ParseDefectSpec(mesh Mesh, spec string) (*DefectMap, error) {
 		if err != nil {
 			return nil, err
 		}
-		blobs, err := getI("blobs", 3, math.MinInt)
+		blobs, err := getI("blobs", 3, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -237,7 +237,8 @@ func TestParseDefectSpec(t *testing.T) {
 
 // TestParseDefectSpecRejectsBadValues: fractions must be finite and in
 // [0, 1] and line counts non-negative, or the injectors would slice a
-// permutation with a negative length. Each error names the bad key.
+// permutation with a negative length; a blob count below 1 would silently
+// become one blob. Each error names the bad key.
 func TestParseDefectSpecRejectsBadValues(t *testing.T) {
 	mesh := MustMesh(8, 8)
 	for _, tc := range []struct{ spec, key string }{
@@ -249,6 +250,8 @@ func TestParseDefectSpecRejectsBadValues(t *testing.T) {
 		{"uniform:links=NaN", "links"},
 		{"clustered:dead=NaN", "dead"},
 		{"clustered:dead=2", "dead"},
+		{"clustered:blobs=0", "blobs"},
+		{"clustered:blobs=-4,dead=1", "blobs"},
 		{"lines:rows=-1", "rows"},
 		{"lines:cols=-3", "cols"},
 	} {
@@ -261,7 +264,7 @@ func TestParseDefectSpecRejectsBadValues(t *testing.T) {
 			t.Errorf("ParseDefectSpec(%q): error %q does not name %s", tc.spec, err, tc.key)
 		}
 	}
-	for _, ok := range []string{"uniform:dead=0,links=1", "uniform:dead=1", "lines:rows=0,cols=0"} {
+	for _, ok := range []string{"uniform:dead=0,links=1", "uniform:dead=1", "lines:rows=0,cols=0", "clustered:blobs=1"} {
 		if _, err := ParseDefectSpec(mesh, ok); err != nil {
 			t.Errorf("ParseDefectSpec(%q): %v", ok, err)
 		}

@@ -41,7 +41,7 @@ func longTailWorkload(b testing.TB) (*pcn.PCN, *place.Placement) {
 
 func BenchmarkSimulateLongTail(b *testing.B) {
 	p, pl := longTailWorkload(b)
-	cfg := Config{InjectionInterval: 4}
+	cfg := Config{}
 	for _, bench := range []struct {
 		name string
 		run  func() (Result, error)
@@ -60,15 +60,12 @@ func BenchmarkSimulateLongTail(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateSparse64x64 is the tentpole's headline workload: a
-// 64×64 mesh where only 64 source cores inject, in waves spaced far
-// enough apart that the network fully drains between them. The reference
-// driver scans all 4096·5 queues every cycle, including the idle gaps;
-// the event engine visits only occupied routers and fast-forwards the
-// gaps entirely.
+// BenchmarkSimulateSparse64x64 times a 64×64 mesh where only 64 source
+// cores inject. The reference driver scans all 4096·5 queues every cycle;
+// the calendar streams only the flits that depart.
 func BenchmarkSimulateSparse64x64(b *testing.B) {
 	p, pl := sparse64x64Workload(b)
-	cfg := Config{InjectionInterval: 24}
+	cfg := Config{}
 	for _, bench := range []struct {
 		name string
 		run  func() (Result, error)
@@ -115,53 +112,31 @@ func denseWorkload(b testing.TB, side int, spikes float64) (*pcn.PCN, *place.Pla
 	return res.PCN, pl
 }
 
-// BenchmarkSimulateDense times both engines on a dense all-cores workload:
-// the calendar (unbounded queues) and the queue engine (bounded queues).
+// BenchmarkSimulateDense times the calendar on a dense all-cores workload.
 func BenchmarkSimulateDense(b *testing.B) {
 	p, pl := denseWorkload(b, 64, 4)
-	for _, bench := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"calendar", Config{}},
-		{"queues", Config{QueueCap: 8}},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Simulate(p, pl, bench.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Simulate(p, pl, Config{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkSimulateHotSpot times the deep-queue hot spot (hotSpotWorkload:
-// one port past 4096 flits) per wire traversal, on the calendar and on the
-// queue engine with a queue bound the hot port runs into.
+// BenchmarkSimulateHotSpot times the calendar per wire traversal on the
+// deep-queue hot spot (hotSpotWorkload: one port past 4096 flits).
 func BenchmarkSimulateHotSpot(b *testing.B) {
 	p, pl := hotSpotWorkload(b)
-	for _, bench := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"calendar", Config{}},
-		{"queues", Config{QueueCap: 4500}},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var wire int64
-			for i := 0; i < b.N; i++ {
-				res, err := Simulate(p, pl, bench.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				wire += res.WireTraversals
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(wire), "ns/traversal")
-		})
+	b.ReportAllocs()
+	var wire int64
+	for i := 0; i < b.N; i++ {
+		res, err := Simulate(p, pl, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		wire += res.WireTraversals
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(wire), "ns/traversal")
 }
 
 // sparse64x64Workload: 4096 clusters placed identically onto a 64×64 mesh,

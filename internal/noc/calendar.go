@@ -2,8 +2,7 @@ package noc
 
 import "snnmap/internal/geom"
 
-// This file implements the calendar engine, which runs every simulation with
-// unbounded queues (QueueCap == 0).
+// This file implements the calendar engine, which runs every simulation.
 //
 // With unbounded queues an output port is a FIFO that releases exactly one
 // flit in every cycle it is non-empty, so a flit's departure cycle is fixed
@@ -65,8 +64,7 @@ type bucket struct {
 // busyRun is a queue's departure state: next is one past its last booked
 // departure, and start is the first departure of the run of consecutive
 // departures that ends at next-1. Both are uint32: a departure is at most
-// MaxCycles + MaxSpikes ≤ 2^32-2, past MaxInt32 when both limits sit at
-// theirs, and one past it still fits.
+// maxCycles + maxSpikes, and book stays exact up to 2^32-2.
 type busyRun struct{ next, start uint32 }
 
 // book assigns the departure of a flit pushed onto the queue, leaving no
@@ -84,8 +82,8 @@ func (r *busyRun) book(earliest, gone uint32) (d uint32, n int) {
 	return d, int(d-max(r.start, gone)) + 1
 }
 
-// calendar is the unbounded-queue engine (see the file comment). It
-// implements engine for simState.run.
+// calendar is the simulation engine (see the file comment); simState.run
+// drives it one cycle at a time.
 type calendar struct {
 	s      *simState
 	trains []train
@@ -106,12 +104,8 @@ func newCalendar(s *simState) *calendar {
 	return c
 }
 
-func (c *calendar) tallies() *accum { return &c.acc }
-
-func (c *calendar) pending() bool { return len(c.trains) > 0 }
-
 // begin enters cycle's window and runs the injection wave.
-func (c *calendar) begin(cycle int, inject bool) {
+func (c *calendar) begin(cycle int) {
 	if w := uint32(cycle) >> calWindowBits; w != c.win {
 		c.win = w
 		if len(c.ring) > 0 {
@@ -123,7 +117,7 @@ func (c *calendar) begin(cycle int, inject bool) {
 			c.release(b)
 		}
 	}
-	if inject {
+	if len(c.trains) > 0 {
 		c.inject(cycle)
 	}
 }
@@ -142,7 +136,7 @@ func (c *calendar) inject(cycle int) {
 	s, t := c.s, uint32(cycle)
 	w := 0
 	for _, tr := range c.trains {
-		if f, ok := s.take(&c.acc, &tr, cycle, false); ok {
+		if f, ok := s.take(&c.acc, &tr, cycle); ok {
 			c.push(int(tr.src)*5+int(tr.port), int(tr.port), f, t, t)
 			s.res.RouterTraversals[tr.src]++
 		}

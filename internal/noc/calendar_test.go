@@ -11,9 +11,9 @@ import (
 )
 
 // FuzzCalendarMatchesReference draws a small random mesh, net and placement,
-// a routing, a defect map with or without fault-aware routing, and the
-// injection, spike and watchdog knobs, and holds the calendar engine's full
-// Result and error text to the per-cycle reference scan.
+// a defect map with or without fault-aware routing, the spike scale and the
+// watchdog and detour limits, and holds the calendar engine's full Result
+// and error text to the per-cycle reference scan.
 func FuzzCalendarMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(0x00), uint8(0x00), uint8(0x00))
 	f.Add(int64(2), uint8(0x5a), uint8(0x13), uint8(0x81))
@@ -24,10 +24,11 @@ func FuzzCalendarMatchesReference(f *testing.F) {
 		clusters := min(rows*cols, int(shape>>6)*4+2)
 		p, pl := randomCorpusWorkload(t, seed, rows, cols, clusters, 6*clusters)
 		cfg := Config{
-			Routing:           Routing(knobs % 3),
-			InjectionInterval: []int{0, 1, 3, 40}[knobs>>2&3],
-			SpikesPerUnit:     []float64{0, 0.5, 2, 4}[knobs>>4&3],
-			WatchdogCycles:    []int{0, 2, 30, 400}[knobs>>6],
+			SpikesPerUnit: []float64{0, 0.5, 2, 4}[knobs>>4&3],
+			limits: limits{
+				maxDetourHops:  []int{0, 1, 4, 12}[knobs&3],
+				watchdogCycles: []int{0, 2, 30, 400}[knobs>>6],
+			},
 		}
 		if faults&3 != 0 {
 			dead := float64(faults>>2&3) * 0.05
@@ -36,7 +37,7 @@ func FuzzCalendarMatchesReference(f *testing.F) {
 			cfg.FaultAware = faults&3 != 1
 		}
 		if faults>>6 == 3 {
-			cfg.MaxCycles = int(seed&63) + 1
+			cfg.limits.maxCycles = int(seed&63) + 1
 		}
 		got, errGot := Simulate(p, pl, cfg)
 		want, errWant := simulateReference(context.Background(), p, pl, cfg)
@@ -79,12 +80,12 @@ func TestCalendarSameCycleArrivals(t *testing.T) {
 	}
 }
 
-// TestBusyRunBooksPastInt32: a departure can reach MaxCycles + MaxSpikes (a
-// hop in the last allowed cycle, queued behind MaxSpikes-1 flits), which
-// passes MaxInt32 when both limits sit at theirs. busyRun keeps it, and the
-// queue length, exact up to that last departure.
+// TestBusyRunBooksPastInt32: a departure can reach maxCycles + maxSpikes (a
+// hop in the last allowed cycle, queued behind maxSpikes-1 flits). busyRun
+// keeps it, and the queue length, exact even past MaxInt32, so limits up to
+// MaxInt32 each would still book correctly.
 func TestBusyRunBooksPastInt32(t *testing.T) {
-	const last = math.MaxInt32 // MaxCycles and MaxSpikes at their limit
+	const last = math.MaxInt32 // maxCycles and maxSpikes at MaxInt32
 	r := busyRun{next: last + last, start: last}
 	d, n := r.book(last+1, last+1) // a hop in cycle MaxCycles
 	if d != last+last || n != last || r.next != 1<<32-1 {
@@ -94,5 +95,36 @@ func TestBusyRunBooksPastInt32(t *testing.T) {
 	r = busyRun{next: 5, start: 1}
 	if d, n := r.book(last+7, last+6); d != last+7 || n != 1 || r.start != last+7 {
 		t.Fatalf("new run: book = (%d, %d), start %d; want (%d, 1), start %d", d, n, r.start, uint32(last+7), uint32(last+7))
+	}
+}
+
+// TestApplyPushServicedNextCycle pins the next-cycle rule on a three-router
+// chain: a flit moved into router 1 in some cycle first leaves it the next
+// cycle, although router 1 sorts after router 0 in the reference's scan. A
+// driver that serviced live state would carry each flit down the whole chain
+// in one cycle (Cycles == spikes, latency 1).
+func TestApplyPushServicedNextCycle(t *testing.T) {
+	const spikes = 5
+	p := edgePCN(t, [][3]float64{{0, 1, spikes}}, 2)
+	mesh := hw.MustMesh(1, 3)
+	pl := placeAt(t, p, mesh, mesh.Coord(0), mesh.Coord(2))
+	for _, run := range []func() (Result, error){
+		func() (Result, error) { return Simulate(p, pl, Config{}) },
+		func() (Result, error) { return simulateReference(context.Background(), p, pl, Config{}) },
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One hop per cycle: spike k is injected in cycle k, delivered in
+		// cycle k+2, and the run ends the cycle after the last delivery.
+		// The peak is 2, not 1: the reference applies candidates in
+		// ascending router order, so router 0's move lands in router 1's
+		// queue before router 1's own head, collected in the same scan, is
+		// popped (the calendar's queue-length rule, gone = t for q > sq).
+		if res.Cycles != spikes+2 || res.MaxLatencyCycles != 3 || res.AvgLatencyCycles != 3 || res.MaxQueueLen != 2 {
+			t.Errorf("Cycles=%d MaxLatency=%d AvgLatency=%g MaxQueueLen=%d, want %d/3/3/2",
+				res.Cycles, res.MaxLatencyCycles, res.AvgLatencyCycles, res.MaxQueueLen, spikes+2)
+		}
 	}
 }

@@ -37,12 +37,11 @@ func randomCorpusWorkload(t testing.TB, seed int64, rows, cols, clusters, edges 
 	return res.PCN, pl
 }
 
-// TestEventEngineMatchesReference is the tentpole equivalence contract: on a
-// golden corpus spanning pristine and faulty meshes, all three routings,
-// bounded and unbounded queues, and sparse injection schedules, the
-// event-driven Simulate must produce a Result bit-identical to the original
-// per-cycle simulateReference scan — every field, including traversal
-// vectors, float aggregates, queue peaks and stall counters.
+// TestEventEngineMatchesReference is the equivalence contract: on a golden
+// corpus spanning pristine and faulty meshes, with and without fault-aware
+// routing, the calendar engine behind Simulate must produce a Result
+// bit-identical to the original per-cycle simulateReference scan — every
+// field, including traversal vectors, float aggregates and queue peaks.
 func TestEventEngineMatchesReference(t *testing.T) {
 	mesh := hw.MustMesh(12, 12)
 	deadMap := hw.InjectUniform(mesh, 0.05, 0, 7)     // ~5% dead cores
@@ -53,20 +52,15 @@ func TestEventEngineMatchesReference(t *testing.T) {
 		cfg  Config
 	}{
 		{"pristine/xy", Config{}},
-		{"pristine/yx", Config{Routing: RouteYX}},
-		{"pristine/o1turn", Config{Routing: RouteO1Turn}},
-		{"pristine/bounded", Config{QueueCap: 2}},
-		{"pristine/bounded-yx", Config{Routing: RouteYX, QueueCap: 1}},
-		{"pristine/sparse-injection", Config{InjectionInterval: 32, SpikesPerUnit: 3}},
+		{"pristine/heavy", Config{SpikesPerUnit: 3}},
 		{"dead-cores/fault-aware", Config{Defects: deadMap, FaultAware: true}},
 		{"dead-cores/drop", Config{Defects: deadMap}},
 		{"failed-links/fault-aware", Config{Defects: linkMap, FaultAware: true}},
-		{"failed-links/o1turn", Config{Routing: RouteO1Turn, Defects: linkMap, FaultAware: true}},
+		{"mixed/fault-aware", Config{Defects: mixedMap, FaultAware: true}},
 		// The short watchdog makes the in-flight age cap bite while spikes
-		// are jammed against the fault boundary — exercising the TTL-drop
-		// path without simulating a million cycles of gridlock.
-		{"mixed/bounded-fault-aware", Config{QueueCap: 4, Defects: mixedMap, FaultAware: true, WatchdogCycles: 2000}},
-		{"mixed/sparse-injection", Config{InjectionInterval: 16, Defects: mixedMap, FaultAware: true}},
+		// queue behind the fault boundary — exercising the TTL-drop path
+		// without simulating a million cycles.
+		{"mixed/age-cap", Config{Defects: mixedMap, FaultAware: true, SpikesPerUnit: 3, limits: limits{watchdogCycles: 20}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,54 +80,41 @@ func TestEventEngineMatchesReference(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d: Result mismatch:\nevent:     %+v\nreference: %+v", seed, got, want)
 				}
+				if tc.cfg.limits.watchdogCycles > 0 {
+					// The age cap must drop spikes the default limits deliver.
+					uncapped := tc.cfg
+					uncapped.limits = limits{}
+					free, err := simulateReference(context.Background(), p, pl, uncapped)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want.Stats.NetworkDrops <= free.Stats.NetworkDrops {
+						t.Fatalf("seed %d: age cap never bit: %d network drops, %d without it", seed, want.Stats.NetworkDrops, free.Stats.NetworkDrops)
+					}
+				}
 			}
 		})
 	}
 }
 
 // TestEventEngineMatchesReferenceErrorPaths pins the limit behavior: both
-// drivers must fail identically when the cycle budget cuts a run short —
-// including a budget that lands inside an idle gap the event engine
-// fast-forwards across.
+// drivers must fail identically when the cycle budget cuts a run short.
 func TestEventEngineMatchesReferenceErrorPaths(t *testing.T) {
 	p, pl := randomCorpusWorkload(t, 1, 8, 8, 30, 120)
 	for _, cfg := range []Config{
-		{MaxCycles: 3},
-		{InjectionInterval: 500, SpikesPerUnit: 4, MaxCycles: 750},
+		{limits: limits{maxCycles: 3}},
+		{SpikesPerUnit: 4, limits: limits{maxCycles: 20}},
 	} {
 		got, errGot := Simulate(p, pl, cfg)
 		want, errWant := simulateReference(context.Background(), p, pl, cfg)
 		if errGot == nil || errWant == nil {
-			t.Fatalf("MaxCycles=%d: expected both drivers to fail, got event=%v reference=%v", cfg.MaxCycles, errGot, errWant)
+			t.Fatalf("maxCycles=%d: expected both drivers to fail, got event=%v reference=%v", cfg.limits.maxCycles, errGot, errWant)
 		}
 		if !errors.Is(errGot, ErrLivelock) || errGot.Error() != errWant.Error() {
-			t.Fatalf("MaxCycles=%d: error mismatch:\nevent:     %v\nreference: %v", cfg.MaxCycles, errGot, errWant)
+			t.Fatalf("maxCycles=%d: error mismatch:\nevent:     %v\nreference: %v", cfg.limits.maxCycles, errGot, errWant)
 		}
 		if !reflect.DeepEqual(got.RouterTraversals, want.RouterTraversals) {
-			t.Fatalf("MaxCycles=%d: partial traversals diverge", cfg.MaxCycles)
+			t.Fatalf("maxCycles=%d: partial traversals diverge", cfg.limits.maxCycles)
 		}
-	}
-}
-
-// TestEventEngineFastForwardsIdleGaps checks the sparse-schedule win the
-// fast-forward exists for: simulated Cycles grows with the injection
-// interval (the gaps are semantically there) while the Result still matches
-// the reference exactly, even when the gaps dominate the run.
-func TestEventEngineFastForwardsIdleGaps(t *testing.T) {
-	p, pl := randomCorpusWorkload(t, 2, 6, 6, 12, 24)
-	cfg := Config{InjectionInterval: 10_000, SpikesPerUnit: 3}
-	got, err := Simulate(p, pl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := simulateReference(context.Background(), p, pl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sparse schedule diverges:\nevent:     %+v\nreference: %+v", got, want)
-	}
-	if got.Cycles < cfg.InjectionInterval {
-		t.Fatalf("Cycles = %d; want at least one full injection gap (%d)", got.Cycles, cfg.InjectionInterval)
 	}
 }

@@ -110,7 +110,7 @@ func TestDetourTTLDropsSpike(t *testing.T) {
 	if err := d.FailLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(p, pl, Config{Defects: d, FaultAware: true, MaxDetourHops: 1})
+	res, err := Simulate(p, pl, Config{Defects: d, FaultAware: true, limits: limits{maxDetourHops: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +171,9 @@ func TestMaxCyclesWrapsLivelock(t *testing.T) {
 	p := edgePCN(t, [][3]float64{{0, 1, 1}}, 2)
 	mesh := hw.MustMesh(4, 4)
 	pl := placeAt(t, p, mesh, mesh.Coord(0), mesh.Coord(15))
-	_, err := Simulate(p, pl, Config{MaxCycles: 1})
+	_, err := Simulate(p, pl, Config{limits: limits{maxCycles: 1}})
 	if !errors.Is(err, ErrLivelock) {
-		t.Fatalf("MaxCycles overrun: got %v, want ErrLivelock", err)
+		t.Fatalf("cycle limit overrun: got %v, want ErrLivelock", err)
 	}
 }
 
@@ -181,23 +181,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config must validate: %v", err)
 	}
-	if err := (Config{Routing: RouteO1Turn}).Validate(); err != nil {
-		t.Fatalf("O1Turn with unbounded queues must validate: %v", err)
-	}
 	for name, bad := range map[string]Config{
-		"unknown routing":    {Routing: Routing(9)},
-		"o1turn bounded":     {Routing: RouteO1Turn, QueueCap: 4},
-		"negative queue":     {QueueCap: -1},
-		"negative spikes":    {SpikesPerUnit: -2},
-		"NaN spikes":         {SpikesPerUnit: math.NaN()},
-		"+Inf spikes":        {SpikesPerUnit: math.Inf(1)},
-		"-Inf spikes":        {SpikesPerUnit: math.Inf(-1)},
-		"negative interval":  {InjectionInterval: -1},
-		"negative cycles":    {MaxCycles: -1},
-		"negative detour":    {MaxDetourHops: -1},
-		"negative watchdog":  {WatchdogCycles: -1},
-		"negative max spike": {MaxSpikes: -1},
-		"negative shards":    {Shards: -1},
+		"negative spikes": {SpikesPerUnit: -2},
+		"NaN spikes":      {SpikesPerUnit: math.NaN()},
+		"+Inf spikes":     {SpikesPerUnit: math.Inf(1)},
+		"-Inf spikes":     {SpikesPerUnit: math.Inf(-1)},
+		"negative shards": {Shards: -1},
 	} {
 		if err := bad.Validate(); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: got %v, want ErrBadConfig", name, err)
@@ -207,7 +196,7 @@ func TestConfigValidate(t *testing.T) {
 	p := edgePCN(t, [][3]float64{{0, 1, 1}}, 2)
 	mesh := hw.MustMesh(2, 2)
 	pl := placeAt(t, p, mesh, mesh.Coord(0), mesh.Coord(1))
-	if _, err := Simulate(p, pl, Config{QueueCap: -3}); !errors.Is(err, ErrBadConfig) {
+	if _, err := Simulate(p, pl, Config{SpikesPerUnit: -3}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("Simulate with bad config: got %v, want ErrBadConfig", err)
 	}
 }
@@ -222,33 +211,27 @@ func TestDeliveredFractionEmptyRun(t *testing.T) {
 	}
 }
 
-// TestTakeRules pins the injection attempt both engines share, in the
-// reference's order: a blocked first hop counts a detour on every attempt;
-// a spike with no usable first hop is dropped even when its source queue is
-// full; a full queue stalls the spike without spending it; otherwise the
-// spike leaves as a flit stamped with the cycle (in detour mode when its
-// first hop is blocked).
+// TestTakeRules pins the calendar's injection attempt, in the reference's
+// order: every attempt spends one spike of the train; a spike with no usable
+// first hop is dropped; otherwise it leaves as a flit stamped with the cycle,
+// in detour mode, with a detour counted, when its first hop is blocked.
 func TestTakeRules(t *testing.T) {
 	s := &simState{detourHops: 9}
 	for _, tc := range []struct {
 		name  string
 		tr    train
-		full  bool
 		ok    bool
 		want  accum
 		count int32
 		f     flit
 	}{
-		{"drop", train{drop: true, count: 2}, false, false, accum{dropped: 1}, 1, flit{}},
-		{"drop-full", train{drop: true, count: 2}, true, false, accum{dropped: 1}, 1, flit{}},
-		{"stall", train{count: 2}, true, false, accum{injStalls: 1}, 2, flit{}},
-		{"stall-blocked", train{blocked: true, count: 2}, true, false, accum{injStalls: 1, detours: 1}, 2, flit{}},
-		{"inject", train{dst: 5, yx: true, count: 2}, false, true, accum{injections: 1}, 1, flit{dst: 5, injected: 7, yx: true}},
-		{"inject-blocked", train{dst: 5, blocked: true, count: 1}, false, true, accum{injections: 1, detours: 1}, 0, flit{dst: 5, injected: 7, detour: 9}},
+		{"drop", train{drop: true, count: 2}, false, accum{dropped: 1}, 1, flit{}},
+		{"inject", train{dst: 5, count: 2}, true, accum{injections: 1}, 1, flit{dst: 5, injected: 7}},
+		{"inject-blocked", train{dst: 5, blocked: true, count: 1}, true, accum{injections: 1, detours: 1}, 0, flit{dst: 5, injected: 7, detour: 9}},
 	} {
 		var a accum
 		tr := tc.tr
-		f, ok := s.take(&a, &tr, 7, tc.full)
+		f, ok := s.take(&a, &tr, 7)
 		if ok != tc.ok || f != tc.f || a != tc.want || tr.count != tc.count {
 			t.Errorf("%s: got ok=%v flit %+v accum %+v count %d, want ok=%v flit %+v accum %+v count %d",
 				tc.name, ok, f, a, tr.count, tc.ok, tc.f, tc.want, tc.count)

@@ -18,24 +18,20 @@
 // progress watchdog converts a livelocked or deadlocked simulation into a
 // typed ErrLivelock instead of a hang.
 //
-// Simulate/SimulateContext run one cycle loop (simState.run: limits, the
-// watchdog, injection, termination, idle fast-forward) over one of two
-// engines, and each hop is decided in one place, simState.hop; exhausted
-// trains are compacted out and each train's first hop is resolved once.
+// Queues are unbounded and every edge injects one spike per cycle until its
+// train is spent — the traffic model behind the paper's metrics. Under it a
+// port releases one flit in every cycle it holds one, so a flit's departure
+// cycle is fixed when it is pushed. Simulate/SimulateContext therefore run
+// one cycle loop (simState.run: limits, the watchdog, injection,
+// termination) over the calendar engine (calendar.go), which files each flit
+// under its departure cycle and streams one cycle's flits at a time, keeping
+// no queues at all. Each hop is decided in one place, simState.hop;
+// exhausted trains are compacted out and each train's first hop is resolved
+// once.
 //
-//   - Unbounded queues (QueueCap == 0, every CLI and experiment run) take the
-//     calendar engine (calendar.go). A port then releases one flit per cycle
-//     whenever it holds one, so a flit's departure cycle is fixed when it is
-//     pushed; the engine files each flit under that cycle and streams one
-//     cycle's flits at a time, keeping no queues at all.
-//   - Bounded queues take the queue engine (queues.go): per-port ring
-//     queues with an occupancy bitmap kept exact at the queue push and pop
-//     sites, so a cycle's scan visits only the non-empty ports (in ascending
-//     router order, the bitmap's bit order).
-//
-// Both engines run on the calling goroutine. The original per-cycle scan of
-// every router survives only in this package's tests, as the equivalence
-// oracle both engines must match bit for bit.
+// The engine runs on the calling goroutine. The original per-cycle scan of
+// every router's queues survives only in this package's tests, as the
+// equivalence oracle the calendar must match bit for bit.
 package noc
 
 import (
@@ -58,101 +54,75 @@ var (
 	// configuration errors from any pipeline package.
 	ErrBadConfig = place.ErrBadConfig
 	// ErrLivelock reports that the simulation stopped making forward
-	// progress (or exceeded MaxCycles) with spikes still in flight.
+	// progress (or ran past the cycle limit) with spikes still in flight.
 	ErrLivelock = errors.New("noc: livelock")
 	// ErrCanceled reports that the caller's context canceled the run
 	// (shared with the mapping pipeline via internal/place).
 	ErrCanceled = place.ErrCanceled
 )
 
-// Routing selects the simulator's route computation.
-type Routing uint8
-
-const (
-	// RouteXY is dimension-ordered column-first routing (the default, and
-	// the model behind Algorithm 4's expectation).
-	RouteXY Routing = iota
-	// RouteYX is dimension-ordered row-first routing.
-	RouteYX
-	// RouteO1Turn picks XY or YX per spike from a deterministic hash of
-	// its endpoints, balancing load across the two dimension orders. It
-	// needs unbounded buffers (a real O1TURN router uses two virtual
-	// channels to stay deadlock-free), so it rejects QueueCap > 0.
-	RouteO1Turn
-)
-
-// String implements fmt.Stringer.
-func (r Routing) String() string {
-	switch r {
-	case RouteXY:
-		return "xy"
-	case RouteYX:
-		return "yx"
-	case RouteO1Turn:
-		return "o1turn"
-	}
-	return fmt.Sprintf("Routing(%d)", uint8(r))
-}
-
-// Config tunes a simulation run.
+// Config tunes a simulation run. Spikes take dimension-ordered column-first
+// (XY) routes through unbounded output queues.
 type Config struct {
 	// Cost converts traversal counts into energy and ideal latency; the
 	// zero value means hw.DefaultCostModel().
 	Cost hw.CostModel
-	// Routing selects the route computation (default RouteXY).
-	Routing Routing
-	// QueueCap bounds every output queue; a full downstream queue
-	// backpressures the upstream router (credit-based store-and-forward).
-	// Dimension-ordered routing keeps the channel dependency graph acyclic,
-	// so bounded runs stay deadlock-free; fault-aware detours can break
-	// that guarantee, in which case the progress watchdog reports
-	// ErrLivelock instead of hanging. 0 means unbounded, and selects the
-	// calendar engine; bounded runs take the queue engine.
-	QueueCap int
 	// SpikesPerUnit scales PCN edge weights into injected spike counts
-	// (each edge injects max(1, round(w·SpikesPerUnit)) spikes). Zero
-	// means 1; NaN and ±Inf are rejected.
+	// (each edge injects max(1, round(w·SpikesPerUnit)) spikes, one per
+	// cycle). Zero means 1; NaN and ±Inf are rejected.
 	SpikesPerUnit float64
-	// InjectionInterval is the gap in cycles between consecutive spikes of
-	// the same edge (1 = back-to-back). Zero means 1.
-	InjectionInterval int
-	// MaxCycles aborts runaway simulations with an error wrapping
-	// ErrLivelock. Zero means 10_000_000.
-	MaxCycles int
-	// MaxSpikes caps the total injected spike count to keep memory
-	// bounded. Zero means 5_000_000.
-	MaxSpikes int64
 	// Defects marks dead cores and failed links. Spikes sourced at or
 	// destined to a dead core are dropped at injection; failed links are
 	// never traversed.
 	Defects *hw.DefectMap
 	// FaultAware enables detour routing around failed links: the
-	// secondary productive dimension first, then a misroute bounded by
-	// MaxDetourHops. When false, a spike whose dimension-ordered next hop
-	// is failed is dropped at that router.
+	// secondary productive dimension first, then a misroute bounded by a
+	// budget of 4·(rows+cols) hops. When false, a spike whose
+	// dimension-ordered next hop is failed is dropped at that router.
 	FaultAware bool
-	// MaxDetourHops bounds the total hops of a detoured spike; past it the
-	// spike is dropped as undeliverable (it may be circling an unreachable
-	// destination). Zero means 4·(rows+cols).
-	MaxDetourHops int
-	// WatchdogCycles is the progress watchdog: if no spike is injected,
-	// delivered or dropped for this many cycles while spikes are in
-	// flight, the run fails with ErrLivelock. Zero means 1_000_000; it is
-	// clamped to at least twice the injection interval.
-	WatchdogCycles int
-	// Shards is accepted and ignored: both engines run on the calling
-	// goroutine. (Splitting bounded runs into row strips with a worker
-	// each measured slower, since every move must still be applied in one
-	// global order.) It must not be negative or exceed the mesh's row
-	// count; ClampShards turns any request into a count that validates.
+	// Shards is accepted and ignored: the engine runs on the calling
+	// goroutine. It must not be negative or exceed the mesh's row count;
+	// ClampShards turns any request into a count that validates.
 	Shards int
 	// Obs receives a run span, throttled progress, and one noc.shard
-	// counter sample (flits, hops, drops, detours, stalls, max_queue)
-	// after the run; nil disables telemetry.
+	// counter sample (flits, hops, drops, detours, max_queue) after the
+	// run; nil disables telemetry.
 	// Observe-only: the simulation and its Result are bit-identical with or
-	// without it. Only the engines emit; the test-only reference scan stays
+	// without it. Only the engine emits; the test-only reference scan stays
 	// the pristine oracle.
 	Obs *obs.Observer
+
+	// limits lowers the safety limits so a run reaches them in a few
+	// cycles. Only this package's tests set it.
+	limits limits
+}
+
+// The simulator's safety limits. Spike counts, cycle stamps and hop counts
+// are stored as int32 (train.count, flit.injected, flit.hops against
+// maxHops), so every limit must fit one: the assertion below does not
+// compile otherwise.
+const (
+	// maxCycles aborts a runaway simulation with an error wrapping
+	// ErrLivelock.
+	maxCycles = 10_000_000
+	// maxSpikes caps the total injected spike count to keep memory bounded;
+	// a workload past it fails with place.ErrCapacityExceeded.
+	maxSpikes = 5_000_000
+	// watchdogCycles is the progress watchdog: if no spike is injected,
+	// delivered or dropped for this many cycles while spikes are in flight,
+	// the run fails with ErrLivelock. It is also the in-flight age past
+	// which a spike on a faulty mesh is dropped.
+	watchdogCycles = 1_000_000
+)
+
+var _ = [1]struct{}{}[max(maxCycles, maxSpikes, watchdogCycles)>>31]
+
+// limits are a run's safety limits. A zero field takes its default: the
+// constant above, or 4·(rows+cols) hops for maxDetourHops, the budget past
+// which a detoured spike is dropped as undeliverable.
+type limits struct {
+	maxCycles, watchdogCycles, maxDetourHops int
+	maxSpikes                                int64
 }
 
 func (c Config) withDefaults() Config {
@@ -162,20 +132,14 @@ func (c Config) withDefaults() Config {
 	if c.SpikesPerUnit <= 0 {
 		c.SpikesPerUnit = 1
 	}
-	if c.InjectionInterval <= 0 {
-		c.InjectionInterval = 1
+	if c.limits.maxCycles <= 0 {
+		c.limits.maxCycles = maxCycles
 	}
-	if c.MaxCycles <= 0 {
-		c.MaxCycles = 10_000_000
+	if c.limits.maxSpikes <= 0 {
+		c.limits.maxSpikes = maxSpikes
 	}
-	if c.MaxSpikes <= 0 {
-		c.MaxSpikes = 5_000_000
-	}
-	if c.WatchdogCycles <= 0 {
-		c.WatchdogCycles = 1_000_000
-	}
-	if c.WatchdogCycles < 2*c.InjectionInterval {
-		c.WatchdogCycles = 2 * c.InjectionInterval
+	if c.limits.watchdogCycles <= 0 {
+		c.limits.watchdogCycles = watchdogCycles
 	}
 	return c
 }
@@ -196,50 +160,11 @@ func ClampShards(n, rows int) int {
 // Validate checks the configuration up front, before any simulation state is
 // built, returning an error wrapping ErrBadConfig on the first problem.
 func (c Config) Validate() error {
-	if c.Routing > RouteO1Turn {
-		return fmt.Errorf("%w: unknown routing %d", ErrBadConfig, c.Routing)
-	}
-	if c.Routing == RouteO1Turn && c.QueueCap > 0 {
-		return fmt.Errorf("%w: O1Turn routing requires unbounded queues (it needs virtual channels to stay deadlock-free); set QueueCap to 0", ErrBadConfig)
-	}
-	if c.QueueCap < 0 {
-		return fmt.Errorf("%w: negative QueueCap %d", ErrBadConfig, c.QueueCap)
-	}
 	if !(c.SpikesPerUnit >= 0) || math.IsInf(c.SpikesPerUnit, 1) {
 		return fmt.Errorf("%w: SpikesPerUnit %g, want a finite value ≥ 0", ErrBadConfig, c.SpikesPerUnit)
 	}
-	for _, v := range [...]struct {
-		name string
-		val  int
-	}{
-		{"InjectionInterval", c.InjectionInterval},
-		{"MaxCycles", c.MaxCycles},
-		{"MaxDetourHops", c.MaxDetourHops},
-		{"WatchdogCycles", c.WatchdogCycles},
-		{"Shards", c.Shards},
-	} {
-		if v.val < 0 {
-			return fmt.Errorf("%w: negative %s %d", ErrBadConfig, v.name, v.val)
-		}
-	}
-	if c.MaxSpikes < 0 {
-		return fmt.Errorf("%w: negative MaxSpikes %d", ErrBadConfig, c.MaxSpikes)
-	}
-	// Spike counts, cycle stamps and hop counts are stored as int32
-	// (train.count, flit.injected, flit.hops against maxHops); a larger
-	// limit would let them wrap silently.
-	for _, v := range [...]struct {
-		name string
-		val  int64
-	}{
-		{"MaxSpikes", c.MaxSpikes},
-		{"MaxCycles", int64(c.MaxCycles)},
-		{"WatchdogCycles", int64(c.WatchdogCycles)},
-		{"MaxDetourHops", int64(c.MaxDetourHops)},
-	} {
-		if v.val > math.MaxInt32 {
-			return fmt.Errorf("%w: %s %d exceeds %d", ErrBadConfig, v.name, v.val, math.MaxInt32)
-		}
+	if c.Shards < 0 {
+		return fmt.Errorf("%w: negative Shards %d", ErrBadConfig, c.Shards)
 	}
 	return nil
 }
@@ -269,14 +194,9 @@ type Result struct {
 	AvgHops float64
 	// MaxQueueLen is the peak occupancy of any output queue.
 	MaxQueueLen int
-	// Stalls counts cycles×flits blocked by a full downstream queue
-	// (nonzero only with QueueCap > 0).
-	Stalls int64
-	// InjectionStalls counts injections deferred by a full source queue.
-	InjectionStalls int64
 	// Stats breaks the fault accounting down (previously only reachable
-	// through metrics.Degradation). All three drivers compute it at the
-	// same decision sites, so it is part of the bit-identity contract.
+	// through metrics.Degradation). The engine and the reference compute it
+	// at the same decision sites, so it is part of the bit-identity contract.
 	Stats Stats
 }
 
@@ -314,60 +234,29 @@ type flit struct {
 	injected int32 // injection cycle
 	hops     int32 // links crossed so far (detour budget accounting)
 	detour   uint8 // remaining hops of sticky detour mode after a blocked port
-	yx       bool  // row-first dimension order (RouteYX / O1Turn choice)
-	slot     uint8 // calendar engine: departure cycle mod calWindow (the queue engine leaves it 0)
-}
-
-// queue is a FIFO of flits on a power-of-two ring buffer: push and pop are
-// O(1) with no element moves, and a full ring doubles with one copy that
-// unwraps it (oldest flit back at slot 0), so FIFO order survives growth.
-type queue struct {
-	buf     []flit // len is 0 or a power of two
-	head, n int32  // slot of the oldest flit; flits held
-}
-
-func (q *queue) len() int   { return int(q.n) }
-func (q *queue) peek() flit { return q.buf[q.head] }
-
-func (q *queue) push(f flit) {
-	if int(q.n) == len(q.buf) {
-		grown := make([]flit, max(4, 2*len(q.buf)))
-		k := copy(grown, q.buf[q.head:])
-		copy(grown[k:], q.buf[:q.head])
-		q.buf, q.head = grown, 0
-	}
-	q.buf[(int(q.head)+int(q.n))&(len(q.buf)-1)] = f
-	q.n++
-}
-
-func (q *queue) pop() flit {
-	f := q.buf[q.head]
-	q.head = (q.head + 1) & int32(len(q.buf)-1)
-	q.n--
-	return f
+	slot     uint8 // departure cycle mod calWindow, while filed in the calendar
 }
 
 // train is one edge's injection schedule: count spikes from src to dst.
 // Every spike of a train starts at src with no hops and no detour state, so
-// its first routing decision is a constant of the train; the engines
-// resolve it once (resolveTrains) into port/drop/blocked/yx.
+// its first routing decision is a constant of the train, resolved once
+// (resolveTrains) into port/drop/blocked.
 type train struct {
 	src, dst int32
 	count    int32
 	port     uint8 // output port at src
 	drop     bool  // no usable first hop: spikes are dropped at injection
 	blocked  bool  // first hop is a detour: spikes start in detour mode
-	yx       bool  // dimension order (see orientation)
 }
 
 // local is the fifth output port of every router: delivery to the core.
 const local = 4
 
-// simState is the substrate shared by the two engines (SimulateContext) and
-// the per-cycle reference scan the tests keep:
-// the injection schedule, the route computation and all accounting. Both
-// drivers mutate this state through the same primitives, which is what
-// keeps their Results bit-identical.
+// simState is the substrate shared by the calendar engine (SimulateContext)
+// and the per-cycle reference scan the tests keep: the injection schedule,
+// the route computation and all accounting. Both drivers mutate this state
+// through the same primitives, which is what keeps their Results
+// bit-identical.
 type simState struct {
 	cfg        Config
 	mesh       hw.Mesh
@@ -380,15 +269,11 @@ type simState struct {
 	res    Result
 
 	latencySum int64
-	// The reference scan's tallies; the engines keep theirs in accum.
-	inFlight   int64
-	injections int64
 }
 
 // newSimState validates the configuration and builds the shared simulation
 // state: connected components of the (possibly faulty) mesh and the
-// injection schedule. The router queues belong to whichever driver keeps
-// them.
+// injection schedule. The router queues, if any, belong to the driver.
 func newSimState(p *pcn.PCN, pl *place.Placement, cfg Config) (*simState, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -403,7 +288,7 @@ func newSimState(p *pcn.PCN, pl *place.Placement, cfg Config) (*simState, error)
 		mesh:    mesh,
 		cores:   mesh.Cores(),
 		defects: cfg.Defects,
-		maxHops: int32(cfg.MaxDetourHops),
+		maxHops: int32(cfg.limits.maxDetourHops),
 	}
 	if s.maxHops == 0 {
 		s.maxHops = int32(4 * (mesh.Rows + mesh.Cols))
@@ -479,8 +364,8 @@ func newSimState(p *pcn.PCN, pl *place.Placement, cfg Config) (*simState, error)
 			// ≥ 2^63 count converts to math.MinInt64 and would clamp to 1.
 			x := ws[k]*cfg.SpikesPerUnit + 0.5
 			n := max(int64(x), 1)
-			if !(x < float64(cfg.MaxSpikes)+1) || s.res.Injected+n > cfg.MaxSpikes {
-				return nil, fmt.Errorf("noc: workload needs more than MaxSpikes=%d spikes; lower SpikesPerUnit: %w", cfg.MaxSpikes, place.ErrCapacityExceeded)
+			if !(x < float64(cfg.limits.maxSpikes)+1) || s.res.Injected+n > cfg.limits.maxSpikes {
+				return nil, fmt.Errorf("noc: workload needs more than the simulator's %d spikes; lower SpikesPerUnit: %w", cfg.limits.maxSpikes, place.ErrCapacityExceeded)
 			}
 			s.res.Injected += n
 			dst := pl.PosOf[to]
@@ -537,24 +422,11 @@ func (s *simState) linkOK(idx, port int) bool {
 	return !s.defects.IsDead(s.neighbor(idx, port))
 }
 
-// route decides the output port at router idx for the flit under its
-// dimension order: column-first (XY) or row-first (YX).
-func (s *simState) route(idx int, f flit) int {
+// route decides the output port at router idx toward dst under
+// dimension-ordered column-first (XY) routing.
+func (s *simState) route(idx int, dst int32) int {
 	r, c := idx/s.mesh.Cols, idx%s.mesh.Cols
-	dr, dc := int(f.dst)/s.mesh.Cols, int(f.dst)%s.mesh.Cols
-	if f.yx {
-		switch {
-		case dr > r:
-			return int(geom.Down)
-		case dr < r:
-			return int(geom.Up)
-		case dc > c:
-			return int(geom.Right)
-		case dc < c:
-			return int(geom.Left)
-		}
-		return local
-	}
+	dr, dc := int(dst)/s.mesh.Cols, int(dst)%s.mesh.Cols
 	switch {
 	case dc > c:
 		return int(geom.Right)
@@ -568,13 +440,31 @@ func (s *simState) route(idx int, f flit) int {
 	return local
 }
 
+// routeYX is route under the other dimension order, row-first: the
+// productive alternative a fault-aware detour offers.
+func (s *simState) routeYX(idx int, dst int32) int {
+	r, c := idx/s.mesh.Cols, idx%s.mesh.Cols
+	dr, dc := int(dst)/s.mesh.Cols, int(dst)%s.mesh.Cols
+	switch {
+	case dr > r:
+		return int(geom.Down)
+	case dr < r:
+		return int(geom.Up)
+	case dc > c:
+		return int(geom.Right)
+	case dc < c:
+		return int(geom.Left)
+	}
+	return local
+}
+
 // routePort is the fault-aware route computation at router idx. The
 // second return is true when the flit must be dropped (its
 // dimension-ordered next hop is failed and fault-aware routing is off,
 // or no usable port exists); the third is true when the flit hit a
 // blocked port and must (re-)enter sticky detour mode.
 func (s *simState) routePort(idx int, f flit) (int, bool, bool) {
-	p0 := s.route(idx, f)
+	p0 := s.route(idx, f.dst)
 	primaryOK := s.defects == nil || p0 == local || s.linkOK(idx, p0)
 	if primaryOK && (f.detour == 0 || p0 == local) {
 		return p0, false, false
@@ -584,8 +474,8 @@ func (s *simState) routePort(idx int, f flit) (int, bool, bool) {
 	}
 	// Detour walk: a weighted hash pick among every usable port, keyed
 	// by (destination, router, hop count). Productive ports — the
-	// primary when merely in detour mode, and the other dimension
-	// order's choice — get extra weight, but are never mandatory: a
+	// primary when merely in detour mode, and the row-first order's
+	// choice — get extra weight, but are never mandatory: a
 	// deterministic preference turns dead-end pockets into infinite
 	// ping-pongs (productive into the pocket, forced back out of it),
 	// and reverting to greedy routing the moment a port is usable pins
@@ -601,9 +491,7 @@ func (s *simState) routePort(idx int, f flit) (int, bool, bool) {
 		cand[0], cand[1], cand[2] = p0, p0, p0
 		n = 3
 	}
-	alt := f
-	alt.yx = !f.yx
-	if p1 := s.route(idx, alt); p1 != p0 && p1 != local && s.linkOK(idx, p1) {
+	if p1 := s.routeYX(idx, f.dst); p1 != p0 && p1 != local && s.linkOK(idx, p1) {
 		cand[n], cand[n+1], cand[n+2] = p1, p1, p1
 		n += 3
 	}
@@ -623,8 +511,8 @@ func (s *simState) routePort(idx int, f flit) (int, bool, bool) {
 	return cand[h%uint32(n)], false, !primaryOK
 }
 
-// hop decides the fate of *f, a copy of a flit leaving a queue whose port
-// leads into router to: drop it there, or move it into to's output port with *f
+// hop decides the fate of *f, a copy of a flit leaving a port that leads
+// into router to: drop it there, or move it into to's output port with *f
 // advanced (detour state, hop count). blocked reports a (re-)entry into
 // sticky detour mode; callers count it once the move is committed. f is a
 // pointer because returning a just-written flit by value stalls store
@@ -633,11 +521,11 @@ func (s *simState) hop(f *flit, to, cycle int) (port int, drop, blocked bool) {
 	if s.defects == nil {
 		// No port is ever blocked, so no flit detours and routePort is
 		// route, read before the hop count moves (the same stall).
-		port = s.route(to, *f)
+		port = s.route(to, f.dst)
 		f.hops++
 		return port, false, false
 	}
-	if f.hops >= s.maxHops || cycle-int(f.injected) > s.cfg.WatchdogCycles {
+	if f.hops >= s.maxHops || cycle-int(f.injected) > s.cfg.limits.watchdogCycles {
 		// Detour budget exhausted, or in flight longer than the watchdog
 		// window (jammed against a fault boundary, where deep queues make
 		// the hop TTL glacial): abandon the spike here. The age cap ends
@@ -658,32 +546,24 @@ func (s *simState) hop(f *flit, to, cycle int) (port int, drop, blocked bool) {
 	return port, false, blocked
 }
 
-// take takes train t's spike due in cycle. full reports that its source
-// queue is at the QueueCap bound: the spike then waits for a later wave (an
-// injection stall). Otherwise it is dropped (no usable first hop) or
-// returned, ok, as the flit to push onto its source queue. A blocked first
-// hop counts a detour per attempt, stalled ones included, as the reference
-// does.
-func (s *simState) take(a *accum, t *train, cycle int, full bool) (f flit, ok bool) {
+// take takes train t's spike due in cycle: it is dropped (no usable first
+// hop) or returned, ok, as the flit to push onto its source queue. A blocked
+// first hop counts a detour.
+func (s *simState) take(a *accum, t *train, cycle int) (f flit, ok bool) {
+	t.count--
+	if t.drop {
+		a.dropped++
+		return f, false
+	}
 	if t.blocked {
 		a.detours++
 	}
-	switch {
-	case t.drop:
-		t.count--
-		a.dropped++
-	case full:
-		a.injStalls++
-	default:
-		t.count--
-		a.injections++
-		f = flit{dst: t.dst, injected: int32(cycle), yx: t.yx}
-		if t.blocked {
-			f.detour = uint8(s.detourHops)
-		}
-		return f, true
+	a.injections++
+	f = flit{dst: t.dst, injected: int32(cycle)}
+	if t.blocked {
+		f.detour = uint8(s.detourHops)
 	}
-	return f, false
+	return f, true
 }
 
 // resolveTrains fills in every train's first routing decision, so an
@@ -691,40 +571,8 @@ func (s *simState) take(a *accum, t *train, cycle int, full bool) (f flit, ok bo
 func (s *simState) resolveTrains() {
 	for i := range s.trains {
 		t := &s.trains[i]
-		t.yx = s.orientation(t.src, t.dst)
-		port, drop, blocked := s.routePort(int(t.src), flit{dst: t.dst, yx: t.yx})
+		port, drop, blocked := s.routePort(int(t.src), flit{dst: t.dst})
 		t.port, t.drop, t.blocked = uint8(port), drop, blocked && !drop
-	}
-}
-
-// orientation decides a flit's dimension order at injection time.
-func (s *simState) orientation(src, dst int32) bool {
-	switch s.cfg.Routing {
-	case RouteYX:
-		return true
-	case RouteO1Turn:
-		// Deterministic per-pair hash balances the two orders. The
-		// low bit must mix all input bits (a plain multiply-xor
-		// degenerates to input parity), so finish with avalanche
-		// shifts.
-		h := uint32(src)*2654435761 ^ uint32(dst)*2246822519
-		h ^= h >> 13
-		h *= 0x5bd1e995
-		h ^= h >> 15
-		return h&1 == 1
-	}
-	return false
-}
-
-// deliver pops one flit off a local queue and accounts it (reference scan).
-func (s *simState) deliver(q *queue, cycle int) {
-	f := q.pop()
-	s.res.Delivered++
-	s.inFlight--
-	lat := int(int32(cycle) - f.injected + 1)
-	s.latencySum += int64(lat)
-	if lat > s.res.MaxLatencyCycles {
-		s.res.MaxLatencyCycles = lat
 	}
 }
 
@@ -755,10 +603,9 @@ func Simulate(p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 // checks ctx periodically and returns the partial Result with an error
 // wrapping ErrCanceled when the context is done.
 //
-// Unbounded queues (QueueCap == 0) run the calendar engine (calendar.go),
-// bounded ones the queue engine (queues.go), both on the calling goroutine.
-// Either way the Result is bit-identical to the per-cycle reference scan
-// this package's tests keep.
+// The run takes the calendar engine (calendar.go) on the calling goroutine;
+// its Result is bit-identical to the per-cycle reference scan this package's
+// tests keep.
 func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, fmt.Errorf("noc: %v: %w", err, ErrCanceled)
@@ -768,14 +615,8 @@ func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg C
 		return Result{}, err
 	}
 	s.resolveTrains()
-	var e engine
-	if s.cfg.QueueCap == 0 {
-		e = newCalendar(s)
-	} else {
-		e = newQueueEngine(s)
-	}
 	sp := s.cfg.Obs.Span("noc.sim", obs.KV{K: "spikes", V: float64(s.res.Injected)})
-	res, err := s.run(ctx, e)
+	res, err := s.run(ctx, newCalendar(s))
 	if err != nil {
 		sp.End()
 		return res, err
@@ -787,7 +628,7 @@ func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg C
 	return res, nil
 }
 
-// accum collects an engine's running tallies, folded into the Result by
+// accum collects the engine's running tallies, folded into the Result by
 // simState.merge.
 type accum struct {
 	delivered  int64 // spikes delivered to their destination core
@@ -796,8 +637,6 @@ type accum struct {
 	exited     int64 // resident spikes that left: deliveries + in-network drops
 	latencySum int64
 	wire       int64
-	stalls     int64
-	injStalls  int64
 	detours    int64 // sticky detour-mode entries at blocked ports
 	maxLatency int
 	maxQueue   int
@@ -813,42 +652,23 @@ func (a *accum) deliver(cycle int, injected int32) {
 	a.maxLatency = max(a.maxLatency, lat)
 }
 
-// engine services the queues; simState.run owns the cycle loop around it.
-type engine interface {
-	// tallies returns the engine's accumulator.
-	tallies() *accum
-	// pending reports whether any injection train has spikes left.
-	pending() bool
-	// begin opens a cycle with the injection wave when inject is set. It
-	// may also deliver the cycle's local flits (the queue engine does, in
-	// its scan): run counts exits from before begin until the next cycle.
-	begin(cycle int, inject bool)
-	// service delivers, moves or drops every flit that leaves a queue in
-	// cycle.
-	service(cycle int)
-}
-
-// run is the cycle loop shared by both engines: limits, cancellation, the
-// watchdog, injection, termination and idle fast-forward, all computed from
-// the engine's merged tallies.
-func (s *simState) run(ctx context.Context, e engine) (Result, error) {
+// run is the cycle loop around the calendar: limits, cancellation, the
+// watchdog, injection and termination, all computed from its tallies.
+func (s *simState) run(ctx context.Context, c *calendar) (Result, error) {
 	cfg := s.cfg
-	a := e.tallies()
+	a := &c.acc
 	// Progress is an injection, delivery or drop, not wire movement, so the
 	// watchdog also catches a spike orbiting an unreachable destination.
 	lastProgress := int64(-1)
 	lastProgressCycle := 0
-	// ffSkipped counts idle cycles jumped by fast-forward (telemetry only;
-	// never part of Result — the reference oracle has no fast-forward).
-	var ffSkipped int64
 
 	for cycle := 0; ; cycle++ {
 		// Tallies as of the end of the previous cycle.
-		injections, delivered, exited := a.injections, a.delivered, a.exited
-		inFlight := injections - exited
+		injections, delivered := a.injections, a.delivered
+		inFlight := injections - a.exited
 		dropped := a.dropped + s.res.Dropped // plus injection-time setup drops
-		if cycle > cfg.MaxCycles {
-			return s.merge(a), fmt.Errorf("noc: exceeded MaxCycles=%d with %d spikes in flight: %w", cfg.MaxCycles, inFlight, ErrLivelock)
+		if cycle > cfg.limits.maxCycles {
+			return s.merge(a), fmt.Errorf("noc: exceeded the %d-cycle limit with %d spikes in flight: %w", cfg.limits.maxCycles, inFlight, ErrLivelock)
 		}
 		if cycle&2047 == 0 && ctx.Err() != nil {
 			return s.merge(a), fmt.Errorf("noc: %v after %d cycles: %w", ctx.Err(), cycle, ErrCanceled)
@@ -856,52 +676,31 @@ func (s *simState) run(ctx context.Context, e engine) (Result, error) {
 		if progress := injections + delivered + dropped; progress != lastProgress {
 			lastProgress = progress
 			lastProgressCycle = cycle
-		} else if cycle-lastProgressCycle > cfg.WatchdogCycles {
+		} else if cycle-lastProgressCycle > cfg.limits.watchdogCycles {
 			return s.merge(a), fmt.Errorf("noc: no forward progress for %d cycles with %d spikes in flight (delivered %d, dropped %d): %w",
-				cfg.WatchdogCycles, inFlight, delivered, dropped, ErrLivelock)
+				cfg.limits.watchdogCycles, inFlight, delivered, dropped, ErrLivelock)
 		}
 		if cfg.Obs.Enabled() && cycle&4095 == 0 {
 			cfg.Obs.Progress("noc.sim", delivered+dropped, s.res.Injected)
 		}
 
-		e.begin(cycle, e.pending() && cycle%cfg.InjectionInterval == 0)
-
-		// Termination and fast-forward use the in-flight count as the
-		// reference sees it at this point: after injection but before this
-		// cycle's deliveries, hence the exit count from before begin. (If it
-		// is zero, no queue held a flit, so begin delivered nothing.)
-		afterInject := a.injections - exited
-		if afterInject == 0 && !e.pending() {
+		c.begin(cycle)
+		// The run ends in the first cycle that opens with nothing in flight
+		// and no train left to inject.
+		if a.injections == a.exited && len(c.trains) == 0 {
 			s.res.Cycles = cycle
 			break
 		}
-		if afterInject == 0 {
-			// Idle fast-forward to the next injection wave. Capped at
-			// MaxCycles+1 so a wave scheduled past the cycle limit still
-			// fails exactly where the reference fails.
-			next := (cycle/cfg.InjectionInterval + 1) * cfg.InjectionInterval
-			if next > cfg.MaxCycles+1 {
-				next = cfg.MaxCycles + 1
-			}
-			if next-1 > cycle {
-				ffSkipped += int64(next - 1 - cycle)
-				cycle = next - 1
-			}
-			continue
-		}
-		e.service(cycle)
+		c.service(cycle)
 	}
 
 	s.merge(a)
 	if cfg.Obs.Enabled() {
-		cfg.Obs.Counter("noc.fastforward", obs.KV{K: "skipped_cycles", V: float64(ffSkipped)})
 		cfg.Obs.Counter("noc.shard",
-			obs.KV{K: "shard", V: 0},
 			obs.KV{K: "flits", V: float64(a.injections)},
 			obs.KV{K: "hops", V: float64(a.wire)},
 			obs.KV{K: "drops", V: float64(a.dropped)},
 			obs.KV{K: "detours", V: float64(a.detours)},
-			obs.KV{K: "stalls", V: float64(a.stalls)},
 			obs.KV{K: "max_queue", V: float64(a.maxQueue)})
 		cfg.Obs.Progress("noc.sim", s.res.Delivered+s.res.Dropped, s.res.Injected)
 	}
@@ -915,8 +714,6 @@ func (s *simState) merge(a *accum) Result {
 	s.res.Delivered += a.delivered
 	s.res.Dropped += a.dropped
 	s.res.WireTraversals += a.wire
-	s.res.Stalls += a.stalls
-	s.res.InjectionStalls += a.injStalls
 	s.res.Stats.Detours += a.detours
 	s.res.MaxLatencyCycles = max(s.res.MaxLatencyCycles, a.maxLatency)
 	s.res.MaxQueueLen = max(s.res.MaxQueueLen, a.maxQueue)

@@ -1,179 +1,69 @@
 package noc
 
 import (
-	"math"
 	"testing"
 
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
 )
 
-func TestRouteYXPath(t *testing.T) {
-	// YX (row-first) routing takes the other L: (0,0)→(2,0)→(2,3).
-	p := edgePCN(t, [][3]float64{{0, 1, 1}}, 2)
-	mesh := hw.MustMesh(3, 4)
-	pl := placeAt(t, p, mesh, geom.Point{X: 0, Y: 0}, geom.Point{X: 2, Y: 3})
-	res, err := Simulate(p, pl, Config{Routing: RouteYX})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPath := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 1}, {X: 2, Y: 2}, {X: 2, Y: 3}}
-	for idx, count := range res.RouterTraversals {
-		pt := mesh.Coord(idx)
-		want := int64(0)
-		for _, p := range wantPath {
-			if p == pt {
-				want = 1
+// walk follows next from src until it returns local, returning the routers
+// visited (src and dst included).
+func walk(t *testing.T, s *simState, src, dst int, next func(idx int, dst int32) int) []int {
+	t.Helper()
+	path := []int{src}
+	for idx := src; ; {
+		port := next(idx, int32(dst))
+		if port == local {
+			if idx != dst {
+				t.Fatalf("route from %d toward %d delivers at %d", src, dst, idx)
 			}
+			return path
 		}
-		if count != want {
-			t.Errorf("router %v traversals = %d, want %d", pt, count, want)
+		if !s.portOnMesh(idx, port) {
+			t.Fatalf("route from %d toward %d leaves the mesh at %d (port %d)", src, dst, idx, port)
+		}
+		idx = s.neighbor(idx, port)
+		path = append(path, idx)
+		if len(path) > s.cores {
+			t.Fatalf("route from %d toward %d does not terminate", src, dst)
 		}
 	}
-	// Same hop count and latency as XY — only the path differs.
-	if res.MaxLatencyCycles != 6 || res.WireTraversals != 5 {
-		t.Errorf("latency %d, wires %d", res.MaxLatencyCycles, res.WireTraversals)
+}
+
+func TestRouteYXPath(t *testing.T) {
+	// routeYX (row-first), the productive alternative a fault-aware detour
+	// offers, takes the other L than route: (0,0)→(2,0)→(2,3).
+	mesh := hw.MustMesh(3, 4)
+	s := &simState{mesh: mesh, cores: mesh.Cores()}
+	src, dst := mesh.Index(geom.Point{X: 0, Y: 0}), mesh.Index(geom.Point{X: 2, Y: 3})
+	want := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 1}, {X: 2, Y: 2}, {X: 2, Y: 3}}
+	got := walk(t, s, src, dst, s.routeYX)
+	if len(got) != len(want) {
+		t.Fatalf("YX path visits %d routers, want %d", len(got), len(want))
+	}
+	for i, idx := range got {
+		if mesh.Coord(idx) != want[i] {
+			t.Errorf("YX path step %d at %v, want %v", i, mesh.Coord(idx), want[i])
+		}
 	}
 }
 
 func TestRoutingEnergyInvariant(t *testing.T) {
-	// Minimal routing: every dimension order crosses the same number of
-	// links and routers, so energy is route-invariant.
-	p := edgePCN(t, [][3]float64{{0, 1, 3}, {1, 2, 2}, {2, 0, 4}, {0, 3, 1}}, 4)
-	mesh := hw.MustMesh(4, 4)
-	pl := placeAt(t, p, mesh,
-		geom.Point{X: 0, Y: 0}, geom.Point{X: 3, Y: 1}, geom.Point{X: 1, Y: 3}, geom.Point{X: 2, Y: 2})
-	var energies []float64
-	for _, r := range []Routing{RouteXY, RouteYX, RouteO1Turn} {
-		res, err := Simulate(p, pl, Config{Routing: r})
-		if err != nil {
-			t.Fatalf("%v: %v", r, err)
-		}
-		if res.Delivered != res.Injected {
-			t.Fatalf("%v: lost spikes", r)
-		}
-		energies = append(energies, res.Energy)
-	}
-	for i := 1; i < len(energies); i++ {
-		if math.Abs(energies[i]-energies[0]) > 1e-9 {
-			t.Errorf("energy differs across routings: %v", energies)
-		}
-	}
-}
-
-func TestO1TurnSplitsOrientations(t *testing.T) {
-	// Many diagonal flows: O1Turn must use both Ls, spreading traversals
-	// over more routers than pure XY.
-	var edges [][3]float64
-	for i := 0; i < 8; i++ {
-		edges = append(edges, [3]float64{float64(i), float64(8 + i), 10})
-	}
-	p := edgePCN(t, edges, 16)
-	mesh := hw.MustMesh(8, 8)
-	at := make([]geom.Point, 16)
-	for i := 0; i < 8; i++ {
-		at[i] = geom.Point{X: 0, Y: i}
-		at[8+i] = geom.Point{X: 7, Y: 7 - i}
-	}
-	pl := placeAt(t, p, mesh, at...)
-	xy, err := Simulate(p, pl, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o1, err := Simulate(p, pl, Config{Routing: RouteO1Turn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak := func(r Result) int64 {
-		var max int64
-		for _, c := range r.RouterTraversals {
-			if c > max {
-				max = c
+	// Both dimension orders are minimal: between any two routers they
+	// cross the same number of links and routers (the Manhattan distance
+	// plus one), so a detour's row-first step costs no more energy than
+	// the column-first one it replaces.
+	mesh := hw.MustMesh(4, 5)
+	s := &simState{mesh: mesh, cores: mesh.Cores()}
+	for src := 0; src < s.cores; src++ {
+		for dst := 0; dst < s.cores; dst++ {
+			xy, yx := walk(t, s, src, dst, s.route), walk(t, s, src, dst, s.routeYX)
+			a, b := mesh.Coord(src), mesh.Coord(dst)
+			hops := geom.Manhattan(a, b)
+			if len(xy) != hops+1 || len(yx) != hops+1 {
+				t.Fatalf("%v→%v: XY visits %d routers, YX %d, want %d", a, b, len(xy), len(yx), hops+1)
 			}
 		}
-		return max
-	}
-	// XY sends every flow's horizontal segment through row 0, piling load
-	// on its central routers; O1Turn moves roughly half the flows to
-	// row-first paths, lowering the hotspot.
-	if peak(o1) >= peak(xy) {
-		t.Errorf("O1Turn peak router load %d, XY %d; expected balancing", peak(o1), peak(xy))
-	}
-}
-
-func TestO1TurnRejectsBoundedQueues(t *testing.T) {
-	p := edgePCN(t, [][3]float64{{0, 1, 1}}, 2)
-	mesh := hw.MustMesh(2, 2)
-	pl := placeAt(t, p, mesh, geom.Point{X: 0, Y: 0}, geom.Point{X: 1, Y: 1})
-	if _, err := Simulate(p, pl, Config{Routing: RouteO1Turn, QueueCap: 4}); err == nil {
-		t.Error("O1Turn with bounded queues must be rejected")
-	}
-}
-
-func TestBoundedQueuesBackpressure(t *testing.T) {
-	// Heavy convergence into one sink with tiny buffers: all spikes still
-	// arrive (no loss, no deadlock), queues never exceed the cap, and
-	// stalls are observed.
-	var edges [][3]float64
-	for i := 0; i < 6; i++ {
-		edges = append(edges, [3]float64{float64(i), 6, 30})
-	}
-	p := edgePCN(t, edges, 7)
-	mesh := hw.MustMesh(7, 2)
-	at := make([]geom.Point, 7)
-	for i := 0; i < 6; i++ {
-		at[i] = geom.Point{X: i, Y: 0}
-	}
-	at[6] = geom.Point{X: 6, Y: 1}
-	pl := placeAt(t, p, mesh, at...)
-	res, err := Simulate(p, pl, Config{QueueCap: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered != res.Injected {
-		t.Fatalf("lost spikes: %d/%d", res.Delivered, res.Injected)
-	}
-	if res.MaxQueueLen > 2 {
-		t.Errorf("queue cap violated: %d", res.MaxQueueLen)
-	}
-	if res.Stalls == 0 && res.InjectionStalls == 0 {
-		t.Error("expected backpressure stalls under convergence")
-	}
-	// Unbounded run of the same workload has the same delivery count and
-	// energy (work conserved), but deeper queues.
-	free, err := Simulate(p, pl, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free.Delivered != res.Delivered {
-		t.Error("bounded and unbounded runs must deliver the same spikes")
-	}
-	if math.Abs(free.Energy-res.Energy) > 1e-9 {
-		t.Errorf("energy changed under backpressure: %g vs %g", res.Energy, free.Energy)
-	}
-	if free.MaxQueueLen <= res.MaxQueueLen {
-		t.Errorf("unbounded queues (%d) should exceed bounded (%d)", free.MaxQueueLen, res.MaxQueueLen)
-	}
-}
-
-func TestBoundedQueuesDelayDelivery(t *testing.T) {
-	var edges [][3]float64
-	for i := 0; i < 4; i++ {
-		edges = append(edges, [3]float64{float64(i), 4, 20})
-	}
-	p := edgePCN(t, edges, 5)
-	mesh := hw.MustMesh(5, 1)
-	at := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}, {X: 3, Y: 0}, {X: 4, Y: 0}}
-	pl := placeAt(t, p, mesh, at...)
-	bounded, err := Simulate(p, pl, Config{QueueCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	free, err := Simulate(p, pl, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bounded.Cycles < free.Cycles {
-		t.Errorf("backpressure should not finish earlier: %d vs %d cycles", bounded.Cycles, free.Cycles)
 	}
 }

@@ -18,54 +18,44 @@ import (
 // accepted and ignored, so every count must give the same bits.
 var shardSweep = []int{1, 2, 3, 7}
 
-// TestShardedMatchesReferenceSweep is the determinism contract across
-// engines and shard counts: for every workload, with unbounded queues (the
-// calendar engine) and with bounded ones (the queue engine), every shard
-// count must produce a Result bit-identical to simulateReference — every
-// field, including traversal vectors, drop counters, float aggregates and
-// queue peaks. Every case is one the reference completes.
+// TestShardedMatchesReferenceSweep is the determinism contract across shard
+// counts: for every workload, every shard count must produce a Result
+// bit-identical to simulateReference — every field, including traversal
+// vectors, drop counters, float aggregates and queue peaks. Every case is
+// one the reference completes.
 func TestShardedMatchesReferenceSweep(t *testing.T) {
 	workloads := []struct {
 		name string
 		cfg  Config
 		load func(testing.TB) (*pcn.PCN, *place.Placement)
 	}{
-		{"sparse64x64", Config{InjectionInterval: 24}, sparse64x64Workload},
-		{"long-tail", Config{InjectionInterval: 4}, longTailWorkload},
+		{"sparse64x64", Config{}, sparse64x64Workload},
+		{"long-tail", Config{}, longTailWorkload},
 		{"faulted-links", Config{FaultAware: true}, faultedLinksWorkload},
 	}
 	for _, wl := range workloads {
 		t.Run(wl.name, func(t *testing.T) {
 			p, pl := wl.load(t)
-			for _, queueCap := range []int{0, 3} {
-				cfg := wl.cfg
-				cfg.QueueCap = queueCap
-				if wl.name == "faulted-links" {
-					cfg.Defects = faultedLinksDefects(t, pl.Mesh)
-					if queueCap > 0 {
-						// Detours jam bounded queues; a short watchdog
-						// window lets the age cap drop the jammed flits
-						// (about 60 % of the spikes) so the run ends.
-						cfg.WatchdogCycles = 2000
-					}
-				}
-				want, err := simulateReference(context.Background(), p, pl, cfg)
+			cfg := wl.cfg
+			if wl.name == "faulted-links" {
+				cfg.Defects = faultedLinksDefects(t, pl.Mesh)
+			}
+			want, err := simulateReference(context.Background(), p, pl, cfg)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			if want.Delivered == 0 {
+				t.Fatalf("run does not exercise the engine: %+v", want)
+			}
+			for _, shards := range shardSweep {
+				shardCfg := cfg
+				shardCfg.Shards = shards
+				got, err := Simulate(p, pl, shardCfg)
 				if err != nil {
-					t.Fatalf("QueueCap=%d: reference: %v", queueCap, err)
+					t.Fatalf("shards=%d: %v", shards, err)
 				}
-				if want.Delivered == 0 || queueCap > 0 && want.Stalls == 0 {
-					t.Fatalf("QueueCap=%d: run does not exercise the engine: %+v", queueCap, want)
-				}
-				for _, shards := range shardSweep {
-					shardCfg := cfg
-					shardCfg.Shards = shards
-					got, err := Simulate(p, pl, shardCfg)
-					if err != nil {
-						t.Fatalf("QueueCap=%d shards=%d: %v", queueCap, shards, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("QueueCap=%d shards=%d: Result diverges from reference:\nsharded:   %+v\nreference: %+v", queueCap, shards, got, want)
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("shards=%d: Result diverges from reference:\nsharded:   %+v\nreference: %+v", shards, got, want)
 				}
 			}
 		})
@@ -87,10 +77,9 @@ func faultedLinksDefects(t testing.TB, mesh hw.Mesh) *hw.DefectMap {
 	return d
 }
 
-// TestShardedMatchesReferenceCorpus runs the full golden equivalence corpus
-// (routings, bounded queues, dead cores, failed links, sparse injection)
-// through both engines at shard counts 2 and 3, asserting bit-identity with
-// the reference.
+// TestShardedMatchesReferenceCorpus runs the golden equivalence corpus
+// (pristine, dead cores, failed links, the age cap) at shard counts 2 and 3,
+// asserting bit-identity with the reference.
 func TestShardedMatchesReferenceCorpus(t *testing.T) {
 	mesh := hw.MustMesh(12, 12)
 	deadMap := hw.InjectUniform(mesh, 0.05, 0, 7)
@@ -101,15 +90,10 @@ func TestShardedMatchesReferenceCorpus(t *testing.T) {
 		cfg  Config
 	}{
 		{"pristine/xy", Config{}},
-		{"pristine/yx", Config{Routing: RouteYX}},
-		{"pristine/o1turn", Config{Routing: RouteO1Turn}},
-		{"pristine/bounded", Config{QueueCap: 2}},
-		{"pristine/bounded-yx", Config{Routing: RouteYX, QueueCap: 1}},
-		{"pristine/sparse-injection", Config{InjectionInterval: 32, SpikesPerUnit: 3}},
+		{"pristine/heavy", Config{SpikesPerUnit: 3}},
 		{"dead-cores/fault-aware", Config{Defects: deadMap, FaultAware: true}},
 		{"failed-links/fault-aware", Config{Defects: linkMap, FaultAware: true}},
-		{"failed-links/o1turn", Config{Routing: RouteO1Turn, Defects: linkMap, FaultAware: true}},
-		{"mixed/bounded-fault-aware", Config{QueueCap: 4, Defects: mixedMap, FaultAware: true, WatchdogCycles: 2000}},
+		{"mixed/age-cap", Config{Defects: mixedMap, FaultAware: true, SpikesPerUnit: 3, limits: limits{watchdogCycles: 20}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -173,28 +157,28 @@ func TestShardedCrossBoundaryDetour(t *testing.T) {
 	}
 }
 
-// TestShardedErrorPaths pins failure equivalence: a MaxCycles overrun and a
+// TestShardedErrorPaths pins failure equivalence: a cycle-limit overrun and a
 // pre-canceled context must produce byte-identical error text and matching
 // partial traversal vectors at every shard count.
 func TestShardedErrorPaths(t *testing.T) {
 	p, pl := randomCorpusWorkload(t, 1, 8, 8, 30, 120)
 	for _, cfg := range []Config{
-		{MaxCycles: 3},
-		{InjectionInterval: 500, SpikesPerUnit: 4, MaxCycles: 750},
+		{limits: limits{maxCycles: 3}},
+		{SpikesPerUnit: 4, limits: limits{maxCycles: 20}},
 	} {
 		want, errWant := simulateReference(context.Background(), p, pl, cfg)
 		if errWant == nil {
-			t.Fatalf("MaxCycles=%d: expected the reference to fail", cfg.MaxCycles)
+			t.Fatalf("maxCycles=%d: expected the reference to fail", cfg.limits.maxCycles)
 		}
 		for _, shards := range shardSweep {
 			shardCfg := cfg
 			shardCfg.Shards = shards
 			got, errGot := Simulate(p, pl, shardCfg)
 			if errGot == nil || !errors.Is(errGot, ErrLivelock) || errGot.Error() != errWant.Error() {
-				t.Fatalf("MaxCycles=%d shards=%d: error mismatch:\nsharded:   %v\nreference: %v", cfg.MaxCycles, shards, errGot, errWant)
+				t.Fatalf("maxCycles=%d shards=%d: error mismatch:\nsharded:   %v\nreference: %v", cfg.limits.maxCycles, shards, errGot, errWant)
 			}
 			if !reflect.DeepEqual(got.RouterTraversals, want.RouterTraversals) {
-				t.Fatalf("MaxCycles=%d shards=%d: partial traversals diverge", cfg.MaxCycles, shards)
+				t.Fatalf("maxCycles=%d shards=%d: partial traversals diverge", cfg.limits.maxCycles, shards)
 			}
 		}
 	}
@@ -240,21 +224,19 @@ func TestShardsValidation(t *testing.T) {
 	}
 }
 
-// TestShardsOneStartsNoWorkers: both engines run on the calling goroutine
-// at every shard count, so a progress callback, which runs inside the cycle
+// TestShardsOneStartsNoWorkers: the engine runs on the calling goroutine at
+// every shard count, so a progress callback, which runs inside the cycle
 // loop, sees no goroutine beyond those alive before the run.
 func TestShardsOneStartsNoWorkers(t *testing.T) {
 	p, pl := faultedLinksWorkload(t)
-	for _, queueCap := range []int{0, 8} {
-		for _, shards := range []int{0, 1, 2} {
-			base, extra := runtime.NumGoroutine(), 0
-			o := obs.New(obs.Config{OnProgress: func(obs.Progress) { extra = max(extra, runtime.NumGoroutine()-base) }})
-			if _, err := Simulate(p, pl, Config{QueueCap: queueCap, Shards: shards, Obs: o}); err != nil {
-				t.Fatal(err)
-			}
-			if extra > 0 {
-				t.Errorf("QueueCap=%d shards=%d: %d goroutines beyond the caller's during the run", queueCap, shards, extra)
-			}
+	for _, shards := range []int{0, 1, 2} {
+		base, extra := runtime.NumGoroutine(), 0
+		o := obs.New(obs.Config{OnProgress: func(obs.Progress) { extra = max(extra, runtime.NumGoroutine()-base) }})
+		if _, err := Simulate(p, pl, Config{Shards: shards, Obs: o}); err != nil {
+			t.Fatal(err)
+		}
+		if extra > 0 {
+			t.Errorf("shards=%d: %d goroutines beyond the caller's during the run", shards, extra)
 		}
 	}
 }
@@ -301,10 +283,8 @@ func hotSpotWorkload(t testing.TB) (*pcn.PCN, *place.Placement) {
 	return res.PCN, pl
 }
 
-// TestShardedDeepQueueMatchesReference runs the hot spot through both
-// engines against the reference, on a pristine mesh, on a faulted one with
-// detours (the calendar), and with a queue bound the hot port runs into (the
-// queue engine).
+// TestShardedDeepQueueMatchesReference runs the hot spot against the
+// reference, on a pristine mesh and on a faulted one with detours.
 func TestShardedDeepQueueMatchesReference(t *testing.T) {
 	p, pl := hotSpotWorkload(t)
 	faults := hw.NewDefectMap(pl.Mesh)
@@ -319,7 +299,6 @@ func TestShardedDeepQueueMatchesReference(t *testing.T) {
 	}{
 		{"pristine", Config{}},
 		{"faulted", Config{Defects: faults, FaultAware: true}},
-		{"bounded", Config{QueueCap: 4500}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := simulateReference(context.Background(), p, pl, tc.cfg)
@@ -328,9 +307,6 @@ func TestShardedDeepQueueMatchesReference(t *testing.T) {
 			}
 			if want.MaxQueueLen <= 4096 || want.Delivered == 0 {
 				t.Fatalf("hot spot too shallow to grow a wrapped ring past 4096: %+v", want)
-			}
-			if tc.cfg.QueueCap > 0 && want.Stalls == 0 {
-				t.Fatalf("queue bound never bit: %+v", want)
 			}
 			if tc.cfg.FaultAware && want.Stats.Detours == 0 {
 				t.Fatalf("no detours on the faulted mesh: %+v", want)

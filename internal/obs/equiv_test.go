@@ -112,33 +112,29 @@ func TestFinetuneTelemetryEquivalence(t *testing.T) {
 
 // TestSimulateTelemetryEquivalence: the NoC simulator's full Result —
 // metrics, transport Stats, everything — is identical with and without an
-// observer, for shards ∈ {1, 2, 4, 7} (accepted and ignored), on both
-// engines (bounded queues run the queue engine, unbounded ones the
-// calendar).
+// observer, for shards ∈ {1, 2, 4, 7} (accepted and ignored).
 func TestSimulateTelemetryEquivalence(t *testing.T) {
 	mesh := hw.MustMesh(8, 8)
 	p := randomPCN(t, 7, 60, 420)
 	pl := randomPlacement(t, p, mesh, 5)
 
-	for _, queueCap := range []int{4, 0} {
-		run := func(shards int, o *obs.Observer) noc.Result {
-			res, err := noc.Simulate(p, pl, noc.Config{Shards: shards, QueueCap: queueCap, Obs: o})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+	run := func(shards int, o *obs.Observer) noc.Result {
+		res, err := noc.Simulate(p, pl, noc.Config{Shards: shards, Obs: o})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
+	}
 
-		want := run(1, nil)
-		for _, s := range parallelCounts {
-			for _, withObs := range []bool{false, true} {
-				var o *obs.Observer
-				if withObs {
-					o = fullObserver()
-				}
-				if got := run(s, o); !reflect.DeepEqual(got, want) {
-					t.Errorf("QueueCap=%d shards=%d obs=%v: Result = %+v, want %+v", queueCap, s, withObs, got, want)
-				}
+	want := run(1, nil)
+	for _, s := range parallelCounts {
+		for _, withObs := range []bool{false, true} {
+			var o *obs.Observer
+			if withObs {
+				o = fullObserver()
+			}
+			if got := run(s, o); !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d obs=%v: Result = %+v, want %+v", s, withObs, got, want)
 			}
 		}
 	}

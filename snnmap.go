@@ -281,15 +281,6 @@ type (
 	// SimStats breaks down a simulation's drop and detour accounting
 	// (SimResult.Stats).
 	SimStats = noc.Stats
-	// SimRouting selects the simulator's routing algorithm.
-	SimRouting = noc.Routing
-)
-
-// Simulator routing algorithms.
-const (
-	RouteXY     = noc.RouteXY
-	RouteYX     = noc.RouteYX
-	RouteO1Turn = noc.RouteO1Turn
 )
 
 // Simulate replays the PCN's traffic through the 2D-mesh NoC under the
