@@ -49,7 +49,7 @@ func main() {
 		budget   = flag.Duration("budget", 30*time.Second, "wall-clock budget per method run (0 = unlimited)")
 		workload = flag.String("workload", "ResNet", "workload for fig8/headline/ablation")
 		progress = flag.Bool("progress", true, "print per-run progress lines during sweeps")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
 	)
 	// -progress predates the obs layer and keeps its meaning (per-run sweep
 	// lines) while also driving the live renderer, so only the three

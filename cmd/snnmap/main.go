@@ -55,7 +55,7 @@ func main() {
 		savePlace = flag.String("save-placement", "", "write the placement (binary) to this file")
 		exportDot = flag.String("export-dot", "", "write the PCN as Graphviz DOT to this file")
 		exportCSV = flag.String("export-csv", "", "write the placement as CSV to this file")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for HSC initial placement, FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
 		ckptPath  = flag.String("checkpoint", "", "periodically write the fine-tuning state (self-contained snapshot, atomic replace) to this file; continue later with -resume")
 		ckptEvery = flag.Int("checkpoint-every", 32, "iterations between -checkpoint snapshots")
 		resume    = flag.String("resume", "", "resume fine-tuning from a snapshot file written by -checkpoint (bit-identical to the uninterrupted run, at any -workers count)")

@@ -12,27 +12,6 @@ type ZigZag struct{}
 // Name implements Curve.
 func (ZigZag) Name() string { return "zigzag" }
 
-// At implements Curve: index d lives in row d/m, at column d%m on even
-// (left-to-right) rows and its mirror on odd rows.
-func (ZigZag) At(n, m, d int) geom.Point {
-	checkIndex(n, m, d)
-	row, col := d/m, d%m
-	if row%2 != 0 {
-		col = m - 1 - col
-	}
-	return geom.Point{X: row, Y: col}
-}
-
-// Index implements Curve, inverting At.
-func (ZigZag) Index(n, m int, p geom.Point) int {
-	checkPoint(n, m, p)
-	col := p.Y
-	if p.X%2 != 0 {
-		col = m - 1 - col
-	}
-	return p.X*m + col
-}
-
 // Points implements Curve.
 func (ZigZag) Points(n, m int) []geom.Point {
 	checkMesh(n, m)

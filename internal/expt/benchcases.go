@@ -423,7 +423,7 @@ func failTopRow(name string) (rowFailure, error) {
 	mesh = hw.MustMesh(mesh.Rows+mesh.Rows/8+2, mesh.Cols)
 	cons := hw.Constraints{SpareRows: 2}
 	d := hw.InjectClustered(mesh, 0.02, 8, 1)
-	pl, err := mapping.InitialPlacementWorkers(p, mesh, curve.Hilbert{}, d, cons, 1)
+	pl, err := mapping.InitialPlacementDefects(p, mesh, curve.Hilbert{}, d, cons)
 	if err != nil {
 		return rowFailure{}, err
 	}
@@ -448,7 +448,7 @@ func failTopRow(name string) (rowFailure, error) {
 func rowShifted(p *pcn.PCN, mesh hw.Mesh) (*place.Placement, error) {
 	mesh = hw.MustMesh(mesh.Rows+2, mesh.Cols)
 	cons := hw.Constraints{SpareRows: 2}
-	pl, err := mapping.InitialPlacementWorkers(p, mesh, curve.Hilbert{}, nil, cons, 1)
+	pl, err := mapping.InitialPlacementDefects(p, mesh, curve.Hilbert{}, nil, cons)
 	if err != nil {
 		return nil, err
 	}

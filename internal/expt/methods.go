@@ -29,11 +29,10 @@ type RunOptions struct {
 	// Constraints is the capacity baseline Defects' degrade scales apply
 	// to (zero value = unconstrained).
 	Constraints hw.Constraints
-	// Workers fans the HSC initial placement fill, FD fine-tuning's build
-	// phases and metrics evaluation out over up to this many goroutines (0
-	// or 1 = sequential). Results are bit-identical across worker counts for all
-	// three, per mapping.Config.Workers', mapping.FDConfig's and
-	// metrics.Options' contracts.
+	// Workers fans FD fine-tuning's build phases and metrics evaluation out
+	// over up to this many goroutines (0 or 1 = sequential). Results are
+	// bit-identical across worker counts for both, per mapping.FDConfig's
+	// and metrics.Options' contracts.
 	Workers int
 	// Checkpoint, when non-nil, is passed to FD fine-tuning so method runs
 	// snapshot their progress (mapping.FDConfig.Checkpoint). Methods
@@ -78,7 +77,6 @@ func curveMethod(name string, c curve.Curve) Method {
 	return Method{Name: name, Run: func(p *pcn.PCN, mesh hw.Mesh, opts RunOptions) (*place.Placement, MethodStats, error) {
 		res, err := mapping.Map(p, mesh, mapping.Config{
 			Curve:       c,
-			Workers:     opts.Workers,
 			Defects:     opts.Defects,
 			Constraints: opts.Constraints,
 			Obs:         opts.Obs,
@@ -106,7 +104,6 @@ func fdMethod(name string, c curve.Curve, pot func(hw.CostModel) mapping.Potenti
 			res, err := mapping.Map(p, mesh, mapping.Config{
 				Curve:       c,
 				FD:          fd,
-				Workers:     opts.Workers,
 				Defects:     opts.Defects,
 				Constraints: opts.Constraints,
 				Obs:         opts.Obs,

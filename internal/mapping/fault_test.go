@@ -3,6 +3,7 @@ package mapping
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,19 +83,34 @@ func TestInitialPlacementDefectsDegradedCapacity(t *testing.T) {
 	}
 }
 
+// TestInitialPlacementDefectsOverflow also pins the error's arithmetic: the
+// dead cores it reports are the ones subtracted from the usable rows, not
+// those in reserved spare rows.
 func TestInitialPlacementDefectsOverflow(t *testing.T) {
-	p := chainPCN(t, 14)
 	mesh := hw.MustMesh(4, 4)
-	d := hw.NewDefectMap(mesh)
-	d.MarkDead(1)
-	d.MarkDead(2)
-	d.MarkDead(3) // 13 healthy cores < 14 clusters
-	_, err := InitialPlacementDefects(p, mesh, curve.Hilbert{}, d, hw.Constraints{})
-	if !errors.Is(err, ErrUnplaceable) {
-		t.Errorf("overflow on dead mesh: got %v, want ErrUnplaceable", err)
-	}
-	if !errors.Is(err, place.ErrUnplaceable) {
-		t.Error("sentinel must also match the place package's definition")
+	for _, tc := range []struct {
+		clusters int
+		dead     []int
+		cons     hw.Constraints
+		want     string
+	}{
+		{14, []int{1, 2, 3}, hw.Constraints{}, "healthy capacity 13 (4 usable rows, 3 dead cores)"},
+		{12, []int{5, 13}, hw.Constraints{SpareRows: 1}, "healthy capacity 11 (3 usable rows, 1 dead cores)"},
+	} {
+		d := hw.NewDefectMap(mesh)
+		for _, idx := range tc.dead {
+			d.MarkDead(idx)
+		}
+		_, err := InitialPlacementDefects(chainPCN(t, tc.clusters), mesh, curve.Hilbert{}, d, tc.cons)
+		if !errors.Is(err, ErrUnplaceable) {
+			t.Fatalf("%d clusters, dead %v: got %v, want ErrUnplaceable", tc.clusters, tc.dead, err)
+		}
+		if !errors.Is(err, place.ErrUnplaceable) {
+			t.Error("sentinel must also match the place package's definition")
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("error %q does not report %q", err, tc.want)
+		}
 	}
 }
 

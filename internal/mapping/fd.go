@@ -1088,6 +1088,16 @@ func (e *fdEngine) initialQueue(workers int) []pairTension {
 	return queue
 }
 
+// forChunks runs fn on par's fixed chunks of [0, n): chunk ci covers the
+// ceil-stride range [lo, hi), which depends on n alone.
+func forChunks(workers, n int, fn func(ci, lo, hi int)) {
+	k := par.Chunks(n)
+	chunk := (n + k - 1) / k
+	par.Do(workers, k, func(ci int) {
+		fn(ci, min(ci*chunk, n), min((ci+1)*chunk, n))
+	})
+}
+
 // nextQueue implements Alg. 3 lines 30-40 in one pass: re-evaluate the
 // current queue in place (the write index never passes the read index),
 // then every not-yet-seen pair touching an affected cluster, keeping the

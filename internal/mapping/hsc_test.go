@@ -1,9 +1,14 @@
 package mapping
 
 import (
+	"errors"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"snnmap/internal/curve"
+	"snnmap/internal/geom"
 	"snnmap/internal/hw"
 	"snnmap/internal/pcn"
 	"snnmap/internal/snn"
@@ -87,6 +92,220 @@ func TestInitialPlacementOverflow(t *testing.T) {
 	p := chainPCN(t, 10)
 	if _, err := InitialPlacement(p, hw.MustMesh(3, 3), curve.Hilbert{}); err == nil {
 		t.Error("10 clusters on 9 cores must fail")
+	}
+}
+
+// TestInitialPlacementContract pins the HSC walk to its definition: the
+// cluster of topological rank r sits on the r-th usable cell of c.Points,
+// where a cell is usable when it lies outside the spare rows, is alive, and
+// — if degraded — still fits that cluster. It runs every curve over five
+// meshes and over a monotone PCN (identity order, no heap) and a cyclic one.
+func TestInitialPlacementContract(t *testing.T) {
+	mesh := hw.MustMesh(18, 18)
+	rng := rand.New(rand.NewSource(7))
+	dead := hw.NewDefectMap(mesh)
+	for i := 0; i < 20; i++ {
+		dead.MarkDead(rng.Intn(mesh.Cores()))
+	}
+	degraded := hw.NewDefectMap(mesh)
+	for idx := 5; idx < mesh.Cores(); idx += 11 {
+		if err := degraded.Degrade(idx, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	monotone := chainPCN(t, 280)
+	cyclic := randomPCN(t, 41, 280, 1200)
+	if !toposort.Monotone(monotone) {
+		t.Fatal("chain PCN must be monotone")
+	}
+	if toposort.Monotone(cyclic) {
+		t.Fatal("random PCN unexpectedly monotone; pick another seed")
+	}
+	// The synapse cap is the cyclic PCN's largest cluster, so a half-scale
+	// core holds some of its clusters and not others.
+	maxSyn := 0
+	for _, s := range cyclic.Synapses {
+		maxSyn = max(maxSyn, int(s))
+	}
+	meshes := []struct {
+		name string
+		d    *hw.DefectMap
+		cons hw.Constraints
+	}{
+		{name: "pristine"},
+		{name: "dead", d: dead},
+		{name: "spare", cons: hw.Constraints{SpareRows: 2}},
+		{name: "dead+spare", d: dead, cons: hw.Constraints{SpareRows: 1}},
+		{name: "degraded", d: degraded, cons: hw.Constraints{SynapsesPerCore: maxSyn}},
+	}
+	pcns := []struct {
+		name string
+		p    *pcn.PCN
+	}{{"monotone", monotone}, {"cyclic", cyclic}}
+	skipped := 0 // degraded cells left empty before the last placed cluster
+	for _, c := range []curve.Curve{curve.Hilbert{}, curve.ZigZag{}, curve.Circle{}} {
+		for _, tp := range pcns {
+			for _, sc := range meshes {
+				name := c.Name() + "/" + tp.name + "/" + sc.name
+				pl, err := InitialPlacementDefects(tp.p, mesh, c, sc.d, sc.cons)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := pl.Validate(); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				if err := pl.ValidateDefects(sc.d); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				order := toposort.Order(tp.p)
+				r := 0
+				for _, pt := range c.Points(mesh.Rows, mesh.Cols) {
+					if r == len(order) {
+						break
+					}
+					idx := mesh.Index(pt)
+					cl := int(order[r])
+					if pt.X >= sc.cons.UsableRows(mesh) || sc.d.IsDead(idx) {
+						continue
+					}
+					if scale := sc.d.CapScale(idx); scale < 1 && !sc.cons.Scale(scale).FitsSynapses(int(tp.p.Synapses[cl])) {
+						skipped++
+						continue
+					}
+					if got := pl.Of(cl); got != pt {
+						t.Fatalf("%s: rank %d (cluster %d) at %v, want %v", name, r, cl, got, pt)
+					}
+					r++
+				}
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Error("no degraded cell was too small for its cluster; the degraded mesh tests nothing")
+	}
+}
+
+// TestInitialPlacementWorkersBitIdentical pins the deprecated workers knob
+// as inert: Workers ∈ {1, 2, 4, 7} × {pristine, defective-cores, spare-rows,
+// defective+spare} must produce placements byte-identical to
+// InitialPlacementDefects, for a monotone and a cyclic PCN on all three
+// curves.
+func TestInitialPlacementWorkersBitIdentical(t *testing.T) {
+	mesh := hw.MustMesh(18, 18)
+	deadRng := rand.New(rand.NewSource(7))
+	defective := hw.NewDefectMap(mesh)
+	for i := 0; i < 20; i++ {
+		defective.MarkDead(deadRng.Intn(mesh.Cores()))
+	}
+	scenarios := []struct {
+		name string
+		d    *hw.DefectMap
+		cons hw.Constraints
+	}{
+		{name: "pristine"},
+		{name: "defective-cores", d: defective},
+		{name: "spare-rows", cons: hw.Constraints{SpareRows: 2}},
+		{name: "defective+spare", d: defective, cons: hw.Constraints{SpareRows: 1}},
+	}
+	pcns := []struct {
+		name string
+		p    *pcn.PCN
+	}{{"monotone", chainPCN(t, 280)}, {"cyclic", randomPCN(t, 41, 280, 1200)}}
+	for _, c := range []curve.Curve{curve.Hilbert{}, curve.ZigZag{}, curve.Circle{}} {
+		for _, tp := range pcns {
+			for _, sc := range scenarios {
+				want, err := InitialPlacementDefects(tp.p, mesh, c, sc.d, sc.cons)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", c.Name(), tp.name, sc.name, err)
+				}
+				for _, workers := range []int{1, 2, 4, 7} {
+					pl, err := InitialPlacementWorkers(tp.p, mesh, c, sc.d, sc.cons, workers)
+					if err != nil {
+						t.Fatalf("%s/%s/%s workers=%d: %v", c.Name(), tp.name, sc.name, workers, err)
+					}
+					if !slices.Equal(pl.PosOf, want.PosOf) || !slices.Equal(pl.ClusterAt, want.ClusterAt) {
+						t.Errorf("%s/%s/%s workers=%d: placement differs from the curve walk", c.Name(), tp.name, sc.name, workers)
+					}
+					if err := pl.ValidateDefects(sc.d); err != nil {
+						t.Errorf("%s/%s/%s workers=%d: %v", c.Name(), tp.name, sc.name, workers, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInitialPlacementWorkersDegradedFallback pins the capacity-degraded
+// mesh: any worker count agrees with the curve walk, which leaves a degraded
+// cell empty when the next cluster does not fit it.
+func TestInitialPlacementWorkersDegradedFallback(t *testing.T) {
+	mesh := hw.MustMesh(10, 10)
+	p := chainPCN(t, 60)
+	d := hw.NewDefectMap(mesh)
+	for _, idx := range []int{3, 17, 40} {
+		if err := d.Degrade(idx, 0.4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cons := hw.Constraints{NeuronsPerCore: 1}
+	want, err := InitialPlacementDefects(p, mesh, curve.Hilbert{}, d, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		pl, err := InitialPlacementWorkers(p, mesh, curve.Hilbert{}, d, cons, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(pl.PosOf, want.PosOf) {
+			t.Errorf("workers=%d: degraded-mesh placement differs from the curve walk", workers)
+		}
+	}
+}
+
+// brokenCurve is a Hilbert curve passed through edit, standing in for a
+// user-supplied curve whose visit order is not a permutation of the mesh.
+type brokenCurve struct {
+	edit func(pts []geom.Point) []geom.Point
+}
+
+func (brokenCurve) Name() string { return "broken" }
+
+func (c brokenCurve) Points(n, m int) []geom.Point { return c.edit(curve.Hilbert{}.Points(n, m)) }
+
+// TestInitialPlacementRejectsBadCurve holds a custom curve to the Curve
+// contract: a repeated cell, an off-mesh cell or a short visit order is an
+// ErrBadConfig naming the curve, both from InitialPlacement and from a
+// curve-only Map, never a placement that fails Validate later.
+func TestInitialPlacementRejectsBadCurve(t *testing.T) {
+	p := chainPCN(t, 16)
+	mesh := hw.MustMesh(4, 4)
+	for _, tc := range []struct {
+		name string
+		c    curve.Curve
+		want string
+	}{
+		{"repeat", brokenCurve{func(pts []geom.Point) []geom.Point { pts[1] = pts[0]; return pts }}, "revisits"},
+		{"off-mesh", brokenCurve{func(pts []geom.Point) []geom.Point { pts[3] = geom.Point{X: 0, Y: 4}; return pts }}, "outside"},
+		{"short", brokenCurve{func(pts []geom.Point) []geom.Point { return pts[:len(pts)-1] }}, "visits 15 cells"},
+	} {
+		_, err := InitialPlacement(p, mesh, tc.c)
+		_, mapErr := Map(p, mesh, Config{Curve: tc.c})
+		for _, err := range []error{err, mapErr} {
+			if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), `"broken"`) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: got %v, want ErrBadConfig naming the curve and %q", tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
+func TestInitialPlacementRejectsInvalidMesh(t *testing.T) {
+	for _, p := range []*pcn.PCN{{}, chainPCN(t, 4)} {
+		for _, mesh := range []hw.Mesh{{}, {Rows: 0, Cols: 4}, {Rows: -2, Cols: -2}} {
+			if _, err := InitialPlacement(p, mesh, curve.Hilbert{}); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%d clusters on %v mesh: got %v, want ErrBadConfig", p.NumClusters, mesh, err)
+			}
+		}
 	}
 }
 

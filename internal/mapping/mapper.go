@@ -40,11 +40,11 @@ type Config struct {
 	// of the exact M_ec objective is a Finetune call on the result with
 	// EnergyPotential (Eq. 25).
 	FD *FDConfig
-	// Workers fans the initial placement's curve-position fill out over up
-	// to this many goroutines (0 or 1 = sequential). Results are
-	// bit-identical at any count per InitialPlacementWorkers' contract;
-	// like FDConfig.Workers it is excluded from cache keys. FD keeps its
-	// own FDConfig.Workers knob.
+	// Workers is ignored: the initial placement is one sequential curve
+	// walk, and FD keeps its own FDConfig.Workers knob.
+	//
+	// Deprecated: the field stays only while the benchmark harness sets it
+	// (ROADMAP item 1); leave it unset.
 	Workers int
 	// Defects marks dead cores, degraded capacities and failed links of
 	// the physical mesh. The initial placement lays the curve sequence
@@ -111,7 +111,7 @@ func MapContext(ctx context.Context, p *pcn.PCN, mesh hw.Mesh, cfg Config) (Resu
 		c = curve.Hilbert{}
 	}
 	placeSp := cfg.Obs.Span("placement", obs.KV{K: "clusters", V: float64(p.NumClusters)})
-	pl, err := InitialPlacementWorkers(p, mesh, c, cfg.Defects, cfg.Constraints, cfg.Workers)
+	pl, err := InitialPlacementDefects(p, mesh, c, cfg.Defects, cfg.Constraints)
 	placeSp.End()
 	if err != nil {
 		return Result{}, fmt.Errorf("mapping: initial placement: %w", err)

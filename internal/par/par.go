@@ -1,6 +1,6 @@
 // Package par is the repository's one fork-join primitive. Every layer that
 // fans work out (Evaluate and the congestion grid, matching and row merging,
-// the HSC fill, FD's build phases) cuts its problem into chunks whose layout
+// FD's build phases) cuts its problem into chunks whose layout
 // is a function of the problem size alone, has chunk ci write only slot ci
 // of a preallocated result, and reduces the slots in index order after Do
 // returns. par owns the remaining question — which goroutine runs which

@@ -50,7 +50,7 @@ func TestZeroWorkersIsOneWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := mapping.InitialPlacementWorkers(res.PCN, mesh, curve.Hilbert{}, defects, hw.Constraints{}, workers)
+		pl, err := mapping.InitialPlacementDefects(res.PCN, mesh, curve.Hilbert{}, defects, hw.Constraints{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,7 +148,9 @@ type (
 	Placement = place.Placement
 	// Potential is a force-field shape u(p) (§4.4.2).
 	Potential = mapping.Potential
-	// Curve is a space-filling curve over the mesh.
+	// Curve is a space-filling curve over the mesh: a name and a visit
+	// order. InitialPlacement fails with ErrBadConfig when a custom curve's
+	// order is not a permutation of the mesh's cells.
 	Curve = curve.Curve
 )
 
