@@ -59,7 +59,10 @@ func ExampleEvaluate() {
 	if err != nil {
 		panic(err)
 	}
-	sum := snnmap.Evaluate(p, res.Placement, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+	sum, err := snnmap.Evaluate(p, res.Placement, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("energy positive: %v, max latency >= avg: %v\n",
 		sum.Energy > 0, sum.MaxLatency >= sum.AvgLatency)
 	// Output:

@@ -44,8 +44,11 @@ func mapAndScore(net *snnmap.Net, cons snnmap.Constraints, tw *tabwriter.Writer,
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", name, err))
 	}
-	sum := snnmap.Evaluate(p, res.Placement, snnmap.DefaultCostModel(),
+	sum, err := snnmap.Evaluate(p, res.Placement, snnmap.DefaultCostModel(),
 		snnmap.MetricOptions{Congestion: snnmap.CongestionSkip})
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", name, err))
+	}
 	fitsStr := "yes"
 	if !fits {
 		fitsStr = "no"

@@ -68,7 +68,10 @@ func main() {
 			fatal(fmt.Errorf("%s: %w", a.name, err))
 		}
 		elapsed := time.Since(start)
-		sum := snnmap.Evaluate(p, pl, cost, snnmap.MetricOptions{})
+		sum, err := snnmap.Evaluate(p, pl, cost, snnmap.MetricOptions{})
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", a.name, err))
+		}
 		if i == 0 {
 			base = sum
 		}

@@ -42,7 +42,10 @@ func main() {
 		{"random placement", random},
 		{"proposed placement", proposed.Placement},
 	} {
-		analytic := snnmap.Evaluate(p, c.pl, cost, snnmap.MetricOptions{})
+		analytic, err := snnmap.Evaluate(p, c.pl, cost, snnmap.MetricOptions{})
+		if err != nil {
+			fatal(err)
+		}
 		// Scale traffic down so the simulation stays small; one simulated
 		// spike per 100 units of traffic.
 		sim, err := snnmap.Simulate(p, c.pl, snnmap.SimConfig{SpikesPerUnit: 0.01, Cost: cost, Obs: o})

@@ -48,12 +48,18 @@ func main() {
 
 	// 4. Score it against a random placement.
 	cost := snnmap.DefaultCostModel()
-	ours := snnmap.Evaluate(p, res.Placement, cost, snnmap.MetricOptions{})
+	ours, err := snnmap.Evaluate(p, res.Placement, cost, snnmap.MetricOptions{})
+	if err != nil {
+		fatal(err)
+	}
 	rnd, _, err := snnmap.RandomPlacement(p, mesh, snnmap.BaselineOptions{Seed: 1})
 	if err != nil {
 		fatal(err)
 	}
-	base := snnmap.Evaluate(p, rnd, cost, snnmap.MetricOptions{})
+	base, err := snnmap.Evaluate(p, rnd, cost, snnmap.MetricOptions{})
+	if err != nil {
+		fatal(err)
+	}
 	n := ours.Normalize(base)
 	fmt.Printf("vs random:    energy ×%.2f, avg latency ×%.2f, max congestion ×%.2f\n",
 		n.Energy, n.AvgLatency, n.MaxCongestion)

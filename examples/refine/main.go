@@ -67,7 +67,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		sum := snnmap.Evaluate(c.pcn, res.Placement, cost, snnmap.MetricOptions{})
+		sum, err := snnmap.Evaluate(c.pcn, res.Placement, cost, snnmap.MetricOptions{})
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Printf("mapped %-10s energy=%.4g avgLat=%.3f maxCon=%.4g\n", c.name+":", sum.Energy, sum.AvgLatency, sum.MaxCongestion)
 	}
 
@@ -94,7 +97,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		sum := snnmap.Evaluate(p, res.Placement, cost, snnmap.MetricOptions{})
+		sum, err := snnmap.Evaluate(p, res.Placement, cost, snnmap.MetricOptions{})
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Printf("LeNet-MNIST with %-18s total traffic %.4g, mapped energy %.4g\n",
 			prof.name+":", p.TotalWeight(), sum.Energy)
 	}

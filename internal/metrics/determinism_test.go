@@ -493,7 +493,8 @@ func TestExpeUniversalEqualsDP(t *testing.T) {
 // with sources in all four quadrants, then a one-source group spanning the
 // mesh — the box buffer never exceeds twice the largest four-quadrant union
 // total, and a fresh worker reallocates it O(log) times, not once per larger
-// box.
+// box. The shared in-runs' fields are held to the same rule
+// (checkRunFieldsBounded).
 func TestExpeTableBounded(t *testing.T) {
 	const side = 128
 	mesh := hw.MustMesh(side, side)
@@ -538,4 +539,5 @@ func TestExpeTableBounded(t *testing.T) {
 	if limit := float64(bits.Len(uint(side * side))); allocs > limit {
 		t.Fatalf("%d growing boxes made %.0f allocations, want ≤ %.0f", len(run), allocs, limit)
 	}
+	checkRunFieldsBounded(t)
 }

@@ -87,8 +87,8 @@ func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Optio
 		if mode == CongestionExact {
 			stride = 1
 		}
-		var grid []float64
-		grid, swept = congestionGrid(p, pos, mesh, stride, opts.Workers)
+		grid, counts := congestionGrid(p, pos, mesh, stride, opts.Workers)
+		swept = counts.swept
 		if stride > 1 && sampledWeight > 0 {
 			scale := totalWeight / sampledWeight
 			for i := range grid {

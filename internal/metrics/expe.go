@@ -21,10 +21,20 @@ func clusterCoords(pl *place.Placement) []cellXY {
 
 // sweep is one worker's scratch: a target's four quadrant boxes back to
 // back, grown geometrically so that a run of ever larger boxes reallocates
-// O(log) times and holds at most twice the largest four-box total.
+// O(log) times and holds at most twice the largest four-box total; the
+// shared in-run's fields; and the rows a chunk's boxes touched.
 type sweep struct {
 	box []float64
 	one [1]int32 // the source of a one-source group (sampled mode)
+	run runFields
+	// lo..hi are the mesh rows the chunk's boxes covered so far (lo > hi:
+	// none), so that only they are merged.
+	lo, hi int
+}
+
+// touch widens the chunk's row span to rows lo..hi.
+func (s *sweep) touch(lo, hi int) {
+	s.lo, s.hi = min(s.lo, lo), max(s.hi, hi)
 }
 
 // propagate adds Σ_k ws[k]·Expe(·, pos[from[k]], t) to grid (row-major, cols
@@ -61,6 +71,7 @@ func (s *sweep) propagate(grid []float64, cols int, pos []cellXY, t cellXY, from
 	for q, e := range ext {
 		base[q+1] = base[q] + (e[0]+1)*(e[1]+1)
 	}
+	s.touch(int(t.x)-max(0, ext[0][0], ext[1][0]), int(t.x)+max(0, ext[2][0], ext[3][0]))
 	n := base[4]
 	if n > cap(s.box) {
 		s.box = make([]float64, max(n, 2*cap(s.box)))

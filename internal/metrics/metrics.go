@@ -293,13 +293,13 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 			mode = CongestionSampled
 		}
 	}
-	var swept int64
+	var counts gridCounts
 	if mode == CongestionExact || mode == CongestionSampled {
 		if mode == CongestionExact {
 			stride = 1
 		}
 		var grid []float64
-		grid, swept = congestionGrid(p, pos, mesh, stride, opts.Workers)
+		grid, counts = congestionGrid(p, pos, mesh, stride, opts.Workers)
 		if stride > 1 && sampledWeight > 0 {
 			// Rescale by the sampled traffic share so the grid estimates
 			// the full-population congestion.
@@ -332,8 +332,10 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		obs.KV{K: "avg_latency", V: s.AvgLatency},
 		obs.KV{K: "max_congestion", V: s.MaxCongestion},
 		obs.KV{K: "box_cells", V: float64(bboxWork)},
-		obs.KV{K: "swept_cells", V: float64(swept)},
-		obs.KV{K: "row_sums", V: float64(rows)})
+		obs.KV{K: "swept_cells", V: float64(counts.swept)},
+		obs.KV{K: "row_sums", V: float64(rows)},
+		obs.KV{K: "run_targets", V: float64(counts.runTargets)},
+		obs.KV{K: "run_tables", V: float64(counts.runTables)})
 	return s
 }
 
@@ -362,38 +364,64 @@ func CongestionGrid(p *pcn.PCN, pl *place.Placement, stride, workers int) []floa
 	return grid
 }
 
-// congestionGrid is CongestionGrid on a cluster coordinate table, which
-// Evaluate shares with its own edge walk; it also returns the box cells the
-// sweeps covered.
-func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int) ([]float64, int64) {
-	cores := mesh.Cores()
-	grid := make([]float64, cores)
-	n, edges := p.NumClusters, int(p.NumEdges())
-	if edges == 0 {
-		return grid, 0
-	}
-	// A stride of |E| or more samples edge 0 alone; capped, the skip
-	// arithmetic below cannot overflow.
-	stride = max(1, min(stride, edges))
-	// Cap the chunk count so the transient per-chunk grids stay bounded
-	// (~64 MB of scratch on a million-core mesh).
+// gridCounts is what the congestion sweeps report to Evaluate's span: the
+// box cells they covered, the targets added from a shared in-run's fields and
+// the field sets built.
+type gridCounts struct{ swept, runTargets, runTables int64 }
+
+// gridChunks is the congestion grid's chunk count for n clusters on a mesh of
+// cores cores: capped so the transient per-chunk grids stay bounded (~64 MB
+// of scratch on a million-core mesh).
+func gridChunks(n, cores int) int {
 	k := par.Chunks(n)
 	if maxGrids := 1 << 23 / max(cores, 1); k > maxGrids {
 		k = max(maxGrids, 1)
 	}
+	return k
+}
+
+// congestionGrid is CongestionGrid on a cluster coordinate table, which
+// Evaluate shares with its own edge walk; it also returns the sweeps' counts.
+func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int) ([]float64, gridCounts) {
+	cores, cols := mesh.Cores(), mesh.Cols
+	grid := make([]float64, cores)
+	n, edges := p.NumClusters, int(p.NumEdges())
+	if edges == 0 {
+		return grid, gridCounts{}
+	}
+	// A stride of |E| or more samples edge 0 alone; capped, the skip
+	// arithmetic below cannot overflow.
+	stride = max(1, min(stride, edges))
+	k := gridChunks(n, cores)
 	var in *pcn.Symmetric
 	if stride == 1 {
 		in = p.Symmetric()
 	}
-	accumulate := func(ci int, dst []float64, s *sweep) (cells int64) {
+	// accumulate adds chunk ci's sweeps to dst and leaves in s the rows they
+	// touched. A chunk starts with no run, so which targets take the shared
+	// fields does not depend on which worker ran the chunk before.
+	accumulate := func(ci int, dst []float64, s *sweep) (gc gridCounts) {
 		lo, hi := ci*n/k, (ci+1)*n/k
+		s.lo, s.hi = mesh.Rows, -1
 		if in != nil {
+			s.run.from = nil
 			for t := lo; t < hi; t++ {
-				if from, ws := in.InEdges(t); len(from) > 0 {
-					cells += s.propagate(dst, mesh.Cols, pos, pos[t], from, ws)
+				from, ws := in.InEdges(t)
+				switch {
+				case len(from) == 0:
+				case s.run.use(t, hi, from, ws, in, pos):
+					r, at := &s.run, pos[t]
+					s.touch(int(min(r.sx0, at.x)), int(max(r.sx1, at.x)))
+					gc.swept += r.add(dst, cols, at)
+					gc.runTargets++
+					if r.uses == 2 {
+						gc.runTables++
+					}
+				default:
+					gc.swept += s.propagate(dst, cols, pos, pos[t], from, ws)
 				}
 			}
-			return cells
+			return gc
 		}
 		// Every stride-th edge in global CSR order: skip carries across
 		// clusters, so unsampled edges cost nothing and unsampled clusters one
@@ -403,40 +431,54 @@ func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int)
 			tos, ws := p.OutEdges(c)
 			s.one[0] = int32(c)
 			for ; skip < len(tos); skip += stride {
-				cells += s.propagate(dst, mesh.Cols, pos, pos[tos[skip]], s.one[:], ws[skip:skip+1])
+				gc.swept += s.propagate(dst, cols, pos, pos[tos[skip]], s.one[:], ws[skip:skip+1])
 			}
 			skip -= len(tos)
 		}
-		return cells
+		return gc
 	}
-	swept := make([]int64, k) // per chunk, summed in chunk order
+	// merge adds rows lo..hi of a chunk's grid to the total; the rows outside
+	// hold +0.0, which would leave every cell's bits as they are.
+	merge := func(part []float64, lo, hi int) {
+		if lo > hi {
+			return
+		}
+		dst := grid[lo*cols : (hi+1)*cols]
+		for i, v := range part[lo*cols : (hi+1)*cols] {
+			dst[i] += v
+		}
+	}
+	counts := make([]gridCounts, k) // per chunk, summed in chunk order
 	if workers <= 1 || k == 1 {
-		// One reused scratch grid, merged after each chunk: per cell this
-		// is the same addition sequence as the parallel per-chunk merge
-		// below (chunk-local sums, then += in chunk order).
+		// One reused scratch grid, merged after each chunk and cleared over
+		// the rows the chunk touched: per cell this is the same addition
+		// sequence as the parallel per-chunk merge below (chunk-local sums,
+		// then += in chunk order).
 		scratch := make([]float64, cores)
 		var s sweep
 		for ci := 0; ci < k; ci++ {
-			clear(scratch)
-			swept[ci] = accumulate(ci, scratch, &s)
-			for i, v := range scratch {
-				grid[i] += v
+			counts[ci] = accumulate(ci, scratch, &s)
+			if s.lo <= s.hi {
+				merge(scratch, s.lo, s.hi)
+				clear(scratch[s.lo*cols : (s.hi+1)*cols])
 			}
 		}
 	} else {
 		grids := make([]float64, k*cores)
+		spans := make([][2]int, k)
 		par.DoScratch(workers, k, func(ci int, s *sweep) {
-			swept[ci] = accumulate(ci, grids[ci*cores:(ci+1)*cores], s)
+			counts[ci] = accumulate(ci, grids[ci*cores:(ci+1)*cores], s)
+			spans[ci] = [2]int{s.lo, s.hi}
 		})
-		for ci := 0; ci < k; ci++ {
-			for i, v := range grids[ci*cores : (ci+1)*cores] {
-				grid[i] += v
-			}
+		for ci, sp := range spans {
+			merge(grids[ci*cores:(ci+1)*cores], sp[0], sp[1])
 		}
 	}
-	var cells int64
-	for _, c := range swept {
-		cells += c
+	var total gridCounts
+	for _, c := range counts {
+		total.swept += c.swept
+		total.runTargets += c.runTargets
+		total.runTables += c.runTables
 	}
-	return grid, cells
+	return grid, total
 }

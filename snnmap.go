@@ -20,11 +20,12 @@
 //	p, _ := snnmap.Expand(net, snnmap.DefaultPartition())
 //	mesh := snnmap.MeshFor(p.NumClusters)
 //	res, _ := snnmap.Map(p, mesh, snnmap.DefaultConfig())
-//	sum := snnmap.Evaluate(p, res.Placement, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+//	sum, _ := snnmap.Evaluate(p, res.Placement, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
 package snnmap
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"snnmap/internal/baseline"
@@ -241,9 +242,18 @@ const (
 	CongestionSkip    = metrics.CongestionSkip
 )
 
-// Evaluate scores a placement on energy, latency and congestion.
-func Evaluate(p *PCN, pl *Placement, cost CostModel, opts MetricOptions) Summary {
-	return metrics.Evaluate(p, pl, cost, opts)
+// Evaluate scores a placement on energy, latency and congestion. The
+// placement must place exactly p's clusters, each on its own core of its
+// mesh — LoadPlacement returns whatever the file held, possibly for another
+// PCN — else Evaluate fails with an error wrapping ErrBadConfig.
+func Evaluate(p *PCN, pl *Placement, cost CostModel, opts MetricOptions) (Summary, error) {
+	if len(pl.PosOf) != p.NumClusters {
+		return Summary{}, fmt.Errorf("%w: placement covers %d clusters, PCN has %d", ErrBadConfig, len(pl.PosOf), p.NumClusters)
+	}
+	if err := pl.Validate(); err != nil {
+		return Summary{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	return metrics.Evaluate(p, pl, cost, opts), nil
 }
 
 // Baselines (§5.1.3).

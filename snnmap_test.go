@@ -35,7 +35,10 @@ func TestQuickstartFlow(t *testing.T) {
 	if err := res.Placement.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sum := snnmap.Evaluate(p, res.Placement, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+	sum, err := snnmap.Evaluate(p, res.Placement, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sum.Energy <= 0 {
 		t.Error("energy must be positive")
 	}
@@ -45,9 +48,68 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rndSum := snnmap.Evaluate(p, rnd, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+	rndSum, err := snnmap.Evaluate(p, rnd, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sum.Energy > rndSum.Energy {
 		t.Errorf("proposed energy %g worse than random %g", sum.Energy, rndSum.Energy)
+	}
+}
+
+// TestEvaluateRejectsForeignPlacement evaluates DNN_65K (16 clusters) on
+// placements that do not cover it — one cluster left unplaced, and placements
+// of a 15- and a 17-cluster network saved and loaded back, as LoadPlacement
+// hands them out — and wants ErrBadConfig, not a panic or a silent score.
+func TestEvaluateRejectsForeignPlacement(t *testing.T) {
+	expand := func(n *snnmap.Net) *snnmap.PCN {
+		p, err := snnmap.Expand(n, snnmap.DefaultPartition())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	place := func(p *snnmap.PCN) *snnmap.Placement {
+		res, err := snnmap.Map(p, snnmap.MeshFor(p.NumClusters), snnmap.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Placement
+	}
+	p := expand(snnmap.DNN65K())
+	if p.NumClusters != 16 {
+		t.Fatalf("DNN_65K has %d clusters, want 16", p.NumClusters)
+	}
+	unplaced := place(p).Clone()
+	unplaced.ClusterAt[unplaced.PosOf[5]] = -1
+	unplaced.PosOf[5] = -1
+	cases := map[string]*snnmap.Placement{"unplaced": unplaced}
+	for _, n := range []*snnmap.Net{snnmap.SynthDNN("w5", 3, 5*4096), snnmap.SynthDNN("w1", 17, 4096)} {
+		foreign := expand(n)
+		var buf bytes.Buffer
+		if err := snnmap.SavePlacement(&buf, place(foreign)); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := snnmap.LoadPlacement(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[n.Name] = loaded
+	}
+	if got := cases["w5"].NumClusters(); got != 15 {
+		t.Fatalf("w5 placement holds %d clusters, want 15", got)
+	}
+	if got := cases["w1"].NumClusters(); got != 17 {
+		t.Fatalf("w1 placement holds %d clusters, want 17", got)
+	}
+	for name, pl := range cases {
+		sum, err := snnmap.Evaluate(p, pl, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+		if !errors.Is(err, snnmap.ErrBadConfig) || sum != (snnmap.Summary{}) {
+			t.Errorf("%s: Evaluate = %+v, %v; want a zero Summary and ErrBadConfig", name, sum, err)
+		}
+	}
+	if _, err := snnmap.Evaluate(p, place(p), snnmap.DefaultCostModel(), snnmap.MetricOptions{}); err != nil {
+		t.Fatalf("own placement: %v", err)
 	}
 }
 
@@ -185,12 +247,18 @@ func TestRecurrentWorkloadEndToEnd(t *testing.T) {
 	if err := res.Placement.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sum := snnmap.Evaluate(p, res.Placement, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+	sum, err := snnmap.Evaluate(p, res.Placement, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rnd, _, err := snnmap.RandomPlacement(p, mesh, snnmap.BaselineOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := snnmap.Evaluate(p, rnd, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+	base, err := snnmap.Evaluate(p, rnd, snnmap.DefaultCostModel(), snnmap.MetricOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sum.Energy > base.Energy {
 		t.Errorf("recurrent mapping worse than random: %g vs %g", sum.Energy, base.Energy)
 	}
