@@ -119,8 +119,8 @@ func main() {
 		if defects, mesh, err = loadDefects(*faults, mesh, p.NumClusters); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("defects: %d dead cores, %d degraded, %d failed links on %v\n",
-			defects.NumDead(), defects.NumDegraded(), defects.NumFailedLinks(), mesh)
+		fmt.Printf("defects: %d dead cores, %d failed links on %v\n",
+			defects.NumDead(), defects.NumFailedLinks(), mesh)
 	}
 	cons := hw.Constraints{SpareRows: *spareRows}
 	if *spareRows > mesh.Rows {
@@ -229,7 +229,6 @@ func main() {
 		res, err := noc.Simulate(p, pl, noc.Config{
 			SpikesPerUnit: expt.SimSpikesPerUnit(p.TotalWeight()),
 			Defects:       defects,
-			FaultAware:    defects != nil,
 			Obs:           o,
 		})
 		if err != nil {

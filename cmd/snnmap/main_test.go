@@ -58,8 +58,16 @@ func TestBadInputsExitOne(t *testing.T) {
 		"connections": [{"from": 0, "to": 1, "fanIn": 10000000000, "pattern": "dense"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The defect schema has no per-core capacity; a file that carries one
+	// is refused rather than mapped as if the cores were healthy.
+	degraded := filepath.Join(t.TempDir(), "degraded.json")
+	if err := os.WriteFile(degraded, []byte(`{"rows":4,"cols":4,"dead":[15],
+		"degraded":[{"core":0,"scale":0.01},{"core":1,"scale":0.01},{"core":4,"scale":0.01},{"core":5,"scale":0.01}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-net", infNet, "-budget", "0"},
+		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", degraded},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "uniform:dead=NaN"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "uniform:links=Inf"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "lines:rows=-1"},

@@ -15,7 +15,7 @@ import (
 
 // MeshForHealthy returns the smallest square mesh whose *healthy* core count
 // holds n clusters when a deadFrac fraction of cores is defective —
-// hw.MeshFor with fault headroom, so degraded-mesh sweeps stay placeable.
+// hw.MeshFor with fault headroom, so faulty-mesh sweeps stay placeable.
 func MeshForHealthy(n int, deadFrac float64) hw.Mesh {
 	if deadFrac <= 0 {
 		return hw.MeshFor(n)
@@ -108,7 +108,6 @@ func faultSweepRows(wl *Workload, fracs []float64, linkFrac float64, opts RunOpt
 		res, err := noc.Simulate(p, pl, noc.Config{
 			Cost:          opts.Cost,
 			Defects:       d,
-			FaultAware:    true,
 			SpikesPerUnit: SimSpikesPerUnit(p.TotalWeight()),
 		})
 		if err != nil {

@@ -63,7 +63,7 @@ func TestFaultAcceptance32x32(t *testing.T) {
 	if err := pl.ValidateDefects(d); err != nil {
 		t.Fatal(err)
 	}
-	sim, err := noc.Simulate(p, pl, noc.Config{Defects: d, FaultAware: true})
+	sim, err := noc.Simulate(p, pl, noc.Config{Defects: d})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,12 +22,12 @@ type RunOptions struct {
 	Budget time.Duration
 	// Cost is the hardware cost model (zero value = Table 2 defaults).
 	Cost hw.CostModel
-	// Defects marks dead cores, degraded capacities and failed links of
-	// the target mesh. Curve and FD methods place around them; baseline
-	// methods do not support defect maps and fail when one is set.
+	// Defects marks dead cores and failed links of the target mesh. Curve
+	// and FD methods place around them; baseline methods do not support
+	// defect maps and fail when one is set.
 	Defects *hw.DefectMap
-	// Constraints is the capacity baseline Defects' degrade scales apply
-	// to (zero value = unconstrained).
+	// Constraints reserves hot-spare rows (mapping.Config.Constraints:
+	// only SpareRows is read).
 	Constraints hw.Constraints
 	// Workers fans FD fine-tuning's build phases and metrics evaluation out
 	// over up to this many goroutines (0 or 1 = sequential). Results are
@@ -147,7 +147,7 @@ func fdMethod(name string, c curve.Curve, pot func(hw.CostModel) mapping.Potenti
 func baselineMethod(name string, run func(*pcn.PCN, hw.Mesh, baseline.Options) (*place.Placement, baseline.Stats, error)) Method {
 	return Method{Name: name, Run: func(p *pcn.PCN, mesh hw.Mesh, opts RunOptions) (*place.Placement, MethodStats, error) {
 		opts = opts.withDefaults()
-		if opts.Defects != nil && (opts.Defects.NumDead() > 0 || opts.Defects.NumDegraded() > 0) {
+		if opts.Defects.NumDead() > 0 {
 			return nil, MethodStats{}, fmt.Errorf("expt: method %s does not support defect maps; use a curve/FD method", name)
 		}
 		pl, stats, err := run(p, mesh, baseline.Options{Seed: opts.Seed, Budget: opts.Budget, Cost: opts.Cost})

@@ -1,7 +1,8 @@
 // Defect maps: the fault model layered over the ideal mesh of §3.1. Real
-// neuromorphic chips ship with manufacturing defects — dead cores, cores with
-// reduced usable capacity, and failed router-to-router links — and the mapper
-// must lay the application over the healthy remainder. A DefectMap records
+// neuromorphic chips ship with manufacturing defects — dead cores and failed
+// router-to-router links — and the mapper must lay the application over the
+// healthy remainder. Per-core capacity is not part of the model: the
+// partitioner sizes every cluster for a full core. A DefectMap records
 // those defects; deterministic seeded injectors produce the chip-realistic
 // fault patterns (uniform, clustered/radial, whole rows/columns) used by the
 // fault-sweep experiments, and JSON serialization lets a measured defect map
@@ -27,15 +28,12 @@ import (
 type DefectMap struct {
 	mesh Mesh
 	dead []bool
-	// scale[idx] is the usable-capacity fraction of core idx in (0,1];
-	// nil means every core is at full capacity.
-	scale []float64
 	// linkDown is indexed by link id: the link from core idx to its right
 	// neighbor has id idx*2, to its bottom neighbor idx*2+1 (the same
 	// encoding as the FD pair ids).
 	linkDown []bool
 
-	numDead, numDegraded, numLinks int
+	numDead, numLinks int
 }
 
 // NewDefectMap returns an empty (fully healthy) defect map for the mesh.
@@ -52,30 +50,6 @@ func (d *DefectMap) MarkDead(idx int) {
 		d.dead[idx] = true
 		d.numDead++
 	}
-}
-
-// Degrade sets core idx's usable-capacity fraction to scale in (0,1).
-// A scale of 1 (or above) restores full capacity.
-func (d *DefectMap) Degrade(idx int, scale float64) error {
-	if scale <= 0 {
-		return fmt.Errorf("hw: degrade scale %g for core %d must be positive (use MarkDead for dead cores)", scale, idx)
-	}
-	if d.scale == nil {
-		d.scale = make([]float64, d.mesh.Cores())
-		for i := range d.scale {
-			d.scale[i] = 1
-		}
-	}
-	if d.scale[idx] < 1 && scale >= 1 {
-		d.numDegraded--
-	} else if d.scale[idx] >= 1 && scale < 1 {
-		d.numDegraded++
-	}
-	if scale > 1 {
-		scale = 1
-	}
-	d.scale[idx] = scale
-	return nil
 }
 
 // FailLink marks the mesh link between adjacent cores a and b as failed.
@@ -107,15 +81,6 @@ func (d *DefectMap) IsDead(idx int) bool {
 	return d != nil && d.dead[idx]
 }
 
-// CapScale returns core idx's usable-capacity fraction (1 when healthy).
-// Nil maps report 1.
-func (d *DefectMap) CapScale(idx int) float64 {
-	if d == nil || d.scale == nil {
-		return 1
-	}
-	return d.scale[idx]
-}
-
 // LinkDownDir reports whether the link leaving core idx in direction dir has
 // failed. Off-mesh directions report false. Nil maps report false.
 func (d *DefectMap) LinkDownDir(idx int, dir geom.Dir) bool {
@@ -143,14 +108,6 @@ func (d *DefectMap) NumDead() int {
 	return d.numDead
 }
 
-// NumDegraded returns the count of capacity-degraded (but alive) cores.
-func (d *DefectMap) NumDegraded() int {
-	if d == nil {
-		return 0
-	}
-	return d.numDegraded
-}
-
 // NumFailedLinks returns the failed-link count. Nil maps report 0.
 func (d *DefectMap) NumFailedLinks() int {
 	if d == nil {
@@ -169,40 +126,12 @@ func (d *DefectMap) Clone() *DefectMap {
 	if d == nil {
 		return nil
 	}
-	q := &DefectMap{mesh: d.mesh, numDead: d.numDead, numDegraded: d.numDegraded, numLinks: d.numLinks}
+	q := &DefectMap{mesh: d.mesh, numDead: d.numDead, numLinks: d.numLinks}
 	q.dead = append([]bool(nil), d.dead...)
-	if d.scale != nil {
-		q.scale = append([]float64(nil), d.scale...)
-	}
 	if d.linkDown != nil {
 		q.linkDown = append([]bool(nil), d.linkDown...)
 	}
 	return q
-}
-
-// Scale returns the constraints reduced to the given capacity fraction.
-// Unconstrained dimensions (zero) stay unconstrained. A constrained
-// dimension never scales down to zero — zero would read as unconstrained
-// through the Fits* convention — so a capacity that floors to nothing
-// becomes -1, which fits no cluster at all.
-func (c Constraints) Scale(f float64) Constraints {
-	if f >= 1 {
-		return c
-	}
-	s := c
-	s.NeuronsPerCore = scaleCap(s.NeuronsPerCore, f)
-	s.SynapsesPerCore = scaleCap(s.SynapsesPerCore, f)
-	return s
-}
-
-func scaleCap(cap int, f float64) int {
-	if cap <= 0 {
-		return cap
-	}
-	if scaled := int(float64(cap) * f); scaled >= 1 {
-		return scaled
-	}
-	return -1
 }
 
 // Injectors. All are deterministic in (mesh, parameters, seed). InjectUniform
@@ -337,16 +266,10 @@ func allLinks(mesh Mesh) [][2]int {
 // next to the chip they were measured on.
 
 type defectJSON struct {
-	Rows     int            `json:"rows"`
-	Cols     int            `json:"cols"`
-	Dead     []int          `json:"dead,omitempty"`
-	Degraded []degradedJSON `json:"degraded,omitempty"`
-	Links    [][2]int       `json:"links,omitempty"`
-}
-
-type degradedJSON struct {
-	Core  int     `json:"core"`
-	Scale float64 `json:"scale"`
+	Rows  int      `json:"rows"`
+	Cols  int      `json:"cols"`
+	Dead  []int    `json:"dead,omitempty"`
+	Links [][2]int `json:"links,omitempty"`
 }
 
 // WriteDefectMap serializes the map as JSON.
@@ -355,11 +278,6 @@ func WriteDefectMap(w io.Writer, d *DefectMap) error {
 	for idx, dd := range d.dead {
 		if dd {
 			out.Dead = append(out.Dead, idx)
-		}
-	}
-	for idx := range d.scale {
-		if d.scale[idx] < 1 {
-			out.Degraded = append(out.Degraded, degradedJSON{Core: idx, Scale: d.scale[idx]})
 		}
 	}
 	for _, l := range allLinks(d.mesh) {
@@ -378,10 +296,14 @@ func linkDir(a, b int, mesh Mesh) geom.Dir {
 	return geom.Down
 }
 
-// ReadDefectMap deserializes a map written by WriteDefectMap.
+// ReadDefectMap deserializes a map written by WriteDefectMap. A key the
+// schema does not know (such as a per-core capacity list) is an error, not
+// silently dropped.
 func ReadDefectMap(r io.Reader) (*DefectMap, error) {
 	var in defectJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("hw: decode defect map: %w", err)
 	}
 	mesh, err := NewMesh(in.Rows, in.Cols)
@@ -394,14 +316,6 @@ func ReadDefectMap(r io.Reader) (*DefectMap, error) {
 			return nil, fmt.Errorf("hw: defect map: dead core %d out of range for %v", idx, mesh)
 		}
 		d.MarkDead(idx)
-	}
-	for _, g := range in.Degraded {
-		if g.Core < 0 || g.Core >= mesh.Cores() {
-			return nil, fmt.Errorf("hw: defect map: degraded core %d out of range for %v", g.Core, mesh)
-		}
-		if err := d.Degrade(g.Core, g.Scale); err != nil {
-			return nil, err
-		}
 	}
 	for _, l := range in.Links {
 		if err := d.FailLink(l[0], l[1]); err != nil {

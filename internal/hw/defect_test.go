@@ -11,8 +11,8 @@ import (
 func TestDefectMapBasics(t *testing.T) {
 	mesh := MustMesh(4, 4)
 	d := NewDefectMap(mesh)
-	if d.NumDead() != 0 || d.NumDegraded() != 0 || d.NumFailedLinks() != 0 {
-		t.Fatalf("fresh map not healthy: %d/%d/%d", d.NumDead(), d.NumDegraded(), d.NumFailedLinks())
+	if d.NumDead() != 0 || d.NumFailedLinks() != 0 {
+		t.Fatalf("fresh map not healthy: %d/%d", d.NumDead(), d.NumFailedLinks())
 	}
 	d.MarkDead(5)
 	d.MarkDead(5) // idempotent
@@ -22,26 +22,14 @@ func TestDefectMapBasics(t *testing.T) {
 	if d.HealthyCores() != 15 {
 		t.Fatalf("HealthyCores = %d, want 15", d.HealthyCores())
 	}
-	if err := d.Degrade(3, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if d.NumDegraded() != 1 || d.CapScale(3) != 0.5 || d.CapScale(4) != 1 {
-		t.Fatalf("Degrade accounting wrong: %d degraded, scale=%g", d.NumDegraded(), d.CapScale(3))
-	}
-	if err := d.Degrade(3, 1); err != nil || d.NumDegraded() != 0 {
-		t.Fatalf("restoring capacity should undegrade: err=%v degraded=%d", err, d.NumDegraded())
-	}
-	if err := d.Degrade(3, 0); err == nil {
-		t.Fatal("Degrade(0) should fail")
-	}
 }
 
 func TestDefectMapNilReceivers(t *testing.T) {
 	var d *DefectMap
-	if d.IsDead(0) || d.CapScale(0) != 1 || d.LinkDownDir(0, geom.Right) {
+	if d.IsDead(0) || d.LinkDownDir(0, geom.Right) {
 		t.Fatal("nil DefectMap must read as fully healthy")
 	}
-	if d.NumDead() != 0 || d.NumDegraded() != 0 || d.NumFailedLinks() != 0 {
+	if d.NumDead() != 0 || d.NumFailedLinks() != 0 {
 		t.Fatal("nil DefectMap counters must be zero")
 	}
 	if d.Clone() != nil {
@@ -148,9 +136,6 @@ func TestDefectMapJSONRoundTrip(t *testing.T) {
 	d := NewDefectMap(mesh)
 	d.MarkDead(7)
 	d.MarkDead(13)
-	if err := d.Degrade(2, 0.25); err != nil {
-		t.Fatal(err)
-	}
 	if err := d.FailLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +156,6 @@ func TestDefectMapJSONRoundTrip(t *testing.T) {
 	if got.NumDead() != 2 || !got.IsDead(7) || !got.IsDead(13) {
 		t.Fatalf("dead cores lost in round-trip: %d", got.NumDead())
 	}
-	if got.CapScale(2) != 0.25 || got.NumDegraded() != 1 {
-		t.Fatalf("degraded core lost: scale=%g", got.CapScale(2))
-	}
 	if got.NumFailedLinks() != 2 || !got.LinkDownDir(0, geom.Right) || !got.LinkDownDir(4, geom.Down) {
 		t.Fatalf("links lost: %d", got.NumFailedLinks())
 	}
@@ -184,11 +166,25 @@ func TestReadDefectMapRejectsBadInput(t *testing.T) {
 		`{`,
 		`{"rows":0,"cols":4}`,
 		`{"rows":2,"cols":2,"dead":[99]}`,
-		`{"rows":2,"cols":2,"degraded":[{"core":0,"scale":0}]}`,
 		`{"rows":2,"cols":2,"links":[[0,3]]}`,
 	} {
 		if _, err := ReadDefectMap(strings.NewReader(bad)); err == nil {
 			t.Errorf("ReadDefectMap(%q) should fail", bad)
+		}
+	}
+}
+
+// TestReadDefectMapRejectsUnknownKeys pins that a key outside the schema —
+// notably a per-core capacity list, which the defect model does not carry —
+// fails the read and names the key, instead of being dropped silently.
+func TestReadDefectMapRejectsUnknownKeys(t *testing.T) {
+	for _, tc := range []struct{ in, key string }{
+		{`{"rows":2,"cols":2,"degraded":[{"core":0,"scale":0.5}]}`, `"degraded"`},
+		{`{"rows":2,"cols":2,"dead":[1],"spare":1}`, `"spare"`},
+	} {
+		_, err := ReadDefectMap(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("ReadDefectMap(%s) = %v, want an error naming %s", tc.in, err, tc.key)
 		}
 	}
 }
@@ -293,45 +289,19 @@ func FuzzParseDefectSpec(f *testing.F) {
 	})
 }
 
-func TestConstraintsScale(t *testing.T) {
-	c := Constraints{NeuronsPerCore: 1000, SynapsesPerCore: 0}
-	s := c.Scale(0.5)
-	if s.NeuronsPerCore != 500 {
-		t.Fatalf("scaled NeuronsPerCore = %d, want 500", s.NeuronsPerCore)
-	}
-	if s.SynapsesPerCore != 0 {
-		t.Fatal("unconstrained dimension must stay unconstrained")
-	}
-	if c.Scale(1) != c || c.Scale(2) != c {
-		t.Fatal("scale >= 1 must be identity")
-	}
-	// A constrained capacity that floors to nothing must not flip to the
-	// zero (= unconstrained) reading: it becomes impossible instead.
-	tiny := Constraints{NeuronsPerCore: 1}.Scale(0.5)
-	if tiny.FitsNeurons(1) {
-		t.Fatal("fully-degraded constrained capacity must fit nothing")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	mesh := MustMesh(3, 3)
 	d := NewDefectMap(mesh)
 	d.MarkDead(0)
-	if err := d.Degrade(1, 0.5); err != nil {
-		t.Fatal(err)
-	}
 	if err := d.FailLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	q := d.Clone()
 	q.MarkDead(2)
-	if err := q.Degrade(1, 0.1); err != nil {
-		t.Fatal(err)
-	}
 	if err := q.FailLink(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if d.IsDead(2) || d.CapScale(1) != 0.5 || d.NumFailedLinks() != 1 {
+	if d.IsDead(2) || d.NumDead() != 1 || d.NumFailedLinks() != 1 {
 		t.Fatal("Clone shares state with the original")
 	}
 }

@@ -55,7 +55,9 @@ func (m Mesh) Coord(idx int) geom.Point {
 // String implements fmt.Stringer.
 func (m Mesh) String() string { return fmt.Sprintf("%dx%d", m.Rows, m.Cols) }
 
-// Constraints holds the per-core capacity limits of §3.1.
+// Constraints holds the per-core capacity limits of §3.1. The capacity
+// fields are the partitioner's: every cluster it emits fits one core, so
+// placement and repair read only SpareRows.
 type Constraints struct {
 	// NeuronsPerCore is CON_npc, the maximum number of neurons a core can
 	// host. Zero means unconstrained.
@@ -82,18 +84,6 @@ func (c Constraints) UsableRows(m Mesh) int {
 		return 0
 	}
 	return m.Rows - c.SpareRows
-}
-
-// FitsNeurons reports whether a cluster with the given neuron count respects
-// CON_npc.
-func (c Constraints) FitsNeurons(n int) bool {
-	return c.NeuronsPerCore == 0 || n <= c.NeuronsPerCore
-}
-
-// FitsSynapses reports whether a cluster with the given synapse count
-// respects CON_spc.
-func (c Constraints) FitsSynapses(s int) bool {
-	return c.SynapsesPerCore == 0 || s <= c.SynapsesPerCore
 }
 
 // CostModel holds the per-spike interconnect cost parameters of Eqs. 9–11.

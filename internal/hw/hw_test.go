@@ -55,20 +55,6 @@ func TestMeshContains(t *testing.T) {
 	}
 }
 
-func TestConstraints(t *testing.T) {
-	c := Constraints{NeuronsPerCore: 10, SynapsesPerCore: 100}
-	if !c.FitsNeurons(10) || c.FitsNeurons(11) {
-		t.Error("neuron constraint broken")
-	}
-	if !c.FitsSynapses(100) || c.FitsSynapses(101) {
-		t.Error("synapse constraint broken")
-	}
-	unconstrained := Constraints{}
-	if !unconstrained.FitsNeurons(1<<40) || !unconstrained.FitsSynapses(1<<40) {
-		t.Error("zero limits must mean unconstrained")
-	}
-}
-
 func TestCostModelTable2(t *testing.T) {
 	c := DefaultCostModel()
 	// Table 2: EN_r=1, EN_w=0.1, L_r=1, L_w=0.01.
@@ -171,16 +157,5 @@ func TestUsableRows(t *testing.T) {
 		if got := (Constraints{SpareRows: tc.spare}).UsableRows(m); got != tc.want {
 			t.Errorf("SpareRows=%d: UsableRows = %d, want %d", tc.spare, got, tc.want)
 		}
-	}
-}
-
-func TestScalePreservesSpareRows(t *testing.T) {
-	c := Constraints{NeuronsPerCore: 100, SynapsesPerCore: 1000, SpareRows: 3}
-	s := c.Scale(0.5)
-	if s.SpareRows != 3 {
-		t.Errorf("Scale dropped SpareRows: %+v", s)
-	}
-	if s.NeuronsPerCore != 50 || s.SynapsesPerCore != 500 {
-		t.Errorf("Scale(0.5) = %+v", s)
 	}
 }

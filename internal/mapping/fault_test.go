@@ -57,32 +57,6 @@ func TestMapAvoidsDeadCoresWithFD(t *testing.T) {
 	}
 }
 
-func TestInitialPlacementDefectsDegradedCapacity(t *testing.T) {
-	p := chainPCN(t, 15)
-	mesh := hw.MustMesh(4, 4)
-	cons := hw.Constraints{NeuronsPerCore: 1}
-	d := hw.NewDefectMap(mesh)
-	if err := d.Degrade(0, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	// Each chain cluster holds one neuron; a half-capacity core holds zero,
-	// so core 0 must stay empty and the other 15 cores fill up.
-	pl, err := InitialPlacementDefects(p, mesh, curve.Hilbert{}, d, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.ClusterAt[0] != place.None {
-		t.Errorf("cluster %d placed on degraded core 0", pl.ClusterAt[0])
-	}
-	if err := pl.ValidateDefects(d); err != nil {
-		t.Fatal(err)
-	}
-	// One more cluster no longer fits anywhere.
-	if _, err := InitialPlacementDefects(chainPCN(t, 16), mesh, curve.Hilbert{}, d, cons); !errors.Is(err, ErrUnplaceable) {
-		t.Errorf("degraded overflow: got %v, want ErrUnplaceable", err)
-	}
-}
-
 // TestInitialPlacementDefectsOverflow also pins the error's arithmetic: the
 // dead cores it reports are the ones subtracted from the usable rows, not
 // those in reserved spare rows.

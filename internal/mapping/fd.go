@@ -30,14 +30,12 @@ type FDConfig struct {
 	// current placement is returned with Converged=false, mirroring the
 	// paper's early-stop protocol for slow methods.
 	Budget time.Duration
-	// Defects marks dead cores and degraded capacities on the mesh. Swaps
-	// that would move a cluster onto a dead core are blocked; with a
-	// constrained Constraints, swaps overfilling a capacity-degraded core
-	// are blocked too. Nil means a pristine mesh.
+	// Defects marks dead cores on the mesh. Swaps that would move a
+	// cluster onto a dead core are blocked. Nil means a pristine mesh.
 	Defects *hw.DefectMap
-	// Constraints is the per-core capacity baseline that Defects' degrade
-	// scales apply to. The zero value means unconstrained (degraded cores
-	// then only differ from healthy ones when dead).
+	// Constraints reserves hot-spare rows: only SpareRows is read, and
+	// swaps reaching into a reserved row are blocked. Per-core capacity
+	// is the partitioner's, so its fields are ignored here.
 	Constraints hw.Constraints
 	// Workers parallelises the O(|E|) build phases (initial forces, the
 	// initial tension queue, and energy accounting); the swap sweep is
@@ -310,11 +308,9 @@ type fdEngine struct {
 	// the hot loops make no interface call per entry (see potential.go).
 	pot   Potential
 	field fieldKind
-	// defects/cons implement fault-aware swapping: pairs touching a dead
-	// cell, or whose swap would overfill a degraded cell, report zero
-	// tension and are therefore never enqueued or executed.
+	// defects implements fault-aware swapping: pairs touching a dead cell
+	// report zero tension and are therefore never enqueued or executed.
 	defects *hw.DefectMap
-	cons    hw.Constraints
 	// unitCorr is 2·(u(1)−u(0)), the tension correction for mutually
 	// connected adjacent clusters (see DESIGN.md: tension is the exact
 	// swap ΔE_s, so the mutual edge — whose length a swap cannot change —
@@ -394,7 +390,6 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 		pot:         cfg.Potential,
 		field:       closedForm(cfg.Potential),
 		defects:     cfg.Defects,
-		cons:        cfg.Constraints,
 		unitCorr:    2 * (cfg.Potential.AtUnit() - cfg.Potential.AtZero()),
 		lambda:      cfg.Lambda,
 		fullSort:    cfg.fullSort,
@@ -852,8 +847,7 @@ func (e *fdEngine) pairCells(id int32) (a, b int32, d geom.Dir) {
 }
 
 // blocked reports whether the swap of pair id is illegal on the defective
-// mesh: it reaches into a reserved spare row, touches a dead cell, or would
-// move a cluster onto a degraded cell it does not fit.
+// mesh: it reaches into a reserved spare row or touches a dead cell.
 func (e *fdEngine) blocked(id int32) bool {
 	if e.spareStart < int32(e.mesh.Rows) {
 		// For both pair orientations (right, down) cell b has the larger
@@ -867,17 +861,7 @@ func (e *fdEngine) blocked(id int32) bool {
 		return false
 	}
 	a, b, _ := e.pairCells(id)
-	if e.defects.IsDead(int(a)) || e.defects.IsDead(int(b)) {
-		return true
-	}
-	ca, cb := e.pl.ClusterAt[a], e.pl.ClusterAt[b]
-	if ca != place.None && !clusterFits(e.p, int(ca), e.cons, e.defects.CapScale(int(b))) {
-		return true
-	}
-	if cb != place.None && !clusterFits(e.p, int(cb), e.cons, e.defects.CapScale(int(a))) {
-		return true
-	}
-	return false
+	return e.defects.IsDead(int(a)) || e.defects.IsDead(int(b))
 }
 
 // tension takes the direction opposite to a pair's Right or Down as d^1.

@@ -95,11 +95,6 @@ func fusedCases(t *testing.T) []fusedCase {
 	for _, idx := range []int{0, 57, 1311, 4242, 8080, 9999} {
 		defects.MarkDead(idx)
 	}
-	for _, idx := range []int{5, 2600, 7777} {
-		if err := defects.Degrade(idx, 0.4); err != nil {
-			t.Fatal(err)
-		}
-	}
 	hsc := func(p *pcn.PCN, d *hw.DefectMap, cons hw.Constraints) *place.Placement {
 		pl, err := InitialPlacementDefects(p, mesh, curve.Hilbert{}, d, cons)
 		if err != nil {
@@ -111,13 +106,12 @@ func fusedCases(t *testing.T) []fusedCase {
 	for _, c := range []struct {
 		name  string
 		p     *pcn.PCN
-		npc   int
 		local bool
-	}{{"dense", dense, 16, true}, {"ragged", ragged, 16, true}, {"mixed", mixed, 1, false}} {
+	}{{"dense", dense, true}, {"ragged", ragged, true}, {"mixed", mixed, false}} {
 		if n := c.p.NumClusters; n <= 2*energyChunk || n >= 3*energyChunk {
 			t.Fatalf("%s: %d clusters, want three energy chunks with the last partial", c.name, n)
 		}
-		cfg := FDConfig{Defects: defects, Constraints: hw.Constraints{NeuronsPerCore: c.npc, SpareRows: 1}}
+		cfg := FDConfig{Defects: defects, Constraints: hw.Constraints{SpareRows: 1}}
 		cases = append(cases,
 			fusedCase{c.name + "/pristine", c.p, FDConfig{}, hsc(c.p, nil, hw.Constraints{}), c.local},
 			fusedCase{c.name + "/defects+spare", c.p, cfg, hsc(c.p, cfg.Defects, cfg.Constraints), c.local})

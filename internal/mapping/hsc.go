@@ -21,10 +21,10 @@ func InitialPlacement(p *pcn.PCN, mesh hw.Mesh, c curve.Curve) (*place.Placement
 
 // InitialPlacementDefects is InitialPlacement on a defective mesh: the curve
 // order is preserved, but dead cells are skipped along it (so locality
-// degrades gracefully instead of collapsing), and — when cons is constrained
-// — capacity-degraded cells that cannot hold the next cluster are left
-// empty. When cons.SpareRows reserves bottom rows as hot spares, the curve
-// skips those rows too, leaving them free for RemapRows. It returns an error
+// degrades gracefully instead of collapsing). When cons.SpareRows reserves
+// bottom rows as hot spares, the curve skips those rows too, leaving them
+// free for RemapRows; cons is read for nothing else, since the partitioner
+// already sized every cluster for one core. It returns an error
 // wrapping place.ErrUnplaceable when the healthy usable mesh cannot hold the
 // PCN, and one wrapping place.ErrBadConfig for an invalid mesh or a curve
 // whose visit order is not a permutation of the mesh's cells.
@@ -61,8 +61,8 @@ func InitialPlacementDefects(p *pcn.PCN, mesh hw.Mesh, c curve.Curve, d *hw.Defe
 		return nil, fmt.Errorf("mapping: %w: curve %q visits %d cells of the %v mesh, want %d",
 			place.ErrBadConfig, c.Name(), len(pts), mesh, mesh.Cores())
 	}
-	// Rank j goes to the j-th cell along the curve that is in a usable row,
-	// alive, and — on a degraded core — large enough for that cluster.
+	// Rank j goes to the j-th cell along the curve that is in a usable row
+	// and alive.
 	j := 0
 	for s, pt := range pts {
 		if j == p.NumClusters {
@@ -87,16 +87,15 @@ func InitialPlacementDefects(p *pcn.PCN, mesh hw.Mesh, c curve.Curve, d *hw.Defe
 		if order != nil {
 			cl = order[j]
 		}
-		if !clusterFits(p, int(cl), cons, d.CapScale(idx)) {
-			continue // degraded cell too small for this cluster; leave empty
-		}
 		pl.PosOf[cl] = int32(idx)
 		pl.ClusterAt[idx] = cl
 		j++
 	}
 	if j < p.NumClusters {
-		return nil, fmt.Errorf("mapping: %d of %d clusters left unplaced by degraded capacities: %w",
-			p.NumClusters-j, p.NumClusters, place.ErrUnplaceable)
+		// The healthy usable cells outnumber the clusters, so the curve
+		// repeated a cell it skips and missed one it would have filled.
+		return nil, fmt.Errorf("mapping: %w: curve %q misses healthy cells of the %v mesh",
+			place.ErrBadConfig, c.Name(), mesh)
 	}
 	return pl, nil
 }
@@ -108,15 +107,4 @@ func InitialPlacementDefects(p *pcn.PCN, mesh hw.Mesh, c curve.Curve, d *hw.Defe
 // call InitialPlacementDefects.
 func InitialPlacementWorkers(p *pcn.PCN, mesh hw.Mesh, c curve.Curve, d *hw.DefectMap, cons hw.Constraints, workers int) (*place.Placement, error) {
 	return InitialPlacementDefects(p, mesh, c, d, cons)
-}
-
-// clusterFits reports whether cluster c respects the constraints scaled to
-// the core's usable-capacity fraction. Full-capacity cores always fit: the
-// partitioner already enforced the base constraints.
-func clusterFits(p *pcn.PCN, c int, cons hw.Constraints, scale float64) bool {
-	if scale >= 1 {
-		return true
-	}
-	sc := cons.Scale(scale)
-	return sc.FitsNeurons(int(p.Neurons[c])) && sc.FitsSynapses(int(p.Synapses[c]))
 }

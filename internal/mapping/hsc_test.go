@@ -97,21 +97,15 @@ func TestInitialPlacementOverflow(t *testing.T) {
 
 // TestInitialPlacementContract pins the HSC walk to its definition: the
 // cluster of topological rank r sits on the r-th usable cell of c.Points,
-// where a cell is usable when it lies outside the spare rows, is alive, and
-// — if degraded — still fits that cluster. It runs every curve over five
-// meshes and over a monotone PCN (identity order, no heap) and a cyclic one.
+// where a cell is usable when it lies outside the spare rows and is alive.
+// It runs every curve over four meshes and over a monotone PCN (identity
+// order, no heap) and a cyclic one.
 func TestInitialPlacementContract(t *testing.T) {
 	mesh := hw.MustMesh(18, 18)
 	rng := rand.New(rand.NewSource(7))
 	dead := hw.NewDefectMap(mesh)
 	for i := 0; i < 20; i++ {
 		dead.MarkDead(rng.Intn(mesh.Cores()))
-	}
-	degraded := hw.NewDefectMap(mesh)
-	for idx := 5; idx < mesh.Cores(); idx += 11 {
-		if err := degraded.Degrade(idx, 0.5); err != nil {
-			t.Fatal(err)
-		}
 	}
 	monotone := chainPCN(t, 280)
 	cyclic := randomPCN(t, 41, 280, 1200)
@@ -120,12 +114,6 @@ func TestInitialPlacementContract(t *testing.T) {
 	}
 	if toposort.Monotone(cyclic) {
 		t.Fatal("random PCN unexpectedly monotone; pick another seed")
-	}
-	// The synapse cap is the cyclic PCN's largest cluster, so a half-scale
-	// core holds some of its clusters and not others.
-	maxSyn := 0
-	for _, s := range cyclic.Synapses {
-		maxSyn = max(maxSyn, int(s))
 	}
 	meshes := []struct {
 		name string
@@ -136,13 +124,11 @@ func TestInitialPlacementContract(t *testing.T) {
 		{name: "dead", d: dead},
 		{name: "spare", cons: hw.Constraints{SpareRows: 2}},
 		{name: "dead+spare", d: dead, cons: hw.Constraints{SpareRows: 1}},
-		{name: "degraded", d: degraded, cons: hw.Constraints{SynapsesPerCore: maxSyn}},
 	}
 	pcns := []struct {
 		name string
 		p    *pcn.PCN
 	}{{"monotone", monotone}, {"cyclic", cyclic}}
-	skipped := 0 // degraded cells left empty before the last placed cluster
 	for _, c := range []curve.Curve{curve.Hilbert{}, curve.ZigZag{}, curve.Circle{}} {
 		for _, tp := range pcns {
 			for _, sc := range meshes {
@@ -168,10 +154,6 @@ func TestInitialPlacementContract(t *testing.T) {
 					if pt.X >= sc.cons.UsableRows(mesh) || sc.d.IsDead(idx) {
 						continue
 					}
-					if scale := sc.d.CapScale(idx); scale < 1 && !sc.cons.Scale(scale).FitsSynapses(int(tp.p.Synapses[cl])) {
-						skipped++
-						continue
-					}
 					if got := pl.Of(cl); got != pt {
 						t.Fatalf("%s: rank %d (cluster %d) at %v, want %v", name, r, cl, got, pt)
 					}
@@ -179,9 +161,6 @@ func TestInitialPlacementContract(t *testing.T) {
 				}
 			}
 		}
-	}
-	if skipped == 0 {
-		t.Error("no degraded cell was too small for its cluster; the degraded mesh tests nothing")
 	}
 }
 
@@ -235,34 +214,6 @@ func TestInitialPlacementWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestInitialPlacementWorkersDegradedFallback pins the capacity-degraded
-// mesh: any worker count agrees with the curve walk, which leaves a degraded
-// cell empty when the next cluster does not fit it.
-func TestInitialPlacementWorkersDegradedFallback(t *testing.T) {
-	mesh := hw.MustMesh(10, 10)
-	p := chainPCN(t, 60)
-	d := hw.NewDefectMap(mesh)
-	for _, idx := range []int{3, 17, 40} {
-		if err := d.Degrade(idx, 0.4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cons := hw.Constraints{NeuronsPerCore: 1}
-	want, err := InitialPlacementDefects(p, mesh, curve.Hilbert{}, d, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		pl, err := InitialPlacementWorkers(p, mesh, curve.Hilbert{}, d, cons, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(pl.PosOf, want.PosOf) {
-			t.Errorf("workers=%d: degraded-mesh placement differs from the curve walk", workers)
-		}
-	}
-}
-
 // brokenCurve is a Hilbert curve passed through edit, standing in for a
 // user-supplied curve whose visit order is not a permutation of the mesh.
 type brokenCurve struct {
@@ -276,7 +227,9 @@ func (c brokenCurve) Points(n, m int) []geom.Point { return c.edit(curve.Hilbert
 // TestInitialPlacementRejectsBadCurve holds a custom curve to the Curve
 // contract: a repeated cell, an off-mesh cell or a short visit order is an
 // ErrBadConfig naming the curve, both from InitialPlacement and from a
-// curve-only Map, never a placement that fails Validate later.
+// curve-only Map, never a placement that fails Validate later. A repeat of
+// a dead cell slips past the revisit check and is caught once the walk
+// ends with clusters left over.
 func TestInitialPlacementRejectsBadCurve(t *testing.T) {
 	p := chainPCN(t, 16)
 	mesh := hw.MustMesh(4, 4)
@@ -296,6 +249,13 @@ func TestInitialPlacementRejectsBadCurve(t *testing.T) {
 				t.Errorf("%s: got %v, want ErrBadConfig naming the curve and %q", tc.name, err, tc.want)
 			}
 		}
+	}
+	d := hw.NewDefectMap(mesh)
+	d.MarkDead(mesh.Index(curve.Hilbert{}.Points(4, 4)[0]))
+	repeatDead := brokenCurve{func(pts []geom.Point) []geom.Point { pts[1] = pts[0]; return pts }}
+	_, err := InitialPlacementDefects(chainPCN(t, 15), mesh, repeatDead, d, hw.Constraints{})
+	if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), `"broken"`) || !strings.Contains(err.Error(), "misses") {
+		t.Errorf("repeated dead cell: got %v, want ErrBadConfig naming the curve and %q", err, "misses")
 	}
 }
 

@@ -59,11 +59,6 @@ func TestClosedFormKernelsEqualEvalPath(t *testing.T) {
 	for _, idx := range []int{3, 57, 170, 300, 441} {
 		defects.MarkDead(idx)
 	}
-	for _, idx := range []int{10, 100, 250} {
-		if err := defects.Degrade(idx, 0.4); err != nil {
-			t.Fatal(err)
-		}
-	}
 	spare := hw.Constraints{SpareRows: 2}
 	random := func() *place.Placement {
 		pl, err := place.Random(p.NumClusters, mesh, rand.New(rand.NewSource(17)))
@@ -78,7 +73,7 @@ func TestClosedFormKernelsEqualEvalPath(t *testing.T) {
 		start func() *place.Placement
 	}{
 		{"pristine", FDConfig{}, random},
-		{"defective", FDConfig{Defects: defects, Constraints: hw.Constraints{NeuronsPerCore: 1}}, random},
+		{"defective", FDConfig{Defects: defects}, random},
 		{"spare-rows", FDConfig{Constraints: spare}, func() *place.Placement {
 			pl, err := InitialPlacementDefects(p, mesh, curve.Hilbert{}, nil, spare)
 			if err != nil {

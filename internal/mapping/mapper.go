@@ -46,13 +46,14 @@ type Config struct {
 	// Deprecated: the field stays only while the benchmark harness sets it
 	// (ROADMAP item 1); leave it unset.
 	Workers int
-	// Defects marks dead cores, degraded capacities and failed links of
-	// the physical mesh. The initial placement lays the curve sequence
-	// over healthy cores only, and fine-tuning never swaps onto a dead or
-	// overfull core. Nil means a pristine mesh.
+	// Defects marks dead cores and failed links of the physical mesh. The
+	// initial placement lays the curve sequence over healthy cores only,
+	// and fine-tuning never swaps onto a dead core. Nil means a pristine
+	// mesh.
 	Defects *hw.DefectMap
-	// Constraints is the per-core capacity baseline that Defects' degrade
-	// scales apply to (zero value = unconstrained).
+	// Constraints reserves hot-spare rows for placement and fine-tuning:
+	// only SpareRows is read. Per-core capacity was settled by the
+	// partitioner, which sized every cluster for one core.
 	Constraints hw.Constraints
 	// Obs receives phase spans ("placement", "finetune") and is forwarded
 	// to FD unless its FDConfig already carries its own observer. Nil

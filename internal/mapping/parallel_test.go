@@ -84,16 +84,11 @@ func TestFDParallelEquivalenceMatrix(t *testing.T) {
 	for _, idx := range []int{3, 57, 170, 300, 441} {
 		defects.MarkDead(idx)
 	}
-	for _, idx := range []int{10, 100, 250} {
-		if err := defects.Degrade(idx, 0.4); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	bg := func() context.Context { return context.Background() }
 	scenarios := []fdScenario{
 		{name: "pristine", cfg: FDConfig{}, ctx: bg},
-		{name: "defective", cfg: FDConfig{Defects: defects, Constraints: hw.Constraints{NeuronsPerCore: 1}}, ctx: bg},
+		{name: "defective", cfg: FDConfig{Defects: defects}, ctx: bg},
 		{name: "max-iterations", cfg: FDConfig{MaxIterations: 3}, ctx: bg},
 		{name: "budget", cfg: FDConfig{Budget: time.Nanosecond}, ctx: bg},
 		{name: "cancel", cfg: FDConfig{}, ctx: func() context.Context {

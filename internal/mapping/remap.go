@@ -13,7 +13,7 @@ import (
 
 // RemapStats reports one incremental repair run.
 type RemapStats struct {
-	// Moved is the number of clusters migrated off failed/overfull cores.
+	// Moved is the number of clusters migrated off dead cores.
 	Moved int
 	// MovedFrac is Moved over the PCN's cluster count.
 	MovedFrac float64
@@ -31,10 +31,10 @@ type RemapStats struct {
 func (s RemapStats) DeltaEnergy() float64 { return s.EnergyAfter - s.EnergyBefore }
 
 // Remap repairs an existing placement after the defect map changed (e.g. a
-// core failed in the field): every cluster sitting on a dead core — or, with
-// a constrained cons, exceeding a degraded core's scaled capacity — migrates
-// to the nearest free healthy core that fits. Only affected clusters move
-// (minimal disruption), so a single core failure migrates a single cluster.
+// core failed in the field): every cluster sitting on a dead core migrates
+// to the nearest free healthy core. Only affected clusters move (minimal
+// disruption), so a single core failure migrates a single cluster. cons is
+// unused; the parameter stays for source compatibility.
 // pl must be a valid placement of p's clusters (else an error wrapping
 // ErrBadConfig). It is mutated in place; on error it is left partially
 // repaired, with every completed migration still valid.
@@ -52,7 +52,7 @@ func Remap(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints
 	}
 	var victims []int32
 	for c, idx := range pl.PosOf {
-		if d.IsDead(int(idx)) || !clusterFits(p, c, cons, d.CapScale(int(idx))) {
+		if d.IsDead(int(idx)) {
 			victims = append(victims, int32(c))
 		}
 	}
@@ -66,10 +66,10 @@ func Remap(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints
 	free := newFreeCores(pl, d)
 	for _, c := range victims {
 		from := pl.Of(int(c))
-		to, ok := free.nearest(p, cons, int(c), from)
+		to, ok := free.nearest(from)
 		if !ok {
 			st.Elapsed = time.Since(start)
-			return st, fmt.Errorf("mapping: remap: no healthy free core fits cluster %d: %w", c, ErrUnplaceable)
+			return st, fmt.Errorf("mapping: remap: no healthy free core for cluster %d: %w", c, ErrUnplaceable)
 		}
 		if err := free.move(pl, int(c), int32(to)); err != nil {
 			return st, err
@@ -182,21 +182,18 @@ func (f *freeCores) prev(x, y int) int {
 	return i*64 + 63 - bits.LeadingZeros64(w)
 }
 
-// nearest finds the free, alive core closest to `from` where cluster c
-// fits. Its answer is the first fitting core in ring order: Manhattan
-// distance ascending, then signed row offset ascending, then the +column
-// cell before the −column one. from itself is never a candidate.
+// nearest finds the free, alive core closest to `from`. Its answer is the
+// first such core in ring order: Manhattan distance ascending, then signed
+// row offset ascending, then the +column cell before the −column one. from
+// itself is never a candidate.
 //
-// Rows are visited outward from from's row. In each, the nearest fitting
-// free column on either side is found by bit scans within the distance
+// Rows are visited outward from from's row. In each, the nearest free
+// column on either side is one bit scan, kept only within the distance
 // budget the best answer so far leaves; the walk stops once the row offset
 // exceeds the best distance (at equal offset a row above can still win on
 // signed offset).
-func (f *freeCores) nearest(p *pcn.PCN, cons hw.Constraints, c int, from geom.Point) (int, bool) {
+func (f *freeCores) nearest(from geom.Point) (int, bool) {
 	rows, cols := f.mesh.Rows, f.mesh.Cols
-	fits := func(x, y int) bool {
-		return clusterFits(p, c, cons, f.d.CapScale(x*cols+y))
-	}
 	best, bestDist, bestDx := -1, rows+cols, 0
 	maxK := max(from.X, rows-1-from.X)
 	for k := 0; k <= maxK && k <= bestDist; k++ {
@@ -213,25 +210,13 @@ func (f *freeCores) nearest(p *pcn.PCN, cons hw.Constraints, c int, from geom.Po
 			if k == 0 {
 				lo++
 			}
-			right := -1
-			for y := f.next(x, lo); y >= 0 && y-from.Y <= lim; y = f.next(x, y+1) {
-				if fits(x, y) {
-					right = y
-					break
-				}
+			y := f.next(x, lo)
+			if y >= 0 && y-from.Y <= lim {
+				lim = y - from.Y - 1 // left must be strictly nearer
+			} else {
+				y = -1
 			}
-			if right >= 0 {
-				lim = right - from.Y - 1 // left must be strictly nearer
-			}
-			left := -1
-			for y := f.prev(x, from.Y-1); y >= 0 && from.Y-y <= lim; y = f.prev(x, y-1) {
-				if fits(x, y) {
-					left = y
-					break
-				}
-			}
-			y := right
-			if left >= 0 {
+			if left := f.prev(x, from.Y-1); left >= 0 && from.Y-left <= lim {
 				y = left
 			}
 			if y < 0 {

@@ -1,9 +1,10 @@
 package mapping
 
 // The repair code as it stood before the free-core index: nearestFree's ring
-// scan, the per-edge SpikeEnergy walk, Remap and RemapRows, kept verbatim
-// (renamed, and calling the shared validPlacement with the defect map) as
-// the oracles the index-driven repair is held to.
+// scan, the per-edge SpikeEnergy walk, Remap and RemapRows, kept (renamed,
+// calling the shared validPlacement with the defect map, and deciding
+// victims and targets by dead cores alone, as production does) as the
+// oracles the index-driven repair is held to.
 
 import (
 	"fmt"
@@ -17,10 +18,9 @@ import (
 )
 
 // remapRing repairs an existing placement after the defect map changed (e.g. a
-// core failed in the field): every cluster sitting on a dead core — or, with
-// a constrained cons, exceeding a degraded core's scaled capacity — migrates
-// to the nearest free healthy core that fits. Only affected clusters move
-// (minimal disruption), so a single core failure migrates a single cluster.
+// core failed in the field): every cluster sitting on a dead core migrates
+// to the nearest free healthy core. Only affected clusters move (minimal
+// disruption), so a single core failure migrates a single cluster.
 // pl must be a valid placement of p's clusters (else an error wrapping
 // ErrBadConfig). It is mutated in place; on error it is left partially
 // repaired, with every completed migration still valid.
@@ -38,7 +38,7 @@ func remapRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constra
 	}
 	var victims []int32
 	for c, idx := range pl.PosOf {
-		if d.IsDead(int(idx)) || !clusterFits(p, c, cons, d.CapScale(int(idx))) {
+		if d.IsDead(int(idx)) {
 			victims = append(victims, int32(c))
 		}
 	}
@@ -51,10 +51,10 @@ func remapRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constra
 	mesh := pl.Mesh
 	for _, c := range victims {
 		from := pl.Of(int(c))
-		to, ok := nearestFreeRing(p, pl, d, cons, int(c), from)
+		to, ok := nearestFreeRing(pl, d, from)
 		if !ok {
 			st.Elapsed = time.Since(start)
-			return st, fmt.Errorf("mapping: remap: no healthy free core fits cluster %d: %w", c, ErrUnplaceable)
+			return st, fmt.Errorf("mapping: remap: no healthy free core for cluster %d: %w", c, ErrUnplaceable)
 		}
 		if err := pl.Move(int(c), int32(to)); err != nil {
 			return st, err
@@ -71,8 +71,8 @@ func remapRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constra
 }
 
 // nearestFreeRing finds the closest free, alive core (by Manhattan distance from
-// `from`, ties broken in deterministic ring order) where cluster c fits.
-func nearestFreeRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints, c int, from geom.Point) (int, bool) {
+// `from`, ties broken in deterministic ring order).
+func nearestFreeRing(pl *place.Placement, d *hw.DefectMap, from geom.Point) (int, bool) {
 	mesh := pl.Mesh
 	for r := 1; r <= mesh.Rows+mesh.Cols; r++ {
 		for dx := -r; dx <= r; dx++ {
@@ -86,11 +86,7 @@ func nearestFreeRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.C
 				if !mesh.Contains(pt) {
 					continue
 				}
-				idx := mesh.Index(pt)
-				if pl.ClusterAt[idx] != place.None || d.IsDead(idx) {
-					continue
-				}
-				if clusterFits(p, c, cons, d.CapScale(idx)) {
+				if idx := mesh.Index(pt); pl.ClusterAt[idx] == place.None && !d.IsDead(idx) {
 					return idx, true
 				}
 			}
@@ -117,11 +113,10 @@ func interconnectEnergyRing(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) 
 
 // remapRowsRing repairs a placement after hardware failure using wholesale
 // row-shift redundancy, the way DRAM retires a failed word line onto a spare
-// row: every row holding at least one victim cluster (on a dead core, or
-// overfilling a degraded core under cons) is migrated in one operation onto
-// a fully-free row — each cluster keeps its column, so intra-row adjacency
-// is preserved exactly and the energy cost of the repair is bounded by the
-// row distance. Spare rows reserved at placement time (Constraints.SpareRows
+// row: every row holding at least one victim cluster (one on a dead core) is
+// migrated in one operation onto a fully-free row — each cluster keeps its
+// column, so intra-row adjacency is preserved exactly and the energy cost of
+// the repair is bounded by the row distance. Spare rows reserved at placement time (Constraints.SpareRows
 // kept them empty) are the natural targets, but any fully-free row qualifies,
 // including rows vacated by earlier shifts of the same run.
 //
@@ -133,7 +128,7 @@ func interconnectEnergyRing(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) 
 // when the only free row sits far away and healthy free cells are nearby,
 // it degrades into exactly Remap's migration. When no suitable free row
 // exists at all — spares exhausted, or every candidate row has its own
-// dead/degraded cells under the victims' columns — the remaining victims
+// dead cells under the victims' columns — the remaining victims
 // likewise fall back to per-cluster migration (nearest free healthy core).
 // pl must be a valid placement of p's clusters (else an error wrapping
 // ErrBadConfig). It is mutated in place; on error it is left partially
@@ -155,12 +150,9 @@ func remapRowsRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Con
 
 	// Collect victim clusters and the rows that contain them.
 	victimInRow := make([]bool, mesh.Rows)
-	isVictim := func(c int, idx int32) bool {
-		return d.IsDead(int(idx)) || !clusterFits(p, c, cons, d.CapScale(int(idx)))
-	}
 	anyVictim := false
-	for c, idx := range pl.PosOf {
-		if isVictim(c, idx) {
+	for _, idx := range pl.PosOf {
+		if d.IsDead(int(idx)) {
 			victimInRow[idx/int32(cols)] = true
 			anyVictim = true
 		}
@@ -172,8 +164,7 @@ func remapRowsRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Con
 
 	// Phase 1: wholesale shifts. For each failed row (ascending), pick the
 	// fully-free row whose cells under every occupied column of the failed
-	// row are alive and fit the cluster that would land there, minimizing
-	// the row distance (ties to the larger row index, so reserved bottom
+	// row are alive, minimizing the row distance (ties to the larger row index, so reserved bottom
 	// spares win over coincidentally-empty interior rows). Rows vacated by
 	// earlier shifts re-enter the candidate pool automatically: the
 	// emptiness scan and per-column health checks see the current state.
@@ -211,12 +202,7 @@ func remapRowsRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Con
 				return false
 			}
 			for y := 0; y < cols; y++ {
-				c := pl.ClusterAt[rf*cols+y]
-				if c == place.None {
-					continue
-				}
-				tgt := rs*cols + y
-				if d.IsDead(tgt) || !clusterFits(p, int(c), cons, d.CapScale(tgt)) {
+				if pl.ClusterAt[rf*cols+y] != place.None && d.IsDead(rs*cols+y) {
 					return false
 				}
 			}
@@ -259,10 +245,10 @@ func remapRowsRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Con
 		var perMoves []undo
 		perOK := true
 		for c, idx := range pl.PosOf {
-			if int(idx)/cols != rf || !isVictim(c, idx) {
+			if int(idx)/cols != rf || !d.IsDead(int(idx)) {
 				continue
 			}
-			to, ok := nearestFreeRing(p, pl, d, cons, c, mesh.Coord(int(idx)))
+			to, ok := nearestFreeRing(pl, d, mesh.Coord(int(idx)))
 			if !ok {
 				perOK = false
 				break
@@ -310,17 +296,17 @@ func remapRowsRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Con
 	}
 
 	// Phase 2: per-cluster fallback for victims whose row found no
-	// wholesale target (Remap's migration policy: nearest free healthy core
-	// that fits).
+	// wholesale target (Remap's migration policy: nearest free healthy
+	// core).
 	for c, idx := range pl.PosOf {
-		if !isVictim(c, idx) {
+		if !d.IsDead(int(idx)) {
 			continue
 		}
 		from := mesh.Coord(int(idx))
-		to, ok := nearestFreeRing(p, pl, d, cons, c, from)
+		to, ok := nearestFreeRing(pl, d, from)
 		if !ok {
 			st.Elapsed = time.Since(start)
-			return st, fmt.Errorf("mapping: remap rows: no healthy free core fits cluster %d: %w", c, ErrUnplaceable)
+			return st, fmt.Errorf("mapping: remap rows: no healthy free core for cluster %d: %w", c, ErrUnplaceable)
 		}
 		if err := pl.Move(c, int32(to)); err != nil {
 			return st, err

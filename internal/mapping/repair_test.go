@@ -15,25 +15,14 @@ import (
 	"snnmap/internal/snn"
 )
 
-// sizedPCN is n edgeless clusters with the given neuron counts (synapses
-// ten per neuron): enough for nearest's capacity checks.
-func sizedPCN(neurons []int32) *pcn.PCN {
-	p := &pcn.PCN{NumClusters: len(neurons), Neurons: neurons,
-		Synapses: make([]int64, len(neurons)), OutOff: make([]int64, len(neurons)+1)}
-	for c, n := range neurons {
-		p.Synapses[c] = 10 * int64(n)
-	}
-	return p
-}
-
-// checkNearest asks the index and the ring scan for cluster c's nearest
-// core from `from` and fails on any difference.
-func checkNearest(t *testing.T, f *freeCores, p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints, c int, from geom.Point) (int, bool) {
+// checkNearest asks the index and the ring scan for the nearest free core
+// from `from` and fails on any difference.
+func checkNearest(t *testing.T, f *freeCores, pl *place.Placement, d *hw.DefectMap, from geom.Point) (int, bool) {
 	t.Helper()
-	want, wok := nearestFreeRing(p, pl, d, cons, c, from)
-	got, gok := f.nearest(p, cons, c, from)
+	want, wok := nearestFreeRing(pl, d, from)
+	got, gok := f.nearest(from)
 	if gok != wok || (wok && got != want) {
-		t.Fatalf("cluster %d from %v on %v: index (%d, %v), ring scan (%d, %v)", c, from, pl.Mesh, got, gok, want, wok)
+		t.Fatalf("from %v on %v: index (%d, %v), ring scan (%d, %v)", from, pl.Mesh, got, gok, want, wok)
 	}
 	return got, gok
 }
@@ -49,8 +38,8 @@ func checkIndex(t *testing.T, f *freeCores, pl *place.Placement, d *hw.DefectMap
 // TestNearestFreeOrder pins each rule of the ring order on hand-built
 // layouts: +column before −column at equal distance, signed row offset
 // (not its magnitude) at equal distance, a row at offset equal to the best
-// distance still visited, the origin never a candidate, and degraded or
-// dead cells skipped.
+// distance still visited, the origin never a candidate, and dead cells
+// skipped on both sides of a word boundary.
 func TestNearestFreeOrder(t *testing.T) {
 	pt := func(xy [2]int) geom.Point { return geom.Point{X: xy[0], Y: xy[1]} }
 	for _, tc := range []struct {
@@ -59,28 +48,22 @@ func TestNearestFreeOrder(t *testing.T) {
 		from       [2]int
 		free       [][2]int // every other cell is occupied
 		dead       [][2]int
-		degraded   [][2]int // scale 0.25: too small for the 4-neuron cluster
 		want       [2]int
 	}{
-		{"right before left", 1, 11, [2]int{0, 5}, [][2]int{{0, 3}, {0, 7}}, nil, nil, [2]int{0, 7}},
-		{"nearer left beats right", 1, 11, [2]int{0, 5}, [][2]int{{0, 4}, {0, 7}}, nil, nil, [2]int{0, 4}},
-		{"signed row offset", 5, 5, [2]int{2, 2}, [][2]int{{3, 3}, {0, 2}}, nil, nil, [2]int{0, 2}},
-		{"row above before row below", 5, 5, [2]int{2, 2}, [][2]int{{3, 2}, {1, 2}}, nil, nil, [2]int{1, 2}},
-		{"row at the best distance", 5, 5, [2]int{2, 2}, [][2]int{{2, 4}, {0, 2}}, nil, nil, [2]int{0, 2}},
-		{"origin skipped", 3, 3, [2]int{1, 1}, [][2]int{{1, 1}, {2, 2}}, nil, nil, [2]int{2, 2}},
-		{"dead and degraded skipped", 2, 70, [2]int{0, 64}, [][2]int{{0, 65}, {0, 63}, {0, 69}},
-			[][2]int{{0, 65}}, [][2]int{{0, 63}}, [2]int{0, 69}},
+		{"right before left", 1, 11, [2]int{0, 5}, [][2]int{{0, 3}, {0, 7}}, nil, [2]int{0, 7}},
+		{"nearer left beats right", 1, 11, [2]int{0, 5}, [][2]int{{0, 4}, {0, 7}}, nil, [2]int{0, 4}},
+		{"signed row offset", 5, 5, [2]int{2, 2}, [][2]int{{3, 3}, {0, 2}}, nil, [2]int{0, 2}},
+		{"row above before row below", 5, 5, [2]int{2, 2}, [][2]int{{3, 2}, {1, 2}}, nil, [2]int{1, 2}},
+		{"row at the best distance", 5, 5, [2]int{2, 2}, [][2]int{{2, 4}, {0, 2}}, nil, [2]int{0, 2}},
+		{"origin skipped", 3, 3, [2]int{1, 1}, [][2]int{{1, 1}, {2, 2}}, nil, [2]int{2, 2}},
+		{"dead skipped", 2, 70, [2]int{0, 64}, [][2]int{{0, 65}, {0, 63}, {0, 69}},
+			[][2]int{{0, 65}, {0, 63}}, [2]int{0, 69}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mesh := hw.MustMesh(tc.rows, tc.cols)
 			d := hw.NewDefectMap(mesh)
 			for _, xy := range tc.dead {
 				d.MarkDead(mesh.Index(pt(xy)))
-			}
-			for _, xy := range tc.degraded {
-				if err := d.Degrade(mesh.Index(pt(xy)), 0.25); err != nil {
-					t.Fatal(err)
-				}
 			}
 			isFree := map[int]bool{}
 			for _, xy := range tc.free {
@@ -92,13 +75,8 @@ func TestNearestFreeOrder(t *testing.T) {
 					cells = append(cells, int32(idx))
 				}
 			}
-			neurons := make([]int32, len(cells))
-			for i := range neurons {
-				neurons[i] = 4
-			}
-			p, pl := sizedPCN(neurons), placementAt(t, mesh, cells)
-			f, cons := newFreeCores(pl, d), hw.Constraints{NeuronsPerCore: 4}
-			got, ok := checkNearest(t, f, p, pl, d, cons, 0, pt(tc.from))
+			pl := placementAt(t, mesh, cells)
+			got, ok := checkNearest(t, newFreeCores(pl, d), pl, d, pt(tc.from))
 			if !ok || got != mesh.Index(pt(tc.want)) {
 				t.Fatalf("nearest = (%v, %v), want %v", mesh.Coord(got), ok, tc.want)
 			}
@@ -107,30 +85,24 @@ func TestNearestFreeOrder(t *testing.T) {
 }
 
 // FuzzNearestFree holds the free-core index to the ring scan: random meshes
-// with 1, 63, 64, 65 or 130 columns, dead and degraded cores, and capacity
-// limits from none to tight, queried from cluster cores and arbitrary cells
-// with every answer taken as a move, so freed and taken cores interleave
-// with the queries.
+// with 1, 63, 64, 65 or 130 columns and dead cores, queried from cluster
+// cores and arbitrary cells with every answer taken as a move, so freed and
+// taken cores interleave with the queries.
 func FuzzNearestFree(f *testing.F) {
 	for i, cols := range []uint8{0, 1, 2, 3, 4} {
-		f.Add(int64(i+1), cols, uint8(i), uint8(10*i), uint8(15), uint8(i), uint8(60), uint16(120))
+		f.Add(int64(i+1), cols, uint8(i), uint8(10*i), uint8(60), uint16(120))
 	}
-	f.Add(int64(9), uint8(4), uint8(5), uint8(50), uint8(50), uint8(2), uint8(95), uint16(300))
-	f.Add(int64(10), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(100), uint16(5))
-	f.Fuzz(func(t *testing.T, seed int64, colSel, rowSel, deadPct, degPct, consSel, fillPct uint8, ops uint16) {
+	f.Add(int64(9), uint8(4), uint8(5), uint8(50), uint8(95), uint16(300))
+	f.Add(int64(10), uint8(1), uint8(0), uint8(0), uint8(100), uint16(5))
+	f.Fuzz(func(t *testing.T, seed int64, colSel, rowSel, deadPct, fillPct uint8, ops uint16) {
 		cols := []int{1, 63, 64, 65, 130}[int(colSel)%5]
 		mesh := hw.MustMesh(1+int(rowSel)%6, cols)
 		rng := rand.New(rand.NewSource(seed))
 		d := hw.NewDefectMap(mesh)
 		var cells []int32
 		for idx := 0; idx < mesh.Cores(); idx++ {
-			switch {
-			case rng.Intn(100) < int(deadPct)%70:
+			if rng.Intn(100) < int(deadPct)%70 {
 				d.MarkDead(idx)
-			case rng.Intn(100) < int(degPct)%70:
-				if err := d.Degrade(idx, 0.1+0.8*rng.Float64()); err != nil {
-					t.Fatal(err)
-				}
 			}
 			// Clusters sit on dead cores too: those are repair victims.
 			if rng.Intn(100) < int(fillPct)%101 {
@@ -140,12 +112,7 @@ func FuzzNearestFree(f *testing.F) {
 		if len(cells) == 0 {
 			return
 		}
-		neurons := make([]int32, len(cells))
-		for i := range neurons {
-			neurons[i] = int32(1 + rng.Intn(8))
-		}
-		cons := []hw.Constraints{{}, {NeuronsPerCore: 8}, {NeuronsPerCore: 8, SynapsesPerCore: 60}, {NeuronsPerCore: 2}}[int(consSel)%4]
-		p, pl := sizedPCN(neurons), placementAt(t, mesh, cells)
+		pl := placementAt(t, mesh, cells)
 		free := newFreeCores(pl, d)
 		for i := 0; i < 1+int(ops)%400; i++ {
 			c := rng.Intn(len(cells))
@@ -153,7 +120,7 @@ func FuzzNearestFree(f *testing.F) {
 			if rng.Intn(4) == 0 {
 				from = mesh.Coord(rng.Intn(mesh.Cores()))
 			}
-			to, ok := checkNearest(t, free, p, pl, d, cons, c, from)
+			to, ok := checkNearest(t, free, pl, d, from)
 			if ok {
 				if err := free.move(pl, c, int32(to)); err != nil {
 					t.Fatal(err)
@@ -212,9 +179,9 @@ func killRows(d *hw.DefectMap, mesh hw.Mesh, rows ...int) *hw.DefectMap {
 }
 
 // repairCases builds the hand-made layouts (row shift kept, per-cluster
-// kept, multi-row, poisoned spare row, degraded victims, unplaceable) and
-// seeded HSC+FD placements on clustered defects with one to three failed
-// rows, with and without spare rows, at loose and tight capacity limits.
+// kept, multi-row, poisoned spare row, unplaceable) and seeded HSC+FD
+// placements on clustered defects with one to three failed rows, with and
+// without spare rows, and with scattered dead cores on every other seed.
 func repairCases(t *testing.T) []repairCase {
 	var cases []repairCase
 	add := func(name string, p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints) {
@@ -249,13 +216,6 @@ func repairCases(t *testing.T) []repairCase {
 	poisoned.MarkDead(4 * 6)
 	add("poisoned spare", chainPCN(t, len(cells)), placementAt(t, m56, cells), poisoned, hw.Constraints{})
 
-	m42 := hw.MustMesh(4, 2)
-	deg := hw.NewDefectMap(m42)
-	if err := deg.Degrade(0, 0.4); err != nil {
-		t.Fatal(err)
-	}
-	add("degraded victim", pairedPCN(t, 4), placementAt(t, m42, rowMajorCells(4)), deg, hw.Constraints{NeuronsPerCore: 2})
-
 	m33 := hw.MustMesh(3, 3)
 	full := hw.NewDefectMap(m33)
 	full.MarkDead(4)
@@ -272,15 +232,18 @@ func repairCases(t *testing.T) []repairCase {
 		cons := hw.Constraints{SpareRows: spare}
 		d := hw.InjectClustered(mesh, 0.03, 3, seed)
 		if seed%2 == 0 {
+			// Scattered dead cores on top of the clustered ones: half of
+			// the drawn cells that the blobs left alive. They are marked
+			// after the draws, so every coin sees the blobs only.
+			var scattered []int
 			for i := 0; i < mesh.Cores()/20; i++ {
-				idx := rng.Intn(mesh.Cores())
-				if !d.IsDead(idx) {
-					if err := d.Degrade(idx, 0.3+0.6*rng.Float64()); err != nil {
-						t.Fatal(err)
-					}
+				if idx := rng.Intn(mesh.Cores()); !d.IsDead(idx) && rng.Float64() < 0.5 {
+					scattered = append(scattered, idx)
 				}
 			}
-			cons.NeuronsPerCore = npc
+			for _, idx := range scattered {
+				d.MarkDead(idx)
+			}
 		}
 		pl, err := InitialPlacementDefects(p, mesh, curve.Hilbert{}, d, cons)
 		if err != nil {

@@ -342,35 +342,6 @@ func TestRemapRowsNoWorseThanPerCluster(t *testing.T) {
 	}
 }
 
-// Guard against regressions in the constraint-aware victim detection: a
-// degraded (not dead) core whose scaled capacity no longer fits its cluster
-// must also trigger the row shift.
-func TestRemapRowsDegradedCapacity(t *testing.T) {
-	p := pairedPCN(t, 4) // 4 clusters of 2 neurons each
-	mesh := hw.MustMesh(4, 2)
-	pl := placementAt(t, mesh, rowMajorCells(4))
-	cons := hw.Constraints{NeuronsPerCore: 2}
-	d := hw.NewDefectMap(mesh)
-	if err := d.Degrade(0, 0.4); err != nil { // capacity 2 scales below one neuron
-		t.Fatal(err)
-	}
-	st, err := RemapRows(p, pl, d, cons, hw.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The degraded core marks its whole row failed, so the row (both
-	// clusters) retires wholesale onto a free row.
-	if st.RowsShifted != 1 || st.RowMoved != 2 || st.Moved != 2 {
-		t.Fatalf("stats = %+v, want the degraded core's row shifted wholesale", st)
-	}
-	if pl.PosOf[0] == 0 {
-		t.Fatal("cluster 0 still on degraded core 0")
-	}
-	if err := pl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // pairedPCN builds n chain clusters of 2 neurons each.
 func pairedPCN(t *testing.T, n int) *pcn.PCN {
 	t.Helper()

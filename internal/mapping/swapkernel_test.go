@@ -293,12 +293,7 @@ func kernelScenarios(t *testing.T, p *pcn.PCN) []kernelScenario {
 	for _, idx := range []int{0, 9, 24, 33} {
 		defects.MarkDead(idx)
 	}
-	for _, idx := range []int{5, 17, 30} {
-		if err := defects.Degrade(idx, 0.4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cons := hw.Constraints{NeuronsPerCore: 1, SpareRows: 1}
+	cons := hw.Constraints{SpareRows: 1}
 	hsc, err := InitialPlacementDefects(p, faulty, curve.Hilbert{}, defects, cons)
 	if err != nil {
 		t.Fatal(err)

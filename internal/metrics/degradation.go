@@ -14,9 +14,8 @@ import (
 // caller from a noc run (WithSim) and a remap repair (WithRemap), since
 // those live in packages above metrics in the import graph.
 type Degradation struct {
-	// TotalCores, DeadCores, DegradedCores and FailedLinks describe the
-	// defect map itself.
-	TotalCores, DeadCores, DegradedCores, FailedLinks int
+	// TotalCores, DeadCores and FailedLinks describe the defect map itself.
+	TotalCores, DeadCores, FailedLinks int
 	// HealthyCores is TotalCores − DeadCores.
 	HealthyCores int
 	// HealthyUtilization is clusters per healthy core — how much of the
@@ -40,7 +39,6 @@ func EvaluateDegradation(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap) Degra
 	g := Degradation{
 		TotalCores:        pl.Mesh.Cores(),
 		DeadCores:         d.NumDead(),
-		DegradedCores:     d.NumDegraded(),
 		FailedLinks:       d.NumFailedLinks(),
 		DeliveredFraction: 1,
 	}
@@ -71,6 +69,6 @@ func (g Degradation) WithRemap(moved int, movedFrac, deltaEnergy float64) Degrad
 
 // String implements fmt.Stringer with a compact fixed-order rendering.
 func (g Degradation) String() string {
-	return fmt.Sprintf("dead=%d/%d degraded=%d failedLinks=%d healthyUtil=%.3f delivered=%.4f dropped=%d",
-		g.DeadCores, g.TotalCores, g.DegradedCores, g.FailedLinks, g.HealthyUtilization, g.DeliveredFraction, g.DroppedSpikes)
+	return fmt.Sprintf("dead=%d/%d failedLinks=%d healthyUtil=%.3f delivered=%.4f dropped=%d",
+		g.DeadCores, g.TotalCores, g.FailedLinks, g.HealthyUtilization, g.DeliveredFraction, g.DroppedSpikes)
 }

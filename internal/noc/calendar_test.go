@@ -11,8 +11,8 @@ import (
 )
 
 // FuzzCalendarMatchesReference draws a small random mesh, net and placement,
-// a defect map with or without fault-aware routing, the spike scale and the
-// watchdog and detour limits, and holds the calendar engine's full Result
+// a defect map (or none), the spike scale and the watchdog and detour
+// limits, and holds the calendar engine's full Result
 // and error text to the per-cycle reference scan.
 func FuzzCalendarMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(0x00), uint8(0x00), uint8(0x00))
@@ -34,7 +34,6 @@ func FuzzCalendarMatchesReference(f *testing.F) {
 			dead := float64(faults>>2&3) * 0.05
 			links := float64(faults>>4&3) * 0.06
 			cfg.Defects = hw.InjectUniform(pl.Mesh, dead, links, seed)
-			cfg.FaultAware = faults&3 != 1
 		}
 		if faults>>6 == 3 {
 			cfg.limits.maxCycles = int(seed&63) + 1

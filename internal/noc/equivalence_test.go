@@ -38,8 +38,7 @@ func randomCorpusWorkload(t testing.TB, seed int64, rows, cols, clusters, edges 
 }
 
 // TestEventEngineMatchesReference is the equivalence contract: on a golden
-// corpus spanning pristine and faulty meshes, with and without fault-aware
-// routing, the calendar engine behind Simulate must produce a Result
+// corpus spanning pristine and faulty meshes, the calendar engine behind Simulate must produce a Result
 // bit-identical to the original per-cycle simulateReference scan — every
 // field, including traversal vectors, float aggregates and queue peaks.
 func TestEventEngineMatchesReference(t *testing.T) {
@@ -53,14 +52,13 @@ func TestEventEngineMatchesReference(t *testing.T) {
 	}{
 		{"pristine/xy", Config{}},
 		{"pristine/heavy", Config{SpikesPerUnit: 3}},
-		{"dead-cores/fault-aware", Config{Defects: deadMap, FaultAware: true}},
-		{"dead-cores/drop", Config{Defects: deadMap}},
-		{"failed-links/fault-aware", Config{Defects: linkMap, FaultAware: true}},
-		{"mixed/fault-aware", Config{Defects: mixedMap, FaultAware: true}},
+		{"dead-cores/fault-aware", Config{Defects: deadMap}},
+		{"failed-links/fault-aware", Config{Defects: linkMap}},
+		{"mixed/fault-aware", Config{Defects: mixedMap}},
 		// The short watchdog makes the in-flight age cap bite while spikes
 		// queue behind the fault boundary — exercising the TTL-drop path
 		// without simulating a million cycles.
-		{"mixed/age-cap", Config{Defects: mixedMap, FaultAware: true, SpikesPerUnit: 3, limits: limits{watchdogCycles: 20}}},
+		{"mixed/age-cap", Config{Defects: mixedMap, SpikesPerUnit: 3, limits: limits{watchdogCycles: 20}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,7 +18,7 @@ func TestFaultAwareDetourDelivers(t *testing.T) {
 	if err := d.FailLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(p, pl, Config{Defects: d, FaultAware: true})
+	res, err := Simulate(p, pl, Config{Defects: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,27 +35,6 @@ func TestFaultAwareDetourDelivers(t *testing.T) {
 	}
 }
 
-func TestFaultUnawareDropsAtFailedLink(t *testing.T) {
-	p := edgePCN(t, [][3]float64{{0, 1, 1}}, 2)
-	mesh := hw.MustMesh(3, 3)
-	pl := placeAt(t, p, mesh, mesh.Coord(0), mesh.Coord(2))
-	d := hw.NewDefectMap(mesh)
-	if err := d.FailLink(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Simulate(p, pl, Config{Defects: d}) // FaultAware off
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered != 0 || res.Dropped != 1 || res.Injected != 1 {
-		t.Fatalf("fault-unaware run: injected=%d delivered=%d dropped=%d, want 1/0/1",
-			res.Injected, res.Delivered, res.Dropped)
-	}
-	if res.DeliveredFraction() != 0 {
-		t.Errorf("DeliveredFraction = %g, want 0", res.DeliveredFraction())
-	}
-}
-
 func TestDeadEndpointsDropAtInjection(t *testing.T) {
 	for _, deadCore := range []int{0, 2} { // src, then dst
 		p := edgePCN(t, [][3]float64{{0, 1, 1}}, 2)
@@ -63,7 +42,7 @@ func TestDeadEndpointsDropAtInjection(t *testing.T) {
 		pl := placeAt(t, p, mesh, mesh.Coord(0), mesh.Coord(2))
 		d := hw.NewDefectMap(mesh)
 		d.MarkDead(deadCore)
-		res, err := Simulate(p, pl, Config{Defects: d, FaultAware: true})
+		res, err := Simulate(p, pl, Config{Defects: d})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +67,7 @@ func TestDisconnectedComponentsDropAtInjection(t *testing.T) {
 	if err := d.FailLink(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(p, pl, Config{Defects: d, FaultAware: true})
+	res, err := Simulate(p, pl, Config{Defects: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +89,7 @@ func TestDetourTTLDropsSpike(t *testing.T) {
 	if err := d.FailLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(p, pl, Config{Defects: d, FaultAware: true, limits: limits{maxDetourHops: 1}})
+	res, err := Simulate(p, pl, Config{Defects: d, limits: limits{maxDetourHops: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +119,7 @@ func TestFaultAwareLinkFaultAccounting(t *testing.T) {
 	if d.NumFailedLinks() == 0 {
 		t.Fatal("seed produced no failed links; pick another seed")
 	}
-	res, err := Simulate(p, pl, Config{Defects: d, FaultAware: true, SpikesPerUnit: 4})
+	res, err := Simulate(p, pl, Config{Defects: d, SpikesPerUnit: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

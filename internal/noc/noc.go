@@ -11,9 +11,8 @@
 // congestion metrics (Eqs. 12-14) summarize.
 //
 // A hw.DefectMap turns the pristine mesh into a faulty one: spikes never
-// enter dead routers, and failed links either drop traffic (modeling a chip
-// without adaptive routing) or, with FaultAware routing, force a detour —
-// the secondary dimension order first, then a bounded misroute. Runs on a
+// enter dead routers, and a failed link forces a detour — the secondary
+// dimension order first, then a bounded misroute. Runs on a
 // faulty mesh account undeliverable spikes instead of failing, and a
 // progress watchdog converts a livelocked or deadlocked simulation into a
 // typed ErrLivelock instead of a hang.
@@ -73,13 +72,10 @@ type Config struct {
 	SpikesPerUnit float64
 	// Defects marks dead cores and failed links. Spikes sourced at or
 	// destined to a dead core are dropped at injection; failed links are
-	// never traversed.
+	// never traversed but routed around: the secondary productive
+	// dimension first, then a misroute bounded by a budget of
+	// 4·(rows+cols) hops.
 	Defects *hw.DefectMap
-	// FaultAware enables detour routing around failed links: the
-	// secondary productive dimension first, then a misroute bounded by a
-	// budget of 4·(rows+cols) hops. When false, a spike whose
-	// dimension-ordered next hop is failed is dropped at that router.
-	FaultAware bool
 	// Shards is accepted and ignored: the engine runs on the calling
 	// goroutine. It must not be negative or exceed the mesh's row count;
 	// ClampShards turns any request into a count that validates.
@@ -207,15 +203,14 @@ type Stats struct {
 	// mesh regions disconnected by faults. These spikes never enter the
 	// network.
 	SetupDrops int64
-	// NetworkDrops counts spikes dropped in flight: a failed
-	// dimension-ordered next hop without FaultAware routing, no usable
-	// port, an exhausted detour budget, or the in-flight age cap. Filled
+	// NetworkDrops counts spikes dropped in flight: no usable port, an
+	// exhausted detour budget, or the in-flight age cap. Filled
 	// by finish(), so it is zero on a run that ended in an error. Always
 	// SetupDrops + NetworkDrops == Dropped on a completed run.
 	NetworkDrops int64
 	// Detours counts (re-)entries into sticky detour mode at a blocked
 	// port — the number of times fault-aware routing had to steer a flit
-	// off its dimension-ordered path (nonzero only with FaultAware).
+	// off its dimension-ordered path (nonzero only on a faulty mesh).
 	Detours int64
 }
 
@@ -459,18 +454,14 @@ func (s *simState) routeYX(idx int, dst int32) int {
 }
 
 // routePort is the fault-aware route computation at router idx. The
-// second return is true when the flit must be dropped (its
-// dimension-ordered next hop is failed and fault-aware routing is off,
-// or no usable port exists); the third is true when the flit hit a
-// blocked port and must (re-)enter sticky detour mode.
+// second return is true when the flit must be dropped (no usable port
+// exists); the third is true when the flit hit a blocked port and must
+// (re-)enter sticky detour mode.
 func (s *simState) routePort(idx int, f flit) (int, bool, bool) {
 	p0 := s.route(idx, f.dst)
 	primaryOK := s.defects == nil || p0 == local || s.linkOK(idx, p0)
 	if primaryOK && (f.detour == 0 || p0 == local) {
 		return p0, false, false
-	}
-	if !primaryOK && !s.cfg.FaultAware {
-		return 0, true, true
 	}
 	// Detour walk: a weighted hash pick among every usable port, keyed
 	// by (destination, router, hop count). Productive ports — the

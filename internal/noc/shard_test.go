@@ -31,7 +31,7 @@ func TestShardedMatchesReferenceSweep(t *testing.T) {
 	}{
 		{"sparse64x64", Config{}, sparse64x64Workload},
 		{"long-tail", Config{}, longTailWorkload},
-		{"faulted-links", Config{FaultAware: true}, faultedLinksWorkload},
+		{"faulted-links", Config{}, faultedLinksWorkload},
 	}
 	for _, wl := range workloads {
 		t.Run(wl.name, func(t *testing.T) {
@@ -91,9 +91,9 @@ func TestShardedMatchesReferenceCorpus(t *testing.T) {
 	}{
 		{"pristine/xy", Config{}},
 		{"pristine/heavy", Config{SpikesPerUnit: 3}},
-		{"dead-cores/fault-aware", Config{Defects: deadMap, FaultAware: true}},
-		{"failed-links/fault-aware", Config{Defects: linkMap, FaultAware: true}},
-		{"mixed/age-cap", Config{Defects: mixedMap, FaultAware: true, SpikesPerUnit: 3, limits: limits{watchdogCycles: 20}}},
+		{"dead-cores/fault-aware", Config{Defects: deadMap}},
+		{"failed-links/fault-aware", Config{Defects: linkMap}},
+		{"mixed/age-cap", Config{Defects: mixedMap, SpikesPerUnit: 3, limits: limits{watchdogCycles: 20}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,7 +136,7 @@ func TestShardedCrossBoundaryDetour(t *testing.T) {
 	if err := d.FailLink(3, 6); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Defects: d, FaultAware: true}
+	cfg := Config{Defects: d}
 	want, err := simulateReference(context.Background(), p, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestShardedDeepQueueMatchesReference(t *testing.T) {
 		cfg  Config
 	}{
 		{"pristine", Config{}},
-		{"faulted", Config{Defects: faults, FaultAware: true}},
+		{"faulted", Config{Defects: faults}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := simulateReference(context.Background(), p, pl, tc.cfg)
@@ -308,7 +308,7 @@ func TestShardedDeepQueueMatchesReference(t *testing.T) {
 			if want.MaxQueueLen <= 4096 || want.Delivered == 0 {
 				t.Fatalf("hot spot too shallow to grow a wrapped ring past 4096: %+v", want)
 			}
-			if tc.cfg.FaultAware && want.Stats.Detours == 0 {
+			if tc.cfg.Defects != nil && want.Stats.Detours == 0 {
 				t.Fatalf("no detours on the faulted mesh: %+v", want)
 			}
 			for _, shards := range shardSweep {

@@ -7,8 +7,8 @@ import "errors"
 // and internal/noc re-export the ones they raise so callers can errors.Is
 // against either package.
 var (
-	// ErrCapacityExceeded reports that a mesh — or a core, under degraded
-	// capacity — cannot hold the requested clusters.
+	// ErrCapacityExceeded reports that a mesh, or the NoC simulator's
+	// spike budget, cannot hold the requested workload.
 	ErrCapacityExceeded = errors.New("capacity exceeded")
 	// ErrUnplaceable reports that no legal placement exists on the healthy
 	// portion of the mesh.

@@ -197,8 +197,7 @@ func InitialPlacement(p *PCN, mesh Mesh, c Curve) (*Placement, error) {
 }
 
 // InitialPlacementDefects is InitialPlacement on a defective mesh: the curve
-// walk skips dead cells, and capacity-degraded cells that the next cluster
-// does not fit.
+// walk skips dead cells and the cons.SpareRows reserved bottom rows.
 func InitialPlacementDefects(p *PCN, mesh Mesh, c Curve, d *DefectMap, cons Constraints) (*Placement, error) {
 	return mapping.InitialPlacementDefects(p, mesh, c, d, cons)
 }
@@ -310,8 +309,7 @@ func SimulateContext(ctx context.Context, p *PCN, pl *Placement, cfg SimConfig) 
 
 // Fault tolerance (hardware defect maps and graceful degradation).
 type (
-	// DefectMap marks dead cores, capacity-degraded cores and failed links
-	// of a mesh.
+	// DefectMap marks dead cores and failed links of a mesh.
 	DefectMap = hw.DefectMap
 	// RemapStats reports an incremental post-failure repair.
 	RemapStats = mapping.RemapStats
@@ -374,8 +372,8 @@ func SaveDefectMap(w io.Writer, d *DefectMap) error { return hw.WriteDefectMap(w
 func LoadDefectMap(r io.Reader) (*DefectMap, error) { return hw.ReadDefectMap(r) }
 
 // Remap repairs an existing placement after the defect map changed: only
-// clusters on dead (or overfull degraded) cores migrate, each to the nearest
-// healthy free core that fits.
+// clusters on dead cores migrate, each to the nearest healthy free core.
+// cons is unused.
 func Remap(p *PCN, pl *Placement, d *DefectMap, cons Constraints, cost CostModel) (RemapStats, error) {
 	return mapping.Remap(p, pl, d, cons, cost)
 }
@@ -384,7 +382,7 @@ func Remap(p *PCN, pl *Placement, d *DefectMap, cons Constraints, cost CostModel
 // failed row migrates onto a fully-free row (reserved via
 // Constraints.SpareRows, or any row that happens to be empty) in one
 // operation, falling back to per-cluster Remap migration when no spare
-// accepts it.
+// accepts it. cons is unused.
 func RemapRows(p *PCN, pl *Placement, d *DefectMap, cons Constraints, cost CostModel) (RowRemapStats, error) {
 	return mapping.RemapRows(p, pl, d, cons, cost)
 }

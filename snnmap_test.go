@@ -299,7 +299,7 @@ func TestFaultToleranceThroughPublicAPI(t *testing.T) {
 	}
 
 	sim, err := snnmap.Simulate(p, pl, snnmap.SimConfig{
-		SpikesPerUnit: 1e-3, Defects: d, FaultAware: true,
+		SpikesPerUnit: 1e-3, Defects: d,
 	})
 	if err != nil {
 		t.Fatal(err)
