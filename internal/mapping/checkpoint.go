@@ -18,9 +18,10 @@ import (
 // ordered tension queue, the run statistics, and the resolved MinGain —
 // together with a fingerprint of the configuration and PCN it was taken
 // against, so ResumeFinetune can reject a mismatched restart instead of
-// silently diverging. Transient per-iteration scratch (epoch marks, affected
-// lists) is deliberately absent: fresh zeroed marks behave identically at a
-// loop head.
+// silently diverging. Transient per-iteration scratch (the pending-pair and
+// affected-cluster bitsets, the affected list) is deliberately absent: it is
+// dead at a loop head, where a fresh engine's empty scratch behaves
+// identically. So is the queue tail's order, which nothing reads.
 //
 // Snapshots are deep copies: they stay valid after the run that produced
 // them continues or returns, and resuming from one leaves it untouched, so
@@ -87,7 +88,8 @@ func (e *fdEngine) snapshot(queue []pairTension, stats FDStats, minGain float64)
 
 // Validate checks the snapshot's internal consistency: a valid placement
 // matching the cluster count, a force array sized to the mesh, a
-// well-formed queue (unique in-mesh pair ids, parallel tension slice), and
+// well-formed queue (unique in-mesh pair ids, parallel tension slice, and
+// the prefix one iteration consumes ordered ahead of every other entry), and
 // finite numeric fields. It does not check the snapshot against any
 // particular PCN or FDConfig — ResumeFinetune does that.
 func (s *Snapshot) Validate() error {
@@ -115,6 +117,9 @@ func (s *Snapshot) Validate() error {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return fmt.Errorf("mapping: snapshot force[%d] is %g", i, f)
 		}
+	}
+	if math.IsNaN(s.Lambda) || s.Lambda <= 0 || s.Lambda > 1 {
+		return fmt.Errorf("mapping: snapshot lambda %g outside (0, 1]", s.Lambda)
 	}
 	if len(s.QueueIDs) != len(s.QueueTensions) {
 		return fmt.Errorf("mapping: snapshot queue has %d ids but %d tensions", len(s.QueueIDs), len(s.QueueTensions))
@@ -145,8 +150,14 @@ func (s *Snapshot) Validate() error {
 			return fmt.Errorf("mapping: snapshot queue tension[%d] is %g", i, t)
 		}
 	}
-	if math.IsNaN(s.Lambda) || s.Lambda <= 0 || s.Lambda > 1 {
-		return fmt.Errorf("mapping: snapshot lambda %g outside (0, 1]", s.Lambda)
+	// The resumed run swaps the first swapLimit entries in order, so they
+	// must be the queue's first entries under queueCmp, sorted.
+	m := swapLimit(s.Lambda, len(s.QueueIDs))
+	for i := 1; i < len(s.QueueIDs); i++ {
+		j := min(i, m) - 1
+		if queueCmp(pairTension{s.QueueIDs[j], s.QueueTensions[j]}, pairTension{s.QueueIDs[i], s.QueueTensions[i]}) >= 0 {
+			return fmt.Errorf("mapping: snapshot queue prefix out of order: entry %d does not follow entry %d", i, j)
+		}
 	}
 	if math.IsNaN(s.MinGain) || s.MinGain < 0 {
 		return fmt.Errorf("mapping: snapshot MinGain %g invalid", s.MinGain)

@@ -117,6 +117,58 @@ func TestResumeEquivalenceMatrix(t *testing.T) {
 	}
 }
 
+// TestResumeIgnoresQueueTailOrder pins that only a snapshot queue's consumed
+// prefix is ordered state: resuming after the tail behind swapLimit's prefix
+// was shuffled — as a snapshot written under another tail order would be —
+// completes bit-identically to the uninterrupted run.
+func TestResumeIgnoresQueueTailOrder(t *testing.T) {
+	p := randomPCN(t, 43, 230, 1700)
+	pl, err := place.Random(p.NumClusters, hw.MustMesh(16, 16), rand.New(rand.NewSource(19)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []*Snapshot
+	cfg := FDConfig{Potential: L2Sq{}, Checkpoint: &CheckpointConfig{
+		Interval: 2,
+		Fn:       func(s *Snapshot) error { snaps = append(snaps, s); return nil },
+	}}
+	stats, err := Finetune(p, pl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPos, wantStats := finalState(pl.PosOf, stats)
+	if len(snaps) < 2 {
+		t.Fatalf("run took %d snapshots; too few to resume mid-run", len(snaps))
+	}
+	rng := rand.New(rand.NewSource(29))
+	shuffled := 0
+	for i, snap := range snaps {
+		m := swapLimit(snap.Lambda, len(snap.QueueIDs))
+		s := *snap
+		s.QueueIDs, s.QueueTensions = slices.Clone(snap.QueueIDs), slices.Clone(snap.QueueTensions)
+		ids, tens := s.QueueIDs[m:], s.QueueTensions[m:]
+		rng.Shuffle(len(ids), func(a, b int) {
+			ids[a], ids[b] = ids[b], ids[a]
+			tens[a], tens[b] = tens[b], tens[a]
+		})
+		if !slices.Equal(ids, snap.QueueIDs[m:]) {
+			shuffled++
+		}
+		pl, stats, err := ResumeFinetune(context.Background(), p, &s, FDConfig{Potential: L2Sq{}})
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		pos, stats := finalState(pl.PosOf, stats)
+		if stats != wantStats || !slices.Equal(pos, wantPos) {
+			t.Fatalf("snapshot %d (iteration %d) with a shuffled tail: stats %+v, uninterrupted %+v",
+				i, snap.Stats.Iterations, stats, wantStats)
+		}
+	}
+	if shuffled == 0 {
+		t.Fatal("no snapshot's tail changed order; the test is vacuous")
+	}
+}
+
 // TestResumeRejectsMismatches pins the fingerprint checks: a resume whose
 // config or PCN does not match the snapshot fails with ErrBadConfig instead
 // of silently diverging.
@@ -321,6 +373,26 @@ func TestSnapshotValidate(t *testing.T) {
 			s.QueueIDs[1] = s.QueueIDs[0]
 		}},
 		{"NaN tension", func(s *Snapshot) { s.QueueTensions = slices.Clone(s.QueueTensions); s.QueueTensions[0] = math.NaN() }},
+		{"queue prefix out of order", func(s *Snapshot) {
+			// The head now follows its successor, in the prefix or, for a
+			// one-entry prefix, in the tail.
+			s.QueueIDs, s.QueueTensions = slices.Clone(s.QueueIDs), slices.Clone(s.QueueTensions)
+			s.QueueIDs[0], s.QueueIDs[1] = s.QueueIDs[1], s.QueueIDs[0]
+			s.QueueTensions[0], s.QueueTensions[1] = s.QueueTensions[1], s.QueueTensions[0]
+		}},
+		{"prefix boundary swapped with the tail", func(s *Snapshot) {
+			// The prefix stays sorted, but its last entry now follows the
+			// tail entry it traded places with.
+			s.QueueIDs, s.QueueTensions = slices.Clone(s.QueueIDs), slices.Clone(s.QueueTensions)
+			m := swapLimit(s.Lambda, len(s.QueueIDs))
+			s.QueueIDs[m-1], s.QueueIDs[m] = s.QueueIDs[m], s.QueueIDs[m-1]
+			s.QueueTensions[m-1], s.QueueTensions[m] = s.QueueTensions[m], s.QueueTensions[m-1]
+		}},
+		{"tail entry ahead of the prefix", func(s *Snapshot) {
+			s.QueueIDs, s.QueueTensions = slices.Clone(s.QueueIDs), slices.Clone(s.QueueTensions)
+			last := len(s.QueueIDs) - 1
+			s.QueueTensions[last] = s.QueueTensions[0] + 1
+		}},
 		{"bad lambda", func(s *Snapshot) { s.Lambda = 2 }},
 		{"negative mingain", func(s *Snapshot) { s.MinGain = -1 }},
 		{"infinite potential sample", func(s *Snapshot) { s.PotUnit = math.Inf(1) }},
@@ -328,8 +400,8 @@ func TestSnapshotValidate(t *testing.T) {
 		{"negative iterations", func(s *Snapshot) { s.Stats.Iterations = -1 }},
 		{"negative elapsed", func(s *Snapshot) { s.Stats.Elapsed = -time.Second }},
 	}
-	if len(base.QueueIDs) < 2 {
-		t.Fatalf("snapshot queue too small (%d) for corruption cases", len(base.QueueIDs))
+	if len(base.QueueIDs) < 2 || swapLimit(base.Lambda, len(base.QueueIDs)) == len(base.QueueIDs) {
+		t.Fatalf("snapshot queue of %d entries has no tail for the corruption cases", len(base.QueueIDs))
 	}
 	for _, tc := range corrupt {
 		s := *base

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -301,9 +302,10 @@ type fdEngine struct {
 	buf  pcn.MergeBuf
 	pl   *place.Placement
 	mesh hw.Mesh
-	// coord[idx] is Mesh.Coord(idx), tabulated once so the O(E) kernels pay
-	// a load instead of a division per adjacency entry.
-	coord []cellXY
+	// at[c] is the mesh coordinate of cluster c's cell, kept in step with the
+	// placement by swapPair, so the O(E) kernels reach a neighbor's
+	// coordinate in one load instead of a division or a PosOf lookup first.
+	at []cellXY
 	// pot is the potential; field is its closed form when it has one, so
 	// the hot loops make no interface call per entry (see potential.go).
 	pot   Potential
@@ -358,11 +360,27 @@ type fdEngine struct {
 	partial []float64
 	dirty   []bool
 
-	// Epoch-stamped membership marks for queue and affected-list dedupe.
-	pairMark    []int32
-	clusterMark []int32
-	epoch       int32
-	affected    []int32 // clusters affected in the current epoch
+	// pending is nextQueue's candidate set, one bit per pair id and empty
+	// between calls. clusterMark holds one bit per member of affected, the
+	// clusters affected in the current iteration.
+	pending     bitset
+	clusterMark bitset
+	affected    []int32
+}
+
+// bitset is a set of non-negative int32, one bit each.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// add inserts i and reports whether it was absent. It stores
+// unconditionally: a branch on the loaded word mispredicts on the mix of
+// new and repeated members that nextQueue and markAffected insert.
+func (s bitset) add(i int32) bool {
+	w, m := &s[i>>6], uint64(1)<<(i&63)
+	old := *w
+	*w = old | m
+	return old&m == 0
 }
 
 // cellXY is a mesh coordinate (row x, column y) in the engine's tables.
@@ -372,12 +390,6 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 	mesh := pl.Mesh
 	cols, rows := int32(mesh.Cols), int32(mesh.Rows)
 	spareStart := int32(cfg.Constraints.UsableRows(mesh))
-	coord := make([]cellXY, 0, mesh.Cores())
-	for x := int32(0); x < rows; x++ {
-		for y := int32(0); y < cols; y++ {
-			coord = append(coord, cellXY{x, y})
-		}
-	}
 	side := int64(max(rows, cols))
 	return &fdEngine{
 		maxRun:      (1 << 60) / (side * side),
@@ -386,7 +398,7 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 		sym:         p.Symmetric(),
 		pl:          pl,
 		mesh:        mesh,
-		coord:       coord,
+		at:          clusterCoords(pl),
 		pot:         cfg.Potential,
 		field:       closedForm(cfg.Potential),
 		defects:     cfg.Defects,
@@ -399,9 +411,15 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 		mutw:        make([]float64, 2*mesh.Cores()),
 		partial:     make([]float64, (p.NumClusters+energyChunk-1)/energyChunk),
 		dirty:       make([]bool, (p.NumClusters+energyChunk-1)/energyChunk),
-		pairMark:    make([]int32, 2*mesh.Cores()),
-		clusterMark: make([]int32, p.NumClusters),
+		pending:     newBitset(2 * mesh.Cores()),
+		clusterMark: newBitset(p.NumClusters),
 	}
+}
+
+// cell returns the mesh coordinate of cell idx.
+func (e *fdEngine) cell(idx int32) cellXY {
+	cols := int32(e.mesh.Cols)
+	return cellXY{idx / cols, idx % cols}
 }
 
 // potential returns u((x, y)).
@@ -432,7 +450,7 @@ func (e *fdEngine) steps(x, y int) (up, down, right, left float64) {
 func (e *fdEngine) energyRange(lo, hi int, buf *pcn.MergeBuf) float64 {
 	var total float64
 	for c := lo; c < hi; c++ {
-		pc := e.coord[e.pl.PosOf[c]]
+		pc := e.at[c]
 		to1, w1, to2, w2 := e.sym.Neighbors(c, buf)
 		total = e.energyRun(total, int32(c), pc, to1, w1)
 		total = e.energyRun(total, int32(c), pc, to2, w2)
@@ -452,7 +470,7 @@ func (e *fdEngine) energyRun(total float64, c int32, pc cellXY, tos []int32, ws 
 		if to < c {
 			continue
 		}
-		q := e.coord[e.pl.PosOf[to]]
+		q := e.at[to]
 		x, y := int(q.x-pc.x), int(q.y-pc.y)
 		var u float64
 		if l2sq {
@@ -508,8 +526,7 @@ func (e *fdEngine) buildAllForces(workers int) (float64, buildStats) {
 		// in closed form, so total is no longer the walk's own sum.
 		exact, summed := e.field == fieldL2Sq, false
 		for c := lo; c < hi; c++ {
-			idx := e.pl.PosOf[c]
-			pc := e.coord[idx]
+			idx, pc := e.pl.PosOf[c], e.at[c]
 			b, ok, closed := e.blocks(c, &cache, &st.runs)
 			if !ok && exact {
 				exact = false
@@ -528,7 +545,7 @@ func (e *fdEngine) buildAllForces(workers int) (float64, buildStats) {
 						total = e.energyRun(total, int32(c), pc, r.ids, r.ws)
 					}
 				}
-				e.blockForce(idx, b)
+				e.blockForce(idx, pc, b)
 				continue
 			}
 			st.walked++
@@ -540,9 +557,9 @@ func (e *fdEngine) buildAllForces(workers int) (float64, buildStats) {
 			for i := range b {
 				r := &b[i]
 				total = e.energyRun(total, int32(c), pc, r.ids, r.ws)
-				up, down, right, left = e.forceRun(idx, r.ids, r.ws, up, down, right, left)
+				up, down, right, left = e.forceRun(idx, pc, r.ids, r.ws, up, down, right, left)
 			}
-			e.storeForce(idx, up, down, right, left)
+			e.storeForce(idx, pc, up, down, right, left)
 		}
 		// Every term is a non-negative integer below 2^53 or the total reaches
 		// 2^53, so a total below exactLimit was summed without rounding, and
@@ -711,7 +728,7 @@ func sameRun(a, b []int32) bool {
 func (e *fdEngine) aggregate(ids []int32) runAgg {
 	a := runAgg{n: int64(len(ids))}
 	for _, id := range ids {
-		q := e.coord[e.pl.PosOf[id]]
+		q := e.at[id]
 		x, y := int64(q.x), int64(q.y)
 		a.sx += x
 		a.sy += y
@@ -734,14 +751,13 @@ func (r *block) energy(c int32, pc cellXY) float64 {
 	return r.w * float64(d)
 }
 
-// blockForce stores the force of the cluster at cell idx from its blocks and
-// fills the cell's mutw slots: forceRun's sums in closed form. Over a run,
-// Σ_k (−2(x_k−x_c) − 1) = −2(Σx − n·x_c) − n is Force-up per unit weight,
-// and the other directions follow the same pattern. The mutw slot of pair
-// idx*2 (idx*2+1) holds the weight of the run containing the occupant of
-// the cell to the right (below), found by binary search.
-func (e *fdEngine) blockForce(idx int32, b []block) {
-	q := e.coord[idx]
+// blockForce stores the force of the cluster at cell idx (coordinate q) from
+// its blocks and fills the cell's mutw slots: forceRun's sums in closed
+// form. Over a run, Σ_k (−2(x_k−x_c) − 1) = −2(Σx − n·x_c) − n is Force-up
+// per unit weight, and the other directions follow the same pattern. The
+// mutw slot of pair idx*2 (idx*2+1) holds the weight of the run containing
+// the occupant of the cell to the right (below), found by binary search.
+func (e *fdEngine) blockForce(idx int32, q cellXY, b []block) {
 	x, y := int64(q.x), int64(q.y)
 	var up, down, right, left float64
 	for i := range b {
@@ -753,7 +769,7 @@ func (e *fdEngine) blockForce(idx int32, b []block) {
 		right += r.w * float64(dy-a.n)
 		left += r.w * float64(-dy-a.n)
 	}
-	e.storeForce(idx, up, down, right, left)
+	e.storeForce(idx, q, up, down, right, left)
 	if q.y < int32(e.mesh.Cols)-1 {
 		e.fillMutw(idx*2, e.pl.ClusterAt[idx+1], b)
 	}
@@ -782,10 +798,9 @@ func (e *fdEngine) fillMutw(id, other int32, b []block) {
 	}
 }
 
-// storeForce writes the four directional sums of cell idx, zeroing the
-// directions that point off the mesh.
-func (e *fdEngine) storeForce(idx int32, up, down, right, left float64) {
-	q := e.coord[idx]
+// storeForce writes the four directional sums of cell idx (coordinate q),
+// zeroing the directions that point off the mesh.
+func (e *fdEngine) storeForce(idx int32, q cellXY, up, down, right, left float64) {
 	if q.x == 0 {
 		up = 0
 	}
@@ -803,17 +818,17 @@ func (e *fdEngine) storeForce(idx int32, up, down, right, left float64) {
 }
 
 // forceRun continues the four directional sums of the cluster at cell idx
-// over one neighbor run. A neighbor met one cell to the right or one below
-// is the other occupant of pair idx*2 or idx*2+1, and its combined weight —
-// Symmetric.Neighbors' out+in sum, the same bits from either end since
-// fl(a+b) = fl(b+a) — is that pair's mutw. Each cell writes only its own
-// two slots, so buildAllForces stays race-free at any worker count.
-func (e *fdEngine) forceRun(idx int32, tos []int32, ws []float64, up, down, right, left float64) (float64, float64, float64, float64) {
-	pa := e.coord[idx]
+// (coordinate pa) over one neighbor run. A neighbor met one cell to the
+// right or one below is the other occupant of pair idx*2 or idx*2+1, and
+// its combined weight — Symmetric.Neighbors' out+in sum, the same bits from
+// either end since fl(a+b) = fl(b+a) — is that pair's mutw. Each cell
+// writes only its own two slots, so buildAllForces stays race-free at any
+// worker count.
+func (e *fdEngine) forceRun(idx int32, pa cellXY, tos []int32, ws []float64, up, down, right, left float64) (float64, float64, float64, float64) {
 	mask := pcn.WeightMask(tos, ws)
 	l2sq := e.field == fieldL2Sq
 	for k, to := range tos {
-		q := e.coord[e.pl.PosOf[to]]
+		q := e.at[to]
 		x, y := int(q.x-pa.x), int(q.y-pa.y)
 		var su, sd, sr, sl float64
 		if l2sq {
@@ -853,7 +868,7 @@ func (e *fdEngine) blocked(id int32) bool {
 		// For both pair orientations (right, down) cell b has the larger
 		// row, so only b can cross into the reserved bottom rows.
 		_, b, _ := e.pairCells(id)
-		if e.coord[b].x >= e.spareStart {
+		if b >= e.spareStart*int32(e.mesh.Cols) {
 			return true
 		}
 	}
@@ -892,9 +907,13 @@ func (e *fdEngine) tension(id int32) float64 {
 	}
 }
 
-// beginEpoch resets the affected-cluster list for a new iteration.
+// beginEpoch resets the affected-cluster list for a new iteration. Every
+// set mark belongs to a listed cluster, so clearing the listed clusters'
+// words clears them all.
 func (e *fdEngine) beginEpoch() {
-	e.epoch++
+	for _, c := range e.affected {
+		e.clusterMark[c>>6] = 0
+	}
 	e.affected = e.affected[:0]
 }
 
@@ -916,8 +935,7 @@ func (e *fdEngine) applyBatch(ctx context.Context, batch []pairTension, minGain 
 
 func (e *fdEngine) markAffected(c int32) {
 	e.dirty[c/energyChunk] = true
-	if e.clusterMark[c] != e.epoch {
-		e.clusterMark[c] = e.epoch
+	if e.clusterMark.add(c) {
 		e.affected = append(e.affected, c)
 	}
 }
@@ -936,55 +954,62 @@ func (e *fdEngine) markAffected(c int32) {
 func (e *fdEngine) swapPair(id int32) {
 	a, b, _ := e.pairCells(id)
 	ca, cb := e.pl.ClusterAt[a], e.pl.ClusterAt[b]
+	pa, pb := e.cell(a), e.cell(b)
 	e.pl.SwapCores(a, b)
+	if ca != place.None {
+		e.at[ca] = pb
+	}
+	if cb != place.None {
+		e.at[cb] = pa
+	}
 	// The occupants of cells a and b changed: every pair touching either
 	// cell has a stale mutual weight until the walks below refill it.
 	var stale [8]int32
-	for _, pid := range e.pairsTouching(b, e.pairsTouching(a, stale[:0])) {
+	for _, pid := range e.pairsTouching(pb, e.pairsTouching(pa, stale[:0])) {
 		e.mutw[pid] = 0
 	}
-	e.moveCluster(ca, cb, a, b)
-	e.moveCluster(cb, ca, b, a)
+	e.moveCluster(ca, cb, pa, pb)
+	e.moveCluster(cb, ca, pb, pa)
 }
 
 // moveCluster is the swap kernel for the cluster moved, which SwapCores just
-// carried from cell src to cell dst (other, possibly place.None, went the
-// opposite way). One pass over moved's neighbors in ascending id order sums
-// its force at dst from scratch — the order and operands of buildAllForces,
-// other included — and applies Alg. 3 line 24 to every neighbor but other,
-// whose cell the opposite walk rebuilds. The affected order (neighbors
-// ascending, then moved) is part of the queue order and so of snapshots.
-func (e *fdEngine) moveCluster(moved, other, src, dst int32) {
+// carried from the cell at ps to the cell at pd (other, possibly
+// place.None, went the opposite way). One pass over moved's neighbors in
+// ascending id order sums its force at pd from scratch — the order and
+// operands of buildAllForces, other included — and applies Alg. 3 line 24
+// to every neighbor but other, whose cell the opposite walk rebuilds.
+func (e *fdEngine) moveCluster(moved, other int32, ps, pd cellXY) {
+	dst := pd.x*int32(e.mesh.Cols) + pd.y
 	if moved == place.None {
 		clear(e.force[int(dst)*4:][:4])
 		return
 	}
 	to1, w1, to2, w2 := e.sym.Neighbors(int(moved), &e.buf)
-	up, down, right, left := e.moveRun(other, src, dst, to1, w1, 0, 0, 0, 0)
-	up, down, right, left = e.moveRun(other, src, dst, to2, w2, up, down, right, left)
-	e.storeForce(dst, up, down, right, left)
+	up, down, right, left := e.moveRun(other, ps, pd, to1, w1, 0, 0, 0, 0)
+	up, down, right, left = e.moveRun(other, ps, pd, to2, w2, up, down, right, left)
+	e.storeForce(dst, pd, up, down, right, left)
 	e.markAffected(moved)
 }
 
 // moveRun is moveCluster over one neighbor run. From each neighbor's
 // coordinate, loaded once, it (a) continues the moved cluster's four sums at
-// dst exactly as forceRun does; (b) when the neighbor's cell is adjacent to
-// dst, stores its weight as the mutw of the pair the two cells form — the
+// pd exactly as forceRun does; (b) when the neighbor's cell is adjacent to
+// pd, stores its weight as the mutw of the pair the two cells form — the
 // value Symmetric.Weight's binary searches would return (see forceRun); and
-// (c) moves the neighbor's field origin from src to dst: its force changes
-// by w·(steps(dst−pk) − steps(src−pk)), which for L2Sq is the per-swap
-// constant ±2·(dst−src), a difference of exact small integers.
-func (e *fdEngine) moveRun(other, src, dst int32, tos []int32, ws []float64, up, down, right, left float64) (float64, float64, float64, float64) {
+// (c) moves the neighbor's field origin from ps to pd: its force changes
+// by w·(steps(pd−pk) − steps(ps−pk)), which for L2Sq is the per-swap
+// constant ±2·(pd−ps), a difference of exact small integers.
+func (e *fdEngine) moveRun(other int32, ps, pd cellXY, tos []int32, ws []float64, up, down, right, left float64) (float64, float64, float64, float64) {
 	rows, cols := int32(e.mesh.Rows), int32(e.mesh.Cols)
-	ps, pd := e.coord[src], e.coord[dst]
+	dst := pd.x*cols + pd.y
 	l2sq := e.field == fieldL2Sq
 	mx, my := int(pd.x-ps.x), int(pd.y-ps.y)
 	du, dd, dr, dl := float64(-2*mx), float64(2*mx), float64(2*my), float64(-2*my)
 	mask := pcn.WeightMask(tos, ws)
 	for k, to := range tos {
 		w := ws[k&mask]
-		cell := e.pl.PosOf[to]
-		pk := e.coord[cell]
+		pk := e.at[to]
+		cell := pk.x*cols + pk.y
 		x, y := int(pk.x-pd.x), int(pk.y-pd.y)
 		var su, sd, sr, sl float64
 		if l2sq {
@@ -1027,10 +1052,10 @@ func (e *fdEngine) moveRun(other, src, dst int32, tos []int32, ws []float64, up,
 }
 
 // pairsTouching appends the (up to four) pair ids whose cells include the
-// given cell index.
-func (e *fdEngine) pairsTouching(idx int32, out []int32) []int32 {
+// cell at q.
+func (e *fdEngine) pairsTouching(q cellXY, out []int32) []int32 {
 	cols := int32(e.mesh.Cols)
-	q := e.coord[idx]
+	idx := q.x*cols + q.y
 	if q.y < cols-1 {
 		out = append(out, idx*2)
 	}
@@ -1056,7 +1081,7 @@ func (e *fdEngine) initialQueue(workers int) []pairTension {
 		var out []pairTension
 		var scratch [4]int32
 		for idx := int32(lo); idx < int32(hi); idx++ {
-			for _, id := range e.pairsTouching(idx, scratch[:0]) {
+			for _, id := range e.pairsTouching(e.cell(idx), scratch[:0]) {
 				if id/2 != idx {
 					continue // enumerate each pair from its first cell only
 				}
@@ -1082,37 +1107,37 @@ func forChunks(workers, n int, fn func(ci, lo, hi int)) {
 	})
 }
 
-// nextQueue implements Alg. 3 lines 30-40 in one pass: re-evaluate the
-// current queue in place (the write index never passes the read index),
-// then every not-yet-seen pair touching an affected cluster, keeping the
-// pairs whose tension is still positive; order the result (finalizeQueue).
+// nextQueue implements Alg. 3 lines 30-40: mark the candidates — the
+// current queue and every pair touching an affected cluster — in the pending
+// set, then re-evaluate them once each in ascending pair id, so tension reads
+// the placement, force and mutw arrays front to back, keeping the pairs whose
+// tension still exceeds minGain; order the result (finalizeQueue). The old
+// queue is dead once marked, so the new one is written over it.
 func (e *fdEngine) nextQueue(queue []pairTension, minGain float64, checks *int64) []pairTension {
-	e.epoch++ // fresh epoch for pair marks; cluster marks are stale now
-	next := queue[:0]
 	for _, pt := range queue {
-		next = e.requeue(next, pt.id, minGain, checks)
+		e.pending.add(pt.id)
 	}
 	var scratch [4]int32
 	for _, c := range e.affected {
-		for _, id := range e.pairsTouching(e.pl.PosOf[c], scratch[:0]) {
-			next = e.requeue(next, id, minGain, checks)
+		for _, id := range e.pairsTouching(e.at[c], scratch[:0]) {
+			e.pending.add(id)
+		}
+	}
+	next := queue[:0]
+	for i, w := range e.pending {
+		if w == 0 {
+			continue
+		}
+		e.pending[i] = 0
+		*checks += int64(bits.OnesCount64(w))
+		for ; w != 0; w &= w - 1 {
+			id := int32(i<<6 | bits.TrailingZeros64(w))
+			if t := e.tension(id); t > minGain {
+				next = append(next, pairTension{id: id, tension: t})
+			}
 		}
 	}
 	e.finalizeQueue(next)
-	return next
-}
-
-// requeue evaluates pair id once per epoch, appending it to next when its
-// tension exceeds minGain.
-func (e *fdEngine) requeue(next []pairTension, id int32, minGain float64, checks *int64) []pairTension {
-	if e.pairMark[id] == e.epoch {
-		return next
-	}
-	e.pairMark[id] = e.epoch
-	*checks++
-	if t := e.tension(id); t > minGain {
-		next = append(next, pairTension{id: id, tension: t})
-	}
 	return next
 }
 
@@ -1124,7 +1149,7 @@ func (e *fdEngine) requeue(next []pairTension, id int32, minGain float64, checks
 // provably unchanged — see DESIGN.md.
 func (e *fdEngine) finalizeQueue(q []pairTension) {
 	if e.fullSort {
-		sortQueue(q)
+		slices.SortFunc(q, queueCmp)
 		return
 	}
 	selectTop(q, swapLimit(e.lambda, len(q)))

@@ -181,7 +181,7 @@ func TestTensionEqualsSwapDelta(t *testing.T) {
 		base := bruteEnergy(p, pl, pot)
 		for idx := 0; idx < mesh.Cores(); idx++ {
 			var scratch [4]int32
-			for _, id := range e.pairsTouching(int32(idx), scratch[:0]) {
+			for _, id := range e.pairsTouching(e.cell(int32(idx)), scratch[:0]) {
 				if id/2 != int32(idx) {
 					continue
 				}
@@ -193,6 +193,36 @@ func TestTensionEqualsSwapDelta(t *testing.T) {
 				if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 					t.Fatalf("%s: pair %d tension %g, brute-force ΔE %g", pot.Name(), id, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestBlockedMatchesMeshRows holds blocked to its definition, with rows
+// taken from Mesh.Coord: a pair is blocked when its second cell lies in a
+// reserved spare row or either cell is dead.
+func TestBlockedMatchesMeshRows(t *testing.T) {
+	p := randomPCN(t, 5, 20, 80)
+	mesh := hw.MustMesh(7, 6)
+	defects := hw.NewDefectMap(mesh)
+	defects.MarkDead(9)
+	for _, cfg := range []FDConfig{
+		{Constraints: hw.Constraints{SpareRows: 2}},
+		{Constraints: hw.Constraints{SpareRows: 1}, Defects: defects},
+		{Defects: defects},
+	} {
+		pl, err := place.Sequential(p.NumClusters, mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newFDEngine(p, pl, cfg.withDefaults())
+		usable := cfg.Constraints.UsableRows(mesh)
+		for _, id := range inMeshPairs(e) {
+			a, b, _ := e.pairCells(id)
+			want := mesh.Coord(int(b)).X >= usable ||
+				cfg.Defects != nil && (cfg.Defects.IsDead(int(a)) || cfg.Defects.IsDead(int(b)))
+			if got := e.blocked(id); got != want {
+				t.Fatalf("spare rows %d: blocked(%d) = %v, want %v", cfg.Constraints.SpareRows, id, got, want)
 			}
 		}
 	}

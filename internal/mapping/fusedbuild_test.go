@@ -54,10 +54,11 @@ func (e *fdEngine) rebuildForce(idx int32, buf *pcn.MergeBuf) {
 		clear(e.force[int(idx)*4:][:4])
 		return
 	}
+	pa := e.cell(idx)
 	to1, w1, to2, w2 := e.sym.Neighbors(int(c), buf)
-	up, down, right, left := e.forceRun(idx, to1, w1, 0, 0, 0, 0)
-	up, down, right, left = e.forceRun(idx, to2, w2, up, down, right, left)
-	e.storeForce(idx, up, down, right, left)
+	up, down, right, left := e.forceRun(idx, pa, to1, w1, 0, 0, 0, 0)
+	up, down, right, left = e.forceRun(idx, pa, to2, w2, up, down, right, left)
+	e.storeForce(idx, pa, up, down, right, left)
 }
 
 // fusedCase is one (PCN, start placement, fault configuration) of the fused

@@ -28,7 +28,7 @@ func TestSelectTopMatchesSort(t *testing.T) {
 		n := rng.Intn(400)
 		q := randomQueue(rng, n)
 		want := slices.Clone(q)
-		sortQueue(want)
+		slices.SortFunc(want, queueCmp)
 		m := 0
 		if n > 0 {
 			m = rng.Intn(n + 2) // occasionally m == n or m > n
@@ -42,7 +42,7 @@ func TestSelectTopMatchesSort(t *testing.T) {
 		// The tail's order is unspecified, but its contents must be the
 		// complement of the prefix.
 		tail := slices.Clone(got[bound:])
-		sortQueue(tail)
+		slices.SortFunc(tail, queueCmp)
 		if !slices.Equal(tail, want[bound:]) {
 			t.Fatalf("trial %d (n=%d m=%d): tail contents differ from sorted complement", trial, n, m)
 		}
@@ -54,17 +54,9 @@ func TestSelectTopMatchesSort(t *testing.T) {
 // all-equal-tension inputs at sizes around the insertion cutoff.
 func TestSelectTopAdversarial(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 12, 13, 64, 257, 1024} {
-		for _, build := range []func(i int) pairTension{
-			func(i int) pairTension { return pairTension{id: int32(i), tension: float64(i)} },
-			func(i int) pairTension { return pairTension{id: int32(i), tension: float64(-i)} },
-			func(i int) pairTension { return pairTension{id: int32(i), tension: 1} },
-		} {
-			q := make([]pairTension, n)
-			for i := range q {
-				q[i] = build(i)
-			}
+		for _, q := range adversarialQueues(n) {
 			want := slices.Clone(q)
-			sortQueue(want)
+			slices.SortFunc(want, queueCmp)
 			for _, m := range []int{0, 1, n / 3, n - 1, n} {
 				if m < 0 || m > n {
 					continue
@@ -77,6 +69,93 @@ func TestSelectTopAdversarial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// adversarialQueues are n-entry queues quicksort pivots handle worst:
+// sorted, reverse-sorted, and all-equal tensions with distinct ids.
+func adversarialQueues(n int) [][]pairTension {
+	var qs [][]pairTension
+	for _, build := range []func(i int) pairTension{
+		func(i int) pairTension { return pairTension{id: int32(i), tension: float64(i)} },
+		func(i int) pairTension { return pairTension{id: int32(i), tension: float64(-i)} },
+		func(i int) pairTension { return pairTension{id: int32(i), tension: 1} },
+	} {
+		q := make([]pairTension, n)
+		for i := range q {
+			q[i] = build(i)
+		}
+		qs = append(qs, q)
+	}
+	return qs
+}
+
+// requireSorted asserts sortDepth at the given depth budget (negative: the
+// full budget sortQueue grants) orders q exactly as slices.SortFunc does.
+func requireSorted(t testing.TB, name string, q []pairTension, depth int) {
+	t.Helper()
+	want := slices.Clone(q)
+	slices.SortFunc(want, queueCmp)
+	got := slices.Clone(q)
+	if depth < 0 {
+		sortQueue(got)
+	} else {
+		sortDepth(got, depth)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s (n=%d depth=%d): sortQueue order differs from slices.SortFunc", name, len(q), depth)
+	}
+}
+
+// TestSortQueueMatchesSortFunc holds the concrete-typed quicksort to
+// slices.SortFunc under queueCmp: seeded random queues with colliding
+// tensions at every size up to past the insertion cutoff and at larger
+// ones, the adversarial patterns, and small depth budgets that send the
+// recursion into the slices.SortFunc fallback.
+func TestSortQueueMatchesSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n <= 40; n++ {
+		requireSorted(t, "random", randomQueue(rng, n), -1)
+	}
+	for _, n := range []int{0, 1, 2, 12, 13, 64, 257, 1000, 1024} {
+		for trial := 0; trial < 5; trial++ {
+			q := randomQueue(rng, n)
+			requireSorted(t, "random", q, -1)
+			for depth := 0; depth < 3; depth++ {
+				requireSorted(t, "depth fallback", q, depth)
+			}
+		}
+		for _, q := range adversarialQueues(n) {
+			requireSorted(t, "adversarial", q, -1)
+			requireSorted(t, "adversarial depth fallback", q, 1)
+		}
+	}
+}
+
+// FuzzSortQueue feeds arbitrary tensions — small colliding values, ±0 and
+// ±Inf — under a seeded id permutation and an arbitrary depth budget to
+// sortQueue and sortDepth, against slices.SortFunc.
+func FuzzSortQueue(f *testing.F) {
+	f.Add([]byte{3, 1, 2}, int64(1), uint8(0))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), int64(7), uint8(2))
+	f.Add(make([]byte, 40), int64(3), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, depth uint8) {
+		ids := rand.New(rand.NewSource(seed)).Perm(4*len(data) + 1)
+		q := make([]pairTension, len(data))
+		for i, b := range data {
+			tension := float64(int8(b)) / 4
+			switch b {
+			case 0x80:
+				tension = math.Copysign(0, -1)
+			case 0x7f:
+				tension = math.Inf(1)
+			case 0x81:
+				tension = math.Inf(-1)
+			}
+			q[i] = pairTension{id: int32(ids[i]), tension: tension}
+		}
+		requireSorted(t, "fuzz", q, -1)
+		requireSorted(t, "fuzz", q, int(depth%8))
+	})
 }
 
 // TestSwapLimitMatchesLoopFormula pins swapLimit to the historical in-loop

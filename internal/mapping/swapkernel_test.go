@@ -20,8 +20,9 @@ import (
 // rebuild both cells' forces, refresh the touched mutw slots by binary
 // search, then walk both neighborhoods again to maintain the connected
 // clusters — and the staged queue rebuild, kept verbatim. It shares only
-// the engine's state layout, pairsTouching/pairCells/blocked and
-// markAffected with the code under test.
+// the engine's state layout, cell/pairsTouching/pairCells/blocked and
+// markAffected with the code under test; coordinates come from the
+// placement through cell, never from the engine's per-cluster table.
 
 // oracleWeight is the combined undirected weight between two clusters (0
 // when unconnected) from the PCN's raw out-edges: out(c1→c2) + in(c2→c1),
@@ -55,7 +56,7 @@ func oracleRebuildForce(e *fdEngine, idx int32) {
 	if c == place.None {
 		return
 	}
-	pa := e.coord[idx]
+	pa := e.cell(idx)
 	to1, w1, to2, w2 := e.sym.Neighbors(int(c), &e.buf)
 	up, down, right, left := oracleForceRun(e, pa, to1, w1, 0, 0, 0, 0)
 	up, down, right, left = oracleForceRun(e, pa, to2, w2, up, down, right, left)
@@ -77,7 +78,7 @@ func oracleForceRun(e *fdEngine, pa cellXY, tos []int32, ws []float64, up, down,
 	ws = ws[:len(tos)]
 	l2sq := e.field == fieldL2Sq
 	for k, to := range tos {
-		q := e.coord[e.pl.PosOf[to]]
+		q := e.cell(e.pl.PosOf[to])
 		x, y := int(q.x-pa.x), int(q.y-pa.y)
 		var su, sd, sr, sl float64
 		if l2sq {
@@ -130,13 +131,13 @@ func oracleTension(e *fdEngine, id int32) float64 {
 func oracleSwapPair(e *fdEngine, id int32) {
 	a, b, _ := e.pairCells(id)
 	ca, cb := e.pl.ClusterAt[a], e.pl.ClusterAt[b]
-	pa, pb := e.coord[a], e.coord[b]
+	pa, pb := e.cell(a), e.cell(b)
 
 	e.pl.SwapCores(a, b)
 	oracleRebuildForce(e, a)
 	oracleRebuildForce(e, b)
 	var scratch [8]int32
-	for _, pid := range e.pairsTouching(b, e.pairsTouching(a, scratch[:0])) {
+	for _, pid := range e.pairsTouching(pb, e.pairsTouching(pa, scratch[:0])) {
 		oracleRebuildMutw(e, pid)
 	}
 
@@ -165,7 +166,7 @@ func oracleMaintainRun(e *fdEngine, other int32, oldPos, newPos cellXY, tos []in
 		}
 		w := ws[k]
 		pkIdx := e.pl.PosOf[to]
-		pk := e.coord[pkIdx]
+		pk := e.cell(pkIdx)
 		f := e.force[int(pkIdx)*4:][:4]
 		newU, newD, newR, newL := e.steps(int(newPos.x-pk.x), int(newPos.y-pk.y))
 		oldU, oldD, oldR, oldL := e.steps(int(oldPos.x-pk.x), int(oldPos.y-pk.y))
@@ -186,24 +187,25 @@ func oracleMaintainRun(e *fdEngine, other int32, oldPos, newPos cellXY, tos []in
 }
 
 func oracleNextQueue(e *fdEngine, queue []pairTension, minGain float64, checks *int64) []pairTension {
-	e.epoch++
+	seen := make(map[int32]bool)
 	var ids []int32
 	for _, pt := range queue {
-		if e.pairMark[pt.id] != e.epoch {
-			e.pairMark[pt.id] = e.epoch
+		if !seen[pt.id] {
+			seen[pt.id] = true
 			ids = append(ids, pt.id)
 		}
 	}
 	var scratch [4]int32
 	for _, c := range e.affected {
-		for _, id := range e.pairsTouching(e.pl.PosOf[c], scratch[:0]) {
-			if e.pairMark[id] != e.epoch {
-				e.pairMark[id] = e.epoch
+		for _, id := range e.pairsTouching(e.cell(e.pl.PosOf[c]), scratch[:0]) {
+			if !seen[id] {
+				seen[id] = true
 				ids = append(ids, id)
 			}
 		}
 	}
 	*checks += int64(len(ids))
+	slices.Sort(ids)
 
 	next := queue[:0]
 	for _, id := range ids {
@@ -223,7 +225,7 @@ func newOracleEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 	for _, id := range inMeshPairs(e) {
 		oracleRebuildMutw(e, id)
 	}
-	for idx := range e.coord {
+	for idx := range pl.ClusterAt {
 		if pl.ClusterAt[idx] != place.None {
 			oracleRebuildForce(e, int32(idx))
 		}
@@ -234,9 +236,9 @@ func newOracleEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 // inMeshPairs lists every pair id whose two cells are on the mesh, each once.
 func inMeshPairs(e *fdEngine) []int32 {
 	var ids []int32
-	for idx := range e.coord {
+	for idx := range e.pl.ClusterAt {
 		var scratch [4]int32
-		for _, id := range e.pairsTouching(int32(idx), scratch[:0]) {
+		for _, id := range e.pairsTouching(e.cell(int32(idx)), scratch[:0]) {
 			if id/2 == int32(idx) {
 				ids = append(ids, id)
 			}
