@@ -44,7 +44,7 @@ func main() {
 	var (
 		workload  = flag.String("workload", "LeNet-MNIST", "Table 3 workload name ("+strings.Join(expt.WorkloadNames(), ", ")+")")
 		netFile   = flag.String("net", "", "JSON workload description file (overrides -workload; see internal/codec net schema)")
-		method    = flag.String("method", "Proposed", "mapping method (Random, TrueNorth, DFSynthesizer, PSO, PACMAN, Annealing, Proposed, HSC, ZigZag, Circle, ...)")
+		method    = flag.String("method", "Proposed", "mapping method (Random, TrueNorth, DFSynthesizer, PSO, Proposed, HSC, ZigZag, Circle, ...)")
 		seed      = flag.Int64("seed", 1, "seed for randomized methods")
 		budget    = flag.Duration("budget", time.Minute, "wall-clock budget (0 = unlimited)")
 		sim       = flag.Bool("sim", false, "replay the traffic through the NoC simulator (small workloads)")

@@ -8,6 +8,7 @@ import (
 
 	"snnmap/internal/curve"
 	"snnmap/internal/hw"
+	"snnmap/internal/metrics"
 )
 
 func TestWorkloadRegistry(t *testing.T) {
@@ -255,7 +256,7 @@ func TestRenderHelpers(t *testing.T) {
 	}
 }
 
-func TestExtendedMethodsProduceValidPlacements(t *testing.T) {
+func TestComparisonMethodsProduceValidPlacements(t *testing.T) {
 	wl, err := WorkloadByName("CNN_65K")
 	if err != nil {
 		t.Fatal(err)
@@ -264,22 +265,17 @@ func TestExtendedMethodsProduceValidPlacements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := ExtendedMethods()
-	if len(ext) != 7 {
-		t.Fatalf("extended lineup has %d methods, want 7", len(ext))
+	cmp := ComparisonMethods()
+	if len(cmp) != 5 {
+		t.Fatalf("comparison lineup has %d methods, want 5", len(cmp))
 	}
-	for _, m := range ext {
+	for _, m := range cmp {
 		pl, _, err := m.Run(p, mesh, RunOptions{Seed: 1, Budget: 5 * time.Second})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
 		if err := pl.Validate(); err != nil {
 			t.Errorf("%s: %v", m.Name, err)
-		}
-	}
-	for _, name := range []string{"PACMAN", "Annealing"} {
-		if _, err := MethodByName(name); err != nil {
-			t.Errorf("MethodByName(%q): %v", name, err)
 		}
 	}
 }
@@ -294,5 +290,53 @@ func TestMulticastRunner(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("multicast output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestFigure8Shape pins the shape of Figure 8 on energy: HSC beats ZigZag and
+// Circle, and for every potential x, HSC+FD(x) is no worse than HSC alone or
+// than FD(x) from a random start. Every method runs unbudgeted, so the
+// result does not depend on wall-clock time. The shape does not hold on
+// every net, so two are left out: on LeNet-ImageNet ZigZag beats HSC
+// (1.803e9 against 1.841e9), and on CNN_16M FD(ub) from a random start beats
+// HSC+FD(ub) (4.448e9 against 4.539e9). ResNet's random-start FD runs take
+// seconds and are skipped under -short.
+func TestFigure8Shape(t *testing.T) {
+	for _, name := range []string{"MobileNet", "ResNet"} {
+		t.Run(name, func(t *testing.T) {
+			if name == "ResNet" && testing.Short() {
+				t.Skip("random-start FD on ResNet takes seconds")
+			}
+			wl, err := WorkloadByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, mesh, err := wl.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			energy := map[string]float64{}
+			for _, m := range Figure8Methods() {
+				pl, _, err := m.Run(p, mesh, RunOptions{Seed: 1})
+				if err != nil {
+					t.Fatalf("%s: %v", m.Name, err)
+				}
+				energy[m.Name] = metrics.Evaluate(p, pl, hw.DefaultCostModel(), metrics.Options{Congestion: metrics.CongestionSkip}).Energy
+			}
+			for _, other := range []string{"ZigZag", "Circle"} {
+				if !(energy["HSC"] < energy[other]) {
+					t.Errorf("HSC energy %.6g not below %s %.6g", energy["HSC"], other, energy[other])
+				}
+			}
+			for _, x := range []string{"ua", "ub", "uc"} {
+				both, fd := energy["HSC+FD("+x+")"], energy["FD("+x+")"]
+				if both > energy["HSC"] {
+					t.Errorf("HSC+FD(%s) energy %.6g above HSC %.6g", x, both, energy["HSC"])
+				}
+				if both > fd {
+					t.Errorf("HSC+FD(%s) energy %.6g above FD(%s) %.6g", x, both, x, fd)
+				}
+			}
+		})
 	}
 }

@@ -195,20 +195,9 @@ func ComparisonMethods() []Method {
 	}
 }
 
-// ExtendedMethods returns the comparison lineup plus the extra approaches
-// this library implements beyond the paper's figures: PACMAN (SpiNNaker's
-// first-come-first-served placer, §2.2) and simulated annealing (the
-// classic placement metaheuristic).
-func ExtendedMethods() []Method {
-	return append(ComparisonMethods(),
-		baselineMethod("PACMAN", baseline.PACMAN),
-		baselineMethod("Annealing", baseline.SimulatedAnnealing),
-	)
-}
-
 // MethodByName returns a method from any lineup.
 func MethodByName(name string) (Method, error) {
-	for _, m := range append(Figure8Methods(), ExtendedMethods()...) {
+	for _, m := range append(Figure8Methods(), ComparisonMethods()...) {
 		if m.Name == name {
 			return m, nil
 		}

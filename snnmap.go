@@ -481,18 +481,6 @@ func MulticastEnergy(p *PCN, pl *Placement, cost CostModel) MulticastSummary {
 	return metrics.MulticastEnergy(p, pl, cost)
 }
 
-// Extra baselines beyond the paper's lineup.
-
-// PACMANPlacement is SpiNNaker's first-come-first-served placer.
-func PACMANPlacement(p *PCN, mesh Mesh, opts BaselineOptions) (*Placement, BaselineStats, error) {
-	return baseline.PACMAN(p, mesh, opts)
-}
-
-// AnnealingPlacement is the classic simulated-annealing placer.
-func AnnealingPlacement(p *PCN, mesh Mesh, opts BaselineOptions) (*Placement, BaselineStats, error) {
-	return baseline.SimulatedAnnealing(p, mesh, opts)
-}
-
 // Caching. A content-addressed on-disk artifact store warm-starts the
 // pipeline: set Config.Cache (or RunOptions.Cache) to an opened cache and
 // repeated runs with identical inputs skip placement and fine-tuning
