@@ -35,7 +35,8 @@ import "snnmap/internal/geom"
 // port); each later window has one coarse bucket, whose entries carry their
 // cycle offset (flit.slot) and move down into the fine buckets when the
 // window is entered. Entries live in fixed-size chunks recycled through a
-// free list, so the calendar's memory follows the flits in flight.
+// free list, so the calendar's memory follows the flits in flight, and each
+// flit is written straight into its entry (see file).
 
 const (
 	calWindowBits = 6
@@ -124,8 +125,8 @@ func (c *calendar) begin(cycle int) {
 
 // spread moves entries of the window just entered into their fine buckets.
 func (c *calendar) spread(es []calEntry) {
-	for _, e := range es {
-		c.add(&c.fine[int(e.f.slot)*5+int(e.q)%5], e)
+	for i := range es {
+		*c.grow(&c.fine[int(es[i].f.slot)*5+int(es[i].q)%5]) = es[i]
 	}
 }
 
@@ -137,7 +138,8 @@ func (c *calendar) inject(cycle int) {
 	w := 0
 	for _, tr := range c.trains {
 		if f, ok := s.take(&c.acc, &tr, cycle); ok {
-			c.push(int(tr.src)*5+int(tr.port), int(tr.port), f, t, t)
+			e, slot := c.file(int(tr.src)*5+int(tr.port), int(tr.port), t, t)
+			e.f.dst, e.f.injected, e.f.hops, e.f.detour, e.f.slot = f.dst, f.injected, 0, f.detour, slot
 			s.res.RouterTraversals[tr.src]++
 		}
 		if tr.count > 0 {
@@ -188,27 +190,40 @@ func (c *calendar) leave(es []calEntry, port, cycle int) {
 		if out == local || q < sq {
 			gone = t + 1
 		}
-		c.push(q, out, f, t+1, gone)
+		// Copy the flit from its old entry, whose bytes were stored long
+		// ago, and patch what hop advanced in f with narrow stores.
+		e, slot := c.file(q, out, t+1, gone)
+		e.f = es[i].f
+		e.f.hops, e.f.detour, e.f.slot = f.hops, f.detour, slot
 		s.res.RouterTraversals[to]++
 	}
 }
 
-// push books f on queue q (output port of its router) and files it in the
-// bucket of its departure cycle.
-func (c *calendar) push(q, port int, f flit, earliest, gone uint32) {
+// file books a flit on queue q (output port of its router), leaving no
+// earlier than earliest (gone as in busyRun.book), and appends an entry for
+// it to the bucket of its departure cycle. It returns that entry, with only
+// q set, and the departure's slot: the caller writes the flit into the entry
+// in place. Building the flit first and passing it by value would store its
+// slot byte and then read all 16 bytes back to copy them, the stall hop's
+// *flit avoids.
+func (c *calendar) file(q, port int, earliest, gone uint32) (*calEntry, uint8) {
 	d, n := c.runs[q].book(earliest, gone)
 	c.acc.maxQueue = max(c.acc.maxQueue, n)
-	f.slot = uint8(d & (calWindow - 1))
+	slot := uint8(d & (calWindow - 1))
 	var b *bucket
 	if w := d >> calWindowBits; w == c.win {
-		b = &c.fine[int(f.slot)*5+port]
+		b = &c.fine[int(slot)*5+port]
 	} else {
 		b = c.later(w)
 	}
-	c.add(b, calEntry{f: f, q: int32(q)})
+	e := c.grow(b)
+	e.q = int32(q)
+	return e, slot
 }
 
-func (c *calendar) add(b *bucket, e calEntry) {
+// grow appends an entry to b and returns it. A chunk from the free list
+// holds stale entries, so the caller writes every field.
+func (c *calendar) grow(b *bucket) *calEntry {
 	if len(b.cur) == cap(b.cur) {
 		if b.cur != nil {
 			b.full = append(b.full, b.cur)
@@ -219,7 +234,8 @@ func (c *calendar) add(b *bucket, e calEntry) {
 			b.cur = make([]calEntry, 0, calChunkLen)
 		}
 	}
-	b.cur = append(b.cur, e)
+	b.cur = b.cur[:len(b.cur)+1]
+	return &b.cur[len(b.cur)-1]
 }
 
 // release returns a serviced bucket's chunks to the free list.

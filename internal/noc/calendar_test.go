@@ -8,6 +8,8 @@ import (
 
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
+	"snnmap/internal/pcn"
+	"snnmap/internal/place"
 )
 
 // FuzzCalendarMatchesReference draws a small random mesh, net and placement,
@@ -19,34 +21,74 @@ func FuzzCalendarMatchesReference(f *testing.F) {
 	f.Add(int64(2), uint8(0x5a), uint8(0x13), uint8(0x81))
 	f.Add(int64(3), uint8(0xff), uint8(0x2e), uint8(0x47))
 	f.Add(int64(4), uint8(0x37), uint8(0xc4), uint8(0xf2))
+	f.Add(coarseDetours.seed, coarseDetours.shape, coarseDetours.faults, coarseDetours.knobs)
 	f.Fuzz(func(t *testing.T, seed int64, shape, faults, knobs uint8) {
-		rows, cols := int(shape&7)+1, int(shape>>3&7)+1
-		clusters := min(rows*cols, int(shape>>6)*4+2)
-		p, pl := randomCorpusWorkload(t, seed, rows, cols, clusters, 6*clusters)
-		cfg := Config{
-			SpikesPerUnit: []float64{0, 0.5, 2, 4}[knobs>>4&3],
-			limits: limits{
-				maxDetourHops:  []int{0, 1, 4, 12}[knobs&3],
-				watchdogCycles: []int{0, 2, 30, 400}[knobs>>6],
-			},
-		}
-		if faults&3 != 0 {
-			dead := float64(faults>>2&3) * 0.05
-			links := float64(faults>>4&3) * 0.06
-			cfg.Defects = hw.InjectUniform(pl.Mesh, dead, links, seed)
-		}
-		if faults>>6 == 3 {
-			cfg.limits.maxCycles = int(seed&63) + 1
-		}
-		got, errGot := Simulate(p, pl, cfg)
-		want, errWant := simulateReference(context.Background(), p, pl, cfg)
-		if (errGot == nil) != (errWant == nil) || errGot != nil && errGot.Error() != errWant.Error() {
-			t.Fatalf("%+v: error mismatch:\ncalendar:  %v\nreference: %v", cfg, errGot, errWant)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v: Result mismatch:\ncalendar:  %+v\nreference: %+v", cfg, got, want)
-		}
+		p, pl, cfg := fuzzCase(t, seed, shape, faults, knobs)
+		calendarMatchesReference(t, p, pl, cfg)
 	})
+}
+
+// fuzzCase decodes one FuzzCalendarMatchesReference input into a workload
+// and its configuration. The spike scale of 16 queues flits far past the
+// 64-cycle window, so coarse buckets fill and spread moves their entries.
+func fuzzCase(t testing.TB, seed int64, shape, faults, knobs uint8) (*pcn.PCN, *place.Placement, Config) {
+	rows, cols := int(shape&7)+1, int(shape>>3&7)+1
+	clusters := min(rows*cols, int(shape>>6)*4+2)
+	p, pl := randomCorpusWorkload(t, seed, rows, cols, clusters, 6*clusters)
+	cfg := Config{
+		SpikesPerUnit: []float64{0, 0.5, 2, 16}[knobs>>4&3],
+		limits: limits{
+			maxDetourHops:  []int{0, 1, 4, 12}[knobs&3],
+			watchdogCycles: []int{0, 2, 30, 400}[knobs>>6],
+		},
+	}
+	if faults&3 != 0 {
+		dead := float64(faults>>2&3) * 0.05
+		links := float64(faults>>4&3) * 0.06
+		cfg.Defects = hw.InjectUniform(pl.Mesh, dead, links, seed)
+	}
+	if faults>>6 == 3 {
+		cfg.limits.maxCycles = int(seed&63) + 1
+	}
+	return p, pl, cfg
+}
+
+// calendarMatchesReference runs both engines and fails unless their Results
+// and error texts agree; it returns the reference's Result.
+func calendarMatchesReference(t testing.TB, p *pcn.PCN, pl *place.Placement, cfg Config) Result {
+	t.Helper()
+	got, errGot := Simulate(p, pl, cfg)
+	want, errWant := simulateReference(context.Background(), p, pl, cfg)
+	if (errGot == nil) != (errWant == nil) || errGot != nil && errGot.Error() != errWant.Error() {
+		t.Fatalf("%+v: error mismatch:\ncalendar:  %v\nreference: %v", cfg, errGot, errWant)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%+v: Result mismatch:\ncalendar:  %+v\nreference: %+v", cfg, got, want)
+	}
+	return want
+}
+
+// coarseDetours is the fuzz seed on a faulty mesh whose queues grow past the
+// 64-cycle window while flits detour, so every run of the seed corpus files
+// detoured flits in coarse buckets and spread moves them into fine ones.
+var coarseDetours = struct {
+	seed                 int64
+	shape, faults, knobs uint8
+}{1, 0xbf, 0x25, 0x30}
+
+// TestCalendarCorpusReachesCoarseDetours holds coarseDetours to its
+// purpose: the reference's peak queue exceeds the window and some flit
+// detours, and the calendar matches the reference on it.
+func TestCalendarCorpusReachesCoarseDetours(t *testing.T) {
+	c := coarseDetours
+	p, pl, cfg := fuzzCase(t, c.seed, c.shape, c.faults, c.knobs)
+	if cfg.Defects == nil {
+		t.Fatal("coarseDetours runs on a pristine mesh")
+	}
+	want := calendarMatchesReference(t, p, pl, cfg)
+	if want.MaxQueueLen <= calWindow || want.Stats.Detours == 0 {
+		t.Fatalf("MaxQueueLen %d, Detours %d: want a queue deeper than %d and a detour", want.MaxQueueLen, want.Stats.Detours, calWindow)
+	}
 }
 
 // TestCalendarSameCycleArrivals pins the bucket order and the coarse

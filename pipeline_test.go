@@ -2,6 +2,7 @@ package snnmap_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"snnmap"
@@ -19,6 +20,10 @@ import (
 //   - workers 3 gives the same PosOf, FDStats (Elapsed aside) and Summary as
 //     workers 1;
 //   - multicast routing spends strictly less energy than unicast;
+//   - the NoC simulation of the placement conserves spikes (injected =
+//     delivered + dropped, and the drops split into setup and network
+//     drops), drops none on the pristine mesh, and gives the same Result at
+//     workers 3 as at workers 1;
 //   - on the faulty mesh, after the first occupied row dies, RemapRows and
 //     Remap both leave valid placements and RemapRows is never worse than
 //     per-cluster Remap (rowshift.go's promise).
@@ -63,6 +68,7 @@ func checkPipeline(t *testing.T, p *snnmap.PCN, mesh snnmap.Mesh, d *snnmap.Defe
 	var (
 		base    snnmap.MapResult
 		baseSum snnmap.Summary
+		baseSim snnmap.SimResult
 	)
 	for _, workers := range []int{1, 3} {
 		cfg := snnmap.DefaultConfig()
@@ -96,9 +102,23 @@ func checkPipeline(t *testing.T, p *snnmap.PCN, mesh snnmap.Mesh, d *snnmap.Defe
 		if mc := snnmap.MulticastEnergy(p, pl, cost); !(mc.Energy < mc.UnicastEnergy) {
 			t.Errorf("workers %d: multicast energy %v not below unicast %v", workers, mc.Energy, mc.UnicastEnergy)
 		}
+		// 1e-5 spikes per unit injects one spike for most edges (ResNet
+		// 215 602 in all) and queues DNN_65K's pristine run 627 deep, past the
+		// calendar's 64-cycle window.
+		sim, err := snnmap.Simulate(p, pl, snnmap.SimConfig{SpikesPerUnit: 1e-5, Defects: d})
+		if err != nil {
+			t.Fatalf("workers %d: simulate: %v", workers, err)
+		}
+		if sim.Injected != sim.Delivered+sim.Dropped || sim.Stats.SetupDrops+sim.Stats.NetworkDrops != sim.Dropped {
+			t.Errorf("workers %d: simulation lost spikes: injected %d, delivered %d, dropped %d (setup %d, network %d)",
+				workers, sim.Injected, sim.Delivered, sim.Dropped, sim.Stats.SetupDrops, sim.Stats.NetworkDrops)
+		}
+		if d == nil && sim.Dropped != 0 {
+			t.Errorf("workers %d: %d spikes dropped on the pristine mesh", workers, sim.Dropped)
+		}
 		res.FD.Elapsed = 0
 		if workers == 1 {
-			base, baseSum = res, sum
+			base, baseSum, baseSim = res, sum, sim
 			continue
 		}
 		for c := range pl.PosOf {
@@ -111,6 +131,10 @@ func checkPipeline(t *testing.T, p *snnmap.PCN, mesh snnmap.Mesh, d *snnmap.Defe
 		}
 		if sum != baseSum {
 			t.Errorf("workers %d: Summary %v, workers 1 gave %v", workers, sum, baseSum)
+		}
+		if !reflect.DeepEqual(sim, baseSim) {
+			t.Errorf("workers %d: simulation (%d cycles, energy %v) differs from workers 1's (%d cycles, energy %v)",
+				workers, sim.Cycles, sim.Energy, baseSim.Cycles, baseSim.Energy)
 		}
 	}
 	if d == nil {
