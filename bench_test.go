@@ -22,7 +22,6 @@ import (
 	"snnmap/internal/metrics"
 	"snnmap/internal/noc"
 	"snnmap/internal/pcn"
-	"snnmap/internal/snn"
 )
 
 // buildWorkload returns a Table 3 workload's PCN and mesh.
@@ -358,40 +357,6 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		}
 		b.SetBytes(int64(buf.Cap()))
 	}
-}
-
-// BenchmarkRefinePartition measures the KL refinement substrate on a
-// community-structured graph.
-func BenchmarkRefinePartition(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var gb snn.GraphBuilder
-	const communities, size = 8, 128
-	gb.AddNeurons(communities*size, -1)
-	for comm := 0; comm < communities; comm++ {
-		for e := 0; e < size*6; e++ {
-			u := rng.Intn(size)*communities + comm
-			v := rng.Intn(size)*communities + comm
-			if u != v {
-				gb.AddSynapse(u, v, 1)
-			}
-		}
-	}
-	g := gb.Build()
-	cfg := pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: size}}
-	initial, err := pcn.Partition(g, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var reduction float64
-	for i := 0; i < b.N; i++ {
-		_, stats, err := pcn.RefinePartition(g, initial, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reduction = 1 - stats.CutAfter/stats.CutBefore
-	}
-	b.ReportMetric(100*reduction, "cut-reduction-%")
 }
 
 // BenchmarkCases runs the benchmark case table cmd/bench records into

@@ -74,25 +74,19 @@ func BenchCases(smoke bool) []BenchCase {
 	})
 
 	// Partitioners on a large explicit graph. partition/flat is Algorithm
-	// 1's single linear pass: unbeatable in time but quality-blind, so the
-	// multilevel partitioner is compared against flat+refine (Algorithm 1
-	// followed by neuron-level KL/FM refinement, §2.2's partition-centric
-	// baseline). pcn-aggregate/* are the edge-aggregation kernels under it.
+	// 1's single linear pass: unbeatable in time but quality-blind.
+	// pcn-aggregate/* are the edge-aggregation kernels under the multilevel
+	// partitioner.
 	graph := sync.OnceValue(func() *snn.Graph { return PartitionGraph(partN) })
 	partCfg := pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 128}}
-	flat := mustGet(sync.OnceValues(func() (*pcn.Result, error) { return pcn.Partition(graph(), partCfg) }))
 	add("partition/flat", partWl, "", func(b *testing.B) {
 		g := graph()
 		timed(b, func() error { _, err := pcn.Partition(g, partCfg); return err })
 	})
-	add("partition/flat+refine", partWl, "", func(b *testing.B) {
-		g, in := graph(), flat(b)
-		timed(b, func() error { _, _, err := pcn.RefinePartition(g, in, partCfg); return err })
-	})
 	for _, workers := range []int{1, 2} {
 		cfg := partCfg
 		cfg.Multilevel = &pcn.MultilevelOptions{Workers: workers}
-		base := "partition/flat+refine"
+		base := ""
 		if workers > 1 {
 			base = "partition/multilevel/workers=1"
 		}

@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"time"
 
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
@@ -91,10 +90,9 @@ type Options struct {
 	// partials are reduced in chunk order, and the sequential path uses
 	// the same chunked reduction.
 	Workers int
-	// Obs receives an "metrics.evaluate" span and a worker-utilization
-	// counter; nil disables telemetry. Observe-only: chunk boundaries,
-	// reduction order and every Summary value are identical with or
-	// without an observer.
+	// Obs receives a "metrics.evaluate" span; nil disables telemetry.
+	// Observe-only: chunk boundaries, reduction order and every Summary
+	// value are identical with or without an observer.
 	Obs *obs.Observer
 }
 
@@ -189,10 +187,6 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 	sp := opts.Obs.Span("metrics.evaluate",
 		obs.KV{K: "clusters", V: float64(p.NumClusters)},
 		obs.KV{K: "edges", V: float64(p.NumEdges())})
-	wallStart := time.Time{}
-	if opts.Obs.Enabled() {
-		wallStart = time.Now()
-	}
 
 	// The sampled-mode stride depends only on the edge count, so it is
 	// known before the walk: the sampled traffic share is accumulated in
@@ -209,18 +203,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 	perRow := cost.RouterLatency >= 0 && cost.WireLatency >= 0
 	k := par.Chunks(n)
 	partials := make([]evalPartial, k)
-	// Per-chunk busy durations, indexed by chunk so the sum below runs in
-	// chunk order regardless of which worker timed which chunk. Only
-	// allocated when telemetry is on; the walk itself is untouched.
-	var busy []time.Duration
-	if opts.Obs.Enabled() {
-		busy = make([]time.Duration, k)
-	}
 	par.Do(opts.Workers, k, func(ci int) {
-		if busy != nil {
-			t0 := time.Now()
-			defer func() { busy[ci] = time.Since(t0) }()
-		}
 		lo, hi := ci*n/k, (ci+1)*n/k
 		// Partial sums stay in a local for the walk. skip counts down the
 		// edges before the next sampled one (global CSR index divisible by
@@ -309,23 +292,6 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 			}
 		}
 		s.MaxCongestion = maxOf(grid)
-	}
-	if opts.Obs.Enabled() {
-		var busyTotal time.Duration
-		for _, d := range busy { // chunk order, not completion order
-			busyTotal += d
-		}
-		wall := time.Since(wallStart)
-		workers := max(opts.Workers, 1)
-		util := 0.0
-		if wall > 0 {
-			util = float64(busyTotal) / (float64(wall) * float64(workers))
-		}
-		opts.Obs.Counter("metrics.utilization",
-			obs.KV{K: "workers", V: float64(workers)},
-			obs.KV{K: "busy_ns", V: float64(busyTotal)},
-			obs.KV{K: "wall_ns", V: float64(wall)},
-			obs.KV{K: "util", V: util})
 	}
 	sp.End(
 		obs.KV{K: "energy", V: s.Energy},

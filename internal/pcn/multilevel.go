@@ -1,6 +1,8 @@
 package pcn
 
 import (
+	"fmt"
+
 	"snnmap/internal/obs"
 	"snnmap/internal/snn"
 )
@@ -11,9 +13,8 @@ import (
 // matching contracts the graph level by level until it is small, a greedy
 // growth pass partitions the coarsest graph under the hardware capacity
 // constraints, and the assignment is projected back level by level with
-// boundary-only KL/FM refinement — the same gain accounting as
-// RefinePartition (move gain = connectivity-to-target − connectivity-to-home),
-// applied to cluster-graph vertices instead of single neurons. Every stage is
+// boundary-only KL/FM refinement of cluster-graph vertices (move gain =
+// connectivity-to-target − connectivity-to-home). Every stage is
 // deterministic at any Workers count; the final result is additionally
 // guarded by a flat fallback, so its cut is never worse than the flat
 // pipeline's. Layer-spec nets keep the paper's per-layer cut (Expand): after
@@ -28,11 +29,9 @@ const (
 	coarsestSize = 128
 	// maxLevels bounds the coarsening hierarchy depth.
 	maxLevels = 32
-	// refinePasses bounds the refinement sweeps per level, and
-	// RefinePartition's sweeps over all neurons.
+	// refinePasses bounds the refinement sweeps per level.
 	refinePasses = 4
-	// minGain is the smallest cut reduction worth a refinement move, here
-	// and in RefinePartition.
+	// minGain is the smallest cut reduction worth a refinement move.
 	minGain = 1e-9
 	// grain is the granularity factor of the fine graph: fine clusters hold
 	// about CON_npc/grain neurons, giving refinement grain× more freedom
@@ -147,6 +146,22 @@ func PartitionMultilevel(g *snn.Graph, cfg PartitionConfig) (*Result, Multilevel
 		return flat, stats, nil
 	}
 	return ml, stats, nil
+}
+
+// rebuildFromAssignment constructs a PCN from an explicit neuron→cluster
+// assignment with known per-cluster occupancy.
+func rebuildFromAssignment(g *snn.Graph, clusterOf []int32, neurons []int32, synapses []int64, layers []int32, workers int) (*Result, error) {
+	p := &PCN{
+		NumClusters: len(neurons),
+		Neurons:     neurons,
+		Synapses:    synapses,
+		Layer:       layers,
+	}
+	csrFromAssignment(p, g.OutOff, g.OutTo, g.OutW, clusterOf, workers)
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("pcn: multilevel partition invalid: %w", err)
+	}
+	return &Result{PCN: p, ClusterOf: clusterOf}, nil
 }
 
 // fineLevel is level 0 of the explicit-graph hierarchy: Algorithm 1's walk at

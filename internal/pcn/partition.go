@@ -19,8 +19,8 @@ type PartitionConfig struct {
 	// SplitAtLayers closes the current cluster at layer boundaries when the
 	// source graph carries layer tags. The paper's per-layer cluster counts
 	// (e.g. LeNet-MNIST = 9) require it; default true in DefaultPartition.
-	// It holds for flat Algorithm 1 and RefinePartition only: the multilevel
-	// grouping merges across layers and tags mixed clusters layer -1.
+	// It holds for flat Algorithm 1 only: the multilevel grouping merges
+	// across layers and tags mixed clusters layer -1.
 	SplitAtLayers bool
 	// Multilevel switches Partition to the multilevel
 	// coarsen–partition–uncoarsen scheme (multilevel.go), for explicit graphs

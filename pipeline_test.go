@@ -16,7 +16,8 @@ import (
 //
 //   - the placement is valid, and every cluster sits on a healthy core above
 //     the spare rows;
-//   - FD ends at or below the energy it started from;
+//   - FD's system energy never rises from one sweep to the next (Eq. 31),
+//     from the HSC placement's through every per-sweep snapshot to the final;
 //   - workers 3 gives the same PosOf, FDStats (Elapsed aside) and Summary as
 //     workers 1;
 //   - multicast routing spends strictly less energy than unicast;
@@ -75,6 +76,12 @@ func checkPipeline(t *testing.T, p *snnmap.PCN, mesh snnmap.Mesh, d *snnmap.Defe
 		cfg.FD.Workers = workers
 		cfg.Defects = d
 		cfg.Constraints = cons
+		// A snapshot at the head of every sweep records E_s after each one.
+		var sweepEnergy []float64
+		cfg.FD.Checkpoint = &snnmap.CheckpointConfig{Interval: 1, Fn: func(s *snnmap.FDSnapshot) error {
+			sweepEnergy = append(sweepEnergy, s.Stats.FinalEnergy)
+			return nil
+		}}
 		res, err := snnmap.Map(p, mesh, cfg)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
@@ -92,8 +99,14 @@ func checkPipeline(t *testing.T, p *snnmap.PCN, mesh snnmap.Mesh, d *snnmap.Defe
 				t.Fatalf("workers %d: cluster %d on spare row %d (usable rows %d)", workers, c, row, usable)
 			}
 		}
-		if res.FD.FinalEnergy > res.FD.InitialEnergy {
-			t.Errorf("workers %d: FD energy rose %v → %v", workers, res.FD.InitialEnergy, res.FD.FinalEnergy)
+		if len(sweepEnergy) != max(res.FD.Iterations-1, 0) {
+			t.Fatalf("workers %d: %d sweep snapshots over %d FD iterations", workers, len(sweepEnergy), res.FD.Iterations)
+		}
+		energy := append(append([]float64{res.FD.InitialEnergy}, sweepEnergy...), res.FD.FinalEnergy)
+		for i := 1; i < len(energy); i++ {
+			if energy[i] > energy[i-1] {
+				t.Errorf("workers %d: FD energy rose %v → %v after sweep %d of %d", workers, energy[i-1], energy[i], i, res.FD.Iterations)
+			}
 		}
 		sum, err := snnmap.Evaluate(p, pl, cost, snnmap.MetricOptions{Workers: workers})
 		if err != nil {

@@ -457,18 +457,6 @@ func DecayRate(initial, factor float64) RateProfile { return snn.DecayRate(initi
 // ApplyRates sets every layer's spike density from the profile.
 func ApplyRates(n *Net, profile RateProfile) error { return snn.ApplyRates(n, profile) }
 
-// Partition refinement (the partition-optimization substrate of the
-// related-work baselines).
-
-// RefineStats reports a refinement run.
-type RefineStats = pcn.RefineStats
-
-// RefinePartition improves a neuron→cluster assignment with KL-style moves
-// and swaps, reducing inter-cluster traffic under cfg's constraints.
-func RefinePartition(g *Graph, in *PartitionResult, cfg PartitionConfig) (*PartitionResult, RefineStats, error) {
-	return pcn.RefinePartition(g, in, cfg)
-}
-
 // Multicast tree-routing evaluation (extension beyond the paper's unicast
 // model).
 type (
