@@ -22,11 +22,21 @@ type levelArena struct {
 	bufTo              []int32
 	bufW               []float64
 	// refineLevel scratch, indexed by part (the part count is constant
-	// across levels). Both are kept all-zero/false between calls by
-	// refineLevel's candidate-list reset.
-	gain []float64
-	seen []bool
+	// across levels). gain and seen are kept all-zero/false between calls by
+	// refineLevel's candidate-list reset; waitHead is reset per call.
+	gain     []float64
+	seen     []bool
+	waitHead []int32
+	// refineLevel's dirty-vertex bitset and waiter-list entries, both dead
+	// once the level is refined. The waiter entries peak on the coarsest
+	// level, so growing them once spares every later level the churn.
+	dirty   []uint64
+	waiters []waiter
 }
+
+// waiter is one entry of a part's refused-vertex list in refineLevel: vertex
+// v, then the entry at index next (-1 ends the list).
+type waiter struct{ v, next int32 }
 
 func grabI32(buf *[]int32, n int) []int32 {
 	if cap(*buf) < n {
@@ -39,6 +49,14 @@ func grabI32(buf *[]int32, n int) []int32 {
 func grabI64(buf *[]int64, n int) []int64 {
 	if cap(*buf) < n {
 		*buf = make([]int64, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+func grabU64(buf *[]uint64, n int) []uint64 {
+	if cap(*buf) < n {
+		*buf = make([]uint64, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

@@ -2,6 +2,7 @@ package pcn
 
 import (
 	"fmt"
+	"math/bits"
 
 	"snnmap/internal/obs"
 	"snnmap/internal/snn"
@@ -104,18 +105,22 @@ type grouping struct {
 // the fine cluster graph, multilevelGroup packs the fine clusters into
 // full-capacity parts, and the composed neuron assignment is rebuilt into a
 // PCN. If the multilevel cut is worse than the flat pipeline's, the flat
-// result is returned instead (Stats.UsedFlat). SplitAtLayers shapes only the
-// flat walks: the grouping merges across layers (see multilevelGroup).
+// result is returned instead (Stats.UsedFlat); its PCN is built only then,
+// the comparison streams the flat cut (flatCut). SplitAtLayers shapes only
+// the flat walks: the grouping merges across layers (see multilevelGroup).
 func PartitionMultilevel(g *snn.Graph, cfg PartitionConfig) (*Result, MultilevelStats, error) {
+	if err := validateGraph(g); err != nil {
+		return nil, MultilevelStats{}, err
+	}
 	workers := cfg.takeMultilevel()
 	sp := cfg.Obs.Span("partition.multilevel")
 	defer func() { sp.End() }()
 
-	flat, err := Partition(g, cfg)
+	flatOf, flatN, flatS, flatL, err := assignClusters(g, cfg)
 	if err != nil {
 		return nil, MultilevelStats{}, err
 	}
-	stats := MultilevelStats{CutFlat: flat.PCN.TotalWeight()}
+	stats := MultilevelStats{CutFlat: flatCut(g, flatOf, flatN)}
 
 	base, fineOf, err := fineLevel(g, cfg, workers)
 	if err != nil {
@@ -138,18 +143,48 @@ func PartitionMultilevel(g *snn.Graph, cfg PartitionConfig) (*Result, Multilevel
 		return nil, stats, err
 	}
 	stats.CutMultilevel = ml.PCN.TotalWeight()
-	if preferFlat(stats, ml.PCN, flat.PCN) {
-		stats.UsedFlat = true
-	}
+	stats.UsedFlat = preferFlat(stats, ml.PCN.NumClusters, len(flatN))
 	emitMultilevelStats(cfg.Obs, stats)
 	if stats.UsedFlat {
-		return flat, stats, nil
+		flat, err := rebuildFromAssignment(g, flatOf, flatN, flatS, flatL, cfg.Workers)
+		return flat, stats, err
 	}
 	return ml, stats, nil
 }
 
+// flatCut is the total inter-cluster traffic of an Algorithm 1 assignment,
+// bit-equal to TotalWeight of the PCN Partition would build from it, without
+// building it. Each cluster is a contiguous neuron range, so its cross
+// entries are gathered in (neuron, synapse) order — the arrival order of its
+// finalizeCSR row — merged by the same mergeRow, and the merged weights are
+// added in row order.
+func flatCut(g *snn.Graph, clusterOf, neurons []int32) float64 {
+	m := rowMerger{n: len(neurons)}
+	var to []int32
+	var w []float64
+	var total float64
+	u := 0
+	for c, size := range neurons {
+		to, w = to[:0], w[:0]
+		for end := u + int(size); u < end; u++ {
+			tos, ws := g.OutEdges(u)
+			for k, v := range tos {
+				if cv := clusterOf[v]; cv != int32(c) {
+					to = append(to, cv)
+					w = append(w, ws[k])
+				}
+			}
+		}
+		for _, x := range w[:m.mergeRow(to, w)] {
+			total += x
+		}
+	}
+	return total
+}
+
 // rebuildFromAssignment constructs a PCN from an explicit neuron→cluster
-// assignment with known per-cluster occupancy.
+// assignment with known per-cluster occupancy: the multilevel result, or the
+// flat fallback, bit-equal to flat Partition's PCN.
 func rebuildFromAssignment(g *snn.Graph, clusterOf []int32, neurons []int32, synapses []int64, layers []int32, workers int) (*Result, error) {
 	p := &PCN{
 		NumClusters: len(neurons),
@@ -186,11 +221,15 @@ type BenchKernel struct {
 }
 
 // AggregateKernels returns the three edge-aggregation sites PartitionMultilevel
-// runs on g, each as a closure over inputs prepared here, so the benchmark
+// can run on g, each as a closure over inputs prepared here, so the benchmark
 // case table (expt.BenchCases, pcn-aggregate/*) times the kernels: flat-csr is
-// csrFromAssignment at CON_npc, fine-undirected is undirectedFromAssignment at
-// the fine granularity, contract is the first coarsening step.
+// csrFromAssignment at CON_npc, which runs only when the flat fallback is
+// returned, fine-undirected is undirectedFromAssignment at the fine
+// granularity, contract is the first coarsening step.
 func AggregateKernels(g *snn.Graph, cfg PartitionConfig) ([]BenchKernel, error) {
+	if err := validateGraph(g); err != nil {
+		return nil, err
+	}
 	workers := cfg.takeMultilevel()
 	flatOf, flatN, _, _, err := assignClusters(g, cfg)
 	if err != nil {
@@ -279,11 +318,11 @@ func undirectedFromAssignment(g *snn.Graph, clusterOf []int32, n, workers int) *
 // strictly improved the cut, or matched it with fewer clusters (a smaller
 // mesh downstream). This makes "multilevel cut ≤ flat cut" a guarantee
 // rather than a tendency.
-func preferFlat(stats MultilevelStats, ml, flat *PCN) bool {
+func preferFlat(stats MultilevelStats, mlClusters, flatClusters int) bool {
 	if stats.CutMultilevel > stats.CutFlat {
 		return true
 	}
-	return stats.CutMultilevel == stats.CutFlat && ml.NumClusters >= flat.NumClusters
+	return stats.CutMultilevel == stats.CutFlat && mlClusters >= flatClusters
 }
 
 // multilevelGroup packs the vertices of a fine cluster graph into parts that
@@ -522,9 +561,20 @@ func greedyPartition(lv *gLevel, npc int, synCap int64) ([]int32, int) {
 // neighbor order with strict-improvement ties, so the outcome does not
 // depend on map iteration order or worker count. Occupancy arrays are
 // mutated in place; the returned count is the number of moves applied. ar
-// recycles the gain/seen scratch across levels (nil allocates fresh): the
-// part count is constant through the uncoarsening walk, and the
-// candidate-list reset leaves both buffers all-zero between calls.
+// recycles the scratch across levels (nil allocates fresh): the part count
+// is constant through the uncoarsening walk, and the candidate-list reset
+// leaves gain and seen all-zero between calls.
+//
+// Pass 0 examines every vertex; later passes examine only the vertices whose
+// decision can have changed since they were last examined, and reproduce the
+// full scan's moves exactly. A vertex that stayed put keeps staying until its
+// own or a neighbour's part changes (it is marked when that happens) or
+// until a part that refused it on capacity loses occupancy (it waits on that
+// part's list and is marked when the part loses a vertex); a gain in
+// occupancy can only add refusals. Marks are swept in ascending order: one
+// ahead of the vertex being examined is taken this pass, one at or behind it
+// (the mover's own, or a lower bit of the current word) the next, where the
+// full scan would next reach that vertex.
 func refineLevel(lv *gLevel, partOf []int32, partN []int32, partS []int64, npc int, synCap int64, ar *levelArena) int64 {
 	if ar == nil {
 		ar = &levelArena{}
@@ -535,71 +585,111 @@ func refineLevel(lv *gLevel, partOf []int32, partN []int32, partS []int64, npc i
 	// are reset via cand after each vertex — no per-vertex map traffic.
 	gain := grabF64(&ar.gain, len(partN))
 	seen := grabBool(&ar.seen, len(partN))
+	dirty := grabU64(&ar.dirty, (n+63)/64)
+	for i := range dirty {
+		dirty[i] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		dirty[len(dirty)-1] = 1<<r - 1
+	}
+	// waitHead[d] heads part d's list of the vertices it refused, linked
+	// through waiters; a woken list is dropped, its entries stay garbage
+	// until the next level.
+	waitHead := grabI32(&ar.waitHead, len(partN))
+	for d := range waitHead {
+		waitHead[d] = -1
+	}
+	waiters := ar.waiters[:0]
 	cand := make([]int32, 0, 16)
+	refused := make([]int32, 0, 16)
 	var moves int64
 	for pass := 0; pass < refinePasses; pass++ {
 		var passMoves int64
-		for vi := 0; vi < n; vi++ {
-			v := int32(vi)
-			cv := partOf[v]
-			tos, ws := lv.u.Neighbors(vi)
-			boundary := false
-			for _, t := range tos {
-				if partOf[t] != cv {
-					boundary = true
+		for wi := range dirty {
+			ahead := ^uint64(0)
+			for {
+				word := dirty[wi] & ahead
+				if word == 0 {
 					break
 				}
-			}
-			if !boundary {
-				continue
-			}
-			cand = cand[:0]
-			for k, t := range tos {
-				d := partOf[t]
-				if !seen[d] {
-					seen[d] = true
-					cand = append(cand, d)
+				b := bits.TrailingZeros64(word)
+				dirty[wi] &^= 1 << b
+				ahead = ^uint64(0) << b << 1
+				vi := wi<<6 | b
+				v := int32(vi)
+				cv := partOf[v]
+				tos, ws := lv.u.Neighbors(vi)
+				boundary := false
+				for _, t := range tos {
+					if partOf[t] != cv {
+						boundary = true
+						break
+					}
 				}
-				gain[d] += ws[k]
-			}
-			internal := gain[cv]
-			best := cv
-			bestGain := minGain
-			for _, d := range cand {
-				if d == cv {
+				if !boundary {
 					continue
 				}
-				g := gain[d] - internal
-				if g <= bestGain {
+				cand = cand[:0]
+				for k, t := range tos {
+					d := partOf[t]
+					if !seen[d] {
+						seen[d] = true
+						cand = append(cand, d)
+					}
+					gain[d] += ws[k]
+				}
+				internal := gain[cv]
+				best := cv
+				bestGain := minGain
+				refused = refused[:0]
+				for _, d := range cand {
+					if d == cv {
+						continue
+					}
+					g := gain[d] - internal
+					if g <= bestGain {
+						continue
+					}
+					if int(partN[d])+int(lv.neurons[v]) > npc || synCap > 0 && partS[d]+lv.synapses[v] > synCap {
+						refused = append(refused, d)
+						continue
+					}
+					best = d
+					bestGain = g
+				}
+				for _, d := range cand {
+					gain[d] = 0
+					seen[d] = false
+				}
+				if best == cv {
+					for _, d := range refused {
+						waiters = append(waiters, waiter{v: v, next: waitHead[d]})
+						waitHead[d] = int32(len(waiters) - 1)
+					}
 					continue
 				}
-				if int(partN[d])+int(lv.neurons[v]) > npc {
-					continue
+				partN[cv] -= lv.neurons[v]
+				partS[cv] -= lv.synapses[v]
+				partN[best] += lv.neurons[v]
+				partS[best] += lv.synapses[v]
+				partOf[v] = best
+				passMoves++
+				dirty[wi] |= 1 << b
+				for _, t := range tos {
+					dirty[t>>6] |= 1 << (uint32(t) & 63)
 				}
-				if synCap > 0 && partS[d]+lv.synapses[v] > synCap {
-					continue
+				for i := waitHead[cv]; i >= 0; i = waiters[i].next {
+					t := waiters[i].v
+					dirty[t>>6] |= 1 << (uint32(t) & 63)
 				}
-				best = d
-				bestGain = g
+				waitHead[cv] = -1
 			}
-			for _, d := range cand {
-				gain[d] = 0
-				seen[d] = false
-			}
-			if best == cv {
-				continue
-			}
-			partN[cv] -= lv.neurons[v]
-			partS[cv] -= lv.synapses[v]
-			partN[best] += lv.neurons[v]
-			partS[best] += lv.synapses[v]
-			partOf[v] = best
-			passMoves++
 		}
 		moves += passMoves
 		if passMoves == 0 {
 			break
 		}
 	}
+	ar.waiters = waiters
 	return moves
 }

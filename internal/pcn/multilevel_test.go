@@ -2,6 +2,7 @@ package pcn
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -387,4 +388,79 @@ func FuzzMultilevelRoundTrip(f *testing.F) {
 			t.Fatalf("traffic not conserved: cut+internal %g, graph total %g", got, total)
 		}
 	})
+}
+
+// fallbackGraph is a seeded banded graph, tagged with four layers, on which
+// flat Algorithm 1's contiguous ranges already cut less than the multilevel
+// grouping, so PartitionMultilevel returns the flat result.
+func fallbackGraph(t *testing.T) (*snn.Graph, PartitionConfig) {
+	t.Helper()
+	g, err := snn.RandomGraph(snn.RandomConfig{
+		Neurons: 3000, AvgDegree: 4, LocalityBand: 0.01, MaxDensity: 1,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Layer = make([]int32, g.NumNeurons)
+	for i := range g.Layer {
+		g.Layer[i] = int32(4 * i / g.NumNeurons)
+	}
+	return g, PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 64, SynapsesPerCore: 500}, SplitAtLayers: true}
+}
+
+// TestMultilevelFallbackEqualsFlat holds the fallback, whose flat PCN is
+// built only once it is chosen, to flat Partition bit for bit at workers 1
+// and 3: assignment, CSR, internal traffic, occupancy and layers.
+func TestMultilevelFallbackEqualsFlat(t *testing.T) {
+	g, cfg := fallbackGraph(t)
+	flat, err := Partition(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		run := cfg
+		run.Multilevel = &MultilevelOptions{Workers: workers}
+		res, st, err := PartitionMultilevel(g, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.UsedFlat {
+			t.Fatalf("workers=%d: test premise: the flat fallback must be taken (cut %g vs flat %g)", workers, st.CutMultilevel, st.CutFlat)
+		}
+		if !reflect.DeepEqual(res.ClusterOf, flat.ClusterOf) {
+			t.Fatalf("workers=%d: fallback assignment differs from flat Partition", workers)
+		}
+		samePCN(t, fmt.Sprintf("fallback workers=%d", workers), flat.PCN, res.PCN)
+	}
+}
+
+// TestMultilevelCutFlatBitwise holds the streamed CutFlat to the TotalWeight
+// of flat Partition's PCN bit for bit, on a graph that takes the fallback and
+// on one that does not.
+func TestMultilevelCutFlatBitwise(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		graph    func(*testing.T) (*snn.Graph, PartitionConfig)
+		usedFlat bool
+	}{
+		{"fallback", fallbackGraph, true},
+		{"multilevel", stressedGraph, false},
+	} {
+		g, cfg := tc.graph(t)
+		flat, err := Partition(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Multilevel = &MultilevelOptions{Workers: 2}
+		_, st, err := PartitionMultilevel(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.UsedFlat != tc.usedFlat {
+			t.Fatalf("%s: test premise: UsedFlat %v, want %v", tc.name, st.UsedFlat, tc.usedFlat)
+		}
+		if got, want := math.Float64bits(st.CutFlat), math.Float64bits(flat.PCN.TotalWeight()); got != want {
+			t.Fatalf("%s: CutFlat bits %x, flat PCN TotalWeight bits %x", tc.name, got, want)
+		}
+	}
 }

@@ -65,6 +65,9 @@ func Partition(g *snn.Graph, cfg PartitionConfig) (*Result, error) {
 		r, _, err := PartitionMultilevel(g, cfg)
 		return r, err
 	}
+	if err := validateGraph(g); err != nil {
+		return nil, err
+	}
 	sp := cfg.Obs.Span("partition.flat")
 	clusterOf, neurons, synapses, layers, err := assignClusters(g, cfg)
 	if err != nil {
@@ -79,15 +82,22 @@ func Partition(g *snn.Graph, cfg PartitionConfig) (*Result, error) {
 	return &Result{PCN: p, ClusterOf: clusterOf}, nil
 }
 
+// validateGraph is the input check of every entry point; the internal walks
+// below trust their graph.
+func validateGraph(g *snn.Graph) error {
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("pcn: invalid input graph: %w", err)
+	}
+	return nil
+}
+
 // assignClusters is the Algorithm 1 walk alone: the neuron→cluster
 // assignment and per-cluster occupancy, without building the cluster edge
-// list. Partition completes it into a PCN; the multilevel partitioner uses
-// it for the fine granularity, where only the undirected cluster graph is
-// needed.
+// list, on a graph the caller has validated. Every cluster is a contiguous
+// neuron range. Partition completes it into a PCN; the multilevel
+// partitioner uses it for the fine granularity, where only the undirected
+// cluster graph is needed, and at CON_npc for the cut it must beat.
 func assignClusters(g *snn.Graph, cfg PartitionConfig) (clusterOf []int32, neurons []int32, synapses []int64, layers []int32, err error) {
-	if err := g.Validate(); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("pcn: invalid input graph: %w", err)
-	}
 	npc := cfg.Constraints.NeuronsPerCore
 	spc := cfg.Constraints.SynapsesPerCore
 	if npc <= 0 {

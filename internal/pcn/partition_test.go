@@ -1,6 +1,7 @@
 package pcn
 
 import (
+	"strings"
 	"testing"
 
 	"snnmap/internal/hw"
@@ -181,5 +182,32 @@ func TestPartitionMatchesExpand(t *testing.T) {
 	gotTotal := fromGraph.PCN.TotalWeight() + fromGraph.PCN.InternalTraffic
 	if gotTotal != float64(g.NumSynapses()) {
 		t.Errorf("graph traffic %g, want %d", gotTotal, g.NumSynapses())
+	}
+}
+
+// TestPartitionersRejectInvalidGraph pins the one input check each entry
+// point runs: an out-of-range target, a negative weight and a FanIn that
+// disagrees with the edges all fail with "pcn: invalid input graph".
+func TestPartitionersRejectInvalidGraph(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(g *snn.Graph)
+	}{
+		{"out-of-range target", func(g *snn.Graph) { g.OutTo[0] = int32(g.NumNeurons) }},
+		{"negative weight", func(g *snn.Graph) { g.OutW[1] = -1 }},
+		{"bad FanIn", func(g *snn.Graph) { g.FanIn[g.NumNeurons-1]++ }},
+	} {
+		g := snn.FullyConnected(3, 4)
+		tc.corrupt(g)
+		cfg := PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 4}}
+		_, errFlat := Partition(g, cfg)
+		cfg.Multilevel = &MultilevelOptions{}
+		_, _, errML := PartitionMultilevel(g, cfg)
+		_, errAgg := AggregateKernels(g, cfg)
+		for name, err := range map[string]error{"Partition": errFlat, "PartitionMultilevel": errML, "AggregateKernels": errAgg} {
+			if err == nil || !strings.Contains(err.Error(), "pcn: invalid input graph") {
+				t.Errorf("%s: %s returned %v, want a \"pcn: invalid input graph\" error", tc.name, name, err)
+			}
+		}
 	}
 }
