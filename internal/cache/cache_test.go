@@ -198,12 +198,12 @@ func TestEvaluateCached(t *testing.T) {
 	}
 	cost := hw.DefaultCostModel()
 	c := newTestCache(t, Config{})
-	cold, hit := c.Evaluate(p, pl, cost, metrics.Options{Congestion: metrics.CongestionExact})
+	cold, hit := c.Evaluate(p, pl, cost, metrics.Options{})
 	if hit {
 		t.Fatal("first evaluate cannot hit")
 	}
 	// Different Workers must serve the same entry (excluded from the key).
-	warm, hit := c.Evaluate(p, pl, cost, metrics.Options{Congestion: metrics.CongestionExact, Workers: 4})
+	warm, hit := c.Evaluate(p, pl, cost, metrics.Options{Workers: 4})
 	if !hit {
 		t.Fatal("second evaluate should hit")
 	}
@@ -213,8 +213,12 @@ func TestEvaluateCached(t *testing.T) {
 	// A different cost model must miss.
 	cost2 := cost
 	cost2.WireEnergy *= 2
-	if _, hit := c.Evaluate(p, pl, cost2, metrics.Options{Congestion: metrics.CongestionExact}); hit {
+	if _, hit := c.Evaluate(p, pl, cost2, metrics.Options{}); hit {
 		t.Fatal("changed cost model should miss")
+	}
+	// So must a different congestion mode.
+	if _, hit := c.Evaluate(p, pl, cost, metrics.Options{Congestion: metrics.CongestionSkip}); hit {
+		t.Fatal("changed congestion mode should miss")
 	}
 }
 

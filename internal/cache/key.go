@@ -219,22 +219,22 @@ func resultKey(pk Key, mesh hw.Mesh, cfg *mapping.Config) Key {
 }
 
 // metricsKey is the stage key for Evaluate: PCN, placement, cost model
-// and the options that change Summary values (Workers and Obs are
-// bit-identity-preserving and excluded). /2 since congestion is propagated
-// per target instead of stamped per edge: MaxCongestion can move in its last
-// bits for non-dyadic weights, so entries written by stamping must not be
-// served. /3 since a repeated dense out-row is summed per row instead of per
-// edge: Energy, AvgLatency and AvgCongestion can move in their last bits, so
-// entries written by the edge walk must not be served either.
+// and the congestion mode (Workers and Obs are bit-identity-preserving and
+// excluded). /2 since congestion is propagated per target instead of stamped
+// per edge: MaxCongestion can move in its last bits for non-dyadic weights,
+// so entries written by stamping must not be served. /3 since a repeated
+// dense out-row is summed per row instead of per edge: Energy, AvgLatency and
+// AvgCongestion can move in their last bits, so entries written by the edge
+// walk must not be served either. /4 since a sampled grid's weight is summed
+// per sampled edge in the grid's chunk layout instead of per row table in the
+// walk's: a sampled MaxCongestion on non-integral weights can move in its
+// last bits.
 func metricsKey(pk Key, plPosOf []int32, mesh hw.Mesh, cost hw.CostModel, opts metrics.Options) Key {
-	opts = opts.Resolved()
-	h := newHasher("metrics/3")
+	h := newHasher("metrics/4")
 	h.h.Write(pk[:])
 	h.mesh(mesh)
 	h.i32s(plPosOf)
 	h.costModel(cost)
 	h.i64(int64(opts.Congestion))
-	h.i64(int64(opts.SampleEdges))
-	h.i64(opts.ExactWorkLimit)
 	return h.sum()
 }

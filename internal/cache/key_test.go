@@ -47,7 +47,9 @@ func pcnKeyOf(p *pcn.PCN) Key {
 // congestion is propagated per target, and a MaxCongestion stamped per edge
 // can differ in its last bits; and with its /3: a repeated dense out-row is
 // summed per row, and Energy, AvgLatency and AvgCongestion walked per edge
-// can differ in their last bits. The result pin moved with its /2: one FD
+// can differ in their last bits; and with its /4: a sampled grid's weight is
+// summed per sampled edge in the grid's chunks, and the key hashes the
+// congestion mode alone. The result pin moved with its /2: one FD
 // phase, no min-gain field, one FDStats block in the payload.
 func TestKeyGolden(t *testing.T) {
 	p := goldenPCN()
@@ -62,7 +64,7 @@ func TestKeyGolden(t *testing.T) {
 		{"pcn", pk, "1da50ce454e248a5a33637ba26f2ed6b01aac5aa5fd8b9c642b59ccdcea14454"},
 		{"result", resultKey(pk, mesh, &cfg), "356080d1284fa43f999952d3fdd7630a017ca93b6f55641e5ce41b6ff4b35376"},
 		{"metrics", metricsKey(pk, []int32{0, 1, 2}, mesh, hw.DefaultCostModel(),
-			metrics.Options{Congestion: metrics.CongestionExact}), "16ca32925680ef2739dbda297f2fd66540989649965662e255870d89540bd319"},
+			metrics.Options{}), "388c91593a2066897d1bb44f72304cf304f6c1f2a11fcade398bdd3c6f7663b8"},
 	}
 	for _, g := range golden {
 		if got := hex.EncodeToString(g.got[:]); got != g.want {

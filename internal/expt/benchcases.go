@@ -144,12 +144,13 @@ func BenchCases(smoke bool) []BenchCase {
 		timed(b, func() error { _, err := codec.ReadSnapshot(bytes.NewReader(s.enc)); return err })
 	})
 
-	// Exact metrics on a congestion-heavy random graph.
+	// Metrics on a congestion-heavy random graph, whose 2.2e7 box cells are
+	// far below the exact limit, so the congestion grid is exact.
 	eval := mustGet(sync.OnceValues(func() (placed, error) { return evalGraph(evalN) }))
 	add("metrics-evaluate/workers=1", evalWl, "", func(b *testing.B) {
 		w, cost := eval(b), hw.DefaultCostModel()
 		timed(b, func() error {
-			metrics.Evaluate(w.p, w.pl, cost, metrics.Options{Congestion: metrics.CongestionExact, Workers: 1})
+			metrics.Evaluate(w.p, w.pl, cost, metrics.Options{Workers: 1})
 			return nil
 		})
 	})
@@ -160,7 +161,8 @@ func BenchCases(smoke bool) []BenchCase {
 	// pcn-adjacency/transpose builds the transpose FD and the baselines walk;
 	// congestion-grid/* propagates the grid on the HSC+FD placement (exact),
 	// on a row-shifted repair whose union boxes span the mesh (long-edges),
-	// and at the stride Evaluate derives from Options.SampleEdges (sampled).
+	// and at the stride Evaluate samples a grid with above its exact limit
+	// (sampled).
 	kern := hscPlaced(kernNet)
 	for _, warm := range []bool{false, true} {
 		op := "fd-build/adjacency=cold"
@@ -211,8 +213,9 @@ func BenchCases(smoke bool) []BenchCase {
 		add("congestion-grid/"+g.name, kernNet, "", func(b *testing.B) {
 			p, pl, stride := kern(b).p, g.pl(b), 1
 			if g.sampled {
-				n := metrics.Options{}.Resolved().SampleEdges
-				stride = (int(p.NumEdges()) + n - 1) / n
+				// Evaluate's sampled grid takes every ⌈E/sampleEdges⌉-th edge.
+				const sampleEdges = 200_000
+				stride = (int(p.NumEdges()) + sampleEdges - 1) / sampleEdges
 			}
 			timed(b, func() error { metrics.CongestionGrid(p, pl, stride, 1); return nil })
 		})

@@ -41,19 +41,24 @@ func randomMetricsWorkload(t testing.TB, seed int64, clusters, edges, side int) 
 	return res.PCN, pl
 }
 
+// forceSampled returns limits under which every net with more than one box
+// cell takes the sampled grid, of at most n edges.
+func forceSampled(n int) limits { return limits{exactCells: 1, sampleEdges: n} }
+
 // TestEvaluateWorkersBitIdentical is the determinism contract of
 // Options.Workers: every Summary field must be exactly equal — not
-// approximately — for Workers in {1, 2, 7, 16}, across every congestion
-// mode, including sampled mode with a forced stride.
+// approximately — for Workers in {1, 2, 7, 16}, with the grid exact at any
+// box-cell count, by the default rule, sampled at a forced stride, and
+// skipped.
 func TestEvaluateWorkersBitIdentical(t *testing.T) {
 	cost := hw.DefaultCostModel()
 	for _, mode := range []struct {
 		name string
 		opts Options
 	}{
-		{"exact", Options{Congestion: CongestionExact}},
+		{"exact", Options{limits: limits{exactCells: math.MaxInt64}}},
 		{"auto", Options{}},
-		{"sampled", Options{Congestion: CongestionSampled, SampleEdges: 100}},
+		{"sampled", Options{limits: forceSampled(100)}},
 		{"skip", Options{Congestion: CongestionSkip}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -90,52 +95,114 @@ func TestCongestionGridWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSampledRescaleStrideConsistency guards against stride drift between
-// Evaluate's in-pass sampled-weight accumulation and CongestionGrid's edge
-// sampling: recomputing the rescaled grid from the shared sampleStride
-// definition must reproduce Evaluate's MaxCongestion exactly. If the two
-// edge enumerations ever disagree (different stride, different phase, or a
-// different notion of edge index), the scale factor diverges and this
-// fails.
+// rescaledSampledMax is Evaluate's sampled MaxCongestion rebuilt from the
+// definitions: the traffic total in the walk's chunks (Evaluate's bits when
+// no out-row is summed from a table), the weight of every edge whose global
+// CSR index is divisible by stride in the grid's chunks, and the sampled grid
+// scaled by their ratio. It fails t unless the grid's own sampled weight is
+// that sum bit for bit.
+func rescaledSampledMax(t *testing.T, p *pcn.PCN, pl *place.Placement, stride int) float64 {
+	t.Helper()
+	sumChunks := func(k int, sampled bool) float64 {
+		n := p.NumClusters
+		var sum float64
+		for ci := 0; ci < k; ci++ {
+			var part float64
+			for c := ci * n / k; c < (ci+1)*n/k; c++ {
+				_, ws := p.OutEdges(c)
+				for kk, w := range ws {
+					if !sampled || (p.OutOff[c]+int64(kk))%int64(stride) == 0 {
+						part += w
+					}
+				}
+			}
+			sum += part
+		}
+		return sum
+	}
+	total := sumChunks(par.Chunks(p.NumClusters), false)
+	sampled := sumChunks(gridChunks(p.NumClusters, pl.Mesh.Cores()), true)
+	grid, counts := congestionGrid(p, clusterCoords(pl), pl.Mesh, stride, 1)
+	if math.Float64bits(counts.sampledWeight) != math.Float64bits(sampled) {
+		t.Fatalf("grid's sampled weight %v, definition %v (stride %d)", counts.sampledWeight, sampled, stride)
+	}
+	scale := total / sampled
+	for i := range grid {
+		grid[i] *= scale
+	}
+	return maxOf(grid)
+}
+
+// TestSampledRescaleStrideConsistency guards against drift between the
+// grid's sampled-weight sum and its edge sampling: the weight the sampled
+// grid sums must be that of every edge whose global CSR index is divisible
+// by the stride, and rescaling the grid by it must reproduce Evaluate's
+// MaxCongestion exactly. A different stride, phase or notion of edge index
+// in either fails this.
 func TestSampledRescaleStrideConsistency(t *testing.T) {
 	cost := hw.DefaultCostModel()
 	p, pl := randomMetricsWorkload(t, 5, 300, 1500, 18)
-	opts := Options{Congestion: CongestionSampled, SampleEdges: 100}.withDefaults()
-	stride := sampleStride(p, opts)
+	opts := Options{limits: forceSampled(100)}
+	stride := sampleStride(p, opts.limits.sampleEdges)
 	if stride <= 1 {
 		t.Fatalf("stride = %d; the workload must force sampling", stride)
 	}
 	got := Evaluate(p, pl, cost, opts)
+	if want := rescaledSampledMax(t, p, pl, stride); got.MaxCongestion != want {
+		t.Fatalf("MaxCongestion = %v, reconstruction = %v (stride %d)", got.MaxCongestion, want, stride)
+	}
+}
 
-	// Independent reconstruction, chunked exactly like Evaluate's walk so
-	// the float grouping matches: the test pins the *enumeration*, the
-	// chunking is shared via par.Chunks.
-	n := p.NumClusters
-	k := par.Chunks(n)
-	var total, sampled float64
-	for ci := 0; ci < k; ci++ {
-		var pt, ps float64
-		for c := ci * n / k; c < (ci+1)*n/k; c++ {
-			_, ws := p.OutEdges(c)
-			for kk, w := range ws {
-				pt += w
-				if (p.OutOff[c]+int64(kk))%int64(stride) == 0 {
-					ps += w
-				}
+// TestCongestionRuleBoundary pins CongestionAuto's rule at its limit: with
+// the limit equal to the box-cell count the grid is exact, bit for bit; one
+// below it, the grid is the rescaled sampled one, bit for bit.
+func TestCongestionRuleBoundary(t *testing.T) {
+	cost := hw.DefaultCostModel()
+	p, pl := randomMetricsWorkload(t, 8, 300, 1500, 18)
+	_, box, _, rows := evaluateCounted(p, pl, cost, Options{})
+	if rows != 0 {
+		t.Fatalf("%d rows summed from a table; the reconstruction assumes none", rows)
+	}
+	const n = 100
+	exact := maxOf(CongestionGrid(p, pl, 1, 1))
+	sampled := rescaledSampledMax(t, p, pl, sampleStride(p, n))
+	if exact == sampled {
+		t.Fatalf("exact and sampled maxima are both %v; the boundary would not show", exact)
+	}
+	for _, c := range []struct {
+		limit int64
+		want  float64
+	}{{box, exact}, {box - 1, sampled}} {
+		for _, workers := range []int{1, 3} {
+			got := Evaluate(p, pl, cost, Options{Workers: workers, limits: limits{exactCells: c.limit, sampleEdges: n}})
+			if math.Float64bits(got.MaxCongestion) != math.Float64bits(c.want) {
+				t.Fatalf("limit %d of %d box cells, workers %d: MaxCongestion %v, want %v",
+					c.limit, box, workers, got.MaxCongestion, c.want)
 			}
 		}
-		total += pt
-		sampled += ps
 	}
-	grid := CongestionGrid(p, pl, stride, 1)
-	if sampled > 0 {
-		scale := total / sampled
-		for i := range grid {
-			grid[i] *= scale
+}
+
+// TestSampledWeightWorkersBitIdentical holds a sampled Evaluate to its
+// workers-1 bits on a 363×363 mesh, over 2^23/64 cores, where the grid takes
+// fewer chunks than the walk and so sums the sampled weight in a chunk layout
+// of its own.
+func TestSampledWeightWorkersBitIdentical(t *testing.T) {
+	cost := hw.DefaultCostModel()
+	p, pl := randomMetricsWorkload(t, 9, 300, 1500, 363)
+	if g, w := gridChunks(p.NumClusters, pl.Mesh.Cores()), par.Chunks(p.NumClusters); g >= w {
+		t.Fatalf("%d grid chunks, %d walk chunks; the layouts must differ", g, w)
+	}
+	opts := Options{limits: forceSampled(100)}
+	want := Evaluate(p, pl, cost, opts)
+	if want.MaxCongestion == 0 {
+		t.Fatal("no congestion computed")
+	}
+	for _, workers := range []int{2, 7} {
+		opts.Workers = workers
+		if got := Evaluate(p, pl, cost, opts); got != want {
+			t.Fatalf("workers %d: %+v != sequential %+v", workers, got, want)
 		}
-	}
-	if want := maxOf(grid); got.MaxCongestion != want {
-		t.Fatalf("MaxCongestion = %v, reconstruction = %v (stride %d)", got.MaxCongestion, want, stride)
 	}
 }
 
@@ -168,7 +235,7 @@ func BenchmarkEvaluateWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Evaluate(p, pl, cost, Options{Congestion: CongestionExact, Workers: workers})
+				Evaluate(p, pl, cost, Options{Workers: workers})
 			}
 		})
 	}

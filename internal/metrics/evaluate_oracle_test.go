@@ -9,28 +9,25 @@ import (
 )
 
 // evaluateWalk is Evaluate as it was before repeated dense rows were summed
-// per row, kept verbatim but for the telemetry, which it replaces by
-// returning the box and swept cell counts: every out-edge of the PCN's own
-// CSR is walked one at a time. It is the oracle of the per-row walk.
+// per row, but for the telemetry, which it replaces by returning the box and
+// swept cell counts: every out-edge of the PCN's own CSR is walked one at a
+// time. It is the oracle of the per-row walk. It sums the sampled weight
+// itself, in the walk's chunks, from the definition (global CSR index
+// divisible by the stride) rather than reading it from the grid.
 func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) (s Summary, bboxWork, swept int64) {
-	opts = opts.withDefaults()
 	mesh := pl.Mesh
-
-	stride := sampleStride(p, opts)
-	needSampled := stride > 1 &&
-		(opts.Congestion == CongestionSampled || opts.Congestion == CongestionAuto)
+	lim := opts.limits.withDefaults()
+	stride := sampleStride(p, lim.sampleEdges)
 
 	n := p.NumClusters
 	pos := clusterCoords(pl)
 	k := par.Chunks(n)
 	partials := make([]evalPartial, k)
+	sampled := make([]float64, k)
 	par.Do(opts.Workers, k, func(ci int) {
 		lo, hi := ci*n/k, (ci+1)*n/k
 		var pt evalPartial
-		skip := -1
-		if needSampled {
-			skip = sampleSkip(p.OutOff[lo], stride)
-		}
+		var ps float64
 		for c := lo; c < hi; c++ {
 			src := pos[c]
 			tos, ws := p.OutEdges(c)
@@ -48,14 +45,12 @@ func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Optio
 				pt.totalWeight += w
 				pt.avgCongestion += w * float64(d+1)
 				pt.bboxWork += int64(dx+1) * int64(dy+1)
-				if skip == 0 {
-					pt.sampledWeight += w
-					skip = stride
+				if (p.OutOff[c]+int64(kk))%int64(stride) == 0 {
+					ps += w
 				}
-				skip--
 			}
 		}
-		partials[ci] = pt
+		partials[ci], sampled[ci] = pt, ps
 	})
 	var totalWeight, weightedLatency, sampledWeight float64
 	for ci := range partials {
@@ -67,7 +62,7 @@ func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Optio
 		}
 		totalWeight += pt.totalWeight
 		s.AvgCongestion += pt.avgCongestion
-		sampledWeight += pt.sampledWeight
+		sampledWeight += sampled[ci]
 		bboxWork += pt.bboxWork
 	}
 	if totalWeight > 0 {
@@ -75,16 +70,8 @@ func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Optio
 	}
 	s.AvgCongestion /= float64(mesh.Cores())
 
-	mode := opts.Congestion
-	if mode == CongestionAuto {
-		if bboxWork <= opts.ExactWorkLimit {
-			mode = CongestionExact
-		} else {
-			mode = CongestionSampled
-		}
-	}
-	if mode == CongestionExact || mode == CongestionSampled {
-		if mode == CongestionExact {
+	if opts.Congestion == CongestionAuto {
+		if bboxWork <= lim.exactCells {
 			stride = 1
 		}
 		grid, counts := congestionGrid(p, pos, mesh, stride, opts.Workers)

@@ -201,7 +201,7 @@ func TestCongestionGridSharedRunsMatchPerTarget(t *testing.T) {
 					t.Fatalf("%s workers %d: grid[%d] = %v, per target %v", c.name, workers, i, got[i], want[i])
 				}
 			}
-			_, args := evaluateSpan(c.p, c.pl, Options{Congestion: CongestionExact, Workers: workers})
+			_, args := evaluateSpan(c.p, c.pl, Options{Workers: workers})
 			if args["swept_cells"] > args["box_cells"] {
 				t.Fatalf("%s workers %d: %v swept cells, %v box cells", c.name, workers, args["swept_cells"], args["box_cells"])
 			}
@@ -233,7 +233,7 @@ func TestCongestionGridSharedRunCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, args := evaluateSpan(p, pl, Options{Congestion: CongestionExact})
+	_, args := evaluateSpan(p, pl, Options{})
 	if args["run_tables"] != 63 || args["run_targets"] != 63*63 {
 		t.Fatalf("%v run targets from %v tables, want %d from 63", args["run_targets"], args["run_tables"], 63*63)
 	}
@@ -319,7 +319,7 @@ func TestSharedRunGuards(t *testing.T) {
 				t.Fatalf("%s: grid[%d] = %v, per target %v", c.name, i, got[i], want[i])
 			}
 		}
-		if _, args := evaluateSpan(p, pl, Options{Congestion: CongestionExact}); args["run_tables"] != c.tables {
+		if _, args := evaluateSpan(p, pl, Options{}); args["run_tables"] != c.tables {
 			t.Fatalf("%s: %v run tables, want %v", c.name, args["run_tables"], c.tables)
 		}
 	}

@@ -54,35 +54,53 @@ func (s Summary) Normalize(baseline Summary) Summary {
 	}
 }
 
-// CongestionMode selects how the congestion grid is computed.
+// CongestionMode selects whether Evaluate computes the congestion grid.
 type CongestionMode int
 
 const (
-	// CongestionAuto computes the exact grid within Options.ExactWorkLimit
-	// and falls back to deterministic edge sampling above it.
+	// CongestionAuto, the zero value, computes Algorithm 4's grid exactly
+	// when Σ (dx+1)(dy+1) over all edges is at most 500 M cells, and above
+	// that from every ⌈E/200 000⌉-th edge in CSR order, rescaled by the
+	// traffic total over the sampled total.
 	CongestionAuto CongestionMode = iota
-	// CongestionExact always accumulates every edge's expectation grid.
-	CongestionExact
-	// CongestionSampled accumulates a deterministic stride sample of edges
-	// and rescales by the sampled traffic share.
-	CongestionSampled
-	// CongestionSkip leaves both congestion metrics zero (useful when only
+	// CongestionSkip leaves MaxCongestion zero (useful when only
 	// energy/latency matter, e.g. inside optimization loops).
 	CongestionSkip
 )
 
+// The congestion rule's two numbers. Package tests lower them through
+// Options.limits.
+const (
+	// exactCells is the most box cells, Σ (dx+1)(dy+1) over all edges, for
+	// which CongestionAuto computes the exact grid. The exact path sweeps
+	// one union box per target quadrant, far fewer cells than that sum; the
+	// rule stays so that no input changes mode.
+	exactCells = 500_000_000
+	// sampleEdges bounds how many edges a sampled grid accumulates.
+	sampleEdges = 200_000
+)
+
+// limits are the congestion rule's numbers. A zero field takes its constant
+// above.
+type limits struct {
+	exactCells  int64
+	sampleEdges int
+}
+
+func (l limits) withDefaults() limits {
+	if l.exactCells <= 0 {
+		l.exactCells = exactCells
+	}
+	if l.sampleEdges <= 0 {
+		l.sampleEdges = sampleEdges
+	}
+	return l
+}
+
 // Options tunes Evaluate.
 type Options struct {
-	// Congestion selects the congestion computation mode.
+	// Congestion selects whether the congestion grid is computed.
 	Congestion CongestionMode
-	// SampleEdges caps the number of edges accumulated in sampled mode
-	// (default 200 000).
-	SampleEdges int
-	// ExactWorkLimit is CongestionAuto's mode threshold on Σ (dx+1)(dy+1)
-	// over all edges (default 500 000 000): exact at or below, sampled above.
-	// The exact path sweeps one union box per target quadrant, far fewer
-	// cells than that sum; the rule stays so that no input changes mode.
-	ExactWorkLimit int64
 	// Workers fans the edge walk out over up to this many goroutines
 	// (same contract as mapping.FDConfig.Workers: 0 or 1 is sequential).
 	// Results are bit-identical for every worker count: the walk is split
@@ -94,29 +112,16 @@ type Options struct {
 	// Observe-only: chunk boundaries, reduction order and every Summary
 	// value are identical with or without an observer.
 	Obs *obs.Observer
-}
 
-// Resolved returns the options with documentation defaults filled in
-// (SampleEdges, ExactWorkLimit), exactly as Evaluate resolves them. Cache
-// keys hash the resolved form so a zero field and its explicit default
-// produce the same key.
-func (o Options) Resolved() Options { return o.withDefaults() }
-
-func (o Options) withDefaults() Options {
-	if o.SampleEdges <= 0 {
-		o.SampleEdges = 200_000
-	}
-	if o.ExactWorkLimit <= 0 {
-		o.ExactWorkLimit = 500_000_000
-	}
-	return o
+	// limits lowers the congestion rule's numbers so that a small net takes
+	// the sampled grid. Only this package's tests set it.
+	limits limits
 }
 
 // evalPartial is one chunk's share of Evaluate's edge-walk accumulators.
 type evalPartial struct {
 	energy, weightedLatency, maxLatency float64
 	totalWeight, avgCongestion          float64
-	sampledWeight                       float64
 	bboxWork                            int64
 	// rows counts the clusters whose out-row was summed from a rowTable.
 	rows int64
@@ -126,10 +131,8 @@ type evalPartial struct {
 // with the row's broadcast weight w: what the edge walk adds, reassociated.
 // SpikeEnergy and SpikeLatency are affine in d, so over the row's n edges
 // Σ_k w·SpikeEnergy(d_k) = w·((Σd+n)·EN_r + Σd·EN_w), and likewise for
-// latency; max latency is SpikeLatency(max d). The sampled-weight countdown
-// skip advances over the row by arithmetic: the row holds m sampled edges,
-// the first skip edges in, then every stride-th.
-func (pt *evalPartial) addRow(t *rowTable, src cellXY, w float64, cost hw.CostModel, skip *int, stride int) {
+// latency; max latency is SpikeLatency(max d).
+func (pt *evalPartial) addRow(t *rowTable, src cellXY, w float64, cost hw.CostModel) {
 	n := len(t.ids)
 	sumD, box, maxD := t.sums(src)
 	sd, nn := float64(sumD), float64(n)
@@ -142,23 +145,13 @@ func (pt *evalPartial) addRow(t *rowTable, src cellXY, w float64, cost hw.CostMo
 	pt.avgCongestion += w * (sd + nn)
 	pt.bboxWork += box
 	pt.rows++
-	if s := *skip; s >= 0 && s < n {
-		m := (n-1-s)/stride + 1
-		pt.sampledWeight += w * float64(m)
-		*skip = s + m*stride - n
-	} else {
-		*skip = s - n
-	}
 }
 
-// sampleStride returns the deterministic edge stride CongestionSampled
-// mode uses for this PCN under opts: every stride-th edge in global CSR
-// order is accumulated. Both Evaluate's in-pass sampled-weight sum and
-// CongestionGrid's accumulation derive from this single definition, so
-// the two cannot drift apart.
-func sampleStride(p *pcn.PCN, opts Options) int {
-	if e := int(p.NumEdges()); e > opts.SampleEdges {
-		return (e + opts.SampleEdges - 1) / opts.SampleEdges
+// sampleStride returns the edge stride of a sampled grid that accumulates
+// at most n of p's edges: every stride-th edge in global CSR order.
+func sampleStride(p *pcn.PCN, n int) int {
+	if e := int(p.NumEdges()); e > n {
+		return (e + n - 1) / n
 	}
 	return 1
 }
@@ -181,19 +174,11 @@ func sampleSkip(e int64, stride int) int {
 // order so the Summary is bit-identical for every worker count (including
 // sequential).
 func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) Summary {
-	opts = opts.withDefaults()
 	var s Summary
 	mesh := pl.Mesh
 	sp := opts.Obs.Span("metrics.evaluate",
 		obs.KV{K: "clusters", V: float64(p.NumClusters)},
 		obs.KV{K: "edges", V: float64(p.NumEdges())})
-
-	// The sampled-mode stride depends only on the edge count, so it is
-	// known before the walk: the sampled traffic share is accumulated in
-	// the same pass instead of re-walking every edge weight afterwards.
-	stride := sampleStride(p, opts)
-	needSampled := stride > 1 &&
-		(opts.Congestion == CongestionSampled || opts.Congestion == CongestionAuto)
 
 	n := p.NumClusters
 	pos := clusterCoords(pl)
@@ -205,20 +190,14 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 	partials := make([]evalPartial, k)
 	par.Do(opts.Workers, k, func(ci int) {
 		lo, hi := ci*n/k, (ci+1)*n/k
-		// Partial sums stay in a local for the walk. skip counts down the
-		// edges before the next sampled one (global CSR index divisible by
-		// stride); without sampling it starts below zero and never gets there.
+		// Partial sums stay in a local for the walk.
 		var pt evalPartial
 		var table rowTable
-		skip := -1
-		if needSampled {
-			skip = sampleSkip(p.OutOff[lo], stride)
-		}
 		for c := lo; c < hi; c++ {
 			src := pos[c]
 			tos, ws := sym.OutEdges(c)
 			if perRow && table.use(tos, ws, pos) {
-				pt.addRow(&table, src, ws[0], cost, &skip, stride)
+				pt.addRow(&table, src, ws[0], cost)
 				continue
 			}
 			mask := pcn.WeightMask(tos, ws)
@@ -235,20 +214,15 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 				}
 				pt.totalWeight += w
 				// Every spike visits d+1 routers, so the edge contributes
-				// w*(d+1) to the congestion grid total regardless of mode;
-				// the average (Eq. 12) is therefore exact and cheap.
+				// w*(d+1) to the congestion grid total whether the grid is
+				// exact or sampled; the average (Eq. 12) is exact and cheap.
 				pt.avgCongestion += w * float64(d+1)
 				pt.bboxWork += int64(dx+1) * int64(dy+1)
-				if skip == 0 {
-					pt.sampledWeight += w
-					skip = stride
-				}
-				skip--
 			}
 		}
 		partials[ci] = pt
 	})
-	var totalWeight, weightedLatency, sampledWeight float64
+	var totalWeight, weightedLatency float64
 	var bboxWork, rows int64
 	for ci := range partials {
 		pt := &partials[ci]
@@ -259,7 +233,6 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		}
 		totalWeight += pt.totalWeight
 		s.AvgCongestion += pt.avgCongestion
-		sampledWeight += pt.sampledWeight
 		bboxWork += pt.bboxWork
 		rows += pt.rows
 	}
@@ -268,25 +241,19 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 	}
 	s.AvgCongestion /= float64(mesh.Cores())
 
-	mode := opts.Congestion
-	if mode == CongestionAuto {
-		if bboxWork <= opts.ExactWorkLimit {
-			mode = CongestionExact
-		} else {
-			mode = CongestionSampled
-		}
-	}
 	var counts gridCounts
-	if mode == CongestionExact || mode == CongestionSampled {
-		if mode == CongestionExact {
-			stride = 1
+	if opts.Congestion == CongestionAuto {
+		lim := opts.limits.withDefaults()
+		stride := 1
+		if bboxWork > lim.exactCells {
+			stride = sampleStride(p, lim.sampleEdges)
 		}
 		var grid []float64
 		grid, counts = congestionGrid(p, pos, mesh, stride, opts.Workers)
-		if stride > 1 && sampledWeight > 0 {
+		if stride > 1 && counts.sampledWeight > 0 {
 			// Rescale by the sampled traffic share so the grid estimates
 			// the full-population congestion.
-			scale := totalWeight / sampledWeight
+			scale := totalWeight / counts.sampledWeight
 			for i := range grid {
 				grid[i] *= scale
 			}
@@ -330,10 +297,13 @@ func CongestionGrid(p *pcn.PCN, pl *place.Placement, stride, workers int) []floa
 	return grid
 }
 
-// gridCounts is what the congestion sweeps report to Evaluate's span: the
-// box cells they covered, the targets added from a shared in-run's fields and
-// the field sets built.
-type gridCounts struct{ swept, runTargets, runTables int64 }
+// gridCounts is what the congestion sweeps report to Evaluate: the box cells
+// they covered, the targets added from a shared in-run's fields, the field
+// sets built and, on a sampled grid, the weight of the sampled edges.
+type gridCounts struct {
+	swept, runTargets, runTables int64
+	sampledWeight                float64
+}
 
 // gridChunks is the congestion grid's chunk count for n clusters on a mesh of
 // cores cores: capped so the transient per-chunk grids stay bounded (~64 MB
@@ -391,12 +361,14 @@ func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int)
 		}
 		// Every stride-th edge in global CSR order: skip carries across
 		// clusters, so unsampled edges cost nothing and unsampled clusters one
-		// comparison.
+		// comparison. The sampled edges' weight, which Evaluate rescales by, is
+		// summed here and nowhere else.
 		skip := sampleSkip(p.OutOff[lo], stride)
 		for c := lo; c < hi; c++ {
 			tos, ws := p.OutEdges(c)
 			s.one[0] = int32(c)
 			for ; skip < len(tos); skip += stride {
+				gc.sampledWeight += ws[skip]
 				gc.swept += s.propagate(dst, cols, pos, pos[tos[skip]], s.one[:], ws[skip:skip+1])
 			}
 			skip -= len(tos)
@@ -445,6 +417,7 @@ func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int)
 		total.swept += c.swept
 		total.runTargets += c.runTargets
 		total.runTables += c.runTables
+		total.sampledWeight += c.sampledWeight
 	}
 	return grid, total
 }

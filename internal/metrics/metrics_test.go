@@ -42,7 +42,7 @@ func TestEvaluateSingleEdgeHandChecked(t *testing.T) {
 	mesh := hw.MustMesh(4, 4)
 	pl := placeAt(t, p, mesh, geom.Point{X: 0, Y: 0}, geom.Point{X: 2, Y: 1})
 	cost := hw.DefaultCostModel()
-	s := Evaluate(p, pl, cost, Options{Congestion: CongestionExact})
+	s := Evaluate(p, pl, cost, Options{})
 
 	// Distance 3. Energy (Eq. 9) = w·((d+1)·EN_r + d·EN_w) = 10·(4 + 0.3).
 	if want := 10 * (4 + 0.3); math.Abs(s.Energy-want) > 1e-12 {
@@ -77,7 +77,7 @@ func TestEvaluateMultiEdgeLatencyWeighting(t *testing.T) {
 	mesh := hw.MustMesh(1, 3)
 	pl := placeAt(t, res.PCN, mesh, geom.Point{X: 0, Y: 0}, geom.Point{X: 0, Y: 1}, geom.Point{X: 0, Y: 2})
 	cost := hw.DefaultCostModel()
-	s := Evaluate(res.PCN, pl, cost, Options{Congestion: CongestionExact})
+	s := Evaluate(res.PCN, pl, cost, Options{})
 	lat1 := cost.SpikeLatency(1)
 	lat2 := cost.SpikeLatency(2)
 	if want := (3*lat1 + lat2) / 4; math.Abs(s.AvgLatency-want) > 1e-12 {
@@ -182,7 +182,7 @@ func TestCongestionGridTotalsMatchAverage(t *testing.T) {
 	if math.Abs(total-want) > 1e-9 {
 		t.Errorf("grid total %g, want %g", total, want)
 	}
-	s := Evaluate(res.PCN, pl, hw.DefaultCostModel(), Options{Congestion: CongestionExact})
+	s := Evaluate(res.PCN, pl, hw.DefaultCostModel(), Options{})
 	if math.Abs(s.AvgCongestion-want/9) > 1e-9 {
 		t.Errorf("avg congestion %g, want %g", s.AvgCongestion, want/9)
 	}
@@ -201,8 +201,8 @@ func TestCongestionSampledApproximatesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := Evaluate(res.PCN, pl, hw.DefaultCostModel(), Options{Congestion: CongestionExact})
-	sampled := Evaluate(res.PCN, pl, hw.DefaultCostModel(), Options{Congestion: CongestionSampled, SampleEdges: 16})
+	exact := Evaluate(res.PCN, pl, hw.DefaultCostModel(), Options{})
+	sampled := Evaluate(res.PCN, pl, hw.DefaultCostModel(), Options{limits: forceSampled(16)})
 	if sampled.MaxCongestion < exact.MaxCongestion*0.3 || sampled.MaxCongestion > exact.MaxCongestion*3 {
 		t.Errorf("sampled max congestion %g too far from exact %g", sampled.MaxCongestion, exact.MaxCongestion)
 	}

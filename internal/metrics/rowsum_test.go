@@ -106,7 +106,8 @@ func integral(p *pcn.PCN) bool {
 // TestEvaluateRowSumsMatchWalk holds Evaluate, which sums each repeated
 // dense out-row from a prefix table, to the per-edge walk it replaced
 // (evaluateWalk) on dense, ragged, residual, depthwise, defective-mesh and
-// random inputs, in modes skip, exact and sampled, at workers 1, 2 and 4:
+// random inputs, with the grid skipped, exact and sampled (through limits that
+// put every input above the exact limit), at workers 1, 2 and 4:
 // MaxLatency, MaxCongestion, box_cells and swept_cells exactly (MaxCongestion
 // within 1e-12 when sampled on non-integer weights, whose rescale factor is a
 // ratio of two reassociated sums), Energy, AvgLatency and AvgCongestion
@@ -122,8 +123,8 @@ func TestEvaluateRowSumsMatchWalk(t *testing.T) {
 			opts Options
 		}{
 			{"skip", Options{Congestion: CongestionSkip}},
-			{"exact", Options{Congestion: CongestionExact}},
-			{"sampled", Options{Congestion: CongestionSampled, SampleEdges: 997}},
+			{"exact", Options{}},
+			{"sampled", Options{limits: forceSampled(997)}},
 		} {
 			for _, cost := range []hw.CostModel{hw.DefaultCostModel(), dyadic} {
 				exact := cost == dyadic && integral(c.p)
@@ -148,7 +149,7 @@ func TestEvaluateRowSumsMatchWalk(t *testing.T) {
 					// Sampled mode rescales the grid by Σw over the sampled Σw, two sums
 					// the table reassociates: exact on integer weights, not beyond.
 					congOK := got.MaxCongestion == want.MaxCongestion
-					if mode.opts.Congestion == CongestionSampled && !integral(c.p) {
+					if mode.name == "sampled" && !integral(c.p) {
 						congOK = math.Abs(got.MaxCongestion-want.MaxCongestion) <= 1e-12*want.MaxCongestion
 					}
 					if got.MaxLatency != want.MaxLatency || !congOK || box != wantBox || swept != wantSwept {
@@ -184,7 +185,7 @@ func TestEvaluateTransposeReflectInvariant(t *testing.T) {
 	cost := hw.DefaultCostModel()
 	for _, c := range rowCases(t) {
 		mesh := c.pl.Mesh
-		want, wantBox, _, _ := evaluateCounted(c.p, c.pl, cost, Options{Congestion: CongestionExact})
+		want, wantBox, _, _ := evaluateCounted(c.p, c.pl, cost, Options{})
 		for _, v := range []struct {
 			name string
 			mesh hw.Mesh
@@ -203,7 +204,7 @@ func TestEvaluateTransposeReflectInvariant(t *testing.T) {
 				x, y := v.at(pt.X, pt.Y)
 				pl.Assign(cl, int32(x*v.mesh.Cols+y))
 			}
-			got, box, _, _ := evaluateCounted(c.p, pl, cost, Options{Congestion: CongestionExact})
+			got, box, _, _ := evaluateCounted(c.p, pl, cost, Options{})
 			if got.Energy != want.Energy || got.AvgLatency != want.AvgLatency || got.MaxLatency != want.MaxLatency ||
 				got.AvgCongestion != want.AvgCongestion || box != wantBox ||
 				!(math.Abs(got.MaxCongestion-want.MaxCongestion) <= 1e-12*want.MaxCongestion) {

@@ -233,19 +233,24 @@ type (
 	CongestionMode = metrics.CongestionMode
 )
 
-// Congestion computation modes for MetricOptions.
+// Congestion modes for MetricOptions. CongestionAuto, the zero value,
+// computes Eq. 14's grid exactly up to 500 M bounding-box cells (Σ
+// (dx+1)(dy+1) over all edges) and above that from every ⌈E/200 000⌉-th
+// edge, rescaled; CongestionSkip leaves MaxCongestion zero.
 const (
-	CongestionAuto    = metrics.CongestionAuto
-	CongestionExact   = metrics.CongestionExact
-	CongestionSampled = metrics.CongestionSampled
-	CongestionSkip    = metrics.CongestionSkip
+	CongestionAuto = metrics.CongestionAuto
+	CongestionSkip = metrics.CongestionSkip
 )
 
 // Evaluate scores a placement on energy, latency and congestion. The
 // placement must place exactly p's clusters, each on its own core of its
 // mesh — LoadPlacement returns whatever the file held, possibly for another
-// PCN — else Evaluate fails with an error wrapping ErrBadConfig.
+// PCN — and opts.Congestion must be CongestionAuto or CongestionSkip, else
+// Evaluate fails with an error wrapping ErrBadConfig.
 func Evaluate(p *PCN, pl *Placement, cost CostModel, opts MetricOptions) (Summary, error) {
+	if opts.Congestion != CongestionAuto && opts.Congestion != CongestionSkip {
+		return Summary{}, fmt.Errorf("%w: unknown congestion mode %d", ErrBadConfig, opts.Congestion)
+	}
 	if len(pl.PosOf) != p.NumClusters {
 		return Summary{}, fmt.Errorf("%w: placement covers %d clusters, PCN has %d", ErrBadConfig, len(pl.PosOf), p.NumClusters)
 	}

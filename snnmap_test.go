@@ -113,6 +113,36 @@ func TestEvaluateRejectsForeignPlacement(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsUnknownCongestionMode: only CongestionAuto and
+// CongestionSkip are modes; any other value fails with ErrBadConfig instead of
+// reading as a zero MaxCongestion.
+func TestEvaluateRejectsUnknownCongestionMode(t *testing.T) {
+	p, err := snnmap.Expand(snnmap.DNN65K(), snnmap.DefaultPartition())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := snnmap.Map(p, snnmap.MeshFor(p.NumClusters), snnmap.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := snnmap.DefaultCostModel()
+	for _, mode := range []snnmap.CongestionMode{-1, 2, 7} {
+		sum, err := snnmap.Evaluate(p, res.Placement, cost, snnmap.MetricOptions{Congestion: mode})
+		if !errors.Is(err, snnmap.ErrBadConfig) || sum != (snnmap.Summary{}) {
+			t.Errorf("mode %d: Evaluate = %+v, %v; want a zero Summary and ErrBadConfig", mode, sum, err)
+		}
+	}
+	for _, mode := range []snnmap.CongestionMode{snnmap.CongestionAuto, snnmap.CongestionSkip} {
+		sum, err := snnmap.Evaluate(p, res.Placement, cost, snnmap.MetricOptions{Congestion: mode})
+		if err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		if got := sum.MaxCongestion > 0; got != (mode == snnmap.CongestionAuto) {
+			t.Errorf("mode %d: MaxCongestion %v", mode, sum.MaxCongestion)
+		}
+	}
+}
+
 func TestExplicitGraphPartitionFlow(t *testing.T) {
 	var b snnmap.GraphBuilder
 	l0 := b.AddNeurons(6, 0)
