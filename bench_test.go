@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"snnmap/internal/analysis"
-	"snnmap/internal/baseline"
 	"snnmap/internal/codec"
 	"snnmap/internal/curve"
 	"snnmap/internal/expt"
@@ -313,7 +312,7 @@ func BenchmarkNoCSimulator(b *testing.B) {
 // itself (exact congestion) on a mid-size workload.
 func BenchmarkEvaluateMetrics(b *testing.B) {
 	p, mesh := buildWorkload(b, "LeNet-ImageNet")
-	pl, _, err := baseline.Random(p, mesh, baseline.Options{Seed: 1})
+	pl, err := mapping.InitialPlacement(p, mesh, curve.Random{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func main() {
 		ckptPath  = flag.String("checkpoint", "", "periodically write the fine-tuning state (self-contained snapshot, atomic replace) to this file; continue later with -resume")
 		ckptEvery = flag.Int("checkpoint-every", 32, "iterations between -checkpoint snapshots")
 		resume    = flag.String("resume", "", "resume fine-tuning from a snapshot file written by -checkpoint (bit-identical to the uninterrupted run, at any -workers count)")
-		spareRows = flag.Int("spare-rows", 0, "reserve this many extra mesh rows as hot spares for wholesale row-shift repair (grows the mesh; placement and fine-tuning leave them empty)")
+		spareRows = flag.Int("spare-rows", 0, "reserve this many extra mesh rows as hot spares for wholesale row-shift repair (grows the mesh; placement and fine-tuning leave them empty; TrueNorth, DFSynthesizer and PSO refuse it)")
 		cacheDir  = flag.String("cache-dir", "", "content-addressed artifact cache directory: serves the mapping result (placement + fine-tuning statistics) and the metrics from prior runs with identical inputs (warm results are bit-identical to cold; mapping results are only cached with -budget 0)")
 	)
 	var cli obs.CLI

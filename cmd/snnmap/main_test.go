@@ -48,7 +48,8 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 // TestBadInputsExitOne: invalid user input is a clean exit 1 with a
 // "snnmap:" message — never a panic (exit 2) — within 5 s. A fault spec that
 // leaves no healthy core however far the mesh grows (every core dead, every
-// row failed) is such input: the run must not grow the mesh without end.
+// row failed) is such input: the run must not grow the mesh without end. So
+// is a spare row for a method that cannot keep one free (TrueNorth).
 func TestBadInputsExitOne(t *testing.T) {
 	// Traffic 256 neurons × fan-in 1e10 × rate 1e300 per target cluster
 	// overflows float64.
@@ -77,6 +78,7 @@ func TestBadInputsExitOne(t *testing.T) {
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "uniform:dead=1"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "clustered:dead=1"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "lines:rows=100000"},
+		{"-workload", "LeNet-MNIST", "-budget", "0", "-method", "TrueNorth", "-spare-rows", "1"},
 	} {
 		start := time.Now()
 		code, _, stderr := runCLI(t, args...)

@@ -1,8 +1,10 @@
 // Package baseline implements the comparison approaches of §5.1.3, built
 // from scratch against the same PCN/placement substrate as the proposed
-// method: random mapping, the TrueNorth layer-by-layer heuristic (Sawada et
-// al.), DFSynthesizer's iterative swap search (Song et al.), and the
-// binarized Particle Swarm Optimization used by SpiNeMap/PyCARL/Song.
+// method: the TrueNorth layer-by-layer heuristic (Sawada et al.),
+// DFSynthesizer's iterative swap search (Song et al.), and the binarized
+// Particle Swarm Optimization used by SpiNeMap/PyCARL/Song. The random
+// baseline is no search: it is the mapping pipeline over a seeded random
+// visit order (curve.Random).
 //
 // All methods accept a wall-clock budget mirroring the paper's 100-hour
 // early-stop protocol (scaled to this machine), and report whether they were
@@ -10,7 +12,6 @@
 package baseline
 
 import (
-	"math/rand"
 	"time"
 
 	"snnmap/internal/geom"
@@ -49,18 +50,6 @@ type Stats struct {
 	Evaluations int64
 	// Moves counts accepted placement changes.
 	Moves int64
-}
-
-// Random places clusters uniformly at random: the paper's baseline that all
-// Figure 8/10-12 metrics are normalized against.
-func Random(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, Stats, error) {
-	start := time.Now()
-	rng := rand.New(rand.NewSource(opts.Seed))
-	pl, err := place.Random(p.NumClusters, mesh, rng)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return pl, Stats{Elapsed: time.Since(start)}, nil
 }
 
 // placementEnergy computes the M_ec objective (Eq. 9) directly from the

@@ -10,6 +10,7 @@ import (
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
 	"snnmap/internal/pcn"
+	"snnmap/internal/place"
 	"snnmap/internal/snn"
 )
 
@@ -44,34 +45,20 @@ func randomPCN(t *testing.T, seed int64, n, e int) *pcn.PCN {
 	return res.PCN
 }
 
-func TestRandomBaselineValidAndDeterministic(t *testing.T) {
-	p := randomPCN(t, 1, 20, 100)
-	mesh := hw.MustMesh(5, 5)
-	a, _, err := Random(p, mesh, Options{Seed: 42})
+// randomPlacement is a uniformly random start for the searches' tests.
+func randomPlacement(t *testing.T, p *pcn.PCN, mesh hw.Mesh, seed int64) *place.Placement {
+	t.Helper()
+	pl, err := place.Random(p.NumClusters, mesh, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Random(p, mesh, Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.PosOf {
-		if a.PosOf[i] != b.PosOf[i] {
-			t.Fatal("same seed must give identical placements")
-		}
-	}
+	return pl
 }
 
 func TestPlacementEnergyMatchesDefinition(t *testing.T) {
 	p := randomPCN(t, 5, 10, 40)
 	mesh := hw.MustMesh(4, 4)
-	pl, _, err := Random(p, mesh, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := randomPlacement(t, p, mesh, 1)
 	cost := hw.DefaultCostModel()
 	var want float64
 	for c := 0; c < p.NumClusters; c++ {
@@ -90,10 +77,7 @@ func TestSwapEnergyDeltaMatchesBruteForce(t *testing.T) {
 	f := func(seed int64, ai, bi uint8) bool {
 		p := randomPCN(t, seed, 12, 60)
 		mesh := hw.MustMesh(4, 4)
-		pl, _, err := Random(p, mesh, Options{Seed: seed})
-		if err != nil {
-			return false
-		}
+		pl := randomPlacement(t, p, mesh, seed)
 		cost := hw.DefaultCostModel()
 		a := int32(int(ai) % mesh.Cores())
 		b := int32(int(bi) % mesh.Cores())
@@ -144,10 +128,7 @@ func TestTrueNorthBeatsRandomOnLayeredNets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, _, err := Random(p, mesh, Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rd := randomPlacement(t, p, mesh, 7)
 	if placementEnergy(p, tn, cost) >= placementEnergy(p, rd, cost) {
 		t.Error("TrueNorth should beat random placement on a layered net")
 	}
@@ -198,10 +179,7 @@ func TestDFSynthesizerImprovesEnergy(t *testing.T) {
 	p := randomPCN(t, 9, 30, 300)
 	mesh := hw.MustMesh(6, 6)
 	cost := hw.DefaultCostModel()
-	rd, _, err := Random(p, mesh, Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rd := randomPlacement(t, p, mesh, 11)
 	df, stats, err := DFSynthesizer(p, mesh, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -246,10 +224,7 @@ func TestPSOImprovesOverWorstParticle(t *testing.T) {
 	// gbest must beat the average random placement.
 	var rdSum float64
 	for s := int64(0); s < 5; s++ {
-		rd, _, err := Random(p, mesh, Options{Seed: 100 + s})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rd := randomPlacement(t, p, mesh, 100+s)
 		rdSum += placementEnergy(p, rd, cost)
 	}
 	if placementEnergy(p, pso, cost) >= rdSum/5 {

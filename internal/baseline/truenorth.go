@@ -39,7 +39,7 @@ func TrueNorth(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, Stats,
 	order, layerOf := layerOrder(p)
 
 	// Incoming adjacency with weights (inward clusters).
-	inOff, inFrom, inW := buildInCSR(p)
+	sym := p.Symmetric()
 
 	var deadline time.Time
 	if opts.Budget > 0 {
@@ -74,12 +74,13 @@ func TrueNorth(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, Stats,
 		}
 		// Collect already placed inward neighbors.
 		var xs, ys []weightedCoord
-		for k := inOff[c]; k < inOff[c+1]; k++ {
-			src := inFrom[k]
+		from, ws := sym.InEdges(int(c))
+		m := pcn.WeightMask(from, ws)
+		for k, src := range from {
 			if pos := pl.PosOf[src]; pos != place.None {
 				pt := mesh.Coord(int(pos))
-				xs = append(xs, weightedCoord{pt.X, inW[k]})
-				ys = append(ys, weightedCoord{pt.Y, inW[k]})
+				xs = append(xs, weightedCoord{pt.X, ws[k&m]})
+				ys = append(ys, weightedCoord{pt.Y, ws[k&m]})
 			}
 		}
 		if layerOf[c] == firstLayer || len(xs) == 0 {
@@ -163,30 +164,4 @@ func layerOrder(p *pcn.PCN) (order []int32, layerOf []int32) {
 		return layerOf[order[a]] < layerOf[order[b]]
 	})
 	return order, layerOf
-}
-
-// buildInCSR builds the incoming-edge CSR of the PCN.
-func buildInCSR(p *pcn.PCN) (off []int64, from []int32, w []float64) {
-	n := p.NumClusters
-	off = make([]int64, n+1)
-	for _, to := range p.OutTo {
-		off[to+1]++
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	from = make([]int32, len(p.OutTo))
-	w = make([]float64, len(p.OutW))
-	next := make([]int64, n)
-	copy(next, off[:n])
-	for c := 0; c < n; c++ {
-		tos, ws := p.OutEdges(c)
-		for k, to := range tos {
-			pos := next[to]
-			next[to]++
-			from[pos] = int32(c)
-			w[pos] = ws[k]
-		}
-	}
-	return off, from, w
 }

@@ -168,8 +168,10 @@ func (h *hasher) defects(d *hw.DefectMap) {
 // fdPhase hashes the fields of the (resolved) FD phase that determine
 // its output. Workers, Obs and Checkpoint are excluded — they
 // are bit-identity-preserving by contract (see FDConfig) — and Budget
-// never reaches here because budgeted configs bypass the cache.
-func (h *hasher) fdPhase(cfg *mapping.FDConfig, topDefects *hw.DefectMap, topCons hw.Constraints) {
+// never reaches here because budgeted configs bypass the cache. Its Defects
+// and Constraints are the pipeline's (MapContext refuses any other), which
+// resultKey hashes once.
+func (h *hasher) fdPhase(cfg *mapping.FDConfig) {
 	if cfg == nil {
 		h.boolean(false)
 		return
@@ -181,16 +183,6 @@ func (h *hasher) fdPhase(cfg *mapping.FDConfig, topDefects *hw.DefectMap, topCon
 	h.f64(r.Potential.AtZero())
 	h.f64(r.Lambda)
 	h.i64(int64(r.MaxIterations))
-	// Effective per-phase fault model, resolved exactly as MapContext does:
-	// a phase with its own Defects keeps its own Constraints, otherwise it
-	// inherits the pipeline's.
-	if r.Defects != nil {
-		h.defects(r.Defects)
-		h.constraints(r.Constraints)
-	} else {
-		h.defects(topDefects)
-		h.constraints(topCons)
-	}
 }
 
 // curveName resolves the mapping config's curve the way MapContext does
@@ -203,18 +195,20 @@ func curveName(cfg *mapping.Config) string {
 }
 
 // resultKey is the stage key for the finished mapping pipeline: PCN
-// content, mesh, curve, the fault model the curve walk avoids, and the FD
-// phase. /2 since the pipeline runs
-// one FD phase with no min-gain field: the entry payload holds one FDStats
-// block, so entries under the unrevised tag must miss, not read as corrupt.
+// content, mesh, curve (a random order's name carries its seed), the one
+// fault model the curve walk and FD share, and the FD phase. /2 since the
+// pipeline runs one FD phase with no min-gain field: the entry payload holds
+// one FDStats block, so entries under the unrevised tag must miss, not read
+// as corrupt. /3 since the FD phase has no fault model of its own, so its
+// encoding dropped the per-phase defect map and constraints.
 func resultKey(pk Key, mesh hw.Mesh, cfg *mapping.Config) Key {
-	h := newHasher("result/2")
+	h := newHasher("result/3")
 	h.h.Write(pk[:])
 	h.mesh(mesh)
 	h.str(curveName(cfg))
 	h.defects(cfg.Defects)
 	h.constraints(cfg.Constraints)
-	h.fdPhase(cfg.FD, cfg.Defects, cfg.Constraints)
+	h.fdPhase(cfg.FD)
 	return h.sum()
 }
 

@@ -50,7 +50,8 @@ func pcnKeyOf(p *pcn.PCN) Key {
 // can differ in their last bits; and with its /4: a sampled grid's weight is
 // summed per sampled edge in the grid's chunks, and the key hashes the
 // congestion mode alone. The result pin moved with its /2: one FD
-// phase, no min-gain field, one FDStats block in the payload.
+// phase, no min-gain field, one FDStats block in the payload; and with its
+// /3: the FD phase has no fault model of its own to hash.
 func TestKeyGolden(t *testing.T) {
 	p := goldenPCN()
 	cfg := goldenMappingConfig()
@@ -62,7 +63,7 @@ func TestKeyGolden(t *testing.T) {
 		want string
 	}{
 		{"pcn", pk, "1da50ce454e248a5a33637ba26f2ed6b01aac5aa5fd8b9c642b59ccdcea14454"},
-		{"result", resultKey(pk, mesh, &cfg), "356080d1284fa43f999952d3fdd7630a017ca93b6f55641e5ce41b6ff4b35376"},
+		{"result", resultKey(pk, mesh, &cfg), "91f1016a2d541a55b47cf70ddf3f4da897e33142ce3cfc49fd9768d4c579e76d"},
 		{"metrics", metricsKey(pk, []int32{0, 1, 2}, mesh, hw.DefaultCostModel(),
 			metrics.Options{}), "388c91593a2066897d1bb44f72304cf304f6c1f2a11fcade398bdd3c6f7663b8"},
 	}
@@ -103,6 +104,7 @@ func TestKeyFieldSensitivity(t *testing.T) {
 		}},
 		{"explicit hilbert equals nil curve", func(p *pcn.PCN, cfg *mapping.Config) { cfg.Curve = curve.Hilbert{} }},
 		{"explicit lambda default", func(p *pcn.PCN, cfg *mapping.Config) { cfg.FD.Lambda = 0.3 }},
+		{"fd restates the pipeline's constraints", func(p *pcn.PCN, cfg *mapping.Config) { cfg.FD.Constraints = cfg.Constraints }},
 	}
 	for _, m := range mustNotChange {
 		p := goldenPCN()
@@ -121,6 +123,7 @@ func TestKeyFieldSensitivity(t *testing.T) {
 		{"cluster sizes", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { p.Neurons[0] = 3 }},
 		{"mesh dims", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { *mesh = hw.MustMesh(4, 5) }},
 		{"curve", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.Curve = curve.ZigZag{} }},
+		{"random order", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.Curve = curve.Random{Seed: 1} }},
 		{"potential", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.FD.Potential = mapping.L1{} }},
 		{"lambda", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.FD.Lambda = 0.5 }},
 		{"max iterations", func(p *pcn.PCN, cfg *mapping.Config, mesh *hw.Mesh) { cfg.FD.MaxIterations = 41 }},
@@ -141,6 +144,17 @@ func TestKeyFieldSensitivity(t *testing.T) {
 		if got := resultKey(pcnKeyOf(p), meshCopy, &cfg); got == want {
 			t.Errorf("%s did not change the result key but must", m.name)
 		}
+	}
+
+	// The random order's seed is part of its name: a second seed must not
+	// be served the first seed's placement.
+	seeded := func(seed int64) Key {
+		cfg := goldenMappingConfig()
+		cfg.Curve = curve.Random{Seed: seed}
+		return resultKey(pcnKeyOf(goldenPCN()), mesh, &cfg)
+	}
+	if seeded(1) == seeded(2) {
+		t.Error("random seed did not change the result key but must")
 	}
 
 	// Two defect maps with the same content must produce the same key

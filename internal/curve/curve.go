@@ -1,11 +1,12 @@
 // Package curve implements the space-filling curves studied in §4.2–4.3 and
 // Appendix A of the paper: the Hilbert curve (on power-of-two squares and,
 // via a generalized construction, on arbitrary rectangles), and the ZigZag
-// and Circle curves used as comparison points in Figure 6.
+// and Circle curves used as comparison points in Figure 6, plus the seeded
+// random visit order behind the paper's random initial placement.
 //
 // A space-filling curve visits every cell of an n×m mesh exactly once; the
 // mapping from sequence index to mesh position is the Hilbert function of
-// Eq. 16. Curves are deterministic and allocation is a single slice.
+// Eq. 16. Every visit order is deterministic (Random's per seed).
 package curve
 
 import (

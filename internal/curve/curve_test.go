@@ -1,13 +1,15 @@
 package curve
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"snnmap/internal/geom"
 )
 
-func allCurves() []Curve { return []Curve{Hilbert{}, ZigZag{}, Circle{}} }
+func allCurves() []Curve { return []Curve{Hilbert{}, ZigZag{}, Circle{}, Random{Seed: 7}} }
 
 func TestPermutationProperty(t *testing.T) {
 	sizes := [][2]int{
@@ -42,7 +44,7 @@ func TestConsecutiveAdjacency(t *testing.T) {
 	// Hilbert (both constructions), ZigZag and Circle all visit mesh
 	// neighbors consecutively, so the total step length is n*m-1.
 	sizes := [][2]int{{4, 4}, {8, 8}, {16, 8}, {13, 19}, {16, 12}, {5, 5}, {32, 32}}
-	for _, c := range allCurves() {
+	for _, c := range []Curve{Hilbert{}, ZigZag{}, Circle{}} {
 		for _, s := range sizes {
 			pts := c.Points(s[0], s[1])
 			if got, want := TotalStepLength(pts), s[0]*s[1]-1; got != want {
@@ -130,6 +132,39 @@ func TestCircleEndsNearCenter(t *testing.T) {
 	center := geom.Point{X: 4, Y: 4}
 	if geom.Manhattan(last, center) > 1 {
 		t.Errorf("circle should spiral to the center, ended at %v", last)
+	}
+}
+
+// TestRandomOrderSeeded pins the random order to its seed: one seed always
+// gives the same order and the same name, and different seeds give different
+// orders and names (the name is the order's cache identity).
+func TestRandomOrderSeeded(t *testing.T) {
+	a, b := (Random{Seed: 42}).Points(5, 5), (Random{Seed: 42}).Points(5, 5)
+	if !slices.Equal(a, b) {
+		t.Error("same seed must give the same order")
+	}
+	if name := (Random{Seed: 42}).Name(); name != "random/42" {
+		t.Errorf("name %q, want random/42", name)
+	}
+	for _, seed := range []int64{1, 2, 43} {
+		if slices.Equal(a, (Random{Seed: seed}).Points(5, 5)) {
+			t.Errorf("seeds 42 and %d give the same order", seed)
+		}
+		if (Random{Seed: seed}).Name() == (Random{Seed: 42}).Name() {
+			t.Errorf("seeds 42 and %d share a name", seed)
+		}
+	}
+}
+
+// TestRandomOrderIsPermOfCells pins the order to its definition: step i
+// visits row-major cell Perm(n·m)[i] of a generator seeded with Seed.
+func TestRandomOrderIsPermOfCells(t *testing.T) {
+	n, m := 7, 5
+	perm := rand.New(rand.NewSource(3)).Perm(n * m)
+	for i, pt := range (Random{Seed: 3}).Points(n, m) {
+		if got := pt.X*m + pt.Y; got != perm[i] {
+			t.Fatalf("step %d visits cell %d, want %d", i, got, perm[i])
+		}
 	}
 }
 

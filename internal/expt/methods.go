@@ -22,12 +22,14 @@ type RunOptions struct {
 	Budget time.Duration
 	// Cost is the hardware cost model (zero value = Table 2 defaults).
 	Cost hw.CostModel
-	// Defects marks dead cores and failed links of the target mesh. Curve
-	// and FD methods place around them; baseline methods do not support
-	// defect maps and fail when one is set.
+	// Defects marks dead cores and failed links of the target mesh. Random,
+	// curve and FD methods place around them; TrueNorth, DFSynthesizer and
+	// PSO fail with ErrBadConfig when the map has a dead core.
 	Defects *hw.DefectMap
 	// Constraints reserves hot-spare rows (mapping.Config.Constraints:
-	// only SpareRows is read).
+	// only SpareRows is read). Random, curve and FD methods leave them
+	// empty; TrueNorth, DFSynthesizer and PSO fail with ErrBadConfig when
+	// SpareRows is positive.
 	Constraints hw.Constraints
 	// Workers fans FD fine-tuning's build phases and metrics evaluation out
 	// over up to this many goroutines (0 or 1 = sequential). Results are
@@ -43,10 +45,11 @@ type RunOptions struct {
 	// evaluation, sweep progress). Nil disables telemetry. Observe-only:
 	// results are bit-identical with or without an observer.
 	Obs *obs.Observer
-	// Cache warm-starts curve-addressable method runs from previously
-	// stored artifacts (mapping.Config.Cache). Randomized initial
-	// placements are not content-addressable and ignore it, and budgeted
-	// runs bypass it; results are bit-identical with or without a cache.
+	// Cache warm-starts Random, curve and FD method runs from previously
+	// stored artifacts (mapping.Config.Cache); the random visit order's name
+	// carries the seed, so each seed has its own entry. Budgeted FD runs
+	// bypass it, and TrueNorth, DFSynthesizer and PSO ignore it; results are
+	// bit-identical with or without a cache.
 	Cache mapping.ResultCache
 }
 
@@ -71,115 +74,75 @@ type Method struct {
 	Run func(p *pcn.PCN, mesh hw.Mesh, opts RunOptions) (*place.Placement, MethodStats, error)
 }
 
-// curveMethod routes through mapping.MapContext (FD disabled) so the
-// cache, phase spans and defect handling live in one place.
-func curveMethod(name string, c curve.Curve) Method {
+// mapMethod is one Figure 8 pipeline run through mapping.Map, so the cache,
+// phase spans and defect and spare-row handling live in one place: an
+// initial placement along start(seed), the visit order for the run's seed,
+// then FD fine-tuning with pot when pot is non-nil.
+func mapMethod(name string, start func(seed int64) curve.Curve, pot mapping.Potential) Method {
 	return Method{Name: name, Run: func(p *pcn.PCN, mesh hw.Mesh, opts RunOptions) (*place.Placement, MethodStats, error) {
-		res, err := mapping.Map(p, mesh, mapping.Config{
-			Curve:       c,
+		cfg := mapping.Config{
+			Curve:       start(opts.Seed),
 			Defects:     opts.Defects,
 			Constraints: opts.Constraints,
 			Obs:         opts.Obs,
 			Cache:       opts.Cache,
-		})
+		}
+		if pot != nil {
+			cfg.FD = &mapping.FDConfig{Potential: pot, Budget: opts.Budget, Workers: opts.Workers, Checkpoint: opts.Checkpoint}
+		}
+		res, err := mapping.Map(p, mesh, cfg)
 		if err != nil {
 			return nil, MethodStats{}, err
 		}
-		return res.Placement, MethodStats{Elapsed: res.Elapsed}, nil
+		return res.Placement, MethodStats{Elapsed: res.Elapsed, EarlyStopped: pot != nil && !res.FD.Converged}, nil
 	}}
 }
 
-func fdMethod(name string, c curve.Curve, pot func(hw.CostModel) mapping.Potential) Method {
-	return Method{Name: name, Run: func(p *pcn.PCN, mesh hw.Mesh, opts RunOptions) (*place.Placement, MethodStats, error) {
-		opts = opts.withDefaults()
-		fd := &mapping.FDConfig{
-			Potential:  pot(opts.Cost),
-			Budget:     opts.Budget,
-			Workers:    opts.Workers,
-			Checkpoint: opts.Checkpoint,
-		}
-		if c != nil {
-			// Curve-based pipeline: route through MapContext so a cache can
-			// serve the initial placement or the whole run.
-			res, err := mapping.Map(p, mesh, mapping.Config{
-				Curve:       c,
-				FD:          fd,
-				Defects:     opts.Defects,
-				Constraints: opts.Constraints,
-				Obs:         opts.Obs,
-				Cache:       opts.Cache,
-			})
-			if err != nil {
-				return nil, MethodStats{}, err
-			}
-			return res.Placement, MethodStats{Elapsed: res.Elapsed, EarlyStopped: !res.FD.Converged}, nil
-		}
-		// Randomized initial placement: not content-addressable, so the
-		// cache never applies here.
-		start := time.Now()
-		sp := opts.Obs.Span("placement", obs.KV{K: "clusters", V: float64(p.NumClusters)})
-		if opts.Defects.NumDead() > 0 {
-			sp.End()
-			return nil, MethodStats{}, fmt.Errorf("expt: method %s: random initial placement does not support defect maps", name)
-		}
-		pl, _, err := baseline.Random(p, mesh, baseline.Options{Seed: opts.Seed})
-		sp.End()
-		if err != nil {
-			return nil, MethodStats{}, err
-		}
-		fd.Defects = opts.Defects
-		fd.Constraints = opts.Constraints
-		fd.Obs = opts.Obs
-		ftSp := opts.Obs.Span("finetune")
-		stats, err := mapping.Finetune(p, pl, *fd)
-		if err != nil {
-			ftSp.End()
-			return nil, MethodStats{}, err
-		}
-		ftSp.End(
-			obs.KV{K: "iterations", V: float64(stats.Iterations)},
-			obs.KV{K: "swaps", V: float64(stats.Swaps)},
-			obs.KV{K: "final_energy", V: stats.FinalEnergy})
-		return pl, MethodStats{Elapsed: time.Since(start), EarlyStopped: !stats.Converged}, nil
-	}}
-}
+// The two kinds of initial placement in Figure 8: a seeded random visit order
+// (a, and the start of e, g, i) and a fixed curve (b–d, and the HSC starts).
+func randomStart(seed int64) curve.Curve { return curve.Random{Seed: seed} }
 
+func fixed(c curve.Curve) func(int64) curve.Curve { return func(int64) curve.Curve { return c } }
+
+// baselineMethod runs one of the §5.3 comparison searches, which place on a
+// pristine mesh only: a defect map with dead cores or reserved spare rows
+// fails with ErrBadConfig instead of being ignored.
 func baselineMethod(name string, run func(*pcn.PCN, hw.Mesh, baseline.Options) (*place.Placement, baseline.Stats, error)) Method {
 	return Method{Name: name, Run: func(p *pcn.PCN, mesh hw.Mesh, opts RunOptions) (*place.Placement, MethodStats, error) {
 		opts = opts.withDefaults()
 		if opts.Defects.NumDead() > 0 {
-			return nil, MethodStats{}, fmt.Errorf("expt: method %s does not support defect maps; use a curve/FD method", name)
+			return nil, MethodStats{}, fmt.Errorf("expt: method %s does not support defect maps; use a curve/FD method: %w", name, mapping.ErrBadConfig)
+		}
+		if opts.Constraints.SpareRows > 0 {
+			return nil, MethodStats{}, fmt.Errorf("expt: method %s does not support spare rows; use a curve/FD method: %w", name, mapping.ErrBadConfig)
 		}
 		pl, stats, err := run(p, mesh, baseline.Options{Seed: opts.Seed, Budget: opts.Budget, Cost: opts.Cost})
 		return pl, MethodStats{Elapsed: stats.Elapsed, EarlyStopped: stats.EarlyStopped}, err
 	}}
 }
 
-// RandomMethod is the paper's normalization baseline.
-func RandomMethod() Method { return baselineMethod("Random", baseline.Random) }
+// RandomMethod is the paper's normalization baseline: the PCN laid along a
+// seeded random visit order.
+func RandomMethod() Method { return mapMethod("Random", randomStart, nil) }
 
 // Proposed is the paper's approach: HSC initial placement + FD with the
 // u_c = x²+y² potential (method j of Figure 8).
-func Proposed() Method {
-	return fdMethod("Proposed", curve.Hilbert{}, func(hw.CostModel) mapping.Potential { return mapping.L2Sq{} })
-}
+func Proposed() Method { return mapMethod("Proposed", fixed(curve.Hilbert{}), mapping.L2Sq{}) }
 
 // Figure8Methods returns the ten methods a)–j) of Figure 8 in order.
 func Figure8Methods() []Method {
-	l1 := func(hw.CostModel) mapping.Potential { return mapping.L1{} }
-	l1sq := func(hw.CostModel) mapping.Potential { return mapping.L1Sq{} }
-	l2sq := func(hw.CostModel) mapping.Potential { return mapping.L2Sq{} }
+	hsc := fixed(curve.Hilbert{})
 	return []Method{
-		RandomMethod(),                                // a) baseline
-		curveMethod("HSC", curve.Hilbert{}),           // b)
-		curveMethod("ZigZag", curve.ZigZag{}),         // c)
-		curveMethod("Circle", curve.Circle{}),         // d)
-		fdMethod("FD(ua)", nil, l1),                   // e)
-		fdMethod("HSC+FD(ua)", curve.Hilbert{}, l1),   // f)
-		fdMethod("FD(ub)", nil, l1sq),                 // g)
-		fdMethod("HSC+FD(ub)", curve.Hilbert{}, l1sq), // h)
-		fdMethod("FD(uc)", nil, l2sq),                 // i)
-		fdMethod("HSC+FD(uc)", curve.Hilbert{}, l2sq), // j) = Proposed
+		RandomMethod(),                                   // a) baseline
+		mapMethod("HSC", hsc, nil),                       // b)
+		mapMethod("ZigZag", fixed(curve.ZigZag{}), nil),  // c)
+		mapMethod("Circle", fixed(curve.Circle{}), nil),  // d)
+		mapMethod("FD(ua)", randomStart, mapping.L1{}),   // e)
+		mapMethod("HSC+FD(ua)", hsc, mapping.L1{}),       // f)
+		mapMethod("FD(ub)", randomStart, mapping.L1Sq{}), // g)
+		mapMethod("HSC+FD(ub)", hsc, mapping.L1Sq{}),     // h)
+		mapMethod("FD(uc)", randomStart, mapping.L2Sq{}), // i)
+		mapMethod("HSC+FD(uc)", hsc, mapping.L2Sq{}),     // j) = Proposed
 	}
 }
 

@@ -3,12 +3,14 @@ package mapping
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"snnmap/internal/curve"
 	"snnmap/internal/hw"
+	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
 
@@ -54,6 +56,62 @@ func TestMapAvoidsDeadCoresWithFD(t *testing.T) {
 	}
 	if r.FD.FinalEnergy > r.FD.InitialEnergy {
 		t.Errorf("FD around defects worsened energy: %g -> %g", r.FD.InitialEnergy, r.FD.FinalEnergy)
+	}
+}
+
+// failCache is a ResultCache that fails the test if it is consulted.
+type failCache struct{ t *testing.T }
+
+func (c failCache) LoadResult(*pcn.PCN, hw.Mesh, *Config) (Result, bool) {
+	c.t.Error("cache consulted for a refused config")
+	return Result{}, false
+}
+func (c failCache) StoreResult(*pcn.PCN, hw.Mesh, *Config, *Result) {
+	c.t.Error("cache stored a refused config")
+}
+
+// TestMapOneFaultModel holds MapContext to one fault model per pipeline. An
+// FD phase naming another defect map or other constraints fails with
+// ErrBadConfig before the cache is consulted: FD on a map of its own, such as
+// a pristine one, would swap clusters onto the pipeline's dead cores. One
+// that restates the pipeline's gives the same bits as one that leaves them
+// unset.
+func TestMapOneFaultModel(t *testing.T) {
+	p := randomPCN(t, 5, 60, 400)
+	mesh := hw.MustMesh(10, 10)
+	d := hw.InjectUniform(mesh, 0.1, 0, 3)
+	cons := hw.Constraints{SpareRows: 1}
+	run := func(fd FDConfig, cache ResultCache) (Result, error) {
+		return Map(p, mesh, Config{Curve: curve.Random{Seed: 2}, FD: &fd, Defects: d, Constraints: cons, Cache: cache})
+	}
+	for name, fd := range map[string]FDConfig{
+		"pristine map":   {Defects: hw.NewDefectMap(mesh), Constraints: cons},
+		"equal copy":     {Defects: d.Clone()},
+		"other spares":   {Constraints: hw.Constraints{SpareRows: 2}},
+		"other capacity": {Defects: d, Constraints: hw.Constraints{NeuronsPerCore: 4}},
+	} {
+		if _, err := run(fd, failCache{t}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: err = %v, want ErrBadConfig", name, err)
+		}
+	}
+	unset, err := run(FDConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := unset.Placement.ValidateDefects(d); err != nil {
+		t.Fatal(err)
+	}
+	for r := cons.UsableRows(mesh) * mesh.Cols; r < mesh.Cores(); r++ {
+		if c := unset.Placement.ClusterAt[r]; c != place.None {
+			t.Fatalf("cluster %d in the spare row at core %d", c, r)
+		}
+	}
+	same, err := run(FDConfig{Defects: d, Constraints: cons}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(same.Placement.PosOf, unset.Placement.PosOf) || same.FD.Swaps != unset.FD.Swaps {
+		t.Error("restating the pipeline's fault model changed the run")
 	}
 }
 

@@ -129,7 +129,7 @@ func TestInitialPlacementContract(t *testing.T) {
 		name string
 		p    *pcn.PCN
 	}{{"monotone", monotone}, {"cyclic", cyclic}}
-	for _, c := range []curve.Curve{curve.Hilbert{}, curve.ZigZag{}, curve.Circle{}} {
+	for _, c := range []curve.Curve{curve.Hilbert{}, curve.ZigZag{}, curve.Circle{}, curve.Random{Seed: 3}} {
 		for _, tp := range pcns {
 			for _, sc := range meshes {
 				name := c.Name() + "/" + tp.name + "/" + sc.name

@@ -24,7 +24,8 @@ var (
 	// ErrBadConfig reports an invalid FDConfig (see FDConfig.Validate), a
 	// resume whose config/PCN does not match its snapshot, or a placement
 	// handed to Finetune, Remap or RemapRows that is not a bijection of the
-	// PCN's clusters onto in-mesh cells.
+	// PCN's clusters onto in-mesh cells, or a Config whose FD phase names
+	// another fault model than the pipeline's.
 	ErrBadConfig = place.ErrBadConfig
 )
 
@@ -38,7 +39,9 @@ type Config struct {
 	Curve curve.Curve
 	// FD enables Force-Directed fine-tuning when non-nil. A second descent
 	// of the exact M_ec objective is a Finetune call on the result with
-	// EnergyPotential (Eq. 25).
+	// EnergyPotential (Eq. 25). The phase runs under the pipeline's Defects
+	// and Constraints: its own must be unset (nil, zero) or the same map and
+	// the same constraints, else MapContext fails with ErrBadConfig.
 	FD *FDConfig
 	// Workers is ignored: the initial placement is one sequential curve
 	// walk, and FD keeps its own FDConfig.Workers knob.
@@ -100,6 +103,16 @@ func MapContext(ctx context.Context, p *pcn.PCN, mesh hw.Mesh, cfg Config) (Resu
 	if err := ctx.Err(); err != nil {
 		return Result{}, fmt.Errorf("mapping: %v: %w", err, ErrCanceled)
 	}
+	if fd := cfg.FD; fd != nil {
+		// One fault model per pipeline: the FD phase may restate the
+		// pipeline's, never name another the curve walk did not avoid.
+		if fd.Defects != nil && fd.Defects != cfg.Defects {
+			return Result{}, fmt.Errorf("mapping: %w: FD phase has its own defect map; set Config.Defects alone", ErrBadConfig)
+		}
+		if fd.Constraints != (hw.Constraints{}) && fd.Constraints != cfg.Constraints {
+			return Result{}, fmt.Errorf("mapping: %w: FD phase constraints %+v differ from the pipeline's %+v", ErrBadConfig, fd.Constraints, cfg.Constraints)
+		}
+	}
 	useCache := cfg.cacheable()
 	if useCache {
 		if res, ok := cfg.Cache.LoadResult(p, mesh, &cfg); ok {
@@ -120,10 +133,7 @@ func MapContext(ctx context.Context, p *pcn.PCN, mesh hw.Mesh, cfg Config) (Resu
 	res := Result{Placement: pl}
 	if cfg.FD != nil {
 		fdcfg := *cfg.FD
-		if fdcfg.Defects == nil {
-			fdcfg.Defects = cfg.Defects
-			fdcfg.Constraints = cfg.Constraints
-		}
+		fdcfg.Defects, fdcfg.Constraints = cfg.Defects, cfg.Constraints
 		if err := fdcfg.withDefaults().Validate(); err != nil {
 			return res, fmt.Errorf("mapping: finetune: %w", err)
 		}

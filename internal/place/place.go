@@ -182,8 +182,11 @@ func Sequential(numClusters int, mesh hw.Mesh) (*Placement, error) {
 	return p, nil
 }
 
-// Random places clusters uniformly at random (the paper's baseline method),
-// using rng for determinism.
+// Random places cluster c on core rng.Perm(cores)[c]: a uniformly random
+// placement drawn inside the caller's rng stream (PSO and DFSynthesizer start
+// from it). The paper's random baseline is the mapping pipeline over
+// curve.Random, which gives the same placement on a PCN in topological
+// order.
 func Random(numClusters int, mesh hw.Mesh, rng *rand.Rand) (*Placement, error) {
 	p, err := New(numClusters, mesh)
 	if err != nil {

@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"time"
 
 	"snnmap/internal/baseline"
 	"snnmap/internal/cache"
@@ -149,9 +150,10 @@ type (
 	Placement = place.Placement
 	// Potential is a force-field shape u(p) (§4.4.2).
 	Potential = mapping.Potential
-	// Curve is a space-filling curve over the mesh: a name and a visit
-	// order. InitialPlacement fails with ErrBadConfig when a custom curve's
-	// order is not a permutation of the mesh's cells.
+	// Curve is a visit order over the mesh's cells and a name: Hilbert,
+	// ZigZag, Circle, the seeded random order behind RandomPlacement, or a
+	// custom one. InitialPlacement fails with ErrBadConfig when a custom
+	// curve's order is not a permutation of the mesh's cells.
 	Curve = curve.Curve
 )
 
@@ -268,9 +270,18 @@ type (
 	BaselineStats = baseline.Stats
 )
 
-// RandomPlacement is the paper's normalization baseline.
+// RandomPlacement is the paper's normalization baseline: InitialPlacement
+// along the seeded random visit order curve.Random{Seed: opts.Seed}. On a
+// PCN in topological order (every layer-spec net) cluster j lands on cell
+// j of rand.New(rand.NewSource(opts.Seed)).Perm(mesh.Rows·mesh.Cols), in
+// row-major indices. Budget and Cost are not read; Elapsed times the call.
 func RandomPlacement(p *PCN, mesh Mesh, opts BaselineOptions) (*Placement, BaselineStats, error) {
-	return baseline.Random(p, mesh, opts)
+	start := time.Now()
+	pl, err := mapping.InitialPlacement(p, mesh, curve.Random{Seed: opts.Seed})
+	if err != nil {
+		return nil, BaselineStats{}, err
+	}
+	return pl, BaselineStats{Elapsed: time.Since(start)}, nil
 }
 
 // TrueNorthPlacement is the layer-by-layer heuristic of Sawada et al.
