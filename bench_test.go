@@ -357,13 +357,3 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		b.SetBytes(int64(buf.Cap()))
 	}
 }
-
-// BenchmarkCases runs the benchmark case table cmd/bench records into
-// BENCH_eval.json: kernels under the partitioner, FD, the snapshot codec,
-// metrics and the congestion grid (see expt.BenchCases). -short runs the
-// CI-sized smoke tier.
-func BenchmarkCases(b *testing.B) {
-	for _, c := range expt.BenchCases(testing.Short()) {
-		b.Run(c.Op+"/"+c.Workload, c.Bench)
-	}
-}

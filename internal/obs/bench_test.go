@@ -5,8 +5,8 @@ package obs_test
 // instrumented hot loops stay as fast as uninstrumented ones. The
 // micro-benchmarks pin the per-call cost; the Finetune pair measures the
 // end-to-end cost of an enabled trace sink on FD fine-tuning (the
-// fd-finetune/obs=trace case of expt.BenchCases records the same pair in
-// BENCH_eval.json, so regressions show up in the tracked baseline).
+// fd-finetune/obs=trace case of internal/expt's BenchmarkCases times the
+// same pair on a larger mesh).
 //
 //	go test ./internal/obs -bench . -benchtime 100x
 

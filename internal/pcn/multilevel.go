@@ -222,7 +222,7 @@ type BenchKernel struct {
 
 // AggregateKernels returns the three edge-aggregation sites PartitionMultilevel
 // can run on g, each as a closure over inputs prepared here, so the benchmark
-// case table (expt.BenchCases, pcn-aggregate/*) times the kernels: flat-csr is
+// case table (internal/expt's BenchmarkCases, pcn-aggregate/*) times the kernels: flat-csr is
 // csrFromAssignment at CON_npc, which runs only when the flat fallback is
 // returned, fine-undirected is undirectedFromAssignment at the fine
 // granularity, contract is the first coarsening step.
