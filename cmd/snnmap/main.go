@@ -57,7 +57,7 @@ func main() {
 		exportCSV = flag.String("export-csv", "", "write the placement as CSV to this file")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for FD fine-tuning (its O(E) build phases) and metrics evaluation (1 = sequential; results are bit-identical at any count)")
 		ckptPath  = flag.String("checkpoint", "", "periodically write the fine-tuning state (self-contained snapshot, atomic replace) to this file; continue later with -resume")
-		ckptEvery = flag.Int("checkpoint-every", 32, "iterations between -checkpoint snapshots")
+		ckptEvery = flag.Int("checkpoint-every", 32, "iterations between -checkpoint snapshots (at least 1)")
 		resume    = flag.String("resume", "", "resume fine-tuning from a snapshot file written by -checkpoint (bit-identical to the uninterrupted run, at any -workers count)")
 		spareRows = flag.Int("spare-rows", 0, "reserve this many extra mesh rows as hot spares for wholesale row-shift repair (grows the mesh; placement and fine-tuning leave them empty; TrueNorth, DFSynthesizer and PSO refuse it)")
 		cacheDir  = flag.String("cache-dir", "", "content-addressed artifact cache directory: serves the mapping result (placement + fine-tuning statistics) and the metrics from prior runs with identical inputs (warm results are bit-identical to cold; mapping results are only cached with -budget 0)")
@@ -71,6 +71,12 @@ func main() {
 		fatal(err)
 	}
 	obsStop = stopObs
+
+	if *ckptPath != "" && *ckptEvery < 1 {
+		// The library reads Interval 0 as "no periodic snapshots"; from the
+		// CLI that would leave a long run with nothing to resume from.
+		fatal(fmt.Errorf("-checkpoint-every %d: want at least 1 iteration between -checkpoint snapshots", *ckptEvery))
+	}
 
 	var artifacts *cache.Cache
 	if *cacheDir != "" {

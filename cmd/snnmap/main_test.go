@@ -49,7 +49,8 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 // "snnmap:" message — never a panic (exit 2) — within 5 s. A fault spec that
 // leaves no healthy core however far the mesh grows (every core dead, every
 // row failed) is such input: the run must not grow the mesh without end. So
-// is a spare row for a method that cannot keep one free (TrueNorth).
+// is a spare row for a method that cannot keep one free (TrueNorth), and a
+// -checkpoint with no iteration interval to write it at.
 func TestBadInputsExitOne(t *testing.T) {
 	// Traffic 256 neurons × fan-in 1e10 × rate 1e300 per target cluster
 	// overflows float64.
@@ -79,6 +80,7 @@ func TestBadInputsExitOne(t *testing.T) {
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "clustered:dead=1"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "lines:rows=100000"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-method", "TrueNorth", "-spare-rows", "1"},
+		{"-workload", "LeNet-MNIST", "-budget", "0", "-checkpoint", filepath.Join(t.TempDir(), "snap"), "-checkpoint-every", "0"},
 	} {
 		start := time.Now()
 		code, _, stderr := runCLI(t, args...)

@@ -60,34 +60,13 @@ func BenchmarkCases(b *testing.B) {
 		})
 	})
 
-	// Partitioners on a large explicit graph. partition/flat is Algorithm
-	// 1's single linear pass: unbeatable in time but quality-blind.
-	// pcn-aggregate/* are the edge-aggregation kernels under the multilevel
-	// partitioner.
+	// Algorithm 1 on a large explicit graph: one linear pass.
 	graph := sync.OnceValue(func() *snn.Graph { return partitionGraph(partN) })
 	partCfg := pcn.PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 128}}
 	b.Run("partition/flat/"+partWl, func(b *testing.B) {
 		g := graph()
 		timed(b, func() error { _, err := pcn.Partition(g, partCfg); return err })
 	})
-	for _, workers := range []int{1, 2} {
-		cfg := partCfg
-		cfg.Multilevel = &pcn.MultilevelOptions{Workers: workers}
-		b.Run(fmt.Sprintf("partition/multilevel/workers=%d/%s", workers, partWl), func(b *testing.B) {
-			g := graph()
-			timed(b, func() error { _, _, err := pcn.PartitionMultilevel(g, cfg); return err })
-		})
-	}
-	kernels := mustGet(sync.OnceValues(func() ([]pcn.BenchKernel, error) { return pcn.AggregateKernels(graph(), partCfg) }))
-	for i, name := range []string{"flat-csr", "fine-undirected", "contract"} {
-		b.Run("pcn-aggregate/"+name+"/"+partWl, func(b *testing.B) {
-			k := kernels(b)[i]
-			if k.Name != name {
-				b.Fatalf("aggregate kernel %d is %q, want %q", i, k.Name, name)
-			}
-			timed(b, func() error { k.Run(); return nil })
-		})
-	}
 
 	// FD on a full mesh of randomly placed single-neuron clusters: large
 	// tension queues that keep every sweep busy up to the iteration cap.

@@ -4,7 +4,7 @@ package obs_test
 // observe-only, so every pipeline stage produces bit-identical results with
 // telemetry enabled or disabled, at every worker/shard count. These tests
 // run the real stages — FD fine-tuning, the NoC simulator, parallel
-// metrics evaluation, and the multilevel partitioner — against a fully
+// metrics evaluation, and the explicit-graph partitioner — against a fully
 // wired observer (trace sink + progress callback) and require exact
 // equality with the nil-observer run. Under -race they double as the
 // data-race check for counter aggregation in parallel stages.
@@ -163,16 +163,16 @@ func TestEvaluateTelemetryEquivalence(t *testing.T) {
 	}
 }
 
-// TestMultilevelTelemetryEquivalence: the multilevel partitioner's cluster
-// assignment and cluster graph are identical with and without an observer,
-// for matching workers ∈ {1, 2, 4, 7}.
-func TestMultilevelTelemetryEquivalence(t *testing.T) {
+// TestPartitionTelemetryEquivalence: Algorithm 1's cluster assignment and
+// cluster graph are identical with and without an observer, for edge-merge
+// workers ∈ {1, 2, 4, 7}.
+func TestPartitionTelemetryEquivalence(t *testing.T) {
 	g := randomGraph(13, 4000, 16000)
 
 	run := func(workers int, o *obs.Observer) *pcn.Result {
 		res, err := pcn.Partition(g, pcn.PartitionConfig{
 			Constraints: hw.Constraints{NeuronsPerCore: 32},
-			Multilevel:  &pcn.MultilevelOptions{Workers: workers},
+			Workers:     workers,
 			Obs:         o,
 		})
 		if err != nil {

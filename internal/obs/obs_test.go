@@ -37,8 +37,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	sink := NewTraceSink(&buf)
 	o := New(Config{Sink: sink, ProgressEvery: time.Nanosecond})
 	outer := o.Span("partition")
-	inner := o.Span("coarsen", KV{K: "level", V: 0})
-	o.Counter("multilevel.level", KV{K: "vertices", V: 128}, KV{K: "edges", V: 512})
+	inner := o.Span("expand", KV{K: "layer", V: 0})
+	o.Counter("expand.layer", KV{K: "clusters", V: 128}, KV{K: "edges", V: 512})
 	inner.End(KV{K: "cut", V: 3.5})
 	o.Progress("partition", 1, 2)
 	o.Progress("partition", 2, 2)

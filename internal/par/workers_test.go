@@ -42,10 +42,9 @@ func TestZeroWorkersIsOneWorker(t *testing.T) {
 		Summary metrics.Summary
 	}
 	run := func(workers int) outcome {
-		res, _, err := pcn.PartitionMultilevel(g, pcn.PartitionConfig{
+		res, err := pcn.Partition(g, pcn.PartitionConfig{
 			Constraints: hw.Constraints{NeuronsPerCore: 4},
 			Workers:     workers,
-			Multilevel:  &pcn.MultilevelOptions{Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -16,12 +16,7 @@ import (
 // total spike traffic (synapse count × source spike density) attributed to
 // each cluster pair. The result is identical in structure to running
 // Algorithm 1 on the materialized graph, but needs no neuron storage.
-// Multilevel partitioning is for explicit graphs only: a non-nil
-// cfg.Multilevel is an error wrapping place.ErrBadConfig.
 func Expand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
-	if cfg.Multilevel != nil {
-		return nil, fmt.Errorf("pcn: multilevel partitioning takes an explicit graph, not a layer-spec net: %w", place.ErrBadConfig)
-	}
 	sp := cfg.Obs.Span("partition.expand")
 	p, err := expand(n, cfg)
 	if err != nil {

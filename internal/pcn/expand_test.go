@@ -223,21 +223,6 @@ func TestExpandRejectsNonFiniteTraffic(t *testing.T) {
 	}
 }
 
-// TestExpandRejectsMultilevel: multilevel partitioning is for explicit graphs
-// only, so a layer-spec expansion asked for it must fail with ErrBadConfig
-// rather than quietly return the flat PCN.
-func TestExpandRejectsMultilevel(t *testing.T) {
-	cfg := DefaultPartition()
-	cfg.Multilevel = &MultilevelOptions{}
-	p, err := Expand(snn.DNN65K(), cfg)
-	if !errors.Is(err, place.ErrBadConfig) {
-		t.Fatalf("Expand with Multilevel: err = %v, want ErrBadConfig", err)
-	}
-	if p != nil {
-		t.Fatal("Expand with Multilevel returned a PCN alongside its error")
-	}
-}
-
 func TestExpandAppliesRates(t *testing.T) {
 	n := &snn.Net{Name: "rates"}
 	n.Chain(snn.Layer{Name: "a", Neurons: 4, Rate: 3}, 0, snn.Dense, 0)

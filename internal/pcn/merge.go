@@ -9,12 +9,12 @@ import (
 
 // Edge aggregation. Eqs. 5–6 sum the spike densities of all synapses between
 // one pair of clusters into one edge — a group-by-target sum over each source
-// row. Every site that builds a merged adjacency (finalizeCSR for the flat
-// PCN and the symmetrized views, contract for the coarse levels) runs its raw
-// rows through the one kernel below, so the merged weight has one definition:
+// row. Every site that builds a merged adjacency (finalizeCSR, for Expand's
+// and Partition's PCNs) runs its raw rows through the one kernel below, so
+// the merged weight has one definition:
 // the left-to-right sum of the row's entries for that target in arrival
 // order. It depends on the input alone, not on a sort's pivots, which is what
-// makes the undirected views bitwise symmetric and the result identical at
+// makes the undirected view bitwise symmetric and the result identical at
 // any worker count.
 
 // rowMerger is a sparse accumulator over target ids [0, n): dense sums
@@ -31,9 +31,9 @@ type rowMerger struct {
 // entry before it sorts the distinct targets instead. Skipping a zero word is
 // a sequential load and a compare; scattering an entry is a random
 // read-modify-write, so a few words per entry keep the scan inside the
-// scatter's own cost. Measured on graph512k's fine rows (≈ 256 entries, ≈ 100
-// distinct targets over 512 words): partitioning is 882 ms at 1, 774 at 4,
-// 775 at 8, 786 at 16.
+// scatter's own cost. Measured on graph512k cut into 16-neuron clusters
+// (rows of ≈ 256 entries with ≈ 100 distinct targets over 512 words): a
+// partitioning pass took 882 ms at 1, 774 at 4, 775 at 8, 786 at 16.
 const scanWordsPerEntry = 4
 
 // mergeRow merges the parallel entries of one raw row in place and returns
@@ -92,31 +92,22 @@ func (m *rowMerger) mergeRow(to []int32, w []float64) int {
 	return d
 }
 
-// mergeRows runs fn over par's fixed chunks of the rows [0, n) of a square
-// adjacency, handing each call a rowMerger over the targets [0, n) that is
-// its goroutine's own par scratch: a chunk's rows are merged by whichever
-// goroutine is idle and the output cannot tell which.
-func mergeRows(workers, n int, fn func(m *rowMerger, lo, hi int)) {
+// finalizeCSR turns bucketed edge arrays — row i's raw entries occupy
+// [counts[i], counts[i+1]) of to/w in arrival order, targets in
+// [0, len(counts)-1) — into a merged CSR: every row goes through mergeRow
+// (par's fixed chunks of rows fanned over workers, each goroutine with its
+// own rowMerger, so the output cannot tell which one merged a row) and the
+// merged rows are then compacted to the front in row order. The returned
+// slices alias to/w unless merging at least halved the entry count, in which
+// case they are exact-sized copies and the raw arrays are garbage.
+func finalizeCSR(counts []int64, to []int32, w []float64, workers int) ([]int64, []int32, []float64) {
+	n := len(counts) - 1
+	off := make([]int64, n+1)
 	k := par.Chunks(n)
 	chunk := (n + k - 1) / k
 	par.DoScratch(workers, k, func(ci int, m *rowMerger) {
 		m.n = n
-		fn(m, ci*chunk, min((ci+1)*chunk, n))
-	})
-}
-
-// finalizeCSR turns bucketed edge arrays — row i's raw entries occupy
-// [counts[i], counts[i+1]) of to/w in arrival order, targets in
-// [0, len(counts)-1) — into a merged CSR: every row goes through mergeRow
-// (fanned over workers, rows are disjoint) and the merged rows are then
-// compacted to the front in row order. The returned slices alias to/w unless
-// merging at least halved the entry count, in which case they are exact-sized
-// copies and the raw arrays are garbage.
-func finalizeCSR(counts []int64, to []int32, w []float64, workers int) ([]int64, []int32, []float64) {
-	n := len(counts) - 1
-	off := make([]int64, n+1)
-	mergeRows(workers, n, func(m *rowMerger, lo, hi int) {
-		for i := lo; i < hi; i++ {
+		for i, hi := ci*chunk, min((ci+1)*chunk, n); i < hi; i++ {
 			off[i+1] = int64(m.mergeRow(to[counts[i]:counts[i+1]], w[counts[i]:counts[i+1]]))
 		}
 	})

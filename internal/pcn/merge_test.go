@@ -3,6 +3,7 @@ package pcn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -217,6 +218,24 @@ func aggregationGraph(t testing.TB) *snn.Graph {
 	return g
 }
 
+// samePCN fails the test unless a and b hold the same clusters and the same
+// edges bit for bit.
+func samePCN(t *testing.T, label string, a, b *PCN) {
+	t.Helper()
+	if a.Name != b.Name || a.NumClusters != b.NumClusters {
+		t.Fatalf("%s: cluster structure differs: %d vs %d", label, a.NumClusters, b.NumClusters)
+	}
+	if !reflect.DeepEqual(a.Neurons, b.Neurons) || !reflect.DeepEqual(a.Synapses, b.Synapses) || !reflect.DeepEqual(a.Layer, b.Layer) {
+		t.Fatalf("%s: per-cluster occupancy differs", label)
+	}
+	if !reflect.DeepEqual(a.OutOff, b.OutOff) || !reflect.DeepEqual(a.OutTo, b.OutTo) || !reflect.DeepEqual(a.OutW, b.OutW) {
+		t.Fatalf("%s: edges differ", label)
+	}
+	if a.InternalTraffic != b.InternalTraffic {
+		t.Fatalf("%s: internal traffic differs: %g vs %g", label, a.InternalTraffic, b.InternalTraffic)
+	}
+}
+
 func TestCSRFromAssignmentEqualsEdgeList(t *testing.T) {
 	g := aggregationGraph(t)
 	cfg := PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 16}}
@@ -240,34 +259,25 @@ func TestCSRFromAssignmentEqualsEdgeList(t *testing.T) {
 
 }
 
+// TestUndirectedBitwiseSymmetric: finalizeCSR's merge makes the symmetrized
+// view's W(i,j) and W(j,i) the same bits.
 func TestUndirectedBitwiseSymmetric(t *testing.T) {
 	g := aggregationGraph(t)
-	cfg := PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 16}}
-	clusterOf, neurons, _, _, err := assignClusters(g, cfg)
+	res, err := Partition(g, PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Partition(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := map[string]*Undirected{
-		"undirectedFromAssignment":           undirectedFromAssignment(g, clusterOf, len(neurons), 1),
-		"undirectedFromAssignment/workers=4": undirectedFromAssignment(g, clusterOf, len(neurons), 4),
-		"PCN.Undirected":                     res.PCN.Undirected(),
-	}
-	for name, u := range views {
-		for i := 0; i+1 < len(u.Off); i++ {
-			tos, ws := u.Neighbors(i)
-			for k, j := range tos {
-				back, _ := u.Neighbors(int(j))
-				pos, ok := slices.BinarySearch(back, int32(i))
-				if !ok {
-					t.Fatalf("%s: %d→%d has no reverse entry", name, i, j)
-				}
-				if wb := u.W[u.Off[j]+int64(pos)]; math.Float64bits(wb) != math.Float64bits(ws[k]) {
-					t.Fatalf("%s: W(%d,%d)=%x but W(%d,%d)=%x", name, i, j, math.Float64bits(ws[k]), j, i, math.Float64bits(wb))
-				}
+	u := res.PCN.Undirected()
+	for i := 0; i+1 < len(u.Off); i++ {
+		tos, ws := u.Neighbors(i)
+		for k, j := range tos {
+			back, _ := u.Neighbors(int(j))
+			pos, ok := slices.BinarySearch(back, int32(i))
+			if !ok {
+				t.Fatalf("%d→%d has no reverse entry", i, j)
+			}
+			if wb := u.W[u.Off[j]+int64(pos)]; math.Float64bits(wb) != math.Float64bits(ws[k]) {
+				t.Fatalf("W(%d,%d)=%x but W(%d,%d)=%x", i, j, math.Float64bits(ws[k]), j, i, math.Float64bits(wb))
 			}
 		}
 	}

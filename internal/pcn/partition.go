@@ -19,24 +19,20 @@ type PartitionConfig struct {
 	// SplitAtLayers closes the current cluster at layer boundaries when the
 	// source graph carries layer tags. The paper's per-layer cluster counts
 	// (e.g. LeNet-MNIST = 9) require it; default true in DefaultPartition.
-	// It holds for flat Algorithm 1 only: the multilevel grouping merges
-	// across layers and tags mixed clusters layer -1.
 	SplitAtLayers bool
-	// Multilevel switches Partition to the multilevel
-	// coarsen–partition–uncoarsen scheme (multilevel.go), for explicit graphs
-	// only: Expand rejects it, since layer-spec nets keep the paper's
-	// per-layer cut. Its schedule is fixed (the fine grain is CON_npc/8 at
-	// any graph size), and its clusters may mix layers whatever
-	// SplitAtLayers says. Nil keeps the paper's flat Algorithm 1 pipeline.
+	// Multilevel is ignored: Partition and Expand run Algorithm 1 whatever
+	// it holds.
+	//
+	// Deprecated: part of the PartitionMultilevel shim (shim.go).
 	Multilevel *MultilevelOptions
 	// Workers fans the per-cluster merge of parallel edges (finalizeCSR) out
-	// over up to this many goroutines (0 or 1 = sequential). Like
-	// MultilevelOptions.Workers it is bit-identity-preserving: a merged row
-	// depends only on that row's entries, and rows are compacted in cluster
-	// order regardless of the count.
+	// over up to this many goroutines (0 or 1 = sequential). It is
+	// bit-identity-preserving: a merged row depends only on that row's
+	// entries, and rows are compacted in cluster order regardless of the
+	// count.
 	Workers int
-	// Obs receives phase spans and per-level counters; nil disables
-	// telemetry. Observe-only: it never affects the partition produced.
+	// Obs receives phase spans; nil disables telemetry. Observe-only: it
+	// never affects the partition produced.
 	Obs *obs.Observer
 }
 
@@ -61,12 +57,8 @@ type Result struct {
 // a new cluster; finally build E_P and w_P from the synapses that cross
 // cluster boundaries (Eqs. 5–6).
 func Partition(g *snn.Graph, cfg PartitionConfig) (*Result, error) {
-	if cfg.Multilevel != nil {
-		r, _, err := PartitionMultilevel(g, cfg)
-		return r, err
-	}
-	if err := validateGraph(g); err != nil {
-		return nil, err
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("pcn: invalid input graph: %w", err)
 	}
 	sp := cfg.Obs.Span("partition.flat")
 	clusterOf, neurons, synapses, layers, err := assignClusters(g, cfg)
@@ -82,21 +74,10 @@ func Partition(g *snn.Graph, cfg PartitionConfig) (*Result, error) {
 	return &Result{PCN: p, ClusterOf: clusterOf}, nil
 }
 
-// validateGraph is the input check of every entry point; the internal walks
-// below trust their graph.
-func validateGraph(g *snn.Graph) error {
-	if err := g.Validate(); err != nil {
-		return fmt.Errorf("pcn: invalid input graph: %w", err)
-	}
-	return nil
-}
-
 // assignClusters is the Algorithm 1 walk alone: the neuron→cluster
 // assignment and per-cluster occupancy, without building the cluster edge
 // list, on a graph the caller has validated. Every cluster is a contiguous
-// neuron range. Partition completes it into a PCN; the multilevel
-// partitioner uses it for the fine granularity, where only the undirected
-// cluster graph is needed, and at CON_npc for the cut it must beat.
+// neuron range. Partition completes it into a PCN.
 func assignClusters(g *snn.Graph, cfg PartitionConfig) (clusterOf []int32, neurons []int32, synapses []int64, layers []int32, err error) {
 	npc := cfg.Constraints.NeuronsPerCore
 	spc := cfg.Constraints.SynapsesPerCore

@@ -1,6 +1,8 @@
 package pcn
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -185,9 +187,9 @@ func TestPartitionMatchesExpand(t *testing.T) {
 	}
 }
 
-// TestPartitionersRejectInvalidGraph pins the one input check each entry
-// point runs: an out-of-range target, a negative weight and a FanIn that
-// disagrees with the edges all fail with "pcn: invalid input graph".
+// TestPartitionersRejectInvalidGraph pins Partition's one input check: an
+// out-of-range target, a negative weight and a FanIn that disagrees with the
+// edges all fail with "pcn: invalid input graph".
 func TestPartitionersRejectInvalidGraph(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -200,14 +202,46 @@ func TestPartitionersRejectInvalidGraph(t *testing.T) {
 		g := snn.FullyConnected(3, 4)
 		tc.corrupt(g)
 		cfg := PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 4}}
-		_, errFlat := Partition(g, cfg)
-		cfg.Multilevel = &MultilevelOptions{}
-		_, _, errML := PartitionMultilevel(g, cfg)
-		_, errAgg := AggregateKernels(g, cfg)
-		for name, err := range map[string]error{"Partition": errFlat, "PartitionMultilevel": errML, "AggregateKernels": errAgg} {
-			if err == nil || !strings.Contains(err.Error(), "pcn: invalid input graph") {
-				t.Errorf("%s: %s returned %v, want a \"pcn: invalid input graph\" error", tc.name, name, err)
-			}
+		if _, err := Partition(g, cfg); err == nil || !strings.Contains(err.Error(), "pcn: invalid input graph") {
+			t.Errorf("%s: Partition returned %v, want a \"pcn: invalid input graph\" error", tc.name, err)
 		}
+	}
+}
+
+// TestPartitionMultilevelIsPartition pins the shim: PartitionMultilevel with
+// Multilevel set returns exactly Partition's result and the stats of one
+// level, and Partition ignores Multilevel.
+func TestPartitionMultilevelIsPartition(t *testing.T) {
+	g, err := snn.RandomGraph(snn.RandomConfig{
+		Neurons: 5000, AvgDegree: 8, LocalityBand: 0.02, LongRangeFrac: 0.1, MaxDensity: 1,
+	}, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 32}, Workers: 2}
+	want, err := Partition(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Multilevel = &MultilevelOptions{Workers: 4}
+	flat, err := Partition(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(flat, want) {
+		t.Error("Partition with Multilevel set differs from Partition without it")
+	}
+	got, stats, err := PartitionMultilevel(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("PartitionMultilevel differs from Partition")
+	}
+	cut := want.PCN.TotalWeight()
+	wantStats := MultilevelStats{Levels: 1, FineVertices: want.PCN.NumClusters, FineEdges: want.PCN.NumEdges(),
+		CoarsestVertices: want.PCN.NumClusters, CutFlat: cut, CutMultilevel: cut, UsedFlat: true}
+	if cut <= 0 || stats != wantStats {
+		t.Errorf("stats = %+v, want %+v", stats, wantStats)
 	}
 }

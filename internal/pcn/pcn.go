@@ -178,22 +178,3 @@ func (p *PCN) Validate() error {
 	}
 	return nil
 }
-
-// Undirected is a materialized symmetrized cluster graph: for every
-// unordered cluster pair {i, j} the weight is w_P(e_ij) + w_P(e_ji). It is
-// the multilevel partitioner's level graph; a PCN's own undirected view is
-// Symmetric, which walks the out-CSR and its transpose without this copy.
-type Undirected struct {
-	Off []int64
-	To  []int32
-	W   []float64
-}
-
-// Neighbors returns cluster i's undirected neighbors and combined weights.
-func (u *Undirected) Neighbors(i int) ([]int32, []float64) {
-	lo, hi := u.Off[i], u.Off[i+1]
-	return u.To[lo:hi], u.W[lo:hi]
-}
-
-// Degree returns the number of distinct neighbors of cluster i.
-func (u *Undirected) Degree(i int) int { return int(u.Off[i+1] - u.Off[i]) }

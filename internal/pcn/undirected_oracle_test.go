@@ -4,8 +4,24 @@ import "sync"
 
 // The materialized undirected copy of a PCN, the oracle Symmetric.Neighbors
 // is held to (TestSymmetricEqualsUndirected: same ids, order and weight
-// bits). Production code walks Symmetric; the Undirected type itself stays
-// as the multilevel partitioner's level graph.
+// bits). Production code walks Symmetric and never builds this copy.
+
+// Undirected is a materialized symmetrized cluster graph: for every
+// unordered cluster pair {i, j} the weight is w_P(e_ij) + w_P(e_ji).
+type Undirected struct {
+	Off []int64
+	To  []int32
+	W   []float64
+}
+
+// Neighbors returns cluster i's undirected neighbors and combined weights.
+func (u *Undirected) Neighbors(i int) ([]int32, []float64) {
+	lo, hi := u.Off[i], u.Off[i+1]
+	return u.To[lo:hi], u.W[lo:hi]
+}
+
+// Degree returns the number of distinct neighbors of cluster i.
+func (u *Undirected) Degree(i int) int { return int(u.Off[i+1] - u.Off[i]) }
 
 // undirView memoizes one PCN's Undirected, keyed by its adjacency holder so
 // that copies of a PCN share it as they share Symmetric.

@@ -12,8 +12,8 @@ import (
 )
 
 // Monotone reports whether every PCN edge points from a smaller to a larger
-// cluster index. Partitioned feed-forward networks (Algorithm 1 and the
-// multilevel scheme both emit clusters in layer order) are always monotone.
+// cluster index. Partitioned feed-forward networks (Algorithm 1 and Expand
+// both emit clusters in layer order) are always monotone.
 // On a monotone PCN Algorithm 2's order is the identity: by induction, when
 // position p is assigned every cluster below p is already ordered, so
 // cluster p's in-edges are all consumed, it sits in the ready set, and the

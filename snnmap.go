@@ -102,13 +102,6 @@ type (
 	PartitionConfig = pcn.PartitionConfig
 	// PartitionResult pairs a PCN with the neuron→cluster assignment.
 	PartitionResult = pcn.Result
-	// MultilevelOptions selects the multilevel coarsen–partition–uncoarsen
-	// partitioner for explicit graphs (set PartitionConfig.Multilevel to
-	// enable it in Partition; Expand rejects it). Its schedule is fixed;
-	// the zero value runs it sequentially.
-	MultilevelOptions = pcn.MultilevelOptions
-	// MultilevelStats reports one multilevel partitioning run.
-	MultilevelStats = pcn.MultilevelStats
 )
 
 // DefaultPartition returns the configuration matching the paper's Table 3.
@@ -122,14 +115,6 @@ func Partition(g *Graph, cfg PartitionConfig) (*PartitionResult, error) {
 // Expand partitions a layer-spec Net analytically (identical cluster
 // structure, no neuron materialization).
 func Expand(n *Net, cfg PartitionConfig) (*PCN, error) { return pcn.Expand(n, cfg) }
-
-// PartitionMultilevel runs the multilevel partitioner on an explicit graph,
-// returning the per-run statistics alongside the result. The cut is
-// guaranteed no worse than flat Partition's, and results are bit-identical
-// at any MultilevelOptions.Workers count.
-func PartitionMultilevel(g *Graph, cfg PartitionConfig) (*PartitionResult, MultilevelStats, error) {
-	return pcn.PartitionMultilevel(g, cfg)
-}
 
 // Mapping (§4).
 type (
