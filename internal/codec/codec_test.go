@@ -215,3 +215,23 @@ func TestWritePlacementCSV(t *testing.T) {
 		t.Errorf("CSV = %q, want %q", buf.String(), want)
 	}
 }
+
+// BenchmarkCodecRoundTrip measures binary PCN persistence throughput on
+// CNN_16M (4096 clusters, 16.1K connections).
+func BenchmarkCodecRoundTrip(b *testing.B) {
+	p, err := pcn.Expand(snn.CNN16M(), pcn.DefaultPartition())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		if err := WritePCN(&buf, p); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadPCN(&buf); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(buf.Cap()))
+	}
+}

@@ -211,16 +211,6 @@ func TestFig13Runner(t *testing.T) {
 	}
 }
 
-func TestHeadlineRunner(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Headline(&buf, "DNN_65K", RunOptions{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "proposed approach solved in") {
-		t.Errorf("headline output:\n%s", buf.String())
-	}
-}
-
 func TestAblationRunner(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Ablation(&buf, "LeNet-MNIST", RunOptions{Seed: 1, Budget: 5 * time.Second}); err != nil {

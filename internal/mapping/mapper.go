@@ -155,6 +155,11 @@ func MapContext(ctx context.Context, p *pcn.PCN, mesh hw.Mesh, cfg Config) (Resu
 		if fdcfg.Obs == nil {
 			fdcfg.Obs = cfg.Obs
 		}
+		// Build FD's adjacency (lazy, memoized on p) in its own span so
+		// the finetune span holds FD alone.
+		trSp := cfg.Obs.Span("pcn.transpose")
+		p.Symmetric()
+		trSp.End()
 		fdSp := cfg.Obs.Span("finetune")
 		res.FD, err = FinetuneContext(ctx, p, pl, fdcfg)
 		if err != nil {
