@@ -122,7 +122,7 @@ func rescaledSampledMax(t *testing.T, p *pcn.PCN, pl *place.Placement, stride in
 	}
 	total := sumChunks(par.Chunks(p.NumClusters), false)
 	sampled := sumChunks(gridChunks(p.NumClusters, pl.Mesh.Cores()), true)
-	grid, counts := congestionGrid(p, clusterCoords(pl), pl.Mesh, stride, 1)
+	grid, counts := congestionGrid(p, clusterCoords(pl), pl.Mesh, stride, 1, true)
 	if math.Float64bits(counts.sampledWeight) != math.Float64bits(sampled) {
 		t.Fatalf("grid's sampled weight %v, definition %v (stride %d)", counts.sampledWeight, sampled, stride)
 	}

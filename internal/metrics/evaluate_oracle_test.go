@@ -74,7 +74,7 @@ func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Optio
 		if bboxWork <= lim.exactCells {
 			stride = 1
 		}
-		grid, counts := congestionGrid(p, pos, mesh, stride, opts.Workers)
+		grid, counts := congestionGrid(p, pos, mesh, stride, opts.Workers, true)
 		swept = counts.swept
 		if stride > 1 && sampledWeight > 0 {
 			scale := totalWeight / sampledWeight

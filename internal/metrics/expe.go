@@ -22,11 +22,19 @@ func clusterCoords(pl *place.Placement) []cellXY {
 // sweep is one worker's scratch: a target's four quadrant boxes back to
 // back, grown geometrically so that a run of ever larger boxes reallocates
 // O(log) times and holds at most twice the largest four-box total; the
-// shared in-run's fields; and the rows a chunk's boxes touched.
+// shared in-run's fields; the stencils memoised over one congestionGrid
+// call; and the rows a chunk's boxes touched.
 type sweep struct {
 	box []float64
 	one [1]int32 // the source of a one-source group (sampled mode)
 	run runFields
+	// memo maps a stretch's key, built in key, to its stencil; its stencils
+	// hold held floats. Stencils are built in st, grown geometrically, and
+	// copied into the memo.
+	key  []byte
+	memo map[string]stencilRef
+	held int
+	st   []float64
 	// lo..hi are the mesh rows the chunk's boxes covered so far (lo > hi:
 	// none), so that only they are merged.
 	lo, hi int

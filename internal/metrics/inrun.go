@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 
 	"snnmap/internal/pcn"
 )
@@ -24,52 +26,44 @@ import (
 // target's own box has no source of its quadrant behind it, so its field is
 // +0.0 and adding it leaves every non-negative grid cell's bits as they were.
 type runFields struct {
-	// from is the in-run the state describes, uses how many consecutive
-	// targets have read it, ok whether the fields are built for it and end
-	// the first target after the stretch they cover.
+	// from is the in-run the state describes and uses how many consecutive
+	// targets have read it.
 	from []int32
 	uses int
-	ok   bool
-	end  int
 
 	// R is h×w cells from mesh cell (x0, y0); the sources' bounding box is
-	// rows sx0..sx1, columns sy0..sy1.
+	// rows sx0..sx1, columns sy0..sy1 of R.
 	x0, y0             int32
 	h, w               int
-	sx0, sx1, sy0, sy1 int32
+	sx0, sx1, sy0, sy1 int
 	// buf holds the injections (h·w) and then F_0..F_3 (h·w each), all
 	// row-major over R in mesh orientation; it grows geometrically.
 	buf []float64
 }
 
-// use reports whether target t of the chunk ending at end, reading the in-run
-// (from, ws), is added from the run's fields: the run is broadcast with a
-// finite non-negative weight (what pcn.PCN.Validate asks of every edge), the
-// same slice the previous target read, and within the stretch of targets the
-// fields were built for. The fields are built on the run's second target, so
-// a run met once costs only propagate, and only when the sources' bounding
-// box holds at most 4·|S| cells and R at most 4·(|S|+|T|), T the targets from
-// here on that read the same slice with the same weight — targets with one
-// source set share the slice whatever their weights — consecutively in the
-// chunk, so building never costs much more than sweeping them one by one.
-func (r *runFields) use(t, end int, from []int32, ws []float64, in *pcn.Symmetric, pos []cellXY) bool {
+// stretch returns the end of the stretch of targets t.. of the chunk ending
+// at end that are added from the run's stencil, or t when t starts none. A
+// stretch starts at a run's second target: the in-run (from, ws) is broadcast
+// with a finite non-negative weight (what pcn.PCN.Validate asks of every
+// edge) and the same slice the previous target read. It holds the targets
+// from t on that read the same slice with the same weight consecutively in
+// the chunk — targets with one source set share the slice whatever their
+// weights — and is taken only when the sources' bounding box holds at most
+// 4·|S| cells and R at most 4·(|S|+|T|), so building never costs much more
+// than sweeping the targets one by one. A run met once costs only propagate,
+// and a run yields at most one stretch; stretch sets R for it.
+func (r *runFields) stretch(t, end int, from []int32, ws []float64, in *pcn.Symmetric, pos []cellXY) int {
 	switch {
 	case len(ws) != 1 || !(ws[0] >= 0 && ws[0] <= math.MaxFloat64):
 		r.from = nil
-		return false
+		return t
 	case len(r.from) != len(from) || &r.from[0] != &from[0]:
-		r.from, r.uses, r.ok = from, 1, false
-		return false
+		r.from, r.uses = from, 1
+		return t
 	}
-	if r.uses++; r.uses == 2 {
-		r.ok = r.build(t, end, from, ws[0], in, pos)
+	if r.uses++; r.uses != 2 {
+		return t
 	}
-	return r.ok && t < r.end
-}
-
-// build fills the injections and the four fields for the run's sources from
-// target t on, or reports false when a bounding box breaks use's bounds.
-func (r *runFields) build(t, end int, from []int32, wt float64, in *pcn.Symmetric, pos []cellXY) bool {
 	p := pos[from[0]]
 	sx0, sx1, sy0, sy1 := p.x, p.x, p.y, p.y
 	for _, f := range from[1:] {
@@ -78,38 +72,43 @@ func (r *runFields) build(t, end int, from []int32, wt float64, in *pcn.Symmetri
 	}
 	n := len(from)
 	if int(sx1-sx0+1)*int(sy1-sy0+1) > 4*n {
-		return false
+		return t
 	}
 	x0, x1, y0, y1 := sx0, sx1, sy0, sy1
-	r.end = t
-	for ; r.end < end; r.end++ {
-		if f, fw := in.InEdges(r.end); len(f) != n || &f[0] != &from[0] || len(fw) != 1 || fw[0] != wt {
+	e := t
+	for ; e < end; e++ {
+		if f, fw := in.InEdges(e); len(f) != n || &f[0] != &from[0] || len(fw) != 1 || fw[0] != ws[0] {
 			break
 		}
-		q := pos[r.end]
+		q := pos[e]
 		x0, x1, y0, y1 = min(x0, q.x), max(x1, q.x), min(y0, q.y), max(y1, q.y)
 	}
 	h, w := int(x1-x0)+1, int(y1-y0)+1
-	if h*w > 4*(n+r.end-t) {
-		return false
+	if h*w > 4*(n+e-t) {
+		return t
 	}
 	r.x0, r.y0, r.h, r.w = x0, y0, h, w
-	r.sx0, r.sx1, r.sy0, r.sy1 = sx0, sx1, sy0, sy1
-	size := 5 * h * w
-	if size > cap(r.buf) {
-		r.buf = make([]float64, max(size, 2*cap(r.buf)))
+	r.sx0, r.sx1, r.sy0, r.sy1 = int(sx0-x0), int(sx1-x0), int(sy0-y0), int(sy1-y0)
+	return e
+}
+
+// build fills the injections and the four fields for the run's sources over
+// the R that stretch set.
+func (r *runFields) build(from []int32, wt float64, pos []cellXY) {
+	hw := r.h * r.w
+	if 5*hw > cap(r.buf) {
+		r.buf = make([]float64, max(5*hw, 2*cap(r.buf)))
 	}
-	r.buf = r.buf[:size]
-	inj := r.buf[:h*w]
+	r.buf = r.buf[:5*hw]
+	inj := r.buf[:hw]
 	clear(inj)
 	for _, f := range from {
 		q := pos[f]
-		inj[int(q.x-x0)*w+int(q.y-y0)] += wt
+		inj[int(q.x-r.x0)*r.w+int(q.y-r.y0)] += wt
 	}
 	for q := range 4 {
 		r.fill(q)
 	}
-	return true
 }
 
 // fill sweeps F_q over R toward quadrant q's target side — rows down for the
@@ -144,10 +143,11 @@ func (r *runFields) fill(q int) {
 	}
 }
 
-// add adds to grid (row-major, cols wide) what propagate adds for a target at
+// add adds to the stencil st (h×w over R) what propagate adds for a target at
 // cell t — Σ_k w·Expe(·, s_k, t) over the run's sources — quadrant by
 // quadrant in index order, and returns the box cells it covered.
-func (r *runFields) add(grid []float64, cols int, t cellXY) int64 {
+func (r *runFields) add(st []float64, t cellXY) int64 {
+	tx, ty := int(t.x-r.x0), int(t.y-r.y0)
 	var cells int64
 	for q := range 4 {
 		// The box's far corner (ax, ay) in R; a side with no source beyond
@@ -159,10 +159,10 @@ func (r *runFields) add(grid []float64, cols int, t cellXY) int64 {
 		if q&1 != 0 {
 			ay = r.sy1
 		}
-		if q&2 == 0 && ax > t.x || q&2 != 0 && ax <= t.x || q&1 == 0 && ay > t.y || q&1 != 0 && ay <= t.y {
+		if q&2 == 0 && ax > tx || q&2 != 0 && ax <= tx || q&1 == 0 && ay > ty || q&1 != 0 && ay <= ty {
 			continue
 		}
-		cells += r.quadrant(grid, cols, q, int(t.x-r.x0), int(t.y-r.y0), int(ax-r.x0), int(ay-r.y0))
+		cells += r.quadrant(st, q, tx, ty, ax, ay)
 	}
 	return cells
 }
@@ -172,7 +172,7 @@ func (r *runFields) add(grid []float64, cols int, t cellXY) int64 {
 // sweepBox's straight-on rule. Only the above quadrants (q&2 == 0) hold
 // sources on t's row, only the left ones (q&1 == 0) on t's column, and only
 // quadrant 0 one on t.
-func (r *runFields) quadrant(grid []float64, cols, q, tx, ty, ax, ay int) int64 {
+func (r *runFields) quadrant(st []float64, q, tx, ty, ax, ay int) int64 {
 	w, hw := r.w, r.h*r.w
 	inj, f := r.buf[:hw], r.buf[(q+1)*hw:(q+2)*hw]
 	xs, ys := 1, 1 // steps toward t
@@ -184,10 +184,8 @@ func (r *runFields) quadrant(grid []float64, cols, q, tx, ty, ax, ay int) int64 
 	if q&1 != 0 {
 		ys, ylo, yhi = -1, ty+1, ay+1
 	}
-	base := int(r.x0)*cols + int(r.y0) // grid index of R's cell (0, 0)
 	for x := xlo; x < xhi; x++ {
-		src := f[x*w+ylo : x*w+yhi]
-		dst := grid[base+x*cols+ylo : base+x*cols+yhi]
+		src, dst := f[x*w+ylo:x*w+yhi], st[x*w+ylo:x*w+yhi]
 		for i, e := range src {
 			dst[i] += e
 		}
@@ -202,7 +200,7 @@ func (r *runFields) quadrant(grid []float64, cols, q, tx, ty, ax, ay int) int64 
 			left = f[x*w+ty-ys]
 		}
 		col = in + col + left*0.5
-		grid[base+x*cols+ty] += col
+		st[x*w+ty] += col
 	}
 	for y := ay; y != ty; y += ys {
 		in, up := 0.0, 0.0
@@ -213,13 +211,89 @@ func (r *runFields) quadrant(grid []float64, cols, q, tx, ty, ax, ay int) int64 
 			up = f[(tx-xs)*w+y]
 		}
 		row = in + up*0.5 + row
-		grid[base+tx*cols+y] += row
+		st[tx*w+y] += row
 	}
 	at := 0.0
 	if q == 0 {
 		at = inj[tx*w+ty]
 	}
-	grid[base+tx*cols+ty] += at + col + row
+	st[tx*w+ty] += at + col + row
 	dx, dy := max(ax-tx, tx-ax), max(ay-ty, ty-ay)
 	return int64(dx+1) * int64(dy+1)
+}
+
+// stencilRef is a memoised stencil, h×w over R, and the box cells its
+// targets' sweeps covered.
+type stencilRef struct {
+	st    []float64
+	swept int64
+}
+
+// stencil adds the stretch of targets t..e-1, which read the in-run (from,
+// wt) over the R that stretch set, to grid (row-major, cols wide) and returns
+// the box cells their sweeps covered and whether the memo held the stencil.
+//
+// The targets are summed into a zeroed h×w stencil in target order, which is
+// then added to grid at R's offset: each grid cell receives the stretch's sum
+// in one add, and cells no box covers add +0.0. Expe is translation
+// invariant, so the stencil is a function of its key alone (stencilKey): a
+// stretch with the key of one built before in this worker's congestionGrid
+// call adds the stored stencil, the bits a miss computes from the same
+// operands in the same order. The memo keeps stencils while they hold at most
+// a quarter of len(grid) floats in all; with memo false every stretch misses.
+func (s *sweep) stencil(grid []float64, cols, t, e int, from []int32, wt float64, pos []cellXY, memo bool) (int64, bool) {
+	r := &s.run
+	hw := r.h * r.w
+	var ref stencilRef
+	hit := false
+	if memo {
+		s.key = r.stencilKey(s.key[:0], t, e, from, wt, pos)
+		ref, hit = s.memo[string(s.key)]
+	}
+	if !hit {
+		if hw > cap(s.st) {
+			s.st = make([]float64, max(hw, 2*cap(s.st)))
+		}
+		ref.st = s.st[:hw]
+		clear(ref.st)
+		r.build(from, wt, pos)
+		for u := t; u < e; u++ {
+			ref.swept += r.add(ref.st, pos[u])
+		}
+		if memo && s.held+hw <= len(grid)/4 {
+			ref.st = slices.Clone(ref.st)
+			if s.memo == nil {
+				s.memo = make(map[string]stencilRef)
+			}
+			s.memo[string(s.key)] = ref
+			s.held += hw
+		}
+	}
+	base := int(r.x0)*cols + int(r.y0)
+	for x := range r.h {
+		dst := grid[base+x*cols : base+x*cols+r.w]
+		for i, v := range ref.st[x*r.w : x*r.w+r.w] {
+			dst[i] += v
+		}
+	}
+	s.touch(int(r.x0), int(r.x0)+r.h-1)
+	return ref.swept, hit
+}
+
+// stencilKey appends the stretch's key to b: h, w, |S|, the weight's bits,
+// then the sources' cells in slice order and the targets' cells in target
+// order, each as its row-major index in R.
+func (r *runFields) stencilKey(b []byte, t, e int, from []int32, wt float64, pos []cellXY) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(r.h))
+	b = binary.LittleEndian.AppendUint32(b, uint32(r.w))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(from)))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(wt))
+	cell := func(p cellXY) uint32 { return uint32(int(p.x-r.x0)*r.w + int(p.y-r.y0)) }
+	for _, f := range from {
+		b = binary.LittleEndian.AppendUint32(b, cell(pos[f]))
+	}
+	for u := t; u < e; u++ {
+		b = binary.LittleEndian.AppendUint32(b, cell(pos[u]))
+	}
+	return b
 }

@@ -18,27 +18,108 @@ import (
 
 // perTargetGrid is the exact congestion grid with every target through
 // propagate: CongestionGrid's chunks, each accumulated into a cleared
-// full-mesh grid and merged whole in chunk order — the grid as it was
-// computed before shared in-runs and touched-row merges.
+// full-mesh grid and merged whole in chunk order. Within a chunk it follows
+// the exact grid's summation grouping (stencilStretch): the targets of a
+// stretch are propagated in target order into a cleared grid of their own,
+// which is then added whole to the chunk's.
 func perTargetGrid(p *pcn.PCN, pl *place.Placement) []float64 {
 	mesh, pos := pl.Mesh, clusterCoords(pl)
-	grid, scratch := make([]float64, mesh.Cores()), make([]float64, mesh.Cores())
+	cores := mesh.Cores()
+	grid, scratch, stretch := make([]float64, cores), make([]float64, cores), make([]float64, cores)
 	in := p.Symmetric()
 	n := p.NumClusters
-	k := gridChunks(n, mesh.Cores())
+	k := gridChunks(n, cores)
 	var s sweep
 	for ci := 0; ci < k; ci++ {
 		clear(scratch)
-		for t := ci * n / k; t < (ci+1)*n/k; t++ {
-			if from, ws := in.InEdges(t); len(from) > 0 {
-				s.propagate(scratch, mesh.Cols, pos, pos[t], from, ws)
+		lo, hi := ci*n/k, (ci+1)*n/k
+		for t := lo; t < hi; t++ {
+			from, ws := in.InEdges(t)
+			if len(from) == 0 {
+				continue
 			}
+			e := stencilStretch(in, pos, lo, hi, t)
+			if e == t {
+				s.propagate(scratch, mesh.Cols, pos, pos[t], from, ws)
+				continue
+			}
+			clear(stretch)
+			for ; t < e; t++ {
+				from, ws := in.InEdges(t)
+				s.propagate(stretch, mesh.Cols, pos, pos[t], from, ws)
+			}
+			for i, v := range stretch {
+				scratch[i] += v
+			}
+			t--
 		}
 		for i, v := range scratch {
 			grid[i] += v
 		}
 	}
 	return grid
+}
+
+// stencilStretch is the exact grid's grouping as a function of the in-rows
+// and positions alone: the end of the stretch that target t of chunk
+// lo..hi-1 starts, or t. Targets with no in-row are passed over. t starts a
+// stretch when it and the target before it read one slice with a finite
+// non-negative broadcast weight each and the target before that did not
+// (t is a run's second target); the stretch is the targets from t on that
+// read the slice with t's weight, and it is taken when the sources' bounding
+// box holds at most 4·|S| cells and the box of sources and stretch at most
+// 4·(|S|+|T|).
+func stencilStretch(in *pcn.Symmetric, pos []cellXY, lo, hi, t int) int {
+	broadcast := func(ws []float64) bool {
+		return len(ws) == 1 && ws[0] >= 0 && ws[0] <= math.MaxFloat64
+	}
+	same := func(a, b []int32) bool { return len(a) == len(b) && &a[0] == &b[0] }
+	prev := func(c int) int { // the target before c with an in-row, or -1
+		for c--; c >= lo; c-- {
+			if from, _ := in.InEdges(c); len(from) > 0 {
+				return c
+			}
+		}
+		return -1
+	}
+	from, ws := in.InEdges(t)
+	p := prev(t)
+	if !broadcast(ws) || p < 0 {
+		return t
+	}
+	if pf, pw := in.InEdges(p); !broadcast(pw) || !same(pf, from) {
+		return t
+	}
+	if pp := prev(p); pp >= 0 {
+		if ppf, ppw := in.InEdges(pp); broadcast(ppw) && same(ppf, from) {
+			return t
+		}
+	}
+	box := func(cells []cellXY) int {
+		x0, x1, y0, y1 := cells[0].x, cells[0].x, cells[0].y, cells[0].y
+		for _, c := range cells {
+			x0, x1, y0, y1 = min(x0, c.x), max(x1, c.x), min(y0, c.y), max(y1, c.y)
+		}
+		return int(x1-x0+1) * int(y1-y0+1)
+	}
+	var cells []cellXY
+	for _, f := range from {
+		cells = append(cells, pos[f])
+	}
+	if box(cells) > 4*len(from) {
+		return t
+	}
+	e := t
+	for ; e < hi; e++ {
+		if ef, ew := in.InEdges(e); len(ef) == 0 || !same(ef, from) || len(ew) != 1 || ew[0] != ws[0] {
+			break
+		}
+		cells = append(cells, pos[e])
+	}
+	if box(cells) > 4*(len(from)+e-t) {
+		return t
+	}
+	return e
 }
 
 // evaluateSpan runs Evaluate with an observer and returns the Summary with
@@ -189,7 +270,9 @@ func sharedCases(t *testing.T) []sharedCase {
 // and random inputs of the per-row suite; 24-cluster layers beside, across
 // and inside their sources' box in all four reflections, and row-shifted.
 // Evaluate's span must count box cells no fewer than swept ones, and the
-// same run_targets and run_tables at every worker count.
+// same run_targets, stretches (run_tables + stencil_hits: which worker's
+// memo holds a stencil depends on the schedule) and swept_cells at every
+// worker count.
 func TestCongestionGridSharedRunsMatchPerTarget(t *testing.T) {
 	for _, c := range sharedCases(t) {
 		want := perTargetGrid(c.p, c.pl)
@@ -207,9 +290,11 @@ func TestCongestionGridSharedRunsMatchPerTarget(t *testing.T) {
 			}
 			if workers == 1 {
 				first = args
-			} else if args["run_targets"] != first["run_targets"] || args["run_tables"] != first["run_tables"] {
-				t.Fatalf("%s workers %d: %v run targets from %v tables, workers 1 %v from %v", c.name, workers,
-					args["run_targets"], args["run_tables"], first["run_targets"], first["run_tables"])
+			} else if args["run_targets"] != first["run_targets"] || stretches(args) != stretches(first) ||
+				args["swept_cells"] != first["swept_cells"] {
+				t.Fatalf("%s workers %d: %v run targets from %v stretches, %v swept cells; workers 1 %v from %v, %v",
+					c.name, workers, args["run_targets"], stretches(args), args["swept_cells"],
+					first["run_targets"], stretches(first), first["swept_cells"])
 			}
 		}
 		if tables := first["run_tables"]; c.runs == 1 && tables == 0 || c.runs == 0 && tables != 0 {
@@ -221,9 +306,17 @@ func TestCongestionGridSharedRunsMatchPerTarget(t *testing.T) {
 	}
 }
 
+// stretches is the number of stretches an Evaluate span's grid added from
+// stencils, built or memoised.
+func stretches(args map[string]float64) float64 {
+	return args["run_tables"] + args["stencil_hits"]
+}
+
 // TestCongestionGridSharedRunCounts pins the counters on DNN_16M's HSC
 // placement: 63 dense runs of 64 targets, one run per chunk, each run's first
-// target through propagate and the other 63 from the fields.
+// target through propagate and the other 63 from a stencil. 15 geometries
+// relative to R recur; the 64×64 mesh's memo holds a quarter grid, 1 024
+// floats, which 8 of them fill, so 30 stencils are built and 33 memoised.
 func TestCongestionGridSharedRunCounts(t *testing.T) {
 	p, err := pcn.Expand(snn.DNN16M(), pcn.DefaultPartition())
 	if err != nil {
@@ -234,8 +327,88 @@ func TestCongestionGridSharedRunCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, args := evaluateSpan(p, pl, Options{})
-	if args["run_tables"] != 63 || args["run_targets"] != 63*63 {
-		t.Fatalf("%v run targets from %v tables, want %d from 63", args["run_targets"], args["run_tables"], 63*63)
+	if args["run_tables"] != 30 || args["stencil_hits"] != 33 || args["run_targets"] != 63*63 {
+		t.Fatalf("%v run targets from %v stencils built and %v memoised, want %d from 30 and 33",
+			args["run_targets"], args["run_tables"], args["stencil_hits"], 63*63)
+	}
+}
+
+// TestStencilMemoMatchesMiss holds the exact grid to the grid with every
+// stencil built afresh (the memo forced to miss) bit for bit at workers 1, 2
+// and 7 on the shared in-run suite. Then one layered net, 40 layers of 24
+// clusters one layer to a mesh row, is placed at two offsets of a 48×32
+// mesh: its chunks cut the layers at offsets that repeat every fifth layer,
+// so the memo hits at one worker, and each grid is the other shifted, bit
+// for bit. Odd layers send thrice the weight, so each geometry recurs with
+// two weights.
+func TestStencilMemoMatchesMiss(t *testing.T) {
+	same := func(name string, workers int, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s workers %d: grid[%d] = %v with the memo, %v without", name, workers, i, got[i], want[i])
+			}
+		}
+	}
+	hits := int64(0)
+	for _, c := range sharedCases(t) {
+		pos := clusterCoords(c.pl)
+		for _, workers := range []int{1, 2, 7} {
+			got, counts := congestionGrid(c.p, pos, c.pl.Mesh, 1, workers, true)
+			want, _ := congestionGrid(c.p, pos, c.pl.Mesh, 1, workers, false)
+			same(c.name, workers, got, want)
+			hits += counts.stencilHits
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no stencil came from the memo on the shared in-run suite")
+	}
+
+	const width, ox, oy = 24, 5, 7
+	net, err := pcn.Expand(snn.SynthDNN("w24", 40, width*4096), pcn.DefaultPartition())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &pcn.PCN{Name: "w24/odd×3", NumClusters: net.NumClusters, OutOff: net.OutOff, OutTo: net.OutTo,
+		OutW: make([]float64, len(net.OutW))}
+	for c := range p.NumClusters {
+		for e := p.OutOff[c]; e < p.OutOff[c+1]; e++ {
+			p.OutW[e] = net.OutW[e] * float64(1+2*(c/width%2))
+		}
+	}
+	mesh := hw.MustMesh(48, 32)
+	at := func(dx, dy int) *place.Placement {
+		pl, err := place.New(p.NumClusters, mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range p.NumClusters {
+			pl.Assign(c, int32((dx+c/width)*mesh.Cols+dy+c%width))
+		}
+		return pl
+	}
+	corner, shifted := at(0, 0), at(ox, oy)
+	for _, workers := range []int{1, 2, 7} {
+		a, counts := congestionGrid(p, clusterCoords(corner), mesh, 1, workers, true)
+		b, _ := congestionGrid(p, clusterCoords(shifted), mesh, 1, workers, true)
+		// Which worker meets a geometry again depends on the schedule at
+		// workers > 1 (chunks dealt round robin to 7 never repeat a key).
+		if workers == 1 && counts.stencilHits == 0 {
+			t.Fatalf("%d stencils built, none from the memo", counts.runTables)
+		}
+		fresh, _ := congestionGrid(p, clusterCoords(shifted), mesh, 1, workers, false)
+		same("shifted", workers, b, fresh)
+		for x := range mesh.Rows {
+			for y := range mesh.Cols {
+				want := 0.0
+				if x >= ox && y >= oy {
+					want = a[(x-ox)*mesh.Cols+y-oy]
+				}
+				if got := b[x*mesh.Cols+y]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("workers %d: shifted grid (%d, %d) = %v, unshifted %v", workers, x, y, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -400,11 +573,19 @@ func checkRunFieldsBounded(t *testing.T) {
 		largest, built := 0, 0
 		for tg := 0; tg < n; tg++ {
 			from, ws := in.InEdges(tg)
-			if len(from) == 0 || !r.use(tg, n, from, ws, in, pos) || r.uses != 2 || !check {
+			if len(from) == 0 {
+				continue
+			}
+			e := r.stretch(tg, n, from, ws, in, pos)
+			if e == tg {
+				continue
+			}
+			r.build(from, ws[0], pos)
+			if !check {
 				continue
 			}
 			built++
-			if cells, limit := r.h*r.w, 4*(len(from)+r.end-tg); cells > limit {
+			if cells, limit := r.h*r.w, 4*(len(from)+e-tg); cells > limit {
 				t.Fatalf("target %d: R holds %d cells, bound %d", tg, cells, limit)
 			}
 			largest = max(largest, 5*r.h*r.w)

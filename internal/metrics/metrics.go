@@ -249,7 +249,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 			stride = sampleStride(p, lim.sampleEdges)
 		}
 		var grid []float64
-		grid, counts = congestionGrid(p, pos, mesh, stride, opts.Workers)
+		grid, counts = congestionGrid(p, pos, mesh, stride, opts.Workers, true)
 		if stride > 1 && counts.sampledWeight > 0 {
 			// Rescale by the sampled traffic share so the grid estimates
 			// the full-population congestion.
@@ -268,7 +268,8 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		obs.KV{K: "swept_cells", V: float64(counts.swept)},
 		obs.KV{K: "row_sums", V: float64(rows)},
 		obs.KV{K: "run_targets", V: float64(counts.runTargets)},
-		obs.KV{K: "run_tables", V: float64(counts.runTables)})
+		obs.KV{K: "run_tables", V: float64(counts.runTables)},
+		obs.KV{K: "stencil_hits", V: float64(counts.stencilHits)})
 	return s
 }
 
@@ -293,16 +294,17 @@ func maxOf(grid []float64) float64 {
 // cell-wise in chunk order, so the grid is bit-identical for every worker
 // count.
 func CongestionGrid(p *pcn.PCN, pl *place.Placement, stride, workers int) []float64 {
-	grid, _ := congestionGrid(p, clusterCoords(pl), pl.Mesh, stride, workers)
+	grid, _ := congestionGrid(p, clusterCoords(pl), pl.Mesh, stride, workers, true)
 	return grid
 }
 
 // gridCounts is what the congestion sweeps report to Evaluate: the box cells
-// they covered, the targets added from a shared in-run's fields, the field
-// sets built and, on a sampled grid, the weight of the sampled edges.
+// they covered, the targets added from a shared in-run's stencil, the
+// stencils built and those taken from the memo and, on a sampled grid, the
+// weight of the sampled edges.
 type gridCounts struct {
-	swept, runTargets, runTables int64
-	sampledWeight                float64
+	swept, runTargets, runTables, stencilHits int64
+	sampledWeight                             float64
 }
 
 // gridChunks is the congestion grid's chunk count for n clusters on a mesh of
@@ -318,7 +320,8 @@ func gridChunks(n, cores int) int {
 
 // congestionGrid is CongestionGrid on a cluster coordinate table, which
 // Evaluate shares with its own edge walk; it also returns the sweeps' counts.
-func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int) ([]float64, gridCounts) {
+// memo false builds every stencil afresh, which tests hold to the same bits.
+func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int, memo bool) ([]float64, gridCounts) {
 	cores, cols := mesh.Cores(), mesh.Cols
 	grid := make([]float64, cores)
 	n, edges := p.NumClusters, int(p.NumEdges())
@@ -335,7 +338,8 @@ func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int)
 	}
 	// accumulate adds chunk ci's sweeps to dst and leaves in s the rows they
 	// touched. A chunk starts with no run, so which targets take the shared
-	// fields does not depend on which worker ran the chunk before.
+	// fields does not depend on which worker ran the chunk before; the memo
+	// in s may, but a hit adds the bits a miss would.
 	accumulate := func(ci int, dst []float64, s *sweep) (gc gridCounts) {
 		lo, hi := ci*n/k, (ci+1)*n/k
 		s.lo, s.hi = mesh.Rows, -1
@@ -343,19 +347,23 @@ func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int)
 			s.run.from = nil
 			for t := lo; t < hi; t++ {
 				from, ws := in.InEdges(t)
-				switch {
-				case len(from) == 0:
-				case s.run.use(t, hi, from, ws, in, pos):
-					r, at := &s.run, pos[t]
-					s.touch(int(min(r.sx0, at.x)), int(max(r.sx1, at.x)))
-					gc.swept += r.add(dst, cols, at)
-					gc.runTargets++
-					if r.uses == 2 {
-						gc.runTables++
-					}
-				default:
-					gc.swept += s.propagate(dst, cols, pos, pos[t], from, ws)
+				if len(from) == 0 {
+					continue
 				}
+				e := s.run.stretch(t, hi, from, ws, in, pos)
+				if e == t {
+					gc.swept += s.propagate(dst, cols, pos, pos[t], from, ws)
+					continue
+				}
+				swept, hit := s.stencil(dst, cols, t, e, from, ws[0], pos, memo)
+				gc.swept += swept
+				gc.runTargets += int64(e - t)
+				if hit {
+					gc.stencilHits++
+				} else {
+					gc.runTables++
+				}
+				t = e - 1
 			}
 			return gc
 		}
@@ -417,6 +425,7 @@ func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int)
 		total.swept += c.swept
 		total.runTargets += c.runTargets
 		total.runTables += c.runTables
+		total.stencilHits += c.stencilHits
 		total.sampledWeight += c.sampledWeight
 	}
 	return grid, total
