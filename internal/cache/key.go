@@ -185,8 +185,8 @@ func (h *hasher) fdPhase(cfg *mapping.FDConfig) {
 	h.i64(int64(r.MaxIterations))
 }
 
-// curveName resolves the mapping config's curve the way MapContext does
-// (nil means Hilbert).
+// curveName resolves the mapping config's curve the way the initial
+// placement does (nil means Hilbert).
 func curveName(cfg *mapping.Config) string {
 	if cfg.Curve == nil {
 		return curve.Hilbert{}.Name()

@@ -12,9 +12,9 @@ import (
 
 // InitialPlacement computes P_init = Hilbert ∘ Seq (Eq. 17): the PCN is
 // linearized by Algorithm 2's topological sort and the sequence is laid
-// along the given space-filling curve over the mesh. Any curve.Curve
-// works; the paper's approach uses the Hilbert curve, with ZigZag and Circle
-// retained for the Figure 6/8 comparisons.
+// along the given space-filling curve over the mesh. Any curve.Curve works
+// (nil: the paper's Hilbert curve), with ZigZag and Circle retained for the
+// Figure 6/8 comparisons.
 func InitialPlacement(p *pcn.PCN, mesh hw.Mesh, c curve.Curve) (*place.Placement, error) {
 	return InitialPlacementDefects(p, mesh, c, nil, hw.Constraints{})
 }
@@ -29,6 +29,9 @@ func InitialPlacement(p *pcn.PCN, mesh hw.Mesh, c curve.Curve) (*place.Placement
 // PCN, and one wrapping place.ErrBadConfig for an invalid mesh or a curve
 // whose visit order is not a permutation of the mesh's cells.
 func InitialPlacementDefects(p *pcn.PCN, mesh hw.Mesh, c curve.Curve, d *hw.DefectMap, cons hw.Constraints) (*place.Placement, error) {
+	if c == nil {
+		c = curve.Hilbert{}
+	}
 	if _, err := hw.NewMesh(mesh.Rows, mesh.Cols); err != nil {
 		return nil, fmt.Errorf("mapping: %w: %v", place.ErrBadConfig, err)
 	}

@@ -259,6 +259,38 @@ func TestInitialPlacementRejectsBadCurve(t *testing.T) {
 	}
 }
 
+// TestInitialPlacementNilCurveIsHilbert holds a nil curve to the Hilbert
+// curve's placement, pristine through InitialPlacement and on a mesh with a
+// dead core and a spare row through InitialPlacementDefects.
+func TestInitialPlacementNilCurveIsHilbert(t *testing.T) {
+	p := chainPCN(t, 10)
+	mesh := hw.MustMesh(4, 4)
+	d := hw.NewDefectMap(mesh)
+	d.MarkDead(5)
+	for _, tc := range []struct {
+		name string
+		d    *hw.DefectMap
+		cons hw.Constraints
+	}{{"pristine", nil, hw.Constraints{}}, {"dead+spare", d, hw.Constraints{SpareRows: 1}}} {
+		want, err := InitialPlacementDefects(p, mesh, curve.Hilbert{}, tc.d, tc.cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := InitialPlacementDefects(p, mesh, nil, tc.d, tc.cons)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.d == nil {
+			if got, err = InitialPlacement(p, mesh, nil); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if !slices.Equal(got.PosOf, want.PosOf) {
+			t.Errorf("%s: nil curve PosOf %v, Hilbert %v", tc.name, got.PosOf, want.PosOf)
+		}
+	}
+}
+
 func TestInitialPlacementRejectsInvalidMesh(t *testing.T) {
 	for _, p := range []*pcn.PCN{{}, chainPCN(t, 4)} {
 		for _, mesh := range []hw.Mesh{{}, {Rows: 0, Cols: 4}, {Rows: -2, Cols: -2}} {

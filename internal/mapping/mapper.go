@@ -120,12 +120,8 @@ func MapContext(ctx context.Context, p *pcn.PCN, mesh hw.Mesh, cfg Config) (Resu
 			return res, nil
 		}
 	}
-	c := cfg.Curve
-	if c == nil {
-		c = curve.Hilbert{}
-	}
 	placeSp := cfg.Obs.Span("placement", obs.KV{K: "clusters", V: float64(p.NumClusters)})
-	pl, err := InitialPlacementDefects(p, mesh, c, cfg.Defects, cfg.Constraints)
+	pl, err := InitialPlacementDefects(p, mesh, cfg.Curve, cfg.Defects, cfg.Constraints)
 	placeSp.End()
 	if err != nil {
 		return Result{}, fmt.Errorf("mapping: initial placement: %w", err)

@@ -23,7 +23,7 @@ func clusterCoords(pl *place.Placement) []cellXY {
 // back, grown geometrically so that a run of ever larger boxes reallocates
 // O(log) times and holds at most twice the largest four-box total; the
 // shared in-run's fields; the stencils memoised over one congestionGrid
-// call; and the rows a chunk's boxes touched.
+// call; the grid its chunks are summed into; and the rows they touched.
 type sweep struct {
 	box []float64
 	one [1]int32 // the source of a one-source group (sampled mode)
@@ -35,8 +35,9 @@ type sweep struct {
 	memo map[string]stencilRef
 	held int
 	st   []float64
+	grid []float64 // zero but for the rows of the chunk being summed
 	// lo..hi are the mesh rows the chunk's boxes covered so far (lo > hi:
-	// none), so that only they are merged.
+	// none), so that only they are committed.
 	lo, hi int
 }
 

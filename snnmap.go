@@ -178,7 +178,8 @@ func MapContext(ctx context.Context, p *PCN, mesh Mesh, cfg Config) (MapResult, 
 	return mapping.MapContext(ctx, p, mesh, cfg)
 }
 
-// InitialPlacement computes P_init = Hilbert ∘ Seq (Eq. 17) for any curve.
+// InitialPlacement computes P_init = Hilbert ∘ Seq (Eq. 17) along any curve,
+// nil meaning Hilbert.
 func InitialPlacement(p *PCN, mesh Mesh, c Curve) (*Placement, error) {
 	return mapping.InitialPlacement(p, mesh, c)
 }
