@@ -68,6 +68,30 @@ func TestDoScratch(t *testing.T) {
 	}
 }
 
+// TestDoScratchCommitInOrder runs the congestion grid's commit pattern:
+// each call waits until every lower index has committed, then commits. It
+// ends only because indices are claimed in increasing order, one at a time.
+func TestDoScratchCommitInOrder(t *testing.T) {
+	for _, workers := range []int{1, 2, 7} {
+		next := 0
+		var mu sync.Mutex
+		turn := sync.NewCond(&mu)
+		DoScratch(workers, 65, func(ci int, _ *struct{}) {
+			runtime.Gosched()
+			mu.Lock()
+			for ci != next {
+				turn.Wait()
+			}
+			next++
+			turn.Broadcast()
+			mu.Unlock()
+		})
+		if next != 65 {
+			t.Fatalf("workers=%d: %d commits, want 65", workers, next)
+		}
+	}
+}
+
 // TestDo checks the scratch-free wrapper covers the same index set.
 func TestDo(t *testing.T) {
 	var sum atomic.Int64
