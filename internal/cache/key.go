@@ -222,9 +222,10 @@ func resultKey(pk Key, mesh hw.Mesh, cfg *mapping.Config) Key {
 // walk must not be served either. /4 since a sampled grid's weight is summed
 // per sampled edge in the grid's chunk layout instead of per row table in the
 // walk's: a sampled MaxCongestion on non-integral weights can move in its
-// last bits.
+// last bits. /5 since the rule counts the cells the exact grid sweeps, not
+// Σ (dx+1)(dy+1): a placement sampled before (DNN_4B's) may now be exact.
 func metricsKey(pk Key, plPosOf []int32, mesh hw.Mesh, cost hw.CostModel, opts metrics.Options) Key {
-	h := newHasher("metrics/4")
+	h := newHasher("metrics/5")
 	h.h.Write(pk[:])
 	h.mesh(mesh)
 	h.i32s(plPosOf)

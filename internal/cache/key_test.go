@@ -49,7 +49,9 @@ func pcnKeyOf(p *pcn.PCN) Key {
 // summed per row, and Energy, AvgLatency and AvgCongestion walked per edge
 // can differ in their last bits; and with its /4: a sampled grid's weight is
 // summed per sampled edge in the grid's chunks, and the key hashes the
-// congestion mode alone. The result pin moved with its /2: one FD
+// congestion mode alone; and with its /5: the congestion rule counts the
+// cells the exact grid sweeps, and a placement sampled under the per-edge box
+// sum can now be exact. The result pin moved with its /2: one FD
 // phase, no min-gain field, one FDStats block in the payload; and with its
 // /3: the FD phase has no fault model of its own to hash.
 func TestKeyGolden(t *testing.T) {
@@ -65,7 +67,7 @@ func TestKeyGolden(t *testing.T) {
 		{"pcn", pk, "1da50ce454e248a5a33637ba26f2ed6b01aac5aa5fd8b9c642b59ccdcea14454"},
 		{"result", resultKey(pk, mesh, &cfg), "91f1016a2d541a55b47cf70ddf3f4da897e33142ce3cfc49fd9768d4c579e76d"},
 		{"metrics", metricsKey(pk, []int32{0, 1, 2}, mesh, hw.DefaultCostModel(),
-			metrics.Options{}), "388c91593a2066897d1bb44f72304cf304f6c1f2a11fcade398bdd3c6f7663b8"},
+			metrics.Options{}), "87c625d60db7664b3483b43db315234b975efdeb41525449a21b2ed84fa6f6e2"},
 	}
 	for _, g := range golden {
 		if got := hex.EncodeToString(g.got[:]); got != g.want {

@@ -41,14 +41,14 @@ func randomMetricsWorkload(t testing.TB, seed int64, clusters, edges, side int) 
 	return res.PCN, pl
 }
 
-// forceSampled returns limits under which every net with more than one box
-// cell takes the sampled grid, of at most n edges.
+// forceSampled returns limits under which every net whose exact grid sweeps
+// more than one cell takes the sampled grid, of at most n edges.
 func forceSampled(n int) limits { return limits{exactCells: 1, sampleEdges: n} }
 
 // TestEvaluateWorkersBitIdentical is the determinism contract of
 // Options.Workers: every Summary field must be exactly equal — not
 // approximately — for Workers in {1, 2, 7, 16}, with the grid exact at any
-// box-cell count, by the default rule, sampled at a forced stride, and
+// cell count, by the default rule, sampled at a forced stride, and
 // skipped.
 func TestEvaluateWorkersBitIdentical(t *testing.T) {
 	cost := hw.DefaultCostModel()
@@ -120,8 +120,8 @@ func rescaledSampledMax(t *testing.T, p *pcn.PCN, pl *place.Placement, stride in
 		}
 		return sum
 	}
-	total := sumChunks(par.Chunks(p.NumClusters), false)
-	sampled := sumChunks(gridChunks(p.NumClusters, pl.Mesh.Cores()), true)
+	k := par.Chunks(p.NumClusters)
+	total, sampled := sumChunks(k, false), sumChunks(k, true)
 	grid, counts := congestionGrid(p, clusterCoords(pl), pl.Mesh, stride, 1, true)
 	if math.Float64bits(counts.sampledWeight) != math.Float64bits(sampled) {
 		t.Fatalf("grid's sampled weight %v, definition %v (stride %d)", counts.sampledWeight, sampled, stride)
@@ -154,12 +154,16 @@ func TestSampledRescaleStrideConsistency(t *testing.T) {
 }
 
 // TestCongestionRuleBoundary pins CongestionAuto's rule at its limit: with
-// the limit equal to the box-cell count the grid is exact, bit for bit; one
-// below it, the grid is the rescaled sampled one, bit for bit.
+// the limit equal to the rule's count, the cells the exact grid sweeps, the
+// grid is exact, bit for bit; one below it, the grid is the rescaled sampled
+// one, bit for bit.
 func TestCongestionRuleBoundary(t *testing.T) {
 	cost := hw.DefaultCostModel()
 	p, pl := randomMetricsWorkload(t, 8, 300, 1500, 18)
-	_, box, _, rows := evaluateCounted(p, pl, cost, Options{})
+	_, cells, swept, rows := evaluateCounted(p, pl, cost, Options{})
+	if cells != swept {
+		t.Fatalf("rule counts %d cells, exact grid swept %d", cells, swept)
+	}
 	if rows != 0 {
 		t.Fatalf("%d rows summed from a table; the reconstruction assumes none", rows)
 	}
@@ -172,27 +176,62 @@ func TestCongestionRuleBoundary(t *testing.T) {
 	for _, c := range []struct {
 		limit int64
 		want  float64
-	}{{box, exact}, {box - 1, sampled}} {
+	}{{cells, exact}, {cells - 1, sampled}} {
 		for _, workers := range []int{1, 3} {
 			got := Evaluate(p, pl, cost, Options{Workers: workers, limits: limits{exactCells: c.limit, sampleEdges: n}})
 			if math.Float64bits(got.MaxCongestion) != math.Float64bits(c.want) {
-				t.Fatalf("limit %d of %d box cells, workers %d: MaxCongestion %v, want %v",
-					c.limit, box, workers, got.MaxCongestion, c.want)
+				t.Fatalf("limit %d of %d cells, workers %d: MaxCongestion %v, want %v",
+					c.limit, cells, workers, got.MaxCongestion, c.want)
 			}
 		}
 	}
 }
 
+// TestCongestionRuleCountsSweptCells holds the rule at its default limit on
+// DNN_268M. On its Circle placement the edges' boxes hold more cells than the
+// limit but the exact grid sweeps fewer, so Evaluate's MaxCongestion is the
+// exact grid's at workers 1 and 2; on a random placement the exact grid would
+// sweep more than the limit (counted only: that grid is not run).
+func TestCongestionRuleCountsSweptCells(t *testing.T) {
+	p, err := pcn.Expand(snn.DNN268M(), pcn.DefaultPartition())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, cost := hw.MeshFor(p.NumClusters), hw.DefaultCostModel()
+	pl, err := mapping.InitialPlacement(p, mesh, curve.Circle{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, box, _, _ := evaluateWalk(p, pl, cost, Options{Congestion: CongestionSkip}); box <= exactCells {
+		t.Fatalf("Circle: edge boxes hold %d cells, want more than %d", box, exactCells)
+	}
+	for _, workers := range []int{1, 2} {
+		got, cells, _, _ := evaluateCounted(p, pl, cost, Options{Workers: workers})
+		want := maxOf(CongestionGrid(p, pl, 1, workers))
+		if cells > exactCells || math.Float64bits(got.MaxCongestion) != math.Float64bits(want) {
+			t.Fatalf("Circle workers %d: %d cells, MaxCongestion %v; exact grid %v", workers, cells, got.MaxCongestion, want)
+		}
+	}
+	rnd, err := mapping.InitialPlacement(p, mesh, curve.Random{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, n, k := clusterCoords(rnd), p.NumClusters, par.Chunks(p.NumClusters)
+	var cells int64
+	for ci := range k {
+		var s sweep
+		cells += s.exactChunk(p.Symmetric(), pos, mesh.Cols, ci*n/k, (ci+1)*n/k, false).swept
+	}
+	if cells <= exactCells {
+		t.Fatalf("Random: exact grid sweeps %d cells, want more than %d", cells, exactCells)
+	}
+}
+
 // TestSampledWeightWorkersBitIdentical holds a sampled Evaluate to its
-// workers-1 bits on a 363×363 mesh, over 2^23/64 cores, where the grid takes
-// fewer chunks than the walk and so sums the sampled weight in a chunk layout
-// of its own.
+// workers-1 bits on a 363×363 mesh, mostly empty.
 func TestSampledWeightWorkersBitIdentical(t *testing.T) {
 	cost := hw.DefaultCostModel()
 	p, pl := randomMetricsWorkload(t, 9, 300, 1500, 363)
-	if g, w := gridChunks(p.NumClusters, pl.Mesh.Cores()), par.Chunks(p.NumClusters); g >= w {
-		t.Fatalf("%d grid chunks, %d walk chunks; the layouts must differ", g, w)
-	}
 	opts := Options{limits: forceSampled(100)}
 	want := Evaluate(p, pl, cost, opts)
 	if want.MaxCongestion == 0 {

@@ -9,12 +9,15 @@ import (
 )
 
 // evaluateWalk is Evaluate as it was before repeated dense rows were summed
-// per row, but for the telemetry, which it replaces by returning the box and
-// swept cell counts: every out-edge of the PCN's own CSR is walked one at a
-// time. It is the oracle of the per-row walk. It sums the sampled weight
-// itself, in the walk's chunks, from the definition (global CSR index
-// divisible by the stride) rather than reading it from the grid.
-func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) (s Summary, bboxWork, swept int64) {
+// per row, but for the telemetry, which it replaces by returning cell counts:
+// Σ (dx+1)(dy+1) over every edge, the cells the exact grid sweeps and those
+// the grid that ran swept (both 0 with the grid skipped). Every out-edge of
+// the PCN's own CSR is walked one at a time. It is the oracle of the per-row
+// walk. It takes the congestion rule from its definition: it runs the exact
+// grid, and when that swept more than the limit, the sampled one. It sums the
+// sampled weight itself, in the walk's chunks, from the definition (global
+// CSR index divisible by the stride) rather than reading it from the grid.
+func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) (s Summary, box, exact, swept int64) {
 	mesh := pl.Mesh
 	lim := opts.limits.withDefaults()
 	stride := sampleStride(p, lim.sampleEdges)
@@ -24,10 +27,12 @@ func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Optio
 	k := par.Chunks(n)
 	partials := make([]evalPartial, k)
 	sampled := make([]float64, k)
+	boxes := make([]int64, k)
 	par.Do(opts.Workers, k, func(ci int) {
 		lo, hi := ci*n/k, (ci+1)*n/k
 		var pt evalPartial
 		var ps float64
+		var pb int64
 		for c := lo; c < hi; c++ {
 			src := pos[c]
 			tos, ws := p.OutEdges(c)
@@ -44,13 +49,13 @@ func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Optio
 				}
 				pt.totalWeight += w
 				pt.avgCongestion += w * float64(d+1)
-				pt.bboxWork += int64(dx+1) * int64(dy+1)
+				pb += int64(dx+1) * int64(dy+1)
 				if (p.OutOff[c]+int64(kk))%int64(stride) == 0 {
 					ps += w
 				}
 			}
 		}
-		partials[ci], sampled[ci] = pt, ps
+		partials[ci], sampled[ci], boxes[ci] = pt, ps, pb
 	})
 	var totalWeight, weightedLatency, sampledWeight float64
 	for ci := range partials {
@@ -63,7 +68,7 @@ func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Optio
 		totalWeight += pt.totalWeight
 		s.AvgCongestion += pt.avgCongestion
 		sampledWeight += sampled[ci]
-		bboxWork += pt.bboxWork
+		box += boxes[ci]
 	}
 	if totalWeight > 0 {
 		s.AvgLatency = weightedLatency / totalWeight
@@ -71,10 +76,13 @@ func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Optio
 	s.AvgCongestion /= float64(mesh.Cores())
 
 	if opts.Congestion == CongestionAuto {
-		if bboxWork <= lim.exactCells {
+		grid, counts := congestionGrid(p, pos, mesh, 1, opts.Workers, true)
+		exact = counts.swept
+		if exact > lim.exactCells {
+			grid, counts = congestionGrid(p, pos, mesh, stride, opts.Workers, true)
+		} else {
 			stride = 1
 		}
-		grid, counts := congestionGrid(p, pos, mesh, stride, opts.Workers, true)
 		swept = counts.swept
 		if stride > 1 && sampledWeight > 0 {
 			scale := totalWeight / sampledWeight
@@ -84,5 +92,5 @@ func evaluateWalk(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Optio
 		}
 		s.MaxCongestion = maxOf(grid)
 	}
-	return s, bboxWork, swept
+	return s, box, exact, swept
 }

@@ -32,7 +32,7 @@ type sweep struct {
 	// hold held floats. Stencils are built in st, grown geometrically, and
 	// copied into the memo.
 	key  []byte
-	memo map[string]stencilRef
+	memo map[string][]float64
 	held int
 	st   []float64
 	grid []float64 // zero but for the rows of the chunk being summed
@@ -47,8 +47,8 @@ func (s *sweep) touch(lo, hi int) {
 }
 
 // propagate adds Σ_k ws[k]·Expe(·, pos[from[k]], t) to grid (row-major, cols
-// wide) and returns the box cells it swept; ws is one weight per source or
-// one broadcast (pcn.WeightMask).
+// wide) and returns the box cells it swept, or with grid nil only counts
+// them; ws is one weight per source or one broadcast (pcn.WeightMask).
 //
 // Algorithm 4's Expe function models the routing of one spike from source s
 // to target t as a randomized minimal (dimension-balanced) walk: at every
@@ -80,8 +80,11 @@ func (s *sweep) propagate(grid []float64, cols int, pos []cellXY, t cellXY, from
 	for q, e := range ext {
 		base[q+1] = base[q] + (e[0]+1)*(e[1]+1)
 	}
-	s.touch(int(t.x)-max(0, ext[0][0], ext[1][0]), int(t.x)+max(0, ext[2][0], ext[3][0]))
 	n := base[4]
+	if grid == nil {
+		return int64(n)
+	}
+	s.touch(int(t.x)-max(0, ext[0][0], ext[1][0]), int(t.x)+max(0, ext[2][0], ext[3][0]))
 	if n > cap(s.box) {
 		s.box = make([]float64, max(n, 2*cap(s.box)))
 	}

@@ -42,7 +42,8 @@ type runFields struct {
 }
 
 // stretch returns the end of the stretch of targets t.. of the chunk ending
-// at end that are added from the run's stencil, or t when t starts none. A
+// at end that are added from the run's stencil, or t when t starts none, and
+// the box cells that add covers for the stretch's targets (sides). A
 // stretch starts at a run's second target: the in-run (from, ws) is broadcast
 // with a finite non-negative weight (what pcn.PCN.Validate asks of every
 // edge) and the same slice the previous target read. It holds the targets
@@ -52,17 +53,17 @@ type runFields struct {
 // 4·|S| cells and R at most 4·(|S|+|T|), so building never costs much more
 // than sweeping the targets one by one. A run met once costs only propagate,
 // and a run yields at most one stretch; stretch sets R for it.
-func (r *runFields) stretch(t, end int, from []int32, ws []float64, in *pcn.Symmetric, pos []cellXY) int {
+func (r *runFields) stretch(t, end int, from []int32, ws []float64, in *pcn.Symmetric, pos []cellXY) (int, int64) {
 	switch {
 	case len(ws) != 1 || !(ws[0] >= 0 && ws[0] <= math.MaxFloat64):
 		r.from = nil
-		return t
+		return t, 0
 	case len(r.from) != len(from) || &r.from[0] != &from[0]:
 		r.from, r.uses = from, 1
-		return t
+		return t, 0
 	}
 	if r.uses++; r.uses != 2 {
-		return t
+		return t, 0
 	}
 	p := pos[from[0]]
 	sx0, sx1, sy0, sy1 := p.x, p.x, p.y, p.y
@@ -72,24 +73,27 @@ func (r *runFields) stretch(t, end int, from []int32, ws []float64, in *pcn.Symm
 	}
 	n := len(from)
 	if int(sx1-sx0+1)*int(sy1-sy0+1) > 4*n {
-		return t
+		return t, 0
 	}
 	x0, x1, y0, y1 := sx0, sx1, sy0, sy1
-	e := t
+	e, cells := t, int64(0)
 	for ; e < end; e++ {
 		if f, fw := in.InEdges(e); len(f) != n || &f[0] != &from[0] || len(fw) != 1 || fw[0] != ws[0] {
 			break
 		}
 		q := pos[e]
 		x0, x1, y0, y1 = min(x0, q.x), max(x1, q.x), min(y0, q.y), max(y1, q.y)
+		xn, xf := sides(int(q.x), int(sx0), int(sx1))
+		yn, yf := sides(int(q.y), int(sy0), int(sy1))
+		cells += int64(xn+xf) * int64(yn+yf)
 	}
 	h, w := int(x1-x0)+1, int(y1-y0)+1
 	if h*w > 4*(n+e-t) {
-		return t
+		return t, 0
 	}
 	r.x0, r.y0, r.h, r.w = x0, y0, h, w
 	r.sx0, r.sx1, r.sy0, r.sy1 = int(sx0-x0), int(sx1-x0), int(sy0-y0), int(sy1-y0)
-	return e
+	return e, cells
 }
 
 // build fills the injections and the four fields for the run's sources over
@@ -145,26 +149,39 @@ func (r *runFields) fill(q int) {
 
 // add adds to the stencil st (h×w over R) what propagate adds for a target at
 // cell t — Σ_k w·Expe(·, s_k, t) over the run's sources — quadrant by
-// quadrant in index order, and returns the box cells it covered.
-func (r *runFields) add(st []float64, t cellXY) int64 {
+// quadrant in index order. Quadrant q's box spans t's far side along x when
+// q&2 != 0, else its near side, and along y likewise by q&1 (sides); an
+// empty side leaves the quadrant empty, as propagate does.
+func (r *runFields) add(st []float64, t cellXY) {
 	tx, ty := int(t.x-r.x0), int(t.y-r.y0)
-	var cells int64
+	xn, xf := sides(tx, r.sx0, r.sx1)
+	yn, yf := sides(ty, r.sy0, r.sy1)
 	for q := range 4 {
-		// The box's far corner (ax, ay) in R; a side with no source beyond
-		// t's row or column leaves the quadrant empty, as propagate does.
-		ax, ay := r.sx0, r.sy0
+		ax, nx, ay, ny := r.sx0, xn, r.sy0, yn
 		if q&2 != 0 {
-			ax = r.sx1
+			ax, nx = r.sx1, xf
 		}
 		if q&1 != 0 {
-			ay = r.sy1
+			ay, ny = r.sy1, yf
 		}
-		if q&2 == 0 && ax > tx || q&2 != 0 && ax <= tx || q&1 == 0 && ay > ty || q&1 != 0 && ay <= ty {
-			continue
+		if nx > 0 && ny > 0 {
+			r.quadrant(st, q, tx, ty, ax, ay)
 		}
-		cells += r.quadrant(st, q, tx, ty, ax, ay)
 	}
-	return cells
+}
+
+// sides returns how many lines along one axis the boxes of a target at t
+// cover over sources at lo..hi: on the near side, from lo to t's own row or
+// column, and on the far side, from t to hi; none where no source lies. The
+// target's four boxes cover (near+far) lines along x times those along y.
+func sides(t, lo, hi int) (near, far int) {
+	if lo <= t {
+		near = t - lo + 1
+	}
+	if hi > t {
+		far = hi - t + 1
+	}
+	return near, far
 }
 
 // quadrant adds quadrant q's box, far corner (ax, ay) and target (tx, ty) in
@@ -172,7 +189,7 @@ func (r *runFields) add(st []float64, t cellXY) int64 {
 // sweepBox's straight-on rule. Only the above quadrants (q&2 == 0) hold
 // sources on t's row, only the left ones (q&1 == 0) on t's column, and only
 // quadrant 0 one on t.
-func (r *runFields) quadrant(st []float64, q, tx, ty, ax, ay int) int64 {
+func (r *runFields) quadrant(st []float64, q, tx, ty, ax, ay int) {
 	w, hw := r.w, r.h*r.w
 	inj, f := r.buf[:hw], r.buf[(q+1)*hw:(q+2)*hw]
 	xs, ys := 1, 1 // steps toward t
@@ -218,20 +235,11 @@ func (r *runFields) quadrant(st []float64, q, tx, ty, ax, ay int) int64 {
 		at = inj[tx*w+ty]
 	}
 	st[tx*w+ty] += at + col + row
-	dx, dy := max(ax-tx, tx-ax), max(ay-ty, ty-ay)
-	return int64(dx+1) * int64(dy+1)
-}
-
-// stencilRef is a memoised stencil, h×w over R, and the box cells its
-// targets' sweeps covered.
-type stencilRef struct {
-	st    []float64
-	swept int64
 }
 
 // stencil adds the stretch of targets t..e-1, which read the in-run (from,
-// wt) over the R that stretch set, to grid (row-major, cols wide) and returns
-// the box cells their sweeps covered and whether the memo held the stencil.
+// wt) over the R that stretch set, to grid (row-major, cols wide) and reports
+// whether the memo held the stencil.
 //
 // The targets are summed into a zeroed h×w stencil in target order, which is
 // then added to grid at R's offset: each grid cell receives the stretch's sum
@@ -241,43 +249,43 @@ type stencilRef struct {
 // call adds the stored stencil, the bits a miss computes from the same
 // operands in the same order. The memo keeps stencils while they hold at most
 // a quarter of len(grid) floats in all; with memo false every stretch misses.
-func (s *sweep) stencil(grid []float64, cols, t, e int, from []int32, wt float64, pos []cellXY, memo bool) (int64, bool) {
+func (s *sweep) stencil(grid []float64, cols, t, e int, from []int32, wt float64, pos []cellXY, memo bool) bool {
 	r := &s.run
 	hw := r.h * r.w
-	var ref stencilRef
+	var st []float64
 	hit := false
 	if memo {
 		s.key = r.stencilKey(s.key[:0], t, e, from, wt, pos)
-		ref, hit = s.memo[string(s.key)]
+		st, hit = s.memo[string(s.key)]
 	}
 	if !hit {
 		if hw > cap(s.st) {
 			s.st = make([]float64, max(hw, 2*cap(s.st)))
 		}
-		ref.st = s.st[:hw]
-		clear(ref.st)
+		st = s.st[:hw]
+		clear(st)
 		r.build(from, wt, pos)
 		for u := t; u < e; u++ {
-			ref.swept += r.add(ref.st, pos[u])
+			r.add(st, pos[u])
 		}
 		if memo && s.held+hw <= len(grid)/4 {
-			ref.st = slices.Clone(ref.st)
+			st = slices.Clone(st)
 			if s.memo == nil {
-				s.memo = make(map[string]stencilRef)
+				s.memo = make(map[string][]float64)
 			}
-			s.memo[string(s.key)] = ref
+			s.memo[string(s.key)] = st
 			s.held += hw
 		}
 	}
 	base := int(r.x0)*cols + int(r.y0)
 	for x := range r.h {
 		dst := grid[base+x*cols : base+x*cols+r.w]
-		for i, v := range ref.st[x*r.w : x*r.w+r.w] {
+		for i, v := range st[x*r.w : x*r.w+r.w] {
 			dst[i] += v
 		}
 	}
 	s.touch(int(r.x0), int(r.x0)+r.h-1)
-	return ref.swept, hit
+	return hit
 }
 
 // stencilKey appends the stretch's key to b: h, w, |S|, the weight's bits,

@@ -12,6 +12,7 @@ import (
 	"snnmap/internal/hw"
 	"snnmap/internal/mapping"
 	"snnmap/internal/obs"
+	"snnmap/internal/par"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 	"snnmap/internal/snn"
@@ -22,15 +23,20 @@ import (
 // full-mesh grid and merged whole in chunk order. Within a chunk it follows
 // the exact grid's summation grouping (stencilStretch): the targets of a
 // stretch are propagated in target order into a cleared grid of their own,
-// which is then added whole to the chunk's.
-func perTargetGrid(p *pcn.PCN, pl *place.Placement) []float64 {
+// which is then added whole to the chunk's. It also returns the cells the
+// exact grid sweeps: propagate's boxes for a target alone, and for a stretch
+// target the boxes propagate would sweep for four sources at the corners of
+// the run's sources' bounding box, since a stencil extends each target's
+// boxes to it.
+func perTargetGrid(p *pcn.PCN, pl *place.Placement) ([]float64, int64) {
 	mesh, pos := pl.Mesh, clusterCoords(pl)
 	cores := mesh.Cores()
 	grid, scratch, stretch := make([]float64, cores), make([]float64, cores), make([]float64, cores)
 	in := p.Symmetric()
 	n := p.NumClusters
-	k := gridChunks(n, cores)
+	k := par.Chunks(n)
 	var s sweep
+	var cells int64
 	for ci := 0; ci < k; ci++ {
 		clear(scratch)
 		lo, hi := ci*n/k, (ci+1)*n/k
@@ -41,13 +47,20 @@ func perTargetGrid(p *pcn.PCN, pl *place.Placement) []float64 {
 			}
 			e := stencilStretch(in, pos, lo, hi, t)
 			if e == t {
-				s.propagate(scratch, mesh.Cols, pos, pos[t], from, ws)
+				cells += s.propagate(scratch, mesh.Cols, pos, pos[t], from, ws)
 				continue
 			}
+			b := pos[from[0]]
+			x0, x1, y0, y1 := b.x, b.x, b.y, b.y
+			for _, f := range from {
+				x0, x1, y0, y1 = min(x0, pos[f].x), max(x1, pos[f].x), min(y0, pos[f].y), max(y1, pos[f].y)
+			}
+			corners := []cellXY{{x0, y0}, {x0, y1}, {x1, y0}, {x1, y1}}
 			clear(stretch)
 			for ; t < e; t++ {
 				from, ws := in.InEdges(t)
 				s.propagate(stretch, mesh.Cols, pos, pos[t], from, ws)
+				cells += s.propagate(nil, mesh.Cols, corners, pos[t], []int32{0, 1, 2, 3}, ws)
 			}
 			for i, v := range stretch {
 				scratch[i] += v
@@ -58,7 +71,7 @@ func perTargetGrid(p *pcn.PCN, pl *place.Placement) []float64 {
 			grid[i] += v
 		}
 	}
-	return grid
+	return grid, cells
 }
 
 // stencilStretch is the exact grid's grouping as a function of the in-rows
@@ -270,13 +283,16 @@ func sharedCases(t *testing.T) []sharedCase {
 // placement; dense, ragged (mixed-weight), residual, depthwise, defective
 // and random inputs of the per-row suite; 24-cluster layers beside, across
 // and inside their sources' box in all four reflections, and row-shifted.
-// Evaluate's span must count box cells no fewer than swept ones, and the
-// same run_targets, stretches (run_tables + stencil_hits: which worker's
-// memo holds a stencil depends on the schedule) and swept_cells at every
-// worker count.
+// Evaluate's span must report the rule's count, exact_cells, equal to the
+// exact grid's swept_cells and to perTargetGrid's count, integer for
+// integer, and no more than Σ (dx+1)(dy+1) over the edges (evaluateWalk);
+// and the same run_targets and stretches (run_tables + stencil_hits: which
+// worker's memo holds a stencil depends on the schedule) at every worker
+// count.
 func TestCongestionGridSharedRunsMatchPerTarget(t *testing.T) {
 	for _, c := range sharedCases(t) {
-		want := perTargetGrid(c.p, c.pl)
+		want, cells := perTargetGrid(c.p, c.pl)
+		_, box, _, _ := evaluateWalk(c.p, c.pl, hw.DefaultCostModel(), Options{Congestion: CongestionSkip})
 		var first map[string]float64
 		for _, workers := range []int{1, 2, 7} {
 			got := CongestionGrid(c.p, c.pl, 1, workers)
@@ -286,16 +302,15 @@ func TestCongestionGridSharedRunsMatchPerTarget(t *testing.T) {
 				}
 			}
 			_, args := evaluateSpan(c.p, c.pl, Options{Workers: workers})
-			if args["swept_cells"] > args["box_cells"] {
-				t.Fatalf("%s workers %d: %v swept cells, %v box cells", c.name, workers, args["swept_cells"], args["box_cells"])
+			if swept := args["swept_cells"]; args["exact_cells"] != swept || swept != float64(cells) || cells > box {
+				t.Fatalf("%s workers %d: rule counts %v cells, grid swept %v, per target %d, edge boxes hold %d",
+					c.name, workers, args["exact_cells"], swept, cells, box)
 			}
 			if workers == 1 {
 				first = args
-			} else if args["run_targets"] != first["run_targets"] || stretches(args) != stretches(first) ||
-				args["swept_cells"] != first["swept_cells"] {
-				t.Fatalf("%s workers %d: %v run targets from %v stretches, %v swept cells; workers 1 %v from %v, %v",
-					c.name, workers, args["run_targets"], stretches(args), args["swept_cells"],
-					first["run_targets"], stretches(first), first["swept_cells"])
+			} else if args["run_targets"] != first["run_targets"] || stretches(args) != stretches(first) {
+				t.Fatalf("%s workers %d: %v run targets from %v stretches; workers 1 %v from %v",
+					c.name, workers, args["run_targets"], stretches(args), first["run_targets"], stretches(first))
 			}
 		}
 		if tables := first["run_tables"]; c.runs == 1 && tables == 0 || c.runs == 0 && tables != 0 {
@@ -351,7 +366,7 @@ func TestGridScratchBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grids := uint64(gridChunks(p.NumClusters, mesh.Cores()) * mesh.Cores() * 8)
+	grids := uint64(par.Chunks(p.NumClusters) * mesh.Cores() * 8)
 	for _, c := range []struct{ workers, share int }{{2, 4}, {7, 2}} {
 		workers, bound := c.workers, grids/uint64(c.share)
 		most := uint64(0)
@@ -521,7 +536,7 @@ func TestSharedRunGuards(t *testing.T) {
 		{"spread targets", block(0, 0, 2, 8, 1), block(2, 1, 8, 8, 4), 0},
 	} {
 		p, pl := fanWorkload(t, c.srcs, c.dsts)
-		want := perTargetGrid(p, pl)
+		want, _ := perTargetGrid(p, pl)
 		got := CongestionGrid(p, pl, 1, 1)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -572,7 +587,7 @@ func FuzzCongestionGridSharedRuns(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := perTargetGrid(p, pl)
+		want, _ := perTargetGrid(p, pl)
 		for _, workers := range []int{1, 3} {
 			got := CongestionGrid(p, pl, 1, workers)
 			for i := range want {
@@ -612,7 +627,7 @@ func checkRunFieldsBounded(t *testing.T) {
 			if len(from) == 0 {
 				continue
 			}
-			e := r.stretch(tg, n, from, ws, in, pos)
+			e, _ := r.stretch(tg, n, from, ws, in, pos)
 			if e == tg {
 				continue
 			}

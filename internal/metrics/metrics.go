@@ -60,8 +60,8 @@ type CongestionMode int
 
 const (
 	// CongestionAuto, the zero value, computes Algorithm 4's grid exactly
-	// when Σ (dx+1)(dy+1) over all edges is at most 500 M cells, and above
-	// that from every ⌈E/200 000⌉-th edge in CSR order, rescaled by the
+	// when its sweeps cover at most 500 M cells, counted before it runs, and
+	// above that from every ⌈E/200 000⌉-th edge in CSR order, rescaled by the
 	// traffic total over the sampled total.
 	CongestionAuto CongestionMode = iota
 	// CongestionSkip leaves MaxCongestion zero (useful when only
@@ -72,10 +72,8 @@ const (
 // The congestion rule's two numbers. Package tests lower them through
 // Options.limits.
 const (
-	// exactCells is the most box cells, Σ (dx+1)(dy+1) over all edges, for
-	// which CongestionAuto computes the exact grid. The exact path sweeps
-	// one union box per target quadrant, far fewer cells than that sum; the
-	// rule stays so that no input changes mode.
+	// exactCells is the most cells the exact grid may sweep, counted by its
+	// own chunk walk (exactChunk), for CongestionAuto to compute it.
 	exactCells = 500_000_000
 	// sampleEdges bounds how many edges a sampled grid accumulates.
 	sampleEdges = 200_000
@@ -123,9 +121,9 @@ type Options struct {
 type evalPartial struct {
 	energy, weightedLatency, maxLatency float64
 	totalWeight, avgCongestion          float64
-	bboxWork                            int64
-	// rows counts the clusters whose out-row was summed from a rowTable.
-	rows int64
+	// rows counts the clusters whose out-row was summed from a rowTable;
+	// cells the exact grid's sweeps of the chunk's targets (exactChunk).
+	rows, cells int64
 }
 
 // addRow adds the edges of the table's out-row, from the source at cell src
@@ -135,7 +133,7 @@ type evalPartial struct {
 // latency; max latency is SpikeLatency(max d).
 func (pt *evalPartial) addRow(t *rowTable, src cellXY, w float64, cost hw.CostModel) {
 	n := len(t.ids)
-	sumD, box, maxD := t.sums(src)
+	sumD, maxD := t.sums(src)
 	sd, nn := float64(sumD), float64(n)
 	pt.energy += w * ((sd+nn)*cost.RouterEnergy + sd*cost.WireEnergy)
 	pt.weightedLatency += w * ((sd+nn)*cost.RouterLatency + sd*cost.WireLatency)
@@ -144,7 +142,6 @@ func (pt *evalPartial) addRow(t *rowTable, src cellXY, w float64, cost hw.CostMo
 	}
 	pt.totalWeight += w * nn
 	pt.avgCongestion += w * (sd + nn)
-	pt.bboxWork += box
 	pt.rows++
 }
 
@@ -169,11 +166,10 @@ func sampleSkip(e int64, stride int) int {
 // FD has not). A broadcast, consecutive out-row that the previous cluster
 // read too — every cluster of a dense layer but the first — is summed per row
 // from a rowTable: Energy, AvgLatency and AvgCongestion are the edge-by-edge
-// sums reassociated (within 1e-12 relative), MaxLatency and the box-cell
-// count are exact. The walk is split into a fixed chunk count and, with
-// opts.Workers > 1, fanned out over goroutines; partials are reduced in chunk
-// order so the Summary is bit-identical for every worker count (including
-// sequential).
+// sums reassociated (within 1e-12 relative), MaxLatency is exact. The walk is
+// split into a fixed chunk count and, with opts.Workers > 1, fanned out over
+// goroutines; partials are reduced in chunk order so the Summary is
+// bit-identical for every worker count (including sequential).
 func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) Summary {
 	var s Summary
 	mesh := pl.Mesh
@@ -204,8 +200,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 			mask := pcn.WeightMask(tos, ws)
 			for kk, to := range tos {
 				dst := pos[to]
-				dx, dy := geom.Abs(int(src.x-dst.x)), geom.Abs(int(src.y-dst.y))
-				d := dx + dy
+				d := geom.Abs(int(src.x-dst.x)) + geom.Abs(int(src.y-dst.y))
 				w := ws[kk&mask]
 				pt.energy += w * cost.SpikeEnergy(d)
 				lat := cost.SpikeLatency(d)
@@ -218,13 +213,17 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 				// w*(d+1) to the congestion grid total whether the grid is
 				// exact or sampled; the average (Eq. 12) is exact and cheap.
 				pt.avgCongestion += w * float64(d+1)
-				pt.bboxWork += int64(dx+1) * int64(dy+1)
 			}
+		}
+		if opts.Congestion == CongestionAuto {
+			// The walk's chunks are the grid's, so this is the grid's walk.
+			var count sweep
+			pt.cells = count.exactChunk(sym, pos, mesh.Cols, lo, hi, false).swept
 		}
 		partials[ci] = pt
 	})
 	var totalWeight, weightedLatency float64
-	var bboxWork, rows int64
+	var rows, cells int64
 	for ci := range partials {
 		pt := &partials[ci]
 		s.Energy += pt.energy
@@ -234,8 +233,8 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		}
 		totalWeight += pt.totalWeight
 		s.AvgCongestion += pt.avgCongestion
-		bboxWork += pt.bboxWork
 		rows += pt.rows
+		cells += pt.cells
 	}
 	if totalWeight > 0 {
 		s.AvgLatency = weightedLatency / totalWeight
@@ -246,7 +245,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 	if opts.Congestion == CongestionAuto {
 		lim := opts.limits.withDefaults()
 		stride := 1
-		if bboxWork > lim.exactCells {
+		if cells > lim.exactCells {
 			stride = sampleStride(p, lim.sampleEdges)
 		}
 		var grid []float64
@@ -265,7 +264,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		obs.KV{K: "energy", V: s.Energy},
 		obs.KV{K: "avg_latency", V: s.AvgLatency},
 		obs.KV{K: "max_congestion", V: s.MaxCongestion},
-		obs.KV{K: "box_cells", V: float64(bboxWork)},
+		obs.KV{K: "exact_cells", V: float64(cells)},
 		obs.KV{K: "swept_cells", V: float64(counts.swept)},
 		obs.KV{K: "row_sums", V: float64(rows)},
 		obs.KV{K: "run_targets", V: float64(counts.runTargets)},
@@ -299,24 +298,13 @@ func CongestionGrid(p *pcn.PCN, pl *place.Placement, stride, workers int) []floa
 	return grid
 }
 
-// gridCounts is what the congestion sweeps report to Evaluate: the box cells
+// gridCounts is what the congestion sweeps report to Evaluate: the cells
 // they covered, the targets added from a shared in-run's stencil, the
 // stencils built and those taken from the memo and, on a sampled grid, the
 // weight of the sampled edges.
 type gridCounts struct {
 	swept, runTargets, runTables, stencilHits int64
 	sampledWeight                             float64
-}
-
-// gridChunks is the congestion grid's chunk count for n clusters on a mesh of
-// cores cores, capped at 2^23/cores: the chunks fix each cell's summation
-// grouping, which the recorded DNN_4B grid (k = 8) depends on.
-func gridChunks(n, cores int) int {
-	k := par.Chunks(n)
-	if maxGrids := 1 << 23 / max(cores, 1); k > maxGrids {
-		k = max(maxGrids, 1)
-	}
-	return k
 }
 
 // congestionGrid is CongestionGrid on a cluster coordinate table, which
@@ -332,41 +320,18 @@ func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int,
 	// A stride of |E| or more samples edge 0 alone; capped, the skip
 	// arithmetic below cannot overflow.
 	stride = max(1, min(stride, edges))
-	k := gridChunks(n, cores)
+	k := par.Chunks(n)
 	var in *pcn.Symmetric
 	if stride == 1 {
 		in = p.Symmetric()
 	}
 	// accumulate adds chunk ci's sweeps to s.grid and leaves in s the rows
-	// they touched. A chunk starts with no run, so which targets take the
-	// shared fields does not depend on which worker ran the chunk before; the
-	// memo in s may, but a hit adds the bits a miss would.
+	// they touched.
 	accumulate := func(ci int, s *sweep) (gc gridCounts) {
 		lo, hi := ci*n/k, (ci+1)*n/k
 		s.lo, s.hi = mesh.Rows, -1
 		if in != nil {
-			s.run.from = nil
-			for t := lo; t < hi; t++ {
-				from, ws := in.InEdges(t)
-				if len(from) == 0 {
-					continue
-				}
-				e := s.run.stretch(t, hi, from, ws, in, pos)
-				if e == t {
-					gc.swept += s.propagate(s.grid, cols, pos, pos[t], from, ws)
-					continue
-				}
-				swept, hit := s.stencil(s.grid, cols, t, e, from, ws[0], pos, memo)
-				gc.swept += swept
-				gc.runTargets += int64(e - t)
-				if hit {
-					gc.stencilHits++
-				} else {
-					gc.runTables++
-				}
-				t = e - 1
-			}
-			return gc
+			return s.exactChunk(in, pos, cols, lo, hi, memo)
 		}
 		// Every stride-th edge in global CSR order: skip carries across
 		// clusters, so unsampled edges cost nothing and unsampled clusters one
@@ -419,4 +384,36 @@ func congestionGrid(p *pcn.PCN, pos []cellXY, mesh hw.Mesh, stride, workers int,
 		clear(rows)
 	})
 	return grid, total
+}
+
+// exactChunk walks the exact grid's chunk of targets lo..hi-1 into s.grid: a
+// target that starts no stretch is swept alone by propagate, a stretch is
+// added from its stencil. It returns the cells the sweeps cover; with s.grid
+// nil it sweeps nothing and only counts them. A chunk starts with no run, so
+// which targets take the shared fields does not depend on which worker ran
+// the chunk before; the memo may, but a hit adds the bits a miss would.
+func (s *sweep) exactChunk(in *pcn.Symmetric, pos []cellXY, cols, lo, hi int, memo bool) (gc gridCounts) {
+	s.run.from = nil
+	for t := lo; t < hi; t++ {
+		from, ws := in.InEdges(t)
+		if len(from) == 0 {
+			continue
+		}
+		e, cells := s.run.stretch(t, hi, from, ws, in, pos)
+		if e == t {
+			gc.swept += s.propagate(s.grid, cols, pos, pos[t], from, ws)
+			continue
+		}
+		gc.swept += cells
+		gc.runTargets += int64(e - t)
+		switch {
+		case s.grid == nil:
+		case s.stencil(s.grid, cols, t, e, from, ws[0], pos, memo):
+			gc.stencilHits++
+		default:
+			gc.runTables++
+		}
+		t = e - 1
+	}
+	return gc
 }

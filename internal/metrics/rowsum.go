@@ -2,14 +2,14 @@ package metrics
 
 // rowTable sums one out-row's hop distances from any source cell in O(1): a
 // dense layer's clusters all send to the next layer, so consecutive clusters
-// read one shared out-row (pcn.Symmetric.OutEdges), and Eqs. 9–11 need of
-// that row only Σd, max d and, for the box-cell count, Σ(dx+1)(dy+1).
+// read one shared out-row (pcn.Symmetric.OutEdges), and Eqs. 9–12 need of
+// that row only Σd and max d.
 //
-// The table is a 2-D prefix sum of (n, Σx, Σy, Σxy) over the row's bounding
+// The table is a 2-D prefix sum of (n, Σx, Σy) over the row's bounding
 // box: pre[i·(w+1)+j] covers the row's cells with x−x0 < i and y−y0 < j. A
 // source cell splits the row into four quadrants, each read with at most
 // four lookups, and on a quadrant the signs of x_s−x and y_s−y are fixed, so
-// Σ|dx|, Σ|dy| and Σ|dx|·|dy| are polynomials in the quadrant's sums. Max d is
+// Σ|dx| and Σ|dy| are linear in the quadrant's sums. Max d is
 // max over the four sign choices of ±(x_s−x) ± (y_s−y), read from the row's
 // extremes of x+y and x−y. Everything is an exact integer.
 type rowTable struct {
@@ -27,21 +27,17 @@ type rowTable struct {
 }
 
 // rowPrefix is one entry of the prefix table: the member count and the sums
-// of x, y and x·y over the cells it covers.
-type rowPrefix struct{ n, sx, sy, sxy int64 }
+// of x and y over the cells it covers.
+type rowPrefix struct{ n, sx, sy int64 }
 
 func (a rowPrefix) sub(b rowPrefix) rowPrefix {
-	return rowPrefix{a.n - b.n, a.sx - b.sx, a.sy - b.sy, a.sxy - b.sxy}
+	return rowPrefix{a.n - b.n, a.sx - b.sx, a.sy - b.sy}
 }
 
-// dist returns Σ(dx+dy) and Σ(dx+1)(dy+1) over a quadrant's cells from (x,
-// y), where the quadrant fixes dx = ax·(x−x_k) and dy = ay·(y−y_k) with
-// ax, ay = ±1.
-func (a rowPrefix) dist(x, y, ax, ay int64) (sumD, box int64) {
-	dx := ax * (a.n*x - a.sx)
-	dy := ay * (a.n*y - a.sy)
-	dxy := ax * ay * (a.n*x*y - x*a.sy - y*a.sx + a.sxy)
-	return dx + dy, dxy + dx + dy + a.n
+// dist returns Σ(dx+dy) over a quadrant's cells from (x, y), where the
+// quadrant fixes dx = ax·(x−x_k) and dy = ay·(y−y_k) with ax, ay = ±1.
+func (a rowPrefix) dist(x, y, ax, ay int64) int64 {
+	return ax*(a.n*x-a.sx) + ay*(a.n*y-a.sy)
 }
 
 // use reports whether the walk's next cluster, whose out-row is (ids, ws), is
@@ -97,7 +93,6 @@ func (t *rowTable) build(ids []int32, pos []cellXY) bool {
 		e.n++
 		e.sx += x
 		e.sy += y
-		e.sxy += x * y
 	}
 	for i := 1; i <= h; i++ {
 		for j := 1; j <= w; j++ {
@@ -105,15 +100,14 @@ func (t *rowTable) build(ids []int32, pos []cellXY) bool {
 			e.n += up.n + left.n - diag.n
 			e.sx += up.sx + left.sx - diag.sx
 			e.sy += up.sy + left.sy - diag.sy
-			e.sxy += up.sxy + left.sxy - diag.sxy
 		}
 	}
 	return true
 }
 
-// sums returns, over the table's row and from source cell s, Σd, Σ(dx+1)(dy+1)
-// and max d, where dx = |x_s−x|, dy = |y_s−y| and d = dx+dy.
-func (t *rowTable) sums(s cellXY) (sumD, box int64, maxD int) {
+// sums returns, over the table's row and from source cell s, Σd and max d,
+// where d = |x_s−x| + |y_s−y|.
+func (t *rowTable) sums(s cellXY) (sumD int64, maxD int) {
 	stride := t.w + 1
 	i := min(max(int(s.x-t.x0), 0), t.h)
 	j := min(max(int(s.y-t.y0), 0), t.w)
@@ -123,12 +117,8 @@ func (t *rowTable) sums(s cellXY) (sumD, box int64, maxD int) {
 	sw := t.pre[t.h*stride+j].sub(nw) // x ≥ x_s, y < y_s
 	se := all.sub(nw).sub(ne).sub(sw) // x ≥ x_s, y ≥ y_s
 	x, y := int64(s.x), int64(s.y)
-	d1, b1 := nw.dist(x, y, 1, 1)
-	d2, b2 := ne.dist(x, y, 1, -1)
-	d3, b3 := sw.dist(x, y, -1, 1)
-	d4, b4 := se.dist(x, y, -1, -1)
-	sumD, box = d1+d2+d3+d4, b1+b2+b3+b4
+	sumD = nw.dist(x, y, 1, 1) + ne.dist(x, y, 1, -1) + sw.dist(x, y, -1, 1) + se.dist(x, y, -1, -1)
 	sp, dp := s.x+s.y, s.x-s.y
 	maxD = int(max(sp-t.sMin, t.sMax-sp, dp-t.dMin, t.dMax-dp))
-	return sumD, box, maxD
+	return sumD, maxD
 }

@@ -32,12 +32,12 @@ func (s *evalSink) Event(e obs.Event) {
 func (s *evalSink) Close() error { return nil }
 
 // evaluateCounted runs Evaluate with an observer and returns the Summary
-// with the span's box_cells, swept_cells and row_sums.
-func evaluateCounted(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) (s Summary, box, swept, rows int64) {
+// with the span's exact_cells, swept_cells and row_sums.
+func evaluateCounted(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) (s Summary, exact, swept, rows int64) {
 	sink := &evalSink{}
 	opts.Obs = obs.New(obs.Config{Sink: sink})
 	s = Evaluate(p, pl, cost, opts)
-	return s, int64(sink.args["box_cells"]), int64(sink.args["swept_cells"]), int64(sink.args["row_sums"])
+	return s, int64(sink.args["exact_cells"]), int64(sink.args["swept_cells"]), int64(sink.args["row_sums"])
 }
 
 // rowCase is one input of the per-row suite; rows says whether some out-row
@@ -108,7 +108,7 @@ func integral(p *pcn.PCN) bool {
 // (evaluateWalk) on dense, ragged, residual, depthwise, defective-mesh and
 // random inputs, with the grid skipped, exact and sampled (through limits that
 // put every input above the exact limit), at workers 1, 2 and 4:
-// MaxLatency, MaxCongestion, box_cells and swept_cells exactly (MaxCongestion
+// MaxLatency, MaxCongestion, exact_cells and swept_cells exactly (MaxCongestion
 // within 1e-12 when sampled on non-integer weights, whose rescale factor is a
 // ratio of two reassociated sums), Energy, AvgLatency and AvgCongestion
 // within 1e-12 relative — and exactly, on
@@ -132,12 +132,12 @@ func TestEvaluateRowSumsMatchWalk(t *testing.T) {
 					continue
 				}
 				name := fmt.Sprintf("%s/%s/exact=%v", c.name, mode.name, exact)
-				want, wantBox, wantSwept := evaluateWalk(c.p, c.pl, cost, mode.opts)
+				want, _, wantExact, wantSwept := evaluateWalk(c.p, c.pl, cost, mode.opts)
 				var first Summary
 				for _, workers := range []int{1, 2, 4} {
 					opts := mode.opts
 					opts.Workers = workers
-					got, box, swept, rows := evaluateCounted(c.p, c.pl, cost, opts)
+					got, exactCells, swept, rows := evaluateCounted(c.p, c.pl, cost, opts)
 					if workers == 1 {
 						first = got
 					} else if got != first {
@@ -152,9 +152,9 @@ func TestEvaluateRowSumsMatchWalk(t *testing.T) {
 					if mode.name == "sampled" && !integral(c.p) {
 						congOK = math.Abs(got.MaxCongestion-want.MaxCongestion) <= 1e-12*want.MaxCongestion
 					}
-					if got.MaxLatency != want.MaxLatency || !congOK || box != wantBox || swept != wantSwept {
-						t.Fatalf("%s workers %d: max latency %v congestion %v, %d box and %d swept cells; walk %v %v, %d and %d",
-							name, workers, got.MaxLatency, got.MaxCongestion, box, swept, want.MaxLatency, want.MaxCongestion, wantBox, wantSwept)
+					if got.MaxLatency != want.MaxLatency || !congOK || exactCells != wantExact || swept != wantSwept {
+						t.Fatalf("%s workers %d: max latency %v congestion %v, %d exact and %d swept cells; walk %v %v, %d and %d",
+							name, workers, got.MaxLatency, got.MaxCongestion, exactCells, swept, want.MaxLatency, want.MaxCongestion, wantExact, wantSwept)
 					}
 					for _, f := range []struct {
 						field     string
@@ -176,16 +176,15 @@ func TestEvaluateRowSumsMatchWalk(t *testing.T) {
 
 // TestEvaluateTransposeReflectInvariant evaluates each placement of the
 // per-row suite on its mesh transposed (rows ↔ columns) and reflected along
-// each axis: hop counts, boxes and the clusters a table sums do not change,
-// so Energy, AvgLatency, MaxLatency, AvgCongestion and box_cells must keep
-// their bits; MaxCongestion, whose propagation sweeps run in mesh order, stays
+// each axis: hop counts and the clusters a table sums do not change, so
+// Energy, AvgLatency, MaxLatency and AvgCongestion must keep their bits; MaxCongestion, whose propagation sweeps run in mesh order, stays
 // within 1e-12. A table that confuses x with y, or a quadrant's sign, breaks
 // this on every non-square box.
 func TestEvaluateTransposeReflectInvariant(t *testing.T) {
 	cost := hw.DefaultCostModel()
 	for _, c := range rowCases(t) {
 		mesh := c.pl.Mesh
-		want, wantBox, _, _ := evaluateCounted(c.p, c.pl, cost, Options{})
+		want := Evaluate(c.p, c.pl, cost, Options{})
 		for _, v := range []struct {
 			name string
 			mesh hw.Mesh
@@ -204,25 +203,24 @@ func TestEvaluateTransposeReflectInvariant(t *testing.T) {
 				x, y := v.at(pt.X, pt.Y)
 				pl.Assign(cl, int32(x*v.mesh.Cols+y))
 			}
-			got, box, _, _ := evaluateCounted(c.p, pl, cost, Options{})
+			got := Evaluate(c.p, pl, cost, Options{})
 			if got.Energy != want.Energy || got.AvgLatency != want.AvgLatency || got.MaxLatency != want.MaxLatency ||
-				got.AvgCongestion != want.AvgCongestion || box != wantBox ||
+				got.AvgCongestion != want.AvgCongestion ||
 				!(math.Abs(got.MaxCongestion-want.MaxCongestion) <= 1e-12*want.MaxCongestion) {
-				t.Fatalf("%s %s: %+v with %d box cells, original %+v with %d", c.name, v.name, got, box, want, wantBox)
+				t.Fatalf("%s %s: %+v, original %+v", c.name, v.name, got, want)
 			}
 		}
 	}
 }
 
 // bruteRowSums is rowTable.sums by definition.
-func bruteRowSums(cells []cellXY, s cellXY) (sumD, box int64, maxD int) {
+func bruteRowSums(cells []cellXY, s cellXY) (sumD int64, maxD int) {
 	for _, q := range cells {
-		dx, dy := int64(geom.Abs(int(s.x-q.x))), int64(geom.Abs(int(s.y-q.y)))
-		sumD += dx + dy
-		box += (dx + 1) * (dy + 1)
-		maxD = max(maxD, int(dx+dy))
+		d := geom.Abs(int(s.x-q.x)) + geom.Abs(int(s.y-q.y))
+		sumD += int64(d)
+		maxD = max(maxD, d)
 	}
-	return sumD, box, maxD
+	return sumD, maxD
 }
 
 // checkRowTable builds a table over cells (placed as clusters 0..n−1) and
@@ -250,10 +248,10 @@ func checkRowTable(t *testing.T, cells []cellXY) bool {
 	for x := x0 - 3; x <= x1+3; x++ {
 		for y := y0 - 3; y <= y1+3; y++ {
 			s := cellXY{x, y}
-			sd, box, md := tb.sums(s)
-			wsd, wbox, wmd := bruteRowSums(cells, s)
-			if sd != wsd || box != wbox || md != wmd {
-				t.Fatalf("cells %v from %v: Σd %d, Σ box %d, max d %d; brute force %d, %d, %d", cells, s, sd, box, md, wsd, wbox, wmd)
+			sd, md := tb.sums(s)
+			wsd, wmd := bruteRowSums(cells, s)
+			if sd != wsd || md != wmd {
+				t.Fatalf("cells %v from %v: Σd %d, max d %d; brute force %d, %d", cells, s, sd, md, wsd, wmd)
 			}
 		}
 	}

@@ -222,9 +222,9 @@ type (
 )
 
 // Congestion modes for MetricOptions. CongestionAuto, the zero value,
-// computes Eq. 14's grid exactly up to 500 M bounding-box cells (Σ
-// (dx+1)(dy+1) over all edges) and above that from every ⌈E/200 000⌉-th
-// edge, rescaled; CongestionSkip leaves MaxCongestion zero.
+// computes Eq. 14's grid exactly when it sweeps at most 500 M cells and
+// above that from every ⌈E/200 000⌉-th edge, rescaled; CongestionSkip
+// leaves MaxCongestion zero.
 const (
 	CongestionAuto = metrics.CongestionAuto
 	CongestionSkip = metrics.CongestionSkip
