@@ -1,8 +1,9 @@
 // Package curve implements the space-filling curves studied in §4.2–4.3 and
-// Appendix A of the paper: the Hilbert curve (on power-of-two squares and,
-// via a generalized construction, on arbitrary rectangles), and the ZigZag
-// and Circle curves used as comparison points in Figure 6, plus the seeded
-// random visit order behind the paper's random initial placement.
+// Appendix A of the paper: the Hilbert curve (one generalized construction
+// on every rectangle, which on power-of-two squares is the classical curve),
+// and the ZigZag and Circle curves used as comparison points in Figure 6,
+// plus the seeded random visit order behind the paper's random initial
+// placement.
 //
 // A space-filling curve visits every cell of an n×m mesh exactly once; the
 // mapping from sequence index to mesh position is the Hilbert function of

@@ -2,80 +2,36 @@ package curve
 
 import "snnmap/internal/geom"
 
-// Hilbert is the Hilbert space-filling curve (§4.2). On square meshes whose
-// side is a power of two it is the classical discrete Hilbert curve; on any
-// other rectangle it falls back to the generalized construction (Appendix A,
-// after Rong et al.), which preserves the locality property on arbitrary
-// sizes.
+// Hilbert is the Hilbert space-filling curve (§4.2), built for every mesh
+// by the generalized construction of Appendix A (after Rong et al.): the
+// recursive "gilbert" curve, which preserves the locality property on
+// arbitrary rectangles. Started along the rows on a square whose side is a
+// power of two, it visits the cells in exactly the classical discrete Hilbert
+// order.
 type Hilbert struct{}
 
 // Name implements Curve.
 func (Hilbert) Name() string { return "hilbert" }
 
-// Points implements Curve.
+// Points implements Curve. The rectangle is split along its major axis into
+// two or three sub-blocks that are filled by recursive curves whose entry and
+// exit points chain head-to-tail, so consecutive sequence indices are always
+// mesh neighbors. The curve starts along the longer side, along the columns
+// on a square whose side is not a power of two, and along the rows on a
+// power-of-two square. Axis vectors are in (row, col) space.
 func (Hilbert) Points(n, m int) []geom.Point {
 	checkMesh(n, m)
-	if n == m && isPow2(n) {
-		return hilbertSquare(n)
-	}
-	return generalizedHilbert(n, m)
-}
-
-func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
-
-// hilbertSquare enumerates the classical Hilbert curve on an n×n mesh,
-// n a power of two, using the standard bit-twiddling d→(x,y) conversion.
-func hilbertSquare(n int) []geom.Point {
-	pts := make([]geom.Point, n*n)
-	for d := range pts {
-		x, y := hilbertD2XY(n, d)
-		pts[d] = geom.Point{X: x, Y: y}
-	}
-	return pts
-}
-
-// hilbertD2XY converts a distance along the curve to mesh coordinates for an
-// n×n Hilbert curve (n a power of two).
-func hilbertD2XY(n, d int) (x, y int) {
-	t := d
-	for s := 1; s < n; s *= 2 {
-		rx := 1 & (t / 2)
-		ry := 1 & (t ^ rx)
-		// Rotate the quadrant.
-		if ry == 0 {
-			if rx == 1 {
-				x = s - 1 - x
-				y = s - 1 - y
-			}
-			x, y = y, x
-		}
-		x += s * rx
-		y += s * ry
-		t /= 4
-	}
-	return x, y
-}
-
-// generalizedHilbert produces a Hilbert-like locality-preserving visit order
-// for an arbitrary n×m rectangle. It is the recursive "gilbert" construction:
-// the rectangle is split along its major axis into two or three sub-blocks
-// that are filled by recursive curves whose entry and exit points chain
-// head-to-tail, so consecutive sequence indices are always mesh neighbors.
-func generalizedHilbert(n, m int) []geom.Point {
-	pts := make([]geom.Point, 0, n*m)
-	g := &gilbertGen{out: &pts}
-	// Start along the longer dimension, as the construction requires.
-	// Axis vectors are expressed in (row, col) space.
-	if m >= n {
+	g := &gilbertGen{out: make([]geom.Point, 0, n*m)}
+	if m > n || (m == n && n&(n-1) != 0) {
 		g.gen(0, 0, 0, m, n, 0)
 	} else {
 		g.gen(0, 0, n, 0, 0, m)
 	}
-	return pts
+	return g.out
 }
 
 type gilbertGen struct {
-	out *[]geom.Point
+	out []geom.Point
 }
 
 func sgn(v int) int {
@@ -99,7 +55,7 @@ func (g *gilbertGen) gen(x, y, ax, ay, bx, by int) {
 	if h == 1 {
 		// Trivial row.
 		for i := 0; i < w; i++ {
-			*g.out = append(*g.out, geom.Point{X: x, Y: y})
+			g.out = append(g.out, geom.Point{X: x, Y: y})
 			x += dax
 			y += day
 		}
@@ -108,7 +64,7 @@ func (g *gilbertGen) gen(x, y, ax, ay, bx, by int) {
 	if w == 1 {
 		// Trivial column.
 		for i := 0; i < h; i++ {
-			*g.out = append(*g.out, geom.Point{X: x, Y: y})
+			g.out = append(g.out, geom.Point{X: x, Y: y})
 			x += dbx
 			y += dby
 		}

@@ -1072,22 +1072,29 @@ func (e *fdEngine) pairsTouching(q cellXY, out []int32) []int32 {
 }
 
 // initialQueue builds the first tension queue (Alg. 3 lines 6-13): all
-// adjacent pairs with positive tension, ordered by finalizeQueue. Per-chunk
-// scans of the cell range are concatenated in chunk order, so the
+// adjacent pairs with positive tension, ordered by finalizeQueue. Each cell
+// enumerates the pairs it is the first cell of — right (id idx*2), then down
+// (idx*2+1) — so every pair is seen once. par's fixed chunks of the cell
+// range are scanned into per-chunk parts concatenated in chunk order, so the
 // pre-selection sequence is the cell order at any worker count.
 func (e *fdEngine) initialQueue(workers int) []pairTension {
-	parts := make([][]pairTension, par.Chunks(e.mesh.Cores()))
-	forChunks(workers, e.mesh.Cores(), func(ci, lo, hi int) {
+	rows, cols, n := int32(e.mesh.Rows), int32(e.mesh.Cols), e.mesh.Cores()
+	k := par.Chunks(n)
+	chunk := (n + k - 1) / k
+	parts := make([][]pairTension, k)
+	par.Do(workers, k, func(ci int) {
 		var out []pairTension
-		var scratch [4]int32
-		for idx := int32(lo); idx < int32(hi); idx++ {
-			for _, id := range e.pairsTouching(e.cell(idx), scratch[:0]) {
-				if id/2 != idx {
-					continue // enumerate each pair from its first cell only
-				}
-				if t := e.tension(id); t > 0 {
-					out = append(out, pairTension{id: id, tension: t})
-				}
+		add := func(id int32) {
+			if t := e.tension(id); t > 0 {
+				out = append(out, pairTension{id: id, tension: t})
+			}
+		}
+		for idx := int32(min(ci*chunk, n)); idx < int32(min((ci+1)*chunk, n)); idx++ {
+			if idx%cols < cols-1 {
+				add(idx * 2)
+			}
+			if idx/cols < rows-1 {
+				add(idx*2 + 1)
 			}
 		}
 		parts[ci] = out
@@ -1095,16 +1102,6 @@ func (e *fdEngine) initialQueue(workers int) []pairTension {
 	queue := slices.Concat(parts...)
 	e.finalizeQueue(queue)
 	return queue
-}
-
-// forChunks runs fn on par's fixed chunks of [0, n): chunk ci covers the
-// ceil-stride range [lo, hi), which depends on n alone.
-func forChunks(workers, n int, fn func(ci, lo, hi int)) {
-	k := par.Chunks(n)
-	chunk := (n + k - 1) / k
-	par.Do(workers, k, func(ci int) {
-		fn(ci, min(ci*chunk, n), min((ci+1)*chunk, n))
-	})
 }
 
 // nextQueue implements Alg. 3 lines 30-40: mark the candidates — the

@@ -388,7 +388,8 @@ func TestSwapKernelMatchesTwoPass(t *testing.T) {
 // TestNextQueueContents runs Algorithm 3's loop by hand on both engines and
 // asserts after every iteration that the one-pass rebuild yields the staged
 // one's queue — same ids and tension bits in the same order — and the same
-// TensionChecks.
+// TensionChecks. The initial queue, at workers 1 and 3, must be every in-mesh
+// pair with positive tension taken in ascending id and finalized.
 func TestNextQueueContents(t *testing.T) {
 	p := fractionalPCN(t, 23, 38, 260)
 	const minGain = 1e-9
@@ -403,6 +404,24 @@ func TestNextQueueContents(t *testing.T) {
 				got.buildAllForces(1)
 				want := newOracleEngine(p, sc.start.Clone(), cfg)
 				gotQ, wantQ := got.initialQueue(1), want.initialQueue(1)
+				rows, cols := int32(got.mesh.Rows), int32(got.mesh.Cols)
+				var initial []pairTension
+				for id := int32(0); id < 2*rows*cols; id++ {
+					idx := id / 2
+					if id%2 == 0 && idx%cols == cols-1 || id%2 == 1 && idx/cols == rows-1 {
+						continue // the pair leaves the mesh
+					}
+					if t := oracleTension(want, id); t > 0 {
+						initial = append(initial, pairTension{id: id, tension: t})
+					}
+				}
+				want.finalizeQueue(initial)
+				if !slices.Equal(gotQ, initial) {
+					t.Fatalf("%s: initial queue %v, every pair %v", name, gotQ, initial)
+				}
+				if q3 := got.initialQueue(3); !slices.Equal(q3, gotQ) {
+					t.Fatalf("%s: initial queue at 3 workers %v, at 1 %v", name, q3, gotQ)
+				}
 				var gotChecks, wantChecks int64
 				iters := 0
 				for ; iters < 200 && len(wantQ) > 0; iters++ {

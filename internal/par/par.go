@@ -1,6 +1,6 @@
 // Package par is the repository's one fork-join primitive. Every layer that
-// fans work out (Evaluate and the congestion grid, matching and row merging,
-// FD's build phases) cuts its problem into chunks whose layout is a function
+// fans work out (Evaluate and the congestion grid, row merging, FD's build
+// phases) cuts its problem into chunks whose layout is a function
 // of the problem size alone, has chunk ci write only slot ci of a result, and
 // reduces the slots in index order: after Do returns, or for the grid during
 // it, each chunk once every earlier one has. par owns only which goroutine

@@ -47,7 +47,7 @@ type csr struct {
 // edges returns cluster i's ids and weights, len(ws) == len(ids) or
 // len(ws) == 1; index the weights as ws[k&WeightMask(ids, ws)]. The slices
 // alias the storage and are capacity-clipped.
-func (c csr) edges(i int) (ids []int32, ws []float64) {
+func (c *csr) edges(i int) (ids []int32, ws []float64) {
 	r := i
 	if c.row != nil {
 		r = int(c.row[i])
