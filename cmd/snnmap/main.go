@@ -350,10 +350,6 @@ func resumeRun(path string, p *pcn.PCN, defects *hw.DefectMap, cons hw.Constrain
 	if snap.PCN != nil {
 		p = snap.PCN
 	}
-	mesh := snap.Placement.Mesh
-	if defects != nil && defects.Mesh() != mesh {
-		return nil, nil, hw.Mesh{}, fmt.Errorf("defect map mesh %v does not match snapshot mesh %v", defects.Mesh(), mesh)
-	}
 	pot, err := mapping.PotentialByName(snap.Potential, hw.DefaultCostModel())
 	if err != nil {
 		return nil, nil, hw.Mesh{}, err
@@ -373,7 +369,7 @@ func resumeRun(path string, p *pcn.PCN, defects *hw.DefectMap, cons hw.Constrain
 	}
 	fmt.Printf("resumed %s from iteration %d: %d iterations total, converged=%v, in %v (cumulative %v)\n",
 		path, snap.Stats.Iterations, stats.Iterations, stats.Converged, time.Since(start).Round(time.Millisecond), stats.Elapsed.Round(time.Millisecond))
-	return pl, p, mesh, nil
+	return pl, p, snap.Placement.Mesh, nil
 }
 
 func fileExists(path string) bool {

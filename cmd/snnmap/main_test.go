@@ -49,8 +49,9 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 // "snnmap:" message — never a panic (exit 2) — within 5 s. A fault spec that
 // leaves no healthy core however far the mesh grows (every core dead, every
 // row failed) is such input: the run must not grow the mesh without end. So
-// is a spare row for a method that cannot keep one free (TrueNorth), and a
-// -checkpoint with no iteration interval to write it at.
+// is a spare row for a method that cannot keep one free (TrueNorth), a
+// -checkpoint with no iteration interval to write it at, and a -resume under
+// a defect map of another mesh.
 func TestBadInputsExitOne(t *testing.T) {
 	// Traffic 256 neurons × fan-in 1e10 × rate 1e300 per target cluster
 	// overflows float64.
@@ -67,8 +68,18 @@ func TestBadInputsExitOne(t *testing.T) {
 		"degraded":[{"core":0,"scale":0.01},{"core":1,"scale":0.01},{"core":4,"scale":0.01},{"core":5,"scale":0.01}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A snapshot of a 16×16 mesh resumed under a 20×20 defect map.
+	snap := filepath.Join(t.TempDir(), "lenet.snap")
+	if code, _, stderr := runCLI(t, "-workload", "LeNet-ImageNet", "-budget", "0", "-checkpoint", snap, "-checkpoint-every", "1"); code != 0 {
+		t.Fatalf("writing a snapshot: exit %d, stderr:\n%s", code, stderr)
+	}
+	otherMesh := filepath.Join(t.TempDir(), "20x20.json")
+	if err := os.WriteFile(otherMesh, []byte(`{"rows":20,"cols":20,"dead":[0]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-net", infNet, "-budget", "0"},
+		{"-workload", "LeNet-ImageNet", "-budget", "0", "-faults", otherMesh, "-resume", snap},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", degraded},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "uniform:dead=NaN"},
 		{"-workload", "LeNet-MNIST", "-budget", "0", "-faults", "uniform:links=Inf"},

@@ -1,6 +1,6 @@
 // Package geom provides the small geometric vocabulary shared by the whole
-// library: integer points on the 2D core mesh, rectangles, Manhattan
-// distance, and the four mesh directions.
+// library: integer points on the 2D core mesh, Manhattan distance, and the
+// four mesh directions.
 //
 // Coordinates follow the paper's convention (§3.1): a mesh of size (N, M)
 // has N rows and M columns; the core at the top-left corner is (0,0) and the
@@ -15,12 +15,6 @@ import "fmt"
 type Point struct {
 	X, Y int
 }
-
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
 // L1 returns the Manhattan norm |x| + |y| of the point treated as a vector.
 func (p Point) L1() int { return Abs(p.X) + Abs(p.Y) }
@@ -57,36 +51,6 @@ const (
 	NumDirs = 4
 )
 
-// Delta returns the unit displacement for the direction (Eq. 29).
-func (d Dir) Delta() Point {
-	switch d {
-	case Up:
-		return Point{-1, 0}
-	case Down:
-		return Point{1, 0}
-	case Right:
-		return Point{0, 1}
-	case Left:
-		return Point{0, -1}
-	}
-	panic(fmt.Sprintf("geom: invalid direction %d", d))
-}
-
-// Opposite returns the reverse direction.
-func (d Dir) Opposite() Dir {
-	switch d {
-	case Up:
-		return Down
-	case Down:
-		return Up
-	case Right:
-		return Left
-	case Left:
-		return Right
-	}
-	panic(fmt.Sprintf("geom: invalid direction %d", d))
-}
-
 // String implements fmt.Stringer.
 func (d Dir) String() string {
 	switch d {
@@ -100,46 +64,4 @@ func (d Dir) String() string {
 		return "left"
 	}
 	return fmt.Sprintf("Dir(%d)", uint8(d))
-}
-
-// Rect is a half-open axis-aligned rectangle of mesh cells: rows
-// [MinX, MaxX), columns [MinY, MaxY).
-type Rect struct {
-	MinX, MinY, MaxX, MaxY int
-}
-
-// RectFromSize returns the rectangle covering an n×m mesh anchored at the
-// origin.
-func RectFromSize(n, m int) Rect { return Rect{0, 0, n, m} }
-
-// Width returns the number of columns spanned.
-func (r Rect) Width() int { return r.MaxY - r.MinY }
-
-// Height returns the number of rows spanned.
-func (r Rect) Height() int { return r.MaxX - r.MinX }
-
-// Area returns the number of cells in the rectangle.
-func (r Rect) Area() int { return r.Width() * r.Height() }
-
-// Contains reports whether p lies inside the rectangle.
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.MinX && p.X < r.MaxX && p.Y >= r.MinY && p.Y < r.MaxY
-}
-
-// Bounding returns the smallest rectangle containing both points.
-func Bounding(p, q Point) Rect {
-	r := Rect{MinX: p.X, MinY: p.Y, MaxX: p.X + 1, MaxY: p.Y + 1}
-	if q.X < r.MinX {
-		r.MinX = q.X
-	}
-	if q.X >= r.MaxX {
-		r.MaxX = q.X + 1
-	}
-	if q.Y < r.MinY {
-		r.MinY = q.Y
-	}
-	if q.Y >= r.MaxY {
-		r.MaxY = q.Y + 1
-	}
-	return r
 }

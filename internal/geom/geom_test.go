@@ -7,13 +7,6 @@ import (
 
 func TestPointArithmetic(t *testing.T) {
 	p := Point{3, -2}
-	q := Point{-1, 5}
-	if got := p.Add(q); got != (Point{2, 3}) {
-		t.Errorf("Add = %v, want (2,3)", got)
-	}
-	if got := p.Sub(q); got != (Point{4, -7}) {
-		t.Errorf("Sub = %v, want (4,-7)", got)
-	}
 	if got := p.L1(); got != 5 {
 		t.Errorf("L1 = %d, want 5", got)
 	}
@@ -72,69 +65,12 @@ func TestManhattanProperties(t *testing.T) {
 	}
 }
 
-func TestDirDeltaOppositeRoundTrip(t *testing.T) {
-	for d := Dir(0); d < NumDirs; d++ {
-		if d.Opposite().Opposite() != d {
-			t.Errorf("%v: double opposite is not identity", d)
-		}
-		sum := d.Delta().Add(d.Opposite().Delta())
-		if sum != (Point{0, 0}) {
-			t.Errorf("%v: delta + opposite delta = %v, want origin", d, sum)
-		}
-		if d.Delta().L1() != 1 {
-			t.Errorf("%v: delta %v is not a unit step", d, d.Delta())
-		}
-	}
-}
-
 func TestDirString(t *testing.T) {
 	want := map[Dir]string{Up: "up", Down: "down", Right: "right", Left: "left"}
 	for d, s := range want {
 		if d.String() != s {
 			t.Errorf("Dir(%d).String() = %q, want %q", d, d.String(), s)
 		}
-	}
-}
-
-func TestRect(t *testing.T) {
-	r := RectFromSize(3, 5)
-	if r.Height() != 3 || r.Width() != 5 || r.Area() != 15 {
-		t.Fatalf("RectFromSize(3,5) = %+v", r)
-	}
-	if !r.Contains(Point{0, 0}) || !r.Contains(Point{2, 4}) {
-		t.Error("rect should contain its corners")
-	}
-	if r.Contains(Point{3, 0}) || r.Contains(Point{0, 5}) || r.Contains(Point{-1, 0}) {
-		t.Error("rect should exclude outside points")
-	}
-}
-
-func TestBounding(t *testing.T) {
-	r := Bounding(Point{4, 1}, Point{2, 7})
-	want := Rect{MinX: 2, MinY: 1, MaxX: 5, MaxY: 8}
-	if r != want {
-		t.Fatalf("Bounding = %+v, want %+v", r, want)
-	}
-	if !r.Contains(Point{4, 1}) || !r.Contains(Point{2, 7}) {
-		t.Error("bounding rect must contain both points")
-	}
-	// Degenerate: same point.
-	r = Bounding(Point{3, 3}, Point{3, 3})
-	if r.Area() != 1 || !r.Contains(Point{3, 3}) {
-		t.Errorf("degenerate bounding = %+v", r)
-	}
-}
-
-func TestBoundingContainsProperty(t *testing.T) {
-	f := func(ax, ay, bx, by int) bool {
-		a := Point{ax % 100, ay % 100}
-		b := Point{bx % 100, by % 100}
-		r := Bounding(a, b)
-		return r.Contains(a) && r.Contains(b) &&
-			r.Area() == (Abs(a.X-b.X)+1)*(Abs(a.Y-b.Y)+1)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -213,6 +213,9 @@ func ResumeFinetune(ctx context.Context, p *pcn.PCN, snap *Snapshot, cfg FDConfi
 		return nil, FDStats{}, fmt.Errorf("mapping: resume: %w: PCN has %d clusters/%d edges, snapshot was taken against %d/%d",
 			ErrBadConfig, p.NumClusters, p.NumEdges(), snap.Clusters, snap.Edges)
 	}
+	if err := validPlacement(p, snap.Placement, cfg.Defects); err != nil {
+		return nil, FDStats{}, fmt.Errorf("mapping: resume: %w", err)
+	}
 	if cfg.Potential.Name() != snap.Potential ||
 		cfg.Potential.AtUnit() != snap.PotUnit || cfg.Potential.AtZero() != snap.PotZero {
 		return nil, FDStats{}, fmt.Errorf("mapping: resume: %w: potential %q does not match snapshot's %q",

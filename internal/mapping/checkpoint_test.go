@@ -211,6 +211,10 @@ func TestResumeRejectsMismatches(t *testing.T) {
 			_, _, err := ResumeFinetune(context.Background(), other, snap, FDConfig{Potential: L2Sq{}})
 			return err
 		}},
+		{"defect map of another mesh", func() error {
+			_, _, err := ResumeFinetune(context.Background(), p, snap, FDConfig{Potential: L2Sq{}, Defects: hw.NewDefectMap(hw.MustMesh(4, 4))})
+			return err
+		}},
 		{"no pcn anywhere", func() error {
 			s2 := *snap
 			s2.PCN = nil

@@ -43,7 +43,8 @@ func bruteEnergy(p *pcn.PCN, pl *place.Placement, pot Potential) float64 {
 	for c := 0; c < p.NumClusters; c++ {
 		tos, ws := p.OutEdges(c)
 		for k, to := range tos {
-			total += ws[k] * pot.Eval(pl.Of(int(to)).Sub(pl.Of(c)))
+			a, b := pl.Of(int(to)), pl.Of(c)
+			total += ws[k] * pot.Eval(geom.Point{X: a.X - b.X, Y: a.Y - b.Y})
 		}
 	}
 	return total
@@ -107,8 +108,7 @@ func TestFinetuneConvergedMeansNoPositiveSwap(t *testing.T) {
 	// Try every adjacent swap by brute force.
 	for idx := 0; idx < mesh.Cores(); idx++ {
 		pt := mesh.Coord(idx)
-		for _, d := range []geom.Dir{geom.Right, geom.Down} {
-			q := pt.Add(d.Delta())
+		for _, q := range []geom.Point{{X: pt.X, Y: pt.Y + 1}, {X: pt.X + 1, Y: pt.Y}} {
 			if !mesh.Contains(q) {
 				continue
 			}

@@ -31,7 +31,8 @@ func TestClosedFormEqualsEval(t *testing.T) {
 				}
 				up, down, right, left := k.steps(x, y)
 				for d, got := range [geom.NumDirs]int{geom.Up: up, geom.Down: down, geom.Right: right, geom.Left: left} {
-					want := u0 - pot.Eval(dp.Sub(geom.Dir(d).Delta()))
+					step := [geom.NumDirs]geom.Point{geom.Up: {X: -1}, geom.Down: {X: 1}, geom.Right: {Y: 1}, geom.Left: {Y: -1}}[d]
+					want := u0 - pot.Eval(geom.Point{X: x - step.X, Y: y - step.Y})
 					if math.Float64bits(float64(got)) != math.Float64bits(want) {
 						t.Fatalf("%s at %v %v: closed form %d, Eval difference %v", pot.Name(), dp, geom.Dir(d), got, want)
 					}

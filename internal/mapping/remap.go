@@ -85,10 +85,10 @@ func Remap(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints
 	return st, nil
 }
 
-// validPlacement checks what Remap, RemapRows and FinetuneContext index by:
-// a placement of exactly p's clusters that is a bijection onto in-mesh cells,
-// and a defect map (nil allowed) of the placement's own mesh. The error wraps
-// ErrBadConfig.
+// validPlacement checks what Remap, RemapRows, FinetuneContext and
+// ResumeFinetune index by: a placement of exactly p's clusters that is a
+// bijection onto in-mesh cells, and a defect map (nil allowed) of the
+// placement's own mesh. The error wraps ErrBadConfig.
 func validPlacement(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap) error {
 	if len(pl.PosOf) != p.NumClusters {
 		return fmt.Errorf("%w: placement covers %d clusters, PCN has %d", ErrBadConfig, len(pl.PosOf), p.NumClusters)

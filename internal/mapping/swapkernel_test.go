@@ -118,9 +118,9 @@ func oracleTension(e *fdEngine, id int32) float64 {
 	case cb == place.None:
 		return e.force[int(a)*4+int(d)]
 	case ca == place.None:
-		return e.force[int(b)*4+int(d.Opposite())]
+		return e.force[int(b)*4+int(d^1)]
 	default:
-		t := e.force[int(a)*4+int(d)] + e.force[int(b)*4+int(d.Opposite())]
+		t := e.force[int(a)*4+int(d)] + e.force[int(b)*4+int(d^1)]
 		if w := e.mutw[id]; w != 0 {
 			t -= w * e.unitCorr
 		}

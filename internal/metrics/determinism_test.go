@@ -297,9 +297,8 @@ func naiveCongestionGrid(p *pcn.PCN, pl *place.Placement, stride int) []float64 
 					continue
 				}
 				src, dst := pl.Of(c), pl.Of(int(to))
-				box := geom.Bounding(src, dst)
-				for x := box.MinX; x < box.MaxX; x++ {
-					for y := box.MinY; y < box.MaxY; y++ {
+				for x := min(src.X, dst.X); x <= max(src.X, dst.X); x++ {
+					for y := min(src.Y, dst.Y); y <= max(src.Y, dst.Y); y++ {
 						at := geom.Point{X: x, Y: y}
 						part[mesh.Index(at)] += ws[kk] * Expe(at, src, dst, mesh)
 					}

@@ -24,7 +24,7 @@ import (
 // src to dst (Algorithm 4; the DP is on propagate). Routers outside the
 // bounding box return 0.
 func Expe(at, src, dst geom.Point, _ hw.Mesh) float64 {
-	if !geom.Bounding(src, dst).Contains(at) {
+	if at.X < min(src.X, dst.X) || at.X > max(src.X, dst.X) || at.Y < min(src.Y, dst.Y) || at.Y > max(src.Y, dst.Y) {
 		return 0
 	}
 	dx := geom.Abs(dst.X - src.X)

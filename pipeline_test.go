@@ -164,7 +164,7 @@ func checkPipeline(t *testing.T, p *snnmap.PCN, mesh snnmap.Mesh, d *snnmap.Defe
 		d2.MarkDead(first*mesh.Cols + col)
 	}
 	byRow := base.Placement.Clone()
-	rows, err := snnmap.RemapRows(p, byRow, d2, cons, cost)
+	rows, err := snnmap.RemapRows(p, byRow, d2, cost)
 	if err != nil {
 		t.Fatalf("RemapRows: %v", err)
 	}
@@ -172,7 +172,7 @@ func checkPipeline(t *testing.T, p *snnmap.PCN, mesh snnmap.Mesh, d *snnmap.Defe
 		t.Fatalf("RemapRows: %v", err)
 	}
 	byCluster := base.Placement.Clone()
-	single, err := snnmap.Remap(p, byCluster, d2, cons, cost)
+	single, err := snnmap.Remap(p, byCluster, d2, cost)
 	if err != nil {
 		t.Fatalf("Remap: %v", err)
 	}

@@ -375,18 +375,17 @@ func LoadDefectMap(r io.Reader) (*DefectMap, error) { return hw.ReadDefectMap(r)
 
 // Remap repairs an existing placement after the defect map changed: only
 // clusters on dead cores migrate, each to the nearest healthy free core.
-// cons is unused.
-func Remap(p *PCN, pl *Placement, d *DefectMap, cons Constraints, cost CostModel) (RemapStats, error) {
-	return mapping.Remap(p, pl, d, cons, cost)
+func Remap(p *PCN, pl *Placement, d *DefectMap, cost CostModel) (RemapStats, error) {
+	return mapping.Remap(p, pl, d, Constraints{}, cost)
 }
 
 // RemapRows repairs a placement with wholesale row-shift redundancy: each
 // failed row migrates onto a fully-free row (reserved via
 // Constraints.SpareRows, or any row that happens to be empty) in one
 // operation, falling back to per-cluster Remap migration when no spare
-// accepts it. cons is unused.
-func RemapRows(p *PCN, pl *Placement, d *DefectMap, cons Constraints, cost CostModel) (RowRemapStats, error) {
-	return mapping.RemapRows(p, pl, d, cons, cost)
+// accepts it.
+func RemapRows(p *PCN, pl *Placement, d *DefectMap, cost CostModel) (RowRemapStats, error) {
+	return mapping.RemapRows(p, pl, d, Constraints{}, cost)
 }
 
 // EvaluateDegradation computes the structural degradation metrics of a

@@ -344,7 +344,7 @@ func TestFaultToleranceThroughPublicAPI(t *testing.T) {
 	// One more core fails in the field; the repair moves exactly one cluster.
 	d2 := d.Clone()
 	d2.MarkDead(int(pl.PosOf[0]))
-	st, err := snnmap.Remap(p, pl, d2, snnmap.Constraints{}, snnmap.DefaultCostModel())
+	st, err := snnmap.Remap(p, pl, d2, snnmap.DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
