@@ -52,20 +52,6 @@ type Stats struct {
 	Moves int64
 }
 
-// placementEnergy computes the M_ec objective (Eq. 9) directly from the
-// directed PCN, used as the fitness function by DFSynthesizer and PSO.
-func placementEnergy(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) float64 {
-	var total float64
-	for c := 0; c < p.NumClusters; c++ {
-		src := pl.Of(c)
-		tos, ws := p.OutEdges(c)
-		for k, to := range tos {
-			total += ws[k] * cost.SpikeEnergy(geom.Manhattan(src, pl.Of(int(to))))
-		}
-	}
-	return total
-}
-
 // swapEnergyDelta returns the change of M_ec caused by exchanging the
 // contents of cores a and b (either may be empty). Negative is better. Any
 // mutual edge between the two swapped clusters keeps its length and cancels.

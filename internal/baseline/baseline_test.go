@@ -9,6 +9,7 @@ import (
 
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
+	"snnmap/internal/mapping"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 	"snnmap/internal/snn"
@@ -68,7 +69,7 @@ func TestPlacementEnergyMatchesDefinition(t *testing.T) {
 			want += ws[k] * (float64(d+1)*cost.RouterEnergy + float64(d)*cost.WireEnergy)
 		}
 	}
-	if got := placementEnergy(p, pl, cost); math.Abs(got-want) > 1e-9 {
+	if got := mapping.InterconnectEnergy(p, pl, cost); math.Abs(got-want) > 1e-9 {
 		t.Errorf("energy %g, want %g", got, want)
 	}
 }
@@ -84,10 +85,10 @@ func TestSwapEnergyDeltaMatchesBruteForce(t *testing.T) {
 		if a == b {
 			return true
 		}
-		before := placementEnergy(p, pl, cost)
+		before := mapping.InterconnectEnergy(p, pl, cost)
 		delta := swapEnergyDelta(p, pl, cost, a, b)
 		pl.SwapCores(a, b)
-		after := placementEnergy(p, pl, cost)
+		after := mapping.InterconnectEnergy(p, pl, cost)
 		return math.Abs((after-before)-delta) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -129,7 +130,7 @@ func TestTrueNorthBeatsRandomOnLayeredNets(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := randomPlacement(t, p, mesh, 7)
-	if placementEnergy(p, tn, cost) >= placementEnergy(p, rd, cost) {
+	if mapping.InterconnectEnergy(p, tn, cost) >= mapping.InterconnectEnergy(p, rd, cost) {
 		t.Error("TrueNorth should beat random placement on a layered net")
 	}
 }
@@ -190,7 +191,7 @@ func TestDFSynthesizerImprovesEnergy(t *testing.T) {
 	if stats.Moves == 0 {
 		t.Error("expected at least one accepted swap")
 	}
-	if placementEnergy(p, df, cost) >= placementEnergy(p, rd, cost) {
+	if mapping.InterconnectEnergy(p, df, cost) >= mapping.InterconnectEnergy(p, rd, cost) {
 		t.Error("DFSynthesizer must improve on its random start")
 	}
 }
@@ -225,9 +226,9 @@ func TestPSOImprovesOverWorstParticle(t *testing.T) {
 	var rdSum float64
 	for s := int64(0); s < 5; s++ {
 		rd := randomPlacement(t, p, mesh, 100+s)
-		rdSum += placementEnergy(p, rd, cost)
+		rdSum += mapping.InterconnectEnergy(p, rd, cost)
 	}
-	if placementEnergy(p, pso, cost) >= rdSum/5 {
+	if mapping.InterconnectEnergy(p, pso, cost) >= rdSum/5 {
 		t.Error("PSO should beat the average random placement")
 	}
 }

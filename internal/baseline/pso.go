@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"snnmap/internal/hw"
+	"snnmap/internal/mapping"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
@@ -52,7 +53,7 @@ func PSO(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, Stats, error
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		fit := placementEnergy(p, pl, opts.Cost)
+		fit := mapping.InterconnectEnergy(p, pl, opts.Cost)
 		stats.Evaluations++
 		swarm[i] = particle{pl: pl, fitness: fit, best: pl.Clone(), bestFit: fit}
 		if gbest == nil || fit < gbestFit {
@@ -97,7 +98,7 @@ func PSO(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, Stats, error
 					moveToward(pt.pl, gbest, c)
 				}
 			}
-			pt.fitness = placementEnergy(p, pt.pl, opts.Cost)
+			pt.fitness = mapping.InterconnectEnergy(p, pt.pl, opts.Cost)
 			stats.Evaluations++
 			if pt.fitness < pt.bestFit {
 				pt.best = pt.pl.Clone()

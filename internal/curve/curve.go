@@ -47,17 +47,6 @@ func IsPermutation(pts []geom.Point, n, m int) bool {
 	return true
 }
 
-// TotalStepLength returns the sum of Manhattan distances between consecutive
-// points of the visit order. A curve whose consecutive cells are always mesh
-// neighbors (Hilbert, ZigZag) has total step length n*m-1.
-func TotalStepLength(pts []geom.Point) int {
-	total := 0
-	for i := 1; i < len(pts); i++ {
-		total += geom.Manhattan(pts[i-1], pts[i])
-	}
-	return total
-}
-
 func checkMesh(n, m int) {
 	if n <= 0 || m <= 0 {
 		panic(fmt.Sprintf("curve: invalid mesh size %dx%d", n, m))

@@ -48,7 +48,11 @@ func TestConsecutiveAdjacency(t *testing.T) {
 	for _, c := range []Curve{Hilbert{}, ZigZag{}, Circle{}} {
 		for _, s := range sizes {
 			pts := c.Points(s[0], s[1])
-			if got, want := TotalStepLength(pts), s[0]*s[1]-1; got != want {
+			got := 0
+			for i := 1; i < len(pts); i++ {
+				got += geom.Manhattan(pts[i-1], pts[i])
+			}
+			if want := s[0]*s[1] - 1; got != want {
 				t.Errorf("%s on %dx%d: total step length %d, want %d", c.Name(), s[0], s[1], got, want)
 			}
 		}

@@ -13,11 +13,12 @@ import (
 
 // RecoveryRow is one spare-row provisioning level of a recovery sweep.
 type RecoveryRow struct {
-	SpareRows  int
-	Mesh       hw.Mesh
-	KilledRow  int
-	RowShift   mapping.RowRemapStats
-	PerCluster mapping.RemapStats
+	SpareRows int
+	Mesh      hw.Mesh
+	KilledRow int
+	// RowShift and PerCluster are the RemapRows and Remap repairs of two
+	// clones of the placement.
+	RowShift, PerCluster mapping.RemapStats
 	// RowShiftDeg and PerClusterDeg are the degradation summaries of the
 	// two repaired placements on the same defect map.
 	RowShiftDeg, PerClusterDeg metrics.Degradation

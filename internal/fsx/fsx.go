@@ -49,11 +49,3 @@ func WriteAtomic(path string, write func(io.Writer) error) (err error) {
 	}
 	return nil
 }
-
-// WriteFileAtomic is the byte-slice convenience form of WriteAtomic.
-func WriteFileAtomic(path string, data []byte) error {
-	return WriteAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}

@@ -9,12 +9,20 @@ import (
 	"testing"
 )
 
-func TestWriteFileAtomicRoundTrip(t *testing.T) {
+// writeBytes writes data at path through WriteAtomic.
+func writeBytes(path string, data []byte) error {
+	return WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+func TestWriteAtomicRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sub", "out.bin")
 	want := []byte("hello atomic world")
-	if err := WriteFileAtomic(path, want); err != nil {
-		t.Fatalf("WriteFileAtomic: %v", err)
+	if err := writeBytes(path, want); err != nil {
+		t.Fatalf("WriteAtomic: %v", err)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
@@ -24,7 +32,7 @@ func TestWriteFileAtomicRoundTrip(t *testing.T) {
 		t.Fatalf("content mismatch: got %q want %q", got, want)
 	}
 	// Overwrite replaces wholesale.
-	if err := WriteFileAtomic(path, []byte("v2")); err != nil {
+	if err := writeBytes(path, []byte("v2")); err != nil {
 		t.Fatalf("overwrite: %v", err)
 	}
 	got, _ = os.ReadFile(path)
@@ -40,7 +48,7 @@ func TestWriteAtomicCrashSimulation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.bin")
 	prev := []byte("previous good state")
-	if err := WriteFileAtomic(path, prev); err != nil {
+	if err := writeBytes(path, prev); err != nil {
 		t.Fatalf("seed write: %v", err)
 	}
 

@@ -169,7 +169,7 @@ func TestMonotoneDegradation(t *testing.T) {
 			t.Fatalf("dead count shrank at frac %.2f", frac)
 		}
 		prevDead = d.NumDead()
-		e := interconnectEnergy(p, pl, cost)
+		e := InterconnectEnergy(p, pl, cost)
 		if base < 0 {
 			base = e
 		}

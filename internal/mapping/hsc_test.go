@@ -57,7 +57,7 @@ func TestInitialPlacementConsecutiveClustersAdjacent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < 64; i++ {
-		if d := pl.Dist(i-1, i); d != 1 {
+		if d := geom.Manhattan(pl.Of(i-1), pl.Of(i)); d != 1 {
 			t.Errorf("chain link %d-%d stretched to distance %d", i-1, i, d)
 		}
 	}

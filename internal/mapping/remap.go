@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -11,78 +12,233 @@ import (
 	"snnmap/internal/place"
 )
 
-// RemapStats reports one incremental repair run.
+// RemapStats reports one field repair run, Remap or RemapRows.
 type RemapStats struct {
-	// Moved is the number of clusters migrated off dead cores.
-	Moved int
+	// RowsShifted is the number of failed rows retired wholesale onto a
+	// free row (RemapRows only).
+	RowsShifted int
+	// RowMoved is the number of clusters migrated by wholesale row shifts;
+	// FallbackMoved is the number migrated per-cluster to the nearest free
+	// healthy core (every move of Remap). Moved is their sum.
+	RowMoved, FallbackMoved, Moved int
 	// MovedFrac is Moved over the PCN's cluster count.
 	MovedFrac float64
-	// MaxMoveDist is the largest Manhattan distance any cluster traveled.
+	// MaxMoveDist is the largest Manhattan distance any cluster traveled
+	// (for a row shift, the row distance — columns are preserved).
 	MaxMoveDist int
 	// EnergyBefore and EnergyAfter are the interconnect energy M_ec (Eq. 9)
 	// of the placement before and after the repair; their difference is the
-	// remap's ΔM_ec.
+	// repair's ΔM_ec.
 	EnergyBefore, EnergyAfter float64
 	// Elapsed is the repair wall-clock time.
 	Elapsed time.Duration
 }
 
+// RowRemapStats is the former name of RemapRows' stats.
+//
+// Deprecated: use RemapStats.
+type RowRemapStats = RemapStats
+
 // DeltaEnergy returns EnergyAfter − EnergyBefore (positive = degradation).
 func (s RemapStats) DeltaEnergy() float64 { return s.EnergyAfter - s.EnergyBefore }
 
 // Remap repairs an existing placement after the defect map changed (e.g. a
-// core failed in the field): every cluster sitting on a dead core migrates
-// to the nearest free healthy core. Only affected clusters move (minimal
-// disruption), so a single core failure migrates a single cluster. cons is
-// unused; the parameter stays for source compatibility.
-// pl must be a valid placement of p's clusters (else an error wrapping
-// ErrBadConfig). It is mutated in place; on error it is left partially
-// repaired, with every completed migration still valid.
+// core failed in the field): every cluster sitting on a dead core migrates,
+// in cluster order, to the nearest free healthy core. Only affected
+// clusters move (minimal disruption), so a single core failure migrates a
+// single cluster. cons is unused; the parameter stays for source
+// compatibility. pl must be a valid placement of p's clusters (else an
+// error wrapping ErrBadConfig). It is mutated in place; on error it is left
+// partially repaired, with every completed migration still valid and
+// counted.
 func Remap(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints, cost hw.CostModel) (RemapStats, error) {
+	return repair(p, pl, d, cost, false)
+}
+
+// RemapRows repairs a placement after hardware failure using wholesale
+// row-shift redundancy, the way DRAM retires a failed word line onto a
+// spare row, and then runs Remap's migration. Each row holding a victim (a
+// cluster on a dead core) is tried, ascending, against the nearest fully
+// free row whose cells under the failed row's occupied columns are alive —
+// ties to the larger row index, so reserved spares (Constraints.SpareRows)
+// win over coincidentally empty rows, and rows vacated by earlier shifts
+// qualify. Both the wholesale shift (every cluster keeps its column) and
+// Remap's migration of the row's victims are applied tentatively and
+// measured by interconnect energy; the cheaper is kept, ties preferring the
+// shift. So RemapRows is never worse than Remap on the same failed row.
+// Victims whose row has no such target migrate last, exactly as in Remap.
+// cons, pl and the error contract are as in Remap.
+func RemapRows(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints, cost hw.CostModel) (RemapStats, error) {
+	return repair(p, pl, d, cost, true)
+}
+
+// repair is Remap, and with shiftRows RemapRows: validate, measure
+// EnergyBefore, run the per-row shift-or-migrate trials when asked, then
+// migrate every victim still on a dead core.
+func repair(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cost hw.CostModel, shiftRows bool) (st RemapStats, err error) {
 	start := time.Now()
-	var st RemapStats
+	defer func() { st.Elapsed = time.Since(start) }()
+	op := "remap"
+	if shiftRows {
+		op = "remap rows"
+	}
 	if err := validPlacement(p, pl, d); err != nil {
-		return st, fmt.Errorf("mapping: remap: %w", err)
+		return st, fmt.Errorf("mapping: %s: %w", op, err)
 	}
-	if d == nil {
-		st.EnergyBefore = interconnectEnergy(p, pl, cost)
-		st.EnergyAfter = st.EnergyBefore
-		st.Elapsed = time.Since(start)
-		return st, nil
-	}
-	var victims []int32
-	for c, idx := range pl.PosOf {
-		if d.IsDead(int(idx)) {
-			victims = append(victims, int32(c))
-		}
-	}
-	st.EnergyBefore = interconnectEnergy(p, pl, cost)
+	st.EnergyBefore = InterconnectEnergy(p, pl, cost)
 	st.EnergyAfter = st.EnergyBefore
-	if len(victims) == 0 {
-		st.Elapsed = time.Since(start)
+	if d == nil {
 		return st, nil
 	}
-	mesh := pl.Mesh
-	free := newFreeCores(pl, d)
-	for _, c := range victims {
-		from := pl.Of(int(c))
-		to, ok := free.nearest(from)
-		if !ok {
-			st.Elapsed = time.Since(start)
-			return st, fmt.Errorf("mapping: remap: no healthy free core for cluster %d: %w", c, ErrUnplaceable)
+	failed := make([]bool, pl.Mesh.Rows) // rows holding a victim
+	anyVictim := false
+	for _, idx := range pl.PosOf {
+		if d.IsDead(int(idx)) {
+			failed[int(idx)/pl.Mesh.Cols] = true
+			anyVictim = true
 		}
-		if err := free.move(pl, int(c), int32(to)); err != nil {
+	}
+	if !anyVictim {
+		return st, nil
+	}
+	free := newFreeCores(pl, d)
+	// energy is M_ec of the placement as it stands until the final
+	// migration moves a cluster: each kept trial leaves exactly the
+	// placement it measured.
+	energy := st.EnergyBefore
+	if shiftRows {
+		if energy, err = free.shiftRows(p, pl, cost, failed, &st); err != nil {
 			return st, err
 		}
+	}
+	moves, stuck, err := free.migrate(pl, -1)
+	st.migrated(pl, moves)
+	if err != nil {
+		return st, err
+	}
+	if stuck >= 0 {
+		return st, fmt.Errorf("mapping: %s: no healthy free core for cluster %d: %w", op, stuck, ErrUnplaceable)
+	}
+	if len(moves) > 0 {
+		energy = InterconnectEnergy(p, pl, cost)
+	}
+	st.MovedFrac = float64(st.Moved) / float64(p.NumClusters)
+	st.EnergyAfter = energy
+	return st, nil
+}
+
+// migration is one move of a repair: cluster c left core from.
+type migration struct {
+	c    int
+	from int32
+}
+
+// migrated counts kept per-cluster migrations.
+func (st *RemapStats) migrated(pl *place.Placement, moves []migration) {
+	for _, m := range moves {
+		st.FallbackMoved++
 		st.Moved++
-		if dist := geom.Manhattan(from, mesh.Coord(to)); dist > st.MaxMoveDist {
+		if dist := geom.Manhattan(pl.Mesh.Coord(int(m.from)), pl.Of(m.c)); dist > st.MaxMoveDist {
 			st.MaxMoveDist = dist
 		}
 	}
-	st.MovedFrac = float64(st.Moved) / float64(p.NumClusters)
-	st.EnergyAfter = interconnectEnergy(p, pl, cost)
-	st.Elapsed = time.Since(start)
-	return st, nil
+}
+
+// shiftRows runs RemapRows' per-row trial (see RemapRows) on each row
+// marked failed and keeps the cheaper repair; a row with no wholesale
+// target keeps its victims for the final migration. It returns M_ec of the
+// placement it leaves.
+func (f *freeCores) shiftRows(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, failed []bool, st *RemapStats) (float64, error) {
+	rows, cols := f.mesh.Rows, f.mesh.Cols
+	energy := st.EnergyBefore
+	// relEps absorbs float summation noise when the two repairs reach
+	// physically equivalent layouts; within it the shift wins the tie.
+	relEps := 1e-12 * math.Abs(st.EnergyBefore)
+	// accepts reports whether row rs is fully free and alive under every
+	// occupied column of row rf.
+	accepts := func(rf, rs int) bool {
+		for y := 0; y < cols; y++ {
+			if pl.ClusterAt[rs*cols+y] != place.None ||
+				(pl.ClusterAt[rf*cols+y] != place.None && f.d.IsDead(rs*cols+y)) {
+				return false
+			}
+		}
+		return true
+	}
+	// shift moves every cluster of row rf to row rs, column by column.
+	shift := func(rf, rs int) ([]migration, error) {
+		var moves []migration
+		for y := 0; y < cols; y++ {
+			c := pl.ClusterAt[rf*cols+y]
+			if c == place.None {
+				continue
+			}
+			if err := f.move(pl, int(c), int32(rs*cols+y)); err != nil {
+				return moves, err
+			}
+			moves = append(moves, migration{int(c), int32(rf*cols + y)})
+		}
+		return moves, nil
+	}
+	// revert undoes moves backwards, so no step collides with an occupied
+	// cell.
+	revert := func(moves []migration) error {
+		for i := len(moves) - 1; i >= 0; i-- {
+			if err := f.move(pl, moves[i].c, moves[i].from); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for rf := 0; rf < rows; rf++ {
+		if !failed[rf] {
+			continue
+		}
+		best := -1
+		for rs := 0; rs < rows; rs++ {
+			if rs == rf || !accepts(rf, rs) {
+				continue
+			}
+			if best < 0 || geom.Abs(rs-rf) < geom.Abs(best-rf) ||
+				(geom.Abs(rs-rf) == geom.Abs(best-rf) && rs > best) {
+				best = rs
+			}
+		}
+		if best < 0 {
+			continue
+		}
+		moves, err := shift(rf, best)
+		if err != nil {
+			return energy, err
+		}
+		shiftEnergy := InterconnectEnergy(p, pl, cost)
+		if err := revert(moves); err != nil {
+			return energy, err
+		}
+		moves, stuck, err := f.migrate(pl, rf)
+		if err != nil {
+			return energy, err
+		}
+		if stuck < 0 {
+			if e := InterconnectEnergy(p, pl, cost); e < shiftEnergy-relEps {
+				energy = e
+				st.migrated(pl, moves)
+				continue
+			}
+		}
+		if err := revert(moves); err != nil {
+			return energy, err
+		}
+		if moves, err = shift(rf, best); err != nil {
+			return energy, err
+		}
+		energy = shiftEnergy
+		st.RowsShifted++
+		st.RowMoved += len(moves)
+		st.Moved += len(moves)
+		st.MaxMoveDist = max(st.MaxMoveDist, geom.Abs(best-rf))
+	}
+	return energy, nil
 }
 
 // validPlacement checks what Remap, RemapRows, FinetuneContext and
@@ -146,6 +302,27 @@ func (f *freeCores) move(pl *place.Placement, c int, to int32) error {
 	f.set(int(to), false)
 	f.set(int(from), !f.d.IsDead(int(from)))
 	return nil
+}
+
+// migrate moves every cluster on a dead core of row x (of every row when
+// x < 0), in cluster order, to its nearest free alive core. It stops at the
+// first cluster with no such core and returns it as stuck (else -1), with
+// the moves made before it.
+func (f *freeCores) migrate(pl *place.Placement, x int) (moves []migration, stuck int, err error) {
+	for c, idx := range pl.PosOf {
+		if !f.d.IsDead(int(idx)) || (x >= 0 && int(idx)/f.mesh.Cols != x) {
+			continue
+		}
+		to, ok := f.nearest(f.mesh.Coord(int(idx)))
+		if !ok {
+			return moves, c, nil
+		}
+		if err := f.move(pl, c, int32(to)); err != nil {
+			return moves, -1, err
+		}
+		moves = append(moves, migration{c, idx})
+	}
+	return moves, -1, nil
 }
 
 // next returns the first free column ≥ y of row x, or -1.
@@ -230,11 +407,14 @@ func (f *freeCores) nearest(from geom.Point) (int, bool) {
 	return best, best >= 0
 }
 
-// interconnectEnergy is M_ec (Eq. 9) computed directly: the per-spike energy
-// of every directed connection at its current placement distance. The
-// per-spike energy is read from a table of SpikeEnergy by hop count — the
-// same float64 values, so the same sum bit for bit.
-func interconnectEnergy(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) float64 {
+// InterconnectEnergy is the interconnect energy M_ec (Eq. 9) of a
+// placement: every directed connection's traffic times the per-spike energy
+// at its placement distance, summed in CSR order. The per-spike energy is
+// read from a table of cost.SpikeEnergy by hop count — the same float64
+// values, so the same sum bit for bit as a per-edge SpikeEnergy call. The
+// field repairs report it, and the search baselines use it as their
+// fitness.
+func InterconnectEnergy(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) float64 {
 	pos := clusterCoords(pl)
 	hop := make([]float64, pl.Mesh.Rows+pl.Mesh.Cols-1)
 	for h := range hop {

@@ -2,8 +2,9 @@ package mapping
 
 // The repair code as it stood before the free-core index: nearestFree's ring
 // scan, the per-edge SpikeEnergy walk, Remap and RemapRows, kept (renamed,
-// calling the shared validPlacement with the defect map, and deciding
-// victims and targets by dead cores alone, as production does) as the
+// calling the shared validPlacement with the defect map, deciding victims
+// and targets by dead cores alone, and counting Moved as each migration is
+// kept, with Remap's moves as FallbackMoved, as production does) as the
 // oracles the index-driven repair is held to.
 
 import (
@@ -59,6 +60,7 @@ func remapRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constra
 		if err := pl.Move(int(c), int32(to)); err != nil {
 			return st, err
 		}
+		st.FallbackMoved++
 		st.Moved++
 		if dist := geom.Manhattan(from, mesh.Coord(to)); dist > st.MaxMoveDist {
 			st.MaxMoveDist = dist
@@ -133,9 +135,9 @@ func interconnectEnergyRing(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) 
 // pl must be a valid placement of p's clusters (else an error wrapping
 // ErrBadConfig). It is mutated in place; on error it is left partially
 // repaired, with every completed migration still valid.
-func remapRowsRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints, cost hw.CostModel) (RowRemapStats, error) {
+func remapRowsRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Constraints, cost hw.CostModel) (RemapStats, error) {
 	start := time.Now()
-	var st RowRemapStats
+	var st RemapStats
 	if err := validPlacement(p, pl, d); err != nil {
 		return st, fmt.Errorf("mapping: remap rows: %w", err)
 	}
@@ -266,6 +268,7 @@ func remapRowsRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Con
 			// The per-cluster repair is already in place; account it.
 			for _, m := range perMoves {
 				st.FallbackMoved++
+				st.Moved++
 				from := mesh.Coord(int(m.from))
 				to := pl.Of(m.c)
 				if dist := geom.Manhattan(from, to); dist > st.MaxMoveDist {
@@ -286,6 +289,7 @@ func remapRowsRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Con
 					return st, err
 				}
 				st.RowMoved++
+				st.Moved++
 			}
 			st.RowsShifted++
 			if dist > st.MaxMoveDist {
@@ -312,12 +316,12 @@ func remapRowsRing(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap, cons hw.Con
 			return st, err
 		}
 		st.FallbackMoved++
+		st.Moved++
 		if dist := geom.Manhattan(from, mesh.Coord(to)); dist > st.MaxMoveDist {
 			st.MaxMoveDist = dist
 		}
 	}
 
-	st.Moved = st.RowMoved + st.FallbackMoved
 	st.MovedFrac = float64(st.Moved) / float64(p.NumClusters)
 	st.EnergyAfter = interconnectEnergyRing(p, pl, cost)
 	st.Elapsed = time.Since(start)

@@ -399,7 +399,7 @@ func TestInterconnectEnergyBits(t *testing.T) {
 			t.Fatalf("%s: energy %v, plain loop %v", stage, got, want)
 		}
 	}
-	check("fine-tuned", interconnectEnergy(p, pl, cost))
+	check("fine-tuned", InterconnectEnergy(p, pl, cost))
 	for col := 0; col < mesh.Cols; col++ {
 		d.MarkDead(col)
 	}
@@ -410,6 +410,6 @@ func TestInterconnectEnergyBits(t *testing.T) {
 	if st.Moved == 0 {
 		t.Fatal("row 0 failed but nothing moved")
 	}
-	check("row-shifted", interconnectEnergy(p, pl, cost))
+	check("row-shifted", InterconnectEnergy(p, pl, cost))
 	check("RemapRows.EnergyAfter", st.EnergyAfter)
 }

@@ -41,7 +41,7 @@ type layerPlan struct {
 func planLayers(n *snn.Net, cfg PartitionConfig) (layerPlan, error) {
 	npc := cfg.Constraints.NeuronsPerCore
 	if npc <= 0 {
-		return layerPlan{}, fmt.Errorf("pcn: expand requires a positive CON_npc, got %d", npc)
+		return layerPlan{}, fmt.Errorf("pcn: expand requires a positive CON_npc, got %d: %w", npc, place.ErrBadConfig)
 	}
 	plan := layerPlan{
 		per:   make([]int64, len(n.Layers)),
@@ -82,7 +82,7 @@ func planLayers(n *snn.Net, cfg PartitionConfig) (layerPlan, error) {
 // then stream the connections into the PCN's CSR.
 func expand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
 	if err := n.Validate(); err != nil {
-		return nil, fmt.Errorf("pcn: invalid net: %w", err)
+		return nil, fmt.Errorf("pcn: invalid net: %w: %w", err, place.ErrBadConfig)
 	}
 	plan, err := planLayers(n, cfg)
 	if err != nil {

@@ -184,20 +184,25 @@ func TestExpandSynapseConstraint(t *testing.T) {
 }
 
 func TestExpandRejectsInvalid(t *testing.T) {
-	bad := &snn.Net{Name: "bad"}
-	if _, err := Expand(bad, DefaultPartition()); err == nil {
-		t.Error("invalid net must fail")
-	}
-	good := snn.DNN65K()
-	if _, err := Expand(good, PartitionConfig{}); err == nil {
-		t.Error("zero CON_npc must fail")
-	}
 	// 4096 neurons per cluster × fan-in 2^62 synapses each overflows int64.
 	huge := &snn.Net{Name: "huge"}
 	huge.Chain(snn.Layer{Name: "a", Neurons: 4096}, 0, snn.Dense, 0)
 	huge.Chain(snn.Layer{Name: "b", Neurons: 4096}, 1<<62, snn.Dense, 0)
-	if _, err := Expand(huge, DefaultPartition()); !errors.Is(err, place.ErrBadConfig) {
-		t.Errorf("synapse-count overflow: err = %v, want ErrBadConfig", err)
+	for _, tc := range []struct {
+		name string
+		net  *snn.Net
+		cfg  PartitionConfig
+	}{
+		{"empty net", &snn.Net{Name: "bad"}, DefaultPartition()},
+		{"zero-layer SynthDNN", snn.SynthDNN("x", 0, 10), DefaultPartition()},
+		{"zero-width SynthDNN", snn.SynthDNN("x", 3, 0), DefaultPartition()},
+		{"zero fan-in SynthCNN", snn.SynthCNN("x", 3, 10, 0, 2), DefaultPartition()},
+		{"zero CON_npc", snn.DNN65K(), PartitionConfig{}},
+		{"synapse-count overflow", huge, DefaultPartition()},
+	} {
+		if _, err := Expand(tc.net, tc.cfg); !errors.Is(err, place.ErrBadConfig) {
+			t.Errorf("%s: err = %v, want ErrBadConfig", tc.name, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"snnmap/internal/hw"
 	"snnmap/internal/obs"
+	"snnmap/internal/place"
 	"snnmap/internal/snn"
 )
 
@@ -58,7 +59,7 @@ type Result struct {
 // cluster boundaries (Eqs. 5–6).
 func Partition(g *snn.Graph, cfg PartitionConfig) (*Result, error) {
 	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("pcn: invalid input graph: %w", err)
+		return nil, fmt.Errorf("pcn: invalid input graph: %w: %w", err, place.ErrBadConfig)
 	}
 	sp := cfg.Obs.Span("partition.flat")
 	clusterOf, neurons, synapses, layers, err := assignClusters(g, cfg)
@@ -82,7 +83,7 @@ func assignClusters(g *snn.Graph, cfg PartitionConfig) (clusterOf []int32, neuro
 	npc := cfg.Constraints.NeuronsPerCore
 	spc := cfg.Constraints.SynapsesPerCore
 	if npc <= 0 {
-		return nil, nil, nil, nil, fmt.Errorf("pcn: partition requires a positive CON_npc, got %d", npc)
+		return nil, nil, nil, nil, fmt.Errorf("pcn: partition requires a positive CON_npc, got %d: %w", npc, place.ErrBadConfig)
 	}
 
 	clusterOf = make([]int32, g.NumNeurons)

@@ -1,12 +1,14 @@
 package pcn
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"snnmap/internal/hw"
+	"snnmap/internal/place"
 	"snnmap/internal/snn"
 )
 
@@ -202,8 +204,8 @@ func TestPartitionersRejectInvalidGraph(t *testing.T) {
 		g := snn.FullyConnected(3, 4)
 		tc.corrupt(g)
 		cfg := PartitionConfig{Constraints: hw.Constraints{NeuronsPerCore: 4}}
-		if _, err := Partition(g, cfg); err == nil || !strings.Contains(err.Error(), "pcn: invalid input graph") {
-			t.Errorf("%s: Partition returned %v, want a \"pcn: invalid input graph\" error", tc.name, err)
+		if _, err := Partition(g, cfg); !errors.Is(err, place.ErrBadConfig) || !strings.Contains(err.Error(), "pcn: invalid input graph") {
+			t.Errorf("%s: Partition returned %v, want a \"pcn: invalid input graph\" ErrBadConfig", tc.name, err)
 		}
 	}
 }

@@ -81,24 +81,6 @@ func (p *PCN) TotalWeight() float64 {
 	return total
 }
 
-// TotalNeurons returns the neuron count across all clusters.
-func (p *PCN) TotalNeurons() int64 {
-	var total int64
-	for _, n := range p.Neurons {
-		total += int64(n)
-	}
-	return total
-}
-
-// TotalSynapses returns the synapse count across all clusters.
-func (p *PCN) TotalSynapses() int64 {
-	var total int64
-	for _, s := range p.Synapses {
-		total += s
-	}
-	return total
-}
-
 // OutEdges returns cluster i's outgoing targets and weights. The slices
 // alias the PCN's storage.
 func (p *PCN) OutEdges(i int) ([]int32, []float64) {

@@ -45,9 +45,6 @@ func TestBuildCSRMergesParallelEdges(t *testing.T) {
 
 func TestPCNStats(t *testing.T) {
 	p := smallPCN(t)
-	if p.TotalNeurons() != 5 || p.TotalSynapses() != 10 {
-		t.Errorf("neurons %d synapses %d", p.TotalNeurons(), p.TotalSynapses())
-	}
 	deg := p.InDegrees()
 	if deg[0] != 1 || deg[1] != 1 || deg[2] != 1 {
 		t.Errorf("in-degrees %v", deg)

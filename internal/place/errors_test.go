@@ -14,25 +14,6 @@ func TestNewWrapsErrCapacityExceeded(t *testing.T) {
 	}
 }
 
-func TestTryAssignWrapsErrUnplaceable(t *testing.T) {
-	p, err := New(2, hw.MustMesh(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.TryAssign(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.TryAssign(0, 1); !errors.Is(err, ErrUnplaceable) {
-		t.Errorf("re-assigning a placed cluster: got %v, want ErrUnplaceable", err)
-	}
-	if err := p.TryAssign(1, 0); !errors.Is(err, ErrUnplaceable) {
-		t.Errorf("assigning onto an occupied core: got %v, want ErrUnplaceable", err)
-	}
-	if err := p.TryAssign(1, 1); err != nil {
-		t.Fatalf("legal assign after failures must work: %v", err)
-	}
-}
-
 func TestMoveWrapsErrUnplaceable(t *testing.T) {
 	p, err := New(2, hw.MustMesh(2, 2))
 	if err != nil {

@@ -48,27 +48,17 @@ func New(numClusters int, mesh hw.Mesh) (*Placement, error) {
 func (p *Placement) NumClusters() int { return len(p.PosOf) }
 
 // Assign places cluster c on the core with flattened index idx. It panics
-// if either side is already taken (placements are injective). It is the
-// internal-invariant variant: code on the public Map path uses TryAssign and
-// propagates the error instead.
+// if either side is already taken (placements are injective): its callers
+// fill a fresh placement, so a taken side is a programming error.
 func (p *Placement) Assign(c int, idx int32) {
-	if err := p.TryAssign(c, idx); err != nil {
-		panic(err.Error())
-	}
-}
-
-// TryAssign places cluster c on the core with flattened index idx, returning
-// an error (placements are injective) if either side is already taken.
-func (p *Placement) TryAssign(c int, idx int32) error {
 	if p.PosOf[c] != None {
-		return fmt.Errorf("place: cluster %d already placed at %d: %w", c, p.PosOf[c], ErrUnplaceable)
+		panic(fmt.Sprintf("place: cluster %d already placed at %d", c, p.PosOf[c]))
 	}
 	if p.ClusterAt[idx] != None {
-		return fmt.Errorf("place: core %d already holds cluster %d: %w", idx, p.ClusterAt[idx], ErrUnplaceable)
+		panic(fmt.Sprintf("place: core %d already holds cluster %d", idx, p.ClusterAt[idx]))
 	}
 	p.PosOf[c] = idx
 	p.ClusterAt[idx] = int32(c)
-	return nil
 }
 
 // Move relocates cluster c to the empty core idx, freeing its current core.
@@ -88,9 +78,6 @@ func (p *Placement) Move(c int, idx int32) error {
 // Of returns the mesh coordinate of cluster c.
 func (p *Placement) Of(c int) geom.Point { return p.Mesh.Coord(int(p.PosOf[c])) }
 
-// At returns the cluster at mesh coordinate pt, or None.
-func (p *Placement) At(pt geom.Point) int32 { return p.ClusterAt[p.Mesh.Index(pt)] }
-
 // SwapCores exchanges the contents of two cores (either may be empty).
 func (p *Placement) SwapCores(a, b int32) {
 	ca, cb := p.ClusterAt[a], p.ClusterAt[b]
@@ -101,11 +88,6 @@ func (p *Placement) SwapCores(a, b int32) {
 	if cb != None {
 		p.PosOf[cb] = a
 	}
-}
-
-// Dist returns the Manhattan distance between the cores of two clusters.
-func (p *Placement) Dist(c1, c2 int) int {
-	return geom.Manhattan(p.Of(c1), p.Of(c2))
 }
 
 // Clone returns a deep copy.

@@ -25,14 +25,8 @@ func TestAssignAndLookup(t *testing.T) {
 	if p.Of(0) != (geom.Point{X: 1, Y: 1}) {
 		t.Errorf("Of(0) = %v", p.Of(0))
 	}
-	if p.At(geom.Point{X: 0, Y: 0}) != 1 {
-		t.Errorf("At(0,0) = %d", p.At(geom.Point{X: 0, Y: 0}))
-	}
-	if p.At(geom.Point{X: 0, Y: 1}) != None {
-		t.Error("empty core must report None")
-	}
-	if p.Dist(0, 1) != 2 {
-		t.Errorf("Dist = %d, want 2", p.Dist(0, 1))
+	if p.ClusterAt[0] != 1 || p.ClusterAt[1] != None {
+		t.Errorf("ClusterAt[0:2] = %v, want [1 None]", p.ClusterAt[:2])
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)

@@ -18,14 +18,11 @@ import "fmt"
 
 // SynthDNN builds a synthetic fully-connected deep network with the given
 // number of layers, each containing width neurons. Adjacent layers are fully
-// connected (fan-in = width).
+// connected (fan-in = width). It builds what it is asked for: Net.Validate,
+// run by Expand, rejects a net with no layers or a non-positive width.
 func SynthDNN(name string, layers int, width int64) *Net {
-	if layers < 2 || width <= 0 {
-		panic(fmt.Sprintf("snn: invalid synthetic DNN %d layers × %d neurons", layers, width))
-	}
 	n := &Net{Name: name}
-	n.Chain(Layer{Name: "l0", Neurons: width}, 0, Dense, 0)
-	for i := 1; i < layers; i++ {
+	for i := 0; i < layers; i++ {
 		n.Chain(Layer{Name: fmt.Sprintf("l%d", i), Neurons: width}, width, Dense, 0)
 	}
 	return n
@@ -34,13 +31,10 @@ func SynthDNN(name string, layers int, width int64) *Net {
 // SynthCNN builds a synthetic convolutional network: same layered structure
 // as SynthDNN but locally connected. fanIn is the per-neuron synapse count
 // (kernel size × channels); window is the cluster-level connectivity width.
+// Net.Validate also rejects a non-positive fanIn between two layers.
 func SynthCNN(name string, layers int, width, fanIn int64, window int) *Net {
-	if layers < 2 || width <= 0 || fanIn <= 0 {
-		panic(fmt.Sprintf("snn: invalid synthetic CNN %d layers × %d neurons fan-in %d", layers, width, fanIn))
-	}
 	n := &Net{Name: name}
-	n.Chain(Layer{Name: "l0", Neurons: width}, 0, Local, 0)
-	for i := 1; i < layers; i++ {
+	for i := 0; i < layers; i++ {
 		n.Chain(Layer{Name: fmt.Sprintf("l%d", i), Neurons: width}, fanIn, Local, window)
 	}
 	return n

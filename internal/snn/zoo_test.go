@@ -163,19 +163,21 @@ func TestInceptionModulesBranch(t *testing.T) {
 	}
 }
 
-func TestSynthPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { SynthDNN("x", 1, 10) },
-		func() { SynthDNN("x", 3, 0) },
-		func() { SynthCNN("x", 3, 10, 0, 2) },
+// TestSynthInvalidFailsValidate: the synthetic builders build the layers
+// they are asked for, and Validate rejects the invalid specs.
+func TestSynthInvalidFailsValidate(t *testing.T) {
+	if n := SynthDNN("x", 1, 10); len(n.Layers) != 1 || len(n.Conns) != 0 || n.Validate() != nil {
+		t.Errorf("one-layer SynthDNN: %d layers, %d conns, Validate %v", len(n.Layers), len(n.Conns), n.Validate())
+	}
+	for name, n := range map[string]*Net{
+		"zero layers":     SynthDNN("x", 0, 10),
+		"negative layers": SynthCNN("x", -1, 10, 9, 2),
+		"zero width":      SynthDNN("x", 3, 0),
+		"zero fan-in":     SynthCNN("x", 3, 10, 0, 2),
+		"negative width":  SynthCNN("x", 2, -4, 9, 2),
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic for invalid synthetic spec")
-				}
-			}()
-			f()
-		}()
+		if n.Validate() == nil {
+			t.Errorf("%s: Validate accepted the net", name)
+		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 //     workers 3 as at workers 1;
 //   - on the faulty mesh, after the first occupied row dies, RemapRows and
 //     Remap both leave valid placements and RemapRows is never worse than
-//     per-cluster Remap (rowshift.go's promise).
+//     per-cluster Remap (RemapRows' promise).
 func TestPipelineProperties(t *testing.T) {
 	nets := []struct {
 		name string

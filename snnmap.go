@@ -313,10 +313,8 @@ func SimulateContext(ctx context.Context, p *PCN, pl *Placement, cfg SimConfig) 
 type (
 	// DefectMap marks dead cores and failed links of a mesh.
 	DefectMap = hw.DefectMap
-	// RemapStats reports an incremental post-failure repair.
+	// RemapStats reports a post-failure repair, Remap or RemapRows.
 	RemapStats = mapping.RemapStats
-	// RowRemapStats reports a wholesale row-shift repair.
-	RowRemapStats = mapping.RowRemapStats
 	// Degradation summarizes how gracefully a placement degrades on a
 	// defective mesh.
 	Degradation = metrics.Degradation
@@ -382,9 +380,9 @@ func Remap(p *PCN, pl *Placement, d *DefectMap, cost CostModel) (RemapStats, err
 // RemapRows repairs a placement with wholesale row-shift redundancy: each
 // failed row migrates onto a fully-free row (reserved via
 // Constraints.SpareRows, or any row that happens to be empty) in one
-// operation, falling back to per-cluster Remap migration when no spare
-// accepts it.
-func RemapRows(p *PCN, pl *Placement, d *DefectMap, cost CostModel) (RowRemapStats, error) {
+// operation when that beats Remap's migration of its victims; then Remap's
+// migration moves every victim left.
+func RemapRows(p *PCN, pl *Placement, d *DefectMap, cost CostModel) (RemapStats, error) {
 	return mapping.RemapRows(p, pl, d, Constraints{}, cost)
 }
 
