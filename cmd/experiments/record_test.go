@@ -19,13 +19,16 @@ var (
 
 // recordCases is the reproduction record: each results/ file is exactly what
 // its experiments command prints, up to wall-clock cells. Long cases (the
-// medium sweep, ≈ 1–2.5 min; DNN_4B, ≈ 2.5 GB) run only under -long.
+// medium sweep, ≈ 1–2.5 min; DNN_4B, ≈ 2.5 GB; the LeNet-ImageNet fault
+// sweep, whose rows drop spikes, ≈ 11 s) run only under -long.
 var recordCases = []struct {
 	file, args string
 	long       bool
 }{
 	{"tables_and_figures.txt", "-run table1,table2,table3,fig6,fig13 -scale medium", false},
 	{"fig8_resnet_ablation.txt", "-run fig8,ablation -workload ResNet -scale medium -budget 120s", false},
+	{"extensions.txt", "-run multicast,faults,recovery -scale small -workload LeNet-MNIST", false},
+	{"faults_lenet_imagenet.txt", "-run faults -workload LeNet-ImageNet", true},
 	{"fig9-12_sweep_medium.txt", "-run sweep -scale medium -budget 60s", true},
 	{"headline_dnn4b.txt", "-run headline -scale full -workload DNN_4B", true},
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -228,5 +229,25 @@ func TestFailedRunLeavesValidTrace(t *testing.T) {
 	defer f.Close()
 	if _, err := obs.ValidateTrace(f); err != nil {
 		t.Errorf("trace of the failed run does not validate: %v", err)
+	}
+}
+
+// TestFaultySimStatesDeliveredOnce: a faulty run with -sim states the
+// delivered fraction once, from the NoC run, on the "NoC degradation:" line.
+// The structural "degradation:" line has no simulation to report.
+func TestFaultySimStatesDeliveredOnce(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-workload", "LeNet-MNIST", "-faults", "uniform:dead=0.1,links=0.02,seed=1", "-sim", "-budget", "0")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	fraction := regexp.MustCompile(`delivered[ =]\d+\.\d+`)
+	var lines []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if fraction.MatchString(line) {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "NoC degradation: ") {
+		t.Errorf("want the delivered fraction once, on the NoC degradation line; stated on %q", lines)
 	}
 }

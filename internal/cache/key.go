@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"snnmap/internal/curve"
+	"snnmap/internal/geom"
 	"snnmap/internal/hw"
 	"snnmap/internal/mapping"
 	"snnmap/internal/metrics"
@@ -179,8 +180,8 @@ func (h *hasher) fdPhase(cfg *mapping.FDConfig) {
 	h.boolean(true)
 	r := cfg.Resolved()
 	h.str(r.Potential.Name())
-	h.f64(r.Potential.AtUnit())
-	h.f64(r.Potential.AtZero())
+	h.f64(r.Potential.Eval(geom.Point{Y: 1}))
+	h.f64(r.Potential.Eval(geom.Point{}))
 	h.f64(r.Lambda)
 	h.i64(int64(r.MaxIterations))
 }

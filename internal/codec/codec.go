@@ -87,22 +87,22 @@ func ReadPCN(r io.Reader) (*pcn.PCN, error) {
 	}
 	p.Name = string(name)
 	var err error
-	if p.Neurons, err = readInt32s(br, clusters); err != nil {
+	if p.Neurons, err = readSlice[int32](br, clusters); err != nil {
 		return nil, err
 	}
-	if p.Synapses, err = readInt64s(br, clusters); err != nil {
+	if p.Synapses, err = readSlice[int64](br, clusters); err != nil {
 		return nil, err
 	}
-	if p.Layer, err = readInt32s(br, clusters); err != nil {
+	if p.Layer, err = readSlice[int32](br, clusters); err != nil {
 		return nil, err
 	}
-	if p.OutOff, err = readInt64s(br, clusters+1); err != nil {
+	if p.OutOff, err = readSlice[int64](br, clusters+1); err != nil {
 		return nil, err
 	}
-	if p.OutTo, err = readInt32s(br, edges); err != nil {
+	if p.OutTo, err = readSlice[int32](br, edges); err != nil {
 		return nil, err
 	}
-	if p.OutW, err = readFloat64s(br, edges); err != nil {
+	if p.OutW, err = readSlice[float64](br, edges); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
@@ -111,55 +111,22 @@ func ReadPCN(r io.Reader) (*pcn.PCN, error) {
 	return p, nil
 }
 
-// readChunk is the per-read element cap for the chunked slice readers: a
+// readChunk is the per-read element cap of readSlice: a
 // corrupt header claiming billions of elements fails on the first short
 // read instead of committing the full allocation up front.
 const readChunk = 1 << 20
 
-func readInt32s(r io.Reader, n int64) ([]int32, error) {
-	out := make([]int32, 0, min64(n, readChunk))
+// readSlice reads n little-endian elements of T, readChunk at a time.
+func readSlice[T int32 | int64 | float64](r io.Reader, n int64) ([]T, error) {
+	out := make([]T, 0, min(n, readChunk))
 	for int64(len(out)) < n {
-		c := min64(n-int64(len(out)), readChunk)
-		chunk := make([]int32, c)
+		chunk := make([]T, min(n-int64(len(out)), readChunk))
 		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
-			return nil, fmt.Errorf("codec: truncated int32 array (%d of %d read): %w", len(out), n, err)
+			return nil, fmt.Errorf("codec: truncated %T array (%d of %d read): %w", chunk[0], len(out), n, err)
 		}
 		out = append(out, chunk...)
 	}
 	return out, nil
-}
-
-func readInt64s(r io.Reader, n int64) ([]int64, error) {
-	out := make([]int64, 0, min64(n, readChunk))
-	for int64(len(out)) < n {
-		c := min64(n-int64(len(out)), readChunk)
-		chunk := make([]int64, c)
-		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
-			return nil, fmt.Errorf("codec: truncated int64 array (%d of %d read): %w", len(out), n, err)
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
-}
-
-func readFloat64s(r io.Reader, n int64) ([]float64, error) {
-	out := make([]float64, 0, min64(n, readChunk))
-	for int64(len(out)) < n {
-		c := min64(n-int64(len(out)), readChunk)
-		chunk := make([]float64, c)
-		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
-			return nil, fmt.Errorf("codec: truncated float64 array (%d of %d read): %w", len(out), n, err)
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // WritePlacement serializes a placement.

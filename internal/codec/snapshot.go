@@ -204,7 +204,7 @@ func ReadSnapshot(r io.Reader) (*mapping.Snapshot, error) {
 	if forceLen != 4*cores {
 		return nil, fmt.Errorf("codec: corrupt snapshot: force length %d, mesh %v needs %d", forceLen, mesh, 4*cores)
 	}
-	if snap.Force, err = readFloat64s(br, forceLen); err != nil {
+	if snap.Force, err = readSlice[float64](br, forceLen); err != nil {
 		return nil, err
 	}
 	var queueLen int64
@@ -214,10 +214,10 @@ func ReadSnapshot(r io.Reader) (*mapping.Snapshot, error) {
 	if queueLen < 0 || queueLen > 2*cores {
 		return nil, fmt.Errorf("codec: corrupt snapshot: queue length %d on %v", queueLen, mesh)
 	}
-	if snap.QueueIDs, err = readInt32s(br, queueLen); err != nil {
+	if snap.QueueIDs, err = readSlice[int32](br, queueLen); err != nil {
 		return nil, err
 	}
-	if snap.QueueTensions, err = readFloat64s(br, queueLen); err != nil {
+	if snap.QueueTensions, err = readSlice[float64](br, queueLen); err != nil {
 		return nil, err
 	}
 	if flags&1 != 0 {

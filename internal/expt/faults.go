@@ -41,6 +41,7 @@ type FaultRow struct {
 	Mesh        hw.Mesh
 	Degradation metrics.Degradation
 	Energy      float64 // M_ec of the placement (Eq. 9 closed form)
+	Sim         noc.Result
 	Remap       mapping.RemapStats
 }
 
@@ -74,7 +75,7 @@ func FaultSweep(w io.Writer, workload string, fracs []float64, linkFrac float64,
 		g := r.Degradation
 		fmt.Fprintf(tw, "%.0f%%\t%v\t%d\t%d\t%.3f\t%.4g\t%.4f\t%d\t%d\t%.2f%%\t%+.4g\n",
 			100*r.DeadFrac, r.Mesh, g.DeadCores, g.FailedLinks, g.HealthyUtilization,
-			r.Energy, g.DeliveredFraction, g.DroppedSpikes,
+			r.Energy, r.Sim.DeliveredFraction(), r.Sim.Dropped,
 			r.Remap.Moved, 100*r.Remap.MovedFrac, r.Remap.DeltaEnergy())
 	}
 	return tw.Flush()
@@ -113,8 +114,6 @@ func faultSweepRows(wl *Workload, fracs []float64, linkFrac float64, opts RunOpt
 		if err != nil {
 			return nil, fmt.Errorf("expt: fault sweep at dead=%.2f: simulate: %w", frac, err)
 		}
-		g := metrics.EvaluateDegradation(p, pl, d).
-			WithSim(res.Injected, res.Delivered, res.Dropped)
 
 		// Field failure: kill one more occupied core and repair in place —
 		// only when a spare (free, healthy) core exists to migrate to.
@@ -129,11 +128,10 @@ func faultSweepRows(wl *Workload, fracs []float64, linkFrac float64, opts RunOpt
 			if err != nil {
 				return nil, fmt.Errorf("expt: fault sweep at dead=%.2f: remap: %w", frac, err)
 			}
-			g = g.WithRemap(rs.Moved, rs.MovedFrac, rs.DeltaEnergy())
 		}
 		rows = append(rows, FaultRow{
-			DeadFrac: frac, Mesh: mesh, Degradation: g,
-			Energy: sum.Energy, Remap: rs,
+			DeadFrac: frac, Mesh: mesh, Degradation: metrics.EvaluateDegradation(p, pl, d),
+			Energy: sum.Energy, Sim: res, Remap: rs,
 		})
 	}
 	return rows, nil

@@ -7,7 +7,6 @@ import (
 
 	"snnmap/internal/hw"
 	"snnmap/internal/mapping"
-	"snnmap/internal/metrics"
 	"snnmap/internal/place"
 )
 
@@ -19,9 +18,6 @@ type RecoveryRow struct {
 	// RowShift and PerCluster are the RemapRows and Remap repairs of two
 	// clones of the placement.
 	RowShift, PerCluster mapping.RemapStats
-	// RowShiftDeg and PerClusterDeg are the degradation summaries of the
-	// two repaired placements on the same defect map.
-	RowShiftDeg, PerClusterDeg metrics.Degradation
 }
 
 // RecoverySweep exercises the spare-row redundancy path end to end: for each
@@ -128,8 +124,6 @@ func recoveryRows(wl *Workload, spareRows []int, opts RunOptions) ([]RecoveryRow
 		rows = append(rows, RecoveryRow{
 			SpareRows: spares, Mesh: mesh, KilledRow: victim,
 			RowShift: shift, PerCluster: per,
-			RowShiftDeg:   metrics.EvaluateDegradation(p, plShift, d).WithRemap(shift.Moved, shift.MovedFrac, shift.DeltaEnergy()),
-			PerClusterDeg: metrics.EvaluateDegradation(p, plRemap, d).WithRemap(per.Moved, per.MovedFrac, per.DeltaEnergy()),
 		})
 	}
 	return rows, nil

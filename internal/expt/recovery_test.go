@@ -28,9 +28,9 @@ func TestRecoveryAcceptance(t *testing.T) {
 				if r.RowShift.EnergyBefore <= 0 {
 					t.Fatalf("spares=%d: energies not tracked (cost model missing?): %+v", r.SpareRows, r.RowShift)
 				}
-				if r.RowShiftDeg.RemapDeltaEnergy > r.PerClusterDeg.RemapDeltaEnergy+eps {
+				if r.RowShift.DeltaEnergy() > r.PerCluster.DeltaEnergy()+eps {
 					t.Errorf("spares=%d: row-shift dM_ec %.6g worse than per-cluster %.6g",
-						r.SpareRows, r.RowShiftDeg.RemapDeltaEnergy, r.PerClusterDeg.RemapDeltaEnergy)
+						r.SpareRows, r.RowShift.DeltaEnergy(), r.PerCluster.DeltaEnergy())
 				}
 				if r.RowShift.Moved == 0 {
 					t.Errorf("spares=%d: killed an occupied row but nothing moved", r.SpareRows)

@@ -69,10 +69,11 @@ func (e *fdEngine) snapshot(queue []pairTension, stats FDStats, minGain float64)
 		ids[i] = pt.id
 		tens[i] = pt.tension
 	}
+	unit, zero := unitZero(e.pot)
 	return &Snapshot{
 		Potential:     e.pot.Name(),
-		PotUnit:       e.pot.AtUnit(),
-		PotZero:       e.pot.AtZero(),
+		PotUnit:       unit,
+		PotZero:       zero,
 		Lambda:        e.lambda,
 		MinGain:       minGain,
 		Clusters:      e.p.NumClusters,
@@ -216,8 +217,8 @@ func ResumeFinetune(ctx context.Context, p *pcn.PCN, snap *Snapshot, cfg FDConfi
 	if err := validPlacement(p, snap.Placement, cfg.Defects); err != nil {
 		return nil, FDStats{}, fmt.Errorf("mapping: resume: %w", err)
 	}
-	if cfg.Potential.Name() != snap.Potential ||
-		cfg.Potential.AtUnit() != snap.PotUnit || cfg.Potential.AtZero() != snap.PotZero {
+	if unit, zero := unitZero(cfg.Potential); cfg.Potential.Name() != snap.Potential ||
+		unit != snap.PotUnit || zero != snap.PotZero {
 		return nil, FDStats{}, fmt.Errorf("mapping: resume: %w: potential %q does not match snapshot's %q",
 			ErrBadConfig, cfg.Potential.Name(), snap.Potential)
 	}

@@ -391,6 +391,7 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 	cols, rows := int32(mesh.Cols), int32(mesh.Rows)
 	spareStart := int32(cfg.Constraints.UsableRows(mesh))
 	side := int64(max(rows, cols))
+	unit, zero := unitZero(cfg.Potential)
 	return &fdEngine{
 		maxRun:      (1 << 60) / (side * side),
 		forceSpan:   2*side + 1,
@@ -402,7 +403,7 @@ func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 		pot:         cfg.Potential,
 		field:       closedForm(cfg.Potential),
 		defects:     cfg.Defects,
-		unitCorr:    2 * (cfg.Potential.AtUnit() - cfg.Potential.AtZero()),
+		unitCorr:    2 * (unit - zero),
 		lambda:      cfg.Lambda,
 		fullSort:    cfg.fullSort,
 		spareStart:  spareStart,

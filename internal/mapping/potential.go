@@ -20,11 +20,13 @@ type Potential interface {
 	Name() string
 	// Eval returns u(p) for the relative position p.
 	Eval(p geom.Point) float64
-	// AtUnit returns u of a unit step (distance-1 relative position) and
-	// AtZero returns u(0); the FD algorithm uses them to correct tension
-	// for mutually connected adjacent clusters.
-	AtUnit() float64
-	AtZero() float64
+}
+
+// unitZero returns u of a unit step and u(0). FD corrects the tension of
+// mutually connected adjacent clusters with them, and a snapshot records
+// them to tell potentials of one name apart.
+func unitZero(pot Potential) (unit, zero float64) {
+	return pot.Eval(geom.Point{Y: 1}), pot.Eval(geom.Point{})
 }
 
 // L1 is u_a(p) = |x| + |y| (Eq. 19): a uniform field whose total system
@@ -36,12 +38,6 @@ func (L1) Name() string { return "l1" }
 
 // Eval implements Potential.
 func (L1) Eval(p geom.Point) float64 { return float64(p.L1()) }
-
-// AtUnit implements Potential.
-func (L1) AtUnit() float64 { return 1 }
-
-// AtZero implements Potential.
-func (L1) AtZero() float64 { return 0 }
 
 // L1Sq is u_b(p) = (|x| + |y|)² (Eq. 20): denser away from the origin, so
 // long connections are pulled in first.
@@ -56,12 +52,6 @@ func (L1Sq) Eval(p geom.Point) float64 {
 	return d * d
 }
 
-// AtUnit implements Potential.
-func (L1Sq) AtUnit() float64 { return 1 }
-
-// AtZero implements Potential.
-func (L1Sq) AtZero() float64 { return 0 }
-
 // L2Sq is u_c(p) = x² + y² (Eq. 21): the quadratic Euclidean field; the
 // paper's best-quality configuration (method j of Figure 8) combines it
 // with an HSC initial placement.
@@ -72,12 +62,6 @@ func (L2Sq) Name() string { return "l2sq" }
 
 // Eval implements Potential.
 func (L2Sq) Eval(p geom.Point) float64 { return float64(p.L2Sq()) }
-
-// AtUnit implements Potential.
-func (L2Sq) AtUnit() float64 { return 1 }
-
-// AtZero implements Potential.
-func (L2Sq) AtZero() float64 { return 0 }
 
 // EnergyPotential is u(p) = (‖p‖+1)·EN_r + ‖p‖·EN_w (Eq. 25), which makes
 // the FD algorithm minimize the metric M_ec exactly (Eq. 26).
@@ -92,12 +76,6 @@ func (EnergyPotential) Name() string { return "energy" }
 func (e EnergyPotential) Eval(p geom.Point) float64 {
 	return e.Cost.SpikeEnergy(p.L1())
 }
-
-// AtUnit implements Potential.
-func (e EnergyPotential) AtUnit() float64 { return e.Cost.SpikeEnergy(1) }
-
-// AtZero implements Potential.
-func (e EnergyPotential) AtZero() float64 { return e.Cost.SpikeEnergy(0) }
 
 // fieldKind names a built-in potential whose values are integers, resolved
 // once per FD engine so the O(E) kernels evaluate it without an interface

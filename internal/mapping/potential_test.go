@@ -43,18 +43,6 @@ func TestPotentialSymmetry(t *testing.T) {
 	}
 }
 
-func TestPotentialUnitZeroConsistency(t *testing.T) {
-	pots := []Potential{L1{}, L1Sq{}, L2Sq{}, EnergyPotential{Cost: hw.DefaultCostModel()}}
-	for _, pot := range pots {
-		if got := pot.Eval(geom.Point{X: 0, Y: 1}); got != pot.AtUnit() {
-			t.Errorf("%s: AtUnit %g, Eval(unit) %g", pot.Name(), pot.AtUnit(), got)
-		}
-		if got := pot.Eval(geom.Point{}); got != pot.AtZero() {
-			t.Errorf("%s: AtZero %g, Eval(0) %g", pot.Name(), pot.AtZero(), got)
-		}
-	}
-}
-
 func TestPotentialMonotoneInDistance(t *testing.T) {
 	// Farther positions must never have lower potential (the field pulls
 	// clusters together).

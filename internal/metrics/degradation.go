@@ -8,11 +8,11 @@ import (
 	"snnmap/internal/place"
 )
 
-// Degradation quantifies how gracefully a mapping degrades on a defective
-// mesh. EvaluateDegradation fills the structural fields from the placement
-// and defect map; the simulation and remap fields are merged in by the
-// caller from a noc run (WithSim) and a remap repair (WithRemap), since
-// those live in packages above metrics in the import graph.
+// Degradation is the structural side of how a mapping degrades on a
+// defective mesh: what the defect map takes away and how much of the
+// surviving capacity the placement uses. The NoC's delivery figures and a
+// repair's migration cost are reported by noc.Result and
+// mapping.RemapStats.
 type Degradation struct {
 	// TotalCores, DeadCores and FailedLinks describe the defect map itself.
 	TotalCores, DeadCores, FailedLinks int
@@ -21,15 +21,6 @@ type Degradation struct {
 	// HealthyUtilization is clusters per healthy core — how much of the
 	// surviving capacity the placement consumes.
 	HealthyUtilization float64
-	// DeliveredFraction and DroppedSpikes summarize a NoC run on the
-	// matching faulty mesh (DeliveredFraction is 1 when no run was merged).
-	DeliveredFraction float64
-	DroppedSpikes     int64
-	// RemapMoved, RemapMovedFrac and RemapDeltaEnergy summarize an
-	// incremental repair (zero when no repair was merged).
-	RemapMoved       int
-	RemapMovedFrac   float64
-	RemapDeltaEnergy float64
 }
 
 // EvaluateDegradation computes the structural degradation metrics of a
@@ -37,10 +28,9 @@ type Degradation struct {
 // figures.
 func EvaluateDegradation(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap) Degradation {
 	g := Degradation{
-		TotalCores:        pl.Mesh.Cores(),
-		DeadCores:         d.NumDead(),
-		FailedLinks:       d.NumFailedLinks(),
-		DeliveredFraction: 1,
+		TotalCores:  pl.Mesh.Cores(),
+		DeadCores:   d.NumDead(),
+		FailedLinks: d.NumFailedLinks(),
 	}
 	g.HealthyCores = g.TotalCores - g.DeadCores
 	if g.HealthyCores > 0 {
@@ -49,26 +39,8 @@ func EvaluateDegradation(p *pcn.PCN, pl *place.Placement, d *hw.DefectMap) Degra
 	return g
 }
 
-// WithSim merges a NoC run's delivery accounting (delivered and dropped
-// counts out of injected) into the summary.
-func (g Degradation) WithSim(injected, delivered, dropped int64) Degradation {
-	g.DroppedSpikes = dropped
-	if injected > 0 {
-		g.DeliveredFraction = float64(delivered) / float64(injected)
-	}
-	return g
-}
-
-// WithRemap merges an incremental repair's migration cost into the summary.
-func (g Degradation) WithRemap(moved int, movedFrac, deltaEnergy float64) Degradation {
-	g.RemapMoved = moved
-	g.RemapMovedFrac = movedFrac
-	g.RemapDeltaEnergy = deltaEnergy
-	return g
-}
-
 // String implements fmt.Stringer with a compact fixed-order rendering.
 func (g Degradation) String() string {
-	return fmt.Sprintf("dead=%d/%d failedLinks=%d healthyUtil=%.3f delivered=%.4f dropped=%d",
-		g.DeadCores, g.TotalCores, g.FailedLinks, g.HealthyUtilization, g.DeliveredFraction, g.DroppedSpikes)
+	return fmt.Sprintf("dead=%d/%d failedLinks=%d healthyUtil=%.3f",
+		g.DeadCores, g.TotalCores, g.FailedLinks, g.HealthyUtilization)
 }

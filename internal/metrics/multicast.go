@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 
 	"snnmap/internal/geom"
@@ -47,12 +48,20 @@ type mcTarget struct {
 	w   float64
 }
 
+// lineStop is where a straight run of the tree hands traffic on: a column of
+// the trunk or a row of a branch, with the largest demand leaving there.
+type lineStop struct {
+	at int
+	w  float64
+}
+
 // MulticastEnergy evaluates the placement under dimension-ordered multicast
 // tree routing.
 func MulticastEnergy(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) MulticastSummary {
 	var s MulticastSummary
 
 	var targets []mcTarget
+	var stops []lineStop
 	for c := 0; c < p.NumClusters; c++ {
 		src := pl.Of(c)
 		tos, ws := p.OutEdges(c)
@@ -71,11 +80,6 @@ func MulticastEnergy(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) Multica
 		// The tree: one horizontal trunk along the source row, branching
 		// vertically at each target column. Column-first order matches the
 		// XY routing of the NoC substrate.
-		//
-		// Vertical branch loads: group targets by column; within a column,
-		// the segment from the source row to a target is shared by all
-		// targets at least as far, so each vertical link carries the max
-		// weight among targets at or beyond it.
 		sort.Slice(targets, func(a, b int) bool {
 			if targets[a].pos.Y != targets[b].pos.Y {
 				return targets[a].pos.Y < targets[b].pos.Y
@@ -83,148 +87,63 @@ func MulticastEnergy(p *pcn.PCN, pl *place.Placement, cost hw.CostModel) Multica
 			return targets[a].pos.X < targets[b].pos.X
 		})
 
-		// Source router carries the maximum demand of the whole set.
+		// The trunk stops at each target column with that column's largest
+		// demand; the source router carries the largest of them all.
+		stops = stops[:0]
 		var totalMax float64
 		for _, t := range targets {
-			if t.w > totalMax {
-				totalMax = t.w
+			totalMax = max(totalMax, t.w)
+			if n := len(stops); n > 0 && stops[n-1].at == t.pos.Y {
+				stops[n-1].w = max(stops[n-1].w, t.w)
+				continue
 			}
+			stops = append(stops, lineStop{at: t.pos.Y, w: t.w})
 		}
 		s.RouterTraversals += totalMax
+		s.accumLine(src.Y, stops)
 
-		// Horizontal trunk to the right of the source: link (y → y+1)
-		// carries the max weight among targets with column > y; routers on
-		// the trunk carry the max among targets with column ≥ y (they also
-		// feed that column's vertical branch). Symmetrically to the left.
-		s.accumTrunk(src, targets, +1)
-		s.accumTrunk(src, targets, -1)
-
-		// Vertical branches (including the source's own column).
-		s.accumBranches(src, targets)
+		// Each column's vertical branch leaves the trunk at the source row
+		// and stops at every target of the column. A target on the source
+		// row is delivered by the trunk router already charged, matching
+		// Eq. 9's (d+1) router count.
+		for i := 0; i < len(targets); {
+			stops = stops[:0]
+			for _, t := range targets[i:] {
+				if t.pos.Y != targets[i].pos.Y {
+					break
+				}
+				stops = append(stops, lineStop{at: t.pos.X, w: t.w})
+			}
+			i += len(stops)
+			s.accumLine(src.X, stops)
+		}
 	}
 	s.Energy = s.RouterTraversals*cost.RouterEnergy + s.LinkTraversals*cost.WireEnergy
 	return s
 }
 
-// accumTrunk walks the horizontal trunk in direction dir (+1 right, -1
-// left) and accumulates link and router loads.
-func (s *MulticastSummary) accumTrunk(src geom.Point, targets []mcTarget, dir int) {
-	// Farthest needed column in this direction and suffix maxima.
-	// Collect targets strictly beyond the source column in direction dir.
-	type colMax struct {
-		y int
-		w float64
-	}
-	var cols []colMax
-	for _, t := range targets {
-		if dir > 0 && t.pos.Y <= src.Y {
-			continue
+// accumLine charges the two straight runs from origin through stops, which
+// are sorted by position: first the run toward higher positions, then the
+// run toward lower ones. Every link and router up to a stop carries the
+// largest demand at or beyond that stop. Stops at origin are left to its
+// router, which the caller charges. accumLine overwrites stops.
+func (s *MulticastSummary) accumLine(origin int, stops []lineStop) {
+	lo := sort.Search(len(stops), func(i int) bool { return stops[i].at >= origin })
+	hi := sort.Search(len(stops), func(i int) bool { return stops[i].at > origin })
+	slices.Reverse(stops[:lo])
+	for _, run := range [2][]lineStop{stops[hi:], stops[:lo]} {
+		for i := len(run) - 2; i >= 0; i-- {
+			run[i].w = max(run[i].w, run[i+1].w)
 		}
-		if dir < 0 && t.pos.Y >= src.Y {
-			continue
-		}
-		if len(cols) > 0 && cols[len(cols)-1].y == t.pos.Y {
-			if t.w > cols[len(cols)-1].w {
-				cols[len(cols)-1].w = t.w
+		prev := origin
+		for _, st := range run {
+			span := geom.Abs(st.at - prev)
+			s.LinkTraversals += float64(span) * st.w
+			if span > 1 {
+				s.RouterTraversals += float64(span-1) * st.w
 			}
-			continue
+			s.RouterTraversals += st.w
+			prev = st.at
 		}
-		cols = append(cols, colMax{y: t.pos.Y, w: t.w})
-	}
-	if len(cols) == 0 {
-		return
-	}
-	// Order columns by increasing distance from the source.
-	sort.Slice(cols, func(a, b int) bool {
-		return geom.Abs(cols[a].y-src.Y) < geom.Abs(cols[b].y-src.Y)
-	})
-	// Suffix maxima: load beyond column index i.
-	suffix := make([]float64, len(cols)+1)
-	for i := len(cols) - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1]
-		if cols[i].w > suffix[i] {
-			suffix[i] = cols[i].w
-		}
-	}
-	// Walk links from the source to the farthest column; the link entering
-	// column cols[i].y (and every link before it since the previous
-	// column) carries suffix[i]; the router at cols[i].y carries
-	// suffix[i] too (it serves that column's branch and everything
-	// beyond).
-	prevY := src.Y
-	for i := range cols {
-		span := geom.Abs(cols[i].y - prevY)
-		s.LinkTraversals += float64(span) * suffix[i]
-		// Intermediate pass-through routers between prevY and cols[i].y
-		// (exclusive) also carry suffix[i].
-		if span > 1 {
-			s.RouterTraversals += float64(span-1) * suffix[i]
-		}
-		s.RouterTraversals += suffix[i] // the branch router at cols[i].y
-		prevY = cols[i].y
-	}
-}
-
-// accumBranches accumulates the vertical branch loads per column.
-func (s *MulticastSummary) accumBranches(src geom.Point, targets []mcTarget) {
-	i := 0
-	for i < len(targets) {
-		j := i
-		col := targets[i].pos.Y
-		for j < len(targets) && targets[j].pos.Y == col {
-			j++
-		}
-		colTargets := targets[i:j]
-		i = j
-		// Split into above and below the source row; each side is a chain
-		// from the trunk router toward the farthest target, where each
-		// link carries the max among targets at or beyond it. Targets
-		// exactly on the trunk row are already delivered by the trunk
-		// router accumTrunk charged (the source router for the source's
-		// own column), matching Eq. 9's (d+1) router count.
-		s.accumChain(src.X, colTargets, +1)
-		s.accumChain(src.X, colTargets, -1)
-	}
-}
-
-// accumChain charges the vertical run in direction dir (+1 = increasing
-// row) of one column's targets.
-func (s *MulticastSummary) accumChain(srcRow int, colTargets []mcTarget, dir int) {
-	type rowMax struct {
-		x int
-		w float64
-	}
-	var rows []rowMax
-	for _, t := range colTargets {
-		if dir > 0 && t.pos.X <= srcRow {
-			continue
-		}
-		if dir < 0 && t.pos.X >= srcRow {
-			continue
-		}
-		rows = append(rows, rowMax{x: t.pos.X, w: t.w})
-	}
-	if len(rows) == 0 {
-		return
-	}
-	sort.Slice(rows, func(a, b int) bool {
-		return geom.Abs(rows[a].x-srcRow) < geom.Abs(rows[b].x-srcRow)
-	})
-	suffix := make([]float64, len(rows)+1)
-	for i := len(rows) - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1]
-		if rows[i].w > suffix[i] {
-			suffix[i] = rows[i].w
-		}
-	}
-	prevX := srcRow
-	for i := range rows {
-		span := geom.Abs(rows[i].x - prevX)
-		s.LinkTraversals += float64(span) * suffix[i]
-		if span > 1 {
-			s.RouterTraversals += float64(span-1) * suffix[i]
-		}
-		s.RouterTraversals += suffix[i]
-		prevX = rows[i].x
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"snnmap/internal/curve"
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
+	"snnmap/internal/mapping"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 	"snnmap/internal/snn"
@@ -150,5 +152,59 @@ func TestMulticastSavingZeroOnEmpty(t *testing.T) {
 	s := MulticastEnergy(p, pl, hw.DefaultCostModel())
 	if s.Energy != 0 || s.Saving() != 0 {
 		t.Errorf("empty PCN: %+v", s)
+	}
+}
+
+// TestMulticastBits pins math.Float64bits of every MulticastSummary float on
+// ResNet's HSC placement, on a seeded random graph with non-dyadic weights
+// and a random placement, and folded over 100 small such graphs. The trunk
+// and each branch are walked in a fixed order (source router, trunk right,
+// trunk left, then the columns in ascending order, each below the source row
+// before above it). A sum shows a change of that order only where it
+// changes binade between the reordered additions, which a large sum seldom
+// does; each small graph's sums start from zero and do so often.
+func TestMulticastBits(t *testing.T) {
+	bits := func(s MulticastSummary) [4]uint64 {
+		return [4]uint64{math.Float64bits(s.Energy), math.Float64bits(s.UnicastEnergy),
+			math.Float64bits(s.LinkTraversals), math.Float64bits(s.RouterTraversals)}
+	}
+	cost := hw.DefaultCostModel()
+	resnet := func() [4]uint64 {
+		p, err := pcn.Expand(snn.ResNet(), pcn.DefaultPartition())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := mapping.InitialPlacement(p, hw.MeshFor(p.NumClusters), curve.Hilbert{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bits(MulticastEnergy(p, pl, cost))
+	}
+	random := func() [4]uint64 {
+		p, pl := randomMetricsWorkload(t, 11, 300, 3000, 18)
+		return bits(MulticastEnergy(p, pl, cost))
+	}
+	small := func() [4]uint64 {
+		var h [4]uint64
+		for seed := int64(1); seed <= 100; seed++ {
+			p, pl := randomMetricsWorkload(t, seed, 16, 64, 5)
+			for i, b := range bits(MulticastEnergy(p, pl, cost)) {
+				h[i] = (h[i] ^ b) * 1099511628211 // FNV-1a's prime
+			}
+		}
+		return h
+	}
+	for _, c := range []struct {
+		name string
+		got  func() [4]uint64
+		want [4]uint64
+	}{
+		{"ResNet/HSC", resnet, [4]uint64{0x4217cbfc78231a8f, 0x4237164858691987, 0x4214c994497acbab, 0x4215b7d40a639fcb}},
+		{"random", random, [4]uint64{0x40ff945edbdd2bf5, 0x410a112947b8ac56, 0x40fc1e311a4dd2fd, 0x40fcc48d260896dc}},
+		{"100 small", small, [4]uint64{0x04bc493ce86df412, 0xeeb8b31b945c8361, 0x850cd62a87b7ae7a, 0x58fcfdc46700eeb0}},
+	} {
+		if got := c.got(); got != c.want {
+			t.Errorf("%s: bits %x, want %x", c.name, got, c.want)
+		}
 	}
 }

@@ -190,9 +190,9 @@ type Result struct {
 	AvgHops float64
 	// MaxQueueLen is the peak occupancy of any output queue.
 	MaxQueueLen int
-	// Stats breaks the fault accounting down (previously only reachable
-	// through metrics.Degradation). The engine and the reference compute it
-	// at the same decision sites, so it is part of the bit-identity contract.
+	// Stats breaks the fault accounting down. The engine and the reference
+	// compute it at the same decision sites, so it is part of the
+	// bit-identity contract.
 	Stats Stats
 }
 

@@ -2,6 +2,7 @@ package pcn
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -199,6 +200,8 @@ func TestPartitionersRejectInvalidGraph(t *testing.T) {
 	}{
 		{"out-of-range target", func(g *snn.Graph) { g.OutTo[0] = int32(g.NumNeurons) }},
 		{"negative weight", func(g *snn.Graph) { g.OutW[1] = -1 }},
+		{"NaN weight", func(g *snn.Graph) { g.OutW[1] = math.NaN() }},
+		{"+Inf weight", func(g *snn.Graph) { g.OutW[1] = math.Inf(1) }},
 		{"bad FanIn", func(g *snn.Graph) { g.FanIn[g.NumNeurons-1]++ }},
 	} {
 		g := snn.FullyConnected(3, 4)

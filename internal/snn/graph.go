@@ -14,6 +14,7 @@ package snn
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -54,7 +55,7 @@ func (g *Graph) OutEdges(i int) ([]int32, []float64) {
 }
 
 // Validate checks structural invariants: offsets monotone, targets in range,
-// fan-in consistent with edges, weights non-negative.
+// fan-in consistent with edges, weights finite and non-negative.
 func (g *Graph) Validate() error {
 	if g.NumNeurons < 0 {
 		return fmt.Errorf("snn: negative neuron count %d", g.NumNeurons)
@@ -78,8 +79,8 @@ func (g *Graph) Validate() error {
 			if to < 0 || int(to) >= g.NumNeurons {
 				return fmt.Errorf("snn: neuron %d has out-of-range synapse target %d", i, to)
 			}
-			if ws[k] < 0 {
-				return fmt.Errorf("snn: negative spike density %g on synapse %d->%d", ws[k], i, to)
+			if w := ws[k]; !(w >= 0 && w <= math.MaxFloat64) {
+				return fmt.Errorf("snn: spike density %g on synapse %d->%d, want a finite value ≥ 0", w, i, to)
 			}
 			fanIn[to]++
 		}
@@ -123,13 +124,10 @@ func (b *GraphBuilder) AddNeurons(n, layer int) int {
 }
 
 // AddSynapse appends a directed synapse with the given spike density
-// (w_S). Both endpoints must already exist.
+// (w_S). Both endpoints must already exist; Validate checks the density.
 func (b *GraphBuilder) AddSynapse(from, to int, density float64) {
 	if from < 0 || from >= len(b.layers) || to < 0 || to >= len(b.layers) {
 		panic(fmt.Sprintf("snn: synapse %d->%d references unknown neuron (have %d)", from, to, len(b.layers)))
-	}
-	if density < 0 {
-		panic(fmt.Sprintf("snn: negative spike density %g", density))
 	}
 	b.from = append(b.from, int32(from))
 	b.to = append(b.to, int32(to))

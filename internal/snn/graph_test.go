@@ -1,6 +1,7 @@
 package snn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,15 +59,6 @@ func TestAddSynapsePanics(t *testing.T) {
 			b.AddSynapse(c.from, c.to, 1)
 		}()
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative density should panic")
-			}
-		}()
-		b.AddNeuron(-1)
-		b.AddSynapse(0, 1, -1)
-	}()
 }
 
 func TestGraphValidateCatchesCorruption(t *testing.T) {
@@ -85,10 +77,13 @@ func TestGraphValidateCatchesCorruption(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("out-of-range target must fail validation")
 	}
-	bad = *g
-	bad.OutW = []float64{-1}
-	if bad.Validate() == nil {
-		t.Error("negative weight must fail validation")
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
+		var b GraphBuilder
+		b.AddNeurons(2, -1)
+		b.AddSynapse(0, 1, w)
+		if b.Build().Validate() == nil {
+			t.Errorf("density %g must fail validation", w)
+		}
 	}
 }
 
