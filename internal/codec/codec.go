@@ -185,10 +185,9 @@ func ReadPlacement(r io.Reader) (*place.Placement, error) {
 		if idx < 0 || int(idx) >= mesh.Cores() {
 			return nil, fmt.Errorf("codec: cluster %d on invalid core %d", c, idx)
 		}
-		if pl.ClusterAt[idx] != place.None {
-			return nil, fmt.Errorf("codec: core %d assigned twice", idx)
+		if err := pl.Assign(c, idx); err != nil {
+			return nil, fmt.Errorf("codec: %w", err)
 		}
-		pl.Assign(c, idx)
 	}
 	if err := pl.Validate(); err != nil {
 		return nil, fmt.Errorf("codec: deserialized placement invalid: %w", err)

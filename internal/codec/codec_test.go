@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -175,8 +176,8 @@ func TestReadPlacementRejectsCorruption(t *testing.T) {
 	data[len(data)-3] = data[len(data)-7]
 	data[len(data)-2] = data[len(data)-6]
 	data[len(data)-1] = data[len(data)-5]
-	if _, err := ReadPlacement(bytes.NewReader(data)); err == nil {
-		t.Error("duplicate assignment accepted")
+	if _, err := ReadPlacement(bytes.NewReader(data)); !errors.Is(err, place.ErrBadConfig) {
+		t.Errorf("duplicate assignment: got %v, want ErrBadConfig", err)
 	}
 	if _, err := ReadPlacement(strings.NewReader("garbage.........")); err == nil {
 		t.Error("garbage accepted")

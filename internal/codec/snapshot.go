@@ -191,10 +191,9 @@ func ReadSnapshot(r io.Reader) (*mapping.Snapshot, error) {
 		if idx < 0 || int64(idx) >= cores {
 			return nil, fmt.Errorf("codec: snapshot cluster %d on invalid core %d", c, idx)
 		}
-		if pl.ClusterAt[idx] != place.None {
-			return nil, fmt.Errorf("codec: snapshot core %d assigned twice", idx)
+		if err := pl.Assign(c, idx); err != nil {
+			return nil, fmt.Errorf("codec: snapshot: %w", err)
 		}
-		pl.Assign(c, idx)
 	}
 	snap.Placement = pl
 	var forceLen int64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -190,6 +191,20 @@ func TestReadSnapshotRejectsCorruption(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.errPart)
 			}
 		})
+	}
+
+	// A snapshot whose placement names one core twice fails with the
+	// placement's own typed error.
+	posOf := make([]byte, 4*len(snap.Placement.PosOf))
+	for c, idx := range snap.Placement.PosOf {
+		binary.LittleEndian.PutUint32(posOf[4*c:], uint32(idx))
+	}
+	at := bytes.Index(valid, posOf)
+	if at < 0 {
+		t.Fatal("placement section not found in the encoding")
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(patch(at+4, posOf[:4]))); !errors.Is(err, place.ErrBadConfig) {
+		t.Errorf("duplicate core: got %v, want ErrBadConfig", err)
 	}
 
 	// A snapshot whose embedded PCN disagrees with the fingerprint must be

@@ -119,35 +119,54 @@ func BenchmarkCases(b *testing.B) {
 
 	// Kernels under the dense DNN pipeline stages. fd-build/* is one Finetune
 	// sweep from the HSC placement with the adjacency built inside the call
-	// (cold, what a mapping run pays) or already cached on the PCN (warm);
-	// pcn-adjacency/transpose builds the transpose FD and the baselines walk;
-	// congestion-grid/* propagates the grid on the HSC+FD placement (exact),
-	// on a row-shifted repair whose union boxes span the mesh (long-edges),
-	// and at the stride Evaluate samples a grid with above its exact limit
-	// (sampled).
+	// (cold) or already cached on the PCN (warm); pcn-adjacency/transpose
+	// builds the transpose FD and the baselines walk. Both cold builds run on
+	// a fresh Expand (expanded, what a mapping run pays) and on a PCN without
+	// Expand's record of its rows (decoded, as read from a file, whose
+	// transpose scans for the repeated rows). congestion-grid/* propagates
+	// the grid on the HSC+FD placement (exact), on a row-shifted repair whose
+	// union boxes span the mesh (long-edges), and at the stride Evaluate
+	// samples a grid with above its exact limit (sampled).
 	kern := hscPlaced(kernNet)
-	for _, warm := range []bool{false, true} {
-		op := "fd-build/adjacency=cold"
-		if warm {
-			op = "fd-build/adjacency=warm"
-		}
-		b.Run(op+"/"+kernNet, func(b *testing.B) {
+	fdBuild := func(q *pcn.PCN, pl *place.Placement) error {
+		_, err := mapping.Finetune(q, pl, mapping.FDConfig{Potential: mapping.L2Sq{}, MaxIterations: 1})
+		return err
+	}
+	for _, from := range []string{"expanded", "decoded"} {
+		b.Run("fd-build/adjacency=cold-"+from+"/"+kernNet, func(b *testing.B) {
 			w := kern(b)
 			timed(b, func() error {
 				b.StopTimer()
-				q, pl := w.p, w.pl.Clone()
-				if !warm {
-					q = uncachedPCN(q)
-				}
+				q, err := coldPCN(kernNet, w.p, from)
+				pl := w.pl.Clone()
 				b.StartTimer()
-				_, err := mapping.Finetune(q, pl, mapping.FDConfig{Potential: mapping.L2Sq{}, MaxIterations: 1})
+				if err != nil {
+					return err
+				}
+				return fdBuild(q, pl)
+			})
+		})
+		b.Run("pcn-adjacency/transpose="+from+"/"+kernNet, func(b *testing.B) {
+			p := kern(b).p
+			timed(b, func() error {
+				b.StopTimer()
+				q, err := coldPCN(kernNet, p, from)
+				b.StartTimer()
+				if err == nil {
+					q.Symmetric()
+				}
 				return err
 			})
 		})
 	}
-	b.Run("pcn-adjacency/transpose/"+kernNet, func(b *testing.B) {
-		p := kern(b).p
-		timed(b, func() error { uncachedPCN(p).Symmetric(); return nil })
+	b.Run("fd-build/adjacency=warm/"+kernNet, func(b *testing.B) {
+		w := kern(b)
+		timed(b, func() error {
+			b.StopTimer()
+			pl := w.pl.Clone()
+			b.StartTimer()
+			return fdBuild(w.p, pl)
+		})
 	})
 	mapped := mustGet(sync.OnceValues(func() (*place.Placement, error) {
 		p, mesh, err := buildNet(kernNet)
@@ -279,8 +298,23 @@ func hscPlaced(name string) func(*testing.B) placed {
 	}))
 }
 
+// coldPCN returns a PCN with p's edges and no adjacency built yet: workload
+// name expanded afresh, Expand's record of its rows included, or, from
+// "decoded", uncachedPCN(p).
+func coldPCN(name string, p *pcn.PCN, from string) (*pcn.PCN, error) {
+	if from == "decoded" {
+		return uncachedPCN(p), nil
+	}
+	w, err := WorkloadByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return pcn.Expand(w.Net(), pcn.DefaultPartition())
+}
+
 // uncachedPCN returns a PCN sharing p's arrays but none of its lazily built
-// adjacency views, so a benchmark iteration pays for the build.
+// adjacency views or of Expand's record of its rows, as a PCN read from a
+// file, so a benchmark iteration pays for the build and the scans.
 func uncachedPCN(p *pcn.PCN) *pcn.PCN {
 	return &pcn.PCN{
 		Name: p.Name, NumClusters: p.NumClusters,

@@ -9,7 +9,6 @@ import (
 	"snnmap/internal/hw"
 	"snnmap/internal/mapping"
 	"snnmap/internal/place"
-	"snnmap/internal/toposort"
 )
 
 // TestEveryMethodHonorsDefectsAndSpareRows runs every method of both lineups
@@ -72,7 +71,7 @@ func TestRandomMethodIsPlaceRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !toposort.Monotone(p) {
+	if !p.Monotone() {
 		t.Fatal("CNN_65K must be in topological order")
 	}
 	for seed := int64(1); seed <= 3; seed++ {

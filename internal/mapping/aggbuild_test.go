@@ -3,6 +3,7 @@ package mapping
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"snnmap/internal/curve"
@@ -115,7 +116,11 @@ func aggCases(t *testing.T) []aggCase {
 		about: "layer b's 5 clusters and a0 walked, c's out-rows repeating a's"})
 
 	// Cluster 0's out-row carries +Inf, one weight (no Validate on this path).
-	inf := expand(snn.SynthDNN("inf", 4, 5*16), 16)
+	// An expanded PCN's edges are read-only, so the weights go into a fresh
+	// PCN that carries no record of Expand's repeated rows.
+	net := expand(snn.SynthDNN("inf", 4, 5*16), 16)
+	inf := &pcn.PCN{Name: net.Name, NumClusters: net.NumClusters, Neurons: net.Neurons, Synapses: net.Synapses,
+		Layer: net.Layer, OutOff: net.OutOff, OutTo: net.OutTo, OutW: slices.Clone(net.OutW)}
 	tos, ws := inf.OutEdges(0)
 	for k := range tos {
 		ws[k] = math.Inf(1)

@@ -52,7 +52,7 @@ func InitialPlacementDefects(p *pcn.PCN, mesh hw.Mesh, c curve.Curve, d *hw.Defe
 	// Monotone PCNs (all partitioners emit clusters in layer order) have the
 	// identity topological order, so the rank → cluster table is skipped.
 	var order []int32
-	if !toposort.Monotone(p) {
+	if !p.Monotone() {
 		order = toposort.Order(p)
 	}
 	pl, err := place.New(p.NumClusters, mesh)
@@ -106,7 +106,7 @@ func InitialPlacementDefects(p *pcn.PCN, mesh hw.Mesh, c curve.Curve, d *hw.Defe
 // InitialPlacementWorkers is InitialPlacementDefects; workers is ignored.
 //
 // Deprecated: the placement is one sequential curve walk. The name stays
-// only while the benchmark harness compiles against it (ROADMAP item 1);
+// only while the benchmark harness compiles against it (ROADMAP item 8(c));
 // call InitialPlacementDefects.
 func InitialPlacementWorkers(p *pcn.PCN, mesh hw.Mesh, c curve.Curve, d *hw.DefectMap, cons hw.Constraints, workers int) (*place.Placement, error) {
 	return InitialPlacementDefects(p, mesh, c, d, cons)

@@ -109,10 +109,10 @@ func TestInitialPlacementContract(t *testing.T) {
 	}
 	monotone := chainPCN(t, 280)
 	cyclic := randomPCN(t, 41, 280, 1200)
-	if !toposort.Monotone(monotone) {
+	if !monotone.Monotone() {
 		t.Fatal("chain PCN must be monotone")
 	}
-	if toposort.Monotone(cyclic) {
+	if cyclic.Monotone() {
 		t.Fatal("random PCN unexpectedly monotone; pick another seed")
 	}
 	meshes := []struct {

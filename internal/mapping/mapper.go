@@ -47,7 +47,7 @@ type Config struct {
 	// walk, and FD keeps its own FDConfig.Workers knob.
 	//
 	// Deprecated: the field stays only while the benchmark harness sets it
-	// (ROADMAP item 1); leave it unset.
+	// (ROADMAP item 8(c)); leave it unset.
 	Workers int
 	// Defects marks dead cores and failed links of the physical mesh. The
 	// initial placement lays the curve sequence over healthy cores only,

@@ -16,15 +16,27 @@ import (
 // total spike traffic (synapse count × source spike density) attributed to
 // each cluster pair. The result is identical in structure to running
 // Algorithm 1 on the materialized graph, but needs no neuron storage.
+//
+// The PCN records what the layer plan proves about its rows — which out-rows
+// repeat their predecessor's and whether every edge points forward — so that
+// Symmetric and Monotone need not scan the edges for it. Its edge arrays are
+// therefore read-only (see PCN).
 func Expand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
 	sp := cfg.Obs.Span("partition.expand")
-	p, err := expand(n, cfg)
+	p, work, err := expand(n, cfg)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	sp.End(obs.KV{K: "clusters", V: float64(p.NumClusters)}, obs.KV{K: "edges", V: float64(p.NumEdges())})
+	sp.End(obs.KV{K: "clusters", V: float64(p.NumClusters)}, obs.KV{K: "edges", V: float64(p.NumEdges())},
+		obs.KV{K: "merged_rows", V: float64(work.mergedRows)}, obs.KV{K: "row_compares", V: float64(work.rowCompares)})
 	return p, nil
+}
+
+// expandWork is what expand counts: the out-rows it runs through mergeRow and
+// the adjacent out-row pairs it compares with sameOutRow.
+type expandWork struct {
+	mergedRows, rowCompares int
 }
 
 // layerPlan holds the per-layer cluster sizing of one expansion.
@@ -34,6 +46,12 @@ type layerPlan struct {
 	first []int   // first cluster index per layer
 	fanIn []int64 // synapses per neuron per layer
 	total int     // total cluster count
+	// planned[l] is true when every out-Conn of layer l is Dense and they
+	// reach distinct target layers in ascending first-cluster order, in Conn
+	// order. Each out-row of l then arrives strictly ascending, and two of its
+	// clusters with equal neuron counts get one share, so bit-equal rows.
+	planned []bool
+	forward bool // every Conn runs from a lower to a higher layer
 }
 
 // planLayers computes the per-layer cluster sizing: CON_npc neurons per
@@ -75,18 +93,60 @@ func planLayers(n *snn.Net, cfg PartitionConfig) (layerPlan, error) {
 		plan.first[li] = plan.total
 		plan.total += plan.count[li]
 	}
+	plan.planned = make([]bool, len(n.Layers))
+	last := make([]int, len(n.Layers)) // first cluster of l's last target layer
+	for li := range plan.planned {
+		plan.planned[li], last[li] = true, -1
+	}
+	plan.forward = true
+	for _, c := range n.Conns {
+		if c.Pattern != snn.Dense || plan.first[c.To] <= last[c.From] {
+			plan.planned[c.From] = false
+		}
+		last[c.From] = plan.first[c.To]
+		plan.forward = plan.forward && c.From < c.To
+	}
 	return plan, nil
 }
 
 // expand is Expand without its telemetry span: plan the per-layer clusters,
-// then stream the connections into the PCN's CSR.
-func expand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
+// stream the connections into the PCN's CSR, then record what the plan
+// proves about its rows.
+func expand(n *snn.Net, cfg PartitionConfig) (*PCN, expandWork, error) {
+	p, plan, err := expandCSR(n, cfg)
+	if err != nil {
+		return nil, expandWork{}, err
+	}
+	// A planned layer's rows skipped the merge. Within one, a nonempty row
+	// equals its predecessor's when the two clusters hold as many neurons;
+	// every other adjacent pair is compared, so leads is outLeads() exactly.
+	var work expandWork
+	for li, planned := range plan.planned {
+		if !planned {
+			work.mergedRows += plan.count[li]
+		}
+	}
+	leads := p.leadsBy(func(i int) bool {
+		l := p.Layer[i]
+		if l == p.Layer[i-1] && plan.planned[l] && p.Neurons[i] == p.Neurons[i-1] && p.OutOff[i] < p.OutOff[i+1] {
+			return true
+		}
+		work.rowCompares++
+		return p.sameOutRow(i-1, i)
+	})
+	p.plan = &expandPlan{leads: leads, forward: plan.forward}
+	return p, work, nil
+}
+
+// expandCSR plans the per-layer clusters and streams the connections into
+// the PCN's CSR.
+func expandCSR(n *snn.Net, cfg PartitionConfig) (*PCN, layerPlan, error) {
 	if err := n.Validate(); err != nil {
-		return nil, fmt.Errorf("pcn: invalid net: %w: %w", err, place.ErrBadConfig)
+		return nil, layerPlan{}, fmt.Errorf("pcn: invalid net: %w: %w", err, place.ErrBadConfig)
 	}
 	plan, err := planLayers(n, cfg)
 	if err != nil {
-		return nil, err
+		return nil, layerPlan{}, err
 	}
 
 	p := &PCN{Name: n.Name, NumClusters: plan.total}
@@ -120,7 +180,7 @@ func expand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
 	var traffic []float64
 	for i, c := range n.Conns {
 		if traffic, err = plan.targetTraffic(n, p, i, traffic); err != nil {
-			return nil, err
+			return nil, layerPlan{}, err
 		}
 		f0, fc := plan.first[c.From], plan.count[c.From]
 		switch c.Pattern {
@@ -131,7 +191,7 @@ func expand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
 		case snn.Local, snn.OneToOne:
 			traverseSparse(c, plan, traffic, func(f, _ int, _ float64) { counts[f+1]++ })
 		default:
-			return nil, fmt.Errorf("pcn: unknown pattern %v in net %q", c.Pattern, n.Name)
+			return nil, layerPlan{}, fmt.Errorf("pcn: unknown pattern %v in net %q", c.Pattern, n.Name)
 		}
 	}
 	for i := 0; i < plan.total; i++ {
@@ -172,8 +232,8 @@ func expand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
 			}
 		}
 	}
-	p.OutOff, p.OutTo, p.OutW = finalizeCSR(counts, outTo, outW, cfg.Workers)
-	return p, nil
+	p.OutOff, p.OutTo, p.OutW = finalizeCSR(counts, outTo, outW, cfg.Workers, func(i int) bool { return plan.planned[p.Layer[i]] })
+	return p, plan, nil
 }
 
 // targetTraffic returns, in buf's storage, the spike traffic into each target

@@ -66,7 +66,7 @@ func oracleExpand(n *snn.Net, cfg PartitionConfig) (*PCN, error) {
 		outTo[pos] = int32(t)
 		outW[pos] = weight
 	})
-	p.OutOff, p.OutTo, p.OutW = finalizeCSR(counts, outTo, outW, cfg.Workers)
+	p.OutOff, p.OutTo, p.OutW = finalizeCSR(counts, outTo, outW, cfg.Workers, nil)
 	return p, nil
 }
 
@@ -133,6 +133,77 @@ func requireSamePCN(t testing.TB, name string, got, want *PCN) {
 	}
 }
 
+// requireRecordMatchesScan fails unless what expand recorded about p's rows
+// is what the scans would find: the leaders equal outLeads(), every stored
+// row is what mergeRow makes of it (so no row that skipped the merge needed
+// it), and a recorded forward answer agrees with Monotone's scan.
+func requireRecordMatchesScan(t testing.TB, name string, p *PCN) {
+	t.Helper()
+	if p.plan == nil {
+		t.Fatalf("%s: Expand recorded nothing", name)
+	}
+	if scan := p.outLeads(); (p.plan.leads == nil) != (scan == nil) || !slices.Equal(p.plan.leads, scan) {
+		t.Fatalf("%s: recorded leaders differ from outLeads()", name)
+	}
+	m := rowMerger{n: p.NumClusters}
+	for i := range p.NumClusters {
+		tos, ws := p.OutEdges(i)
+		to, w := slices.Clone(tos), slices.Clone(ws)
+		if d := m.mergeRow(to, w); d != len(tos) || !slices.Equal(to[:d], tos) || !slices.EqualFunc(w[:d], ws, sameBits) {
+			t.Fatalf("%s: out-row %d changes under mergeRow", name, i)
+		}
+	}
+	unrecorded := *p
+	unrecorded.plan = nil
+	if p.plan.forward && !unrecorded.Monotone() {
+		t.Fatalf("%s: recorded forward, but an edge points backward", name)
+	}
+}
+
+// TestExpandRecordMatchesScan holds what Expand records about its rows to
+// the scans it replaces (requireRecordMatchesScan) on the model zoo, a
+// reservoir with back-edges, ragged dense layers, CNN windows, and dense
+// layers whose Conns revisit a target layer or reach it out of order (rows
+// that must be merged), and pins the work the record saves on DNN_16M: no
+// row through mergeRow and one sameOutRow per layer boundary and per pair of
+// the last layer's empty rows, where the scans took 4 096 and 4 095.
+func TestExpandRecordMatchesScan(t *testing.T) {
+	lsm, err := snn.Reservoir("lsm", snn.ReservoirConfig{Inputs: 2048, ReservoirNeurons: 40960, Readouts: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ragged := snn.SynthDNN("ragged", 5, 3*4096+904)
+	for i := range ragged.Layers {
+		ragged.Layers[i].Rate = 0.1 * float64(i+1)
+	}
+	revisit := snn.SynthDNN("revisit", 4, 5*4096)
+	revisit.Connect(0, 1, 7, snn.Dense, 0) // layer 0 reaches layer 1 twice
+	unordered := snn.SynthDNN("unordered", 4, 5*4096)
+	unordered.Connect(1, 0, 3, snn.Dense, 0) // layer 1 reaches 2, then 0
+	unordered.Connect(3, 1, 3, snn.Dense, 0)
+	for _, n := range []*snn.Net{snn.DNN16M(), snn.CNN16M(), snn.ResNet(), snn.MobileNet(), snn.InceptionV3(),
+		lsm, ragged, revisit, unordered} {
+		for _, workers := range []int{1, 4} {
+			cfg := DefaultPartition()
+			cfg.Workers = workers
+			name := fmt.Sprintf("%s/workers=%d", n.Name, workers)
+			want, err := oracleExpand(n, cfg)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
+			}
+			got, work, err := expand(n, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			requireSamePCN(t, name, got, want)
+			requireRecordMatchesScan(t, name, got)
+			if n.Name == "DNN_16M" && (work != expandWork{mergedRows: 0, rowCompares: 126}) {
+				t.Errorf("%s: %+v, want 0 merged rows and 126 row compares", name, work)
+			}
+		}
+	}
+}
+
 // TestExpandMatchesOracle holds Expand to the target-major oracle bit for bit
 // on the model zoo, the synthetic families up to 268M neurons, a reservoir
 // with back-edges, dense layers ending in a ragged cluster (whose share
@@ -186,7 +257,7 @@ func TestExpandMatchesOracle(t *testing.T) {
 // one-to-one Conns between any two distinct layers, forward or back, with
 // fractional rates and windows wider than the source layer; a random CON_npc
 // and optionally an enforced CON_spc — and holds Expand to the oracle bit for
-// bit, errors included.
+// bit, errors included, and its record of the rows to the scans.
 func FuzzExpand(f *testing.F) {
 	f.Add([]byte{3, 40, 0, 64, 1, 33, 2, 5, 2, 0, 1, 9, 0, 0, 1, 2, 7, 1, 3, 2, 0, 4, 2, 2, 6, 0})
 	f.Add([]byte{5, 17, 0, 200, 3, 5, 1, 90, 4, 1, 5, 0, 1, 9, 3, 2, 4, 1, 1, 0, 3, 4, 1, 2, 2, 1, 3, 0, 5, 8, 1, 255})
@@ -226,6 +297,7 @@ func FuzzExpand(f *testing.F) {
 			return
 		}
 		requireSamePCN(t, "fuzz", got, want)
+		requireRecordMatchesScan(t, "fuzz", got)
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
 		}

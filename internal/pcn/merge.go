@@ -97,10 +97,12 @@ func (m *rowMerger) mergeRow(to []int32, w []float64) int {
 // [0, len(counts)-1) — into a merged CSR: every row goes through mergeRow
 // (par's fixed chunks of rows fanned over workers, each goroutine with its
 // own rowMerger, so the output cannot tell which one merged a row) and the
-// merged rows are then compacted to the front in row order. The returned
+// merged rows are then compacted to the front in row order. A row for which
+// merged(i) reports true is known to arrive strictly ascending, so it is kept
+// as it is; a nil merged sends every row through mergeRow. The returned
 // slices alias to/w unless merging at least halved the entry count, in which
 // case they are exact-sized copies and the raw arrays are garbage.
-func finalizeCSR(counts []int64, to []int32, w []float64, workers int) ([]int64, []int32, []float64) {
+func finalizeCSR(counts []int64, to []int32, w []float64, workers int, merged func(i int) bool) ([]int64, []int32, []float64) {
 	n := len(counts) - 1
 	off := make([]int64, n+1)
 	k := par.Chunks(n)
@@ -108,6 +110,10 @@ func finalizeCSR(counts []int64, to []int32, w []float64, workers int) ([]int64,
 	par.DoScratch(workers, k, func(ci int, m *rowMerger) {
 		m.n = n
 		for i, hi := ci*chunk, min((ci+1)*chunk, n); i < hi; i++ {
+			if merged != nil && merged(i) {
+				off[i+1] = counts[i+1] - counts[i]
+				continue
+			}
 			off[i+1] = int64(m.mergeRow(to[counts[i]:counts[i+1]], w[counts[i]:counts[i+1]]))
 		}
 	})

@@ -163,6 +163,6 @@ func csrFromAssignment(p *PCN, off []int64, to []int32, w []float64, of []int32,
 			next[cu]++
 		}
 	}
-	p.OutOff, p.OutTo, p.OutW = finalizeCSR(counts, rawTo, rawW, workers)
+	p.OutOff, p.OutTo, p.OutW = finalizeCSR(counts, rawTo, rawW, workers, nil)
 	return counts[n]
 }

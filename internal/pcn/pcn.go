@@ -15,6 +15,11 @@ import (
 // PCN is a partitioned cluster network in CSR form. Cluster indices follow
 // the partition order (layer-major for layered applications), which is the
 // order the topological initial-placement pipeline consumes.
+//
+// The edge arrays are read-only once Expand or Partition returns the PCN:
+// the lazily built adjacency view and what Expand records about its rows
+// (see plan) describe them as they were then. A caller that needs other
+// edges builds a fresh PCN from copies of the exported fields.
 type PCN struct {
 	// Name identifies the source application.
 	Name string
@@ -38,7 +43,20 @@ type PCN struct {
 	// and is excluded from E_P.
 	InternalTraffic float64
 
-	adj *adjacency // lazily built view, see lazyAdjacency()
+	adj  *adjacency  // lazily built view, see lazyAdjacency()
+	plan *expandPlan // what Expand's layer plan proves; nil for any other PCN
+}
+
+// expandPlan is what Expand knows about its out-rows from the layer plan,
+// recorded so that no consumer scans 4 M edges to find it again. Each field
+// is the answer the corresponding scan would return on the same arrays.
+type expandPlan struct {
+	// leads is outLeads(): per source, the first source of its stretch of
+	// bit-equal out-rows, or nil when no out-row repeats its predecessor's.
+	leads []int32
+	// forward is true when every Conn runs from a lower to a higher layer,
+	// so that every edge points from a smaller to a larger cluster index.
+	forward bool
 }
 
 // adjacency holds the lazily built view of one PCN's edges. It hangs off the
@@ -96,6 +114,24 @@ func (p *PCN) InDegrees() []int32 {
 		deg[to]++
 	}
 	return deg
+}
+
+// Monotone reports whether every edge points from a smaller to a larger
+// cluster index. Partitioned feed-forward networks (Algorithm 1 and Expand
+// both emit clusters in layer order) are always monotone, and Expand records
+// the answer when its Conns say so; any other PCN is scanned in O(V), since
+// each cluster's targets are sorted ascending.
+func (p *PCN) Monotone() bool {
+	if p.plan != nil && p.plan.forward {
+		return true
+	}
+	for i := 0; i < p.NumClusters; i++ {
+		tos, _ := p.OutEdges(i)
+		if len(tos) > 0 && int(tos[0]) <= i {
+			return false
+		}
+	}
+	return true
 }
 
 // NumLayers returns 1 + the maximum layer tag, or 0 when layers are unknown.

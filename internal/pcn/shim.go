@@ -6,7 +6,7 @@ import "snnmap/internal/snn"
 // package no longer has: an explicit graph has one partitioner, Algorithm 1
 // (Partition). They stay only because the benchmark module still compiles
 // against them; once it calls Partition directly they go, together with
-// PartitionConfig.Multilevel (ROADMAP.md item 2(b)).
+// PartitionConfig.Multilevel (ROADMAP.md item 8(c)).
 
 // MultilevelOptions is ignored.
 //

@@ -76,20 +76,25 @@ func (p *PCN) Symmetric() *Symmetric {
 }
 
 // buildSymmetric transposes the out-CSR one stretch of sources at a time: k
-// consecutive sources whose out-rows are bit-equal (outLeads) are k sources
-// of every target of the one row. Its counting pass walks each stretch's row
-// and learns, per target t: its in-degree (in row[t], until the runs are
-// numbered); whether its in-row is uniform (first[t] is the first weight it
-// meets, mixed[t] whether a later one differs in any bit); and adj[t], the
-// number of sources whose row holds t−1 immediately before t. Rows are
-// strictly increasing, so adj[t] counts the sources t shares with t−1, and
-// t's source set equals t−1's exactly when indeg(t) == indeg(t−1) == adj[t]:
-// t then reads t−1's id run. The count is taken within a row, never across
-// the flat OutTo array, where the entry before t may end another source's
-// row.
+// consecutive sources whose out-rows are bit-equal (outLeads, or Expand's
+// record of it) are k sources of every target of the one row. Its counting
+// pass walks each stretch's row and learns, per target t: its in-degree (in
+// row[t], until the runs are numbered); whether its in-row is uniform
+// (first[t] is the first weight it meets, mixed[t] whether a later one
+// differs in any bit); and adj[t], the number of sources whose row holds t−1
+// immediately before t. Rows are strictly increasing, so adj[t] counts the
+// sources t shares with t−1, and t's source set equals t−1's exactly when
+// indeg(t) == indeg(t−1) == adj[t]: t then reads t−1's id run. The count is
+// taken within a row, never across the flat OutTo array, where the entry
+// before t may end another source's row.
 func (p *PCN) buildSymmetric() *Symmetric {
 	n := p.NumClusters
-	leads := p.outLeads()
+	var leads []int32
+	if p.plan != nil {
+		leads = p.plan.leads
+	} else {
+		leads = p.outLeads()
+	}
 	// next returns the end of the stretch that starts at source i.
 	next := func(i int) int {
 		j := i + 1
@@ -213,11 +218,18 @@ func (p *PCN) buildSymmetric() *Symmetric {
 // consecutive sources whose out-rows are bit-equal to its own, ids and
 // weight bits. It returns nil when no nonempty out-row equals its
 // predecessor's (a CNN's sliding windows, a random graph), so that the out
-// side stays the identity alias.
+// side stays the identity alias. It scans every row; Expand records the same
+// answer from its plan, and only a PCN without that record pays the scan.
 func (p *PCN) outLeads() []int32 {
+	return p.leadsBy(func(i int) bool { return p.sameOutRow(i-1, i) })
+}
+
+// leadsBy is outLeads with same(i) reporting whether source i's out-row
+// equals source i−1's.
+func (p *PCN) leadsBy(same func(i int) bool) []int32 {
 	var lead []int32
 	for i := 1; i < p.NumClusters; i++ {
-		if !p.sameOutRow(i-1, i) {
+		if !same(i) {
 			if lead != nil {
 				lead[i] = int32(i)
 			}

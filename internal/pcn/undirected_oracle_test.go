@@ -73,6 +73,6 @@ func (p *PCN) buildUndirected() *Undirected {
 	}
 	// Merge parallel entries (an i->j and j->i pair become one undirected
 	// entry with summed weight).
-	off, to, w := finalizeCSR(deg, to, w, 1)
+	off, to, w := finalizeCSR(deg, to, w, 1, nil)
 	return &Undirected{Off: off, To: to, W: w}
 }

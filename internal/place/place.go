@@ -47,18 +47,20 @@ func New(numClusters int, mesh hw.Mesh) (*Placement, error) {
 // NumClusters returns the number of clusters the placement covers.
 func (p *Placement) NumClusters() int { return len(p.PosOf) }
 
-// Assign places cluster c on the core with flattened index idx. It panics
-// if either side is already taken (placements are injective): its callers
-// fill a fresh placement, so a taken side is a programming error.
-func (p *Placement) Assign(c int, idx int32) {
+// Assign places cluster c on the core with flattened index idx. It returns
+// an error wrapping ErrBadConfig, and changes nothing, if either side is
+// already taken (placements are injective), as in a decoded placement that
+// names one core twice.
+func (p *Placement) Assign(c int, idx int32) error {
 	if p.PosOf[c] != None {
-		panic(fmt.Sprintf("place: cluster %d already placed at %d", c, p.PosOf[c]))
+		return fmt.Errorf("place: cluster %d already placed at %d: %w", c, p.PosOf[c], ErrBadConfig)
 	}
 	if p.ClusterAt[idx] != None {
-		panic(fmt.Sprintf("place: core %d already holds cluster %d", idx, p.ClusterAt[idx]))
+		return fmt.Errorf("place: core %d assigned twice (holds cluster %d): %w", idx, p.ClusterAt[idx], ErrBadConfig)
 	}
 	p.PosOf[c] = idx
 	p.ClusterAt[idx] = int32(c)
+	return nil
 }
 
 // Move relocates cluster c to the empty core idx, freeing its current core.

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,21 +34,25 @@ func TestAssignAndLookup(t *testing.T) {
 	}
 }
 
-func TestAssignPanicsOnConflicts(t *testing.T) {
+func TestAssignRejectsConflicts(t *testing.T) {
 	p, _ := New(2, hw.MustMesh(2, 2))
-	p.Assign(0, 0)
-	for _, f := range []func(){
-		func() { p.Assign(0, 1) }, // cluster already placed
-		func() { p.Assign(1, 0) }, // core already taken
+	if err := p.Assign(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		c    int
+		idx  int32
+	}{
+		{"cluster already placed", 0, 1},
+		{"core already taken", 1, 0},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
+		if err := p.Assign(c.c, c.idx); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: got %v, want ErrBadConfig", c.name, err)
+		}
+	}
+	if p.PosOf[0] != 0 || p.PosOf[1] != None || p.ClusterAt[0] != 0 || p.ClusterAt[1] != None {
+		t.Errorf("a rejected Assign changed the placement: PosOf %v, ClusterAt %v", p.PosOf, p.ClusterAt)
 	}
 }
 

@@ -11,30 +11,16 @@ import (
 	"snnmap/internal/pcn"
 )
 
-// Monotone reports whether every PCN edge points from a smaller to a larger
-// cluster index. Partitioned feed-forward networks (Algorithm 1 and Expand
-// both emit clusters in layer order) are always monotone.
-// On a monotone PCN Algorithm 2's order is the identity: by induction, when
-// position p is assigned every cluster below p is already ordered, so
-// cluster p's in-edges are all consumed, it sits in the ready set, and the
-// smallest-index tie-break picks it over any larger ready cluster. O(V)
-// because each cluster's CSR targets are sorted ascending.
-func Monotone(p *pcn.PCN) bool {
-	for i := 0; i < p.NumClusters; i++ {
-		tos, _ := p.OutEdges(i)
-		if len(tos) > 0 && int(tos[0]) <= i {
-			return false
-		}
-	}
-	return true
-}
-
 // Sort returns Seq: the position of each cluster in the topological order
 // (Eq. 15). Ties are broken by smallest cluster index, exactly as in
-// Algorithm 2. Monotone PCNs take an O(V) identity fast path; the general
-// Kahn walk (sortHeap) is retained as its equivalence oracle.
+// Algorithm 2. On a monotone PCN (pcn.PCN.Monotone) Algorithm 2's order is
+// the identity: by induction, when position p is assigned every cluster
+// below p is already ordered, so cluster p's in-edges are all consumed, it
+// sits in the ready set, and the smallest-index tie-break picks it over any
+// larger ready cluster. Such PCNs take an O(V) identity fast path; the
+// general Kahn walk (sortHeap) is retained as its equivalence oracle.
 func Sort(p *pcn.PCN) []int32 {
-	if Monotone(p) {
+	if p.Monotone() {
 		seq := make([]int32, p.NumClusters)
 		for i := range seq {
 			seq[i] = int32(i)

@@ -2,6 +2,7 @@ package toposort
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -195,8 +196,43 @@ func TestSortFastPathMatchesHeap(t *testing.T) {
 	}
 }
 
+// TestSortExpandedMatchesHeap holds Sort to the Kahn-heap oracle on expanded
+// nets, whose Monotone answer Expand records: feed-forward nets (recorded
+// forward), a reservoir with back-edges and a net with a backward Conn
+// (scanned). The recorded answer must equal the scan of the same edges in a
+// PCN that carries no record.
+func TestSortExpandedMatchesHeap(t *testing.T) {
+	lsm, err := snn.Reservoir("lsm", snn.ReservoirConfig{Inputs: 2048, ReservoirNeurons: 40960, Readouts: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := snn.SynthDNN("back", 4, 5*4096)
+	back.Connect(3, 1, 3, snn.Dense, 0)
+	scanned := 0
+	for _, n := range []*snn.Net{snn.DNN16M(), snn.CNN16M(), snn.ResNet(), snn.MobileNet(), lsm, back} {
+		p, err := pcn.Expand(n, pcn.DefaultPartition())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare := &pcn.PCN{Name: p.Name, NumClusters: p.NumClusters, Neurons: p.Neurons, Synapses: p.Synapses,
+			Layer: p.Layer, OutOff: p.OutOff, OutTo: p.OutTo, OutW: p.OutW}
+		if p.Monotone() != bare.Monotone() {
+			t.Errorf("%s: Monotone %v, scan %v", n.Name, p.Monotone(), bare.Monotone())
+		}
+		if !slices.Equal(Sort(p), sortHeap(p)) {
+			t.Errorf("%s: Sort differs from the Kahn-heap oracle", n.Name)
+		}
+		if !p.Monotone() {
+			scanned++
+		}
+	}
+	if scanned == 0 {
+		t.Error("every net is monotone: the heap path went untested")
+	}
+}
+
 func TestMonotone(t *testing.T) {
-	if !Monotone(chainPCN(t, 6)) {
+	if !chainPCN(t, 6).Monotone() {
 		t.Fatal("chain PCN must be monotone")
 	}
 	var b snn.GraphBuilder
@@ -206,7 +242,7 @@ func TestMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Monotone(res.PCN) {
+	if res.PCN.Monotone() {
 		t.Fatal("backward edge must break monotonicity")
 	}
 }

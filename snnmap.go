@@ -113,7 +113,9 @@ func Partition(g *Graph, cfg PartitionConfig) (*PartitionResult, error) {
 }
 
 // Expand partitions a layer-spec Net analytically (identical cluster
-// structure, no neuron materialization).
+// structure, no neuron materialization). The PCN records which of its
+// out-rows repeat and whether its edges all point forward, so its edge
+// arrays are read-only: change a copy of them in a fresh PCN instead.
 func Expand(n *Net, cfg PartitionConfig) (*PCN, error) { return pcn.Expand(n, cfg) }
 
 // Mapping (§4).
@@ -494,7 +496,10 @@ func OpenCache(cfg CacheConfig) (*Cache, error) { return cache.New(cfg) }
 // SavePCN writes a PCN in the compact binary format.
 func SavePCN(w io.Writer, p *PCN) error { return codec.WritePCN(w, p) }
 
-// LoadPCN reads a PCN written by SavePCN.
+// LoadPCN reads a PCN written by SavePCN. It carries no record of Expand's:
+// its first adjacency build scans for the repeated out-rows, and finds the
+// ones Expand recorded, so it maps and evaluates to the saved PCN's bits.
+// Its edge arrays are read-only once that build has run.
 func LoadPCN(r io.Reader) (*PCN, error) { return codec.ReadPCN(r) }
 
 // SavePlacement writes a placement in the compact binary format.
