@@ -14,8 +14,8 @@ package baseline
 import (
 	"time"
 
-	"snnmap/internal/geom"
 	"snnmap/internal/hw"
+	"snnmap/internal/mapping"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
@@ -53,36 +53,15 @@ type Stats struct {
 }
 
 // swapEnergyDelta returns the change of M_ec caused by exchanging the
-// contents of cores a and b (either may be empty). Negative is better. Any
-// mutual edge between the two swapped clusters keeps its length and cancels.
+// contents of cores a and b (either may be empty): MoveEnergyDelta of one
+// move per occupied core. Negative is better.
 func swapEnergyDelta(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, a, b int32) float64 {
-	sym := p.Symmetric()
-	var buf pcn.MergeBuf
-	ca, cb := pl.ClusterAt[a], pl.ClusterAt[b]
-	pa, pb := pl.Mesh.Coord(int(a)), pl.Mesh.Coord(int(b))
-	var delta float64
-	walk := func(tos []int32, ws []float64, other int32, from, to geom.Point) {
-		m := pcn.WeightMask(tos, ws)
-		for k, t := range tos {
-			if t == other {
-				continue
-			}
-			pk := pl.Of(int(t))
-			delta += ws[k&m] * (cost.SpikeEnergy(geom.Manhattan(to, pk)) -
-				cost.SpikeEnergy(geom.Manhattan(from, pk)))
-		}
+	moves := make([]mapping.Move, 0, 2)
+	if ca := pl.ClusterAt[a]; ca != place.None {
+		moves = append(moves, mapping.Move{C: int(ca), From: a, To: b})
 	}
-	moveCost := func(c, other int32, from, to geom.Point) {
-		// The two runs hold c's neighbors once each, ascending across both.
-		to1, w1, to2, w2 := sym.Neighbors(int(c), &buf)
-		walk(to1, w1, other, from, to)
-		walk(to2, w2, other, from, to)
+	if cb := pl.ClusterAt[b]; cb != place.None {
+		moves = append(moves, mapping.Move{C: int(cb), From: b, To: a})
 	}
-	if ca != place.None {
-		moveCost(ca, cb, pa, pb)
-	}
-	if cb != place.None {
-		moveCost(cb, ca, pb, pa)
-	}
-	return delta
+	return mapping.MoveEnergyDelta(p, pl, cost, moves)
 }

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -71,6 +73,58 @@ func TestPlacementEnergyMatchesDefinition(t *testing.T) {
 	}
 	if got := mapping.InterconnectEnergy(p, pl, cost); math.Abs(got-want) > 1e-9 {
 		t.Errorf("energy %g, want %g", got, want)
+	}
+}
+
+// swapEnergyDeltaOracle is DFSynthesizer's own swap delta from before the
+// field repairs and the search shared mapping.MoveEnergyDelta: both swapped
+// clusters' Symmetric neighbours, skipping their mutual edge, whose length
+// a swap keeps. It pins the kernel's two-move call bit for bit.
+func swapEnergyDeltaOracle(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, a, b int32) float64 {
+	sym := p.Symmetric()
+	var buf pcn.MergeBuf
+	ca, cb := pl.ClusterAt[a], pl.ClusterAt[b]
+	pa, pb := pl.Mesh.Coord(int(a)), pl.Mesh.Coord(int(b))
+	var delta float64
+	walk := func(tos []int32, ws []float64, other int32, from, to geom.Point) {
+		m := pcn.WeightMask(tos, ws)
+		for k, t := range tos {
+			if t == other {
+				continue
+			}
+			pk := pl.Of(int(t))
+			delta += ws[k&m] * (cost.SpikeEnergy(geom.Manhattan(to, pk)) -
+				cost.SpikeEnergy(geom.Manhattan(from, pk)))
+		}
+	}
+	moveCost := func(c, other int32, from, to geom.Point) {
+		to1, w1, to2, w2 := sym.Neighbors(int(c), &buf)
+		walk(to1, w1, other, from, to)
+		walk(to2, w2, other, from, to)
+	}
+	if ca != place.None {
+		moveCost(ca, cb, pa, pb)
+	}
+	if cb != place.None {
+		moveCost(cb, ca, pb, pa)
+	}
+	return delta
+}
+
+// TestSwapEnergyDeltaBits holds the kernel's two-move call to the oracle
+// bit for bit, with either core possibly empty: DFSynthesizer's accept
+// decisions, and so its placements, depend on every bit.
+func TestSwapEnergyDeltaBits(t *testing.T) {
+	f := func(seed int64, ai, bi uint8) bool {
+		p := randomPCN(t, seed, 12, 60)
+		mesh := hw.MustMesh(4, 4)
+		pl := randomPlacement(t, p, mesh, seed)
+		cost := hw.DefaultCostModel()
+		a, b := int32(int(ai)%mesh.Cores()), int32(int(bi)%mesh.Cores())
+		return a == b || math.Float64bits(swapEnergyDelta(p, pl, cost, a, b)) == math.Float64bits(swapEnergyDeltaOracle(p, pl, cost, a, b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -193,6 +247,39 @@ func TestDFSynthesizerImprovesEnergy(t *testing.T) {
 	}
 	if mapping.InterconnectEnergy(p, df, cost) >= mapping.InterconnectEnergy(p, rd, cost) {
 		t.Error("DFSynthesizer must improve on its random start")
+	}
+}
+
+// TestDFSynthesizerPinnedPlacements pins DFSynthesizer's seed-3 placements
+// on four Table 3 nets (FNV-64a over the cores in cluster order) and its
+// accepted moves: a change of any accept decision moves them.
+func TestDFSynthesizerPinnedPlacements(t *testing.T) {
+	for _, tc := range []struct {
+		net   func() *snn.Net
+		hash  uint64
+		moves int64
+	}{
+		{snn.LeNetMNIST, 0xff89a592127ae1c1, 7},
+		{snn.AlexNet, 0xc81dd011eedc666d, 1090},
+		{snn.MobileNet, 0xa8dec043d52a4f5e, 4353},
+		{snn.ResNet, 0xd39b58472a48fe4c, 15296},
+	} {
+		net := tc.net()
+		p, err := pcn.Expand(net, pcn.DefaultPartition())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, st, err := DFSynthesizer(p, hw.MeshFor(p.NumClusters), Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, pos := range pl.PosOf {
+			fmt.Fprint(h, pos, ",")
+		}
+		if h.Sum64() != tc.hash || st.Moves != tc.moves {
+			t.Errorf("%s: placement hash %x after %d moves, want %x after %d", net.Name, h.Sum64(), st.Moves, tc.hash, tc.moves)
+		}
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // iteratively, evaluating the cost metric after every move and retaining
 // the new mapping only if the metric improves.
 //
-// The cost metric is the interconnect energy M_ec (Eq. 9), evaluated
-// incrementally per swap. The effort is 40 swap attempts per cluster; the
-// budget early-stops long runs, as the paper's protocol does.
+// The cost metric is M_ec (Eq. 9), each swap priced by MoveEnergyDelta,
+// the ΔM_ec the field repairs decide by too. The effort is 40 swap attempts
+// per cluster; the budget early-stops long runs, as in the paper's protocol.
 func DFSynthesizer(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, Stats, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -49,9 +49,8 @@ func DFSynthesizer(p *pcn.PCN, mesh hw.Mesh, opts Options) (*place.Placement, St
 		if a == b {
 			continue
 		}
-		delta := swapEnergyDelta(p, pl, opts.Cost, a, b)
 		stats.Evaluations++
-		if delta < 0 {
+		if swapEnergyDelta(p, pl, opts.Cost, a, b) < 0 {
 			pl.SwapCores(a, b)
 			stats.Moves++
 		}

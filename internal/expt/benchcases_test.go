@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"snnmap/internal/baseline"
 	"snnmap/internal/codec"
 	"snnmap/internal/curve"
 	"snnmap/internal/hw"
@@ -30,13 +32,13 @@ func BenchmarkCases(b *testing.B) {
 	partN, partWl := 131_072, "synthetic-131k"
 	fdSide, fdIters, fdWl := 256, 3, "synthetic-256x256"
 	evalN, evalWl := 3000, "synthetic-3k"
-	kernNet, sweepNet := "DNN_268M", "CNN_16M"
+	kernNet, sweepNet, dfNet, failN := "DNN_268M", "CNN_16M", "ResNet", 4
 	if testing.Short() {
 		net, netFD = "LeNet-MNIST", 2
 		partN, partWl = 32_768, "synthetic-32k"
 		fdSide, fdIters, fdWl = 96, 2, "synthetic-96x96"
 		evalN, evalWl = 300, "synthetic-300"
-		kernNet, sweepNet = "DNN_65K", "CNN_65K"
+		kernNet, sweepNet, dfNet, failN = "DNN_65K", "CNN_65K", "LeNet-MNIST", 2
 	}
 
 	// A Table 3 workload through the three pipeline stages.
@@ -203,28 +205,35 @@ func BenchmarkCases(b *testing.B) {
 	}
 
 	// Field repair after the first occupied row of a defective, spare-row
-	// mesh fails (the benchmark's dnn268m_faulty shape): the row shift with
-	// its trial walks, and per-cluster migration to the nearest free core.
-	faulty := mustGet(sync.OnceValues(func() (rowFailure, error) { return failTopRow(kernNet) }))
-	b.Run("repair/remap-rows/"+kernNet, func(b *testing.B) {
-		f, cost := faulty(b), hw.DefaultCostModel()
-		timed(b, func() error {
-			b.StopTimer()
-			pl := f.pl.Clone()
-			b.StartTimer()
-			_, err := mapping.RemapRows(f.p, pl, f.d, f.cons, cost)
-			return err
-		})
-	})
-	b.Run("repair/remap/"+kernNet, func(b *testing.B) {
-		f, cost := faulty(b), hw.DefaultCostModel()
-		timed(b, func() error {
-			b.StopTimer()
-			pl := f.pl.Clone()
-			b.StartTimer()
-			_, err := mapping.Remap(f.p, pl, f.d, f.cons, cost)
-			return err
-		})
+	// mesh fails (the benchmark's dnn268m_faulty shape), and after the first
+	// failN fail (DNN_65K has room for 2): the row shifts priced by ΔM_ec,
+	// and per-cluster migration to the nearest free core.
+	one := mustGet(sync.OnceValues(func() (rowFailure, error) { return failRows(kernNet, 1) }))
+	many := mustGet(sync.OnceValues(func() (rowFailure, error) { return failRows(kernNet, failN) }))
+	repair := func(faulty func(*testing.B) rowFailure, fn func(*pcn.PCN, *place.Placement, *hw.DefectMap, hw.Constraints, hw.CostModel) (mapping.RemapStats, error)) func(*testing.B) {
+		return func(b *testing.B) {
+			f, cost := faulty(b), hw.DefaultCostModel()
+			timed(b, func() error {
+				b.StopTimer()
+				pl := f.pl.Clone()
+				b.StartTimer()
+				_, err := fn(f.p, pl, f.d, f.cons, cost)
+				return err
+			})
+		}
+	}
+	b.Run("repair/remap-rows/"+kernNet, repair(one, mapping.RemapRows))
+	b.Run("repair/remap/"+kernNet, repair(one, mapping.Remap))
+	b.Run(fmt.Sprintf("repair/remap-rows-%d/%s", failN, kernNet), repair(many, mapping.RemapRows))
+
+	// DFSynthesizer's greedy swap search, each swap priced by ΔM_ec.
+	b.Run("baseline/dfsynthesizer/"+dfNet, func(b *testing.B) {
+		p, mesh, err := buildNet(dfNet)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Symmetric() // built once, outside the timed region
+		timed(b, func() error { _, _, err := baseline.DFSynthesizer(p, mesh, baseline.Options{Seed: 3}); return err })
 	})
 
 	// FD to convergence on a sparse CNN, where the O(E) build is a few
@@ -404,10 +413,10 @@ type rowFailure struct {
 	cons hw.Constraints
 }
 
-// failTopRow places the named workload by HSC + FD on its mesh grown by an
+// failRows places the named workload by HSC + FD on its mesh grown by an
 // eighth plus two spare rows, with 2 % of the cores dead in eight blobs,
-// then fails the first occupied row.
-func failTopRow(name string) (rowFailure, error) {
+// then fails its first n occupied rows.
+func failRows(name string, n int) (rowFailure, error) {
 	p, mesh, err := buildNet(name)
 	if err != nil {
 		return rowFailure{}, err
@@ -423,13 +432,12 @@ func failTopRow(name string) (rowFailure, error) {
 		return rowFailure{}, err
 	}
 	field := d.Clone()
-	for idx, c := range pl.ClusterAt {
-		if c != place.None {
-			row := idx / mesh.Cols
+	for row := 0; row < mesh.Rows && n > 0; row++ {
+		if slices.ContainsFunc(pl.ClusterAt[row*mesh.Cols:(row+1)*mesh.Cols], func(c int32) bool { return c != place.None }) {
 			for col := 0; col < mesh.Cols; col++ {
 				field.MarkDead(row*mesh.Cols + col)
 			}
-			break
+			n--
 		}
 	}
 	return rowFailure{placed{p, pl}, field, cons}, nil
